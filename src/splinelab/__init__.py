@@ -14,12 +14,9 @@ __version__ = "0.1.0"
 from .bspline import (
     KnotVector,
     QuadratureRule,
-    Spline1D,
     SplineSpace1D,
     TensorSpline,
     atom_quadrature,
-    eval_tensor_spline,
-    integrate_against,
     knot_vector,
 )
 from .filtration import (
@@ -74,8 +71,6 @@ from .projector import (
     GramSystem,
     TensorProjector,
     decay_profile,
-    dual_eval,
-    gram,
     operator_norm_inf,
 )
 from .sequences import (

@@ -12,6 +12,7 @@ for k >= 2 the spline is continuous and the convention is invisible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -61,7 +62,7 @@ class SplineSpace1D:
         """Values of the (at most k) nonzero basis functions at each point.
 
         Parameters:
-            xs : array of points in (a, b]
+            xs : array of finite points in (a, b]
 
         Returns:
             first : (n,) int array, index of the first active basis function
@@ -73,8 +74,9 @@ class SplineSpace1D:
         dim = self.dimension
         xs = np.asarray(xs, dtype=float)
         iv = self.interval
-        if np.any(xs <= iv.lo) or np.any(xs > iv.hi):
-            raise ValueError(f"evaluation point outside ({iv.lo}, {iv.hi}]")
+        # written so that NaN fails the test too
+        if not np.all((xs > iv.lo) & (xs <= iv.hi)):
+            raise ValueError(f"evaluation point outside ({iv.lo}, {iv.hi}] or not finite")
         flat = np.atleast_1d(xs).ravel()
         # knot span mu with T[mu] < x <= T[mu+1]; the (.,.] convention is built in here
         mu = np.searchsorted(T, flat, side="left") - 1
@@ -151,47 +153,27 @@ def atom_quadrature(p: Partition1D, g: int) -> QuadratureRule:
     return QuadratureRule(nodes=nodes, weights=weights)
 
 
-def integrate_against(space: SplineSpace1D, f, g: int = None) -> np.ndarray:
-    """Vector b with b_i = int f(x) N_i(x) dx, by per-atom Gauss-Legendre.
+def mode_apply(tensor, ops) -> np.ndarray:
+    """Apply ops[l] along axis l of `tensor` for every l (the n-mode product).
 
-    Exact (to roundoff) whenever f is a piecewise polynomial of degree
-    <= 2g-1-(k-1) on the atoms of the space's partition.
+    ops[l] maps an (n_l, r) array to an (n'_l, r) array, where r collects all
+    other axes; axes past len(ops), such as a trailing value axis, ride along.
+    Every per-axis operation on Kronecker-structured tensors goes through here.
     """
-    k = space.order
-    if g is None:
-        g = max(k, DEFAULT_QUAD_POINTS)
-    rule = atom_quadrature(space.partition, g)
-    fx = np.asarray(f(rule.nodes), dtype=float)
-    if fx.shape != rule.nodes.shape:
-        raise ValueError("integrand must evaluate elementwise on node arrays")
-    _, vals = space.eval_basis_many(rule.nodes)  # (n_atoms, g, k)
-    contrib = np.einsum("ag,ag,agr->ar", rule.weights, fx, vals)
-    b = np.zeros(space.dimension)
-    atoms = np.arange(space.partition.n_atoms)
-    for r in range(k):
-        np.add.at(b, atoms + r, contrib[:, r])
-    return b
+    out = np.asarray(tensor, dtype=float)
+    for ell, op in enumerate(ops):
+        moved = np.moveaxis(out, ell, 0)
+        res = op(moved.reshape(moved.shape[0], -1))
+        out = np.moveaxis(res.reshape(res.shape[:1] + moved.shape[1:]), 0, ell)
+    return out
 
 
-@dataclass
-class Spline1D:
-    space: SplineSpace1D
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=float)
-        if self.coeffs.shape != (self.space.dimension,):
-            raise ValueError(
-                f"coefficient length {self.coeffs.shape} != dimension {self.space.dimension}"
-            )
-
-    def __call__(self, xs):
-        xs = np.asarray(xs, dtype=float)
-        first, vals = self.space.eval_basis_many(xs)
-        out = np.zeros(np.shape(xs))
-        for r in range(self.space.order):
-            out += vals[..., r] * self.coeffs[first + r]
-        return out
+def _collocate(first, vals, C):
+    """Rows sum_r vals[p, r] * C[first[p] + r]: banded collocation, never formed densely."""
+    out = vals[:, :1] * C[first]
+    for r in range(1, vals.shape[1]):
+        out += vals[:, r:r + 1] * C[first + r]
+    return out
 
 
 class TensorSpline:
@@ -244,6 +226,16 @@ class TensorSpline:
             out += w[:, None] * self.coeffs[idx]
         return out
 
+    def eval_grid(self, axis_points) -> np.ndarray:
+        """Evaluate on the tensor grid of per-axis points; returns (n_1, ..., n_d, m)."""
+        if len(axis_points) != self.d:
+            raise ValueError(f"got points for {len(axis_points)} axes, expected {self.d}")
+        ops = []
+        for space, xs in zip(self.spaces, axis_points):
+            first, vals = space.eval_basis_many(np.ravel(xs))
+            ops.append(partial(_collocate, first, vals))
+        return mode_apply(self.coeffs, ops)
+
     def __call__(self, point) -> np.ndarray:
         """Value at a single point of I^d, as an (m,) array."""
         return self.eval_many(np.atleast_1d(np.asarray(point, float))[None, :])[0]
@@ -265,18 +257,16 @@ class TensorSpline:
         return TensorSpline(spaces, np.asarray(doc["coeffs"]), m=doc["m"])
 
 
-def eval_tensor_spline(ts: TensorSpline, x) -> np.ndarray:
-    """Value of a tensor spline at one point (thin wrapper over TensorSpline)."""
-    return ts(x)
-
-
 def as_value_array(out, base_shape, where: str = "function") -> np.ndarray:
-    """Normalize a callable's output to shape base_shape + (m,)."""
+    """Normalize a callable's output to shape base_shape + (m,); reject NaN and inf."""
     out = np.asarray(out, dtype=float)
-    if out.shape == tuple(base_shape):
-        return out[..., None]
-    if out.ndim == len(base_shape) + 1 and out.shape[: len(base_shape)] == tuple(base_shape):
-        return out
-    raise ValueError(
-        f"{where} returned shape {out.shape}, expected {tuple(base_shape)} or {tuple(base_shape)} + (m,)"
-    )
+    base_shape = tuple(base_shape)
+    if out.shape == base_shape:
+        out = out[..., None]
+    elif out.ndim != len(base_shape) + 1 or out.shape[:-1] != base_shape:
+        raise ValueError(
+            f"{where} returned shape {out.shape}, expected {base_shape} or {base_shape} + (m,)"
+        )
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"{where} returned non-finite values")
+    return out

@@ -301,15 +301,13 @@ def run_weaktype(cfg: dict):
             q_use = q_hat
         finest_parts = [s.partition for s in tp_fine.spaces]
         sample_pts = [0.5 * (fp.breakpoints[:-1] + fp.breakpoints[1:]) for fp in finest_parts]
-        grids = np.meshgrid(*sample_pts, indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=-1)
         for si, (idx, rect) in enumerate(spikes):
             f = function_catalog("spike", d, lo=rect.lo, hi=rect.hi)
             sup_field = np.zeros(shape)
             for n in range(1, depth + 1):
                 tp = TensorProjector.for_level(F, n, orders)
                 pn = tp.project_function(f, g=max(orders), quad_partitions=finest_parts)
-                vals = np.linalg.norm(pn.eval_many(pts), axis=-1).reshape(shape)
+                vals = np.linalg.norm(pn.eval_grid(sample_pts), axis=-1)
                 sup_field = np.maximum(sup_field, vals)
             ratio = _exact_weak_ratio(sup_field, vols)
             rows.append((case_id, q_use, si, "supPn", ratio, bound_p))

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bspline import GENERAL_QUAD_POINTS, atom_quadrature
+from .bspline import GENERAL_QUAD_POINTS, atom_quadrature, mode_apply
 from .filtration import AtomSet, Partition1D, TensorFiltration, l1_distance_grid
 from .measures import CompiledMasses, HybridMeasure, compile_masses, measure_of_atom
 
@@ -76,10 +76,7 @@ def level_sum_field(q: float, masses: CompiledMasses, n: int) -> np.ndarray:
     S = np.asarray(masses.level_masses(n), dtype=float)
     if np.any(S < 0):
         raise ValueError("level sums need a nonnegative measure")
-    for ell in range(F.d):
-        K = _axis_kernel(F.axes[ell].level(n).breakpoints, q)
-        S = np.moveaxis(np.tensordot(K, S, axes=([1], [ell])), 0, ell)
-    return S
+    return mode_apply(S, [_axis_kernel(ax.level(n).breakpoints, q).__matmul__ for ax in F.axes])
 
 
 def level_sum(q: float, theta, F: TensorFiltration, n: int, x) -> float:
@@ -384,7 +381,6 @@ def restricted_limsup_bound(F: TensorFiltration, theta, D: AtomSet, eps: float,
         N_max = F.n_levels
     masses = theta if isinstance(theta, CompiledMasses) else compile_masses(theta, F)
     d = F.d
-    rects = [F.atom_rectangle(D.level, idx) for idx in D.members]
     theta_D = float(np.sum(masses.level_masses(D.level)[D.mask(F.level_shape(D.level))]))
     if theta_D > eps + 1e-12 * max(1.0, eps):
         raise ValueError(f"theta(D) = {theta_D} exceeds the declared eps = {eps}")

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bspline import GENERAL_QUAD_POINTS, as_value_array, atom_quadrature
+from .bspline import GENERAL_QUAD_POINTS, as_value_array, atom_quadrature, mode_apply
 from .filtration import Rectangle, TensorFiltration
 
 
@@ -102,10 +102,7 @@ def _density_integral(theta: HybridMeasure, rect: Rectangle) -> np.ndarray:
         axis_weights.append(0.5 * (hi - lo) * weights)
     grids = np.meshgrid(*axis_nodes, indexing="ij", sparse=True)
     vals = theta.density_values(*grids)
-    w = axis_weights[0]
-    for aw in axis_weights[1:]:
-        w = np.multiply.outer(w, aw)
-    return np.tensordot(w, vals, axes=theta.d)
+    return mode_apply(vals, [aw[None, :].__matmul__ for aw in axis_weights]).reshape(theta.m)
 
 
 @dataclass(frozen=True)
@@ -212,13 +209,11 @@ class CompiledMasses:
         vals = theta.density_values(*grids)
         if not vector:
             vals = np.linalg.norm(vals, axis=-1, keepdims=True)
-        for ell in range(F.d):
-            w = rules[ell].weights  # (n_atoms, g)
-            n_atoms, gg = w.shape
-            vals = np.moveaxis(vals, ell, 0)
-            vals = vals.reshape((n_atoms, gg) + vals.shape[1:])
-            vals = np.einsum("ag,ag...->a...", w, vals)
-            vals = np.moveaxis(vals, 0, ell)
+        # per axis: weighted sum over the g nodes of each atom
+        vals = mode_apply(vals, [
+            lambda X, w=r.weights: np.einsum("ag,agr->ar", w, X.reshape(w.shape + (-1,)))
+            for r in rules
+        ])
         return vals if vector else vals[..., 0]
 
     def _dirac_indices(self, theta, F, vector):
@@ -259,13 +254,14 @@ class CompiledMasses:
             return self._levels[n]
         F = self.F
         nl = F.n_levels
-        dens = self.finest
-        for ell in range(F.d):
-            bp_n = F.axes[ell].level(n).breakpoints
-            bp_f = F.axes[ell].level(nl).breakpoints
-            starts = np.searchsorted(bp_f, bp_n[:-1], side="left")
-            dens = np.add.reduceat(np.moveaxis(dens, ell, 0), starts, axis=0)
-            dens = np.moveaxis(dens, 0, ell)
+        # per axis: sum the finest atoms inside each level-n atom
+        starts = [
+            np.searchsorted(ax.level(nl).breakpoints, ax.level(n).breakpoints[:-1], side="left")
+            for ax in F.axes
+        ]
+        dens = mode_apply(self.finest, [
+            lambda X, s=s: np.add.reduceat(X, s, axis=0) for s in starts
+        ])
         out = self._with_diracs(dens, n)
         self._levels[n] = out
         return out

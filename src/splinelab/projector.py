@@ -24,6 +24,7 @@ from .bspline import (
     TensorSpline,
     as_value_array,
     atom_quadrature,
+    mode_apply,
 )
 from .filtration import Partition1D, TensorFiltration
 
@@ -104,10 +105,6 @@ def _assemble_gram_band(space: SplineSpace1D) -> np.ndarray:
     return ab
 
 
-def gram(space: SplineSpace1D) -> GramSystem:
-    return GramSystem(space)
-
-
 # ---------------------------------------------------------------------------
 # tensor projector
 
@@ -139,13 +136,7 @@ class TensorProjector:
 
     def solve_coefficients(self, b: np.ndarray) -> np.ndarray:
         """Solve (G_1 x ... x G_d) c = b by per-axis banded solves along each mode."""
-        c = np.asarray(b, dtype=float)
-        for ell, gs in enumerate(self.grams):
-            c = np.moveaxis(c, ell, 0)
-            shape = c.shape
-            c = gs.solve(c.reshape(shape[0], -1)).reshape(shape)
-            c = np.moveaxis(c, 0, ell)
-        return c
+        return mode_apply(b, [gs.solve for gs in self.grams])
 
     def moment_tensor(self, f, g: int = None, quad_partitions=None) -> np.ndarray:
         """Tensor b with b_i = int f(x) prod_l N_{i_l}(x_l) dx.
@@ -165,12 +156,11 @@ class TensorProjector:
         grids = np.meshgrid(*axis_nodes, indexing="ij", sparse=True)
         F = as_value_array(f(*grids), tuple(len(a) for a in axis_nodes), "integrand")
         # fold the weights into the collocation matrix of each axis
-        out = F
-        for ell in range(self.d):
-            W = self.spaces[ell].basis_matrix(axis_nodes[ell])
-            W *= rules[ell].weights.ravel()[:, None]
-            out = np.moveaxis(np.tensordot(W.T, out, axes=([1], [ell])), 0, ell)
-        return out
+        ops = []
+        for space, nodes, rule in zip(self.spaces, axis_nodes, rules):
+            W = space.basis_matrix(nodes) * rule.weights.ravel()[:, None]
+            ops.append(W.T.__matmul__)
+        return mode_apply(F, ops)
 
     def project_function(self, f, g: int = None, m: int = None,
                          quad_partitions=None) -> TensorSpline:
@@ -191,8 +181,8 @@ class TensorProjector:
             Partition1D(np.union1d(mine.partition.breakpoints, theirs.partition.breakpoints))
             for mine, theirs in zip(self.spaces, ts.spaces)
         ]
-        f = _tensor_spline_callable(ts)
-        return self.project_function(f, g=g, m=ts.m, quad_partitions=quad)
+        return self.project_function(lambda *grids: ts.eval_grid([np.ravel(a) for a in grids]),
+                                     g=g, m=ts.m, quad_partitions=quad)
 
     def project_measure(self, theta, quad_partitions=None) -> TensorSpline:
         """P theta = sum_i (int N_i dtheta) N*_i for a hybrid measure theta.
@@ -231,16 +221,6 @@ class TensorProjector:
             b[sl] += np.multiply.outer(w, np.asarray(mass, dtype=float))
         c = self.solve_coefficients(b)
         return TensorSpline(self.spaces, c, m=m)
-
-
-def _tensor_spline_callable(ts: TensorSpline):
-    def f(*grids):
-        full = np.broadcast_arrays(*grids)
-        pts = np.stack([a.ravel() for a in full], axis=-1)
-        out = ts.eval_many(pts)
-        return out.reshape(full[0].shape + (ts.m,))
-
-    return f
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +391,3 @@ def decay_profile(gs: GramSystem, nx_per_atom: int = NORM_SAMPLES_PER_ATOM) -> D
         fit_residual=resid,
     )
 
-
-def dual_eval(gs: GramSystem, i: int, x: float) -> float:
-    """Module-level convenience mirroring GramSystem.dual_eval."""
-    return gs.dual_eval(i, x)

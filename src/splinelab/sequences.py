@@ -14,12 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bspline import TensorSpline, as_value_array, atom_quadrature
+from .bspline import TensorSpline, as_value_array, atom_quadrature, mode_apply
 from .filtration import TensorFiltration
 from .measures import HybridMeasure
 from .projector import TensorProjector
 
 PROBE_BREAKPOINT_GAP = 1e-9  # probe points stay this far from every breakpoint
+PROBE_MAX_ROUNDS = 1000      # rejection rounds before sample_probe_points gives up
 
 
 @dataclass
@@ -42,15 +43,8 @@ class MartingaleSplineSequence:
 def _l1_norm(ts: TensorSpline, g: int = 8) -> float:
     """int ||g_n|| d lambda^d by per-atom quadrature on the spline's own grid."""
     rules = [atom_quadrature(s.partition, g) for s in ts.spaces]
-    axis_nodes = [r.nodes.ravel() for r in rules]
-    grids = np.meshgrid(*axis_nodes, indexing="ij", sparse=True)
-    full = np.broadcast_arrays(*grids)
-    pts = np.stack([a.ravel() for a in full], axis=-1)
-    vals = np.linalg.norm(ts.eval_many(pts), axis=-1).reshape(full[0].shape)
-    w = rules[0].weights.ravel()
-    for r in rules[1:]:
-        w = np.multiply.outer(w, r.weights.ravel())
-    return float((w * vals).sum())
+    vals = np.linalg.norm(ts.eval_grid([r.nodes for r in rules]), axis=-1)
+    return float(mode_apply(vals, [r.weights.reshape(1, -1).__matmul__ for r in rules]).sum())
 
 
 def make_sequence(F: TensorFiltration, source, orders, N_max: int = None,
@@ -106,6 +100,8 @@ def sample_probe_points(F: TensorFiltration, n_points: int, seed: int = 0,
     least `gap` away from every breakpoint.  `exclude` is an optional list of
     (point, radius) pairs, used to keep probes away from Dirac locations whose
     finite-depth remnant would otherwise dominate a convergence measurement.
+    Raises ValueError when `gap` leaves no room on some axis, or when fewer
+    than n_points survive PROBE_MAX_ROUNDS rounds of rejection.
     """
     rng = np.random.default_rng(seed)
     iv = F.interval
@@ -113,12 +109,23 @@ def sample_probe_points(F: TensorFiltration, n_points: int, seed: int = 0,
         np.unique(np.concatenate([lvl.breakpoints for lvl in ax.levels]))
         for ax in F.axes
     ]
+    for ell, bps in enumerate(all_bps):
+        if not np.any(np.diff(bps) > 2 * gap):
+            raise ValueError(
+                f"no point of axis {ell} lies farther than gap={gap} from every breakpoint"
+            )
     exclude = [
         (np.atleast_1d(np.asarray(pt, dtype=float)), float(rad)) for pt, rad in (exclude or [])
     ]
     out = np.empty((n_points, F.d))
-    got = 0
+    got, rounds = 0, 0
     while got < n_points:
+        if rounds == PROBE_MAX_ROUNDS:
+            raise ValueError(
+                f"only {got} of {n_points} probe points survived {rounds} rejection rounds; "
+                "`gap` and `exclude` leave too little of the domain"
+            )
+        rounds += 1
         cand = iv.lo + (iv.hi - iv.lo) * rng.random((2 * (n_points - got) + 8, F.d))
         ok = np.ones(len(cand), dtype=bool)
         for ell in range(F.d):

@@ -1,14 +1,18 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splinelab import (
+    FiltrationSpec,
     Partition1D,
     SplineSpace1D,
+    TensorProjector,
     TensorSpline,
     atom_quadrature,
-    integrate_against,
+    build_filtration,
     knot_vector,
 )
 
@@ -112,13 +116,13 @@ def test_support_index_out_of_range():
 
 def test_integrate_constant_sums_to_length():
     space = SplineSpace1D(Partition1D([0.0, 0.3, 0.7, 1.0]), 3)
-    b = integrate_against(space, lambda x: np.ones_like(x))
+    b = TensorProjector([space]).moment_tensor(lambda x: np.ones_like(x))[:, 0]
     assert abs(b.sum() - 1.0) <= 1e-14
 
 
 def test_integrate_identity_k1():
     space = SplineSpace1D(Partition1D([0.0, 0.5, 1.0]), 1)
-    b = integrate_against(space, lambda x: x)
+    b = TensorProjector([space]).moment_tensor(lambda x: x)[:, 0]
     np.testing.assert_allclose(b, [0.125, 0.375], atol=1e-15)
 
 
@@ -138,7 +142,7 @@ def test_integrate_hat_products_against_symbolic_oracle():
             out += vals[..., r] * coeffs[first + r]
         return out
 
-    b = integrate_against(space, basis2, g=2)
+    b = TensorProjector([space]).moment_tensor(basis2, g=2)[:, 0]
     for j in range(space.dimension):
         assert abs(b[j] - symbolic_product_integral(space, 2, j)) <= 1e-13
 
@@ -168,7 +172,7 @@ def test_quadrature_matches_symbolic_on_uniform(k):
 def test_integrate_rejects_bad_g():
     space = SplineSpace1D(Partition1D([0.0, 1.0]), 2)
     with pytest.raises(ValueError):
-        integrate_against(space, lambda x: x, g=0)
+        TensorProjector([space]).moment_tensor(lambda x: x, g=0)
 
 
 def test_tensor_constant_coefficients():
@@ -190,13 +194,13 @@ def test_tensor_rank_one_separates():
     u = rng.normal(size=5)
     v = rng.normal(size=5)
     ts = TensorSpline(spaces, np.outer(u, v))
-    from splinelab import Spline1D
-
-    su = Spline1D(spaces[0], u)
-    sv = Spline1D(spaces[1], v)
+    su = TensorSpline(spaces[:1], u)
+    sv = TensorSpline(spaces[1:], v)
     pts = rng.uniform(1e-6, 1, (40, 2))
     np.testing.assert_allclose(
-        ts.eval_many(pts)[:, 0], su(pts[:, 0]) * sv(pts[:, 1]), atol=1e-13
+        ts.eval_many(pts)[:, 0],
+        su.eval_many(pts[:, 0])[:, 0] * sv.eval_many(pts[:, 1])[:, 0],
+        atol=1e-13,
     )
 
 
@@ -226,3 +230,51 @@ def test_partition_of_unity_property(x):
     _, vals = space.eval_basis_many(np.array([x]))
     assert abs(vals.sum() - 1.0) <= 1e-12
     assert vals.min() >= -1e-14
+
+
+def test_non_finite_points_rejected():
+    space = SplineSpace1D(Partition1D([0.0, 0.5, 1.0]), 2)
+    ts = TensorSpline([space, space], np.ones((3, 3)))
+    with pytest.raises(ValueError):
+        space.eval_basis_many([0.5, np.nan])
+    with pytest.raises(ValueError):
+        ts.eval_many([[0.5, 0.5], [np.nan, 0.5]])
+    with pytest.raises(ValueError):
+        ts.eval_grid([[0.5], [0.25, np.nan]])
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2 ** 16))
+def test_eval_grid_matches_eval_many(seed):
+    # every order 1-4, d = 1-3 and m in {1, 3}, on random and on graded meshes
+    rng = np.random.default_rng(seed)
+    for d, graded in itertools.product((1, 2, 3), (False, True)):
+        if graded:
+            # bisection toward a target point until atoms reach the 1e-9 width floor
+            rules = [{"name": "point-targeted", "target": float(t)} for t in rng.uniform(0, 1, d)]
+            F = build_filtration(FiltrationSpec(d=d, interval=(0.0, 1.0), n_levels=34,
+                                                rules=rules))
+        else:
+            F = random_filtration(seed, d=d, n_levels=4)
+        axis_points = []
+        for ax in F.axes:
+            part = ax.level(F.n_levels)
+            bp = part.breakpoints
+            narrowest = int(np.argmin(part.widths))
+            on_bp = rng.choice(bp[1:], size=min(3, len(bp) - 1), replace=False)
+            axis_points.append(np.concatenate([
+                rng.uniform(1e-12, 1.0, 3), on_bp, [0.5 * (bp[narrowest] + bp[narrowest + 1])]
+            ]))
+        pts = np.stack(np.meshgrid(*axis_points, indexing="ij"), axis=-1).reshape(-1, d)
+        for k, m in itertools.product((1, 2, 3, 4), (1, 3)):
+            spaces = [SplineSpace1D(ax.level(F.n_levels), k) for ax in F.axes]
+            coeffs = rng.normal(size=tuple(s.dimension for s in spaces) + (m,))
+            ts = TensorSpline(spaces, coeffs)
+            grid = ts.eval_grid(axis_points)
+            assert grid.shape == tuple(len(a) for a in axis_points) + (m,)
+            np.testing.assert_allclose(grid.reshape(-1, m), ts.eval_many(pts), rtol=0, atol=1e-13)
+            if k == 1:
+                # half-open atoms: a breakpoint takes the value of the atom it closes
+                atoms = [np.searchsorted(s.partition.breakpoints, a, side="left") - 1
+                         for s, a in zip(spaces, axis_points)]
+                np.testing.assert_array_equal(grid, coeffs[np.ix_(*atoms)])

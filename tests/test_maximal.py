@@ -392,3 +392,12 @@ def test_singular_part_quantitative_decay():
             conv = bp[max(iy[0], i0[0]) + 1] - bp[min(iy[0], i0[0])]
             bound = prof.c_env * prof.q_hat ** max(s - k + 1, 0) / conv
             assert v <= bound * (1 + 1e-9)
+
+
+def test_nan_density_rejected_before_covering_series():
+    # a NaN total keeps covering_series_bound's stopping test false forever
+    F = build_filtration(FiltrationSpec(d=2, interval=(0.0, 1.0), n_levels=3))
+    theta = HybridMeasure(d=2, density=lambda x, y: np.full(np.broadcast(x, y).shape, np.nan))
+    B = AtomSet(level=1, members=frozenset({(0, 0)}))
+    with pytest.raises(ValueError, match="non-finite"):
+        verify_covering_bound(F, theta, 0.5, 1, 3, B, [1.0, 10.0])

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from splinelab import (
     atom_quadrature,
     build_filtration,
     decay_profile,
-    gram,
     operator_norm_inf,
 )
 from splinelab.experiments import _dense_tensor_norm_2d
@@ -20,31 +21,29 @@ from conftest import dense_dual_matrix, random_filtration
 
 
 def test_gram_k1_diagonal_of_atom_lengths():
-    gs = gram(SplineSpace1D(Partition1D([0.0, 0.3, 0.7, 1.0]), 1))
+    gs = GramSystem(SplineSpace1D(Partition1D([0.0, 0.3, 0.7, 1.0]), 1))
     np.testing.assert_allclose(gs.dense(), np.diag([0.3, 0.4, 0.3]), atol=1e-15)
 
 
 def test_gram_k2_uniform_interior_row():
     h = 0.25
-    gs = gram(SplineSpace1D(Partition1D(np.linspace(0, 1, 5)), 2))
+    gs = GramSystem(SplineSpace1D(Partition1D(np.linspace(0, 1, 5)), 2))
     G = gs.dense()
     np.testing.assert_allclose(G[2, 1:4], [h / 6, 2 * h / 3, h / 6], atol=1e-15)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_gram_row_sums_are_basis_integrals(k):
-    from splinelab import integrate_against
-
     F = random_filtration(1, n_levels=5)
     space = SplineSpace1D(F.axes[0].level(5), k)
-    gs = gram(space)
-    want = integrate_against(space, lambda x: np.ones_like(x), g=k)
+    gs = GramSystem(space)
+    want = TensorProjector([space]).moment_tensor(lambda x: np.ones_like(x), g=k)[:, 0]
     np.testing.assert_allclose(gs.dense() @ np.ones(space.dimension), want, atol=1e-14)
 
 
 def test_dual_k1_is_scaled_indicator():
     space = SplineSpace1D(Partition1D([0.0, 0.25, 1.0]), 1)
-    gs = gram(space)
+    gs = GramSystem(space)
     assert gs.dual_eval(0, 0.1) == pytest.approx(4.0)
     assert gs.dual_eval(1, 0.1) == 0.0
     assert gs.dual_eval(1, 0.9) == pytest.approx(1.0 / 0.75)
@@ -55,7 +54,7 @@ def test_dual_biorthogonality_by_quadrature():
     for k in (2, 3, 4):
         F = random_filtration(k, n_levels=6)
         space = SplineSpace1D(F.axes[0].level(6), k)
-        gs = gram(space)
+        gs = GramSystem(space)
         rule = atom_quadrature(space.partition, k + 1)
         duals = gs.duals_at(rule.nodes.ravel())          # (dim, P)
         B = space.basis_matrix(rule.nodes.ravel())       # (P, dim)
@@ -67,7 +66,7 @@ def test_dual_biorthogonality_by_quadrature():
 def test_dual_matches_dense_inverse_oracle():
     for k in (2, 3):
         space = SplineSpace1D(Partition1D(np.linspace(0, 1, 9)), k)
-        gs = gram(space)
+        gs = GramSystem(space)
         Ginv = dense_dual_matrix(gs)
         xs = np.random.default_rng(0).uniform(1e-9, 1, 31)
         B = space.basis_matrix(xs)
@@ -77,7 +76,7 @@ def test_dual_matches_dense_inverse_oracle():
 
 
 def test_dual_eval_bad_index():
-    gs = gram(SplineSpace1D(Partition1D([0.0, 1.0]), 2))
+    gs = GramSystem(SplineSpace1D(Partition1D([0.0, 1.0]), 2))
     with pytest.raises(IndexError):
         gs.dual_eval(7, 0.5)
 
@@ -85,7 +84,7 @@ def test_dual_eval_bad_index():
 def test_degenerate_partition_raises():
     bad = Partition1D([0.0, 1e-320, 1.0])  # far below any sane width floor
     with pytest.raises(ValueError, match="degenerate"):
-        gram(SplineSpace1D(bad, 2))
+        GramSystem(SplineSpace1D(bad, 2))
 
 
 def test_project_reproduces_splines():
@@ -148,16 +147,20 @@ def test_nested_projection_identity():
 
 
 def test_kronecker_consistency_small_2d():
-    F = build_filtration(FiltrationSpec(d=2, interval=(0.0, 1.0), n_levels=3))
-    tp = TensorProjector.for_level(F, 3, (2, 2))
-    f = lambda x, y: np.sin(2 * x + 0.3) * np.cos(1.7 * y) + x * y
-    ts = tp.project_function(f, g=6)
-    # oracle: dense Kronecker Gram solve
-    G1 = tp.grams[0].dense()
-    G2 = tp.grams[1].dense()
-    b = tp.moment_tensor(f, g=6)[..., 0]
-    c = np.linalg.solve(np.kron(G1, G2), b.ravel()).reshape(b.shape)
-    np.testing.assert_allclose(ts.coeffs[..., 0], c, atol=1e-10)
+    # the 2-D case plus one 3-D input, each against a dense Kronecker Gram solve
+    cases = [
+        (2, (2, 2), lambda x, y: np.sin(2 * x + 0.3) * np.cos(1.7 * y) + x * y),
+        (3, (2, 3, 1), lambda x, y, z: np.sin(2 * x + 0.3) * np.cos(1.7 * y) + x * y * z),
+    ]
+    for d, orders, f in cases:
+        F = build_filtration(FiltrationSpec(d=d, interval=(0.0, 1.0), n_levels=3))
+        tp = TensorProjector.for_level(F, 3, orders)
+        ts = tp.project_function(f, g=6)
+        # oracle: dense Kronecker Gram solve
+        G = functools.reduce(np.kron, [gs.dense() for gs in tp.grams])
+        b = tp.moment_tensor(f, g=6)[..., 0]
+        c = np.linalg.solve(G, b.ravel()).reshape(b.shape)
+        np.testing.assert_allclose(ts.coeffs[..., 0], c, atol=1e-10)
 
 
 def test_project_measure_density_matches_function():
@@ -184,6 +187,12 @@ def test_project_dirac_outside_domain(dyadic_1d):
     theta = HybridMeasure(d=1, diracs=[(np.array([1.3]), np.array([1.0]))])
     with pytest.raises(ValueError):
         tp.project_measure(theta)
+
+
+def test_non_finite_integrand_rejected(dyadic_1d):
+    tp = TensorProjector.for_level(dyadic_1d, 3, 2)
+    with pytest.raises(ValueError, match="non-finite"):
+        tp.project_function(lambda x: np.where(x > 0.5, np.inf, x))
 
 
 def test_project_dirac_decay_matches_dense_oracle():

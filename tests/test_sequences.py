@@ -175,3 +175,14 @@ def test_l1_uniform_boundedness_via_measured_norm():
         for n in range(1, 7)
     )
     assert seq.l1_norms.max() <= tv * shadrin_c * (1 + 1e-9)
+
+
+def test_probe_points_gap_wider_than_atoms_raises():
+    F = build_filtration(FiltrationSpec(d=1, interval=(0.0, 1.0), n_levels=3))
+    with pytest.raises(ValueError, match="farther than gap"):
+        sample_probe_points(F, 10, gap=0.07)
+
+
+def test_probe_points_exclude_covering_domain_raises(dyadic_1d):
+    with pytest.raises(ValueError, match="rejection rounds"):
+        sample_probe_points(dyadic_1d, 10, exclude=[([0.5], 1.0)])
