@@ -31,6 +31,7 @@ from .filtration import AtomSet, Partition1D, TensorFiltration, l1_distance_grid
 from .measures import CompiledMasses, HybridMeasure, compile_masses, measure_of_atom
 
 SERIES_REL_TOL = 1e-12   # truncation: rigorous tail below this fraction of the partial sum
+LIMSUP_MAX_R = 10000     # largest neighborhood radius restricted_limsup_bound searches
 
 
 def _axis_kernel(bp: np.ndarray, q: float) -> np.ndarray:
@@ -375,7 +376,8 @@ def restricted_limsup_bound(F: TensorFiltration, theta, D: AtomSet, eps: float,
     covering_constant(q, d) * weak_series_total(q, d).
 
     If no level K <= N_max admits a nonempty shrunken set, the report says so
-    (deepen the filtration) instead of failing.
+    (deepen the filtration) instead of failing.  Raises ValueError when no
+    R <= LIMSUP_MAX_R brings the tail below eps.
     """
     if N_max is None:
         N_max = F.n_levels
@@ -386,7 +388,12 @@ def restricted_limsup_bound(F: TensorFiltration, theta, D: AtomSet, eps: float,
         raise ValueError(f"theta(D) = {theta_D} exceeds the declared eps = {eps}")
     theta_total = masses.total()
     R = 0
-    while weak_series_tail(q, d, R) * theta_total > eps and R < 10000:
+    while weak_series_tail(q, d, R) * theta_total > eps:
+        if R == LIMSUP_MAX_R:
+            raise ValueError(
+                f"series tail still exceeds eps = {eps} at R = {LIMSUP_MAX_R}; "
+                f"q = {q} is too close to 1 for this eps"
+            )
         R += 1
     const = covering_constant(q, d) * weak_series_total(q, d)
     t_grid = np.asarray(t_grid, dtype=float)

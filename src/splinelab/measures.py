@@ -58,6 +58,8 @@ class HybridMeasure:
                 mv = np.full(self.m, mv[0])
             if mv.shape != (self.m,):
                 raise ValueError(f"Dirac mass shape {mv.shape} != (m={self.m},)")
+            if not (np.all(np.isfinite(loc)) and np.all(np.isfinite(mv))):
+                raise ValueError(f"Dirac at {location} with mass {mass} is not finite")
             cleaned.append((loc, mv))
         self.diracs = cleaned
 

@@ -8,7 +8,9 @@ solve of G y = N(x) yields the values N*_i(x) for every i at once.
 Tensor-product spaces have Gram matrix G_1 x ... x G_d (never assembled);
 projection applies per-axis banded solves along each tensor mode, and the
 L1->L1 operator norm (the Linf norm of the symmetric kernel) factorizes as
-the product of the per-axis norms.
+the product of the per-axis norms.  The 1-D kernel norm reads only a band of
+G^-1, which selected inversion computes from the banded Cholesky factor; the
+dense inverse is never formed.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ from .filtration import Partition1D, TensorFiltration
 PROFILE_FLOOR = 1e-14        # decay-profile entries below this are roundoff noise
 NORM_SAMPLES_PER_ATOM = 8    # Chebyshev points per atom for kernel-norm estimation
 NORM_WINDOW_ATOMS = 64       # kernel truncation radius, in atoms (q^64 is far below roundoff)
+NORM_BLOCK_ATOMS = 64        # x-sample atoms per kernel block in operator_norm_1d
+DECAY_BLOCK_ATOMS = 64       # atoms per batched duals_at solve in decay_profile
 
 
 class GramSystem:
@@ -77,6 +81,36 @@ class GramSystem:
         """Matrix D with D[i, p] = N*_i(xs[p]), via one banded solve."""
         B = self.space.basis_matrix(xs)
         return self.solve(B.T)
+
+    def inverse_band(self, width: int) -> np.ndarray:
+        """Diagonals 0..width of G^-1 by selected inversion, in lower band storage.
+
+        Returns Z with Z[o, i] = (G^-1)[i + o, i], zero where i + o >= dim;
+        `width` is clamped to [k-1, dim-1].  With G = U^T U the identity
+        U G^-1 = U^-T gives, for j >= i (Takahashi, Fagan & Chen 1973),
+            (G^-1)_ij = (delta_ij / U_ii - sum_{m=1}^{k-1} U_{i,i+m} (G^-1)_{i+m,j}) / U_ii,
+        so a downward sweep over i needs only band entries of later rows.
+        Cost is O(dim * width * k) time and O(dim * width) memory.
+        """
+        k, dim = self.space.order, self.dimension
+        w = int(min(max(width, k - 1), dim - 1))
+        # u[i, m] = U_{i, i+m}, zero past the last row
+        u = np.zeros((dim, k))
+        for m in range(k):
+            u[: dim - m, m] = self._chol[k - 1 - m, m:]
+        # Z[i, o] = (G^-1)_{i, i+o}; the w trailing zero rows stand for i >= dim
+        Z = np.zeros((dim + w, w + 1))
+        m = np.arange(1, k)[:, None]
+        t = np.arange(1, w + 1)[None, :]
+        # (G^-1)_{i+m, i+t} sits at Z[i + min(m, t), |t - m|]
+        flat_idx = np.minimum(m, t) * (w + 1) + np.abs(t - m)
+        Zf = Z.reshape(-1)
+        for i in range(dim - 1, -1, -1):
+            uu = u[i, 1:]
+            off = -(uu @ Zf[i * (w + 1) + flat_idx]) / u[i, 0]
+            Z[i, 1:] = off
+            Z[i, 0] = (1.0 / u[i, 0] - uu @ off[: k - 1]) / u[i, 0]
+        return Z[:dim].T
 
     def dual_eval(self, i: int, x: float) -> float:
         """N*_i(x) = sum_j (G^-1)_{ij} N_j(x)."""
@@ -240,8 +274,7 @@ class OperatorNormEstimate:
 
 def operator_norm_1d(gs: GramSystem, nx_per_atom: int = NORM_SAMPLES_PER_ATOM,
                      ny_per_atom: int = NORM_SAMPLES_PER_ATOM,
-                     window: int = NORM_WINDOW_ATOMS,
-                     block_atoms: int = 64) -> float:
+                     window: int = NORM_WINDOW_ATOMS) -> float:
     """sup_x int |K(x,y)| dy for K(x,y) = sum_i N_i(y) N*_i(x), sampled.
 
     x ranges over nx Chebyshev points per atom; the y-integral uses per-atom
@@ -249,9 +282,11 @@ def operator_norm_1d(gs: GramSystem, nx_per_atom: int = NORM_SAMPLES_PER_ATOM,
     kernel has decayed far below roundoff.  The result is a lower bound of the
     true norm.
 
-    One banded solve against the identity yields the inverse Gram; kernel
-    values are then assembled per atom block from gathered inverse slabs,
-    which keeps the cost linear in the number of samples times the window.
+    Kernel values are assembled per block of NORM_BLOCK_ATOMS x-atoms from an
+    inverse-Gram slab (window rows by block columns).  Every slab lies within
+    window + NORM_BLOCK_ATOMS + k - 1 diagonals of G^-1, so only that band is
+    computed, by selected inversion; the cost is linear in the number of
+    samples times the window.
     """
     space = gs.space
     k = space.order
@@ -273,22 +308,24 @@ def operator_norm_1d(gs: GramSystem, nx_per_atom: int = NORM_SAMPLES_PER_ATOM,
     _, yV = space.eval_basis_many(yrule.nodes.ravel())
     yVr = yV.reshape(n_atoms, ny_per_atom, k)
     wy = yrule.weights
-    Ginv = cho_solve_banded((gs._chol, False), np.eye(dim), check_finite=False)
+    Zband = gs.inverse_band(window + NORM_BLOCK_ATOMS + k - 1)
     best = 0.0
-    for a0 in range(0, n_atoms, block_atoms):
-        a1 = min(a0 + block_atoms, n_atoms)
+    for a0 in range(0, n_atoms, NORM_BLOCK_ATOMS):
+        a1 = min(a0 + NORM_BLOCK_ATOMS, n_atoms)
         xsl = slice(a0 * nx_per_atom, a1 * nx_per_atom)
         ya0 = max(0, a0 - window)
         ya1 = min(n_atoms, a1 + window)
-        rows = np.arange(ya0, min(ya1 + k - 1, dim))
+        rows = np.arange(ya0, min(ya1 + k - 1, dim))[:, None]
+        cols = np.arange(a0, a1 + k - 1)[None, :]
+        slab = Zband[np.abs(rows - cols), np.minimum(rows, cols)]
         # dual coefficients restricted to the window rows, for all x in the block
-        Dsub = np.zeros((len(rows), xsl.stop - xsl.start))
+        Dsub = np.zeros((rows.shape[0], xsl.stop - xsl.start))
         for r in range(k):
-            Dsub += Ginv[np.ix_(rows, xfirst[xsl] + r)] * xV[xsl, r][None, :]
+            Dsub += slab[:, xfirst[xsl] - a0 + r] * xV[xsl, r][None, :]
         # spline values on the window's quadrature nodes: atom b uses rows b..b+k-1
-        Dwin = np.lib.stride_tricks.sliding_window_view(Dsub, k, axis=0)
-        vals = np.einsum("ugr,uxr->ugx", yVr[ya0:ya1], Dwin[: ya1 - ya0])
-        S = np.einsum("ug,ugx->x", wy[ya0:ya1], np.abs(vals))
+        Dwin = np.lib.stride_tricks.sliding_window_view(Dsub, k, axis=0)[: ya1 - ya0]
+        vals = np.abs(np.matmul(yVr[ya0:ya1], Dwin.transpose(0, 2, 1)))   # (u, g, x)
+        S = wy[ya0:ya1].ravel() @ vals.reshape(-1, vals.shape[-1])
         best = max(best, float(S.max()))
     return best
 
@@ -346,23 +383,32 @@ def decay_profile(gs: GramSystem, nx_per_atom: int = NORM_SAMPLES_PER_ATOM) -> D
     if dim < 2 * k:
         raise ValueError(f"space dimension {dim} too small for a decay profile (need >= {2 * k})")
     bp = p.breakpoints
-    sup_lo = np.maximum(np.arange(dim) - (k - 1), 0)
-    sup_hi = np.minimum(np.arange(dim), n_atoms - 1)
+    # support atom range of each basis function, as (dim, 1) columns
+    sup_lo = np.maximum(np.arange(dim) - (k - 1), 0)[:, None]
+    sup_hi = np.minimum(np.arange(dim), n_atoms - 1)[:, None]
     j = np.arange(nx_per_atom)
     cheb = np.cos((2 * j + 1) * np.pi / (2 * nx_per_atom))
     prof = np.zeros(n_atoms + k)
-    for a in range(n_atoms):
-        lo, hi = bp[a], bp[a + 1]
-        xs = 0.5 * (hi - lo) * cheb + 0.5 * (hi + lo)
-        D = np.abs(gs.duals_at(xs))  # (dim, nx)
-        vmax = D.max(axis=1)
+    # one solve per block of atoms; LAPACK solves column by column, so the
+    # values equal those of one solve per atom bit for bit
+    for a0 in range(0, n_atoms, DECAY_BLOCK_ATOMS):
+        a = np.arange(a0, min(a0 + DECAY_BLOCK_ATOMS, n_atoms))
+        lo, hi = bp[a][:, None], bp[a + 1][:, None]
+        xs = 0.5 * (hi - lo) * cheb + 0.5 * (hi + lo)           # (n_block, nx)
+        D = np.abs(gs.duals_at(xs.ravel()))                     # (dim, n_block * nx)
+        vmax = D.reshape(dim, len(a), nx_per_atom).max(axis=2)  # (dim, n_block)
         dist = np.where(
             (a >= sup_lo) & (a <= sup_hi),
             0,
             np.minimum(np.abs(a - sup_lo), np.abs(a - sup_hi)),
         )
         conv_len = bp[np.maximum(sup_hi, a) + 1] - bp[np.minimum(sup_lo, a)]
-        np.maximum.at(prof, dist, vmax * conv_len)
+        np.maximum.at(prof, dist.ravel(), (vmax * conv_len).ravel())
+    return _fit_profile(prof)
+
+
+def _fit_profile(prof: np.ndarray) -> DecayProfile:
+    """Log-linear fit and envelope of a per-distance profile (trailing zeros cut)."""
     nz = np.flatnonzero(prof > 0)
     smax = nz[-1] if len(nz) else 0
     distances = np.arange(smax + 1)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve_banded
 
-from splinelab import FiltrationSpec, build_filtration
+from splinelab import FiltrationSpec, atom_quadrature, build_filtration
+from splinelab.projector import _fit_profile
 
 
 @pytest.fixture
@@ -80,3 +82,66 @@ def symbolic_product_integral(space, i, j):
 def dense_dual_matrix(gs):
     """Dense inverse-Gram oracle: row i holds the coefficients of N*_i."""
     return np.linalg.inv(gs.dense())
+
+
+def dense_operator_norm_1d(gs, nx_per_atom=8, ny_per_atom=8, window=64, block_atoms=64):
+    """Kernel-norm oracle reading a dense inverse Gram (one solve against I)."""
+    space = gs.space
+    k = space.order
+    p = space.partition
+    n_atoms = p.n_atoms
+    dim = space.dimension
+    lo, hi = p.breakpoints[:-1], p.breakpoints[1:]
+    j = np.arange(nx_per_atom)
+    cheb = np.cos((2 * j + 1) * np.pi / (2 * nx_per_atom))
+    xs_all = 0.5 * (hi - lo)[:, None] * cheb + 0.5 * (hi + lo)[:, None]
+    yrule = atom_quadrature(p, ny_per_atom)
+    if k == 1:
+        return float((yrule.weights.sum(axis=1) / gs.band[0]).max())
+    xfirst, xV = space.eval_basis_many(xs_all.ravel())
+    _, yV = space.eval_basis_many(yrule.nodes.ravel())
+    yVr = yV.reshape(n_atoms, ny_per_atom, k)
+    wy = yrule.weights
+    Ginv = cho_solve_banded((gs._chol, False), np.eye(dim), check_finite=False)
+    best = 0.0
+    for a0 in range(0, n_atoms, block_atoms):
+        a1 = min(a0 + block_atoms, n_atoms)
+        xsl = slice(a0 * nx_per_atom, a1 * nx_per_atom)
+        ya0 = max(0, a0 - window)
+        ya1 = min(n_atoms, a1 + window)
+        rows = np.arange(ya0, min(ya1 + k - 1, dim))
+        Dsub = np.zeros((len(rows), xsl.stop - xsl.start))
+        for r in range(k):
+            Dsub += Ginv[np.ix_(rows, xfirst[xsl] + r)] * xV[xsl, r][None, :]
+        Dwin = np.lib.stride_tricks.sliding_window_view(Dsub, k, axis=0)
+        vals = np.einsum("ugr,uxr->ugx", yVr[ya0:ya1], Dwin[: ya1 - ya0])
+        S = np.einsum("ug,ugx->x", wy[ya0:ya1], np.abs(vals))
+        best = max(best, float(S.max()))
+    return best
+
+
+def per_atom_decay_profile(gs, nx_per_atom=8):
+    """Decay-profile oracle: one dual solve per atom, then the library's fit."""
+    space = gs.space
+    k = space.order
+    n_atoms = space.partition.n_atoms
+    dim = space.dimension
+    bp = space.partition.breakpoints
+    sup_lo = np.maximum(np.arange(dim) - (k - 1), 0)
+    sup_hi = np.minimum(np.arange(dim), n_atoms - 1)
+    j = np.arange(nx_per_atom)
+    cheb = np.cos((2 * j + 1) * np.pi / (2 * nx_per_atom))
+    prof = np.zeros(n_atoms + k)
+    for a in range(n_atoms):
+        lo, hi = bp[a], bp[a + 1]
+        xs = 0.5 * (hi - lo) * cheb + 0.5 * (hi + lo)
+        D = np.abs(gs.duals_at(xs))
+        vmax = D.max(axis=1)
+        dist = np.where(
+            (a >= sup_lo) & (a <= sup_hi),
+            0,
+            np.minimum(np.abs(a - sup_lo), np.abs(a - sup_hi)),
+        )
+        conv_len = bp[np.maximum(sup_hi, a) + 1] - bp[np.minimum(sup_lo, a)]
+        np.maximum.at(prof, dist, vmax * conv_len)
+    return _fit_profile(prof)

@@ -20,7 +20,12 @@ from splinelab import (
     verify_covering_bound,
     weak_series_total,
 )
-from splinelab.maximal import hl_weak_type_ratio, level_sum_field, weak_series_tail
+from splinelab.maximal import (
+    LIMSUP_MAX_R,
+    hl_weak_type_ratio,
+    level_sum_field,
+    weak_series_tail,
+)
 
 from conftest import random_filtration
 
@@ -297,6 +302,18 @@ def test_restricted_limsup_diracs_inside_D():
     assert superlevel_measure(sing_field, 6.0) > 0.0
 
 
+def test_restricted_limsup_radius_cap_raises():
+    # with q this close to 1 the tail bound stays above eps at every R <= LIMSUP_MAX_R
+    F = build_filtration(FiltrationSpec(d=1, interval=(0.0, 1.0), n_levels=7))
+    theta = HybridMeasure(d=1, diracs=[(np.array([0.1]), np.array([0.2]))])
+    mask = np.zeros(F.level_shape(3), dtype=bool)
+    mask[0] = mask[1] = True
+    D = AtomSet.from_mask(3, mask)
+    assert weak_series_tail(0.9999999, 1, LIMSUP_MAX_R) * 0.2 > 0.25
+    with pytest.raises(ValueError, match="too close to 1"):
+        restricted_limsup_bound(F, theta, D, eps=0.25, t_grid=np.array([1.0]), q=0.9999999)
+
+
 def test_restricted_limsup_full_domain_reduces_to_covering():
     F = build_filtration(FiltrationSpec(d=1, interval=(0.0, 1.0), n_levels=6))
     theta = lebesgue(1)
@@ -401,3 +418,14 @@ def test_nan_density_rejected_before_covering_series():
     B = AtomSet(level=1, members=frozenset({(0, 0)}))
     with pytest.raises(ValueError, match="non-finite"):
         verify_covering_bound(F, theta, 0.5, 1, 3, B, [1.0, 10.0])
+
+
+def test_non_finite_dirac_rejected_at_construction():
+    # a NaN Dirac mass made covering_series_bound spin on a NaN partial sum;
+    # the measure now refuses it before any series is summed
+    with pytest.raises(ValueError, match="not finite"):
+        HybridMeasure(d=2, diracs=[(np.array([0.3, 0.6]), np.array([np.nan]))])
+    with pytest.raises(ValueError, match="not finite"):
+        HybridMeasure(d=2, diracs=[(np.array([0.3, np.nan]), np.array([1.0]))])
+    with pytest.raises(ValueError, match="not finite"):
+        HybridMeasure(d=1, m=2, diracs=[(np.array([0.3]), np.array([1.0, np.inf]))])

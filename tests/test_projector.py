@@ -1,7 +1,10 @@
 import functools
+import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splinelab import (
     FiltrationSpec,
@@ -17,7 +20,12 @@ from splinelab import (
 from splinelab.experiments import _dense_tensor_norm_2d
 from splinelab.projector import GramSystem, operator_norm_1d
 
-from conftest import dense_dual_matrix, random_filtration
+from conftest import (
+    dense_dual_matrix,
+    dense_operator_norm_1d,
+    per_atom_decay_profile,
+    random_filtration,
+)
 
 
 def test_gram_k1_diagonal_of_atom_lengths():
@@ -271,7 +279,6 @@ def test_decay_profile_envelope_dominates():
 
 
 def test_decay_profile_monotone_beyond_k():
-    # checked against the dense-inverse oracle on seeded random partitions
     for seed in range(20):
         F = random_filtration(seed, n_levels=6)
         for k in (2, 3):
@@ -297,3 +304,69 @@ def test_decay_q_hat_below_one_fifty_seeds():
             space = SplineSpace1D(F.axes[0].level(6), k)
             prof = decay_profile(GramSystem(space))
             assert prof.q_hat < 1.0
+
+
+def _graded_partition(target, n_levels=34):
+    """Bisection toward `target` until the atoms reach the 1e-9 width floor."""
+    F = build_filtration(FiltrationSpec(d=1, interval=(0.0, 1.0), n_levels=n_levels,
+                                        rules=[{"name": "point-targeted", "target": target}]))
+    return F.axes[0].level(n_levels)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2 ** 16))
+def test_inverse_band_matches_dense_inverse(seed):
+    # orders 1-5 on a random and a floor-graded mesh; widths k-1, 20 and past dim (clamped)
+    rng = np.random.default_rng(seed)
+    parts = [random_filtration(seed, n_levels=6).axes[0].level(6),
+             _graded_partition(float(rng.uniform(0, 1)))]
+    assert min(parts[1].widths) < 2e-9
+    for part, k in itertools.product(parts, (1, 2, 3, 4, 5)):
+        gs = GramSystem(SplineSpace1D(part, k))
+        Ginv = dense_dual_matrix(gs)
+        dim = gs.dimension
+        for width in (k - 1, 20, dim + 3):
+            band = gs.inverse_band(width)
+            assert band.shape == (min(max(width, k - 1), dim - 1) + 1, dim)
+            want = np.zeros_like(band)
+            for o in range(band.shape[0]):
+                want[o, : dim - o] = np.diagonal(Ginv, -o)
+            assert np.max(np.abs(band - want)) <= 1e-13 * np.abs(Ginv).max()
+
+
+def test_operator_norm_matches_dense_inverse_oracle():
+    # per-level norms through the band agree with the dense-inverse path
+    cases = [(random_filtration(seed, n_levels=7).axes[0], 7) for seed in range(3)]
+    cases.append((build_filtration(FiltrationSpec(d=1, interval=(0.0, 1.0), n_levels=6))
+                  .axes[0], 6))
+    graded = _graded_partition(0.3)
+    for (axis, depth), k in itertools.product(cases, (1, 2, 3, 4, 5)):
+        for n in range(1, depth + 1):
+            gs = GramSystem(SplineSpace1D(axis.level(n), k))
+            for window in (3, 64, 10_000):
+                got = operator_norm_1d(gs, window=window)
+                want = dense_operator_norm_1d(gs, window=window)
+                assert abs(got - want) <= 1e-13 * want
+    for k in (1, 2, 3, 4, 5):
+        gs = GramSystem(SplineSpace1D(graded, k))
+        for window in (3, 64, 10_000):
+            got = operator_norm_1d(gs, nx_per_atom=6, ny_per_atom=6, window=window)
+            want = dense_operator_norm_1d(gs, 6, 6, window=window)
+            assert abs(got - want) <= 1e-13 * want
+
+
+def test_decay_profile_bit_exact_against_per_atom_oracle():
+    parts = [random_filtration(seed, n_levels=7).axes[0].level(7) for seed in range(4)]
+    parts.append(Partition1D(np.linspace(0.0, 1.0, 200)))
+    parts += [_graded_partition(t) for t in (0.0, 0.37, 1.0)]
+    for part, k in itertools.product(parts, (1, 2, 3, 4)):
+        gs = GramSystem(SplineSpace1D(part, k))
+        for nx in (3, 8):
+            got = decay_profile(gs, nx_per_atom=nx)
+            want = per_atom_decay_profile(gs, nx_per_atom=nx)
+            assert np.array_equal(got.distances, want.distances)
+            assert np.array_equal(got.values, want.values)
+            assert got.q_hat == want.q_hat
+            assert got.c_hat == want.c_hat
+            assert got.c_env == want.c_env
+            assert got.fit_residual == want.fit_residual
