@@ -15,6 +15,7 @@ from .bspline import (
     KnotVector,
     QuadratureRule,
     SplineSpace1D,
+    TensorQuadrature,
     TensorSpline,
     atom_quadrature,
     knot_vector,

@@ -137,10 +137,6 @@ class QuadratureRule:
     nodes: np.ndarray    # (n_atoms, g)
     weights: np.ndarray  # (n_atoms, g)
 
-    @property
-    def points_per_atom(self) -> int:
-        return self.nodes.shape[1]
-
 
 def atom_quadrature(p: Partition1D, g: int) -> QuadratureRule:
     if g < 1:
@@ -151,6 +147,52 @@ def atom_quadrature(p: Partition1D, g: int) -> QuadratureRule:
     nodes = 0.5 * (hi - lo) * ref_nodes + 0.5 * (hi + lo)
     weights = 0.5 * (hi - lo) * np.broadcast_to(ref_weights, nodes.shape)
     return QuadratureRule(nodes=nodes, weights=weights)
+
+
+def atom_chebyshev(p: Partition1D, n: int) -> np.ndarray:
+    """The n Chebyshev points of the first kind on every atom of p: (n_atoms, n)."""
+    cheb = np.cos((2 * np.arange(n) + 1) * np.pi / (2 * n))
+    lo, hi = p.breakpoints[:-1, None], p.breakpoints[1:, None]
+    return 0.5 * (hi - lo) * cheb + 0.5 * (hi + lo)
+
+
+class TensorQuadrature:
+    """Per-atom Gauss-Legendre rules on the axes of a tensor partition of I^d.
+
+    Every integral over I^d is discretized here: an integrand is evaluated once
+    on the sparse node grid, then contracted per axis to per-atom integrals or
+    to moments against any spline space whose breakpoints the partitions refine.
+    """
+
+    def __init__(self, partitions, g: int):
+        self.rules = tuple(atom_quadrature(p, g) for p in partitions)
+        self.axis_nodes = tuple(r.nodes.ravel() for r in self.rules)
+        self.shape = tuple(len(x) for x in self.axis_nodes)
+
+    @property
+    def grids(self) -> list:
+        """Broadcastable coordinate arrays X_1, ..., X_d of the node grid."""
+        return np.meshgrid(*self.axis_nodes, indexing="ij", sparse=True)
+
+    def values(self, f) -> np.ndarray:
+        """f(X_1, ..., X_d) on the node grid, checked and shaped (n_1, ..., n_d, m)."""
+        return as_value_array(f(*self.grids), self.shape, "integrand")
+
+    def atom_integrals(self, values) -> np.ndarray:
+        """Integral over every atom of the partition; shape (atoms_1, ..., atoms_d, m)."""
+        return mode_apply(values, [
+            lambda X, w=r.weights: np.einsum("ag,agr->ar", w, X.reshape(w.shape + (-1,)))
+            for r in self.rules
+        ])
+
+    def moments(self, spaces, values) -> np.ndarray:
+        """Tensor b with b_i = int values(x) prod_l N_{i_l}(x_l) dx over `spaces`."""
+        ops = []
+        for space, nodes, rule in zip(spaces, self.axis_nodes, self.rules):
+            # fold the weights into the collocation matrix of each axis
+            W = space.basis_matrix(nodes) * rule.weights.ravel()[:, None]
+            ops.append(W.T.__matmul__)
+        return mode_apply(values, ops)
 
 
 def mode_apply(tensor, ops) -> np.ndarray:

@@ -21,8 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bspline import SplineSpace1D
-from .filtration import AtomSet, FiltrationSpec, TensorFiltration, build_filtration
+from .bspline import SplineSpace1D, atom_chebyshev, atom_quadrature
+from .filtration import (AtomSet, FiltrationSpec, TensorFiltration, atom_range_gap,
+                         build_filtration)
 from .maximal import (
     covering_constant,
     hl_weak_type_ratio,
@@ -172,16 +173,11 @@ def _dense_tensor_norm_2d(tp: TensorProjector, nx: int = 6, ny: int = 6) -> floa
     grids and integrates in both y variables jointly; the product path must
     reproduce this to roundoff.
     """
-    from .bspline import atom_quadrature
-
     mats = []
     for gs in tp.grams:
         space = gs.space
         part = space.partition
-        lo, hi = part.breakpoints[:-1], part.breakpoints[1:]
-        j = np.arange(nx)
-        cheb = np.cos((2 * j + 1) * np.pi / (2 * nx))
-        xs = (0.5 * (hi - lo)[:, None] * cheb + 0.5 * (hi + lo)[:, None]).ravel()
+        xs = atom_chebyshev(part, nx).ravel()
         rule = atom_quadrature(part, ny)
         ys = rule.nodes.ravel()
         wy = rule.weights.ravel()
@@ -304,9 +300,7 @@ def run_weaktype(cfg: dict):
         for si, (idx, rect) in enumerate(spikes):
             f = function_catalog("spike", d, lo=rect.lo, hi=rect.hi)
             sup_field = np.zeros(shape)
-            for n in range(1, depth + 1):
-                tp = TensorProjector.for_level(F, n, orders)
-                pn = tp.project_function(f, g=max(orders), quad_partitions=finest_parts)
+            for pn in make_sequence(F, f, orders, quad_points=max(orders)).splines:
                 vals = np.linalg.norm(pn.eval_grid(sample_pts), axis=-1)
                 sup_field = np.maximum(sup_field, vals)
             ratio = _exact_weak_ratio(sup_field, vols)
@@ -441,30 +435,25 @@ def run_singular(cfg: dict):
     mart = verify_martingale_property(seq, n_probe=100, seed=int(cfg["seed"]))
     log.check_le("martingale_property", mart, 1e-9)
     # Dirac part: pointwise geometric decay at the probes
-    from .filtration import atom_of
-
     space_fine = SplineSpace1D(F.axes[0].level(depth), orders[0])
     prof = decay_profile(GramSystem(space_fine))
     x0 = np.asarray(theta.diracs[0][0], float)
     n_pts = len(points)
     dirac_vals = np.empty((depth, n_pts))
-    dists = np.empty((depth, n_pts), dtype=int)
-    convs = np.empty((depth, n_pts))
-    for n in range(1, depth + 1):
-        tp = TensorProjector.for_level(F, n, orders)
-        vals = tp.project_measure(sing).eval_many(points)
-        dirac_vals[n - 1] = np.linalg.norm(vals, axis=-1)
-        i_x0, _ = atom_of(F, n, x0)
+    dists = np.zeros((depth, n_pts), dtype=int)
+    convs = np.ones((depth, n_pts))
+    for n, g_n in enumerate(make_sequence(F, sing, orders).splines, start=1):
+        dirac_vals[n - 1] = np.linalg.norm(g_n.eval_many(points), axis=-1)
+        for ell in range(d):
+            part = F.axes[ell].level(n)
+            i_x0 = part.atom_index_of(x0[ell])
+            dist, hull = atom_range_gap(part.breakpoints, part.atom_index_of(points[:, ell]),
+                                        i_x0, i_x0)
+            dists[n - 1] += dist
+            convs[n - 1] *= hull
         for j in range(n_pts):
-            i_y, _ = atom_of(F, n, points[j])
-            dists[n - 1, j] = sum(abs(a - b) for a, b in zip(i_x0, i_y))
-            conv = 1.0
-            for ell in range(d):
-                bp = F.axes[ell].level(n).breakpoints
-                conv *= bp[max(i_x0[ell], i_y[ell]) + 1] - bp[min(i_x0[ell], i_y[ell])]
-            convs[n - 1, j] = conv
             rows.append((j, n, float(probe.errors[n - 1][j]),
-                         float(dirac_vals[n - 1, j]), int(dists[n - 1, j]), conv))
+                         float(dirac_vals[n - 1, j]), int(dists[n - 1, j]), convs[n - 1, j]))
     slopes = []
     for j in range(n_pts):
         scaled = dirac_vals[:, j] * convs[:, j]

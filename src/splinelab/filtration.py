@@ -389,6 +389,14 @@ def atom_of(F: TensorFiltration, n: int, x):
     return index, F.atom_rectangle(n, index)
 
 
+def atom_range_gap(bp: np.ndarray, atom, lo, hi):
+    """Atom-index distance from `atom` to the range lo..hi (0 inside it), and the
+    length of the smallest breakpoint interval covering both.  Arguments broadcast.
+    """
+    dist = np.maximum(lo - atom, 0) + np.maximum(atom - hi, 0)
+    return dist, bp[np.maximum(hi, atom) + 1] - bp[np.minimum(lo, atom)]
+
+
 def atom_distance(F: TensorFiltration, n: int, i, j) -> int:
     """l1 distance between atom indices at level n."""
     i = tuple(int(v) for v in i)

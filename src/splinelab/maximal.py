@@ -26,8 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bspline import GENERAL_QUAD_POINTS, atom_quadrature, mode_apply
-from .filtration import AtomSet, Partition1D, TensorFiltration, l1_distance_grid
+from .bspline import GENERAL_QUAD_POINTS, TensorQuadrature, mode_apply
+from .filtration import (AtomSet, Partition1D, TensorFiltration, atom_distance, atom_of,
+                         atom_range_gap, l1_distance_grid)
 from .measures import CompiledMasses, HybridMeasure, compile_masses, measure_of_atom
 
 SERIES_REL_TOL = 1e-12   # truncation: rigorous tail below this fraction of the partial sum
@@ -40,12 +41,8 @@ def _axis_kernel(bp: np.ndarray, q: float) -> np.ndarray:
     The d-dimensional b-term kernel is the tensor product of these per-axis
     matrices, since both q^{|i-j|_1} and |conv| factorize over axes.
     """
-    n = len(bp) - 1
-    idx = np.arange(n)
-    dist = np.abs(idx[:, None] - idx[None, :])
-    hi = np.maximum(idx[:, None], idx[None, :])
-    lo = np.minimum(idx[:, None], idx[None, :])
-    conv_len = bp[hi + 1] - bp[lo]
+    idx = np.arange(len(bp) - 1)
+    dist, conv_len = atom_range_gap(bp, idx[:, None], idx[None, :], idx[None, :])
     return np.power(q, dist) / conv_len
 
 
@@ -53,8 +50,6 @@ def b_term(q: float, theta: HybridMeasure, F: TensorFiltration, n: int, A, x) ->
     """The displayed quantity for one atom A (index tuple) and one point x."""
     if not 0.0 <= q < 1.0:
         raise ValueError(f"q must lie in [0, 1), got {q}")
-    from .filtration import atom_distance, atom_of
-
     i, _ = atom_of(F, n, x)
     rect = F.atom_rectangle(n, tuple(int(v) for v in A))
     value = measure_of_atom(theta, rect).value
@@ -65,9 +60,7 @@ def b_term(q: float, theta: HybridMeasure, F: TensorFiltration, n: int, A, x) ->
     s = atom_distance(F, n, A, i)
     conv = 1.0
     for ell in range(F.d):
-        bp = F.axes[ell].level(n).breakpoints
-        a_lo, a_hi = min(A[ell], i[ell]), max(A[ell], i[ell])
-        conv *= bp[a_hi + 1] - bp[a_lo]
+        conv *= atom_range_gap(F.axes[ell].level(n).breakpoints, i[ell], A[ell], A[ell])[1]
     return float(q ** s / conv * value[0])
 
 
@@ -83,8 +76,6 @@ def level_sum_field(q: float, masses: CompiledMasses, n: int) -> np.ndarray:
 def level_sum(q: float, theta, F: TensorFiltration, n: int, x) -> float:
     """sum over level-n atoms A of b_n(q, theta, A, x)."""
     masses = theta if isinstance(theta, CompiledMasses) else compile_masses(theta, F)
-    from .filtration import atom_of
-
     i, _ = atom_of(F, n, x)
     return float(level_sum_field(q, masses, n)[i])
 
@@ -118,13 +109,11 @@ def maximal_field(q: float, theta, F: TensorFiltration, K: int = 1,
     if not 1 <= K <= N_max <= F.n_levels:
         raise ValueError(f"invalid level range [{K}, {N_max}] within 1..{F.n_levels}")
     masses = theta if isinstance(theta, CompiledMasses) else compile_masses(theta, F)
-    finest = F.n_levels
     out = None
     kept = {}
     for n in range(K, N_max + 1):
         S = level_sum_field(q, masses, n)
-        maps = [F.axes[ell].level(finest).parent_map(F.axes[ell].level(n)) for ell in range(F.d)]
-        S_fine = S[np.ix_(*maps)]
+        S_fine = S[np.ix_(*F.finest_parent_maps(n))]
         if keep_levels:
             kept[n] = S
         out = S_fine if out is None else np.maximum(out, S_fine)
@@ -133,19 +122,15 @@ def maximal_field(q: float, theta, F: TensorFiltration, K: int = 1,
 
 def superlevel_measure(Mf: MaximalField, t: float, within: AtomSet = None) -> float:
     """Exact Lebesgue volume of {M > t}, optionally intersected with an atom set."""
-    if t <= 0:
-        raise ValueError(f"threshold must be positive, got {t}")
+    # written so that NaN fails the test too
+    if not 0 < t < np.inf:
+        raise ValueError(f"threshold must be positive and finite, got {t}")
     F = Mf.F
     vols = F.atom_volumes(F.n_levels)
     mask = Mf.superlevel_mask(t)
     if within is not None:
-        finest = F.n_levels
         sel = within.mask(F.level_shape(within.level))
-        maps = [
-            F.axes[ell].level(finest).parent_map(F.axes[ell].level(within.level))
-            for ell in range(F.d)
-        ]
-        mask = mask & sel[np.ix_(*maps)]
+        mask = mask & sel[np.ix_(*F.finest_parent_maps(within.level))]
     return float(vols[mask].sum())
 
 
@@ -317,9 +302,8 @@ def hl_maximal(f, partition: Partition1D, g: int = GENERAL_QUAD_POINTS) -> np.nd
     dominated by the unrestricted maximal function, so the classical 3/t
     weak-type bound applies to it as well.
     """
-    rule = atom_quadrature(partition, g)
-    fx = np.abs(np.asarray(f(rule.nodes), dtype=float))
-    per_atom = (rule.weights * fx).sum(axis=1)
+    quad = TensorQuadrature([partition], g)
+    per_atom = quad.atom_integrals(np.abs(quad.values(f)))[:, 0]
     bp = partition.breakpoints
     P = np.concatenate([[0.0], np.cumsum(per_atom)])
     n = partition.n_atoms
@@ -336,8 +320,8 @@ def hl_maximal(f, partition: Partition1D, g: int = GENERAL_QUAD_POINTS) -> np.nd
 def hl_weak_type_ratio(f, partition: Partition1D, t_grid, g: int = GENERAL_QUAD_POINTS):
     """max over t of t * |{M_HL f > t}| / ||f||_1 on the breakpoint grid."""
     field_ = hl_maximal(f, partition, g=g)
-    rule = atom_quadrature(partition, g)
-    l1 = float((rule.weights * np.abs(np.asarray(f(rule.nodes), float))).sum())
+    quad = TensorQuadrature([partition], g)
+    l1 = float(quad.atom_integrals(np.abs(quad.values(f))).sum())
     widths = partition.widths
     ratios = []
     for t in np.asarray(t_grid, dtype=float):

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bspline import GENERAL_QUAD_POINTS, as_value_array, atom_quadrature, mode_apply
-from .filtration import Rectangle, TensorFiltration
+from .bspline import GENERAL_QUAD_POINTS, TensorQuadrature, as_value_array, mode_apply
+from .filtration import Partition1D, Rectangle, TensorFiltration
 
 
 @dataclass(frozen=True)
@@ -95,16 +95,10 @@ def measure_of_atom(theta: HybridMeasure, A, closed: bool = None) -> MeasureValu
 def _density_integral(theta: HybridMeasure, rect: Rectangle) -> np.ndarray:
     if theta.density is None:
         return np.zeros(theta.m)
-    g = theta.density_quad_points
-    nodes, weights = np.polynomial.legendre.leggauss(g)
-    axis_nodes, axis_weights = [], []
-    for ell in range(theta.d):
-        lo, hi = rect.lo[ell], rect.hi[ell]
-        axis_nodes.append(0.5 * (hi - lo) * nodes + 0.5 * (hi + lo))
-        axis_weights.append(0.5 * (hi - lo) * weights)
-    grids = np.meshgrid(*axis_nodes, indexing="ij", sparse=True)
-    vals = theta.density_values(*grids)
-    return mode_apply(vals, [aw[None, :].__matmul__ for aw in axis_weights]).reshape(theta.m)
+    # a rectangle is a one-atom partition of every axis
+    parts = [Partition1D([rect.lo[ell], rect.hi[ell]]) for ell in range(theta.d)]
+    quad = TensorQuadrature(parts, theta.density_quad_points)
+    return quad.atom_integrals(theta.density_values(*quad.grids)).reshape(theta.m)
 
 
 @dataclass(frozen=True)
@@ -199,23 +193,13 @@ class CompiledMasses:
 
     def _density_masses(self, theta, vector):
         F = self.F
-        nl = F.n_levels
-        shape = F.level_shape(nl)
-        m = self.m
         if theta.density is None:
-            return np.zeros(shape + (m,)) if vector else np.zeros(shape)
-        g = theta.density_quad_points
-        rules = [atom_quadrature(F.axes[ell].level(nl), g) for ell in range(F.d)]
-        axis_nodes = [r.nodes.ravel() for r in rules]
-        grids = np.meshgrid(*axis_nodes, indexing="ij", sparse=True)
-        vals = theta.density_values(*grids)
+            return np.zeros(F.level_shape(F.n_levels) + ((self.m,) if vector else ()))
+        quad = TensorQuadrature([ax.level(F.n_levels) for ax in F.axes], theta.density_quad_points)
+        vals = theta.density_values(*quad.grids)
         if not vector:
             vals = np.linalg.norm(vals, axis=-1, keepdims=True)
-        # per axis: weighted sum over the g nodes of each atom
-        vals = mode_apply(vals, [
-            lambda X, w=r.weights: np.einsum("ag,agr->ar", w, X.reshape(w.shape + (-1,)))
-            for r in rules
-        ])
+        vals = quad.atom_integrals(vals)
         return vals if vector else vals[..., 0]
 
     def _dirac_indices(self, theta, F, vector):
@@ -241,8 +225,7 @@ class CompiledMasses:
     def _with_diracs(self, density_masses, n):
         out = density_masses.copy()
         F = self.F
-        nl = F.n_levels
-        maps = [F.axes[ell].level(nl).parent_map(F.axes[ell].level(n)) for ell in range(F.d)]
+        maps = F.finest_parent_maps(n)
         for _, per_axis, value in self._dirac_entries:
             level_axis = [sorted({int(maps[ell][j]) for j in per_axis[ell]}) for ell in range(F.d)]
             for idx in np.ndindex(*(len(a) for a in level_axis)):

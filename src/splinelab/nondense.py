@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bspline import SplineSpace1D
-from .filtration import Filtration1D, Interval, Partition1D
+from .filtration import Filtration1D, Interval, Partition1D, atom_range_gap
 from .projector import DecayProfile, GramSystem, decay_profile
 
 FINITE_DEPTH_NOTE = (
@@ -211,12 +211,8 @@ def _check_limit_decay(space, gs, probes, r, dual_vals, profile):
     if profile is None or profile.q_hat == 0.0:
         return True, float("inf")
     p = space.partition
-    atom = p.atom_index_of(probes)
     lo, hi = space.support_atom_range(r)
-    dist = np.where((atom >= lo) & (atom <= hi), 0,
-                    np.minimum(np.abs(atom - lo), np.abs(atom - hi)))
-    bp = p.breakpoints
-    conv = bp[np.maximum(hi, atom) + 1] - bp[np.minimum(lo, atom)]
+    dist, conv = atom_range_gap(p.breakpoints, p.atom_index_of(probes), lo, hi)
     lhs = np.abs(dual_vals) * conv
     rhs = profile.envelope(dist)
     margin = float(np.min(np.where(lhs > 0, rhs / np.maximum(lhs, 1e-300), np.inf)))

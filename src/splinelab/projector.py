@@ -16,6 +16,7 @@ dense inverse is never formed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 from scipy.linalg import cholesky_banded, cho_solve_banded
@@ -23,12 +24,13 @@ from scipy.linalg import cholesky_banded, cho_solve_banded
 from .bspline import (
     DEFAULT_QUAD_POINTS,
     SplineSpace1D,
+    TensorQuadrature,
     TensorSpline,
-    as_value_array,
+    atom_chebyshev,
     atom_quadrature,
     mode_apply,
 )
-from .filtration import Partition1D, TensorFiltration
+from .filtration import Partition1D, TensorFiltration, atom_range_gap
 
 PROFILE_FLOOR = 1e-14        # decay-profile entries below this are roundoff noise
 NORM_SAMPLES_PER_ATOM = 8    # Chebyshev points per atom for kernel-norm estimation
@@ -172,6 +174,13 @@ class TensorProjector:
         """Solve (G_1 x ... x G_d) c = b by per-axis banded solves along each mode."""
         return mode_apply(b, [gs.solve for gs in self.grams])
 
+    def _quadrature(self, g, quad_partitions) -> TensorQuadrature:
+        if g is None:
+            g = max(max(self.orders), DEFAULT_QUAD_POINTS)
+        if quad_partitions is None:
+            quad_partitions = [s.partition for s in self.spaces]
+        return TensorQuadrature(quad_partitions, g)
+
     def moment_tensor(self, f, g: int = None, quad_partitions=None) -> np.ndarray:
         """Tensor b with b_i = int f(x) prod_l N_{i_l}(x_l) dx.
 
@@ -181,27 +190,32 @@ class TensorProjector:
         partitions); pass a finer nested partition to integrate splines of a
         deeper level exactly.
         """
-        if g is None:
-            g = max(max(self.orders), DEFAULT_QUAD_POINTS)
-        if quad_partitions is None:
-            quad_partitions = [s.partition for s in self.spaces]
-        rules = [atom_quadrature(p, g) for p in quad_partitions]
-        axis_nodes = [r.nodes.ravel() for r in rules]
-        grids = np.meshgrid(*axis_nodes, indexing="ij", sparse=True)
-        F = as_value_array(f(*grids), tuple(len(a) for a in axis_nodes), "integrand")
-        # fold the weights into the collocation matrix of each axis
-        ops = []
-        for space, nodes, rule in zip(self.spaces, axis_nodes, rules):
-            W = space.basis_matrix(nodes) * rule.weights.ravel()[:, None]
-            ops.append(W.T.__matmul__)
-        return mode_apply(F, ops)
+        quad = self._quadrature(g, quad_partitions)
+        return quad.moments(self.spaces, quad.values(f))
 
     def project_function(self, f, g: int = None, m: int = None,
                          quad_partitions=None) -> TensorSpline:
         """P f as a TensorSpline; reproduces f exactly when f lies in the space."""
-        b = self.moment_tensor(f, g=g, quad_partitions=quad_partitions)
-        c = self.solve_coefficients(b)
-        return TensorSpline(self.spaces, c, m=m)
+        quad = self._quadrature(g, quad_partitions)
+        return self.project_values(quad, quad.values(f), m=m)
+
+    def project_values(self, quad: TensorQuadrature, values, m: int = None,
+                       diracs=()) -> TensorSpline:
+        """Project the source with `values` on `quad`'s nodes (None: no density) plus Diracs.
+
+        The contract-and-solve step of every projection: the moments of the
+        values plus N_i(x_j) m_j for each Dirac (x_j, m_j), then one Kronecker
+        solve.  One set of values serves every level the quadrature refines.
+        """
+        b = np.zeros(self.dims + (m,)) if values is None else quad.moments(self.spaces, values)
+        for location, mass in diracs:
+            if not all(s.interval.lo < x <= s.interval.hi for s, x in zip(self.spaces, location)):
+                raise ValueError(f"Dirac location {tuple(location)} outside the domain")
+            basis = [s.eval_basis(x) for s, x in zip(self.spaces, location)]
+            w = reduce(np.multiply.outer, [vals for _, vals in basis])
+            sl = tuple(slice(fi, fi + k) for (fi, _), k in zip(basis, self.orders))
+            b[sl] += np.multiply.outer(w, np.asarray(mass, dtype=float))
+        return TensorSpline(self.spaces, self.solve_coefficients(b), m=m)
 
     def project_spline(self, ts: TensorSpline) -> TensorSpline:
         """Project a spline from another level; exact up to roundoff.
@@ -226,35 +240,13 @@ class TensorProjector:
         level satisfy the martingale identity to roundoff even for densities
         the quadrature does not integrate sharply.
         """
-        dims = self.dims
-        m = theta.m
         if theta.d != self.d:
             raise ValueError(f"measure dimension {theta.d} != projector dimension {self.d}")
+        quad = values = None
         if theta.density is not None:
-            b = self.moment_tensor(theta.density, g=theta.density_quad_points,
-                                   quad_partitions=quad_partitions)
-            if b.shape[-1] not in (1, m):
-                raise ValueError("density value dimension inconsistent with measure")
-            if b.shape[-1] == 1 and m > 1:
-                b = np.repeat(b, m, axis=-1)
-        else:
-            b = np.zeros(dims + (m,))
-        for location, mass in theta.diracs:
-            firsts, vals = [], []
-            for ell, space in enumerate(self.spaces):
-                iv = space.interval
-                if not iv.lo < location[ell] <= iv.hi:
-                    raise ValueError(f"Dirac location {tuple(location)} outside the domain")
-                fi, va = space.eval_basis(location[ell])
-                firsts.append(fi)
-                vals.append(va)
-            w = vals[0]
-            for va in vals[1:]:
-                w = np.multiply.outer(w, va)
-            sl = tuple(slice(fi, fi + k) for fi, k in zip(firsts, self.orders))
-            b[sl] += np.multiply.outer(w, np.asarray(mass, dtype=float))
-        c = self.solve_coefficients(b)
-        return TensorSpline(self.spaces, c, m=m)
+            quad = self._quadrature(theta.density_quad_points, quad_partitions)
+            values = theta.density_values(*quad.grids)
+        return self.project_values(quad, values, m=theta.m, diracs=theta.diracs)
 
 
 # ---------------------------------------------------------------------------
@@ -293,10 +285,7 @@ def operator_norm_1d(gs: GramSystem, nx_per_atom: int = NORM_SAMPLES_PER_ATOM,
     p = space.partition
     n_atoms = p.n_atoms
     dim = space.dimension
-    lo, hi = p.breakpoints[:-1], p.breakpoints[1:]
-    j = np.arange(nx_per_atom)
-    cheb = np.cos((2 * j + 1) * np.pi / (2 * nx_per_atom))
-    xs_all = 0.5 * (hi - lo)[:, None] * cheb + 0.5 * (hi + lo)[:, None]
+    xs_all = atom_chebyshev(p, nx_per_atom)
     yrule = atom_quadrature(p, ny_per_atom)
     if k == 1:
         # diagonal Gram: the kernel column at x is the indicator of A(x)
@@ -382,27 +371,18 @@ def decay_profile(gs: GramSystem, nx_per_atom: int = NORM_SAMPLES_PER_ATOM) -> D
     dim = space.dimension
     if dim < 2 * k:
         raise ValueError(f"space dimension {dim} too small for a decay profile (need >= {2 * k})")
-    bp = p.breakpoints
     # support atom range of each basis function, as (dim, 1) columns
     sup_lo = np.maximum(np.arange(dim) - (k - 1), 0)[:, None]
     sup_hi = np.minimum(np.arange(dim), n_atoms - 1)[:, None]
-    j = np.arange(nx_per_atom)
-    cheb = np.cos((2 * j + 1) * np.pi / (2 * nx_per_atom))
+    xs_all = atom_chebyshev(p, nx_per_atom)
     prof = np.zeros(n_atoms + k)
     # one solve per block of atoms; LAPACK solves column by column, so the
     # values equal those of one solve per atom bit for bit
     for a0 in range(0, n_atoms, DECAY_BLOCK_ATOMS):
         a = np.arange(a0, min(a0 + DECAY_BLOCK_ATOMS, n_atoms))
-        lo, hi = bp[a][:, None], bp[a + 1][:, None]
-        xs = 0.5 * (hi - lo) * cheb + 0.5 * (hi + lo)           # (n_block, nx)
-        D = np.abs(gs.duals_at(xs.ravel()))                     # (dim, n_block * nx)
+        D = np.abs(gs.duals_at(xs_all[a].ravel()))             # (dim, n_block * nx)
         vmax = D.reshape(dim, len(a), nx_per_atom).max(axis=2)  # (dim, n_block)
-        dist = np.where(
-            (a >= sup_lo) & (a <= sup_hi),
-            0,
-            np.minimum(np.abs(a - sup_lo), np.abs(a - sup_hi)),
-        )
-        conv_len = bp[np.maximum(sup_hi, a) + 1] - bp[np.minimum(sup_lo, a)]
+        dist, conv_len = atom_range_gap(p.breakpoints, a, sup_lo, sup_hi)
         np.maximum.at(prof, dist.ravel(), (vmax * conv_len).ravel())
     return _fit_profile(prof)
 

@@ -11,10 +11,11 @@ coarse B-spline against nu is level independent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .bspline import TensorSpline, as_value_array, atom_quadrature, mode_apply
+from .bspline import TensorQuadrature, TensorSpline, as_value_array
 from .filtration import TensorFiltration
 from .measures import HybridMeasure
 from .projector import TensorProjector
@@ -29,7 +30,6 @@ class MartingaleSplineSequence:
     orders: tuple
     splines: list              # TensorSpline per level, index n-1
     source_kind: str           # "function" | "measure" | "spline"
-    l1_norms: np.ndarray
     m: int = 1
 
     @property
@@ -39,12 +39,17 @@ class MartingaleSplineSequence:
     def level(self, n: int) -> TensorSpline:
         return self.splines[n - 1]
 
+    @cached_property
+    def l1_norms(self) -> np.ndarray:
+        """int ||g_n|| d lambda^d per level, computed when first read."""
+        return np.array([_l1_norm(ts) for ts in self.splines])
+
 
 def _l1_norm(ts: TensorSpline, g: int = 8) -> float:
     """int ||g_n|| d lambda^d by per-atom quadrature on the spline's own grid."""
-    rules = [atom_quadrature(s.partition, g) for s in ts.spaces]
-    vals = np.linalg.norm(ts.eval_grid([r.nodes for r in rules]), axis=-1)
-    return float(mode_apply(vals, [r.weights.reshape(1, -1).__matmul__ for r in rules]).sum())
+    quad = TensorQuadrature([s.partition for s in ts.spaces], g)
+    vals = np.linalg.norm(ts.eval_grid(quad.axis_nodes), axis=-1, keepdims=True)
+    return float(quad.atom_integrals(vals).sum())
 
 
 def make_sequence(F: TensorFiltration, source, orders, N_max: int = None,
@@ -54,38 +59,42 @@ def make_sequence(F: TensorFiltration, source, orders, N_max: int = None,
     Density and function moments are integrated on the finest-level partition
     with a fixed rule, which makes the discrete moments exactly additive
     across levels: the produced sequence satisfies P_n g_{n+1} = g_n to
-    roundoff regardless of how rough the source is.
+    roundoff regardless of how rough the source is.  The source is evaluated
+    once on that grid; each level only contracts and solves.
     """
     if N_max is None:
         N_max = F.n_levels
     if isinstance(orders, int):
         orders = (orders,) * F.d
-    finest = [F.axes[ell].level(F.n_levels) for ell in range(F.d)]
-    splines, norms = [], []
-    for n in range(1, N_max + 1):
-        tp = TensorProjector.for_level(F, n, orders)
+    finest = [ax.level(F.n_levels) for ax in F.axes]
+    projectors = [TensorProjector.for_level(F, n, orders) for n in range(1, N_max + 1)]
+    if isinstance(source, TensorSpline):
+        kind = "spline"
+        splines = [tp.project_spline(source) for tp in projectors]
+    else:
+        quad = values = m = None
+        diracs = ()
         if isinstance(source, HybridMeasure):
-            g_n = tp.project_measure(source, quad_partitions=finest)
-            kind = "measure"
-        elif isinstance(source, TensorSpline):
-            g_n = tp.project_spline(source)
-            kind = "spline"
+            if source.d != F.d:
+                raise ValueError(f"measure dimension {source.d} != filtration dimension {F.d}")
+            kind, m, diracs = "measure", source.m, source.diracs
+            if source.density is not None:
+                quad = TensorQuadrature(finest, source.density_quad_points)
+                values = source.density_values(*quad.grids)
         elif callable(source):
             # the finest grid already resolves the source, so max(k, 4) points
             # per finest atom is the workhorse rule here
-            g = quad_points or max(max(orders), 4)
-            g_n = tp.project_function(source, g=g, quad_partitions=finest)
             kind = "function"
+            quad = TensorQuadrature(finest, quad_points or max(max(orders), 4))
+            values = quad.values(source)
         else:
             raise ValueError(f"unsupported source type {type(source)!r}")
-        splines.append(g_n)
-        norms.append(_l1_norm(g_n))
+        splines = [tp.project_values(quad, values, m=m, diracs=diracs) for tp in projectors]
     return MartingaleSplineSequence(
         F=F,
         orders=tuple(orders),
         splines=splines,
         source_kind=kind,
-        l1_norms=np.asarray(norms),
         m=splines[0].m,
     )
 

@@ -278,3 +278,47 @@ def test_eval_grid_matches_eval_many(seed):
                 atoms = [np.searchsorted(s.partition.breakpoints, a, side="left") - 1
                          for s, a in zip(spaces, axis_points)]
                 np.testing.assert_array_equal(grid, coeffs[np.ix_(*atoms)])
+
+
+def test_tensor_quadrature_atom_integrals_exact_for_polynomials():
+    from splinelab import TensorQuadrature
+
+    F = random_filtration(17, d=2, n_levels=3)
+    parts = [ax.level(3) for ax in F.axes]
+    quad = TensorQuadrature(parts, 3)
+    # degree 5 per axis is within reach of 3 Gauss points
+    vals = quad.values(lambda x, y: np.stack([x ** 5 * y, np.ones_like(x * y)], axis=-1))
+    got = quad.atom_integrals(vals)
+    a, b = parts[0].breakpoints, parts[1].breakpoints
+    want0 = np.multiply.outer(np.diff(a ** 6) / 6, np.diff(b ** 2) / 2)
+    want1 = np.multiply.outer(np.diff(a), np.diff(b))
+    assert got.shape == (parts[0].n_atoms, parts[1].n_atoms, 2)
+    np.testing.assert_allclose(got[..., 0], want0, rtol=1e-12, atol=1e-16)
+    np.testing.assert_allclose(got[..., 1], want1, rtol=1e-12, atol=1e-16)
+
+
+def test_tensor_quadrature_moments_match_moment_tensor():
+    from splinelab import TensorQuadrature
+
+    F = random_filtration(18, d=2, n_levels=4)
+    tp = TensorProjector.for_level(F, 2, (2, 3))
+    finest = [ax.level(4) for ax in F.axes]
+    f = lambda x, y: np.sin(x + 2 * y)
+    quad = TensorQuadrature(finest, 5)
+    want = tp.moment_tensor(f, g=5, quad_partitions=finest)
+    assert np.array_equal(quad.moments(tp.spaces, quad.values(f)), want)
+    # partition of unity: the moments sum to the integral over I^2
+    assert want.sum() == pytest.approx(quad.atom_integrals(quad.values(f)).sum(), rel=1e-13)
+
+
+def test_atom_chebyshev_points_on_each_atom():
+    from splinelab.bspline import atom_chebyshev
+
+    p = random_filtration(19, n_levels=4).axes[0].level(4)
+    xs = atom_chebyshev(p, 5)
+    lo, hi = p.breakpoints[:-1, None], p.breakpoints[1:, None]
+    assert xs.shape == (p.n_atoms, 5)
+    assert np.all((xs > lo) & (xs < hi))
+    t = (2 * (xs - lo) / (hi - lo)) - 1
+    # the Chebyshev nodes of the first kind are the roots of T_5
+    np.testing.assert_allclose(np.cos(5 * np.arccos(np.clip(t, -1, 1))), 0.0, atol=1e-9)

@@ -82,7 +82,7 @@ def test_experiment_runs_green_and_writes_artifacts(name, tmp_path):
     assert meta["config"]["seed"] == small_config(name)["seed"]
 
 
-@pytest.mark.parametrize("name", ["covering", "decay", "nondense"])
+@pytest.mark.parametrize("name", EXPERIMENT_NAMES)
 def test_outputs_byte_identical_across_runs(name, tmp_path):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"

@@ -220,3 +220,23 @@ def test_spec_from_config_file(tmp_path):
     F = build_filtration(spec)
     assert F.d == 2 and F.n_levels == 3
     assert F.interval.hi == 2.0
+
+
+@given(seed=st.integers(0, 10_000))
+@settings(max_examples=25, deadline=None)
+def test_atom_range_gap_matches_brute_force(seed):
+    from splinelab.filtration import atom_range_gap
+
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 12))
+    bp = np.cumsum(np.concatenate([[0.0], rng.uniform(0.1, 1.0, n)]))
+    atoms = np.arange(n)
+    for lo in range(n):
+        for hi in range(lo, n):
+            dist, hull = atom_range_gap(bp, atoms, lo, hi)
+            for a in atoms:
+                want = min(abs(a - j) for j in range(lo, hi + 1))
+                first, last = min(a, lo), max(a, hi)
+                assert dist[a] == want
+                assert hull[a] == bp[last + 1] - bp[first]
+                assert hull[a] == pytest.approx(sum(bp[j + 1] - bp[j] for j in range(first, last + 1)))

@@ -429,3 +429,17 @@ def test_non_finite_dirac_rejected_at_construction():
         HybridMeasure(d=2, diracs=[(np.array([0.3, np.nan]), np.array([1.0]))])
     with pytest.raises(ValueError, match="not finite"):
         HybridMeasure(d=1, m=2, diracs=[(np.array([0.3]), np.array([1.0, np.inf]))])
+
+
+def test_covering_bound_rejects_nan_threshold(dyadic_1d):
+    theta = HybridMeasure(d=1, density=lambda x: np.ones_like(x))
+    B = AtomSet(level=2, members=frozenset({(0,), (1,)}))
+    with pytest.raises(ValueError, match="threshold"):
+        verify_covering_bound(dyadic_1d, theta, 0.5, 2, 5, B, [np.nan, 1e-3])
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+def test_superlevel_measure_rejects_non_positive_or_non_finite(dyadic_1d, t):
+    field = maximal_field(0.5, lebesgue(1), dyadic_1d)
+    with pytest.raises(ValueError, match="threshold"):
+        superlevel_measure(field, t)

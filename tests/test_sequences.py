@@ -186,3 +186,98 @@ def test_probe_points_gap_wider_than_atoms_raises():
 def test_probe_points_exclude_covering_domain_raises(dyadic_1d):
     with pytest.raises(ValueError, match="rejection rounds"):
         sample_probe_points(dyadic_1d, 10, exclude=[([0.5], 1.0)])
+
+
+def _mixed_measure(d, m):
+    """Density plus two Diracs in d dimensions with m-valued masses."""
+    def dens(*grids):
+        return 1.0 + 0.5 * np.sin(3 * sum(grids))
+
+    diracs = [(np.full(d, 0.37), np.arange(1.0, m + 1.0)), (np.full(d, 0.81), np.full(m, 0.5))]
+    return HybridMeasure(d=d, density=dens, diracs=diracs, m=m, density_quad_points=5)
+
+
+@pytest.mark.parametrize("d,m", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_measure_sequence_levels_equal_per_level_projection(d, m):
+    F = random_filtration(11 + d, d=d, n_levels=4)
+    theta = _mixed_measure(d, m)
+    orders = (2, 3)[:d]
+    seq = make_sequence(F, theta, orders)
+    finest = [ax.level(F.n_levels) for ax in F.axes]
+    assert seq.m == m
+    for n in range(1, F.n_levels + 1):
+        tp = TensorProjector.for_level(F, n, orders)
+        direct = tp.project_measure(theta, quad_partitions=finest)
+        assert np.array_equal(seq.level(n).coeffs, direct.coeffs)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_function_sequence_levels_equal_per_level_projection(d):
+    F = random_filtration(21 + d, d=d, n_levels=4)
+    f = lambda *xs: np.cos(2 * sum(xs)) + xs[0] ** 3
+    orders = (3, 2)[:d]
+    seq = make_sequence(F, f, orders, quad_points=6)
+    finest = [ax.level(F.n_levels) for ax in F.axes]
+    for n in range(1, F.n_levels + 1):
+        tp = TensorProjector.for_level(F, n, orders)
+        direct = tp.project_function(f, g=6, quad_partitions=finest)
+        assert np.array_equal(seq.level(n).coeffs, direct.coeffs)
+
+
+def test_make_sequence_evaluates_source_once(dyadic_2d):
+    calls = []
+
+    def f(*grids):
+        calls.append(1)
+        return np.exp(grids[0]) * grids[1]
+
+    make_sequence(dyadic_2d, f, 2)
+    assert len(calls) == 1
+    theta = HybridMeasure(d=2, density=f, diracs=[(np.array([0.3, 0.6]), np.array([1.0]))],
+                          density_quad_points=4)
+    calls.clear()
+    make_sequence(dyadic_2d, theta, (2, 3))
+    assert len(calls) == 1
+
+
+def test_dirac_only_sequence_builds_no_grid(dyadic_2d, monkeypatch):
+    from splinelab.bspline import TensorQuadrature
+
+    built = []
+    init = TensorQuadrature.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(TensorQuadrature, "__init__", counting_init)
+    theta = HybridMeasure(d=2, diracs=[(np.array([0.3, 0.6]), np.array([1.0]))])
+    seq = make_sequence(dyadic_2d, theta, 2)
+    assert seq.n_levels == dyadic_2d.n_levels
+    assert built == []
+
+
+def test_l1_norms_computed_only_when_read(dyadic_1d, monkeypatch):
+    import splinelab.sequences as sequences
+
+    calls = []
+    l1 = sequences._l1_norm
+
+    def counting_l1(ts, *args, **kwargs):
+        calls.append(1)
+        return l1(ts, *args, **kwargs)
+
+    monkeypatch.setattr(sequences, "_l1_norm", counting_l1)
+    seq = make_sequence(dyadic_1d, lambda x: 1.0 + x, 2)
+    assert calls == []
+    norms = seq.l1_norms
+    assert len(calls) == seq.n_levels
+    assert norms == pytest.approx(1.5, rel=1e-12)
+    assert seq.l1_norms is norms
+    assert len(calls) == seq.n_levels
+
+
+def test_make_sequence_rejects_measure_of_wrong_dimension(dyadic_2d):
+    theta = HybridMeasure(d=1, diracs=[(np.array([0.3]), np.array([1.0]))])
+    with pytest.raises(ValueError, match="dimension"):
+        make_sequence(dyadic_2d, theta, 2)
