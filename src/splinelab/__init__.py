@@ -41,6 +41,7 @@ from .maximal import (
     WeakTypeReport,
     b_term,
     covering_constant,
+    covering_report,
     covering_series_bound,
     hl_maximal,
     level_sum,

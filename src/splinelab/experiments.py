@@ -26,9 +26,9 @@ from .filtration import (AtomSet, FiltrationSpec, TensorFiltration, atom_range_g
                          build_filtration)
 from .maximal import (
     covering_constant,
+    covering_report,
     hl_weak_type_ratio,
     maximal_field,
-    verify_covering_bound,
     weak_series_total,
 )
 from .measures import HybridMeasure, compile_masses, density_catalog, measure_from_config
@@ -336,9 +336,9 @@ def run_covering(cfg: dict):
             shape_K = F.level_shape(K)
             B = _random_atom_block(rng, K, shape_K)
             for q in p["q_values"]:
-                report = verify_covering_bound(F, masses, float(q), K, depth, B,
-                                               _log_t_grid(masses, F, float(q), K, depth,
-                                                           int(p.get("t_points", 20))))
+                field_ = maximal_field(float(q), masses, F, K=K, N_max=depth)
+                report = covering_report(field_, masses, B,
+                                         _log_t_grid(field_, int(p.get("t_points", 20))))
                 for t, lhs, rhs in zip(report.t_grid, report.lhs_volumes, report.rhs_bounds):
                     ratio = lhs / rhs if rhs > 0 else 0.0
                     rows.append((f"d{d}", float(q), seed, t, lhs, rhs, ratio))
@@ -347,8 +347,7 @@ def run_covering(cfg: dict):
     return rows, log, {"max_ratio": overall}
 
 
-def _log_t_grid(masses, F, q, K, depth, n_points):
-    field_ = maximal_field(q, masses, F, K=K, N_max=depth)
+def _log_t_grid(field_, n_points):
     top = float(field_.values.max())
     if top <= 0:
         return np.logspace(-3, 0, n_points)

@@ -199,10 +199,13 @@ class TensorFiltration:
             out = np.multiply.outer(out, w)
         return out
 
+    def parent_maps(self, n: int, m: int) -> list:
+        """Per axis, map from level-n atom index to the index of its level-m parent (m <= n)."""
+        return [ax.level(n).parent_map(ax.level(m)) for ax in self.axes]
+
     def finest_parent_maps(self, n: int) -> list:
         """Per axis, map from finest-level atom index to level-n atom index."""
-        nl = self.n_levels
-        return [ax.level(nl).parent_map(ax.level(n)) for ax in self.axes]
+        return self.parent_maps(self.n_levels, n)
 
 
 @dataclass(frozen=True)

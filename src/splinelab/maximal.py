@@ -13,7 +13,12 @@ carry no sampling error.
 
 Both the kernel weight q^{|i-j|_1} and the conv volume factorize over axes, so
 a level sum is a sequence of per-axis matrix contractions of the level's mass
-tensor rather than a double loop over atom pairs.
+tensor rather than a double loop over atom pairs.  A per-axis kernel is a
+Toeplitz gather of the powers q^0..q^{n-1} over the outer hull lengths
+max(bp[a+1] - bp[b], bp[b+1] - bp[a]).  The running max over levels is carried
+coarse to fine (level n maxes its sums with the level n-1 maximum gathered to
+level-n atoms) and is spread onto the finest grid once; max and gather are
+exact, so the field does not depend on that order.
 
 The covering-bound verification uses the explicit proof constant
 2^d * (2/(1-sqrt(q)))^d and a rigorously bounded truncation tail, so the
@@ -25,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import toeplitz
 
 from .bspline import GENERAL_QUAD_POINTS, TensorQuadrature, mode_apply
 from .filtration import (AtomSet, Partition1D, TensorFiltration, atom_distance, atom_of,
@@ -35,21 +41,25 @@ SERIES_REL_TOL = 1e-12   # truncation: rigorous tail below this fraction of the 
 LIMSUP_MAX_R = 10000     # largest neighborhood radius restricted_limsup_bound searches
 
 
+def _check_q(q: float) -> None:
+    # written so that NaN fails the test too
+    if not 0.0 <= q < 1.0:
+        raise ValueError(f"q must lie in [0, 1), got {q}")
+
+
 def _axis_kernel(bp: np.ndarray, q: float) -> np.ndarray:
     """Matrix K[a, b] = q^|a-b| / conv-length of atoms a..b on one axis.
 
     The d-dimensional b-term kernel is the tensor product of these per-axis
     matrices, since both q^{|i-j|_1} and |conv| factorize over axes.
     """
-    idx = np.arange(len(bp) - 1)
-    dist, conv_len = atom_range_gap(bp, idx[:, None], idx[None, :], idx[None, :])
-    return np.power(q, dist) / conv_len
+    hull = np.subtract.outer(bp[1:], bp[:-1])   # bp[a+1] - bp[b]: conv length when a >= b
+    return toeplitz(np.power(q, np.arange(len(bp) - 1))) / np.maximum(hull, hull.T)
 
 
 def b_term(q: float, theta: HybridMeasure, F: TensorFiltration, n: int, A, x) -> float:
     """The displayed quantity for one atom A (index tuple) and one point x."""
-    if not 0.0 <= q < 1.0:
-        raise ValueError(f"q must lie in [0, 1), got {q}")
+    _check_q(q)
     i, _ = atom_of(F, n, x)
     rect = F.atom_rectangle(n, tuple(int(v) for v in A))
     value = measure_of_atom(theta, rect).value
@@ -66,6 +76,7 @@ def b_term(q: float, theta: HybridMeasure, F: TensorFiltration, n: int, A, x) ->
 
 def level_sum_field(q: float, masses: CompiledMasses, n: int) -> np.ndarray:
     """Level-n sums of b-terms as a tensor over level-n atoms (exact)."""
+    _check_q(q)
     F = masses.F
     S = np.asarray(masses.level_masses(n), dtype=float)
     if np.any(S < 0):
@@ -91,9 +102,6 @@ class MaximalField:
     values: np.ndarray          # shape = finest level_shape
     level_values: dict = field(default_factory=dict, repr=False)
 
-    def superlevel_mask(self, t: float) -> np.ndarray:
-        return self.values > t
-
 
 def maximal_field(q: float, theta, F: TensorFiltration, K: int = 1,
                   N_max: int = None, keep_levels: bool = False) -> MaximalField:
@@ -113,25 +121,34 @@ def maximal_field(q: float, theta, F: TensorFiltration, K: int = 1,
     kept = {}
     for n in range(K, N_max + 1):
         S = level_sum_field(q, masses, n)
-        S_fine = S[np.ix_(*F.finest_parent_maps(n))]
         if keep_levels:
             kept[n] = S
-        out = S_fine if out is None else np.maximum(out, S_fine)
+        # running max over levels K..n, on level-n atoms
+        out = S if out is None else np.maximum(out[np.ix_(*F.parent_maps(n, n - 1))], S)
+    out = out[np.ix_(*F.finest_parent_maps(N_max))]
     return MaximalField(F=F, q=q, K=K, N_max=N_max, values=out, level_values=kept)
 
 
-def superlevel_measure(Mf: MaximalField, t: float, within: AtomSet = None) -> float:
-    """Exact Lebesgue volume of {M > t}, optionally intersected with an atom set."""
+def superlevel_measure(Mf: MaximalField, t, within: AtomSet = None):
+    """Exact Lebesgue volume of {M > t}, optionally intersected with an atom set.
+
+    `t` is one threshold (the volume is returned as a float) or an array of
+    thresholds (an array of volumes of the same shape is returned); the
+    volume tensor and the atom-set selection are built once for all of them.
+    """
+    ts = np.asarray(t, dtype=float)
     # written so that NaN fails the test too
-    if not 0 < t < np.inf:
+    if not np.all((ts > 0) & (ts < np.inf)):
         raise ValueError(f"threshold must be positive and finite, got {t}")
     F = Mf.F
-    vols = F.atom_volumes(F.n_levels)
-    mask = Mf.superlevel_mask(t)
-    if within is not None:
-        sel = within.mask(F.level_shape(within.level))
-        mask = mask & sel[np.ix_(*F.finest_parent_maps(within.level))]
-    return float(vols[mask].sum())
+    vols, vals = F.atom_volumes(F.n_levels), Mf.values
+    if within is None:
+        vols, vals = vols.ravel(), vals.ravel()
+    else:
+        sel = within.mask(F.level_shape(within.level))[np.ix_(*F.finest_parent_maps(within.level))]
+        vols, vals = vols[sel], vals[sel]
+    out = np.array([vols[vals > s].sum() for s in ts.ravel()]).reshape(ts.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +162,7 @@ def weak_series_tail(q: float, d: int, R: int) -> float:
     eta = (1+rho)/2 < 1; the remaining geometric tail is summed in closed
     form, so the result is a true upper bound for every R >= -1.
     """
-    if not 0.0 <= q < 1.0:
-        raise ValueError(f"q must lie in [0, 1), got {q}")
+    _check_q(q)
     if q == 0.0:
         return 0.0
     rho = np.sqrt(q)
@@ -263,11 +279,22 @@ def verify_covering_bound(F: TensorFiltration, theta, q: float, K: int,
     Violations are collected and reported, never silently dropped.
     """
     masses = theta if isinstance(theta, CompiledMasses) else compile_masses(theta, F)
-    field_ = maximal_field(q, masses, F, K=K, N_max=N_max)
+    return covering_report(maximal_field(q, masses, F, K=K, N_max=N_max), masses, B, t_grid)
+
+
+def covering_report(field_: MaximalField, masses: CompiledMasses, B: AtomSet,
+                    t_grid) -> WeakTypeReport:
+    """The covering check of verify_covering_bound on an already built maximal field.
+
+    q, K and N_max are the field's; `masses` must be the measure it was built from.
+    """
+    F, q, K, N_max = field_.F, field_.q, field_.K, field_.N_max
+    if masses.F is not F:
+        raise ValueError("masses and maximal field live on different filtrations")
     series = covering_series_bound(F, masses, K, B, q)
     const = covering_constant(q, F.d)
     t_grid = np.asarray(t_grid, dtype=float)
-    lhs = np.array([superlevel_measure(field_, t, within=B) for t in t_grid])
+    lhs = superlevel_measure(field_, t_grid, within=B)
     rhs = const * series.total / t_grid
     ratios = np.where(rhs > 0, lhs / rhs, 0.0)
     violations = [
@@ -384,8 +411,7 @@ def restricted_limsup_bound(F: TensorFiltration, theta, D: AtomSet, eps: float,
     for K in range(D.level, N_max + 1):
         shape = F.level_shape(K)
         sel = D.mask(F.level_shape(D.level))
-        maps = [F.axes[ell].level(K).parent_map(F.axes[ell].level(D.level)) for ell in range(d)]
-        D_K = sel[np.ix_(*maps)]
+        D_K = sel[np.ix_(*F.parent_maps(K, D.level))]
         if D_K.all():
             B_mask = D_K  # D = I^d: no shrinking needed
         else:
@@ -395,7 +421,7 @@ def restricted_limsup_bound(F: TensorFiltration, theta, D: AtomSet, eps: float,
             continue
         B = AtomSet.from_mask(K, B_mask)
         field_ = maximal_field(q, masses, F, K=K, N_max=N_max)
-        lhs = np.array([superlevel_measure(field_, t, within=B) for t in t_grid])
+        lhs = superlevel_measure(field_, t_grid, within=B)
         rhs = const * (theta_D + weak_series_tail(q, d, R) * theta_total) / t_grid
         ratios = np.where(rhs > 0, lhs / rhs, 0.0)
         vols = F.atom_volumes(K)

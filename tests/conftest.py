@@ -3,6 +3,7 @@ import pytest
 from scipy.linalg import cho_solve_banded
 
 from splinelab import FiltrationSpec, atom_quadrature, build_filtration
+from splinelab.maximal import level_sum_field
 from splinelab.projector import _fit_profile
 
 
@@ -145,3 +146,28 @@ def per_atom_decay_profile(gs, nx_per_atom=8):
         conv_len = bp[np.maximum(sup_hi, a) + 1] - bp[np.minimum(sup_lo, a)]
         np.maximum.at(prof, dist, vmax * conv_len)
     return _fit_profile(prof)
+
+
+def per_entry_axis_kernel(bp, q):
+    """Axis-kernel oracle: entry by entry, q^|a-b| / (bp[max(a,b)+1] - bp[min(a,b)]).
+
+    The powers are taken by one np.power call over the distance matrix, as
+    numpy's vectorized power may differ from Python's ** in the last ulp.
+    """
+    n = len(bp) - 1
+    dist = np.empty((n, n), dtype=int)
+    conv = np.empty((n, n))
+    for a in range(n):
+        for b in range(n):
+            dist[a, b] = abs(a - b)
+            conv[a, b] = bp[max(a, b) + 1] - bp[min(a, b)]
+    return np.power(q, dist) / conv
+
+
+def finest_grid_max_field(q, masses, F, K, N_max):
+    """Running-max oracle: each level's sums spread onto the finest grid, maxed there."""
+    out = None
+    for n in range(K, N_max + 1):
+        S_fine = level_sum_field(q, masses, n)[np.ix_(*F.finest_parent_maps(n))]
+        out = S_fine if out is None else np.maximum(out, S_fine)
+    return out

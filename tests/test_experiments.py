@@ -145,3 +145,21 @@ def test_nonzero_exit_when_assertion_fails():
     cfg = small_config("decay")
     cfg["params"]["q_max"] = 1e-9  # impossible cap: q_hat > 0 for k >= 2
     assert run_experiment(cfg, quiet=True) == 1
+
+
+def test_covering_builds_one_maximal_field_per_seed_and_q(tmp_path, monkeypatch):
+    import splinelab.maximal as maximal
+
+    calls = []
+    real = maximal.level_sum_field
+
+    def counted(q, masses, n):
+        calls.append(n)
+        return real(q, masses, n)
+
+    monkeypatch.setattr(maximal, "level_sum_field", counted)
+    cfg = small_config("covering")
+    p = cfg["params"]
+    assert run_experiment(cfg, out_dir=tmp_path, quiet=True) == 0
+    levels_per_field = sum(int(c["depth"]) - int(c["K"]) + 1 for c in p["cases"])
+    assert len(calls) == int(p["n_seeds"]) * len(p["q_values"]) * levels_per_field

@@ -11,6 +11,7 @@ from splinelab import (
     build_filtration,
     b_term,
     compile_masses,
+    covering_report,
     hl_maximal,
     level_sum,
     maximal_field,
@@ -22,12 +23,13 @@ from splinelab import (
 )
 from splinelab.maximal import (
     LIMSUP_MAX_R,
+    _axis_kernel,
     hl_weak_type_ratio,
     level_sum_field,
     weak_series_tail,
 )
 
-from conftest import random_filtration
+from conftest import finest_grid_max_field, per_entry_axis_kernel, random_filtration
 
 
 def lebesgue(d):
@@ -443,3 +445,93 @@ def test_superlevel_measure_rejects_non_positive_or_non_finite(dyadic_1d, t):
     field = maximal_field(0.5, lebesgue(1), dyadic_1d)
     with pytest.raises(ValueError, match="threshold"):
         superlevel_measure(field, t)
+
+
+@pytest.mark.parametrize("q", [np.nan, 1.5, -0.5, 1.0])
+def test_invalid_q_rejected(q):
+    # a NaN q once gave an all-NaN field whose superlevel volume read 0.0
+    F = build_filtration(FiltrationSpec(d=1, interval=(0.0, 1.0), n_levels=4))
+    theta = lebesgue(1)
+    for call in (lambda: maximal_field(q, theta, F),
+                 lambda: level_sum(q, theta, F, 2, [0.3]),
+                 lambda: level_sum_field(q, compile_masses(theta, F), 2),
+                 lambda: b_term(q, theta, F, 2, (1,), [0.3])):
+        with pytest.raises(ValueError, match="q must lie"):
+            call()
+
+
+@pytest.mark.parametrize("q", [0.0, 0.3, 0.8])
+def test_axis_kernel_matches_per_entry_oracle(q):
+    rng = np.random.default_rng(17)
+    meshes = [np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 1.0, n))]) for n in (1, 2, 7, 40)]
+    meshes += [random_filtration(s, n_levels=7).axes[0].level(7).breakpoints for s in (0, 1)]
+    # halving the atom that holds 0.3 at every level grades the mesh down to the width floor
+    graded = build_filtration(FiltrationSpec(
+        d=1, interval=(0.0, 1.0), n_levels=40, rules=[{"name": "point-targeted", "target": 0.3}]))
+    fine = graded.axes[0].level(40).breakpoints
+    assert np.diff(fine).min() < 2e-9
+    meshes.append(fine)
+    for bp in meshes:
+        assert np.array_equal(_axis_kernel(bp, q), per_entry_axis_kernel(bp, q))
+
+
+@pytest.mark.parametrize("d, n_levels, K, N_max",
+                         [(1, 7, 2, 7), (1, 7, 3, 5), (2, 5, 2, 4), (3, 4, 2, 3)])
+def test_maximal_field_matches_finest_grid_running_max(d, n_levels, K, N_max):
+    F = random_filtration(20 + d, d=d, n_levels=n_levels)
+    rng = np.random.default_rng(d)
+    theta = HybridMeasure(
+        d=d,
+        density=lambda *g: 1.0 + 0.5 * np.sin(3 * g[0]) * np.broadcast_arrays(*g)[-1],
+        diracs=[(rng.uniform(0.1, 0.9, d), np.array([0.8]))],
+        density_quad_points=3,
+    )
+    masses = compile_masses(theta, F)
+    field_ = maximal_field(0.6, masses, F, K=K, N_max=N_max, keep_levels=True)
+    assert np.array_equal(field_.values, finest_grid_max_field(0.6, masses, F, K, N_max))
+    assert sorted(field_.level_values) == list(range(K, N_max + 1))
+    for n, S in field_.level_values.items():
+        assert np.array_equal(S, level_sum_field(0.6, masses, n))
+
+
+def test_superlevel_measure_threshold_array_matches_scalar_loop():
+    F = random_filtration(4, d=2, n_levels=5)
+    masses = compile_masses(lebesgue(2), F)
+    field_ = maximal_field(0.5, masses, F, K=2)
+    top = field_.values.max()
+    # a log grid plus thresholds equal to field values, where > and >= part ways
+    ts = np.concatenate([np.logspace(np.log10(top) - 3, np.log10(top) + 0.3, 20),
+                         np.unique(field_.values)[::25]])
+    B = AtomSet(level=2, members=frozenset({(0, 0), (0, 1), (1, 1)}))
+    vols = F.atom_volumes(F.n_levels)
+    sel = B.mask(F.level_shape(2))[np.ix_(*F.finest_parent_maps(2))]
+    for within, inside in ((None, True), (B, sel)):
+        got = superlevel_measure(field_, ts, within=within)
+        assert got.shape == ts.shape
+        for t, v in zip(ts, got):
+            scalar = superlevel_measure(field_, t, within=within)
+            assert isinstance(scalar, float)
+            assert v == scalar == float(vols[(field_.values > t) & inside].sum())
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0])
+def test_superlevel_measure_threshold_array_rejects_bad_entry(dyadic_1d, bad):
+    field_ = maximal_field(0.5, lebesgue(1), dyadic_1d)
+    with pytest.raises(ValueError, match="threshold"):
+        superlevel_measure(field_, np.array([1e-3, bad, 1.0]))
+
+
+def test_covering_report_on_built_field_matches_verify(dyadic_2d):
+    masses = compile_masses(lebesgue(2), dyadic_2d)
+    B = AtomSet(level=2, members=frozenset({(1, 1), (1, 2)}))
+    ts = np.array([0.5, 1.0, 2.0, 4.0])
+    field_ = maximal_field(0.5, masses, dyadic_2d, K=2, N_max=4)
+    rep = covering_report(field_, masses, B, ts)
+    ref = verify_covering_bound(dyadic_2d, masses, 0.5, 2, 4, B, ts)
+    assert np.array_equal(rep.lhs_volumes, ref.lhs_volumes)
+    assert np.array_equal(rep.rhs_bounds, ref.rhs_bounds)
+    assert (rep.q, rep.K, rep.N_max, rep.max_ratio) == (ref.q, ref.K, ref.N_max, ref.max_ratio)
+    other = compile_masses(lebesgue(2), build_filtration(
+        FiltrationSpec(d=2, interval=(0.0, 1.0), n_levels=4)))
+    with pytest.raises(ValueError, match="different filtrations"):
+        covering_report(field_, other, B, ts)
