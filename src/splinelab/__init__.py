@@ -12,7 +12,6 @@ and filtrations that stop refining.
 __version__ = "0.1.0"
 
 from .bspline import (
-    KnotVector,
     QuadratureRule,
     SplineSpace1D,
     TensorQuadrature,
@@ -28,38 +27,25 @@ from .filtration import (
     Partition1D,
     Rectangle,
     TensorFiltration,
-    atom_distance,
     atom_of,
     build_filtration,
-    check_nested,
-    filtration_from_json,
-    filtration_to_json,
-    neighborhood,
 )
 from .maximal import (
     MaximalField,
     WeakTypeReport,
-    b_term,
     covering_constant,
     covering_report,
     covering_series_bound,
     hl_maximal,
-    level_sum,
     maximal_field,
-    restricted_limsup_bound,
     superlevel_measure,
     verify_covering_bound,
     weak_series_total,
 )
 from .measures import (
     HybridMeasure,
-    MeasureValue,
     compile_masses,
     density_catalog,
-    lebesgue_parts,
-    measure_of_atom,
-    scalar_variation,
-    total_variation,
 )
 from .nondense import (
     LimitDualTable,

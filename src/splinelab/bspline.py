@@ -22,24 +22,14 @@ DEFAULT_QUAD_POINTS = 4      # per-atom Gauss-Legendre points for spline integra
 GENERAL_QUAD_POINTS = 16     # fixed rule for integrands that are not splines
 
 
-@dataclass(frozen=True)
-class KnotVector:
-    knots: np.ndarray
-    order: int
-
-    @property
-    def dimension(self) -> int:
-        return len(self.knots) - self.order
-
-
-def knot_vector(p: Partition1D, k: int) -> KnotVector:
-    """Clamped knot vector of order k over the partition p."""
+def knot_vector(p: Partition1D, k: int) -> np.ndarray:
+    """Clamped knot vector of order k over the partition p (read-only)."""
     if k < 1:
         raise ValueError(f"order must be >= 1, got {k}")
     bp = p.breakpoints
     knots = np.concatenate([np.full(k - 1, bp[0]), bp, np.full(k - 1, bp[-1])])
     knots.flags.writeable = False
-    return KnotVector(knots=knots, order=k)
+    return knots
 
 
 class SplineSpace1D:
@@ -48,7 +38,7 @@ class SplineSpace1D:
     def __init__(self, partition: Partition1D, order: int):
         self.partition = partition
         self.order = int(order)
-        self.knot_vector = knot_vector(partition, self.order)
+        self.knots = knot_vector(partition, self.order)
 
     @property
     def dimension(self) -> int:
@@ -70,7 +60,7 @@ class SplineSpace1D:
                 nonnegative and summing to 1 at every point
         """
         k = self.order
-        T = self.knot_vector.knots
+        T = self.knots
         dim = self.dimension
         xs = np.asarray(xs, dtype=float)
         iv = self.interval
@@ -122,12 +112,6 @@ class SplineSpace1D:
         lo = max(i - (k - 1), 0)
         hi = min(i, self.partition.n_atoms - 1)
         return lo, hi
-
-    def support(self, i: int) -> Interval:
-        """Union of the atoms where basis i is nonzero; spans at most k atoms."""
-        lo, hi = self.support_atom_range(i)
-        bp = self.partition.breakpoints
-        return Interval(bp[lo], bp[hi + 1])
 
 
 @dataclass(frozen=True)
@@ -281,22 +265,6 @@ class TensorSpline:
     def __call__(self, point) -> np.ndarray:
         """Value at a single point of I^d, as an (m,) array."""
         return self.eval_many(np.atleast_1d(np.asarray(point, float))[None, :])[0]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "orders": [s.order for s in self.spaces],
-            "breakpoints": [s.partition.breakpoints.tolist() for s in self.spaces],
-            "m": self.m,
-            "coeffs": self.coeffs.tolist(),
-        }
-
-    @staticmethod
-    def from_json_dict(doc: dict) -> "TensorSpline":
-        spaces = [
-            SplineSpace1D(Partition1D(bp), k)
-            for bp, k in zip(doc["breakpoints"], doc["orders"])
-        ]
-        return TensorSpline(spaces, np.asarray(doc["coeffs"]), m=doc["m"])
 
 
 def as_value_array(out, base_shape, where: str = "function") -> np.ndarray:

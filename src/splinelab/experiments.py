@@ -339,9 +339,8 @@ def run_covering(cfg: dict):
                 field_ = maximal_field(float(q), masses, F, K=K, N_max=depth)
                 report = covering_report(field_, masses, B,
                                          _log_t_grid(field_, int(p.get("t_points", 20))))
-                for t, lhs, rhs in zip(report.t_grid, report.lhs_volumes, report.rhs_bounds):
-                    ratio = lhs / rhs if rhs > 0 else 0.0
-                    rows.append((f"d{d}", float(q), seed, t, lhs, rhs, ratio))
+                cols = (report.t_grid, report.lhs_volumes, report.rhs_bounds, report.ratios)
+                rows.extend((f"d{d}", float(q), seed) + row for row in zip(*cols))
                 overall = max(overall, report.max_ratio)
                 log.check_le(f"covering_d{d}_q{q}_seed{seed}", report.max_ratio, 1.0)
     return rows, log, {"max_ratio": overall}

@@ -9,7 +9,6 @@ whole tensor grid.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -269,21 +268,6 @@ class FiltrationSpec:
                     f"unknown rule {rule.get('name')!r}; expected one of {REFINEMENT_RULES}"
                 )
 
-    @staticmethod
-    def from_dict(cfg: dict) -> "FiltrationSpec":
-        return FiltrationSpec(
-            d=int(cfg["d"]),
-            interval=tuple(cfg["interval"]),
-            n_levels=int(cfg["n_levels"]),
-            rules=cfg.get("rules", [{"name": "uniform-bisect-all"}]),
-            seed=int(cfg.get("seed", 0)),
-        )
-
-    @staticmethod
-    def from_config_file(path) -> "FiltrationSpec":
-        with open(path) as fh:
-            return FiltrationSpec.from_dict(json.load(fh))
-
 
 def _split_atom(bp_list, j, fraction, floor):
     """Insert a split point into atom j at lo + fraction*width, honoring the width floor."""
@@ -400,39 +384,6 @@ def atom_range_gap(bp: np.ndarray, atom, lo, hi):
     return dist, bp[np.maximum(hi, atom) + 1] - bp[np.minimum(lo, atom)]
 
 
-def atom_distance(F: TensorFiltration, n: int, i, j) -> int:
-    """l1 distance between atom indices at level n."""
-    i = tuple(int(v) for v in i)
-    j = tuple(int(v) for v in j)
-    shape = F.level_shape(n)
-    for idx in (i, j):
-        if len(idx) != F.d or any(not 0 <= v < s for v, s in zip(idx, shape)):
-            raise IndexError(f"atom index {idx} out of range for level shape {shape}")
-    return int(sum(abs(a - b) for a, b in zip(i, j)))
-
-
-def neighborhood(F: TensorFiltration, n: int, seed, s: int) -> AtomSet:
-    """All level-n atoms within l1 index distance s of the seed.
-
-    The seed may be a point of I^d, a single atom index tuple, or an AtomSet
-    at level n.  Monotone in s by construction.
-    """
-    if s < 0:
-        raise ValueError("s must be >= 0")
-    shape = F.level_shape(n)
-    if isinstance(seed, AtomSet):
-        if seed.level != n:
-            raise ValueError(f"seed AtomSet at level {seed.level}, expected {n}")
-        seeds = list(seed.members)
-    elif isinstance(seed, tuple) and all(isinstance(v, (int, np.integer)) for v in seed):
-        seeds = [tuple(int(v) for v in seed)]
-    else:
-        index, _ = atom_of(F, n, seed)
-        seeds = [index]
-    dist = l1_distance_grid(shape, seeds)
-    return AtomSet.from_mask(n, dist <= s)
-
-
 def l1_distance_grid(shape, seeds) -> np.ndarray:
     """Tensor of l1 index distances to the nearest seed index (multi-source)."""
     big = int(np.sum(shape)) + 1
@@ -449,46 +400,3 @@ def l1_distance_grid(shape, seeds) -> np.ndarray:
             np.minimum(flat[p], flat[p + 1] + 1, out=flat[p])
         dist = np.moveaxis(dist, 0, ax)
     return np.ascontiguousarray(dist)
-
-
-def check_nested(F: TensorFiltration):
-    """Verify breakpoint nestedness level by level.
-
-    Returns (True, None) or (False, description of the first violation).
-    """
-    for ell, ax in enumerate(F.axes):
-        for n in range(1, ax.n_levels):
-            coarse = ax.levels[n - 1].breakpoints
-            fine = ax.levels[n].breakpoints
-            present = np.isin(coarse, fine)
-            if not present.all():
-                missing = coarse[~present][0]
-                return False, (
-                    f"axis {ell + 1}, level {n + 1}: breakpoint {missing} of level {n} missing"
-                )
-    return True, None
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def filtration_to_json(F: TensorFiltration) -> str:
-    doc = {
-        "d": F.d,
-        "interval": [F.interval.lo, F.interval.hi],
-        "n_levels": F.n_levels,
-        "axes": [
-            {"levels": [level.breakpoints.tolist() for level in ax.levels]}
-            for ax in F.axes
-        ],
-    }
-    return json.dumps(doc, sort_keys=True)
-
-
-def filtration_from_json(text: str) -> TensorFiltration:
-    doc = json.loads(text)
-    axes = []
-    for ax in doc["axes"]:
-        axes.append(Filtration1D([Partition1D(bp) for bp in ax["levels"]]))
-    return TensorFiltration(axes)

@@ -1,4 +1,4 @@
-"""Intrinsic maximal machinery: b-terms, level sums, weak-type verification.
+"""Intrinsic maximal machinery: level sums, maximal fields, weak-type verification.
 
 For a nonnegative finitely additive measure theta on the atom algebra, the
 basic building block is
@@ -33,12 +33,10 @@ import numpy as np
 from scipy.linalg import toeplitz
 
 from .bspline import GENERAL_QUAD_POINTS, TensorQuadrature, mode_apply
-from .filtration import (AtomSet, Partition1D, TensorFiltration, atom_distance, atom_of,
-                         atom_range_gap, l1_distance_grid)
-from .measures import CompiledMasses, HybridMeasure, compile_masses, measure_of_atom
+from .filtration import AtomSet, Partition1D, TensorFiltration, l1_distance_grid
+from .measures import CompiledMasses, compile_masses
 
 SERIES_REL_TOL = 1e-12   # truncation: rigorous tail below this fraction of the partial sum
-LIMSUP_MAX_R = 10000     # largest neighborhood radius restricted_limsup_bound searches
 
 
 def _check_q(q: float) -> None:
@@ -57,23 +55,6 @@ def _axis_kernel(bp: np.ndarray, q: float) -> np.ndarray:
     return toeplitz(np.power(q, np.arange(len(bp) - 1))) / np.maximum(hull, hull.T)
 
 
-def b_term(q: float, theta: HybridMeasure, F: TensorFiltration, n: int, A, x) -> float:
-    """The displayed quantity for one atom A (index tuple) and one point x."""
-    _check_q(q)
-    i, _ = atom_of(F, n, x)
-    rect = F.atom_rectangle(n, tuple(int(v) for v in A))
-    value = measure_of_atom(theta, rect).value
-    if theta.m != 1 or value[0] < 0:
-        raise ValueError(
-            "b_term requires a nonnegative scalar measure; pass the scalar variation instead"
-        )
-    s = atom_distance(F, n, A, i)
-    conv = 1.0
-    for ell in range(F.d):
-        conv *= atom_range_gap(F.axes[ell].level(n).breakpoints, i[ell], A[ell], A[ell])[1]
-    return float(q ** s / conv * value[0])
-
-
 def level_sum_field(q: float, masses: CompiledMasses, n: int) -> np.ndarray:
     """Level-n sums of b-terms as a tensor over level-n atoms (exact)."""
     _check_q(q)
@@ -82,13 +63,6 @@ def level_sum_field(q: float, masses: CompiledMasses, n: int) -> np.ndarray:
     if np.any(S < 0):
         raise ValueError("level sums need a nonnegative measure")
     return mode_apply(S, [_axis_kernel(ax.level(n).breakpoints, q).__matmul__ for ax in F.axes])
-
-
-def level_sum(q: float, theta, F: TensorFiltration, n: int, x) -> float:
-    """sum over level-n atoms A of b_n(q, theta, A, x)."""
-    masses = theta if isinstance(theta, CompiledMasses) else compile_masses(theta, F)
-    i, _ = atom_of(F, n, x)
-    return float(level_sum_field(q, masses, n)[i])
 
 
 @dataclass
@@ -261,15 +235,10 @@ class WeakTypeReport:
     t_grid: np.ndarray
     lhs_volumes: np.ndarray
     rhs_bounds: np.ndarray
+    ratios: np.ndarray           # lhs / rhs per threshold, 0 where rhs vanishes
     series: SeriesBound
     max_ratio: float
     violations: list
-
-    @property
-    def ratios(self) -> np.ndarray:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = np.where(self.rhs_bounds > 0, self.lhs_volumes / self.rhs_bounds, 0.0)
-        return r
 
 
 def verify_covering_bound(F: TensorFiltration, theta, q: float, K: int,
@@ -296,7 +265,8 @@ def covering_report(field_: MaximalField, masses: CompiledMasses, B: AtomSet,
     t_grid = np.asarray(t_grid, dtype=float)
     lhs = superlevel_measure(field_, t_grid, within=B)
     rhs = const * series.total / t_grid
-    ratios = np.where(rhs > 0, lhs / rhs, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(rhs > 0, lhs / rhs, 0.0)
     violations = [
         {"t": float(t), "lhs": float(l), "rhs": float(r)}
         for t, l, r in zip(t_grid, lhs, rhs)
@@ -310,6 +280,7 @@ def covering_report(field_: MaximalField, masses: CompiledMasses, B: AtomSet,
         t_grid=t_grid,
         lhs_volumes=lhs,
         rhs_bounds=rhs,
+        ratios=ratios,
         series=series,
         max_ratio=float(ratios.max()) if len(ratios) else 0.0,
         violations=violations,
@@ -356,99 +327,3 @@ def hl_weak_type_ratio(f, partition: Partition1D, t_grid, g: int = GENERAL_QUAD_
         ratios.append(t * vol / l1 if l1 > 0 else 0.0)
     return float(np.max(ratios)), np.asarray(ratios)
 
-
-# ---------------------------------------------------------------------------
-# restricted limsup bound (local weak type on a small-measure set)
-
-
-@dataclass
-class LimsupReport:
-    ok: bool
-    reason: str
-    K: int
-    R: int
-    eps: float
-    constant: float
-    t_grid: np.ndarray
-    lhs_volumes: np.ndarray
-    rhs_bounds: np.ndarray
-    shrunken_volume_gap: float
-    max_ratio: float
-
-
-def restricted_limsup_bound(F: TensorFiltration, theta, D: AtomSet, eps: float,
-                            t_grid, q: float, N_max: int = None) -> LimsupReport:
-    """Verify the local weak-type bound on a set D with theta(D) <= eps.
-
-    Construction follows the proof: pick R so the series tail past R is below
-    eps, then a level K and the shrunken set B of level-K atoms of D whose
-    R-neighborhood stays inside D.  The truncated limsup set is measured
-    exactly through the maximal field; the bound uses the derived constant
-    covering_constant(q, d) * weak_series_total(q, d).
-
-    If no level K <= N_max admits a nonempty shrunken set, the report says so
-    (deepen the filtration) instead of failing.  Raises ValueError when no
-    R <= LIMSUP_MAX_R brings the tail below eps.
-    """
-    if N_max is None:
-        N_max = F.n_levels
-    masses = theta if isinstance(theta, CompiledMasses) else compile_masses(theta, F)
-    d = F.d
-    theta_D = float(np.sum(masses.level_masses(D.level)[D.mask(F.level_shape(D.level))]))
-    if theta_D > eps + 1e-12 * max(1.0, eps):
-        raise ValueError(f"theta(D) = {theta_D} exceeds the declared eps = {eps}")
-    theta_total = masses.total()
-    R = 0
-    while weak_series_tail(q, d, R) * theta_total > eps:
-        if R == LIMSUP_MAX_R:
-            raise ValueError(
-                f"series tail still exceeds eps = {eps} at R = {LIMSUP_MAX_R}; "
-                f"q = {q} is too close to 1 for this eps"
-            )
-        R += 1
-    const = covering_constant(q, d) * weak_series_total(q, d)
-    t_grid = np.asarray(t_grid, dtype=float)
-    for K in range(D.level, N_max + 1):
-        shape = F.level_shape(K)
-        sel = D.mask(F.level_shape(D.level))
-        D_K = sel[np.ix_(*F.parent_maps(K, D.level))]
-        if D_K.all():
-            B_mask = D_K  # D = I^d: no shrinking needed
-        else:
-            dist_to_Dc = l1_distance_grid(shape, [tuple(v) for v in np.argwhere(~D_K)])
-            B_mask = dist_to_Dc > R
-        if not B_mask.any():
-            continue
-        B = AtomSet.from_mask(K, B_mask)
-        field_ = maximal_field(q, masses, F, K=K, N_max=N_max)
-        lhs = superlevel_measure(field_, t_grid, within=B)
-        rhs = const * (theta_D + weak_series_tail(q, d, R) * theta_total) / t_grid
-        ratios = np.where(rhs > 0, lhs / rhs, 0.0)
-        vols = F.atom_volumes(K)
-        gap = float(vols[D_K & ~B_mask].sum())
-        return LimsupReport(
-            ok=bool(np.all(lhs <= rhs)),
-            reason="",
-            K=K,
-            R=R,
-            eps=eps,
-            constant=const,
-            t_grid=t_grid,
-            lhs_volumes=lhs,
-            rhs_bounds=rhs,
-            shrunken_volume_gap=gap,
-            max_ratio=float(ratios.max()),
-        )
-    return LimsupReport(
-        ok=False,
-        reason=f"no level K <= {N_max} admits a nonempty R={R} interior of D; deepen the filtration",
-        K=-1,
-        R=R,
-        eps=eps,
-        constant=const,
-        t_grid=t_grid,
-        lhs_volumes=np.array([]),
-        rhs_bounds=np.array([]),
-        shrunken_volume_gap=float("nan"),
-        max_ratio=float("nan"),
-    )

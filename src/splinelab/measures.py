@@ -13,27 +13,12 @@ atoms), matching the closure variant of the covering estimates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bspline import GENERAL_QUAD_POINTS, TensorQuadrature, as_value_array, mode_apply
-from .filtration import Partition1D, Rectangle, TensorFiltration
-
-
-@dataclass(frozen=True)
-class MeasureValue:
-    value: np.ndarray
-
-    def __post_init__(self):
-        v = np.atleast_1d(np.asarray(self.value, dtype=float))
-        if not np.all(np.isfinite(v)):
-            raise ValueError("measure values must be finite")
-        object.__setattr__(self, "value", v)
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.value))
+from .filtration import TensorFiltration
 
 
 @dataclass
@@ -76,92 +61,6 @@ class HybridMeasure:
         return out
 
 
-def measure_of_atom(theta: HybridMeasure, A, closed: bool = None) -> MeasureValue:
-    """theta(A) (or theta of the closure of A) for a rectangle or list of rectangles."""
-    if closed is None:
-        closed = theta.closed_atoms
-    rects = A if isinstance(A, (list, tuple)) else [A]
-    total = np.zeros(theta.m)
-    for rect in rects:
-        if not isinstance(rect, Rectangle):
-            raise ValueError("atoms must be given as Rectangle objects")
-        total += _density_integral(theta, rect)
-        for loc, mass in theta.diracs:
-            if rect.contains(loc, closed=closed):
-                total += mass
-    return MeasureValue(total)
-
-
-def _density_integral(theta: HybridMeasure, rect: Rectangle) -> np.ndarray:
-    if theta.density is None:
-        return np.zeros(theta.m)
-    # a rectangle is a one-atom partition of every axis
-    parts = [Partition1D([rect.lo[ell], rect.hi[ell]]) for ell in range(theta.d)]
-    quad = TensorQuadrature(parts, theta.density_quad_points)
-    return quad.atom_integrals(theta.density_values(*quad.grids)).reshape(theta.m)
-
-
-@dataclass(frozen=True)
-class TotalVariationReport:
-    """Partition sum at one level plus the exact value of the representation."""
-
-    level: int
-    partition_sum: float
-    exact_value: float
-
-
-def total_variation(theta: HybridMeasure, F: TensorFiltration, level: int) -> TotalVariationReport:
-    """sum over level-n atoms of ||theta(A)||, and the exact |theta|(I^d).
-
-    For a nonnegative scalar measure the partition sum equals theta(I^d) at
-    every level; for signed or vector measures it is a lower bound that
-    increases with the level.  The exact value of the hybrid representation is
-    int ||g|| dlambda + sum ||mass||, computed by quadrature.
-    """
-    table = compile_masses(theta, F, vector=True)
-    masses = table.level_masses(level)                      # shape + (m,)
-    partition_sum = float(np.linalg.norm(masses, axis=-1).sum())
-    exact = _exact_variation(theta, F)
-    return TotalVariationReport(level=level, partition_sum=partition_sum, exact_value=exact)
-
-
-def _exact_variation(theta: HybridMeasure, F: TensorFiltration) -> float:
-    total = float(sum(np.linalg.norm(mass) for _, mass in theta.diracs))
-    if theta.density is not None:
-        # integrate ||g|| on the finest grid; CompiledMasses.finest is density-only
-        table = compile_masses(scalar_variation(theta), F)
-        total += float(table.finest.sum())
-    return total
-
-
-def lebesgue_parts(theta: HybridMeasure):
-    """Representation-level Lebesgue split (continuous part, singular part)."""
-    cont = replace(theta, diracs=[])
-    sing = replace(theta, density=None, diracs=list(theta.diracs))
-    return cont, sing
-
-
-def scalar_variation(theta: HybridMeasure) -> HybridMeasure:
-    """Nonnegative scalar measure ||g|| dlambda + sum ||m_j|| delta_{x_j}."""
-    if theta.density is None:
-        dens = None
-    else:
-        inner = theta
-
-        def dens(*grids):
-            return np.linalg.norm(inner.density_values(*grids), axis=-1)
-
-    diracs = [(loc, float(np.linalg.norm(mass))) for loc, mass in theta.diracs]
-    return HybridMeasure(
-        d=theta.d,
-        density=dens,
-        diracs=diracs,
-        m=1,
-        closed_atoms=theta.closed_atoms,
-        density_quad_points=theta.density_quad_points,
-    )
-
-
 # ---------------------------------------------------------------------------
 # compiled per-atom masses
 
@@ -173,36 +72,33 @@ class CompiledMasses:
     Dirac masses; coarser levels are exact sums of their children, so finite
     additivity and refinement consistency hold by construction.  In closed
     mode each Dirac also contributes to every adjacent atom closure, so level
-    sums may exceed theta(I^d) by design (at most a factor 2^d).
+    sums may exceed theta(I^d) by design (at most a factor 2^d).  The masses
+    are those of the scalar variation ||g|| dlambda^d + sum_j ||m_j|| delta_{x_j},
+    so they are nonnegative scalars for vector-valued theta too.
     """
 
-    def __init__(self, theta: HybridMeasure, F: TensorFiltration, vector: bool = False,
-                 closed: bool = None):
+    def __init__(self, theta: HybridMeasure, F: TensorFiltration, closed: bool = None):
         if theta.d != F.d:
             raise ValueError(f"measure dimension {theta.d} != filtration dimension {F.d}")
         if closed is None:
             closed = theta.closed_atoms
         self.F = F
         self.closed = closed
-        self.m = theta.m if vector else 1
         nl = F.n_levels
-        finest = self._density_masses(theta, vector)
-        self._dirac_entries = self._dirac_indices(theta, F, vector)
+        finest = self._density_masses(theta)
+        self._dirac_entries = self._dirac_indices(theta, F)
         self.finest = finest
         self._levels = {nl: self._with_diracs(finest, nl)}
 
-    def _density_masses(self, theta, vector):
+    def _density_masses(self, theta):
         F = self.F
         if theta.density is None:
-            return np.zeros(F.level_shape(F.n_levels) + ((self.m,) if vector else ()))
+            return np.zeros(F.level_shape(F.n_levels))
         quad = TensorQuadrature([ax.level(F.n_levels) for ax in F.axes], theta.density_quad_points)
-        vals = theta.density_values(*quad.grids)
-        if not vector:
-            vals = np.linalg.norm(vals, axis=-1, keepdims=True)
-        vals = quad.atom_integrals(vals)
-        return vals if vector else vals[..., 0]
+        vals = np.linalg.norm(theta.density_values(*quad.grids), axis=-1, keepdims=True)
+        return quad.atom_integrals(vals)[..., 0]
 
-    def _dirac_indices(self, theta, F, vector):
+    def _dirac_indices(self, theta, F):
         nl = F.n_levels
         entries = []
         for loc, mass in theta.diracs:
@@ -218,15 +114,14 @@ class CompiledMasses:
                     if loc[ell] == bp[j + 1] and j + 1 < p.n_atoms:
                         idxs.append(j + 1)
                 per_axis.append(sorted(idxs))
-            value = mass if vector else float(np.linalg.norm(mass))
-            entries.append((loc, per_axis, value))
+            entries.append((per_axis, float(np.linalg.norm(mass))))
         return entries
 
     def _with_diracs(self, density_masses, n):
         out = density_masses.copy()
         F = self.F
         maps = F.finest_parent_maps(n)
-        for _, per_axis, value in self._dirac_entries:
+        for per_axis, value in self._dirac_entries:
             level_axis = [sorted({int(maps[ell][j]) for j in per_axis[ell]}) for ell in range(F.d)]
             for idx in np.ndindex(*(len(a) for a in level_axis)):
                 target = tuple(level_axis[ell][idx[ell]] for ell in range(F.d))
@@ -251,17 +146,10 @@ class CompiledMasses:
         self._levels[n] = out
         return out
 
-    def total(self) -> float:
-        """theta(I^d) in open mode (closures can overcount by design)."""
-        tot = self.finest.sum(axis=tuple(range(self.F.d)))
-        for _, _, value in self._dirac_entries:
-            tot = tot + value
-        return float(np.atleast_1d(tot)[0]) if self.m == 1 else tot
 
-
-def compile_masses(theta: HybridMeasure, F: TensorFiltration, vector: bool = False,
+def compile_masses(theta: HybridMeasure, F: TensorFiltration,
                    closed: bool = None) -> CompiledMasses:
-    return CompiledMasses(theta, F, vector=vector, closed=closed)
+    return CompiledMasses(theta, F, closed=closed)
 
 
 # ---------------------------------------------------------------------------

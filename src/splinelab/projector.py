@@ -57,21 +57,6 @@ class GramSystem:
     def dimension(self) -> int:
         return self.space.dimension
 
-    @property
-    def bandwidth(self) -> int:
-        return self.space.order - 1
-
-    def dense(self) -> np.ndarray:
-        """Dense Gram matrix (small spaces / oracles only)."""
-        k, dim = self.space.order, self.dimension
-        G = np.zeros((dim, dim))
-        for off in range(k):
-            row = self.band[k - 1 - off]
-            idx = np.arange(off, dim)
-            G[idx - off, idx] = row[off:]
-            G[idx, idx - off] = row[off:]
-        return G
-
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve G y = rhs; rhs may carry extra trailing axes."""
         rhs = np.asarray(rhs, dtype=float)
@@ -114,12 +99,6 @@ class GramSystem:
             Z[i, 0] = (1.0 / u[i, 0] - uu @ off[: k - 1]) / u[i, 0]
         return Z[:dim].T
 
-    def dual_eval(self, i: int, x: float) -> float:
-        """N*_i(x) = sum_j (G^-1)_{ij} N_j(x)."""
-        if not 0 <= i < self.dimension:
-            raise IndexError(f"dual index {i} out of range [0, {self.dimension})")
-        return float(self.duals_at(np.array([x]))[i, 0])
-
 
 def _assemble_gram_band(space: SplineSpace1D) -> np.ndarray:
     """Upper banded storage of G_{ij} = int N_i N_j; g = k Gauss points are exact."""
@@ -154,10 +133,6 @@ class TensorProjector:
         self.orders = tuple(s.order for s in self.spaces)
 
     @property
-    def d(self) -> int:
-        return len(self.spaces)
-
-    @property
     def dims(self) -> tuple:
         return tuple(s.dimension for s in self.spaces)
 
@@ -181,8 +156,9 @@ class TensorProjector:
             quad_partitions = [s.partition for s in self.spaces]
         return TensorQuadrature(quad_partitions, g)
 
-    def moment_tensor(self, f, g: int = None, quad_partitions=None) -> np.ndarray:
-        """Tensor b with b_i = int f(x) prod_l N_{i_l}(x_l) dx.
+    def project_function(self, f, g: int = None, m: int = None,
+                         quad_partitions=None) -> TensorSpline:
+        """P f as a TensorSpline; reproduces f exactly when f lies in the space.
 
         `f` is called as f(X_1, ..., X_d) on broadcastable coordinate arrays and
         may return values of shape (...,) or (..., m).  Quadrature uses g points
@@ -190,12 +166,6 @@ class TensorProjector:
         partitions); pass a finer nested partition to integrate splines of a
         deeper level exactly.
         """
-        quad = self._quadrature(g, quad_partitions)
-        return quad.moments(self.spaces, quad.values(f))
-
-    def project_function(self, f, g: int = None, m: int = None,
-                         quad_partitions=None) -> TensorSpline:
-        """P f as a TensorSpline; reproduces f exactly when f lies in the space."""
         quad = self._quadrature(g, quad_partitions)
         return self.project_values(quad, quad.values(f), m=m)
 
@@ -240,8 +210,9 @@ class TensorProjector:
         level satisfy the martingale identity to roundoff even for densities
         the quadrature does not integrate sharply.
         """
-        if theta.d != self.d:
-            raise ValueError(f"measure dimension {theta.d} != projector dimension {self.d}")
+        d = len(self.spaces)
+        if theta.d != d:
+            raise ValueError(f"measure dimension {theta.d} != projector dimension {d}")
         quad = values = None
         if theta.density is not None:
             quad = self._quadrature(theta.density_quad_points, quad_partitions)
@@ -255,7 +226,7 @@ class TensorProjector:
 
 @dataclass(frozen=True)
 class OperatorNormEstimate:
-    """Grid-sampled lower bound of sup_x int |K(x, y)| dy."""
+    """Sampled estimate of sup_x int |K(x, y)| dy (not a bound; see operator_norm_1d)."""
 
     value: float
     per_axis: tuple
@@ -271,8 +242,11 @@ def operator_norm_1d(gs: GramSystem, nx_per_atom: int = NORM_SAMPLES_PER_ATOM,
 
     x ranges over nx Chebyshev points per atom; the y-integral uses per-atom
     Gauss-Legendre and is truncated `window` atoms away from x, where the
-    kernel has decayed far below roundoff.  The result is a lower bound of the
-    true norm.
+    kernel has decayed far below roundoff.  The result is a sampled estimate,
+    not a bound either way: K(x, .) changes sign inside atoms, so the
+    quadrature of |K(x, .)| can overshoot the exact integral at a fixed x, and
+    the interior samples miss the domain endpoints, where the supremum sits on
+    many meshes of order k >= 3.
 
     Kernel values are assembled per block of NORM_BLOCK_ATOMS x-atoms from an
     inverse-Gram slab (window rows by block columns).  Every slab lies within

@@ -11,7 +11,6 @@ coarse B-spline against nu is level independent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -38,18 +37,6 @@ class MartingaleSplineSequence:
 
     def level(self, n: int) -> TensorSpline:
         return self.splines[n - 1]
-
-    @cached_property
-    def l1_norms(self) -> np.ndarray:
-        """int ||g_n|| d lambda^d per level, computed when first read."""
-        return np.array([_l1_norm(ts) for ts in self.splines])
-
-
-def _l1_norm(ts: TensorSpline, g: int = 8) -> float:
-    """int ||g_n|| d lambda^d by per-atom quadrature on the spline's own grid."""
-    quad = TensorQuadrature([s.partition for s in ts.spaces], g)
-    vals = np.linalg.norm(ts.eval_grid(quad.axis_nodes), axis=-1, keepdims=True)
-    return float(quad.atom_integrals(vals).sum())
 
 
 def make_sequence(F: TensorFiltration, source, orders, N_max: int = None,
@@ -176,9 +163,6 @@ class ConvergenceProbe:
     final_tol: float
     fraction_below_tol: float
     median_decay_rate: float      # median over points of the log-error slope per level
-
-    def trajectories(self, j: int) -> np.ndarray:
-        return self.errors[:, j]
 
 
 def convergence_probe(seq: MartingaleSplineSequence, reference=None, points=None,

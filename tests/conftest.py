@@ -1,9 +1,15 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from scipy.linalg import cho_solve_banded
 
-from splinelab import FiltrationSpec, atom_quadrature, build_filtration
-from splinelab.maximal import level_sum_field
+from splinelab import (AtomSet, FiltrationSpec, HybridMeasure, Partition1D, Rectangle,
+                       TensorQuadrature, atom_of, atom_quadrature, build_filtration,
+                       compile_masses)
+from splinelab.filtration import atom_range_gap, l1_distance_grid
+from splinelab.maximal import _check_q, level_sum_field
+from splinelab.measures import CompiledMasses
 from splinelab.projector import _fit_profile
 
 
@@ -82,7 +88,7 @@ def symbolic_product_integral(space, i, j):
 
 def dense_dual_matrix(gs):
     """Dense inverse-Gram oracle: row i holds the coefficients of N*_i."""
-    return np.linalg.inv(gs.dense())
+    return np.linalg.inv(dense_gram(gs))
 
 
 def dense_operator_norm_1d(gs, nx_per_atom=8, ny_per_atom=8, window=64, block_atoms=64):
@@ -171,3 +177,177 @@ def finest_grid_max_field(q, masses, F, K, N_max):
         S_fine = level_sum_field(q, masses, n)[np.ix_(*F.finest_parent_maps(n))]
         out = S_fine if out is None else np.maximum(out, S_fine)
     return out
+
+
+def dense_gram(gs):
+    """Dense Gram matrix of a GramSystem, unpacked from its upper band storage."""
+    k, dim = gs.space.order, gs.dimension
+    G = np.zeros((dim, dim))
+    for off in range(k):
+        row = gs.band[k - 1 - off]
+        idx = np.arange(off, dim)
+        G[idx - off, idx] = row[off:]
+        G[idx, idx - off] = row[off:]
+    return G
+
+
+# ---------------------------------------------------------------------------
+# per-atom definitions the compiled and vectorized library paths must agree with
+
+
+@dataclass(frozen=True)
+class MeasureValue:
+    value: np.ndarray
+
+    def __post_init__(self):
+        v = np.atleast_1d(np.asarray(self.value, dtype=float))
+        if not np.all(np.isfinite(v)):
+            raise ValueError("measure values must be finite")
+        object.__setattr__(self, "value", v)
+
+    @property
+    def norm(self) -> float:
+        return float(np.linalg.norm(self.value))
+
+
+def measure_of_atom(theta, A, closed=None) -> MeasureValue:
+    """theta(A) (or theta of the closure of A) for a rectangle or list of rectangles."""
+    if closed is None:
+        closed = theta.closed_atoms
+    rects = A if isinstance(A, (list, tuple)) else [A]
+    total = np.zeros(theta.m)
+    for rect in rects:
+        if not isinstance(rect, Rectangle):
+            raise ValueError("atoms must be given as Rectangle objects")
+        total += _density_integral(theta, rect)
+        for loc, mass in theta.diracs:
+            if rect.contains(loc, closed=closed):
+                total += mass
+    return MeasureValue(total)
+
+
+def _density_integral(theta, rect):
+    if theta.density is None:
+        return np.zeros(theta.m)
+    # a rectangle is a one-atom partition of every axis
+    parts = [Partition1D([rect.lo[ell], rect.hi[ell]]) for ell in range(theta.d)]
+    quad = TensorQuadrature(parts, theta.density_quad_points)
+    return quad.atom_integrals(theta.density_values(*quad.grids)).reshape(theta.m)
+
+
+def atom_distance(F, n, i, j) -> int:
+    """l1 distance between atom indices at level n."""
+    i = tuple(int(v) for v in i)
+    j = tuple(int(v) for v in j)
+    shape = F.level_shape(n)
+    for idx in (i, j):
+        if len(idx) != F.d or any(not 0 <= v < s for v, s in zip(idx, shape)):
+            raise IndexError(f"atom index {idx} out of range for level shape {shape}")
+    return int(sum(abs(a - b) for a, b in zip(i, j)))
+
+
+def neighborhood(F, n, seed, s) -> AtomSet:
+    """All level-n atoms within l1 index distance s of the seed.
+
+    The seed may be a point of I^d, a single atom index tuple, or an AtomSet
+    at level n.  Monotone in s by construction.
+    """
+    if s < 0:
+        raise ValueError("s must be >= 0")
+    shape = F.level_shape(n)
+    if isinstance(seed, AtomSet):
+        if seed.level != n:
+            raise ValueError(f"seed AtomSet at level {seed.level}, expected {n}")
+        seeds = list(seed.members)
+    elif isinstance(seed, tuple) and all(isinstance(v, (int, np.integer)) for v in seed):
+        seeds = [tuple(int(v) for v in seed)]
+    else:
+        index, _ = atom_of(F, n, seed)
+        seeds = [index]
+    return AtomSet.from_mask(n, l1_distance_grid(shape, seeds) <= s)
+
+
+def b_term(q, theta, F, n, A, x) -> float:
+    """b_n(q, theta, A, x) = q^{d_n(A, A_n(x))} / |conv(A u A_n(x))| * theta(A)."""
+    _check_q(q)
+    i, _ = atom_of(F, n, x)
+    rect = F.atom_rectangle(n, tuple(int(v) for v in A))
+    value = measure_of_atom(theta, rect).value
+    if theta.m != 1 or value[0] < 0:
+        raise ValueError(
+            "b_term requires a nonnegative scalar measure; pass the scalar variation instead"
+        )
+    s = atom_distance(F, n, A, i)
+    conv = 1.0
+    for ell in range(F.d):
+        conv *= atom_range_gap(F.axes[ell].level(n).breakpoints, i[ell], A[ell], A[ell])[1]
+    return float(q ** s / conv * value[0])
+
+
+def level_sum(q, theta, F, n, x) -> float:
+    """sum over level-n atoms A of b_n(q, theta, A, x), read off the level-sum field."""
+    masses = theta if isinstance(theta, CompiledMasses) else compile_masses(theta, F)
+    i, _ = atom_of(F, n, x)
+    return float(level_sum_field(q, masses, n)[i])
+
+
+@dataclass(frozen=True)
+class TotalVariationReport:
+    """Partition sum at one level plus the exact value of the representation."""
+
+    level: int
+    partition_sum: float
+    exact_value: float
+
+
+def total_variation(theta, F, level) -> TotalVariationReport:
+    """sum over level-n atoms of ||theta(A)||, and the exact |theta|(I^d).
+
+    For a nonnegative scalar measure the partition sum equals theta(I^d) at
+    every level; for signed or vector measures it is a lower bound that
+    increases with the level.  The exact value of the hybrid representation is
+    int ||g|| dlambda + sum ||mass||, computed by quadrature.
+    """
+    rects = [F.atom_rectangle(level, idx) for idx in np.ndindex(*F.level_shape(level))]
+    partition_sum = float(sum(measure_of_atom(theta, r).norm for r in rects))
+    return TotalVariationReport(level=level, partition_sum=partition_sum,
+                                exact_value=_exact_variation(theta, F))
+
+
+def _exact_variation(theta, F) -> float:
+    total = float(sum(np.linalg.norm(mass) for _, mass in theta.diracs))
+    if theta.density is not None:
+        # integrate ||g|| on the finest grid; CompiledMasses.finest is density-only
+        total += float(compile_masses(scalar_variation(theta), F).finest.sum())
+    return total
+
+
+def scalar_variation(theta) -> HybridMeasure:
+    """Nonnegative scalar measure ||g|| dlambda + sum ||m_j|| delta_{x_j}."""
+    if theta.density is None:
+        dens = None
+    else:
+        def dens(*grids):
+            return np.linalg.norm(theta.density_values(*grids), axis=-1)
+
+    diracs = [(loc, float(np.linalg.norm(mass))) for loc, mass in theta.diracs]
+    return HybridMeasure(
+        d=theta.d,
+        density=dens,
+        diracs=diracs,
+        m=1,
+        closed_atoms=theta.closed_atoms,
+        density_quad_points=theta.density_quad_points,
+    )
+
+
+def l1_norms(seq) -> np.ndarray:
+    """int ||g_n|| d lambda^d for every level of a martingale spline sequence."""
+    return np.array([_l1_norm(ts) for ts in seq.splines])
+
+
+def _l1_norm(ts, g=8) -> float:
+    """int ||g_n|| d lambda^d by per-atom quadrature on the spline's own grid."""
+    quad = TensorQuadrature([s.partition for s in ts.spaces], g)
+    vals = np.linalg.norm(ts.eval_grid(quad.axis_nodes), axis=-1, keepdims=True)
+    return float(quad.atom_integrals(vals).sum())

@@ -1,4 +1,6 @@
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
@@ -163,3 +165,36 @@ def test_covering_builds_one_maximal_field_per_seed_and_q(tmp_path, monkeypatch)
     assert run_experiment(cfg, out_dir=tmp_path, quiet=True) == 0
     levels_per_field = sum(int(c["depth"]) - int(c["K"]) + 1 for c in p["cases"])
     assert len(calls) == int(p["n_seeds"]) * len(p["q_values"]) * levels_per_field
+
+
+def _referenced_names(tree) -> set:
+    """Names read in `tree`, leaving out what a def or class says about its own name."""
+    found = set()
+
+    def visit(node, own):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            own = own | {node.name}
+        if isinstance(node, ast.Name) and node.id not in own:
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr not in own:
+            found.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, own)
+
+    visit(tree, frozenset())
+    return found
+
+
+def test_public_names_have_a_caller():
+    # a re-export must be used by the library, a script or the acceptance
+    # criteria; an import statement alone is not a use
+    root = Path(__file__).resolve().parents[1]
+    pkg = root / "src" / "splinelab"
+    init = ast.parse((pkg / "__init__.py").read_text())
+    exported = {alias.asname or alias.name for node in init.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    sources = [p for p in sorted(pkg.glob("*.py")) if p.name != "__init__.py"]
+    sources += sorted((root / "scripts").glob("*.py")) + [root / "tests" / "test_acceptance.py"]
+    used = set().union(*(_referenced_names(ast.parse(p.read_text())) for p in sources))
+    assert exported
+    assert sorted(exported - used) == []

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,17 +8,12 @@ from splinelab import (
     FiltrationSpec,
     Interval,
     Partition1D,
-    atom_distance,
     atom_of,
     build_filtration,
-    check_nested,
-    filtration_from_json,
-    filtration_to_json,
-    neighborhood,
 )
 from splinelab.filtration import Filtration1D, MIN_WIDTH_FRACTION
 
-from conftest import random_filtration
+from conftest import atom_distance, neighborhood, random_filtration
 
 
 def test_interval_rejects_degenerate():
@@ -121,25 +114,21 @@ def test_neighborhood_monotone_in_s(dyadic_2d):
 
 
 def test_check_nested(dyadic_2d):
-    ok, why = check_nested(dyadic_2d)
-    assert ok and why is None
+    for ax in dyadic_2d.axes:
+        for coarse, fine in zip(ax.levels, ax.levels[1:]):
+            assert fine.refines(coarse)
 
 
 def test_check_nested_detects_violation():
-    bad = Filtration1D.__new__(Filtration1D)
-    bad.levels = (Partition1D([0.0, 0.5, 1.0]), Partition1D([0.0, 1.0 / 3.0, 1.0]))
-    from splinelab import TensorFiltration
-
-    F = TensorFiltration.__new__(TensorFiltration)
-    F.axes = (bad,)
-    ok, why = check_nested(F)
-    assert not ok
-    assert "axis 1" in why and "level 2" in why
+    levels = [Partition1D([0.0, 0.5, 1.0]), Partition1D([0.0, 1.0 / 3.0, 1.0])]
+    with pytest.raises(ValueError, match="not nested"):
+        Filtration1D(levels)
 
 
 def test_single_level_vacuously_nested():
     F = build_filtration(FiltrationSpec(d=1, interval=(0.0, 1.0), n_levels=1))
-    assert check_nested(F) == (True, None)
+    assert F.n_levels == 1
+    assert Filtration1D(F.axes[0].levels).n_levels == 1
 
 
 def test_levels_partition_exactly():
@@ -192,34 +181,6 @@ def test_unknown_rule_rejected():
 def test_invalid_interval_rejected():
     with pytest.raises(ValueError):
         FiltrationSpec(d=1, interval=(1.0, 0.0), n_levels=2)
-
-
-def test_json_round_trip():
-    F = random_filtration(4, d=2, n_levels=4)
-    doc = filtration_to_json(F)
-    G = filtration_from_json(doc)
-    assert G.d == F.d and G.n_levels == F.n_levels
-    for ax_a, ax_b in zip(F.axes, G.axes):
-        for la, lb in zip(ax_a.levels, ax_b.levels):
-            assert np.array_equal(la.breakpoints, lb.breakpoints)
-    assert check_nested(G) == (True, None)
-
-
-def test_spec_from_config_file(tmp_path):
-    cfg = {
-        "d": 2,
-        "interval": [0.0, 2.0],
-        "n_levels": 3,
-        "seed": 11,
-        "rules": [{"name": "uniform-bisect-all"},
-                  {"name": "point-targeted", "target": 1.5}],
-    }
-    path = tmp_path / "filtration.json"
-    path.write_text(json.dumps(cfg))
-    spec = FiltrationSpec.from_config_file(path)
-    F = build_filtration(spec)
-    assert F.d == 2 and F.n_levels == 3
-    assert F.interval.hi == 2.0
 
 
 @given(seed=st.integers(0, 10_000))

@@ -9,27 +9,24 @@ from splinelab import (
     HybridMeasure,
     Partition1D,
     build_filtration,
-    b_term,
     compile_masses,
     covering_report,
     hl_maximal,
-    level_sum,
     maximal_field,
-    restricted_limsup_bound,
     superlevel_measure,
     covering_series_bound,
     verify_covering_bound,
     weak_series_total,
 )
 from splinelab.maximal import (
-    LIMSUP_MAX_R,
     _axis_kernel,
     hl_weak_type_ratio,
     level_sum_field,
     weak_series_tail,
 )
 
-from conftest import finest_grid_max_field, per_entry_axis_kernel, random_filtration
+from conftest import (atom_distance, b_term, finest_grid_max_field, level_sum, measure_of_atom,
+                      per_entry_axis_kernel, random_filtration)
 
 
 def lebesgue(d):
@@ -41,12 +38,10 @@ def lebesgue(d):
 
 def brute_level_sum(q, theta, F, n, x):
     """Direct double loop over atoms; the vectorized path must agree."""
-    from splinelab import atom_of, atom_distance
+    from splinelab import atom_of
 
     i, _ = atom_of(F, n, x)
     total = 0.0
-    from splinelab.measures import measure_of_atom
-
     for idx in np.ndindex(*F.level_shape(n)):
         rect = F.atom_rectangle(n, idx)
         mass = measure_of_atom(theta, rect).value[0]
@@ -285,70 +280,6 @@ def test_hl_weak_type_constant_on_spikes():
         assert ratio <= 3.0 + 1e-12
 
 
-def test_restricted_limsup_diracs_inside_D():
-    F = build_filtration(FiltrationSpec(d=1, interval=(0.0, 1.0), n_levels=7))
-    theta = HybridMeasure(d=1, diracs=[(np.array([0.1]), np.array([0.2]))])
-    shape = F.level_shape(3)
-    mask = np.zeros(shape, dtype=bool)
-    mask[0] = mask[1] = True  # D = (0, 1/4] contains the Dirac
-    D = AtomSet.from_mask(3, mask)
-    rep = restricted_limsup_bound(F, theta, D, eps=0.25, t_grid=np.array([0.5, 2.0, 8.0]),
-                                  q=0.5)
-    assert rep.ok
-    assert rep.max_ratio <= 1.0
-    # outside D the field stays at far-field size: the superlevel set for
-    # t above the far-field decay lies entirely inside D
-    sing_field = maximal_field(0.5, theta, F, K=rep.K, N_max=7)
-    complement = AtomSet.from_mask(3, ~mask)
-    assert superlevel_measure(sing_field, 6.0, within=complement) == 0.0
-    assert superlevel_measure(sing_field, 6.0) > 0.0
-
-
-def test_restricted_limsup_radius_cap_raises():
-    # with q this close to 1 the tail bound stays above eps at every R <= LIMSUP_MAX_R
-    F = build_filtration(FiltrationSpec(d=1, interval=(0.0, 1.0), n_levels=7))
-    theta = HybridMeasure(d=1, diracs=[(np.array([0.1]), np.array([0.2]))])
-    mask = np.zeros(F.level_shape(3), dtype=bool)
-    mask[0] = mask[1] = True
-    D = AtomSet.from_mask(3, mask)
-    assert weak_series_tail(0.9999999, 1, LIMSUP_MAX_R) * 0.2 > 0.25
-    with pytest.raises(ValueError, match="too close to 1"):
-        restricted_limsup_bound(F, theta, D, eps=0.25, t_grid=np.array([1.0]), q=0.9999999)
-
-
-def test_restricted_limsup_full_domain_reduces_to_covering():
-    F = build_filtration(FiltrationSpec(d=1, interval=(0.0, 1.0), n_levels=6))
-    theta = lebesgue(1)
-    shape = F.level_shape(1)
-    D = AtomSet.from_mask(1, np.ones(shape, dtype=bool))
-    rep = restricted_limsup_bound(F, theta, D, eps=1.1, t_grid=np.array([1.0, 4.0]), q=0.5)
-    assert rep.ok and rep.K == 1
-
-
-def test_restricted_limsup_seeded_2d_margin():
-    F = random_filtration(4, d=2, n_levels=5)
-    theta = HybridMeasure(d=2, diracs=[(np.array([0.22, 0.41]), np.array([0.1]))])
-    masses = compile_masses(theta, F)
-    shape = F.level_shape(2)
-    from splinelab import atom_of
-
-    idx, _ = atom_of(F, 2, [0.22, 0.41])
-    mask = np.zeros(shape, dtype=bool)
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            a = (min(max(idx[0] + di, 0), shape[0] - 1),
-                 min(max(idx[1] + dj, 0), shape[1] - 1))
-            mask[a] = True
-    D = AtomSet.from_mask(2, mask)
-    rep = restricted_limsup_bound(F, masses, D, eps=0.12,
-                                  t_grid=np.logspace(-1, 2, 10), q=0.5)
-    if rep.K > 0:
-        assert rep.ok
-        assert rep.max_ratio <= 1.0
-    else:
-        assert "deepen" in rep.reason
-
-
 def test_reports_violation_rather_than_silence(dyadic_1d):
     # with a falsified constant the report must surface the failure
     theta = lebesgue(1)
@@ -531,6 +462,8 @@ def test_covering_report_on_built_field_matches_verify(dyadic_2d):
     assert np.array_equal(rep.lhs_volumes, ref.lhs_volumes)
     assert np.array_equal(rep.rhs_bounds, ref.rhs_bounds)
     assert (rep.q, rep.K, rep.N_max, rep.max_ratio) == (ref.q, ref.K, ref.N_max, ref.max_ratio)
+    assert np.array_equal(rep.ratios, rep.lhs_volumes / rep.rhs_bounds)
+    assert rep.max_ratio == rep.ratios.max()
     other = compile_masses(lebesgue(2), build_filtration(
         FiltrationSpec(d=2, interval=(0.0, 1.0), n_levels=4)))
     with pytest.raises(ValueError, match="different filtrations"):

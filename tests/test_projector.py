@@ -12,6 +12,7 @@ from splinelab import (
     Partition1D,
     SplineSpace1D,
     TensorProjector,
+    TensorQuadrature,
     atom_quadrature,
     build_filtration,
     decay_profile,
@@ -22,6 +23,7 @@ from splinelab.projector import GramSystem, operator_norm_1d
 
 from conftest import (
     dense_dual_matrix,
+    dense_gram,
     dense_operator_norm_1d,
     per_atom_decay_profile,
     random_filtration,
@@ -30,13 +32,13 @@ from conftest import (
 
 def test_gram_k1_diagonal_of_atom_lengths():
     gs = GramSystem(SplineSpace1D(Partition1D([0.0, 0.3, 0.7, 1.0]), 1))
-    np.testing.assert_allclose(gs.dense(), np.diag([0.3, 0.4, 0.3]), atol=1e-15)
+    np.testing.assert_allclose(dense_gram(gs), np.diag([0.3, 0.4, 0.3]), atol=1e-15)
 
 
 def test_gram_k2_uniform_interior_row():
     h = 0.25
     gs = GramSystem(SplineSpace1D(Partition1D(np.linspace(0, 1, 5)), 2))
-    G = gs.dense()
+    G = dense_gram(gs)
     np.testing.assert_allclose(G[2, 1:4], [h / 6, 2 * h / 3, h / 6], atol=1e-15)
 
 
@@ -45,16 +47,18 @@ def test_gram_row_sums_are_basis_integrals(k):
     F = random_filtration(1, n_levels=5)
     space = SplineSpace1D(F.axes[0].level(5), k)
     gs = GramSystem(space)
-    want = TensorProjector([space]).moment_tensor(lambda x: np.ones_like(x), g=k)[:, 0]
-    np.testing.assert_allclose(gs.dense() @ np.ones(space.dimension), want, atol=1e-14)
+    quad = TensorQuadrature([space.partition], k)
+    want = quad.moments([space], quad.values(lambda x: np.ones_like(x)))[:, 0]
+    np.testing.assert_allclose(dense_gram(gs) @ np.ones(space.dimension), want, atol=1e-14)
 
 
 def test_dual_k1_is_scaled_indicator():
     space = SplineSpace1D(Partition1D([0.0, 0.25, 1.0]), 1)
     gs = GramSystem(space)
-    assert gs.dual_eval(0, 0.1) == pytest.approx(4.0)
-    assert gs.dual_eval(1, 0.1) == 0.0
-    assert gs.dual_eval(1, 0.9) == pytest.approx(1.0 / 0.75)
+    D = gs.duals_at(np.array([0.1, 0.9]))
+    assert D[0, 0] == pytest.approx(4.0)
+    assert D[1, 0] == 0.0
+    assert D[1, 1] == pytest.approx(1.0 / 0.75)
 
 
 def test_dual_biorthogonality_by_quadrature():
@@ -81,12 +85,6 @@ def test_dual_matches_dense_inverse_oracle():
         want = Ginv @ B.T
         got = gs.duals_at(xs)
         np.testing.assert_allclose(got, want, atol=1e-12)
-
-
-def test_dual_eval_bad_index():
-    gs = GramSystem(SplineSpace1D(Partition1D([0.0, 1.0]), 2))
-    with pytest.raises(IndexError):
-        gs.dual_eval(7, 0.5)
 
 
 def test_degenerate_partition_raises():
@@ -165,8 +163,9 @@ def test_kronecker_consistency_small_2d():
         tp = TensorProjector.for_level(F, 3, orders)
         ts = tp.project_function(f, g=6)
         # oracle: dense Kronecker Gram solve
-        G = functools.reduce(np.kron, [gs.dense() for gs in tp.grams])
-        b = tp.moment_tensor(f, g=6)[..., 0]
+        G = functools.reduce(np.kron, [dense_gram(gs) for gs in tp.grams])
+        quad = TensorQuadrature([s.partition for s in tp.spaces], 6)
+        b = quad.moments(tp.spaces, quad.values(f))[..., 0]
         c = np.linalg.solve(G, b.ravel()).reshape(b.shape)
         np.testing.assert_allclose(ts.coeffs[..., 0], c, atol=1e-10)
 

@@ -12,7 +12,7 @@ from splinelab import (
     verify_martingale_property,
 )
 
-from conftest import random_filtration
+from conftest import l1_norms, random_filtration, total_variation
 
 
 def test_source_in_first_space_is_constant_sequence(dyadic_1d):
@@ -43,6 +43,7 @@ def test_dirac_sequence_k1_dyadic(dyadic_1d):
     x0 = 0.37
     theta = HybridMeasure(d=1, diracs=[(np.array([x0]), np.array([1.0]))])
     seq = make_sequence(dyadic_1d, theta, 1, N_max=5)
+    norms = l1_norms(seq)
     for n in range(1, 6):
         part = dyadic_1d.axes[0].level(n)
         j = int(part.atom_index_of(np.array([x0]))[0])
@@ -50,7 +51,7 @@ def test_dirac_sequence_k1_dyadic(dyadic_1d):
         want = np.zeros(part.n_atoms)
         want[j] = 2.0 ** n  # 1 / |A_n(x0)|
         np.testing.assert_allclose(coeffs, want, atol=1e-12)
-        assert seq.l1_norms[n - 1] == pytest.approx(1.0, rel=1e-12)
+        assert norms[n - 1] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_martingale_property_small(dyadic_1d):
@@ -130,9 +131,10 @@ def test_singular_integrable_source_l1_bounded():
     F = build_filtration(FiltrationSpec(d=1, interval=(0.0, 1.0), n_levels=8))
     f = lambda x: np.abs(x - 0.5) ** -0.4
     seq = make_sequence(F, f, 2, quad_points=16)
-    assert np.all(np.isfinite(seq.l1_norms))
+    norms = l1_norms(seq)
+    assert np.all(np.isfinite(norms))
     # uniform L1 bound: projections of an L1 function stay bounded by C ||f||_1
-    assert seq.l1_norms.max() <= 10 * seq.l1_norms[0]
+    assert norms.max() <= 10 * norms[0]
     probe = convergence_probe(seq, reference=f, n_points=150, seed=9, final_tol=5e-2)
     far = np.abs(probe.points[:, 0] - 0.5) > 0.1
     assert np.all(probe.errors[-1][far] < 5e-2)
@@ -157,7 +159,6 @@ def test_make_sequence_rejects_junk(dyadic_1d):
 
 
 def test_l1_uniform_boundedness_via_measured_norm():
-    from splinelab import total_variation
     from splinelab.projector import GramSystem, operator_norm_1d
     from splinelab import SplineSpace1D
 
@@ -174,7 +175,7 @@ def test_l1_uniform_boundedness_via_measured_norm():
         operator_norm_1d(GramSystem(SplineSpace1D(F.axes[0].level(n), 2)))
         for n in range(1, 7)
     )
-    assert seq.l1_norms.max() <= tv * shadrin_c * (1 + 1e-9)
+    assert l1_norms(seq).max() <= tv * shadrin_c * (1 + 1e-9)
 
 
 def test_probe_points_gap_wider_than_atoms_raises():
@@ -257,24 +258,11 @@ def test_dirac_only_sequence_builds_no_grid(dyadic_2d, monkeypatch):
     assert built == []
 
 
-def test_l1_norms_computed_only_when_read(dyadic_1d, monkeypatch):
-    import splinelab.sequences as sequences
-
-    calls = []
-    l1 = sequences._l1_norm
-
-    def counting_l1(ts, *args, **kwargs):
-        calls.append(1)
-        return l1(ts, *args, **kwargs)
-
-    monkeypatch.setattr(sequences, "_l1_norm", counting_l1)
+def test_l1_norms_of_affine_source(dyadic_1d):
     seq = make_sequence(dyadic_1d, lambda x: 1.0 + x, 2)
-    assert calls == []
-    norms = seq.l1_norms
-    assert len(calls) == seq.n_levels
+    norms = l1_norms(seq)
+    assert len(norms) == seq.n_levels
     assert norms == pytest.approx(1.5, rel=1e-12)
-    assert seq.l1_norms is norms
-    assert len(calls) == seq.n_levels
 
 
 def test_make_sequence_rejects_measure_of_wrong_dimension(dyadic_2d):
