@@ -12,7 +12,7 @@ for k >= 2 the spline is continuous and the convention is invisible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -122,10 +122,19 @@ class QuadratureRule:
     weights: np.ndarray  # (n_atoms, g)
 
 
+@lru_cache(maxsize=None)
+def _gauss_legendre(g: int):
+    """The g-point Gauss-Legendre rule on [-1, 1] as read-only (nodes, weights)."""
+    rule = np.polynomial.legendre.leggauss(g)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
 def atom_quadrature(p: Partition1D, g: int) -> QuadratureRule:
     if g < 1:
         raise ValueError(f"need at least one quadrature point, got {g}")
-    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(g)
+    ref_nodes, ref_weights = _gauss_legendre(int(g))
     lo = p.breakpoints[:-1][:, None]
     hi = p.breakpoints[1:][:, None]
     nodes = 0.5 * (hi - lo) * ref_nodes + 0.5 * (hi + lo)
@@ -144,12 +153,17 @@ class TensorQuadrature:
     """Per-atom Gauss-Legendre rules on the axes of a tensor partition of I^d.
 
     Every integral over I^d is discretized here: an integrand is evaluated once
-    on the sparse node grid, then contracted per axis to per-atom integrals or
-    to moments against any spline space whose breakpoints the partitions refine.
+    on the sparse node grid, then contracted per axis either to per-atom
+    integrals or to per-atom Lagrange moments (`lagrange_moments`).  The
+    latter serve the moments against every spline space whose breakpoints the
+    partitions contain: on each atom such a spline is a polynomial, so its
+    interpolant on a few Gauss points of the atom reproduces it exactly.
     """
 
     def __init__(self, partitions, g: int):
-        self.rules = tuple(atom_quadrature(p, g) for p in partitions)
+        self.partitions = tuple(partitions)
+        self.g = int(g)
+        self.rules = tuple(atom_quadrature(p, g) for p in self.partitions)
         self.axis_nodes = tuple(r.nodes.ravel() for r in self.rules)
         self.shape = tuple(len(x) for x in self.axis_nodes)
 
@@ -169,14 +183,80 @@ class TensorQuadrature:
             for r in self.rules
         ])
 
-    def moments(self, spaces, values) -> np.ndarray:
-        """Tensor b with b_i = int values(x) prod_l N_{i_l}(x_l) dx over `spaces`."""
+    def lagrange_moments(self, values, orders) -> "LagrangeMoments":
+        """Contract node values to per-atom Lagrange moments for splines up to `orders`.
+
+        Axis l keeps p_l = min(g, orders[l]) Gauss points tau_j per atom and
+        sums w_s l_j(t_s) values over the g nodes t_s of the atom, where l_j
+        are the Lagrange polynomials on the tau.  For g <= k the tau are the
+        nodes and the l_j the identity, so the reduction only folds in the
+        weights.  The result does not depend on any spline space.
+        """
+        if len(orders) != len(self.rules):
+            raise ValueError(f"need one order per axis, got {orders} for d={len(self.rules)}")
+        kept = tuple(min(self.g, int(k)) for k in orders)
+        ops, points = [], []
+        for part, rule, p in zip(self.partitions, self.rules, kept):
+            M = rule.weights[:, None, :] * _lagrange_matrix(p, self.g)   # (atoms, p, g)
+            ops.append(lambda X, M=M: (M @ X.reshape(M.shape[0], M.shape[2], -1))
+                       .reshape(-1, X.shape[1]))
+            points.append(atom_quadrature(part, p).nodes.ravel())
+        return LagrangeMoments(self.partitions, tuple(points), kept, self.g,
+                               mode_apply(values, ops))
+
+
+def _lagrange_matrix(p: int, g: int) -> np.ndarray:
+    """L[j, s] = l_j(t_s) for the Lagrange basis on the p-point Gauss rule of [-1, 1]
+    at the g-point Gauss nodes t; the identity when p == g."""
+    tau = _gauss_legendre(p)[0]
+    t = _gauss_legendre(g)[0]
+    L = np.ones((p, g))
+    for j in range(p):
+        for i in range(p):
+            if i != j:
+                L[j] *= (t - tau[i]) / (tau[j] - tau[i])
+    return L
+
+
+@dataclass(frozen=True)
+class LagrangeMoments:
+    """Level-independent moments of a source against per-atom Lagrange polynomials.
+
+    `tensor[j_1, ..., j_d]` is the quadrature of the source against the
+    product of the Lagrange polynomials of the interpolation points
+    points[l][j_l]; axis l holds `kept[l]` points on every atom of
+    partitions[l], and the source was integrated with g nodes per atom.
+    """
+
+    partitions: tuple
+    points: tuple
+    kept: tuple
+    g: int
+    tensor: np.ndarray   # (n_1 p_1, ..., n_d p_d, m)
+
+    def against(self, spaces) -> np.ndarray:
+        """Tensor b with b_i = int values(x) prod_l N_{i_l}(x_l) dx over `spaces`.
+
+        The g-node quadrature of the source, rewritten exactly: each basis
+        function is a polynomial of order k on every quadrature atom, so its
+        values at the kept points determine it there.  Raises ValueError when a
+        partition misses a breakpoint of its space, or when a space needs more
+        interpolation points than the reduction kept.
+        """
+        if len(spaces) != len(self.partitions):
+            raise ValueError(f"got {len(spaces)} spaces for {len(self.partitions)} axes")
         ops = []
-        for space, nodes, rule in zip(spaces, self.axis_nodes, self.rules):
-            # fold the weights into the collocation matrix of each axis
-            W = space.basis_matrix(nodes) * rule.weights.ravel()[:, None]
-            ops.append(W.T.__matmul__)
-        return mode_apply(values, ops)
+        for ell, (space, part, pts, p) in enumerate(
+                zip(spaces, self.partitions, self.points, self.kept)):
+            if not part.refines(space.partition):
+                raise ValueError(f"quadrature partition of axis {ell} misses breakpoints "
+                                 "of the spline space")
+            if min(self.g, space.order) > p:
+                raise ValueError(f"order-{space.order} space on axis {ell} needs "
+                                 f"{min(self.g, space.order)} interpolation points, "
+                                 f"the reduction kept {p}")
+            ops.append(space.basis_matrix(pts).T.__matmul__)
+        return mode_apply(self.tensor, ops)
 
 
 def mode_apply(tensor, ops) -> np.ndarray:

@@ -95,8 +95,12 @@ class CompiledMasses:
         if theta.density is None:
             return np.zeros(F.level_shape(F.n_levels))
         quad = TensorQuadrature([ax.level(F.n_levels) for ax in F.axes], theta.density_quad_points)
-        vals = np.linalg.norm(theta.density_values(*quad.grids), axis=-1, keepdims=True)
-        return quad.atom_integrals(vals)[..., 0]
+        # ||g|| with np.linalg.norm's arithmetic (sqrt of the summed squares),
+        # but one full-grid temporary instead of three
+        sq = np.square(theta.density_values(*quad.grids))
+        if sq.shape[-1] > 1:
+            sq = np.add.reduce(sq, axis=-1, keepdims=True)
+        return quad.atom_integrals(np.sqrt(sq, out=sq))[..., 0]
 
     def _dirac_indices(self, theta, F):
         nl = F.n_levels

@@ -23,6 +23,7 @@ from scipy.linalg import cholesky_banded, cho_solve_banded
 
 from .bspline import (
     DEFAULT_QUAD_POINTS,
+    LagrangeMoments,
     SplineSpace1D,
     TensorQuadrature,
     TensorSpline,
@@ -167,17 +168,19 @@ class TensorProjector:
         deeper level exactly.
         """
         quad = self._quadrature(g, quad_partitions)
-        return self.project_values(quad, quad.values(f), m=m)
+        return self.project_values(quad.lagrange_moments(quad.values(f), self.orders), m=m)
 
-    def project_values(self, quad: TensorQuadrature, values, m: int = None,
+    def project_values(self, moments: LagrangeMoments, m: int = None,
                        diracs=()) -> TensorSpline:
-        """Project the source with `values` on `quad`'s nodes (None: no density) plus Diracs.
+        """Project a source given by its per-atom Lagrange moments (None: no density) plus Diracs.
 
-        The contract-and-solve step of every projection: the moments of the
-        values plus N_i(x_j) m_j for each Dirac (x_j, m_j), then one Kronecker
-        solve.  One set of values serves every level the quadrature refines.
+        The contract-and-solve step of every projection: the moments against
+        this level's basis (one small product per axis with the interpolation
+        points of `moments`), plus N_i(x_j) m_j for each Dirac (x_j, m_j), then
+        one Kronecker solve.  One reduction serves every level whose
+        breakpoints its partitions contain.
         """
-        b = np.zeros(self.dims + (m,)) if values is None else quad.moments(self.spaces, values)
+        b = np.zeros(self.dims + (m,)) if moments is None else moments.against(self.spaces)
         for location, mass in diracs:
             if not all(s.interval.lo < x <= s.interval.hi for s, x in zip(self.spaces, location)):
                 raise ValueError(f"Dirac location {tuple(location)} outside the domain")
@@ -213,11 +216,11 @@ class TensorProjector:
         d = len(self.spaces)
         if theta.d != d:
             raise ValueError(f"measure dimension {theta.d} != projector dimension {d}")
-        quad = values = None
+        moments = None
         if theta.density is not None:
             quad = self._quadrature(theta.density_quad_points, quad_partitions)
-            values = theta.density_values(*quad.grids)
-        return self.project_values(quad, values, m=theta.m, diracs=theta.diracs)
+            moments = quad.lagrange_moments(theta.density_values(*quad.grids), self.orders)
+        return self.project_values(moments, m=theta.m, diracs=theta.diracs)
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,9 @@ def make_sequence(F: TensorFiltration, source, orders, N_max: int = None,
     with a fixed rule, which makes the discrete moments exactly additive
     across levels: the produced sequence satisfies P_n g_{n+1} = g_n to
     roundoff regardless of how rough the source is.  The source is evaluated
-    once on that grid; each level only contracts and solves.
+    once on that grid and reduced once to per-atom Lagrange moments; each
+    level then only multiplies them by its small per-axis collocation
+    matrices and solves.
     """
     if N_max is None:
         N_max = F.n_levels
@@ -59,7 +61,7 @@ def make_sequence(F: TensorFiltration, source, orders, N_max: int = None,
         kind = "spline"
         splines = [tp.project_spline(source) for tp in projectors]
     else:
-        quad = values = m = None
+        moments = m = None
         diracs = ()
         if isinstance(source, HybridMeasure):
             if source.d != F.d:
@@ -67,16 +69,16 @@ def make_sequence(F: TensorFiltration, source, orders, N_max: int = None,
             kind, m, diracs = "measure", source.m, source.diracs
             if source.density is not None:
                 quad = TensorQuadrature(finest, source.density_quad_points)
-                values = source.density_values(*quad.grids)
+                moments = quad.lagrange_moments(source.density_values(*quad.grids), orders)
         elif callable(source):
             # the finest grid already resolves the source, so max(k, 4) points
             # per finest atom is the workhorse rule here
             kind = "function"
             quad = TensorQuadrature(finest, quad_points or max(max(orders), 4))
-            values = quad.values(source)
+            moments = quad.lagrange_moments(quad.values(source), orders)
         else:
             raise ValueError(f"unsupported source type {type(source)!r}")
-        splines = [tp.project_values(quad, values, m=m, diracs=diracs) for tp in projectors]
+        splines = [tp.project_values(moments, m=m, diracs=diracs) for tp in projectors]
     return MartingaleSplineSequence(
         F=F,
         orders=tuple(orders),
@@ -162,7 +164,6 @@ class ConvergenceProbe:
     reference_kind: str
     final_tol: float
     fraction_below_tol: float
-    median_decay_rate: float      # median over points of the log-error slope per level
 
 
 def convergence_probe(seq: MartingaleSplineSequence, reference=None, points=None,
@@ -196,27 +197,10 @@ def convergence_probe(seq: MartingaleSplineSequence, reference=None, points=None
         errors[n - 1] = np.linalg.norm(vals - ref_vals, axis=-1)
     final = errors[-1]
     frac = float(np.mean(final < final_tol))
-    rate = _median_decay_rate(errors)
     return ConvergenceProbe(
         points=points,
         errors=errors,
         reference_kind=kind,
         final_tol=final_tol,
         fraction_below_tol=frac,
-        median_decay_rate=rate,
     )
-
-
-def _median_decay_rate(errors: np.ndarray) -> float:
-    """Median over points of the slope of log(error) against level."""
-    n_levels, n_points = errors.shape
-    if n_levels < 2:
-        return 0.0
-    slopes = []
-    lv = np.arange(n_levels)
-    for j in range(n_points):
-        e = errors[:, j]
-        good = e > 1e-300
-        if good.sum() >= 2:
-            slopes.append(np.polyfit(lv[good], np.log(e[good]), 1)[0])
-    return float(np.median(slopes)) if slopes else 0.0

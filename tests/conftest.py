@@ -7,6 +7,7 @@ from scipy.linalg import cho_solve_banded
 from splinelab import (AtomSet, FiltrationSpec, HybridMeasure, Partition1D, Rectangle,
                        TensorQuadrature, atom_of, atom_quadrature, build_filtration,
                        compile_masses)
+from splinelab.bspline import mode_apply
 from splinelab.filtration import atom_range_gap, l1_distance_grid
 from splinelab.maximal import _check_q, level_sum_field
 from splinelab.measures import CompiledMasses
@@ -351,3 +352,28 @@ def _l1_norm(ts, g=8) -> float:
     quad = TensorQuadrature([s.partition for s in ts.spaces], g)
     vals = np.linalg.norm(ts.eval_grid(quad.axis_nodes), axis=-1, keepdims=True)
     return float(quad.atom_integrals(vals).sum())
+
+
+def dense_moments(quad, spaces, values) -> np.ndarray:
+    """Moments int values prod_l N_{i_l} by dense collocation over the whole node grid."""
+    ops = []
+    for space, nodes, rule in zip(spaces, quad.axis_nodes, quad.rules):
+        # fold the weights into the collocation matrix of each axis
+        W = space.basis_matrix(nodes) * rule.weights.ravel()[:, None]
+        ops.append(W.T.__matmul__)
+    return mode_apply(values, ops)
+
+
+def median_decay_rate(errors: np.ndarray) -> float:
+    """Median over points of the slope of log(error) against level."""
+    n_levels, n_points = errors.shape
+    if n_levels < 2:
+        return 0.0
+    slopes = []
+    lv = np.arange(n_levels)
+    for j in range(n_points):
+        e = errors[:, j]
+        good = e > 1e-300
+        if good.sum() >= 2:
+            slopes.append(np.polyfit(lv[good], np.log(e[good]), 1)[0])
+    return float(np.median(slopes)) if slopes else 0.0

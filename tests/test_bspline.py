@@ -17,7 +17,7 @@ from splinelab import (
     knot_vector,
 )
 
-from conftest import random_filtration, symbolic_product_integral
+from conftest import dense_moments, random_filtration, symbolic_product_integral
 
 
 def test_knot_vector_k1():
@@ -123,7 +123,7 @@ def test_support_index_out_of_range():
 def moments_1d(space, f, g=4):
     """Moments int f N_i over one space, by g-point quadrature on its own atoms."""
     quad = TensorQuadrature([space.partition], g)
-    return quad.moments([space], quad.values(f))[:, 0]
+    return quad.lagrange_moments(quad.values(f), [space.order]).against([space])[:, 0]
 
 
 def test_integrate_constant_sums_to_length():
@@ -303,7 +303,7 @@ def test_tensor_quadrature_moments_match_moment_tensor():
     finest = [ax.level(4) for ax in F.axes]
     f = lambda x, y: np.sin(x + 2 * y)
     quad = TensorQuadrature(finest, 5)
-    got = quad.moments(tp.spaces, quad.values(f))
+    got = quad.lagrange_moments(quad.values(f), tp.orders).against(tp.spaces)
     # oracle: b_ij = sum over the node grid of w_x w_y N_i(x) N_j(y) f(x, y)
     (x, wx), (y, wy) = [(r.nodes.ravel(), r.weights.ravel()) for r in quad.rules]
     Bx, By = (s.basis_matrix(nodes) for s, nodes in zip(tp.spaces, (x, y)))
@@ -312,6 +312,58 @@ def test_tensor_quadrature_moments_match_moment_tensor():
     np.testing.assert_allclose(got[..., 0], want, rtol=1e-13, atol=1e-16)
     # partition of unity: the moments sum to the integral over I^2
     assert got.sum() == pytest.approx(quad.atom_integrals(quad.values(f)).sum(), rel=1e-13)
+
+
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 2 ** 16))
+def test_lagrange_moments_match_dense_moments(seed):
+    # orders 1-5, g in {1, k-1, k, k+1, 16}, d = 1-3, spaces at a random level of
+    # random meshes, with one axis optionally graded to the 1e-9 width floor
+    rng = np.random.default_rng(seed)
+    for d, target in itertools.product((1, 2, 3), (None, 0.0, float(rng.uniform(0, 1)))):
+        F = random_filtration(seed, d=d, n_levels=4 - d)
+        axes = list(F.axes)
+        if target is not None:
+            G = build_filtration(FiltrationSpec(d=1, interval=(0.0, 1.0), n_levels=34,
+                                                rules=[{"name": "point-targeted",
+                                                        "target": target}]))
+            axes[int(rng.integers(d))] = G.axes[0]
+        levels = [int(rng.integers(1, ax.n_levels + 1)) for ax in axes]
+        finest = [ax.level(ax.n_levels) for ax in axes]
+        # a node near x is rounded by eps*|x|; on atoms graded toward an interior
+        # point that moves the smallest moments of both forms alike (by up to 4e-9
+        # relative near x = 1, against 40-digit arithmetic), so there they are
+        # compared on the scale of the largest moment
+        interior = target is not None and target > 0
+        for g in (1, 2, 3, 4, 5, 6, 16):
+            quad = TensorQuadrature(finest, g)
+            vals = quad.values(lambda *xs: np.stack(np.broadcast_arrays(
+                1.5 + np.sin(3 * sum(xs)), 1.0 + xs[0] ** 2), axis=-1))
+            for k in [k for k in range(1, 6) if g in (1, k - 1, k, k + 1, 16)]:
+                spaces = [SplineSpace1D(ax.level(n), k) for ax, n in zip(axes, levels)]
+                got = quad.lagrange_moments(vals, (k,) * d).against(spaces)
+                want = dense_moments(quad, spaces, vals)
+                np.testing.assert_allclose(got, want, rtol=1e-13,
+                                           atol=1e-13 * np.abs(want).max() if interior else 0)
+
+
+def test_lagrange_moments_reject_missing_breakpoint():
+    quad = TensorQuadrature([Partition1D([0.0, 0.5, 1.0])], 4)
+    moments = quad.lagrange_moments(quad.values(lambda x: x), [2])
+    with pytest.raises(ValueError, match="misses breakpoints"):
+        moments.against([SplineSpace1D(Partition1D([0.0, 0.3, 1.0]), 2)])
+
+
+def test_lagrange_moments_reject_space_of_higher_order():
+    quad = TensorQuadrature([Partition1D([0.0, 0.5, 1.0])], 4)
+    moments = quad.lagrange_moments(quad.values(lambda x: x), [2])
+    assert moments.kept == (2,)
+    with pytest.raises(ValueError, match="interpolation points"):
+        moments.against([SplineSpace1D(Partition1D([0.0, 1.0]), 3)])
+    # with g <= k every node is kept, so any order is served
+    quad = TensorQuadrature([Partition1D([0.0, 0.5, 1.0])], 2)
+    moments = quad.lagrange_moments(quad.values(lambda x: x), [2])
+    moments.against([SplineSpace1D(Partition1D([0.0, 1.0]), 5)])
 
 
 def test_atom_chebyshev_points_on_each_atom():

@@ -1,5 +1,7 @@
 import ast
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -198,3 +200,29 @@ def test_public_names_have_a_caller():
     used = set().union(*(_referenced_names(ast.parse(p.read_text())) for p in sources))
     assert exported
     assert sorted(exported - used) == []
+
+
+def test_compare_outputs_reports_changes_and_structure(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "compare_outputs.py"
+
+    def write(name, value, assertion="a"):
+        d = tmp_path / name
+        d.mkdir()
+        (d / "x.csv").write_text(f"case,value\nc1,{value}\nc2,2.0\n")
+        summary = {"assertions": [{"name": assertion, "observed": value, "bound": 1.0,
+                                   "pass": True}], "findings": {"top": value}}
+        (d / "x.summary.json").write_text(json.dumps(summary))
+        return str(d)
+
+    def run(a, b):
+        out = subprocess.run([sys.executable, str(script), a, b], capture_output=True, text=True)
+        return out.returncode, out.stdout.splitlines()
+
+    base = write("base", 0.5)
+    code, lines = run(base, write("same", 0.5))
+    assert code == 0 and lines[1].split() == ["x", "2"] + ["0.00e+00"] * 4 + ["identical"]
+    code, lines = run(base, write("moved", 0.25))
+    assert code == 0 and lines[1].split() == ["x", "2", "2.50e-01", "5.00e-01",
+                                              "2.50e-01", "5.00e-01", "differ"]
+    code, lines = run(base, write("renamed", 0.5, assertion="b"))
+    assert code == 1 and lines[-1] == "MISMATCH x.summary.json: assertion names differ"

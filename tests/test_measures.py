@@ -143,6 +143,25 @@ def test_scalar_variation_of_vector_measure():
     assert val.value[0] == pytest.approx(5.0 + 1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("m", [1, 3])
+def test_compiled_density_masses_equal_norm_of_values(dyadic_2d, m):
+    # bit for bit the quadrature of np.linalg.norm over the value axis, including
+    # atoms x < 1/4 where every square underflows
+    from splinelab.bspline import TensorQuadrature
+
+    F = dyadic_2d
+
+    def dens(x, y):
+        base = np.sin(7 * x) * np.exp(3 * y) * np.where(x < 0.25, 1e-170, 1.0)
+        return np.stack([base * (j + 1) - j for j in range(m)], axis=-1)
+
+    theta = HybridMeasure(d=2, density=dens, m=m, density_quad_points=5)
+    quad = TensorQuadrature([ax.level(4) for ax in F.axes], 5)
+    vals = np.linalg.norm(theta.density_values(*quad.grids), axis=-1, keepdims=True)
+    want = quad.atom_integrals(vals)[..., 0]
+    assert np.array_equal(compile_masses(theta, F).finest, want)
+
+
 def test_density_catalog_singular_integrable():
     dens = density_catalog("singular", 2, alpha=0.3, center=[0.5, 0.5])
     theta = HybridMeasure(d=2, density=dens, density_quad_points=8)

@@ -24,6 +24,7 @@ from splinelab.projector import GramSystem, operator_norm_1d
 from conftest import (
     dense_dual_matrix,
     dense_gram,
+    dense_moments,
     dense_operator_norm_1d,
     per_atom_decay_profile,
     random_filtration,
@@ -48,7 +49,7 @@ def test_gram_row_sums_are_basis_integrals(k):
     space = SplineSpace1D(F.axes[0].level(5), k)
     gs = GramSystem(space)
     quad = TensorQuadrature([space.partition], k)
-    want = quad.moments([space], quad.values(lambda x: np.ones_like(x)))[:, 0]
+    want = quad.lagrange_moments(quad.values(lambda x: np.ones_like(x)), [k]).against([space])[:, 0]
     np.testing.assert_allclose(dense_gram(gs) @ np.ones(space.dimension), want, atol=1e-14)
 
 
@@ -165,7 +166,7 @@ def test_kronecker_consistency_small_2d():
         # oracle: dense Kronecker Gram solve
         G = functools.reduce(np.kron, [dense_gram(gs) for gs in tp.grams])
         quad = TensorQuadrature([s.partition for s in tp.spaces], 6)
-        b = quad.moments(tp.spaces, quad.values(f))[..., 0]
+        b = dense_moments(quad, tp.spaces, quad.values(f))[..., 0]
         c = np.linalg.solve(G, b.ravel()).reshape(b.shape)
         np.testing.assert_allclose(ts.coeffs[..., 0], c, atol=1e-10)
 

@@ -12,7 +12,7 @@ from splinelab import (
     verify_martingale_property,
 )
 
-from conftest import l1_norms, random_filtration, total_variation
+from conftest import l1_norms, median_decay_rate, random_filtration, total_variation
 
 
 def test_source_in_first_space_is_constant_sequence(dyadic_1d):
@@ -97,7 +97,7 @@ def test_convergence_continuous_function():
     seq = make_sequence(F, f, 2, quad_points=4)
     probe = convergence_probe(seq, reference=f, n_points=200, seed=6, final_tol=1e-3)
     assert probe.fraction_below_tol == 1.0
-    assert probe.median_decay_rate < -1.0  # roughly h^2 per level halving
+    assert median_decay_rate(probe.errors) < -1.0  # roughly h^2 per level halving
 
 
 def test_convergence_hybrid_measure_to_density():
@@ -124,7 +124,7 @@ def test_convergence_deepest_level_reference():
     assert probe.reference_kind == "deepest-level"
     assert probe.errors.shape[0] == seq.n_levels - 1
     assert probe.fraction_below_tol == 1.0
-    assert probe.median_decay_rate < 0.0
+    assert median_decay_rate(probe.errors) < 0.0
 
 
 def test_singular_integrable_source_l1_bounded():
@@ -239,6 +239,27 @@ def test_make_sequence_evaluates_source_once(dyadic_2d):
     calls.clear()
     make_sequence(dyadic_2d, theta, (2, 3))
     assert len(calls) == 1
+
+
+def test_make_sequence_reduces_node_grid_once(dyadic_2d, monkeypatch):
+    from splinelab.bspline import TensorQuadrature
+
+    reduced = []
+    reduce = TensorQuadrature.lagrange_moments
+
+    def counting_reduce(self, *args, **kwargs):
+        reduced.append(1)
+        return reduce(self, *args, **kwargs)
+
+    monkeypatch.setattr(TensorQuadrature, "lagrange_moments", counting_reduce)
+    seq = make_sequence(dyadic_2d, lambda x, y: np.exp(x) * y, 2)
+    assert seq.n_levels == dyadic_2d.n_levels
+    assert len(reduced) == 1
+    theta = HybridMeasure(d=2, density=lambda x, y: 1.0 + x * y,
+                          diracs=[(np.array([0.3, 0.6]), np.array([1.0]))])
+    reduced.clear()
+    make_sequence(dyadic_2d, theta, (2, 3))
+    assert len(reduced) == 1
 
 
 def test_dirac_only_sequence_builds_no_grid(dyadic_2d, monkeypatch):
