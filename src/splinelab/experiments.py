@@ -33,7 +33,8 @@ from .maximal import (
 )
 from .measures import HybridMeasure, compile_masses, density_catalog, measure_from_config
 from .nondense import detect_v_sets, frozen_subspace, limit_dual_table
-from .projector import GramSystem, TensorProjector, decay_profile, operator_norm_inf
+from .projector import (PROFILE_FLOOR, GramSystem, TensorProjector, decay_profile,
+                        operator_norm_inf)
 from .sequences import convergence_probe, make_sequence, sample_probe_points, verify_martingale_property
 
 EXPERIMENT_NAMES = (
@@ -158,7 +159,7 @@ def run_decay(cfg: dict):
             mono_ok = True
             vals = prof.values
             for s in range(int(k), len(vals) - 1):
-                if vals[s + 1] > max(vals[s] * (1 + 1e-9), prof.floor):
+                if vals[s + 1] > max(vals[s] * (1 + 1e-9), PROFILE_FLOOR):
                     mono_ok = False
             log.check_true(f"decay_monotone_beyond_k_k{k}_seed{seed}", mono_ok)
     for k, q in sorted(worst_q.items()):

@@ -35,15 +35,6 @@ class Interval:
         if not self.lo < self.hi:
             raise ValueError(f"degenerate interval: lo={self.lo} >= hi={self.hi}")
 
-    @property
-    def length(self) -> float:
-        return self.hi - self.lo
-
-    def contains(self, x: float, closed: bool = False) -> bool:
-        if closed:
-            return self.lo <= x <= self.hi
-        return self.lo < x <= self.hi
-
 
 @dataclass(frozen=True)
 class Rectangle:
@@ -51,25 +42,6 @@ class Rectangle:
 
     lo: tuple
     hi: tuple
-
-    @property
-    def d(self) -> int:
-        return len(self.lo)
-
-    @property
-    def volume(self) -> float:
-        return float(np.prod(np.asarray(self.hi) - np.asarray(self.lo)))
-
-    def axis(self, ell: int) -> Interval:
-        return Interval(self.lo[ell], self.hi[ell])
-
-    def contains(self, x, closed: bool = False) -> bool:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        lo = np.asarray(self.lo)
-        hi = np.asarray(self.hi)
-        if closed:
-            return bool(np.all((lo <= x) & (x <= hi)))
-        return bool(np.all((lo < x) & (x <= hi)))
 
 
 class Partition1D:
@@ -223,15 +195,19 @@ class AtomSet:
         return len(self.members)
 
     def mask(self, shape) -> np.ndarray:
+        """Boolean tensor of the members over a level of the given shape.
+
+        Raises ValueError for a member of the wrong arity or with an index
+        outside 0..shape-1 on some axis, instead of letting numpy wrap a
+        negative index or select a whole slice.
+        """
+        shape = tuple(shape)
         out = np.zeros(shape, dtype=bool)
         for idx in self.members:
+            if len(idx) != len(shape) or not all(0 <= i < s for i, s in zip(idx, shape)):
+                raise ValueError(f"atom index {idx} outside the level shape {shape}")
             out[idx] = True
         return out
-
-    @staticmethod
-    def from_mask(level: int, mask: np.ndarray) -> "AtomSet":
-        members = frozenset(tuple(int(v) for v in idx) for idx in np.argwhere(mask))
-        return AtomSet(level=level, members=members)
 
 
 # ---------------------------------------------------------------------------

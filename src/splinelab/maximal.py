@@ -27,7 +27,7 @@ asserted inequality is a true upper bound after truncation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import toeplitz
@@ -74,11 +74,10 @@ class MaximalField:
     K: int
     N_max: int
     values: np.ndarray          # shape = finest level_shape
-    level_values: dict = field(default_factory=dict, repr=False)
 
 
 def maximal_field(q: float, theta, F: TensorFiltration, K: int = 1,
-                  N_max: int = None, keep_levels: bool = False) -> MaximalField:
+                  N_max: int = None) -> MaximalField:
     """Exact maximal field max_{K <= n <= N_max} sum_A b_n(q, theta, A, .).
 
     The measure may be a HybridMeasure (compiled on the fly) or an already
@@ -92,15 +91,12 @@ def maximal_field(q: float, theta, F: TensorFiltration, K: int = 1,
         raise ValueError(f"invalid level range [{K}, {N_max}] within 1..{F.n_levels}")
     masses = theta if isinstance(theta, CompiledMasses) else compile_masses(theta, F)
     out = None
-    kept = {}
     for n in range(K, N_max + 1):
         S = level_sum_field(q, masses, n)
-        if keep_levels:
-            kept[n] = S
         # running max over levels K..n, on level-n atoms
         out = S if out is None else np.maximum(out[np.ix_(*F.parent_maps(n, n - 1))], S)
     out = out[np.ix_(*F.finest_parent_maps(N_max))]
-    return MaximalField(F=F, q=q, K=K, N_max=N_max, values=out, level_values=kept)
+    return MaximalField(F=F, q=q, K=K, N_max=N_max, values=out)
 
 
 def superlevel_measure(Mf: MaximalField, t, within: AtomSet = None):
@@ -175,20 +171,20 @@ class SeriesBound:
 
     partial: float
     tail: float
-    cutoff: int
 
     @property
     def total(self) -> float:
         return self.partial + self.tail
 
 
-def covering_series_bound(F: TensorFiltration, theta, K: int, B: AtomSet, q: float,
-              s_cutoff: int = None) -> SeriesBound:
+def covering_series_bound(F: TensorFiltration, theta, K: int, B: AtomSet,
+                          q: float) -> SeriesBound:
     """sum_s q^{s/2} (s+1)^{d-1} theta(A_{K,s}(B)), truncated with a tail bound.
 
-    The tail past the cutoff is bounded by theta(I^d) times the rigorous bound
-    on the remaining series and is added to the partial sum, so the reported
-    total majorizes the infinite series.
+    The sum runs at least to the grid diameter and on until the tail is below
+    SERIES_REL_TOL of the partial sum.  The tail is bounded by theta(I^d)
+    times the rigorous bound on the remaining series and is added to the
+    partial sum, so the reported total majorizes the infinite series.
     """
     if B.level != K:
         raise ValueError(f"atom set at level {B.level}, expected K={K}")
@@ -197,7 +193,7 @@ def covering_series_bound(F: TensorFiltration, theta, K: int, B: AtomSet, q: flo
     masses = theta if isinstance(theta, CompiledMasses) else compile_masses(theta, F)
     M = masses.level_masses(K)
     shape = F.level_shape(K)
-    dist = l1_distance_grid(shape, list(B.members))
+    dist = l1_distance_grid(shape, np.argwhere(B.mask(shape)))
     smax_grid = int(dist.max())
     # theta(A_{K,s}(B)) for every s up to the grid diameter, by cumulative sums
     mass_at_dist = np.bincount(dist.ravel(), weights=M.ravel(), minlength=smax_grid + 1)
@@ -211,16 +207,11 @@ def covering_series_bound(F: TensorFiltration, theta, K: int, B: AtomSet, q: flo
         return rho ** s * (s + 1) ** (d - 1) * covered
 
     partial, s = 0.0, 0
-    if s_cutoff is not None:
-        for s in range(s_cutoff + 1):
-            partial += term(s)
-        tail = weak_series_tail(q, d, s_cutoff) * theta_total
-        return SeriesBound(partial=float(partial), tail=float(tail), cutoff=s_cutoff)
     while True:
         partial += term(s)
         tail = weak_series_tail(q, d, s) * theta_total
         if s >= smax_grid and (tail <= SERIES_REL_TOL * partial or partial == 0.0):
-            return SeriesBound(partial=float(partial), tail=float(tail), cutoff=s)
+            return SeriesBound(partial=float(partial), tail=float(tail))
         s += 1
 
 
@@ -291,17 +282,16 @@ def covering_report(field_: MaximalField, masses: CompiledMasses, B: AtomSet,
 # Hardy-Littlewood baseline (d = 1)
 
 
-def hl_maximal(f, partition: Partition1D, g: int = GENERAL_QUAD_POINTS) -> np.ndarray:
+def hl_maximal(per_atom: np.ndarray, partition: Partition1D) -> np.ndarray:
     """Hardy-Littlewood maximal field over breakpoint-delimited intervals.
 
-    Returns one value per atom: the sup over all intervals J = (t_a, t_b]
-    containing the atom of the average of |f| over J.  Restricting J to
-    breakpoint-delimited intervals makes the field atomwise constant; it is
-    dominated by the unrestricted maximal function, so the classical 3/t
-    weak-type bound applies to it as well.
+    `per_atom` holds the integral of |f| over every atom.  Returns one value
+    per atom: the sup over all intervals J = (t_a, t_b] containing the atom of
+    the average of |f| over J.  Restricting J to breakpoint-delimited
+    intervals makes the field atomwise constant (and a function of the atom
+    integrals alone); it is dominated by the unrestricted maximal function,
+    so the classical 3/t weak-type bound applies to it as well.
     """
-    quad = TensorQuadrature([partition], g)
-    per_atom = quad.atom_integrals(np.abs(quad.values(f)))[:, 0]
     bp = partition.breakpoints
     P = np.concatenate([[0.0], np.cumsum(per_atom)])
     n = partition.n_atoms
@@ -316,10 +306,15 @@ def hl_maximal(f, partition: Partition1D, g: int = GENERAL_QUAD_POINTS) -> np.nd
 
 
 def hl_weak_type_ratio(f, partition: Partition1D, t_grid, g: int = GENERAL_QUAD_POINTS):
-    """max over t of t * |{M_HL f > t}| / ||f||_1 on the breakpoint grid."""
-    field_ = hl_maximal(f, partition, g=g)
+    """max over t of t * |{M_HL f > t}| / ||f||_1 on the breakpoint grid.
+
+    |f| is integrated over every atom once, with g points per atom; the
+    maximal field and ||f||_1 both come from those integrals.
+    """
     quad = TensorQuadrature([partition], g)
-    l1 = float(quad.atom_integrals(np.abs(quad.values(f))).sum())
+    per_atom = quad.atom_integrals(np.abs(quad.values(f)))[:, 0]
+    field_ = hl_maximal(per_atom, partition)
+    l1 = float(per_atom.sum())
     widths = partition.widths
     ratios = []
     for t in np.asarray(t_grid, dtype=float):

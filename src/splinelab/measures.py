@@ -6,9 +6,8 @@ masses.  This is exactly the class needed to exercise the convergence theory:
 the density is the absolutely continuous part, the Dirac list is singular to
 Lebesgue measure, and the Lebesgue split is explicit in the representation.
 
-Dirac membership follows the half-open atom convention; in closed mode a Dirac
-sitting on a shared boundary is counted in every adjacent closure (up to 2^d
-atoms), matching the closure variant of the covering estimates.
+Dirac membership follows the half-open atom convention: a Dirac on a
+breakpoint belongs to the atom that the breakpoint closes.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ class HybridMeasure:
     density: object = None
     diracs: list = field(default_factory=list)
     m: int = 1
-    closed_atoms: bool = False
     density_quad_points: int = GENERAL_QUAD_POINTS
 
     def __post_init__(self):
@@ -70,25 +68,24 @@ class CompiledMasses:
 
     The finest-level masses are quadrature integrals of the density plus the
     Dirac masses; coarser levels are exact sums of their children, so finite
-    additivity and refinement consistency hold by construction.  In closed
-    mode each Dirac also contributes to every adjacent atom closure, so level
-    sums may exceed theta(I^d) by design (at most a factor 2^d).  The masses
+    additivity and refinement consistency hold by construction.  The masses
     are those of the scalar variation ||g|| dlambda^d + sum_j ||m_j|| delta_{x_j},
     so they are nonnegative scalars for vector-valued theta too.
     """
 
-    def __init__(self, theta: HybridMeasure, F: TensorFiltration, closed: bool = None):
+    def __init__(self, theta: HybridMeasure, F: TensorFiltration):
         if theta.d != F.d:
             raise ValueError(f"measure dimension {theta.d} != filtration dimension {F.d}")
-        if closed is None:
-            closed = theta.closed_atoms
         self.F = F
-        self.closed = closed
         nl = F.n_levels
-        finest = self._density_masses(theta)
-        self._dirac_entries = self._dirac_indices(theta, F)
-        self.finest = finest
-        self._levels = {nl: self._with_diracs(finest, nl)}
+        # (finest-level atom index, ||m_j||) per Dirac
+        self._dirac_entries = [
+            (tuple(int(ax.level(nl).atom_index_of(x)) for ax, x in zip(F.axes, loc)),
+             float(np.linalg.norm(mass)))
+            for loc, mass in theta.diracs
+        ]
+        self.finest = self._density_masses(theta)
+        self._levels = {nl: self._with_diracs(self.finest, nl)}
 
     def _density_masses(self, theta):
         F = self.F
@@ -102,34 +99,11 @@ class CompiledMasses:
             sq = np.add.reduce(sq, axis=-1, keepdims=True)
         return quad.atom_integrals(np.sqrt(sq, out=sq))[..., 0]
 
-    def _dirac_indices(self, theta, F):
-        nl = F.n_levels
-        entries = []
-        for loc, mass in theta.diracs:
-            per_axis = []
-            for ell in range(F.d):
-                p = F.axes[ell].level(nl)
-                j = int(p.atom_index_of(loc[ell]))
-                idxs = [j]
-                if self.closed:
-                    bp = p.breakpoints
-                    if loc[ell] == bp[j] and j > 0:
-                        idxs.append(j - 1)
-                    if loc[ell] == bp[j + 1] and j + 1 < p.n_atoms:
-                        idxs.append(j + 1)
-                per_axis.append(sorted(idxs))
-            entries.append((per_axis, float(np.linalg.norm(mass))))
-        return entries
-
     def _with_diracs(self, density_masses, n):
         out = density_masses.copy()
-        F = self.F
-        maps = F.finest_parent_maps(n)
-        for per_axis, value in self._dirac_entries:
-            level_axis = [sorted({int(maps[ell][j]) for j in per_axis[ell]}) for ell in range(F.d)]
-            for idx in np.ndindex(*(len(a) for a in level_axis)):
-                target = tuple(level_axis[ell][idx[ell]] for ell in range(F.d))
-                out[target] += value
+        maps = self.F.finest_parent_maps(n)
+        for index, value in self._dirac_entries:
+            out[tuple(int(mp[j]) for mp, j in zip(maps, index))] += value
         return out
 
     def level_masses(self, n: int) -> np.ndarray:
@@ -151,9 +125,8 @@ class CompiledMasses:
         return out
 
 
-def compile_masses(theta: HybridMeasure, F: TensorFiltration,
-                   closed: bool = None) -> CompiledMasses:
-    return CompiledMasses(theta, F, closed=closed)
+def compile_masses(theta: HybridMeasure, F: TensorFiltration) -> CompiledMasses:
+    return CompiledMasses(theta, F)
 
 
 # ---------------------------------------------------------------------------
@@ -207,8 +180,19 @@ def density_catalog(name: str, d: int, **params):
     raise ValueError(f"unknown density {name!r}")
 
 
+MEASURE_CONFIG_KEYS = ("density", "diracs", "m", "density_quad_points")
+
+
 def measure_from_config(cfg: dict, d: int) -> HybridMeasure:
-    """HybridMeasure from a config dict: named density plus explicit Dirac list."""
+    """HybridMeasure from a config dict: named density plus explicit Dirac list.
+
+    Raises ValueError naming any key outside MEASURE_CONFIG_KEYS, so that a
+    misspelt key cannot silently drop part of the measure.
+    """
+    unknown = sorted(set(cfg) - set(MEASURE_CONFIG_KEYS))
+    if unknown:
+        raise ValueError(f"unknown measure config keys {unknown}; "
+                         f"expected a subset of {list(MEASURE_CONFIG_KEYS)}")
     density = None
     quad = int(cfg.get("density_quad_points", GENERAL_QUAD_POINTS))
     if cfg.get("density"):
@@ -222,6 +206,5 @@ def measure_from_config(cfg: dict, d: int) -> HybridMeasure:
         density=density,
         diracs=diracs,
         m=m,
-        closed_atoms=bool(cfg.get("closed_atoms", False)),
         density_quad_points=quad,
     )

@@ -8,8 +8,9 @@ sub-partition, and their duals converge to the duals of that clamped space:
 the coupling through the Gram matrix dies off with the shrinking atoms next
 to V.  That clamped space is used here as the computable limit oracle.
 
-Any finite run can only classify a region as "frozen so far"; the
-tolerance-based classifier below records that caveat in every report.
+Any finite run can only classify a region as "frozen so far"; that caveat,
+FINITE_DEPTH_NOTE, holds for every report of the tolerance-based classifier
+below.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ class VInterval:
 class VSetReport:
     tolerance: float
     intervals: tuple
-    note: str = FINITE_DEPTH_NOTE
 
 
 def detect_v_sets(f1: Filtration1D, tolerance: float) -> VSetReport:
@@ -107,17 +107,18 @@ def _breakpoints_inside(p: Partition1D, iv: Interval) -> np.ndarray:
     return bp[(bp >= iv.lo) & (bp <= iv.hi)]
 
 
-def frozen_subspace(f1: Filtration1D, V, order: int, level: int = None) -> SplineSpace1D:
-    """The limit spline space on a frozen interval: the clamped space over its atoms.
+def frozen_subspace(f1: Filtration1D, V: VInterval, order: int) -> SplineSpace1D:
+    """The limit spline space on a frozen interval: the clamped space over its
+    final-level atoms.
 
     Breakpoints piling up at an endpoint from outside act like a knot of full
     multiplicity there in the limit, which is exactly the clamped boundary.
     """
-    iv = V.interval if isinstance(V, VInterval) else V
-    level = f1.n_levels if level is None else level
-    inside = _breakpoints_inside(f1.level(level), iv)
+    iv = V.interval
+    inside = _breakpoints_inside(f1.levels[-1], iv)
     if len(inside) < 2 or inside[0] != iv.lo or inside[-1] != iv.hi:
-        raise ValueError(f"interval ({iv.lo}, {iv.hi}] is not breakpoint-aligned at level {level}")
+        raise ValueError(f"interval ({iv.lo}, {iv.hi}] is not breakpoint-aligned "
+                         "at the final level")
     return SplineSpace1D(Partition1D(inside), order)
 
 
@@ -147,7 +148,7 @@ class LimitDualTable:
 
 
 def limit_dual_table(f1: Filtration1D, V: VInterval, order: int, r: int,
-                     probes, first_level: int = None) -> LimitDualTable:
+                     probes) -> LimitDualTable:
     """Track the dual B-splines anchored to a frozen interval across levels.
 
     The bases whose support meets V keep a stable count (atoms of V plus
@@ -165,9 +166,7 @@ def limit_dual_table(f1: Filtration1D, V: VInterval, order: int, r: int,
         raise IndexError(
             f"stable index {r} out of range [0, {n_stable}): basis never meets the interval"
         )
-    if first_level is None:
-        first_level = V.frozen_since_level
-    levels = np.arange(first_level, f1.n_levels + 1)
+    levels = np.arange(V.frozen_since_level, f1.n_levels + 1)
     values = np.empty((len(levels), len(probes)))
     for li, n in enumerate(levels):
         space = SplineSpace1D(f1.level(n), order)

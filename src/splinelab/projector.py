@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from typing import ClassVar
 
 import numpy as np
 from scipy.linalg import cholesky_banded, cho_solve_banded
@@ -32,6 +33,7 @@ from .bspline import (
     mode_apply,
 )
 from .filtration import Partition1D, TensorFiltration, atom_range_gap
+from .measures import HybridMeasure
 
 PROFILE_FLOOR = 1e-14        # decay-profile entries below this are roundoff noise
 NORM_SAMPLES_PER_ATOM = 8    # Chebyshev points per atom for kernel-norm estimation
@@ -150,25 +152,17 @@ class TensorProjector:
         """Solve (G_1 x ... x G_d) c = b by per-axis banded solves along each mode."""
         return mode_apply(b, [gs.solve for gs in self.grams])
 
-    def _quadrature(self, g, quad_partitions) -> TensorQuadrature:
-        if g is None:
-            g = max(max(self.orders), DEFAULT_QUAD_POINTS)
-        if quad_partitions is None:
-            quad_partitions = [s.partition for s in self.spaces]
-        return TensorQuadrature(quad_partitions, g)
-
-    def project_function(self, f, g: int = None, m: int = None,
-                         quad_partitions=None) -> TensorSpline:
+    def project_function(self, f, g: int = None, quad_partitions=None) -> TensorSpline:
         """P f as a TensorSpline; reproduces f exactly when f lies in the space.
 
         `f` is called as f(X_1, ..., X_d) on broadcastable coordinate arrays and
         may return values of shape (...,) or (..., m).  Quadrature uses g points
-        per atom per axis on `quad_partitions` (defaults to the projector's own
-        partitions); pass a finer nested partition to integrate splines of a
-        deeper level exactly.
+        per atom per axis (default max(k, DEFAULT_QUAD_POINTS)) on
+        `quad_partitions` (defaults to the projector's own partitions); pass a
+        finer nested partition to integrate splines of a deeper level exactly.
         """
-        quad = self._quadrature(g, quad_partitions)
-        return self.project_values(quad.lagrange_moments(quad.values(f), self.orders), m=m)
+        parts = [s.partition for s in self.spaces] if quad_partitions is None else quad_partitions
+        return self.project_values(*_source_moments(f, parts, self.orders, g))
 
     def project_values(self, moments: LagrangeMoments, m: int = None,
                        diracs=()) -> TensorSpline:
@@ -203,7 +197,7 @@ class TensorProjector:
             for mine, theirs in zip(self.spaces, ts.spaces)
         ]
         return self.project_function(lambda *grids: ts.eval_grid([np.ravel(a) for a in grids]),
-                                     g=g, m=ts.m, quad_partitions=quad)
+                                     g=g, quad_partitions=quad)
 
     def project_measure(self, theta, quad_partitions=None) -> TensorSpline:
         """P theta = sum_i (int N_i dtheta) N*_i for a hybrid measure theta.
@@ -213,14 +207,32 @@ class TensorProjector:
         level satisfy the martingale identity to roundoff even for densities
         the quadrature does not integrate sharply.
         """
-        d = len(self.spaces)
-        if theta.d != d:
-            raise ValueError(f"measure dimension {theta.d} != projector dimension {d}")
-        moments = None
-        if theta.density is not None:
-            quad = self._quadrature(theta.density_quad_points, quad_partitions)
-            moments = quad.lagrange_moments(theta.density_values(*quad.grids), self.orders)
-        return self.project_values(moments, m=theta.m, diracs=theta.diracs)
+        parts = [s.partition for s in self.spaces] if quad_partitions is None else quad_partitions
+        return self.project_values(*_source_moments(theta, parts, self.orders))
+
+
+def _source_moments(source, partitions, orders, g: int = None):
+    """(moments, m, diracs) of a source, the arguments of TensorProjector.project_values.
+
+    A HybridMeasure gives the Lagrange moments of its density (None without
+    one), integrated with its own density_quad_points, plus its value
+    dimension and Diracs.  A callable f(X_1, ..., X_d) is integrated with g
+    points per atom, max(k, DEFAULT_QUAD_POINTS) when g is None; its value
+    dimension is read off the values and it has no Diracs.  Quadrature runs
+    on `partitions`, one per axis.
+    """
+    if isinstance(source, HybridMeasure):
+        if source.d != len(partitions):
+            raise ValueError(f"measure dimension {source.d} != domain dimension {len(partitions)}")
+        if source.density is None:
+            return None, source.m, source.diracs
+        quad = TensorQuadrature(partitions, source.density_quad_points)
+        values = source.density_values(*quad.grids)
+        return quad.lagrange_moments(values, orders), source.m, source.diracs
+    if not callable(source):
+        raise ValueError(f"unsupported source type {type(source)!r}")
+    quad = TensorQuadrature(partitions, max(max(orders), DEFAULT_QUAD_POINTS) if g is None else g)
+    return quad.lagrange_moments(quad.values(source), orders), None, ()
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +245,6 @@ class OperatorNormEstimate:
 
     value: float
     per_axis: tuple
-    samples_per_atom: int
-    quad_points_per_atom: int
-    window_atoms: int
 
 
 def operator_norm_1d(gs: GramSystem, nx_per_atom: int = NORM_SAMPLES_PER_ATOM,
@@ -303,13 +312,7 @@ def operator_norm_inf(tp: TensorProjector, nx_per_atom: int = NORM_SAMPLES_PER_A
     per_axis = tuple(
         operator_norm_1d(gs, nx_per_atom, ny_per_atom, window) for gs in tp.grams
     )
-    return OperatorNormEstimate(
-        value=float(np.prod(per_axis)),
-        per_axis=per_axis,
-        samples_per_atom=nx_per_atom,
-        quad_points_per_atom=ny_per_atom,
-        window_atoms=window,
-    )
+    return OperatorNormEstimate(value=float(np.prod(per_axis)), per_axis=per_axis)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +336,7 @@ class DecayProfile:
     c_hat: float
     c_env: float
     fit_residual: float
-    floor: float = PROFILE_FLOOR
+    floor: ClassVar[float] = PROFILE_FLOOR
 
     def envelope(self, s) -> np.ndarray:
         return self.c_env * self.q_hat ** np.asarray(s, dtype=float)

@@ -211,10 +211,20 @@ class MeasureValue:
         return float(np.linalg.norm(self.value))
 
 
-def measure_of_atom(theta, A, closed=None) -> MeasureValue:
-    """theta(A) (or theta of the closure of A) for a rectangle or list of rectangles."""
-    if closed is None:
-        closed = theta.closed_atoms
+def rectangle_contains(rect, x) -> bool:
+    """Whether x lies in the half-open rectangle prod_l (lo_l, hi_l]."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    return bool(np.all((np.asarray(rect.lo) < x) & (x <= np.asarray(rect.hi))))
+
+
+def atom_set_from_mask(level, mask) -> AtomSet:
+    """The AtomSet of the True entries of a boolean tensor over a level."""
+    return AtomSet(level=level, members=frozenset(tuple(int(v) for v in idx)
+                                                  for idx in np.argwhere(mask)))
+
+
+def measure_of_atom(theta, A) -> MeasureValue:
+    """theta(A) for a rectangle or list of rectangles."""
     rects = A if isinstance(A, (list, tuple)) else [A]
     total = np.zeros(theta.m)
     for rect in rects:
@@ -222,7 +232,7 @@ def measure_of_atom(theta, A, closed=None) -> MeasureValue:
             raise ValueError("atoms must be given as Rectangle objects")
         total += _density_integral(theta, rect)
         for loc, mass in theta.diracs:
-            if rect.contains(loc, closed=closed):
+            if rectangle_contains(rect, loc):
                 total += mass
     return MeasureValue(total)
 
@@ -265,7 +275,7 @@ def neighborhood(F, n, seed, s) -> AtomSet:
     else:
         index, _ = atom_of(F, n, seed)
         seeds = [index]
-    return AtomSet.from_mask(n, l1_distance_grid(shape, seeds) <= s)
+    return atom_set_from_mask(n, l1_distance_grid(shape, seeds) <= s)
 
 
 def b_term(q, theta, F, n, A, x) -> float:
@@ -337,7 +347,6 @@ def scalar_variation(theta) -> HybridMeasure:
         density=dens,
         diracs=diracs,
         m=1,
-        closed_atoms=theta.closed_atoms,
         density_quad_points=theta.density_quad_points,
     )
 

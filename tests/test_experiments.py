@@ -1,5 +1,6 @@
 import ast
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -200,6 +201,88 @@ def test_public_names_have_a_caller():
     used = set().union(*(_referenced_names(ast.parse(p.read_text())) for p in sources))
     assert exported
     assert sorted(exported - used) == []
+
+
+# defaulted parameters that no library, script, benchmark or acceptance call sets
+UNSET_OPTIONS_KEPT = {
+    # tests pass a command line; the console entry point passes none
+    ("main", "argv"),
+    # the per-level reference that the np.array_equal sequence tests compare against
+    ("project_measure", "quad_partitions"),
+}
+
+
+def _is_dataclass(node) -> bool:
+    return any(ast.unparse(d).split("(")[0].endswith("dataclass") for d in node.decorator_list)
+
+
+def _defaulted_options(tree) -> list:
+    """(callee name, option, position) of every defaulted parameter of a public
+    function or method and every defaulted field of a public dataclass.
+
+    A constructor or dataclass field is named after its class; positions do
+    not count self, and keyword-only parameters have none.
+    """
+    found = []
+
+    def params(fn, name, skip):
+        args = (fn.args.posonlyargs + fn.args.args)[skip:]
+        first = len(args) - len(fn.args.defaults)
+        found.extend((name, a.arg, i) for i, a in enumerate(args) if i >= first)
+        found.extend((name, a.arg, None)
+                     for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None)
+
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            params(node, node.name, 0)
+        if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+            continue
+        fields = [st for st in node.body if isinstance(st, ast.AnnAssign)
+                  and "ClassVar" not in ast.unparse(st.annotation)] if _is_dataclass(node) else []
+        found.extend((node.name, st.target.id, i)
+                     for i, st in enumerate(fields) if st.value is not None)
+        for st in node.body:
+            if isinstance(st, ast.FunctionDef) and (st.name == "__init__"
+                                                    or not st.name.startswith("_")):
+                static = any(ast.unparse(d) == "staticmethod" for d in st.decorator_list)
+                params(st, node.name if st.name == "__init__" else st.name, 0 if static else 1)
+    return found
+
+
+def _call_settings(tree) -> set:
+    """(callee name, keyword) and (callee name, number of positional arguments) of
+    every call; "**" stands for a keyword splat, inf for a positional one."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            out.update((name, kw.arg or "**") for kw in node.keywords)
+            star = any(isinstance(a, ast.Starred) for a in node.args)
+            out.add((name, math.inf if star else len(node.args)))
+    return out
+
+
+def test_options_have_a_caller():
+    # every option of the public API must be set by some call in the library,
+    # a script, the benchmark or the acceptance criteria; a default nobody
+    # overrides is a constant, and a value only tests set is test-only API
+    root = Path(__file__).resolve().parents[1]
+    pkg = root / "src" / "splinelab"
+    options = [o for p in sorted(pkg.glob("*.py"))
+               for o in _defaulted_options(ast.parse(p.read_text()))]
+    traffic = sorted(pkg.glob("*.py")) + sorted((root / "scripts").glob("*.py"))
+    traffic += sorted((root / "perfbench").glob("*.py")) + [root / "tests" / "test_acceptance.py"]
+    calls = set().union(*(_call_settings(ast.parse(p.read_text())) for p in traffic))
+    counts = {n for name, n in calls if not isinstance(n, str)}
+
+    def is_set(name, option, pos):
+        return (name, option) in calls or (name, "**") in calls or (
+            pos is not None and any((name, n) in calls for n in counts if n > pos))
+
+    assert len(options) > len(UNSET_OPTIONS_KEPT)
+    unset = {(name, option) for name, option, pos in options if not is_set(name, option, pos)}
+    assert sorted(unset - UNSET_OPTIONS_KEPT) == []
+    assert unset >= UNSET_OPTIONS_KEPT
 
 
 def test_compare_outputs_reports_changes_and_structure(tmp_path):

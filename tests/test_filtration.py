@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splinelab import (
-    AtomSet,
     FiltrationSpec,
     Interval,
     Partition1D,
@@ -13,7 +12,7 @@ from splinelab import (
 )
 from splinelab.filtration import Filtration1D, MIN_WIDTH_FRACTION
 
-from conftest import atom_distance, neighborhood, random_filtration
+from conftest import atom_distance, atom_set_from_mask, neighborhood, random_filtration
 
 
 def test_interval_rejects_degenerate():
@@ -100,7 +99,7 @@ def test_neighborhood_radius_zero(dyadic_2d):
 
 def test_neighborhood_saturation(dyadic_2d):
     shape = dyadic_2d.level_shape(2)
-    whole = AtomSet.from_mask(2, np.ones(shape, dtype=bool))
+    whole = atom_set_from_mask(2, np.ones(shape, dtype=bool))
     got = neighborhood(dyadic_2d, 2, whole, 3)
     assert got.members == whole.members
 

@@ -25,8 +25,8 @@ from splinelab.maximal import (
     weak_series_tail,
 )
 
-from conftest import (atom_distance, b_term, finest_grid_max_field, level_sum, measure_of_atom,
-                      per_entry_axis_kernel, random_filtration)
+from conftest import (atom_distance, atom_set_from_mask, b_term, finest_grid_max_field, level_sum,
+                      measure_of_atom, per_entry_axis_kernel, random_filtration)
 
 
 def lebesgue(d):
@@ -175,7 +175,7 @@ def test_superlevel_measure_basics(dyadic_1d):
 def test_covering_series_bound_saturated_set(dyadic_2d):
     theta = lebesgue(2)
     shape = dyadic_2d.level_shape(2)
-    whole = AtomSet.from_mask(2, np.ones(shape, dtype=bool))
+    whole = atom_set_from_mask(2, np.ones(shape, dtype=bool))
     got = covering_series_bound(dyadic_2d, theta, 2, whole, 0.5)
     # A_{K,s}(I^d) = I^d for every s: series is theta(I^d) * sum q^{s/2} (s+1)
     rho = np.sqrt(0.5)
@@ -255,13 +255,13 @@ def test_covering_dirac_far_from_B(dyadic_1d):
 
 def test_hl_maximal_constant():
     part = Partition1D(np.linspace(0, 1, 9))
-    field = hl_maximal(lambda x: 3.0 * np.ones_like(x), part, g=4)
+    field = hl_maximal(np.full(8, 3.0 / 8), part)    # |f| = 3 on 8 atoms of width 1/8
     np.testing.assert_allclose(field, 3.0, atol=1e-13)
 
 
 def test_hl_maximal_half_indicator():
     part = Partition1D([0.0, 0.5, 1.0])
-    field = hl_maximal(lambda x: (x <= 0.5).astype(float), part, g=8)
+    field = hl_maximal(np.array([0.5, 0.0]), part)   # |f| = indicator of (0, 1/2]
     np.testing.assert_allclose(field, [1.0, 0.5], atol=1e-13)
 
 
@@ -285,7 +285,7 @@ def test_reports_violation_rather_than_silence(dyadic_1d):
     theta = lebesgue(1)
     masses = compile_masses(theta, dyadic_1d)
     shape = F_shape = dyadic_1d.level_shape(1)
-    B = AtomSet.from_mask(1, np.ones(F_shape, dtype=bool))
+    B = atom_set_from_mask(1, np.ones(F_shape, dtype=bool))
     rep = verify_covering_bound(dyadic_1d, masses, 0.5, 1, 5, B,
                                 np.array([1e-6]))
     assert rep.max_ratio <= 1.0
@@ -418,11 +418,8 @@ def test_maximal_field_matches_finest_grid_running_max(d, n_levels, K, N_max):
         density_quad_points=3,
     )
     masses = compile_masses(theta, F)
-    field_ = maximal_field(0.6, masses, F, K=K, N_max=N_max, keep_levels=True)
+    field_ = maximal_field(0.6, masses, F, K=K, N_max=N_max)
     assert np.array_equal(field_.values, finest_grid_max_field(0.6, masses, F, K, N_max))
-    assert sorted(field_.level_values) == list(range(K, N_max + 1))
-    for n, S in field_.level_values.items():
-        assert np.array_equal(S, level_sum_field(0.6, masses, n))
 
 
 def test_superlevel_measure_threshold_array_matches_scalar_loop():
@@ -468,3 +465,19 @@ def test_covering_report_on_built_field_matches_verify(dyadic_2d):
         FiltrationSpec(d=2, interval=(0.0, 1.0), n_levels=4)))
     with pytest.raises(ValueError, match="different filtrations"):
         covering_report(field_, other, B, ts)
+
+
+@pytest.mark.parametrize("member", [(-1, -1), (1,), (7, 0)],
+                         ids=["negative", "short", "past-end"])
+def test_atom_set_outside_level_is_rejected(dyadic_2d, member):
+    # numpy would wrap (-1, -1) to the last atom and read (1,) as a whole row;
+    # (7, 0) is past the 4 x 4 level
+    masses = compile_masses(lebesgue(2), dyadic_2d)
+    field_ = maximal_field(0.5, masses, dyadic_2d, K=2, N_max=4)
+    B = AtomSet(level=2, members=frozenset({member}))
+    with pytest.raises(ValueError, match="outside the level shape"):
+        covering_report(field_, masses, B, np.array([0.5, 1.0]))
+    with pytest.raises(ValueError, match="outside the level shape"):
+        covering_series_bound(dyadic_2d, masses, 2, B, 0.5)
+    with pytest.raises(ValueError, match="outside the level shape"):
+        superlevel_measure(field_, 1.0, within=B)

@@ -38,15 +38,12 @@ def test_measure_of_atom_without_dirac(mixed_measure):
     assert val.value[0] == pytest.approx(0.5, abs=1e-14)
 
 
-def test_dirac_at_breakpoint_closed_mode_counts_twice():
+def test_dirac_at_breakpoint_belongs_to_left_atom():
     theta = HybridMeasure(d=1, diracs=[(np.array([0.5]), np.array([1.0]))])
-    left = measure_of_atom(theta, Rectangle((0.0,), (0.5,)), closed=True)
-    right = measure_of_atom(theta, Rectangle((0.5,), (1.0,)), closed=True)
-    assert left.value[0] == 1.0 and right.value[0] == 1.0
-    # open mode: only the atom whose right endpoint it is
-    left_o = measure_of_atom(theta, Rectangle((0.0,), (0.5,)))
-    right_o = measure_of_atom(theta, Rectangle((0.5,), (1.0,)))
-    assert left_o.value[0] == 1.0 and right_o.value[0] == 0.0
+    # only the atom whose right endpoint it is
+    left = measure_of_atom(theta, Rectangle((0.0,), (0.5,)))
+    right = measure_of_atom(theta, Rectangle((0.5,), (1.0,)))
+    assert left.value[0] == 1.0 and right.value[0] == 0.0
 
 
 def test_total_variation_nonnegative_density(dyadic_1d):
@@ -187,15 +184,20 @@ def test_measure_from_config_round_trip():
     assert val.value[0] == pytest.approx(3.0, abs=1e-13)
 
 
-def test_compiled_closed_mode_counts_boundary_dirac_everywhere(dyadic_1d):
+def test_measure_config_rejects_unknown_keys():
+    cfg = {"diracs": [{"location": [0.3], "mass": [1.0]}]}
+    assert len(measure_from_config(cfg, 1).diracs) == 1
+    # a misspelt key would otherwise drop the Diracs without a word
+    with pytest.raises(ValueError, match=r"\['closed_atoms', 'dirac'\]"):
+        measure_from_config({"dirac": cfg["diracs"], "closed_atoms": True}, 1)
+
+
+def test_compiled_boundary_dirac_counts_once(dyadic_1d):
     theta = HybridMeasure(d=1, diracs=[(np.array([0.5]), np.array([1.0]))])
     open_masses = compile_masses(theta, dyadic_1d)
-    closed_masses = compile_masses(theta, dyadic_1d, closed=True)
     for n in range(1, 6):
         mo = open_masses.level_masses(n)
-        mc = closed_masses.level_masses(n)
         assert mo.sum() == pytest.approx(1.0)
-        assert mc.sum() == pytest.approx(2.0)  # both adjacent closures, 2^d = 2
+        # the atom whose right endpoint 0.5 is
         part = dyadic_1d.axes[0].level(n)
-        j = int(part.atom_index_of(np.array([0.5]))[0])
-        assert mc[j] == 1.0 and mc[j + 1] == 1.0
+        assert mo[int(part.atom_index_of(np.array([0.5]))[0])] == 1.0

@@ -11,6 +11,8 @@ from splinelab import (
     limit_dual_table,
 )
 
+from splinelab.nondense import FINITE_DEPTH_NOTE
+
 from conftest import dense_dual_matrix
 
 
@@ -29,7 +31,7 @@ def test_dyadic_has_no_v_intervals():
     F = build_filtration(FiltrationSpec(d=1, interval=(0.0, 1.0), n_levels=8))
     report = detect_v_sets(F.axes[0], 0.01)
     assert report.intervals == ()
-    assert "finite" in report.note
+    assert "finite" in FINITE_DEPTH_NOTE
 
 
 def test_frozen_rule_yields_single_v_interval():

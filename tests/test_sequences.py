@@ -4,7 +4,9 @@ import pytest
 from splinelab import (
     FiltrationSpec,
     HybridMeasure,
+    MartingaleSplineSequence,
     TensorProjector,
+    TensorSpline,
     build_filtration,
     convergence_probe,
     make_sequence,
@@ -17,21 +19,19 @@ from conftest import l1_norms, median_decay_rate, random_filtration, total_varia
 
 def test_source_in_first_space_is_constant_sequence(dyadic_1d):
     tp1 = TensorProjector.for_level(dyadic_1d, 1, 2)
-    from splinelab import TensorSpline
-
     rng = np.random.default_rng(0)
     f = TensorSpline(tp1.spaces, rng.normal(size=3))
-    seq = make_sequence(dyadic_1d, f, 2, N_max=4)
     pts = sample_probe_points(dyadic_1d, 100, seed=1)
     base = f.eval_many(pts)
     for n in range(1, 5):
-        np.testing.assert_allclose(seq.level(n).eval_many(pts), base, atol=1e-11)
+        g_n = TensorProjector.for_level(dyadic_1d, n, 2).project_spline(f)
+        np.testing.assert_allclose(g_n.eval_many(pts), base, atol=1e-11)
 
 
 def test_density_source_matches_projection(dyadic_1d):
     dens = lambda x: 1.0 + 0.5 * np.sin(4 * x)
     theta = HybridMeasure(d=1, density=dens, density_quad_points=8)
-    seq = make_sequence(dyadic_1d, theta, 2, N_max=3)
+    seq = make_sequence(dyadic_1d, theta, 2)
     finest = [dyadic_1d.axes[0].level(dyadic_1d.n_levels)]
     for n in (1, 2, 3):
         tp = TensorProjector.for_level(dyadic_1d, n, 2)
@@ -42,7 +42,7 @@ def test_density_source_matches_projection(dyadic_1d):
 def test_dirac_sequence_k1_dyadic(dyadic_1d):
     x0 = 0.37
     theta = HybridMeasure(d=1, diracs=[(np.array([x0]), np.array([1.0]))])
-    seq = make_sequence(dyadic_1d, theta, 1, N_max=5)
+    seq = make_sequence(dyadic_1d, theta, 1)
     norms = l1_norms(seq)
     for n in range(1, 6):
         part = dyadic_1d.axes[0].level(n)
@@ -67,7 +67,7 @@ def test_martingale_property_small(dyadic_1d):
 
 
 def test_martingale_property_detects_corruption(dyadic_1d):
-    seq = make_sequence(dyadic_1d, lambda x: np.sin(2 * x), 2, N_max=4)
+    seq = make_sequence(dyadic_1d, lambda x: np.sin(2 * x), 2)
     seq.splines[2].coeffs[4] += 1e-3
     err = verify_martingale_property(seq, n_probe=200, seed=3)
     assert err >= 1e-4
@@ -75,7 +75,7 @@ def test_martingale_property_detects_corruption(dyadic_1d):
 
 def test_martingale_property_k1_dirac_exact(dyadic_1d):
     theta = HybridMeasure(d=1, diracs=[(np.array([0.37]), np.array([1.0]))])
-    seq = make_sequence(dyadic_1d, theta, 1, N_max=5)
+    seq = make_sequence(dyadic_1d, theta, 1)
     err = verify_martingale_property(seq, n_probe=100, seed=4)
     assert err <= 1e-12
 
@@ -120,9 +120,11 @@ def test_convergence_hybrid_measure_to_density():
 def test_convergence_deepest_level_reference():
     F = random_filtration(5, n_levels=6)
     seq = make_sequence(F, lambda x: np.cos(3 * x), 3, quad_points=4)
-    probe = convergence_probe(seq, n_points=100, seed=8, final_tol=5e-2)
-    assert probe.reference_kind == "deepest-level"
-    assert probe.errors.shape[0] == seq.n_levels - 1
+    deepest = seq.level(seq.n_levels)
+    # levels 1..N-1 against the deepest level, the oracle for the limit
+    coarser = MartingaleSplineSequence(F=F, orders=seq.orders, splines=seq.splines[:-1])
+    probe = convergence_probe(coarser, reference=lambda x: deepest.eval_many(x[:, None]),
+                              n_points=100, seed=8, final_tol=5e-2)
     assert probe.fraction_below_tol == 1.0
     assert median_decay_rate(probe.errors) < 0.0
 
@@ -147,7 +149,7 @@ def test_vector_valued_sequence(dyadic_1d):
         m=2,
         density_quad_points=4,
     )
-    seq = make_sequence(dyadic_1d, theta, 2, N_max=3)
+    seq = make_sequence(dyadic_1d, theta, 2)
     assert seq.m == 2
     err = verify_martingale_property(seq, n_probe=50, seed=10)
     assert err <= 1e-10
@@ -156,6 +158,14 @@ def test_vector_valued_sequence(dyadic_1d):
 def test_make_sequence_rejects_junk(dyadic_1d):
     with pytest.raises(ValueError):
         make_sequence(dyadic_1d, object(), 2)
+
+
+def test_make_sequence_rejects_zero_quad_points(dyadic_1d):
+    # as project_function(g=0) does, instead of falling back to the default rule
+    with pytest.raises(ValueError, match="at least one quadrature point"):
+        make_sequence(dyadic_1d, lambda x: x, 2, quad_points=0)
+    with pytest.raises(ValueError, match="at least one quadrature point"):
+        TensorProjector.for_level(dyadic_1d, 2, 2).project_function(lambda x: x, g=0)
 
 
 def test_l1_uniform_boundedness_via_measured_norm():
@@ -179,9 +189,10 @@ def test_l1_uniform_boundedness_via_measured_norm():
 
 
 def test_probe_points_gap_wider_than_atoms_raises():
-    F = build_filtration(FiltrationSpec(d=1, interval=(0.0, 1.0), n_levels=3))
+    # on (0, 1e-9] every point lies within the 1e-9 gap of a breakpoint
+    F = build_filtration(FiltrationSpec(d=1, interval=(0.0, 1e-9), n_levels=3))
     with pytest.raises(ValueError, match="farther than gap"):
-        sample_probe_points(F, 10, gap=0.07)
+        sample_probe_points(F, 10)
 
 
 def test_probe_points_exclude_covering_domain_raises(dyadic_1d):
