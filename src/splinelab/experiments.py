@@ -31,7 +31,8 @@ from .maximal import (
     maximal_field,
     weak_series_total,
 )
-from .measures import HybridMeasure, compile_masses, density_catalog, measure_from_config
+from .measures import (DENSITY_PARAMS, HybridMeasure, compile_masses, density_catalog,
+                       measure_from_config, reject_unknown_keys)
 from .nondense import detect_v_sets, frozen_subspace, limit_dual_table
 from .projector import (PROFILE_FLOOR, GramSystem, TensorProjector, decay_profile,
                         operator_norm_inf)
@@ -86,12 +87,25 @@ class AssertionLog:
 # function catalog
 
 
+FUNCTION_PARAMS = {
+    "smooth-sine": ("amplitude", "frequency", "offset"),
+    "smooth-exp": ("center",),
+    "spike": ("lo", "hi", "height"),
+}
+
+
 def function_catalog(name: str, d: int, **params):
     """Named test functions spanning the hypotheses used across the experiments:
     constants, polynomials, tensor-smooth functions, indicator-like steep
-    sigmoids, integrable singularities, and single-atom spikes."""
-    if name in ("constant", "polynomial", "singular", "sigmoid"):
+    sigmoids, integrable singularities, and single-atom spikes.
+
+    The densities of `density_catalog` are included; an unknown name or a
+    parameter outside FUNCTION_PARAMS[name] raises ValueError."""
+    if name in DENSITY_PARAMS:
         return density_catalog(name, d, **params)
+    if name not in FUNCTION_PARAMS:
+        raise ValueError(f"unknown catalog function {name!r}")
+    reject_unknown_keys(f"function {name!r} parameters", params, FUNCTION_PARAMS[name])
     if name == "smooth-sine":
         amp = float(params.get("amplitude", 1.0))
         freq = float(params.get("frequency", 1.0))
@@ -112,19 +126,17 @@ def function_catalog(name: str, d: int, **params):
             return np.exp(-4.0 * r2)
 
         return gauss
-    if name == "spike":
-        lo = np.atleast_1d(np.asarray(params["lo"], float))
-        hi = np.atleast_1d(np.asarray(params["hi"], float))
-        height = float(params.get("height", 1.0 / np.prod(hi - lo)))
+    lo = np.atleast_1d(np.asarray(params["lo"], float))
+    hi = np.atleast_1d(np.asarray(params["hi"], float))
+    height = float(params.get("height", 1.0 / np.prod(hi - lo)))
 
-        def spike(*grids):
-            inside = np.ones(np.broadcast_shapes(*(np.shape(g) for g in grids)), dtype=bool)
-            for ell, gax in enumerate(grids):
-                inside &= (np.asarray(gax) > lo[ell]) & (np.asarray(gax) <= hi[ell])
-            return np.where(inside, height, 0.0)
+    def spike(*grids):
+        inside = np.ones(np.broadcast_shapes(*(np.shape(g) for g in grids)), dtype=bool)
+        for ell, gax in enumerate(grids):
+            inside &= (np.asarray(gax) > lo[ell]) & (np.asarray(gax) <= hi[ell])
+        return np.where(inside, height, 0.0)
 
-        return spike
-    raise ValueError(f"unknown catalog function {name!r}")
+    return spike
 
 
 # ---------------------------------------------------------------------------

@@ -133,6 +133,21 @@ def compile_masses(theta: HybridMeasure, F: TensorFiltration) -> CompiledMasses:
 # density catalog
 
 
+DENSITY_PARAMS = {
+    "constant": ("value",),
+    "polynomial": ("degree", "scale"),
+    "singular": ("alpha", "center"),
+    "sigmoid": ("axis", "center", "steepness"),
+}
+
+
+def reject_unknown_keys(what: str, keys, allowed) -> None:
+    """Raise ValueError naming the keys outside `allowed`, so a misspelt key cannot pass."""
+    unknown = sorted(set(keys) - set(allowed))
+    if unknown:
+        raise ValueError(f"unknown {what} {unknown}; expected a subset of {list(allowed)}")
+
+
 def density_catalog(name: str, d: int, **params):
     """Named densities for measure specs; parameters are recorded by the caller.
 
@@ -140,7 +155,13 @@ def density_catalog(name: str, d: int, **params):
     polynomial: prod_l x_l^{degree} scaled by c
     singular: ||x - x0||^(-alpha) with alpha*d < 1 (integrable)
     sigmoid: steep tanh step across a hyperplane x_l = c (indicator-like)
+
+    Raises ValueError for an unknown name or a parameter outside
+    DENSITY_PARAMS[name], so that a misspelt key cannot fall back to a default.
     """
+    if name not in DENSITY_PARAMS:
+        raise ValueError(f"unknown density {name!r}")
+    reject_unknown_keys(f"density {name!r} parameters", params, DENSITY_PARAMS[name])
     if name == "constant":
         c = float(params.get("value", 1.0))
         return lambda *grids: np.broadcast_arrays(*grids)[0] * 0.0 + c
@@ -167,17 +188,15 @@ def density_catalog(name: str, d: int, **params):
             return r2 ** (-alpha / 2)
 
         return singular
-    if name == "sigmoid":
-        axis = int(params.get("axis", 0))
-        center = float(params.get("center", 0.5))
-        steep = float(params.get("steepness", 50.0))
+    axis = int(params.get("axis", 0))
+    center = float(params.get("center", 0.5))
+    steep = float(params.get("steepness", 50.0))
 
-        def sigmoid(*grids):
-            vals = 0.5 * (1 + np.tanh(steep * (np.asarray(grids[axis]) - center)))
-            return np.broadcast_arrays(vals, *grids)[0]
+    def sigmoid(*grids):
+        vals = 0.5 * (1 + np.tanh(steep * (np.asarray(grids[axis]) - center)))
+        return np.broadcast_arrays(vals, *grids)[0]
 
-        return sigmoid
-    raise ValueError(f"unknown density {name!r}")
+    return sigmoid
 
 
 MEASURE_CONFIG_KEYS = ("density", "diracs", "m", "density_quad_points")
@@ -189,10 +208,7 @@ def measure_from_config(cfg: dict, d: int) -> HybridMeasure:
     Raises ValueError naming any key outside MEASURE_CONFIG_KEYS, so that a
     misspelt key cannot silently drop part of the measure.
     """
-    unknown = sorted(set(cfg) - set(MEASURE_CONFIG_KEYS))
-    if unknown:
-        raise ValueError(f"unknown measure config keys {unknown}; "
-                         f"expected a subset of {list(MEASURE_CONFIG_KEYS)}")
+    reject_unknown_keys("measure config keys", cfg, MEASURE_CONFIG_KEYS)
     density = None
     quad = int(cfg.get("density_quad_points", GENERAL_QUAD_POINTS))
     if cfg.get("density"):

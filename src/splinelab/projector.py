@@ -3,7 +3,13 @@
 The L2 orthoprojector onto a spline space is P f = sum_i <f, N_i> N*_i with
 (N*_i) the biorthogonal system; in coefficients that is one banded SPD solve
 G c = b per axis.  Dual functions are never materialized: a single banded
-solve of G y = N(x) yields the values N*_i(x) for every i at once.
+solve of G y = N(x) yields the values N*_i(x) for every i at once.  That
+solve is the two triangular sweeps U^T z = N(x), U y = z of G = U^T U, run
+with LAPACK's dtbtrs, the forward one only on the rows from the first
+nonzero of N(x) down.  dpbtrs, the routine behind cho_solve_banded, makes
+the same two dtbsv sweeps per column, and the rows it adds to the forward
+sweep are exact zeros, which contribute only zero products to every later
+row; so the values equal those of the full-length solve bit for bit.
 
 Tensor-product spaces have Gram matrix G_1 x ... x G_d (never assembled);
 projection applies per-axis banded solves along each tensor mode, and the
@@ -21,6 +27,7 @@ from typing import ClassVar
 
 import numpy as np
 from scipy.linalg import cholesky_banded, cho_solve_banded
+from scipy.linalg.lapack import dtbtrs
 
 from .bspline import (
     DEFAULT_QUAD_POINTS,
@@ -38,8 +45,10 @@ from .measures import HybridMeasure
 PROFILE_FLOOR = 1e-14        # decay-profile entries below this are roundoff noise
 NORM_SAMPLES_PER_ATOM = 8    # Chebyshev points per atom for kernel-norm estimation
 NORM_WINDOW_ATOMS = 64       # kernel truncation radius, in atoms (q^64 is far below roundoff)
-NORM_BLOCK_ATOMS = 64        # x-sample atoms per kernel block in operator_norm_1d
-DECAY_BLOCK_ATOMS = 64       # atoms per batched duals_at solve in decay_profile
+NORM_BLOCK_ATOMS = 16        # x-sample atoms per kernel block in operator_norm_1d
+DECAY_BLOCK_ATOMS = 64       # atoms per batched duals_at solve in decay_profile; the sweeps
+                             # run column by column and a block's forward sweep starts at its
+                             # first nonzero row, so every column equals its own full solve
 
 
 class GramSystem:
@@ -68,9 +77,27 @@ class GramSystem:
         return out.reshape(rhs.shape)
 
     def duals_at(self, xs) -> np.ndarray:
-        """Matrix D with D[i, p] = N*_i(xs[p]), via one banded solve."""
-        B = self.space.basis_matrix(xs)
-        return self.solve(B.T)
+        """Matrix D with D[i, p] = N*_i(xs[p]), via one banded solve.
+
+        The right-hand side N(xs) is zero above row f0, the smallest first
+        active basis index, so the forward sweep U^T y = N(xs) runs on rows
+        [f0, dim) only and the back sweep U D = y on all rows.
+        """
+        first, vals = self.space.eval_basis_many(np.asarray(xs, dtype=float).ravel())
+        dim, k, n = self.dimension, self.space.order, len(first)
+        if n == 0:
+            return np.zeros((dim, 0))    # dtbtrs with no right-hand side corrupts the heap
+        f0 = int(first.min())
+        b = np.zeros((dim - f0, n), order="F")
+        b[first[:, None] - f0 + np.arange(k), np.arange(n)[:, None]] = vals
+        b, info = dtbtrs(self._chol[:, f0:], b, trans="T", overwrite_b=True)
+        y = np.zeros((dim, n), order="F")
+        y[f0:] = b
+        if info == 0:
+            y, info = dtbtrs(self._chol, y, overwrite_b=True)
+        if info != 0:
+            raise ValueError(f"banded triangular solve failed (LAPACK info {info})")
+        return y
 
     def inverse_band(self, width: int) -> np.ndarray:
         """Diagonals 0..width of G^-1 by selected inversion, in lower band storage.
@@ -253,15 +280,21 @@ def operator_norm_1d(gs: GramSystem, nx_per_atom: int = NORM_SAMPLES_PER_ATOM,
     """sup_x int |K(x,y)| dy for K(x,y) = sum_i N_i(y) N*_i(x), sampled.
 
     x ranges over nx Chebyshev points per atom; the y-integral uses per-atom
-    Gauss-Legendre and is truncated `window` atoms away from x, where the
-    kernel has decayed far below roundoff.  The result is a sampled estimate,
+    Gauss-Legendre and is truncated at block granularity: for the x-atoms
+    [a0, a1) of one block it runs over the y-atoms [a0 - window, a1 + window),
+    so every x sees between `window` and window + NORM_BLOCK_ATOMS - 1 atoms
+    on each side, where the kernel has decayed far below roundoff.  The
+    truncation, and with it the result for a small window, depends on
+    NORM_BLOCK_ATOMS.  The result is a sampled estimate,
     not a bound either way: K(x, .) changes sign inside atoms, so the
     quadrature of |K(x, .)| can overshoot the exact integral at a fixed x, and
     the interior samples miss the domain endpoints, where the supremum sits on
     many meshes of order k >= 3.
 
     Kernel values are assembled per block of NORM_BLOCK_ATOMS x-atoms from an
-    inverse-Gram slab (window rows by block columns).  Every slab lies within
+    inverse-Gram slab (window rows by block columns).  A narrow block keeps
+    the y-range, block + 2 * window atoms, close to the 2 * window atoms each
+    x needs.  Every slab lies within
     window + NORM_BLOCK_ATOMS + k - 1 diagonals of G^-1, so only that band is
     computed, by selected inversion; the cost is linear in the number of
     samples times the window.
@@ -299,7 +332,8 @@ def operator_norm_1d(gs: GramSystem, nx_per_atom: int = NORM_SAMPLES_PER_ATOM,
             Dsub += slab[:, xfirst[xsl] - a0 + r] * xV[xsl, r][None, :]
         # spline values on the window's quadrature nodes: atom b uses rows b..b+k-1
         Dwin = np.lib.stride_tricks.sliding_window_view(Dsub, k, axis=0)[: ya1 - ya0]
-        vals = np.abs(np.matmul(yVr[ya0:ya1], Dwin.transpose(0, 2, 1)))   # (u, g, x)
+        vals = np.matmul(yVr[ya0:ya1], Dwin.transpose(0, 2, 1))   # (u, g, x)
+        np.abs(vals, out=vals)
         S = wy[ya0:ya1].ravel() @ vals.reshape(-1, vals.shape[-1])
         best = max(best, float(S.max()))
     return best
@@ -360,7 +394,8 @@ def decay_profile(gs: GramSystem, nx_per_atom: int = NORM_SAMPLES_PER_ATOM) -> D
     # values equal those of one solve per atom bit for bit
     for a0 in range(0, n_atoms, DECAY_BLOCK_ATOMS):
         a = np.arange(a0, min(a0 + DECAY_BLOCK_ATOMS, n_atoms))
-        D = np.abs(gs.duals_at(xs_all[a].ravel()))             # (dim, n_block * nx)
+        D = gs.duals_at(xs_all[a].ravel())                     # (dim, n_block * nx)
+        np.abs(D, out=D)
         vmax = D.reshape(dim, len(a), nx_per_atom).max(axis=2)  # (dim, n_block)
         dist, conv_len = atom_range_gap(p.breakpoints, a, sup_lo, sup_hi)
         np.maximum.at(prof, dist.ravel(), (vmax * conv_len).ravel())

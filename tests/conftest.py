@@ -128,8 +128,13 @@ def dense_operator_norm_1d(gs, nx_per_atom=8, ny_per_atom=8, window=64, block_at
     return best
 
 
+def full_length_duals(gs, xs):
+    """Dual-value oracle: dense collocation matrix, one full-length LAPACK dpbtrs solve."""
+    return cho_solve_banded((gs._chol, False), gs.space.basis_matrix(xs).T)
+
+
 def per_atom_decay_profile(gs, nx_per_atom=8):
-    """Decay-profile oracle: one dual solve per atom, then the library's fit."""
+    """Decay-profile oracle: one full-length dual solve per atom, then the library's fit."""
     space = gs.space
     k = space.order
     n_atoms = space.partition.n_atoms
@@ -143,7 +148,7 @@ def per_atom_decay_profile(gs, nx_per_atom=8):
     for a in range(n_atoms):
         lo, hi = bp[a], bp[a + 1]
         xs = 0.5 * (hi - lo) * cheb + 0.5 * (hi + lo)
-        D = np.abs(gs.duals_at(xs))
+        D = np.abs(full_length_duals(gs, xs))
         vmax = D.max(axis=1)
         dist = np.where(
             (a >= sup_lo) & (a <= sup_hi),

@@ -11,6 +11,7 @@ from splinelab.cli import main as cli_main
 from splinelab.experiments import (
     EXPERIMENT_NAMES,
     default_config,
+    function_catalog,
     load_config,
     run_experiment,
 )
@@ -150,6 +151,17 @@ def test_nonzero_exit_when_assertion_fails():
     cfg = small_config("decay")
     cfg["params"]["q_max"] = 1e-9  # impossible cap: q_hat > 0 for k >= 2
     assert run_experiment(cfg, quiet=True) == 1
+
+
+def test_function_catalog_rejects_misspelt_parameters():
+    assert function_catalog("smooth-exp", 1, center=[0.5])(0.5) == 1.0
+    with pytest.raises(ValueError, match=r"function 'smooth-exp' parameters \['centre'\]"):
+        function_catalog("smooth-exp", 1, centre=[0.5])
+    # densities are checked against their own parameter names
+    with pytest.raises(ValueError, match=r"density 'sigmoid' parameters \['steep'\]"):
+        function_catalog("sigmoid", 1, steep=5.0)
+    with pytest.raises(ValueError, match="unknown catalog function 'gauss'"):
+        function_catalog("gauss", 1)
 
 
 def test_covering_builds_one_maximal_field_per_seed_and_q(tmp_path, monkeypatch):

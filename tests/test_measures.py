@@ -173,6 +173,17 @@ def test_density_catalog_rejects_nonintegrable():
         density_catalog("singular", 2, alpha=0.6)
 
 
+def test_density_catalog_rejects_misspelt_parameters():
+    assert density_catalog("polynomial", 1, degree=3)(np.array([0.5]))[0] == 0.125
+    # a misspelt key would otherwise fall back to the default (degree 1, alpha 0.5)
+    with pytest.raises(ValueError, match=r"density 'polynomial' parameters \['degre'\]"):
+        density_catalog("polynomial", 1, degre=3)
+    with pytest.raises(ValueError, match=r"density 'singular' parameters \['alpa'\]"):
+        measure_from_config({"density": {"name": "singular", "alpa": 0.9}}, 1)
+    with pytest.raises(ValueError, match="unknown density 'gauss'"):
+        density_catalog("gauss", 1)
+
+
 def test_measure_from_config_round_trip():
     cfg = {
         "density": {"name": "constant", "value": 2.0},

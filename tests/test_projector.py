@@ -19,13 +19,14 @@ from splinelab import (
     operator_norm_inf,
 )
 from splinelab.experiments import _dense_tensor_norm_2d
-from splinelab.projector import GramSystem, operator_norm_1d
+from splinelab.projector import NORM_BLOCK_ATOMS, GramSystem, operator_norm_1d
 
 from conftest import (
     dense_dual_matrix,
     dense_gram,
     dense_moments,
     dense_operator_norm_1d,
+    full_length_duals,
     per_atom_decay_profile,
     random_filtration,
 )
@@ -334,6 +335,32 @@ def test_inverse_band_matches_dense_inverse(seed):
             assert np.max(np.abs(band - want)) <= 1e-13 * np.abs(Ginv).max()
 
 
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2 ** 16))
+def test_duals_at_bit_exact_against_full_length_solve(seed):
+    # orders 1-5 on a random and a floor-graded mesh; point sets whose smallest
+    # first active index f0 is 0, a mid-range index and dim - k, breakpoints included
+    rng = np.random.default_rng(seed)
+    parts = [random_filtration(seed, n_levels=6).axes[0].level(6),
+             _graded_partition(float(rng.uniform(0, 1)))]
+    assert min(parts[1].widths) < 2e-9
+    for part, k in itertools.product(parts, (1, 2, 3, 4, 5)):
+        space = SplineSpace1D(part, k)
+        gs = GramSystem(space)
+        bp = part.breakpoints
+        n_atoms = part.n_atoms
+        for a_lo in (0, int(rng.integers(1, n_atoms - 1)), n_atoms - 1):
+            atoms = rng.integers(a_lo, n_atoms, 40)
+            interior = bp[atoms] + (bp[atoms + 1] - bp[atoms]) * rng.uniform(0.05, 0.95, 40)
+            xs = np.concatenate([[bp[a_lo] + 0.5 * (bp[a_lo + 1] - bp[a_lo])], interior,
+                                 bp[a_lo + 1:]])
+            # with clamped knots the first active basis on atom a is a
+            assert space.eval_basis_many(xs)[0].min() == a_lo
+            assert np.array_equal(gs.duals_at(xs), full_length_duals(gs, xs))
+        assert space.dimension - k == n_atoms - 1
+        assert gs.duals_at(np.array([])).shape == (space.dimension, 0)
+
+
 def test_operator_norm_matches_dense_inverse_oracle():
     # per-level norms through the band agree with the dense-inverse path
     cases = [(random_filtration(seed, n_levels=7).axes[0], 7) for seed in range(3)]
@@ -345,13 +372,13 @@ def test_operator_norm_matches_dense_inverse_oracle():
             gs = GramSystem(SplineSpace1D(axis.level(n), k))
             for window in (3, 64, 10_000):
                 got = operator_norm_1d(gs, window=window)
-                want = dense_operator_norm_1d(gs, window=window)
+                want = dense_operator_norm_1d(gs, window=window, block_atoms=NORM_BLOCK_ATOMS)
                 assert abs(got - want) <= 1e-13 * want
     for k in (1, 2, 3, 4, 5):
         gs = GramSystem(SplineSpace1D(graded, k))
         for window in (3, 64, 10_000):
             got = operator_norm_1d(gs, nx_per_atom=6, ny_per_atom=6, window=window)
-            want = dense_operator_norm_1d(gs, 6, 6, window=window)
+            want = dense_operator_norm_1d(gs, 6, 6, window=window, block_atoms=NORM_BLOCK_ATOMS)
             assert abs(got - want) <= 1e-13 * want
 
 
