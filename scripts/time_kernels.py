@@ -1,20 +1,19 @@
 #!/usr/bin/env python3
 """Time the 1-D dual kernels at three depths and fit their scaling exponents.
 
-    python scripts/time_kernels.py [--repeats 3] [--seed 0] > kernels.json
+    python scripts/time_kernels.py > kernels.json
 
 Times `GramSystem.duals_at` on one decay block (the DECAY_BLOCK_ATOMS atoms
 from the middle of the mesh, NORM_SAMPLES_PER_ATOM points each),
 `decay_profile`, `GramSystem.inverse_band` at the width `operator_norm_1d`
 asks for, and `operator_norm_1d`, for orders 2-4 at depths 8, 9 and 10 of a
 random-bisection mesh (3 base atoms, every atom split at a random fraction in
-[0.35, 0.65]: 384, 768 and 1,536 atoms).  Each time is the median of
-`--repeats` calls.  Prints JSON with every timing and, per kernel and order,
-the slope of log(seconds) against log(dim).  BLAS runs on one thread unless
-OPENBLAS_NUM_THREADS is set.
+[0.35, 0.65], seed SEED: 384, 768 and 1,536 atoms).  Each time is the
+median of REPEATS calls.  Prints JSON with every timing and, per kernel and
+order, the slope of log(seconds) against log(dim).  BLAS runs on one thread
+unless OPENBLAS_NUM_THREADS is set.
 """
 
-import argparse
 import json
 import os
 import platform
@@ -39,11 +38,13 @@ from splinelab.projector import (  # noqa: E402
 
 DEPTHS = (8, 9, 10)
 ORDERS = (2, 3, 4)
+REPEATS = 3    # calls per timing; the median is reported
+SEED = 0       # mesh seed
 
 
-def median_seconds(fn, repeats):
+def median_seconds(fn):
     times = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         t0 = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t0)
@@ -51,15 +52,10 @@ def median_seconds(fn, repeats):
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--repeats", type=int, default=3, help="calls per timing (median)")
-    parser.add_argument("--seed", type=int, default=0, help="mesh seed")
-    args = parser.parse_args()
     rule = {"name": "random-atom-bisect", "p_split": 1.0,
             "split_range": [0.35, 0.65], "base_atoms": 3}
     F = build_filtration(FiltrationSpec(d=1, interval=(0.0, 1.0), n_levels=max(DEPTHS),
-                                        rules=[rule], seed=args.seed))
+                                        rules=[rule], seed=SEED))
     rows = []
     for depth in DEPTHS:
         part = F.axes[0].level(depth)
@@ -76,7 +72,7 @@ def main():
             }
             for name, fn in kernels.items():
                 rows.append({"kernel": name, "k": k, "depth": depth, "atoms": part.n_atoms,
-                             "dim": gs.dimension, "seconds": median_seconds(fn, args.repeats)})
+                             "dim": gs.dimension, "seconds": median_seconds(fn)})
     exponents = {}
     for name in ("duals_at", "decay_profile", "inverse_band", "operator_norm_1d"):
         exponents[name] = {}
@@ -88,7 +84,7 @@ def main():
         "machine": {"python": platform.python_version(), "numpy": np.__version__,
                     "cpus": os.cpu_count(),
                     "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS")},
-        "settings": {"seed": args.seed, "repeats": args.repeats, "depths": list(DEPTHS),
+        "settings": {"seed": SEED, "repeats": REPEATS, "depths": list(DEPTHS),
                      "orders": list(ORDERS), "decay_block_atoms": DECAY_BLOCK_ATOMS,
                      "norm_block_atoms": NORM_BLOCK_ATOMS,
                      "norm_window_atoms": NORM_WINDOW_ATOMS},

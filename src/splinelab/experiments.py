@@ -31,8 +31,8 @@ from .maximal import (
     maximal_field,
     weak_series_total,
 )
-from .measures import (DENSITY_PARAMS, HybridMeasure, compile_masses, density_catalog,
-                       measure_from_config, reject_unknown_keys)
+from .measures import (HybridMeasure, compile_masses, density_catalog, measure_from_config,
+                       reject_leftover_params)
 from .nondense import detect_v_sets, frozen_subspace, limit_dual_table
 from .projector import (PROFILE_FLOOR, GramSystem, TensorProjector, decay_profile,
                         operator_norm_inf)
@@ -87,29 +87,21 @@ class AssertionLog:
 # function catalog
 
 
-FUNCTION_PARAMS = {
-    "smooth-sine": ("amplitude", "frequency", "offset"),
-    "smooth-exp": ("center",),
-    "spike": ("lo", "hi", "height"),
-}
-
-
 def function_catalog(name: str, d: int, **params):
     """Named test functions spanning the hypotheses used across the experiments:
     constants, polynomials, tensor-smooth functions, indicator-like steep
     sigmoids, integrable singularities, and single-atom spikes.
 
-    The densities of `density_catalog` are included; an unknown name or a
-    parameter outside FUNCTION_PARAMS[name] raises ValueError."""
-    if name in DENSITY_PARAMS:
+    The densities of `density_catalog` are included.  Each branch pops the
+    parameters it reads; any left over, like an unknown name, raise ValueError."""
+    if name in ("constant", "polynomial", "singular", "sigmoid"):
         return density_catalog(name, d, **params)
-    if name not in FUNCTION_PARAMS:
-        raise ValueError(f"unknown catalog function {name!r}")
-    reject_unknown_keys(f"function {name!r} parameters", params, FUNCTION_PARAMS[name])
+    what = f"function {name!r}"
     if name == "smooth-sine":
-        amp = float(params.get("amplitude", 1.0))
-        freq = float(params.get("frequency", 1.0))
-        offset = float(params.get("offset", 0.0))
+        amp = float(params.pop("amplitude", 1.0))
+        freq = float(params.pop("frequency", 1.0))
+        offset = float(params.pop("offset", 0.0))
+        reject_leftover_params(what, params)
 
         def sine(*grids):
             out = amp
@@ -119,24 +111,28 @@ def function_catalog(name: str, d: int, **params):
 
         return sine
     if name == "smooth-exp":
-        center = np.atleast_1d(np.asarray(params.get("center", [0.4] * d), float))
+        center = np.atleast_1d(np.asarray(params.pop("center", [0.4] * d), float))
+        reject_leftover_params(what, params)
 
         def gauss(*grids):
             r2 = sum((np.asarray(g) - center[ell]) ** 2 for ell, g in enumerate(grids))
             return np.exp(-4.0 * r2)
 
         return gauss
-    lo = np.atleast_1d(np.asarray(params["lo"], float))
-    hi = np.atleast_1d(np.asarray(params["hi"], float))
-    height = float(params.get("height", 1.0 / np.prod(hi - lo)))
+    if name == "spike":
+        lo = np.atleast_1d(np.asarray(params.pop("lo"), float))
+        hi = np.atleast_1d(np.asarray(params.pop("hi"), float))
+        height = float(params.pop("height", 1.0 / np.prod(hi - lo)))
+        reject_leftover_params(what, params)
 
-    def spike(*grids):
-        inside = np.ones(np.broadcast_shapes(*(np.shape(g) for g in grids)), dtype=bool)
-        for ell, gax in enumerate(grids):
-            inside &= (np.asarray(gax) > lo[ell]) & (np.asarray(gax) <= hi[ell])
-        return np.where(inside, height, 0.0)
+        def spike(*grids):
+            inside = np.ones(np.broadcast_shapes(*(np.shape(g) for g in grids)), dtype=bool)
+            for ell, gax in enumerate(grids):
+                inside &= (np.asarray(gax) > lo[ell]) & (np.asarray(gax) <= hi[ell])
+            return np.where(inside, height, 0.0)
 
-    return spike
+        return spike
+    raise ValueError(f"unknown catalog function {name!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -133,19 +133,10 @@ def compile_masses(theta: HybridMeasure, F: TensorFiltration) -> CompiledMasses:
 # density catalog
 
 
-DENSITY_PARAMS = {
-    "constant": ("value",),
-    "polynomial": ("degree", "scale"),
-    "singular": ("alpha", "center"),
-    "sigmoid": ("axis", "center", "steepness"),
-}
-
-
-def reject_unknown_keys(what: str, keys, allowed) -> None:
-    """Raise ValueError naming the keys outside `allowed`, so a misspelt key cannot pass."""
-    unknown = sorted(set(keys) - set(allowed))
-    if unknown:
-        raise ValueError(f"unknown {what} {unknown}; expected a subset of {list(allowed)}")
+def reject_leftover_params(what: str, params: dict) -> None:
+    """Raise ValueError naming the parameters no branch popped, so a misspelt key cannot pass."""
+    if params:
+        raise ValueError(f"unknown {what} parameters {sorted(params)}")
 
 
 def density_catalog(name: str, d: int, **params):
@@ -156,18 +147,18 @@ def density_catalog(name: str, d: int, **params):
     singular: ||x - x0||^(-alpha) with alpha*d < 1 (integrable)
     sigmoid: steep tanh step across a hyperplane x_l = c (indicator-like)
 
-    Raises ValueError for an unknown name or a parameter outside
-    DENSITY_PARAMS[name], so that a misspelt key cannot fall back to a default.
+    Each branch pops the parameters it reads; any left over, like an unknown
+    name, raise ValueError, so that a misspelt key cannot fall back to a default.
     """
-    if name not in DENSITY_PARAMS:
-        raise ValueError(f"unknown density {name!r}")
-    reject_unknown_keys(f"density {name!r} parameters", params, DENSITY_PARAMS[name])
+    what = f"density {name!r}"
     if name == "constant":
-        c = float(params.get("value", 1.0))
+        c = float(params.pop("value", 1.0))
+        reject_leftover_params(what, params)
         return lambda *grids: np.broadcast_arrays(*grids)[0] * 0.0 + c
     if name == "polynomial":
-        degree = int(params.get("degree", 1))
-        c = float(params.get("scale", 1.0))
+        degree = int(params.pop("degree", 1))
+        c = float(params.pop("scale", 1.0))
+        reject_leftover_params(what, params)
 
         def poly(*grids):
             out = c
@@ -177,8 +168,9 @@ def density_catalog(name: str, d: int, **params):
 
         return poly
     if name == "singular":
-        alpha = float(params.get("alpha", 0.5 / d))
-        x0 = np.atleast_1d(np.asarray(params.get("center", [0.5] * d), dtype=float))
+        alpha = float(params.pop("alpha", 0.5 / d))
+        x0 = np.atleast_1d(np.asarray(params.pop("center", [0.5] * d), dtype=float))
+        reject_leftover_params(what, params)
         if alpha * d >= 1:
             raise ValueError(f"alpha*d = {alpha * d} >= 1 is not integrable")
 
@@ -188,15 +180,18 @@ def density_catalog(name: str, d: int, **params):
             return r2 ** (-alpha / 2)
 
         return singular
-    axis = int(params.get("axis", 0))
-    center = float(params.get("center", 0.5))
-    steep = float(params.get("steepness", 50.0))
+    if name == "sigmoid":
+        axis = int(params.pop("axis", 0))
+        center = float(params.pop("center", 0.5))
+        steep = float(params.pop("steepness", 50.0))
+        reject_leftover_params(what, params)
 
-    def sigmoid(*grids):
-        vals = 0.5 * (1 + np.tanh(steep * (np.asarray(grids[axis]) - center)))
-        return np.broadcast_arrays(vals, *grids)[0]
+        def sigmoid(*grids):
+            vals = 0.5 * (1 + np.tanh(steep * (np.asarray(grids[axis]) - center)))
+            return np.broadcast_arrays(vals, *grids)[0]
 
-    return sigmoid
+        return sigmoid
+    raise ValueError(f"unknown density {name!r}")
 
 
 MEASURE_CONFIG_KEYS = ("density", "diracs", "m", "density_quad_points")
@@ -208,7 +203,10 @@ def measure_from_config(cfg: dict, d: int) -> HybridMeasure:
     Raises ValueError naming any key outside MEASURE_CONFIG_KEYS, so that a
     misspelt key cannot silently drop part of the measure.
     """
-    reject_unknown_keys("measure config keys", cfg, MEASURE_CONFIG_KEYS)
+    unknown = sorted(set(cfg) - set(MEASURE_CONFIG_KEYS))
+    if unknown:
+        raise ValueError(f"unknown measure config keys {unknown}; "
+                         f"expected a subset of {list(MEASURE_CONFIG_KEYS)}")
     density = None
     quad = int(cfg.get("density_quad_points", GENERAL_QUAD_POINTS))
     if cfg.get("density"):

@@ -3,10 +3,10 @@
 The L2 orthoprojector onto a spline space is P f = sum_i <f, N_i> N*_i with
 (N*_i) the biorthogonal system; in coefficients that is one banded SPD solve
 G c = b per axis.  Dual functions are never materialized: a single banded
-solve of G y = N(x) yields the values N*_i(x) for every i at once.  That
-solve is the two triangular sweeps U^T z = N(x), U y = z of G = U^T U, run
-with LAPACK's dtbtrs, the forward one only on the rows from the first
-nonzero of N(x) down.  dpbtrs, the routine behind cho_solve_banded, makes
+solve of G y = N(x) yields the values N*_i(x) for every i at once.  Every
+solve G y = b is the two triangular sweeps U^T z = b, U y = z of G = U^T U,
+run with LAPACK's dtbtrs, the forward one per block of columns and only on
+the rows from the block's first nonzero row down.  dpbtrs, the routine behind cho_solve_banded, makes
 the same two dtbsv sweeps per column, and the rows it adds to the forward
 sweep are exact zeros, which contribute only zero products to every later
 row; so the values equal those of the full-length solve bit for bit.
@@ -26,7 +26,7 @@ from functools import reduce
 from typing import ClassVar
 
 import numpy as np
-from scipy.linalg import cholesky_banded, cho_solve_banded
+from scipy.linalg import cholesky_banded
 from scipy.linalg.lapack import dtbtrs
 
 from .bspline import (
@@ -46,9 +46,12 @@ PROFILE_FLOOR = 1e-14        # decay-profile entries below this are roundoff noi
 NORM_SAMPLES_PER_ATOM = 8    # Chebyshev points per atom for kernel-norm estimation
 NORM_WINDOW_ATOMS = 64       # kernel truncation radius, in atoms (q^64 is far below roundoff)
 NORM_BLOCK_ATOMS = 16        # x-sample atoms per kernel block in operator_norm_1d
+SOLVE_BLOCK_COLUMNS = 64     # right-hand sides per forward sweep in GramSystem.solve; bounds
+                             # the sweep's scratch copy of the trailing rows
 DECAY_BLOCK_ATOMS = 64       # atoms per batched duals_at solve in decay_profile; the sweeps
-                             # run column by column and a block's forward sweep starts at its
-                             # first nonzero row, so every column equals its own full solve
+                             # run column by column and each forward sweep starts at or above
+                             # the column's first nonzero row, so every column equals its own
+                             # full solve
 
 
 class GramSystem:
@@ -70,34 +73,40 @@ class GramSystem:
         return self.space.dimension
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve G y = rhs; rhs may carry extra trailing axes."""
+        """Solve G y = rhs; rhs may carry extra trailing axes.
+
+        The forward sweep U^T z = rhs takes the columns in blocks of
+        SOLVE_BLOCK_COLUMNS; a block's rows above f0, its first nonzero row,
+        are exactly zero, so its sweep runs on rows [f0, dim) only.  The back
+        sweep U y = z then runs on all rows, in place.
+        """
         rhs = np.asarray(rhs, dtype=float)
         flat = rhs.reshape(rhs.shape[0], -1)
-        out = cho_solve_banded((self._chol, False), flat)
-        return out.reshape(rhs.shape)
-
-    def duals_at(self, xs) -> np.ndarray:
-        """Matrix D with D[i, p] = N*_i(xs[p]), via one banded solve.
-
-        The right-hand side N(xs) is zero above row f0, the smallest first
-        active basis index, so the forward sweep U^T y = N(xs) runs on rows
-        [f0, dim) only and the back sweep U D = y on all rows.
-        """
-        first, vals = self.space.eval_basis_many(np.asarray(xs, dtype=float).ravel())
-        dim, k, n = self.dimension, self.space.order, len(first)
-        if n == 0:
-            return np.zeros((dim, 0))    # dtbtrs with no right-hand side corrupts the heap
-        f0 = int(first.min())
-        b = np.zeros((dim - f0, n), order="F")
-        b[first[:, None] - f0 + np.arange(k), np.arange(n)[:, None]] = vals
-        b, info = dtbtrs(self._chol[:, f0:], b, trans="T", overwrite_b=True)
-        y = np.zeros((dim, n), order="F")
-        y[f0:] = b
+        if flat.shape[1] == 0:
+            return np.zeros(rhs.shape)    # dtbtrs with no right-hand side corrupts the heap
+        y = np.zeros(flat.shape, order="F")
+        for c in range(0, flat.shape[1], SOLVE_BLOCK_COLUMNS):
+            cols = slice(c, c + SOLVE_BLOCK_COLUMNS)
+            block = flat[:, cols]
+            if not np.isfinite(block).all():
+                raise ValueError("right-hand side of the Gram solve is not finite")
+            f0 = int(np.argmax(block.any(axis=1)))    # 0 for an all-zero block
+            y[f0:, cols], info = dtbtrs(self._chol[:, f0:], block[f0:], trans="T")
+            if info != 0:
+                break
         if info == 0:
             y, info = dtbtrs(self._chol, y, overwrite_b=True)
         if info != 0:
             raise ValueError(f"banded triangular solve failed (LAPACK info {info})")
-        return y
+        return y.reshape(rhs.shape)
+
+    def duals_at(self, xs) -> np.ndarray:
+        """Matrix D with D[i, p] = N*_i(xs[p]), via one banded solve."""
+        first, vals = self.space.eval_basis_many(np.asarray(xs, dtype=float).ravel())
+        n = len(first)
+        b = np.zeros((self.dimension, n), order="F")
+        b[first[:, None] + np.arange(self.space.order), np.arange(n)[:, None]] = vals
+        return self.solve(b)
 
     def inverse_band(self, width: int) -> np.ndarray:
         """Diagonals 0..width of G^-1 by selected inversion, in lower band storage.

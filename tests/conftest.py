@@ -11,7 +11,7 @@ from splinelab.bspline import mode_apply
 from splinelab.filtration import atom_range_gap, l1_distance_grid
 from splinelab.maximal import _check_q, level_sum_field
 from splinelab.measures import CompiledMasses
-from splinelab.projector import _fit_profile
+from splinelab.projector import NORM_BLOCK_ATOMS, _fit_profile
 
 
 @pytest.fixture
@@ -92,8 +92,12 @@ def dense_dual_matrix(gs):
     return np.linalg.inv(dense_gram(gs))
 
 
-def dense_operator_norm_1d(gs, nx_per_atom=8, ny_per_atom=8, window=64, block_atoms=64):
-    """Kernel-norm oracle reading a dense inverse Gram (one solve against I)."""
+def dense_operator_norm_1d(gs, nx_per_atom=8, ny_per_atom=8, window=64):
+    """Kernel-norm oracle reading a dense inverse Gram (one solve against I).
+
+    Truncates the y-integral per block of NORM_BLOCK_ATOMS x-atoms, as the
+    library does, so the two agree to roundoff at every window.
+    """
     space = gs.space
     k = space.order
     p = space.partition
@@ -112,8 +116,8 @@ def dense_operator_norm_1d(gs, nx_per_atom=8, ny_per_atom=8, window=64, block_at
     wy = yrule.weights
     Ginv = cho_solve_banded((gs._chol, False), np.eye(dim), check_finite=False)
     best = 0.0
-    for a0 in range(0, n_atoms, block_atoms):
-        a1 = min(a0 + block_atoms, n_atoms)
+    for a0 in range(0, n_atoms, NORM_BLOCK_ATOMS):
+        a1 = min(a0 + NORM_BLOCK_ATOMS, n_atoms)
         xsl = slice(a0 * nx_per_atom, a1 * nx_per_atom)
         ya0 = max(0, a0 - window)
         ya1 = min(n_atoms, a1 + window)

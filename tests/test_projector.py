@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_solve_banded
 
 from splinelab import (
     FiltrationSpec,
@@ -19,7 +20,7 @@ from splinelab import (
     operator_norm_inf,
 )
 from splinelab.experiments import _dense_tensor_norm_2d
-from splinelab.projector import NORM_BLOCK_ATOMS, GramSystem, operator_norm_1d
+from splinelab.projector import GramSystem, operator_norm_1d
 
 from conftest import (
     dense_dual_matrix,
@@ -357,6 +358,11 @@ def test_duals_at_bit_exact_against_full_length_solve(seed):
             # with clamped knots the first active basis on atom a is a
             assert space.eval_basis_many(xs)[0].min() == a_lo
             assert np.array_equal(gs.duals_at(xs), full_length_duals(gs, xs))
+            # the same trimmed solve serves right-hand sides with trailing axes
+            rhs = rng.standard_normal((space.dimension, 3, 2))
+            rhs[:a_lo] = 0.0
+            want = cho_solve_banded((gs._chol, False), rhs.reshape(space.dimension, -1))
+            assert np.array_equal(gs.solve(rhs), want.reshape(rhs.shape))
         assert space.dimension - k == n_atoms - 1
         assert gs.duals_at(np.array([])).shape == (space.dimension, 0)
 
@@ -372,13 +378,13 @@ def test_operator_norm_matches_dense_inverse_oracle():
             gs = GramSystem(SplineSpace1D(axis.level(n), k))
             for window in (3, 64, 10_000):
                 got = operator_norm_1d(gs, window=window)
-                want = dense_operator_norm_1d(gs, window=window, block_atoms=NORM_BLOCK_ATOMS)
+                want = dense_operator_norm_1d(gs, window=window)
                 assert abs(got - want) <= 1e-13 * want
     for k in (1, 2, 3, 4, 5):
         gs = GramSystem(SplineSpace1D(graded, k))
         for window in (3, 64, 10_000):
             got = operator_norm_1d(gs, nx_per_atom=6, ny_per_atom=6, window=window)
-            want = dense_operator_norm_1d(gs, 6, 6, window=window, block_atoms=NORM_BLOCK_ATOMS)
+            want = dense_operator_norm_1d(gs, 6, 6, window=window)
             assert abs(got - want) <= 1e-13 * want
 
 
