@@ -3,10 +3,11 @@
 
     python scripts/time_kernels.py > kernels.json
 
-Times `GramSystem.duals_at` on one decay block (the DECAY_BLOCK_ATOMS atoms
-from the middle of the mesh, NORM_SAMPLES_PER_ATOM points each),
+Times `GramSystem.duals_at` on the points of one decay block (the
+DECAY_BLOCK_ATOMS atoms from the middle of the mesh, NORM_SAMPLES_PER_ATOM
+points each, solved on all rows),
 `decay_profile`, `GramSystem.inverse_band` at the width `operator_norm_1d`
-asks for, and `operator_norm_1d`, for orders 2-4 at depths 8, 9 and 10 of a
+asks for, and `operator_norm_1d`, for orders 2-5 at depths 8, 9 and 10 of a
 random-bisection mesh (3 base atoms, every atom split at a random fraction in
 [0.35, 0.65], seed SEED: 384, 768 and 1,536 atoms).  Each time is the
 median of REPEATS calls.  Prints JSON with every timing and, per kernel and
@@ -37,7 +38,7 @@ from splinelab.projector import (  # noqa: E402
 )
 
 DEPTHS = (8, 9, 10)
-ORDERS = (2, 3, 4)
+ORDERS = (2, 3, 4, 5)
 REPEATS = 3    # calls per timing; the median is reported
 SEED = 0       # mesh seed
 

@@ -766,6 +766,10 @@ def run_experiment(config, out_dir=None, quiet: bool = False) -> int:
     else:
         cfg = dict(config)
     name = cfg["experiment"]
+    # default configs list every parameter a runner reads, so any other key is misspelt
+    known = default_config(name)["params"]
+    reject_leftover_params(f"{name} experiment",
+                           {key: v for key, v in cfg["params"].items() if key not in known})
     rows, log, extra = RUNNERS[name](cfg)
     if out_dir is not None:
         write_outputs(name, cfg, rows, log, extra, out_dir)

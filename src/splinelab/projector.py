@@ -9,7 +9,11 @@ run with LAPACK's dtbtrs, the forward one per block of columns and only on
 the rows from the block's first nonzero row down.  dpbtrs, the routine behind cho_solve_banded, makes
 the same two dtbsv sweeps per column, and the rows it adds to the forward
 sweep are exact zeros, which contribute only zero products to every later
-row; so the values equal those of the full-length solve bit for bit.
+row; so the values equal those of the full-length solve bit for bit.  A
+solve may also be confined to a row range [lo, hi): the dual decay profile
+solves each block of x-atoms on a window of rows around it, since the duals
+decay geometrically away from x and the rows outside hold nothing above the
+profile's floor.
 
 Tensor-product spaces have Gram matrix G_1 x ... x G_d (never assembled);
 projection applies per-axis banded solves along each tensor mode, and the
@@ -42,16 +46,19 @@ from .bspline import (
 from .filtration import Partition1D, TensorFiltration, atom_range_gap
 from .measures import HybridMeasure
 
-PROFILE_FLOOR = 1e-14        # decay-profile entries below this are roundoff noise
+PROFILE_FLOOR = 1e-14        # decay-profile entries at or below this are roundoff noise;
+                             # decay_profile sets them to 0, so its windowed solves need
+                             # only match the full solve above it
 NORM_SAMPLES_PER_ATOM = 8    # Chebyshev points per atom for kernel-norm estimation
 NORM_WINDOW_ATOMS = 64       # kernel truncation radius, in atoms (q^64 is far below roundoff)
 NORM_BLOCK_ATOMS = 16        # x-sample atoms per kernel block in operator_norm_1d
 SOLVE_BLOCK_COLUMNS = 64     # right-hand sides per forward sweep in GramSystem.solve; bounds
                              # the sweep's scratch copy of the trailing rows
-DECAY_BLOCK_ATOMS = 64       # atoms per batched duals_at solve in decay_profile; the sweeps
+DECAY_BLOCK_ATOMS = 64       # x-atoms per batched dual solve in decay_profile; the sweeps
                              # run column by column and each forward sweep starts at or above
                              # the column's first nonzero row, so every column equals its own
-                             # full solve
+                             # solve on the same rows
+DECAY_WINDOW_ATOMS = 128     # rows solved on each side of a decay block before any widening
 
 
 class GramSystem:
@@ -72,18 +79,27 @@ class GramSystem:
     def dimension(self) -> int:
         return self.space.dimension
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve G y = rhs; rhs may carry extra trailing axes.
+    def solve(self, rhs: np.ndarray, lo: int = 0, hi: int = None) -> np.ndarray:
+        """Solve G y = rhs on rows [lo, hi), all rows by default; rhs may carry trailing axes.
 
-        The forward sweep U^T z = rhs takes the columns in blocks of
-        SOLVE_BLOCK_COLUMNS; a block's rows above f0, its first nonzero row,
-        are exactly zero, so its sweep runs on rows [f0, dim) only.  The back
-        sweep U y = z then runs on all rows, in place.
+        rhs holds rows lo..hi-1 of a right-hand side that is zero outside
+        them, and the result holds the same rows of y.  The forward sweep
+        U^T z = rhs takes the columns in blocks of SOLVE_BLOCK_COLUMNS; a
+        block's rows above f0, its first nonzero row, are exactly zero, so its
+        sweep runs on rows [max(lo, f0), hi) only.  The back sweep U y = z then
+        runs on [lo, hi), in place.  Over all rows this is the full solve; an
+        interior hi drops z below hi, which perturbs y by an amount that
+        decays geometrically with the distance from row hi.
         """
         rhs = np.asarray(rhs, dtype=float)
+        hi = self.dimension if hi is None else hi
+        if not 0 <= lo < hi <= self.dimension or rhs.shape[0] != hi - lo:
+            raise ValueError(f"row range [{lo}, {hi}) with {rhs.shape[0]} right-hand-side rows "
+                             f"does not fit a Gram system of dimension {self.dimension}")
         flat = rhs.reshape(rhs.shape[0], -1)
         if flat.shape[1] == 0:
             return np.zeros(rhs.shape)    # dtbtrs with no right-hand side corrupts the heap
+        chol = self._chol[:, lo:hi]
         y = np.zeros(flat.shape, order="F")
         for c in range(0, flat.shape[1], SOLVE_BLOCK_COLUMNS):
             cols = slice(c, c + SOLVE_BLOCK_COLUMNS)
@@ -91,11 +107,11 @@ class GramSystem:
             if not np.isfinite(block).all():
                 raise ValueError("right-hand side of the Gram solve is not finite")
             f0 = int(np.argmax(block.any(axis=1)))    # 0 for an all-zero block
-            y[f0:, cols], info = dtbtrs(self._chol[:, f0:], block[f0:], trans="T")
+            y[f0:, cols], info = dtbtrs(chol[:, f0:], block[f0:], trans="T")
             if info != 0:
                 break
         if info == 0:
-            y, info = dtbtrs(self._chol, y, overwrite_b=True)
+            y, info = dtbtrs(chol, y, overwrite_b=True)
         if info != 0:
             raise ValueError(f"banded triangular solve failed (LAPACK info {info})")
         return y.reshape(rhs.shape)
@@ -103,10 +119,7 @@ class GramSystem:
     def duals_at(self, xs) -> np.ndarray:
         """Matrix D with D[i, p] = N*_i(xs[p]), via one banded solve."""
         first, vals = self.space.eval_basis_many(np.asarray(xs, dtype=float).ravel())
-        n = len(first)
-        b = np.zeros((self.dimension, n), order="F")
-        b[first[:, None] + np.arange(self.space.order), np.arange(n)[:, None]] = vals
-        return self.solve(b)
+        return self.solve(_basis_columns(first, vals, 0, self.dimension))
 
     def inverse_band(self, width: int) -> np.ndarray:
         """Diagonals 0..width of G^-1 by selected inversion, in lower band storage.
@@ -137,6 +150,15 @@ class GramSystem:
             Z[i, 1:] = off
             Z[i, 0] = (1.0 / u[i, 0] - uu @ off[: k - 1]) / u[i, 0]
         return Z[:dim].T
+
+
+def _basis_columns(first, vals, lo: int, hi: int) -> np.ndarray:
+    """Rows [lo, hi) of the right-hand side whose column p holds the basis values
+    of point p, vals[p, r] at row first[p] + r (eval_basis_many's output)."""
+    n, k = vals.shape
+    b = np.zeros((hi - lo, n), order="F")
+    b[first[:, None] - lo + np.arange(k), np.arange(n)[:, None]] = vals
+    return b
 
 
 def _assemble_gram_band(space: SplineSpace1D) -> np.ndarray:
@@ -367,10 +389,11 @@ class DecayProfile:
     """Per-distance envelope of |N*_i(x)| * |conv(supp N_i u A(x))|.
 
     `values[s]` is the maximum over sampled x and all i at atom distance s
-    between supp N_i and A(x).  q_hat/c_hat come from a log-linear fit over
-    the entries above the roundoff floor; c_env rescales c_hat so that
-    values[s] <= c_env * q_hat**s holds for every entry (an envelope, used
-    whenever a true upper bound is needed).
+    between supp N_i and A(x), or 0 where that maximum is at or below the
+    roundoff floor; `values` ends at the last entry above the floor.
+    q_hat/c_hat come from a log-linear fit over the entries above the floor;
+    c_env rescales c_hat so that values[s] <= c_env * q_hat**s holds for
+    every entry (an envelope, used whenever a true upper bound is needed).
     """
 
     distances: np.ndarray
@@ -386,7 +409,29 @@ class DecayProfile:
 
 
 def decay_profile(gs: GramSystem, nx_per_atom: int = NORM_SAMPLES_PER_ATOM) -> DecayProfile:
-    """Measure the geometric decay of the dual B-splines of one space."""
+    """Measure the geometric decay of the dual B-splines of one space.
+
+    The x-atoms [a0, a1) of each block of DECAY_BLOCK_ATOMS are solved for
+    together, on the row window [a0 - w, a1 + k - 1 + w) clamped to [0, dim)
+    with w = DECAY_WINDOW_ATOMS, so the work per x is O(w), not O(dim).  If
+    vmax * conv_len on the k rows nearest an interior window edge exceeds
+    PROFILE_FLOOR * 2**-53, w doubles and the block is solved again; once the
+    window covers every row there is no edge left to test, so the loop ends.
+    Entries at or below PROFILE_FLOOR are set to 0 before the fit.
+
+    Why the entries above the floor equal those of the full solve: the
+    right-hand side is zero on the rows before lo, so the forward sweep is
+    exact on the window.  The rows before lo are left out; they lie beyond an
+    edge whose entries are at most PROFILE_FLOOR * 2**-53 and decay further,
+    so the floor would zero them anyway.  The back sweep, started at hi
+    instead of dim, misses the terms of the rows from hi on; the error is of
+    the size of the edge entries and decays geometrically toward the block,
+    while the entries grow, so well before an entry exceeds PROFILE_FLOOR the
+    error is below half an ulp and rounds away, and from k equal rows on
+    every row equals the full solve's bit for bit.  The tests check this
+    against one full-length solve per atom on meshes where the windows are
+    interior and, at orders 5 and 6, widened.
+    """
     space = gs.space
     k = space.order
     p = space.partition
@@ -397,17 +442,26 @@ def decay_profile(gs: GramSystem, nx_per_atom: int = NORM_SAMPLES_PER_ATOM) -> D
     # support atom range of each basis function, as (dim, 1) columns
     sup_lo = np.maximum(np.arange(dim) - (k - 1), 0)[:, None]
     sup_hi = np.minimum(np.arange(dim), n_atoms - 1)[:, None]
-    xs_all = atom_chebyshev(p, nx_per_atom)
+    first, vals = space.eval_basis_many(atom_chebyshev(p, nx_per_atom).ravel())
     prof = np.zeros(n_atoms + k)
-    # one solve per block of atoms; LAPACK solves column by column, so the
-    # values equal those of one solve per atom bit for bit
+    edge_tol = PROFILE_FLOOR * 2.0 ** -53
     for a0 in range(0, n_atoms, DECAY_BLOCK_ATOMS):
         a = np.arange(a0, min(a0 + DECAY_BLOCK_ATOMS, n_atoms))
-        D = gs.duals_at(xs_all[a].ravel())                     # (dim, n_block * nx)
-        np.abs(D, out=D)
-        vmax = D.reshape(dim, len(a), nx_per_atom).max(axis=2)  # (dim, n_block)
-        dist, conv_len = atom_range_gap(p.breakpoints, a, sup_lo, sup_hi)
-        np.maximum.at(prof, dist.ravel(), (vmax * conv_len).ravel())
+        pts = slice(a0 * nx_per_atom, (a[-1] + 1) * nx_per_atom)
+        window = DECAY_WINDOW_ATOMS
+        while True:
+            lo, hi = max(a0 - window, 0), min(a[-1] + k + window, dim)
+            D = gs.solve(_basis_columns(first[pts], vals[pts], lo, hi), lo, hi)
+            np.abs(D, out=D)
+            vmax = D.reshape(hi - lo, len(a), nx_per_atom).max(axis=2)
+            dist, conv_len = atom_range_gap(p.breakpoints, a, sup_lo[lo:hi], sup_hi[lo:hi])
+            pv = vmax * conv_len
+            if ((lo == 0 or (pv[:k] <= edge_tol).all())
+                    and (hi == dim or (pv[-k:] <= edge_tol).all())):
+                break
+            window *= 2
+        np.maximum.at(prof, dist.ravel(), pv.ravel())
+    prof[prof <= PROFILE_FLOOR] = 0.0
     return _fit_profile(prof)
 
 

@@ -11,7 +11,7 @@ from splinelab.bspline import mode_apply
 from splinelab.filtration import atom_range_gap, l1_distance_grid
 from splinelab.maximal import _check_q, level_sum_field
 from splinelab.measures import CompiledMasses
-from splinelab.projector import NORM_BLOCK_ATOMS, _fit_profile
+from splinelab.projector import NORM_BLOCK_ATOMS, PROFILE_FLOOR, _fit_profile
 
 
 @pytest.fixture
@@ -138,7 +138,8 @@ def full_length_duals(gs, xs):
 
 
 def per_atom_decay_profile(gs, nx_per_atom=8):
-    """Decay-profile oracle: one full-length dual solve per atom, then the library's fit."""
+    """Decay-profile oracle: one full-length dual solve per atom, entries at or
+    below PROFILE_FLOOR set to 0, then the library's fit."""
     space = gs.space
     k = space.order
     n_atoms = space.partition.n_atoms
@@ -161,6 +162,7 @@ def per_atom_decay_profile(gs, nx_per_atom=8):
         )
         conv_len = bp[np.maximum(sup_hi, a) + 1] - bp[np.minimum(sup_lo, a)]
         np.maximum.at(prof, dist, vmax * conv_len)
+    prof[prof <= PROFILE_FLOOR] = 0.0
     return _fit_profile(prof)
 
 

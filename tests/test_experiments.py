@@ -164,6 +164,20 @@ def test_function_catalog_rejects_misspelt_parameters():
         function_catalog("gauss", 1)
 
 
+def test_run_experiment_rejects_misspelt_params():
+    # misspelt keys once ran with the defaults and returned 0
+    cfg = default_config("nondense")
+    cfg["params"].update(n_probe=4, delta_tols=1e-3)
+    with pytest.raises(ValueError,
+                       match=r"unknown nondense experiment parameters \['delta_tols', 'n_probe'\]"):
+        run_experiment(cfg, quiet=True)
+    cfg = small_config("decay")
+    cfg["params"]["sample_per_atom"] = 3
+    with pytest.raises(ValueError,
+                       match=r"unknown decay experiment parameters \['sample_per_atom'\]"):
+        run_experiment(cfg, quiet=True)
+
+
 def test_covering_builds_one_maximal_field_per_seed_and_q(tmp_path, monkeypatch):
     import splinelab.maximal as maximal
 

@@ -20,7 +20,7 @@ from splinelab import (
     operator_norm_inf,
 )
 from splinelab.experiments import _dense_tensor_norm_2d
-from splinelab.projector import GramSystem, operator_norm_1d
+from splinelab.projector import DECAY_BLOCK_ATOMS, GramSystem, operator_norm_1d
 
 from conftest import (
     dense_dual_matrix,
@@ -365,6 +365,64 @@ def test_duals_at_bit_exact_against_full_length_solve(seed):
             assert np.array_equal(gs.solve(rhs), want.reshape(rhs.shape))
         assert space.dimension - k == n_atoms - 1
         assert gs.duals_at(np.array([])).shape == (space.dimension, 0)
+
+
+def test_solve_row_range():
+    rng = np.random.default_rng(5)
+    gs = GramSystem(SplineSpace1D(random_filtration(5, n_levels=6).axes[0].level(6), 4))
+    dim = gs.dimension
+    rhs = rng.standard_normal((dim, 7))
+    want = cho_solve_banded((gs._chol, False), rhs)
+    assert np.array_equal(gs.solve(rhs, 0, dim), want)
+    assert np.array_equal(gs.solve(rhs), want)
+    for lo, hi in ((4, 4), (9, 3), (-1, dim), (0, dim + 1)):
+        with pytest.raises(ValueError, match="row range"):
+            gs.solve(np.zeros((max(hi - lo, 0), 2)), lo, hi)
+    # the right-hand side holds exactly the rows of the range
+    with pytest.raises(ValueError, match="row range"):
+        gs.solve(rhs, 3, dim)
+    bad = rng.standard_normal((dim - 5, 2))
+    bad[4, 1] = np.nan
+    with pytest.raises(ValueError, match="not finite"):
+        gs.solve(bad, 3, dim - 2)
+
+
+@settings(max_examples=2, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), n_uniform=st.integers(384, 640))
+def test_windowed_decay_profile_bit_exact_against_per_atom_oracle(seed, n_uniform):
+    # meshes of 384+ atoms put the windows' edges inside the domain; the
+    # graded meshes are smaller than one window
+    big = [random_filtration(seed, n_levels=8, p_split=1.0).axes[0].level(8),
+           Partition1D(np.linspace(0.0, 1.0, n_uniform + 1))]
+    graded = [_graded_partition(t) for t in (0.0, 0.37, 1.0)]
+    for part, k in itertools.product(big + graded, range(1, 7)):
+        gs = GramSystem(SplineSpace1D(part, k))
+        solve = gs.solve
+        windows = []
+
+        def recording_solve(rhs, lo, hi):
+            windows.append((lo, hi))
+            return solve(rhs, lo, hi)
+
+        gs.solve = recording_solve
+        for nx in (3, 8):
+            windows.clear()
+            got = decay_profile(gs, nx_per_atom=nx)
+            want = per_atom_decay_profile(gs, nx_per_atom=nx)
+            assert np.array_equal(got.distances, want.distances)
+            assert np.array_equal(got.values, want.values)
+            assert got.q_hat == want.q_hat
+            assert got.c_hat == want.c_hat
+            assert got.c_env == want.c_env
+            assert got.fit_residual == want.fit_residual
+            n_blocks = -(-part.n_atoms // DECAY_BLOCK_ATOMS)
+            if part.n_atoms >= 384:
+                assert 0 < windows[0][1] < gs.dimension
+                # at orders 5 and 6 the 128-atom edges sit above the threshold,
+                # so blocks are solved again on a wider window
+                assert len(windows) > n_blocks or k < 5
+            else:
+                assert windows == [(0, gs.dimension)]
 
 
 def test_operator_norm_matches_dense_inverse_oracle():
