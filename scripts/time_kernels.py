@@ -5,9 +5,10 @@
 
 Times `GramSystem.duals_at` on the points of one decay block (the
 DECAY_BLOCK_ATOMS atoms from the middle of the mesh, NORM_SAMPLES_PER_ATOM
-points each, solved on all rows),
-`decay_profile`, `GramSystem.inverse_band` at the width `operator_norm_1d`
-asks for, and `operator_norm_1d`, for orders 2-5 at depths 8, 9 and 10 of a
+points each, solved on all rows), `decay_profile`, the kernel columns of
+`operator_norm_1d` (its edge-checked windowed solve for every block of
+NORM_BLOCK_ATOMS x-atoms, without the y-integral) and `operator_norm_1d`
+itself, for orders 2-5 at depths 8, 9 and 10 of a
 random-bisection mesh (3 base atoms, every atom split at a random fraction in
 [0.35, 0.65], seed SEED: 384, 768 and 1,536 atoms).  Each time is the
 median of REPEATS calls.  Prints JSON with every timing and, per kernel and
@@ -33,9 +34,13 @@ from splinelab.projector import (  # noqa: E402
     NORM_SAMPLES_PER_ATOM,
     NORM_WINDOW_ATOMS,
     GramSystem,
+    _basis_columns,
+    _kernel_columns,
     decay_profile,
     operator_norm_1d,
 )
+
+KERNELS = ("duals_at", "decay_profile", "kernel_columns", "operator_norm_1d")
 
 DEPTHS = (8, 9, 10)
 ORDERS = (2, 3, 4, 5)
@@ -52,6 +57,18 @@ def median_seconds(fn):
     return statistics.median(times)
 
 
+def kernel_blocks(gs, cheb):
+    """The (a0, a1, X) arguments of _kernel_columns for every block of operator_norm_1d."""
+    n, k = gs.space.partition.n_atoms, gs.space.order
+    first, vals = gs.space.eval_basis_many(cheb.ravel())
+    blocks = []
+    for a0 in range(0, n, NORM_BLOCK_ATOMS):
+        a1 = min(a0 + NORM_BLOCK_ATOMS, n)
+        xs = slice(a0 * NORM_SAMPLES_PER_ATOM, a1 * NORM_SAMPLES_PER_ATOM)
+        blocks.append((a0, a1, _basis_columns(first[xs], vals[xs], a0, a1 + k - 1)))
+    return blocks
+
+
 def main():
     rule = {"name": "random-atom-bisect", "p_split": 1.0,
             "split_range": [0.35, 0.65], "base_atoms": 3}
@@ -62,20 +79,21 @@ def main():
         part = F.axes[0].level(depth)
         for k in ORDERS:
             gs = GramSystem(SplineSpace1D(part, k))
+            cheb = atom_chebyshev(part, NORM_SAMPLES_PER_ATOM)
             a0 = part.n_atoms // 2
-            xs = atom_chebyshev(part, NORM_SAMPLES_PER_ATOM)[a0:a0 + DECAY_BLOCK_ATOMS].ravel()
-            width = NORM_WINDOW_ATOMS + NORM_BLOCK_ATOMS + k - 1
+            xs = cheb[a0:a0 + DECAY_BLOCK_ATOMS].ravel()
+            blocks = kernel_blocks(gs, cheb)
             kernels = {
                 "duals_at": lambda: gs.duals_at(xs),
                 "decay_profile": lambda: decay_profile(gs),
-                "inverse_band": lambda: gs.inverse_band(width),
+                "kernel_columns": lambda: [_kernel_columns(gs, *b) for b in blocks],
                 "operator_norm_1d": lambda: operator_norm_1d(gs),
             }
             for name, fn in kernels.items():
                 rows.append({"kernel": name, "k": k, "depth": depth, "atoms": part.n_atoms,
                              "dim": gs.dimension, "seconds": median_seconds(fn)})
     exponents = {}
-    for name in ("duals_at", "decay_profile", "inverse_band", "operator_norm_1d"):
+    for name in KERNELS:
         exponents[name] = {}
         for k in ORDERS:
             pts = [(r["dim"], r["seconds"]) for r in rows if r["kernel"] == name and r["k"] == k]

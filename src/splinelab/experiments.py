@@ -766,10 +766,19 @@ def run_experiment(config, out_dir=None, quiet: bool = False) -> int:
     else:
         cfg = dict(config)
     name = cfg["experiment"]
-    # default configs list every parameter a runner reads, so any other key is misspelt
+    # default configs list every parameter a runner reads, the keys of their
+    # `cases` entries and of `tensor_check` included, so any other key is misspelt
     known = default_config(name)["params"]
-    reject_leftover_params(f"{name} experiment",
-                           {key: v for key, v in cfg["params"].items() if key not in known})
+
+    def reject_unknown(what, given, keys):
+        reject_leftover_params(what, {key: v for key, v in given.items() if key not in keys})
+
+    params = cfg["params"]
+    reject_unknown(f"{name} experiment", params, known)
+    for case in params.get("cases", ()):
+        reject_unknown(f"{name} case", case, set().union(*known["cases"]))
+    if params.get("tensor_check"):
+        reject_unknown(f"{name} tensor_check", params["tensor_check"], known["tensor_check"])
     rows, log, extra = RUNNERS[name](cfg)
     if out_dir is not None:
         write_outputs(name, cfg, rows, log, extra, out_dir)

@@ -16,12 +16,13 @@ import numpy as np
 # refinement never creates an atom thinner than this fraction of |I|
 MIN_WIDTH_FRACTION = 1e-9
 
-REFINEMENT_RULES = (
-    "uniform-bisect-all",
-    "random-atom-bisect",
-    "point-targeted",
-    "frozen-on-subinterval",
-)
+# refinement rules, each with the keys it reads besides name, base_atoms and base_jitter
+REFINEMENT_RULES = {
+    "uniform-bisect-all": (),
+    "random-atom-bisect": ("p_split", "split_range"),
+    "point-targeted": ("target", "fraction"),
+    "frozen-on-subinterval": ("frozen", "fraction"),
+}
 
 
 @dataclass(frozen=True)
@@ -239,10 +240,12 @@ class FiltrationSpec:
         if len(self.rules) != self.d:
             raise ValueError(f"need one rule per axis, got {len(self.rules)} for d={self.d}")
         for rule in self.rules:
-            if rule.get("name") not in REFINEMENT_RULES:
-                raise ValueError(
-                    f"unknown rule {rule.get('name')!r}; expected one of {REFINEMENT_RULES}"
-                )
+            name = rule.get("name")
+            if name not in REFINEMENT_RULES:
+                raise ValueError(f"unknown rule {name!r}; expected one of {tuple(REFINEMENT_RULES)}")
+            unread = set(rule) - {"name", "base_atoms", "base_jitter", *REFINEMENT_RULES[name]}
+            if unread:
+                raise ValueError(f"unknown {name} rule keys {sorted(unread)}")
 
 
 def _split_atom(bp_list, j, fraction, floor):

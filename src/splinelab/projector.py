@@ -11,16 +11,16 @@ the same two dtbsv sweeps per column, and the rows it adds to the forward
 sweep are exact zeros, which contribute only zero products to every later
 row; so the values equal those of the full-length solve bit for bit.  A
 solve may also be confined to a row range [lo, hi): the dual decay profile
-solves each block of x-atoms on a window of rows around it, since the duals
-decay geometrically away from x and the rows outside hold nothing above the
-profile's floor.
+and the kernel norm solve each block of x-atoms on a window of rows around
+it, since the duals decay geometrically away from x; the window widens until
+its edge rows hold nothing above a stated tolerance.
 
 Tensor-product spaces have Gram matrix G_1 x ... x G_d (never assembled);
 projection applies per-axis banded solves along each tensor mode, and the
 L1->L1 operator norm (the Linf norm of the symmetric kernel) factorizes as
-the product of the per-axis norms.  The 1-D kernel norm reads only a band of
-G^-1, which selected inversion computes from the banded Cholesky factor; the
-dense inverse is never formed.
+the product of the per-axis norms.  The 1-D kernel norm solves for the duals
+of each block of basis functions on a window of rows, as the decay profile
+does; neither G^-1 nor a band of it is ever formed.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from functools import reduce
 from typing import ClassVar
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from scipy.linalg import cholesky_banded
 from scipy.linalg.lapack import dtbtrs
 
@@ -49,16 +50,19 @@ from .measures import HybridMeasure
 PROFILE_FLOOR = 1e-14        # decay-profile entries at or below this are roundoff noise;
                              # decay_profile sets them to 0, so its windowed solves need
                              # only match the full solve above it
+DECAY_EDGE_TOL = PROFILE_FLOOR * 2.0 ** -53   # decay windows widen until their edges are below
 NORM_SAMPLES_PER_ATOM = 8    # Chebyshev points per atom for kernel-norm estimation
-NORM_WINDOW_ATOMS = 64       # kernel truncation radius, in atoms (q^64 is far below roundoff)
+NORM_WINDOW_ATOMS = 64       # upper bound on the kernel truncation radius, in atoms
 NORM_BLOCK_ATOMS = 16        # x-sample atoms per kernel block in operator_norm_1d
+NORM_EDGE_TOL = 2.0 ** -60   # kernel windows widen until their edges are below (the norm is >= 1)
 SOLVE_BLOCK_COLUMNS = 64     # right-hand sides per forward sweep in GramSystem.solve; bounds
                              # the sweep's scratch copy of the trailing rows
 DECAY_BLOCK_ATOMS = 64       # x-atoms per batched dual solve in decay_profile; the sweeps
                              # run column by column and each forward sweep starts at or above
                              # the column's first nonzero row, so every column equals its own
                              # solve on the same rows
-DECAY_WINDOW_ATOMS = 128     # rows solved on each side of a decay block before any widening
+EDGE_BITS_PER_ORDER = 3      # windows start k * log2(1/tol) / 3 atoms wide: order-k duals lose
+                             # about 3.6 / k bits per atom on uniform meshes
 
 
 class GramSystem:
@@ -121,36 +125,6 @@ class GramSystem:
         first, vals = self.space.eval_basis_many(np.asarray(xs, dtype=float).ravel())
         return self.solve(_basis_columns(first, vals, 0, self.dimension))
 
-    def inverse_band(self, width: int) -> np.ndarray:
-        """Diagonals 0..width of G^-1 by selected inversion, in lower band storage.
-
-        Returns Z with Z[o, i] = (G^-1)[i + o, i], zero where i + o >= dim;
-        `width` is clamped to [k-1, dim-1].  With G = U^T U the identity
-        U G^-1 = U^-T gives, for j >= i (Takahashi, Fagan & Chen 1973),
-            (G^-1)_ij = (delta_ij / U_ii - sum_{m=1}^{k-1} U_{i,i+m} (G^-1)_{i+m,j}) / U_ii,
-        so a downward sweep over i needs only band entries of later rows.
-        Cost is O(dim * width * k) time and O(dim * width) memory.
-        """
-        k, dim = self.space.order, self.dimension
-        w = int(min(max(width, k - 1), dim - 1))
-        # u[i, m] = U_{i, i+m}, zero past the last row
-        u = np.zeros((dim, k))
-        for m in range(k):
-            u[: dim - m, m] = self._chol[k - 1 - m, m:]
-        # Z[i, o] = (G^-1)_{i, i+o}; the w trailing zero rows stand for i >= dim
-        Z = np.zeros((dim + w, w + 1))
-        m = np.arange(1, k)[:, None]
-        t = np.arange(1, w + 1)[None, :]
-        # (G^-1)_{i+m, i+t} sits at Z[i + min(m, t), |t - m|]
-        flat_idx = np.minimum(m, t) * (w + 1) + np.abs(t - m)
-        Zf = Z.reshape(-1)
-        for i in range(dim - 1, -1, -1):
-            uu = u[i, 1:]
-            off = -(uu @ Zf[i * (w + 1) + flat_idx]) / u[i, 0]
-            Z[i, 1:] = off
-            Z[i, 0] = (1.0 / u[i, 0] - uu @ off[: k - 1]) / u[i, 0]
-        return Z[:dim].T
-
 
 def _basis_columns(first, vals, lo: int, hi: int) -> np.ndarray:
     """Rows [lo, hi) of the right-hand side whose column p holds the basis values
@@ -159,6 +133,33 @@ def _basis_columns(first, vals, lo: int, hi: int) -> np.ndarray:
     b = np.zeros((hi - lo, n), order="F")
     b[first[:, None] - lo + np.arange(k), np.arange(n)[:, None]] = vals
     return b
+
+
+def _edge_checked_solve(gs: GramSystem, a0: int, a1: int, tol: float, rhs, mass):
+    """Solve for the x-atoms [a0, a1) on the narrowest row window whose edges vanish.
+
+    The window [lo, hi) is [a0 - w, a1 + k - 1 + w) clamped to [0, dim), and
+    rhs(lo, hi) gives its rows of a right-hand side that is zero outside them.
+    w starts at k * log2(1/tol) / EDGE_BITS_PER_ORDER atoms and doubles while
+    mass(y[rows - lo], rows) exceeds tol (NaN fails too) on the k rows nearest
+    an interior edge; a window of all rows has no edge left to test.  Returns
+    the solution's rows y and (lo, hi).
+    """
+    k, dim = gs.space.order, gs.dimension
+    w = int(np.ceil(k * -np.log2(tol) / EDGE_BITS_PER_ORDER))
+    while True:
+        lo, hi = max(a0 - w, 0), min(a1 + k - 1 + w, dim)
+        y = gs.solve(rhs(lo, hi), lo, hi)
+        if ((lo == 0 or (mass(y[:k], np.arange(lo, lo + k)) <= tol).all())
+                and (hi == dim or (mass(y[-k:], np.arange(hi - k, hi)) <= tol).all())):
+            return y, lo, hi
+        w *= 2
+
+
+def _require_int(name: str, value, least: int) -> None:
+    """Fail closed on a count argument that is not an integer >= least."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def _assemble_gram_band(space: SplineSpace1D) -> np.ndarray:
@@ -310,64 +311,70 @@ def operator_norm_1d(gs: GramSystem, nx_per_atom: int = NORM_SAMPLES_PER_ATOM,
                      window: int = NORM_WINDOW_ATOMS) -> float:
     """sup_x int |K(x,y)| dy for K(x,y) = sum_i N_i(y) N*_i(x), sampled.
 
-    x ranges over nx Chebyshev points per atom; the y-integral uses per-atom
-    Gauss-Legendre and is truncated at block granularity: for the x-atoms
-    [a0, a1) of one block it runs over the y-atoms [a0 - window, a1 + window),
-    so every x sees between `window` and window + NORM_BLOCK_ATOMS - 1 atoms
-    on each side, where the kernel has decayed far below roundoff.  The
-    truncation, and with it the result for a small window, depends on
-    NORM_BLOCK_ATOMS.  The result is a sampled estimate,
-    not a bound either way: K(x, .) changes sign inside atoms, so the
-    quadrature of |K(x, .)| can overshoot the exact integral at a fixed x, and
-    the interior samples miss the domain endpoints, where the supremum sits on
-    many meshes of order k >= 3.
+    x ranges over nx Chebyshev points per atom and the y-integral uses
+    per-atom Gauss-Legendre, so the result is an estimate, not a bound either
+    way: K(x, .) changes sign inside atoms, so the quadrature of |K(x, .)| can
+    overshoot at a fixed x, and the interior samples miss the domain
+    endpoints, where the supremum sits on many meshes of order k >= 3.
 
-    Kernel values are assembled per block of NORM_BLOCK_ATOMS x-atoms from an
-    inverse-Gram slab (window rows by block columns).  A narrow block keeps
-    the y-range, block + 2 * window atoms, close to the 2 * window atoms each
-    x needs.  Every slab lies within
-    window + NORM_BLOCK_ATOMS + k - 1 diagonals of G^-1, so only that band is
-    computed, by selected inversion; the cost is linear in the number of
-    samples times the window.
+    Per block of NORM_BLOCK_ATOMS x-atoms [a0, a1), _kernel_columns solves for
+    the duals of the block's basis functions on one row window [lo, hi); times
+    the block's collocation matrix they give N*_i(x) on the block, and k
+    overlapping rows of that give K at each y-node.  The y-integral runs over
+    the y-atoms [max(a0 - window, lo), min(a1 + window, hi - k + 1)): `window`
+    is an upper bound, and past the solve window the kernel is below
+    NORM_EDGE_TOL, so the mass left out is below 2**-58 times the result.
+    For a small window the result depends on NORM_BLOCK_ATOMS.
     """
+    _require_int("nx_per_atom", nx_per_atom, 1)
+    _require_int("ny_per_atom", ny_per_atom, 1)
+    _require_int("window", window, 0)
     space = gs.space
     k = space.order
     p = space.partition
     n_atoms = p.n_atoms
-    dim = space.dimension
-    xs_all = atom_chebyshev(p, nx_per_atom)
     yrule = atom_quadrature(p, ny_per_atom)
     if k == 1:
         # diagonal Gram: the kernel column at x is the indicator of A(x)
         # scaled by 1/|A(x)|, so the integral is the weight sum over A(x)
-        diag = gs.band[0]
-        vals = yrule.weights.sum(axis=1) / diag
-        return float(vals.max())
-    xfirst, xV = space.eval_basis_many(xs_all.ravel())
+        return float((yrule.weights.sum(axis=1) / gs.band[0]).max())
+    xfirst, xV = space.eval_basis_many(atom_chebyshev(p, nx_per_atom).ravel())
     _, yV = space.eval_basis_many(yrule.nodes.ravel())
     yVr = yV.reshape(n_atoms, ny_per_atom, k)
-    wy = yrule.weights
-    Zband = gs.inverse_band(window + NORM_BLOCK_ATOMS + k - 1)
+    wy = yrule.weights.ravel()
+    buf = np.empty(0)     # kernel values, reused across blocks
     best = 0.0
     for a0 in range(0, n_atoms, NORM_BLOCK_ATOMS):
         a1 = min(a0 + NORM_BLOCK_ATOMS, n_atoms)
         xsl = slice(a0 * nx_per_atom, a1 * nx_per_atom)
-        ya0 = max(0, a0 - window)
-        ya1 = min(n_atoms, a1 + window)
-        rows = np.arange(ya0, min(ya1 + k - 1, dim))[:, None]
-        cols = np.arange(a0, a1 + k - 1)[None, :]
-        slab = Zband[np.abs(rows - cols), np.minimum(rows, cols)]
-        # dual coefficients restricted to the window rows, for all x in the block
-        Dsub = np.zeros((rows.shape[0], xsl.stop - xsl.start))
-        for r in range(k):
-            Dsub += slab[:, xfirst[xsl] - a0 + r] * xV[xsl, r][None, :]
-        # spline values on the window's quadrature nodes: atom b uses rows b..b+k-1
-        Dwin = np.lib.stride_tricks.sliding_window_view(Dsub, k, axis=0)[: ya1 - ya0]
-        vals = np.matmul(yVr[ya0:ya1], Dwin.transpose(0, 2, 1))   # (u, g, x)
-        np.abs(vals, out=vals)
-        S = wy[ya0:ya1].ravel() @ vals.reshape(-1, vals.shape[-1])
+        X = _basis_columns(xfirst[xsl], xV[xsl], a0, a1 + k - 1)
+        Z, lo, hi = _kernel_columns(gs, a0, a1, X)
+        yb0, yb1 = max(a0 - window, lo), min(a1 + window, hi - k + 1)
+        D = (Z @ X)[yb0 - lo:]       # D[i - yb0, x] = N*_i(x) for the block's x
+        # y-atom b reads rows b..b+k-1 of D, through a view of overlapping row windows
+        rows = as_strided(D, (yb1 - yb0, k, D.shape[1]), (D.strides[0],) + D.strides,
+                          writeable=False)
+        n = (yb1 - yb0) * ny_per_atom * D.shape[1]
+        buf = buf if buf.size >= n else np.empty(n)
+        K = np.matmul(yVr[yb0:yb1], rows, out=buf[:n].reshape(yb1 - yb0, ny_per_atom, -1))
+        np.abs(K, out=K)
+        S = wy[yb0 * ny_per_atom:yb1 * ny_per_atom] @ K.reshape(-1, D.shape[1])
         best = max(best, float(S.max()))
     return best
+
+
+def _kernel_columns(gs: GramSystem, a0: int, a1: int, X: np.ndarray):
+    """(Z, lo, hi) with Z[i - lo, c] = (G^-1)[i, a0 + c] on an edge-checked row window [lo, hi).
+
+    The columns c are the basis functions N_a0, ..., N_{a1+k-2} of the
+    x-atoms [a0, a1), and X is their collocation matrix at the block's x
+    samples; the window's edge rows hold max_x |N*_i(x)| |supp N_i| <= NORM_EDGE_TOL.
+    """
+    bp, n, k = gs.space.partition.breakpoints, gs.space.partition.n_atoms, gs.space.order
+    return _edge_checked_solve(
+        gs, a0, a1, NORM_EDGE_TOL, lambda lo, hi: np.eye(hi - lo, X.shape[0], lo - a0),
+        lambda z, i: (np.abs(z @ X).max(axis=1)
+                      * (bp[np.minimum(i, n - 1) + 1] - bp[np.maximum(i - k + 1, 0)])))
 
 
 def operator_norm_inf(tp: TensorProjector, nx_per_atom: int = NORM_SAMPLES_PER_ATOM,
@@ -411,13 +418,10 @@ class DecayProfile:
 def decay_profile(gs: GramSystem, nx_per_atom: int = NORM_SAMPLES_PER_ATOM) -> DecayProfile:
     """Measure the geometric decay of the dual B-splines of one space.
 
-    The x-atoms [a0, a1) of each block of DECAY_BLOCK_ATOMS are solved for
-    together, on the row window [a0 - w, a1 + k - 1 + w) clamped to [0, dim)
-    with w = DECAY_WINDOW_ATOMS, so the work per x is O(w), not O(dim).  If
-    vmax * conv_len on the k rows nearest an interior window edge exceeds
-    PROFILE_FLOOR * 2**-53, w doubles and the block is solved again; once the
-    window covers every row there is no edge left to test, so the loop ends.
-    Entries at or below PROFILE_FLOOR are set to 0 before the fit.
+    Each block of DECAY_BLOCK_ATOMS x-atoms is solved for by one
+    _edge_checked_solve, with tolerance DECAY_EDGE_TOL on vmax * conv_len, so
+    the work per x is O(window), not O(dim).  Entries at or below
+    PROFILE_FLOOR are set to 0 before the fit.
 
     Why the entries above the floor equal those of the full solve: the
     right-hand side is zero on the rows before lo, so the forward sweep is
@@ -430,8 +434,9 @@ def decay_profile(gs: GramSystem, nx_per_atom: int = NORM_SAMPLES_PER_ATOM) -> D
     error is below half an ulp and rounds away, and from k equal rows on
     every row equals the full solve's bit for bit.  The tests check this
     against one full-length solve per atom on meshes where the windows are
-    interior and, at orders 5 and 6, widened.
+    interior, and with a narrower start window that has to widen.
     """
+    _require_int("nx_per_atom", nx_per_atom, 1)
     space = gs.space
     k = space.order
     p = space.partition
@@ -444,22 +449,21 @@ def decay_profile(gs: GramSystem, nx_per_atom: int = NORM_SAMPLES_PER_ATOM) -> D
     sup_hi = np.minimum(np.arange(dim), n_atoms - 1)[:, None]
     first, vals = space.eval_basis_many(atom_chebyshev(p, nx_per_atom).ravel())
     prof = np.zeros(n_atoms + k)
-    edge_tol = PROFILE_FLOOR * 2.0 ** -53
     for a0 in range(0, n_atoms, DECAY_BLOCK_ATOMS):
         a = np.arange(a0, min(a0 + DECAY_BLOCK_ATOMS, n_atoms))
         pts = slice(a0 * nx_per_atom, (a[-1] + 1) * nx_per_atom)
-        window = DECAY_WINDOW_ATOMS
-        while True:
-            lo, hi = max(a0 - window, 0), min(a[-1] + k + window, dim)
-            D = gs.solve(_basis_columns(first[pts], vals[pts], lo, hi), lo, hi)
-            np.abs(D, out=D)
-            vmax = D.reshape(hi - lo, len(a), nx_per_atom).max(axis=2)
-            dist, conv_len = atom_range_gap(p.breakpoints, a, sup_lo[lo:hi], sup_hi[lo:hi])
-            pv = vmax * conv_len
-            if ((lo == 0 or (pv[:k] <= edge_tol).all())
-                    and (hi == dim or (pv[-k:] <= edge_tol).all())):
-                break
-            window *= 2
+
+        def weighted(D, rows):
+            """Per (row, atom of a): distance, and max |N*_i| over the atom's samples * conv_len."""
+            vmax = np.abs(D).reshape(len(rows), len(a), nx_per_atom).max(axis=2)
+            dist, conv_len = atom_range_gap(p.breakpoints, a, sup_lo[rows], sup_hi[rows])
+            return dist, vmax * conv_len
+
+        D, lo, hi = _edge_checked_solve(
+            gs, a0, a[-1] + 1, DECAY_EDGE_TOL,
+            lambda lo, hi: _basis_columns(first[pts], vals[pts], lo, hi),
+            lambda D, rows: weighted(D, rows)[1])
+        dist, pv = weighted(D, np.arange(lo, hi))
         np.maximum.at(prof, dist.ravel(), pv.ravel())
     prof[prof <= PROFILE_FLOOR] = 0.0
     return _fit_profile(prof)

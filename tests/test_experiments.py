@@ -178,6 +178,23 @@ def test_run_experiment_rejects_misspelt_params():
         run_experiment(cfg, quiet=True)
 
 
+def test_run_experiment_rejects_misspelt_case_and_tensor_check_keys():
+    # covering once ran with K = 2 after its case key K was renamed, and a
+    # tensor_check with `order` raised a bare KeyError
+    cfg = small_config("covering")
+    cfg["params"]["cases"][1]["k_level"] = cfg["params"]["cases"][1].pop("K")
+    with pytest.raises(ValueError, match=r"unknown covering case parameters \['k_level'\]"):
+        run_experiment(cfg, quiet=True)
+    cfg = small_config("shadrin")
+    cfg["params"]["tensor_check"]["order"] = cfg["params"]["tensor_check"].pop("orders")
+    with pytest.raises(ValueError, match=r"unknown shadrin tensor_check parameters \['order'\]"):
+        run_experiment(cfg, quiet=True)
+    # a nondense case may name any key of the default's cases
+    cfg = small_config("nondense")
+    cfg["params"]["cases"][0].update(sequence_depth=6, function="smooth-exp")
+    assert run_experiment(cfg, quiet=True) == 0
+
+
 def test_covering_builds_one_maximal_field_per_seed_and_q(tmp_path, monkeypatch):
     import splinelab.maximal as maximal
 

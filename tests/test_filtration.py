@@ -177,6 +177,22 @@ def test_unknown_rule_rejected():
         FiltrationSpec(d=1, interval=(0.0, 1.0), n_levels=2, rules=[{"name": "nope"}])
 
 
+def test_rule_keys_the_rule_does_not_read_rejected():
+    # a misspelt key once built silently with the rule's default
+    with pytest.raises(ValueError, match=r"unknown random-atom-bisect rule keys \['base_atom', 'p_splt'\]"):
+        FiltrationSpec(d=1, interval=(0.0, 1.0), n_levels=2,
+                       rules=[{"name": "random-atom-bisect", "p_splt": 1.0, "base_atom": 3}])
+    # a key of another rule is not read either
+    with pytest.raises(ValueError, match=r"unknown uniform-bisect-all rule keys \['target'\]"):
+        FiltrationSpec(d=1, interval=(0.0, 1.0), n_levels=2,
+                       rules=[{"name": "uniform-bisect-all", "target": 0.3}])
+    for rule in ({"name": "uniform-bisect-all", "base_atoms": 3, "base_jitter": 0.5},
+                 {"name": "random-atom-bisect", "p_split": 1.0, "split_range": [0.4, 0.6]},
+                 {"name": "point-targeted", "target": 0.3, "fraction": 0.25},
+                 {"name": "frozen-on-subinterval", "frozen": [0.5, 1.0], "fraction": 0.9}):
+        build_filtration(FiltrationSpec(d=1, interval=(0.0, 1.0), n_levels=2, rules=[rule]))
+
+
 def test_invalid_interval_rejected():
     with pytest.raises(ValueError):
         FiltrationSpec(d=1, interval=(1.0, 0.0), n_levels=2)

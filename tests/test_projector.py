@@ -20,7 +20,17 @@ from splinelab import (
     operator_norm_inf,
 )
 from splinelab.experiments import _dense_tensor_norm_2d
-from splinelab.projector import DECAY_BLOCK_ATOMS, GramSystem, operator_norm_1d
+from splinelab.bspline import atom_chebyshev
+from splinelab.projector import (
+    DECAY_BLOCK_ATOMS,
+    NORM_BLOCK_ATOMS,
+    NORM_EDGE_TOL,
+    NORM_SAMPLES_PER_ATOM,
+    GramSystem,
+    _basis_columns,
+    _kernel_columns,
+    operator_norm_1d,
+)
 
 from conftest import (
     dense_dual_matrix,
@@ -315,25 +325,69 @@ def _graded_partition(target, n_levels=34):
     return F.axes[0].level(n_levels)
 
 
+def _record_windows(gs):
+    """Wrap gs.solve so that each call appends its row range (lo, hi) to the returned list."""
+    solve, windows = gs.solve, []
+
+    def recording_solve(rhs, lo, hi):
+        windows.append((lo, hi))
+        return solve(rhs, lo, hi)
+
+    gs.solve = recording_solve
+    return windows
+
+
+def _geometric_partition(ratio, n_atoms):
+    """Atom widths growing by `ratio` from left to right."""
+    bp = np.concatenate([[0.0], np.cumsum(ratio ** np.arange(n_atoms))])
+    return Partition1D(bp / bp[-1])
+
+
+def _check_kernel_columns(part, k):
+    """Block kernel columns against the dense inverse; returns whether a window widened."""
+    gs = GramSystem(SplineSpace1D(part, k))
+    Ginv = dense_dual_matrix(gs)
+    dim, n_atoms = gs.dimension, part.n_atoms
+    first, vals = gs.space.eval_basis_many(atom_chebyshev(part, NORM_SAMPLES_PER_ATOM).ravel())
+    solves = _record_windows(gs)
+    widened = False
+    for a0 in range(0, n_atoms, NORM_BLOCK_ATOMS):
+        a1 = min(a0 + NORM_BLOCK_ATOMS, n_atoms)
+        cols = np.arange(a0, a1 + k - 1)
+        xs = slice(a0 * NORM_SAMPLES_PER_ATOM, a1 * NORM_SAMPLES_PER_ATOM)
+        X = _basis_columns(first[xs], vals[xs], a0, a1 + k - 1)
+        solves.clear()
+        Z, lo, hi = _kernel_columns(gs, a0, a1, X)
+        assert solves[-1] == (lo, hi)
+        widened |= len(solves) > 1
+        assert np.max(np.abs(Z - Ginv[lo:hi, cols])) <= 1e-13 * np.abs(Ginv).max()
+        # the rows left out carry kernel mass below the tolerance: checked on a
+        # full-length solve, whose small entries keep their relative accuracy
+        full = GramSystem.solve(gs, np.eye(dim)[:, cols]) @ X
+        out = np.r_[0:lo, hi:dim]
+        bp = part.breakpoints
+        supp = bp[np.minimum(out, n_atoms - 1) + 1] - bp[np.maximum(out - k + 1, 0)]
+        assert np.all(np.abs(full[out]).max(axis=1, initial=0.0) * supp <= NORM_EDGE_TOL)
+    return widened
+
+
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 2 ** 16))
-def test_inverse_band_matches_dense_inverse(seed):
-    # orders 1-5 on a random and a floor-graded mesh; widths k-1, 20 and past dim (clamped)
+def test_kernel_columns_match_dense_inverse(seed):
+    # orders 2-6 on a 256-atom random mesh, where the windows are interior,
+    # and on a mesh graded to the width floor, where one window spans it
     rng = np.random.default_rng(seed)
-    parts = [random_filtration(seed, n_levels=6).axes[0].level(6),
+    parts = [random_filtration(seed, n_levels=7, p_split=1.0).axes[0].level(7),
              _graded_partition(float(rng.uniform(0, 1)))]
     assert min(parts[1].widths) < 2e-9
-    for part, k in itertools.product(parts, (1, 2, 3, 4, 5)):
-        gs = GramSystem(SplineSpace1D(part, k))
-        Ginv = dense_dual_matrix(gs)
-        dim = gs.dimension
-        for width in (k - 1, 20, dim + 3):
-            band = gs.inverse_band(width)
-            assert band.shape == (min(max(width, k - 1), dim - 1) + 1, dim)
-            want = np.zeros_like(band)
-            for o in range(band.shape[0]):
-                want[o, : dim - o] = np.diagonal(Ginv, -o)
-            assert np.max(np.abs(band - want)) <= 1e-13 * np.abs(Ginv).max()
+    for part, k in itertools.product(parts, (2, 3, 4, 5, 6)):
+        _check_kernel_columns(part, k)
+
+
+def test_kernel_columns_widen_on_a_geometric_mesh():
+    # widths growing by 20% per atom slow the decay toward the wide end
+    # beyond what the start radius allows for at order 4
+    assert _check_kernel_columns(_geometric_partition(1.2, 101), 4)
 
 
 @settings(max_examples=10, deadline=None)
@@ -397,14 +451,7 @@ def test_windowed_decay_profile_bit_exact_against_per_atom_oracle(seed, n_unifor
     graded = [_graded_partition(t) for t in (0.0, 0.37, 1.0)]
     for part, k in itertools.product(big + graded, range(1, 7)):
         gs = GramSystem(SplineSpace1D(part, k))
-        solve = gs.solve
-        windows = []
-
-        def recording_solve(rhs, lo, hi):
-            windows.append((lo, hi))
-            return solve(rhs, lo, hi)
-
-        gs.solve = recording_solve
+        windows = _record_windows(gs)
         for nx in (3, 8):
             windows.clear()
             got = decay_profile(gs, nx_per_atom=nx)
@@ -418,11 +465,32 @@ def test_windowed_decay_profile_bit_exact_against_per_atom_oracle(seed, n_unifor
             n_blocks = -(-part.n_atoms // DECAY_BLOCK_ATOMS)
             if part.n_atoms >= 384:
                 assert 0 < windows[0][1] < gs.dimension
-                # at orders 5 and 6 the 128-atom edges sit above the threshold,
-                # so blocks are solved again on a wider window
-                assert len(windows) > n_blocks or k < 5
+                # the start radius grows with the order, so no block is solved twice
+                assert len(windows) == n_blocks
             else:
                 assert windows == [(0, gs.dimension)]
+
+
+def test_widened_decay_windows_bit_exact_against_per_atom_oracle():
+    # a start radius a quarter as wide makes every interior window fail its
+    # edge check, so each block is solved again on a wider window
+    import splinelab.projector as projector
+
+    part = random_filtration(3, n_levels=7, p_split=1.0).axes[0].level(7)
+    for k in (2, 4, 6):
+        gs = GramSystem(SplineSpace1D(part, k))
+        windows = _record_windows(gs)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(projector, "EDGE_BITS_PER_ORDER", 4 * projector.EDGE_BITS_PER_ORDER)
+            got = decay_profile(gs, nx_per_atom=3)
+        assert len(windows) > -(-part.n_atoms // DECAY_BLOCK_ATOMS)
+        want = per_atom_decay_profile(gs, nx_per_atom=3)
+        assert np.array_equal(got.distances, want.distances)
+        assert np.array_equal(got.values, want.values)
+        assert got.q_hat == want.q_hat
+        assert got.c_hat == want.c_hat
+        assert got.c_env == want.c_env
+        assert got.fit_residual == want.fit_residual
 
 
 def test_operator_norm_matches_dense_inverse_oracle():
@@ -430,20 +498,45 @@ def test_operator_norm_matches_dense_inverse_oracle():
     cases = [(random_filtration(seed, n_levels=7).axes[0], 7) for seed in range(3)]
     cases.append((build_filtration(FiltrationSpec(d=1, interval=(0.0, 1.0), n_levels=6))
                   .axes[0], 6))
-    graded = _graded_partition(0.3)
-    for (axis, depth), k in itertools.product(cases, (1, 2, 3, 4, 5)):
+    for (axis, depth), k in itertools.product(cases, (1, 2, 3, 4, 5, 6)):
         for n in range(1, depth + 1):
             gs = GramSystem(SplineSpace1D(axis.level(n), k))
-            for window in (3, 64, 10_000):
+            for window in (0, 3, 64, 10_000):
                 got = operator_norm_1d(gs, window=window)
                 want = dense_operator_norm_1d(gs, window=window)
                 assert abs(got - want) <= 1e-13 * want
-    for k in (1, 2, 3, 4, 5):
-        gs = GramSystem(SplineSpace1D(graded, k))
-        for window in (3, 64, 10_000):
+    for target, k in itertools.product((0.0, 0.3, 1.0), (1, 2, 3, 4, 5, 6)):
+        gs = GramSystem(SplineSpace1D(_graded_partition(target), k))
+        for window in (0, 3, 64, 10_000):
             got = operator_norm_1d(gs, nx_per_atom=6, ny_per_atom=6, window=window)
             want = dense_operator_norm_1d(gs, 6, 6, window=window)
             assert abs(got - want) <= 1e-13 * want
+
+
+def test_kernel_arguments_fail_closed():
+    # a negative window once failed inside sliding_window_view, and zero
+    # samples per atom with "cannot reshape" or "zero-size array"
+    F = random_filtration(2, n_levels=5)
+    gs = GramSystem(SplineSpace1D(F.axes[0].level(5), 3))
+    tp = TensorProjector.for_level(F, 5, 3)
+    for bad in (0, -1, 2.5, 8.0, "8", None, True):
+        for name in ("nx_per_atom", "ny_per_atom"):
+            with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
+                operator_norm_1d(gs, **{name: bad})
+            with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
+                operator_norm_inf(tp, **{name: bad})
+        with pytest.raises(ValueError, match="nx_per_atom must be an integer >= 1"):
+            decay_profile(gs, nx_per_atom=bad)
+    for bad in (-1, -5, 1.5, None):
+        with pytest.raises(ValueError, match="window must be an integer >= 0"):
+            operator_norm_1d(gs, window=bad)
+        with pytest.raises(ValueError, match="window must be an integer >= 0"):
+            operator_norm_inf(tp, window=bad)
+    # the k = 1 path checks its arguments too
+    gs1 = GramSystem(SplineSpace1D(F.axes[0].level(5), 1))
+    with pytest.raises(ValueError, match="window must be an integer >= 0"):
+        operator_norm_1d(gs1, window=-5)
+    assert operator_norm_1d(gs, nx_per_atom=np.int64(2), window=0) > 1.0
 
 
 def test_decay_profile_bit_exact_against_per_atom_oracle():
