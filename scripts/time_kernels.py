@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Time the 1-D dual kernels at three depths and fit their scaling exponents.
+"""Time the 1-D dual kernels and the maximal level sums at three depths and
+fit their scaling exponents.
 
     python scripts/time_kernels.py > kernels.json
 
@@ -10,10 +11,21 @@ points each, solved on all rows), `decay_profile`, the kernel columns of
 NORM_BLOCK_ATOMS x-atoms, without the y-integral) and `operator_norm_1d`
 itself, for orders 2-5 at depths 8, 9 and 10 of a
 random-bisection mesh (3 base atoms, every atom split at a random fraction in
-[0.35, 0.65], seed SEED: 384, 768 and 1,536 atoms).  Each time is the
-median of REPEATS calls.  Prints JSON with every timing and, per kernel and
-order, the slope of log(seconds) against log(dim).  BLAS runs on one thread
-unless OPENBLAS_NUM_THREADS is set.
+[0.35, 0.65], seed SEED: 384, 768 and 1,536 atoms).
+
+For the maximal machinery it times, in d = 1 and d = 2 on the
+random-bisection mesh of the maximal-covering benchmark (1 base atom,
+2^depth atoms per axis; depths MAXIMAL_DEPTHS[d]):
+  conv_lengths     building one finest-level conv-length matrix H;
+  level_sum_field  the finest level's sum with H already cached, the cost
+                   of every q and measure after the first;
+  maximal_field    max over levels 2..depth, once for each q in Q_VALUES on
+                   one compiled measure, from a cold H cache: one seed of
+                   the covering experiment.
+Each time is the median of REPEATS calls.  Prints JSON with every timing
+and the slope of log(seconds) against log(dim), per kernel and order for
+the dual kernels and per kernel and d (dim = atoms per axis) for the
+maximal ones.  BLAS runs on one thread unless OPENBLAS_NUM_THREADS is set.
 """
 
 import json
@@ -26,8 +38,10 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np  # noqa: E402
 
-from splinelab import FiltrationSpec, SplineSpace1D, build_filtration  # noqa: E402
+from splinelab import (FiltrationSpec, HybridMeasure, Partition1D, SplineSpace1D,  # noqa: E402
+                       build_filtration, compile_masses, maximal_field)
 from splinelab.bspline import atom_chebyshev  # noqa: E402
+from splinelab.maximal import level_sum_field  # noqa: E402
 from splinelab.projector import (  # noqa: E402
     DECAY_BLOCK_ATOMS,
     NORM_BLOCK_ATOMS,
@@ -41,9 +55,12 @@ from splinelab.projector import (  # noqa: E402
 )
 
 KERNELS = ("duals_at", "decay_profile", "kernel_columns", "operator_norm_1d")
+MAXIMAL_KERNELS = ("conv_lengths", "level_sum_field", "maximal_field")
 
 DEPTHS = (8, 9, 10)
 ORDERS = (2, 3, 4, 5)
+MAXIMAL_DEPTHS = {1: (8, 9, 10), 2: (7, 8, 9)}
+Q_VALUES = (0.3, 0.5, 0.8)
 REPEATS = 3    # calls per timing; the median is reported
 SEED = 0       # mesh seed
 
@@ -69,6 +86,46 @@ def kernel_blocks(gs, cheb):
     return blocks
 
 
+def slope(pts):
+    """Least-squares slope of log(seconds) against log(dim) over (dim, seconds) pairs."""
+    dims, secs = np.array(pts).T
+    return round(float(np.polyfit(np.log(dims), np.log(secs), 1)[0]), 3)
+
+
+def maximal_rows():
+    """Timings of the conv-length build, one cached level sum and a cold three-q maximal field."""
+    rule = {"name": "random-atom-bisect", "p_split": 1.0,
+            "split_range": [0.35, 0.65], "base_atoms": 1}
+    rows = []
+    for d, depths in MAXIMAL_DEPTHS.items():
+        theta = HybridMeasure(d=d, density=lambda *g: 1.0 + 0.5 * np.sin(3 * sum(g)),
+                              diracs=[(np.full(d, 0.3), np.array([1.0]))], density_quad_points=4)
+        for depth in depths:
+            F = build_filtration(FiltrationSpec(d=d, interval=(0.0, 1.0), n_levels=depth,
+                                                rules=[rule] * d, seed=SEED))
+            masses = compile_masses(theta, F)
+            finest = F.axes[0].level(depth)
+            level_sum_field(0.5, masses, depth)     # fills the cache of the finest level
+
+            def cold_maximal():
+                # drop every cached H (a cached_property lives in the instance dict)
+                for ax in F.axes:
+                    for part in ax.levels:
+                        vars(part).pop("conv_lengths", None)
+                for q in Q_VALUES:
+                    maximal_field(q, masses, F, K=2)
+
+            kernels = {
+                "conv_lengths": lambda: Partition1D(finest.breakpoints).conv_lengths,
+                "level_sum_field": lambda: level_sum_field(0.5, masses, depth),
+                "maximal_field": cold_maximal,
+            }
+            for name, fn in kernels.items():
+                rows.append({"kernel": name, "d": d, "depth": depth, "dim": finest.n_atoms,
+                             "seconds": median_seconds(fn)})
+    return rows
+
+
 def main():
     rule = {"name": "random-atom-bisect", "p_split": 1.0,
             "split_range": [0.35, 0.65], "base_atoms": 3}
@@ -92,13 +149,15 @@ def main():
             for name, fn in kernels.items():
                 rows.append({"kernel": name, "k": k, "depth": depth, "atoms": part.n_atoms,
                              "dim": gs.dimension, "seconds": median_seconds(fn)})
-    exponents = {}
-    for name in KERNELS:
-        exponents[name] = {}
-        for k in ORDERS:
-            pts = [(r["dim"], r["seconds"]) for r in rows if r["kernel"] == name and r["k"] == k]
-            dims, secs = np.array(pts).T
-            exponents[name][str(k)] = round(float(np.polyfit(np.log(dims), np.log(secs), 1)[0]), 3)
+    exponents = {
+        name: {str(k): slope([(r["dim"], r["seconds"]) for r in rows
+                              if r["kernel"] == name and r["k"] == k]) for k in ORDERS}
+        for name in KERNELS}
+    mrows = maximal_rows()
+    exponents.update({
+        name: {f"d{d}": slope([(r["dim"], r["seconds"]) for r in mrows
+                               if r["kernel"] == name and r["d"] == d]) for d in MAXIMAL_DEPTHS}
+        for name in MAXIMAL_KERNELS})
     out = {
         "machine": {"python": platform.python_version(), "numpy": np.__version__,
                     "cpus": os.cpu_count(),
@@ -106,8 +165,10 @@ def main():
         "settings": {"seed": SEED, "repeats": REPEATS, "depths": list(DEPTHS),
                      "orders": list(ORDERS), "decay_block_atoms": DECAY_BLOCK_ATOMS,
                      "norm_block_atoms": NORM_BLOCK_ATOMS,
-                     "norm_window_atoms": NORM_WINDOW_ATOMS},
-        "timings": rows,
+                     "norm_window_atoms": NORM_WINDOW_ATOMS,
+                     "maximal_depths": {f"d{d}": list(v) for d, v in MAXIMAL_DEPTHS.items()},
+                     "q_values": list(Q_VALUES)},
+        "timings": rows + mrows,
         "exponents": exponents,
     }
     print(json.dumps(out, indent=2))

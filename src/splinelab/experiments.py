@@ -327,32 +327,49 @@ def run_weaktype(cfg: dict):
     return rows, log, {}
 
 
+def _required(params: dict, key: str, where: str):
+    """params[key]; a ValueError naming the key when the config leaves it out."""
+    if key not in params:
+        raise ValueError(f"{where} needs parameter {key!r}")
+    return params[key]
+
+
 def run_covering(cfg: dict):
     p = cfg["params"]
     rows = [("case", "q", "seed", "t", "lhs_volume", "rhs_bound", "ratio")]
     log = AssertionLog()
     overall = 0.0
+    n_points = int(_required(p, "t_points", "covering experiment"))
     for case in p["cases"]:
-        d = int(case["d"])
-        depth = int(case["depth"])
-        K = int(case.get("K", 2))
+        K = int(_required(case, "K", "covering case"))
         for s_i in range(int(p["n_seeds"])):
             seed = int(cfg["seed"]) + s_i
-            rng = np.random.default_rng(seed)
-            F = _filtration([dict(case["rule"])] * d, d, p["interval"], depth, seed)
-            theta = _random_nonnegative_measure(rng, d, p["interval"])
-            masses = compile_masses(theta, F)
-            shape_K = F.level_shape(K)
-            B = _random_atom_block(rng, K, shape_K)
-            for q in p["q_values"]:
-                field_ = maximal_field(float(q), masses, F, K=K, N_max=depth)
-                report = covering_report(field_, masses, B,
-                                         _log_t_grid(field_, int(p.get("t_points", 20))))
-                cols = (report.t_grid, report.lhs_volumes, report.rhs_bounds, report.ratios)
-                rows.extend((f"d{d}", float(q), seed) + row for row in zip(*cols))
-                overall = max(overall, report.max_ratio)
-                log.check_le(f"covering_d{d}_q{q}_seed{seed}", report.max_ratio, 1.0)
+            overall = max(overall, _covering_seed(p, case, K, seed, n_points, rows, log))
     return rows, log, {"max_ratio": overall}
+
+
+def _covering_seed(p, case, K, seed, n_points, rows, log) -> float:
+    """One seed of run_covering: append its rows and checks, return its largest ratio.
+
+    The seed's filtration (with the conv lengths its kernels cache), masses,
+    fields and reports are freed on return, before the next seed compiles
+    its masses: that call sets the experiment's peak memory.
+    """
+    d, depth = int(case["d"]), int(case["depth"])
+    rng = np.random.default_rng(seed)
+    F = _filtration([dict(case["rule"])] * d, d, p["interval"], depth, seed)
+    theta = _random_nonnegative_measure(rng, d, p["interval"])
+    masses = compile_masses(theta, F)
+    B = _random_atom_block(rng, K, F.level_shape(K))
+    top = 0.0
+    for q in p["q_values"]:
+        field_ = maximal_field(float(q), masses, F, K=K, N_max=depth)
+        report = covering_report(field_, masses, B, _log_t_grid(field_, n_points))
+        cols = (report.t_grid, report.lhs_volumes, report.rhs_bounds, report.ratios)
+        rows.extend((f"d{d}", float(q), seed) + row for row in zip(*cols))
+        top = max(top, report.max_ratio)
+        log.check_le(f"covering_d{d}_q{q}_seed{seed}", report.max_ratio, 1.0)
+    return top
 
 
 def _log_t_grid(field_, n_points):

@@ -10,11 +10,15 @@ whole tensor grid.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 # refinement never creates an atom thinner than this fraction of |I|
 MIN_WIDTH_FRACTION = 1e-9
+
+# rows per block of the conv-length build: its (rows, rows) temporary stays in cache
+CONV_BLOCK_ROWS = 64
 
 # refinement rules, each with the keys it reads besides name, base_atoms and base_jitter
 REFINEMENT_RULES = {
@@ -69,6 +73,28 @@ class Partition1D:
     @property
     def widths(self) -> np.ndarray:
         return np.diff(self.breakpoints)
+
+    @cached_property
+    def conv_lengths(self) -> np.ndarray:
+        """Read-only H[a, b] = bp[max(a, b) + 1] - bp[min(a, b)], the length of conv(atom a u atom b).
+
+        Built once per partition and kept with it (8 n^2 bytes), row block by
+        row block into the one n x n array: left of a block's diagonal part
+        H = bp[a+1] - bp[b], right of it bp[b+1] - bp[a], and on it the larger
+        of the two.  Each entry is the same single rounded subtraction as in
+        max(D, D^T) with D[a, b] = bp[a+1] - bp[b], so H equals it bit for bit.
+        """
+        lo, hi = self.breakpoints[:-1], self.breakpoints[1:]
+        n = len(lo)
+        H = np.empty((n, n))
+        for r0 in range(0, n, CONV_BLOCK_ROWS):
+            r1 = min(r0 + CONV_BLOCK_ROWS, n)
+            np.subtract(hi[r0:r1, None], lo[:r1], out=H[r0:r1, :r1])
+            np.subtract(hi[r1:], lo[r0:r1, None], out=H[r0:r1, r1:])
+            block = H[r0:r1, r0:r1]
+            np.maximum(block, np.subtract(hi[r0:r1], lo[r0:r1, None]), out=block)
+        H.flags.writeable = False
+        return H
 
     def atom(self, j: int) -> Interval:
         if not 0 <= j < self.n_atoms:

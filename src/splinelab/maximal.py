@@ -14,11 +14,17 @@ carry no sampling error.
 Both the kernel weight q^{|i-j|_1} and the conv volume factorize over axes, so
 a level sum is a sequence of per-axis matrix contractions of the level's mass
 tensor rather than a double loop over atom pairs.  A per-axis kernel is a
-Toeplitz gather of the powers q^0..q^{n-1} over the outer hull lengths
-max(bp[a+1] - bp[b], bp[b+1] - bp[a]).  The running max over levels is carried
-coarse to fine (level n maxes its sums with the level n-1 maximum gathered to
-level-n atoms) and is spread onto the finest grid once; max and gather are
-exact, so the field does not depend on that order.
+Toeplitz gather of the powers q^0..q^{n-1} divided by the outer hull lengths
+H[a, b] = max(bp[a+1] - bp[b], bp[b+1] - bp[a]).  H does not depend on q or on
+the measure: each level partition builds it once, on first use, and keeps it
+(8 n^2 bytes per axis and level, read-only) for as long as the filtration
+lives.  Each entry is one rounded subtraction, the same one for every caller,
+so kernels and fields are bit-identical to a fresh build per call.
+
+The running max over levels is carried coarse to fine (level n maxes its sums
+with the level n-1 maximum gathered to level-n atoms) and is spread onto the
+finest grid once; max and gather are exact, so the field does not depend on
+that order.
 
 The covering-bound verification uses the explicit proof constant
 2^d * (2/(1-sqrt(q)))^d and a rigorously bounded truncation tail, so the
@@ -45,14 +51,17 @@ def _check_q(q: float) -> None:
         raise ValueError(f"q must lie in [0, 1), got {q}")
 
 
-def _axis_kernel(bp: np.ndarray, q: float) -> np.ndarray:
+def _axis_kernel(part: Partition1D, q: float) -> np.ndarray:
     """Matrix K[a, b] = q^|a-b| / conv-length of atoms a..b on one axis.
 
     The d-dimensional b-term kernel is the tensor product of these per-axis
-    matrices, since both q^{|i-j|_1} and |conv| factorize over axes.
+    matrices, since both q^{|i-j|_1} and |conv| factorize over axes.  Only
+    the Toeplitz powers are built per call; the conv lengths are the
+    partition's cached `conv_lengths`, shared by every q and measure.
     """
-    hull = np.subtract.outer(bp[1:], bp[:-1])   # bp[a+1] - bp[b]: conv length when a >= b
-    return toeplitz(np.power(q, np.arange(len(bp) - 1))) / np.maximum(hull, hull.T)
+    K = toeplitz(np.power(q, np.arange(part.n_atoms)))
+    K /= part.conv_lengths
+    return K
 
 
 def level_sum_field(q: float, masses: CompiledMasses, n: int) -> np.ndarray:
@@ -62,7 +71,7 @@ def level_sum_field(q: float, masses: CompiledMasses, n: int) -> np.ndarray:
     S = np.asarray(masses.level_masses(n), dtype=float)
     if np.any(S < 0):
         raise ValueError("level sums need a nonnegative measure")
-    return mode_apply(S, [_axis_kernel(ax.level(n).breakpoints, q).__matmul__ for ax in F.axes])
+    return mode_apply(S, [_axis_kernel(ax.level(n), q).__matmul__ for ax in F.axes])
 
 
 @dataclass
@@ -125,16 +134,18 @@ def superlevel_measure(Mf: MaximalField, t, within: AtomSet = None):
 # the covering bound (weak-type inequality with explicit proof constant)
 
 
-def weak_series_tail(q: float, d: int, R: int) -> float:
-    """Rigorous upper bound for sum_{s > R} q^{s/2} (s+1)^{d-1}.
+def weak_series_tail(q: float, d: int):
+    """The map R -> rigorous upper bound for sum_{s > R} q^{s/2} (s+1)^{d-1}.
 
     Majorize (s+1)^{d-1} rho^s by C_eta eta^s with rho = sqrt(q) and
     eta = (1+rho)/2 < 1; the remaining geometric tail is summed in closed
-    form, so the result is a true upper bound for every R >= -1.
+    form, so the result is a true upper bound for every R >= -1.  The
+    constants depend on q and d only and are computed once per map, not
+    once per term of the series that the callers sum.
     """
     _check_q(q)
     if q == 0.0:
-        return 0.0
+        return lambda R: 0.0
     rho = np.sqrt(q)
     eta = (1.0 + rho) / 2.0
     r = rho / eta
@@ -144,17 +155,18 @@ def weak_series_tail(q: float, d: int, R: int) -> float:
         s_star = (d - 1) / np.log(1.0 / r) - 1.0
         cands = {0, int(np.floor(s_star)), int(np.ceil(s_star))}
         c_eta = max((s + 1) ** (d - 1) * r ** s for s in cands if s >= 0)
-    return float(c_eta * eta ** (R + 1) / (1.0 - eta))
+    return lambda R: float(c_eta * eta ** (R + 1) / (1.0 - eta))
 
 
 def weak_series_total(q: float, d: int) -> float:
     """Upper bound for sum_{s >= 0} q^{s/2} (s+1)^{d-1} (partial sum + tail)."""
+    tail_after = weak_series_tail(q, d)
     total, s = 0.0, 0
     rho = np.sqrt(q)
     while True:
         term = rho ** s * (s + 1) ** (d - 1)
         total += term
-        tail = weak_series_tail(q, d, s)
+        tail = tail_after(s)
         if tail <= SERIES_REL_TOL * total or s > 100000:
             return float(total + tail)
         s += 1
@@ -201,6 +213,7 @@ def covering_series_bound(F: TensorFiltration, theta, K: int, B: AtomSet,
     theta_total = float(theta_of_neigh[-1])
     rho = np.sqrt(q)
     d = F.d
+    tail_after = weak_series_tail(q, d)
 
     def term(s):
         covered = theta_of_neigh[min(s, smax_grid)]
@@ -209,7 +222,7 @@ def covering_series_bound(F: TensorFiltration, theta, K: int, B: AtomSet,
     partial, s = 0.0, 0
     while True:
         partial += term(s)
-        tail = weak_series_tail(q, d, s) * theta_total
+        tail = tail_after(s) * theta_total
         if s >= smax_grid and (tail <= SERIES_REL_TOL * partial or partial == 0.0):
             return SeriesBound(partial=float(partial), tail=float(tail))
         s += 1

@@ -92,11 +92,13 @@ class CompiledMasses:
         if theta.density is None:
             return np.zeros(F.level_shape(F.n_levels))
         quad = TensorQuadrature([ax.level(F.n_levels) for ax in F.axes], theta.density_quad_points)
+        vals = theta.density_values(*quad.grids)
+        if vals.shape[-1] == 1:
+            # |g| is exact; sqrt(g^2) equals it bit for bit unless g^2 under- or overflows
+            return quad.atom_integrals(np.abs(vals))[..., 0]
         # ||g|| with np.linalg.norm's arithmetic (sqrt of the summed squares),
         # but one full-grid temporary instead of three
-        sq = np.square(theta.density_values(*quad.grids))
-        if sq.shape[-1] > 1:
-            sq = np.add.reduce(sq, axis=-1, keepdims=True)
+        sq = np.add.reduce(np.square(vals), axis=-1, keepdims=True)
         return quad.atom_integrals(np.sqrt(sq, out=sq))[..., 0]
 
     def _with_diracs(self, density_masses, n):
@@ -104,6 +106,8 @@ class CompiledMasses:
         maps = self.F.finest_parent_maps(n)
         for index, value in self._dirac_entries:
             out[tuple(int(mp[j]) for mp, j in zip(maps, index))] += value
+        if not np.all(np.isfinite(out)):
+            raise ValueError(f"compiled masses at level {n} are not finite")
         return out
 
     def level_masses(self, n: int) -> np.ndarray:

@@ -166,6 +166,16 @@ def per_atom_decay_profile(gs, nx_per_atom=8):
     return _fit_profile(prof)
 
 
+def per_entry_conv_lengths(bp):
+    """Conv-length oracle: entry by entry, bp[max(a,b)+1] - bp[min(a,b)]."""
+    n = len(bp) - 1
+    conv = np.empty((n, n))
+    for a in range(n):
+        for b in range(n):
+            conv[a, b] = bp[max(a, b) + 1] - bp[min(a, b)]
+    return conv
+
+
 def per_entry_axis_kernel(bp, q):
     """Axis-kernel oracle: entry by entry, q^|a-b| / (bp[max(a,b)+1] - bp[min(a,b)]).
 
@@ -173,13 +183,8 @@ def per_entry_axis_kernel(bp, q):
     numpy's vectorized power may differ from Python's ** in the last ulp.
     """
     n = len(bp) - 1
-    dist = np.empty((n, n), dtype=int)
-    conv = np.empty((n, n))
-    for a in range(n):
-        for b in range(n):
-            dist[a, b] = abs(a - b)
-            conv[a, b] = bp[max(a, b) + 1] - bp[min(a, b)]
-    return np.power(q, dist) / conv
+    dist = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    return np.power(q, dist) / per_entry_conv_lengths(bp)
 
 
 def finest_grid_max_field(q, masses, F, K, N_max):

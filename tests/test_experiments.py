@@ -195,6 +195,15 @@ def test_run_experiment_rejects_misspelt_case_and_tensor_check_keys():
     assert run_experiment(cfg, quiet=True) == 0
 
 
+@pytest.mark.parametrize("where, key", [("case", "K"), ("experiment", "t_points")])
+def test_covering_names_a_missing_key(where, key):
+    # both once fell back to a second default (K = 2, 20 thresholds)
+    cfg = small_config("covering")
+    (cfg["params"]["cases"][0] if where == "case" else cfg["params"]).pop(key)
+    with pytest.raises(ValueError, match=f"covering {where} needs parameter '{key}'"):
+        run_experiment(cfg, quiet=True)
+
+
 def test_covering_builds_one_maximal_field_per_seed_and_q(tmp_path, monkeypatch):
     import splinelab.maximal as maximal
 

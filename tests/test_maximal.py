@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -18,6 +19,7 @@ from splinelab import (
     verify_covering_bound,
     weak_series_total,
 )
+from splinelab.experiments import default_config, run_experiment
 from splinelab.maximal import (
     _axis_kernel,
     hl_weak_type_ratio,
@@ -26,7 +28,8 @@ from splinelab.maximal import (
 )
 
 from conftest import (atom_distance, atom_set_from_mask, b_term, finest_grid_max_field, level_sum,
-                      measure_of_atom, per_entry_axis_kernel, random_filtration)
+                      measure_of_atom, per_entry_axis_kernel, per_entry_conv_lengths,
+                      random_filtration)
 
 
 def lebesgue(d):
@@ -208,8 +211,8 @@ def test_weak_series_tail_is_upper_bound():
             rho = np.sqrt(q)
             for R in (0, 3, 10):
                 exact_tail = sum((s + 1) ** (d - 1) * rho ** s for s in range(R + 1, 4000))
-                assert weak_series_tail(q, d, R) >= exact_tail
-    assert weak_series_tail(0.0, 2, 0) == 0.0
+                assert weak_series_tail(q, d)(R) >= exact_tail
+    assert weak_series_tail(0.0, 2)(0) == 0.0
 
 
 def test_weak_series_total_majorizes():
@@ -402,8 +405,57 @@ def test_axis_kernel_matches_per_entry_oracle(q):
     fine = graded.axes[0].level(40).breakpoints
     assert np.diff(fine).min() < 2e-9
     meshes.append(fine)
+    # a mesh of more than CONV_BLOCK_ROWS atoms, so the build crosses row blocks
+    meshes.append(np.concatenate([[0.0], np.cumsum(rng.uniform(1e-3, 1.0, 150))]))
     for bp in meshes:
-        assert np.array_equal(_axis_kernel(bp, q), per_entry_axis_kernel(bp, q))
+        part = Partition1D(bp)
+        assert np.array_equal(part.conv_lengths, per_entry_conv_lengths(bp))
+        assert np.array_equal(_axis_kernel(part, q), per_entry_axis_kernel(bp, q))
+
+
+def test_one_covering_seed_builds_each_conv_length_matrix_once(monkeypatch):
+    # the three q values of one seed share the filtration, so each level
+    # partition of each axis builds H once, whatever the number of q
+    build = Partition1D.conv_lengths.func
+    built = []
+
+    def counted(part):
+        built.append(part)        # holding the partition keeps its id unique
+        return build(part)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(Partition1D, "conv_lengths")
+    monkeypatch.setattr(Partition1D, "conv_lengths", prop)
+    cfg = default_config("covering")
+    cfg["params"]["n_seeds"] = 1
+    cfg["params"]["cases"] = [dict(c, depth=5) for c in cfg["params"]["cases"]]
+    assert len(cfg["params"]["q_values"]) == 3
+    assert run_experiment(cfg, quiet=True) == 0
+    used_levels = sum(c["d"] * (c["depth"] - c["K"] + 1) for c in cfg["params"]["cases"])
+    assert len({id(part) for part in built}) == len(built) == used_levels
+
+
+def test_fields_on_a_shared_filtration_equal_fields_on_fresh_copies():
+    # the cached conv lengths are shared across q and measures; sharing them
+    # must not change a bit, and nobody may write into them
+    def setup():
+        F = random_filtration(9, d=2, n_levels=6)
+        return F, [compile_masses(HybridMeasure(
+            d=2, density=lambda x, y, c=c: c + x * np.broadcast_arrays(x, y)[1],
+            diracs=[(np.array([0.3, 0.7]), np.array([c]))], density_quad_points=3), F)
+            for c in (0.5, 2.0)]
+
+    F, shared = setup()
+    for q in (0.3, 0.5, 0.8):
+        for i, masses in enumerate(shared):
+            F_new, fresh = setup()
+            assert np.array_equal(maximal_field(q, masses, F, K=2).values,
+                                  maximal_field(q, fresh[i], F_new, K=2).values)
+    H = F.axes[0].level(6).conv_lengths
+    assert H is F.axes[0].level(6).conv_lengths
+    assert not H.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        H[0, 0] = 1.0
 
 
 @pytest.mark.parametrize("d, n_levels, K, N_max",

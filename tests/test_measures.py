@@ -142,8 +142,9 @@ def test_scalar_variation_of_vector_measure():
 
 @pytest.mark.parametrize("m", [1, 3])
 def test_compiled_density_masses_equal_norm_of_values(dyadic_2d, m):
-    # bit for bit the quadrature of np.linalg.norm over the value axis, including
-    # atoms x < 1/4 where every square underflows
+    # bit for bit the quadrature of the norm over the value axis: |g| for a
+    # scalar measure, exact on atoms x < 1/4 where every square underflows,
+    # and np.linalg.norm's sqrt of summed squares for m > 1
     from splinelab.bspline import TensorQuadrature
 
     F = dyadic_2d
@@ -154,9 +155,29 @@ def test_compiled_density_masses_equal_norm_of_values(dyadic_2d, m):
 
     theta = HybridMeasure(d=2, density=dens, m=m, density_quad_points=5)
     quad = TensorQuadrature([ax.level(4) for ax in F.axes], 5)
-    vals = np.linalg.norm(theta.density_values(*quad.grids), axis=-1, keepdims=True)
+    g = theta.density_values(*quad.grids)
+    vals = np.abs(g) if m == 1 else np.linalg.norm(g, axis=-1, keepdims=True)
     want = quad.atom_integrals(vals)[..., 0]
     assert np.array_equal(compile_masses(theta, F).finest, want)
+    assert m > 1 or want[0].min() > 0
+
+
+@pytest.mark.parametrize("c", [1e-170, 1e200])
+def test_scalar_density_masses_exact_where_squares_under_or_overflow(dyadic_2d, c):
+    # sqrt(g^2) read a density of 1e-170 as 0 and one of 1e200 as inf
+    theta = HybridMeasure(d=2, density=lambda x, y: np.full(np.broadcast(x, y).shape, c))
+    F = dyadic_2d
+    with np.errstate(all="raise"):
+        masses = compile_masses(theta, F)
+    assert np.allclose(masses.finest, c * F.atom_volumes(F.n_levels), rtol=1e-14, atol=0)
+    assert masses.level_masses(1).sum() == pytest.approx(c, rel=1e-14)
+
+
+def test_non_finite_compiled_masses_rejected(dyadic_2d):
+    # ||g|| of a vector density of 1e200 overflows; compiling must fail, not return inf
+    theta = HybridMeasure(d=2, m=2, density=lambda x, y: np.full(np.broadcast(x, y).shape + (2,), 1e200))
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="not finite"):
+        compile_masses(theta, dyadic_2d)
 
 
 def test_density_catalog_singular_integrable():
