@@ -1,11 +1,11 @@
 """Command-line entry point: one subcommand per experiment.
 
     splinelab covering --out results/ --seed 4004
-    splinelab converge --config my_converge.json --out results/ --depth 6
+    splinelab decay --config my_decay.json --out results/ --depth 6
 
 Without --config the fully explicit built-in default config runs; --seed and
---depth override the corresponding config fields.  Exit status is zero iff
-every asserted bound holds.
+--depth override the config fields (experiments with cases reject --depth).
+Exit status: 0 iff every asserted bound holds, 1 if one fails, 2 on a bad config.
 """
 
 from __future__ import annotations
@@ -36,14 +36,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config) if args.config else default_config(args.experiment)
+        if cfg["experiment"] != args.experiment:
+            raise ValueError(f"config is for {cfg['experiment']!r}, "
+                             f"subcommand is {args.experiment!r}")
+        if args.depth is not None and "cases" in cfg["params"]:
+            raise ValueError(f"--depth does not apply to {args.experiment}: "
+                             "each of its cases sets its own depth")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.config and cfg["experiment"] != args.experiment:
-        print(
-            f"error: config is for {cfg['experiment']!r}, subcommand is {args.experiment!r}",
-            file=sys.stderr,
-        )
         return 2
     if args.seed is not None:
         cfg["seed"] = args.seed

@@ -150,7 +150,7 @@ def run_decay(cfg: dict):
     depth = int(cfg["depth"])
     rows = [("seed", "level", "k", "s", "max_value", "q_hat", "c_hat")]
     log = AssertionLog()
-    q_cap = float(p.get("q_max", 0.99))
+    q_cap = float(p["q_max"])
     worst_q, worst_resid = {}, {}
     for k in p["orders"]:
         for s_i in range(int(p["n_seeds"])):
@@ -159,7 +159,7 @@ def run_decay(cfg: dict):
             space = SplineSpace1D(F.axes[0].level(depth), int(k))
             if space.dimension < 2 * int(k):
                 raise ValueError("decay experiment needs a richer final level; increase depth")
-            prof = decay_profile(GramSystem(space), nx_per_atom=int(p.get("samples_per_atom", 8)))
+            prof = decay_profile(GramSystem(space), nx_per_atom=int(p["samples_per_atom"]))
             for s, v in zip(prof.distances, prof.values):
                 rows.append((seed, depth, int(k), int(s), v, prof.q_hat, prof.c_hat))
             worst_q[int(k)] = max(worst_q.get(int(k), 0.0), prof.q_hat)
@@ -205,11 +205,14 @@ def run_shadrin(cfg: dict):
     depth = int(cfg["depth"])
     rows = [("seed", "level", "k", "s", "max_value", "q_hat", "c_hat")]
     log = AssertionLog()
-    k1_tol = float(p.get("k1_tol", 1e-12))
-    var_bound = float(p.get("variation_bound", 0.05))
-    nx = int(p.get("samples_per_atom", 8))
-    ny = int(p.get("quad_per_atom", 8))
-    window = int(p.get("window", 64))
+    k1_tol = float(p["k1_tol"])
+    var_bound = float(p["variation_bound"])
+    nx = int(p["samples_per_atom"])
+    ny = int(p["quad_per_atom"])
+    window = int(p["window"])
+    tc = p["tensor_check"]
+    if int(tc["d"]) != 2 or len(tc["orders"]) != 2:  # the dense oracle is 2-d only
+        raise ValueError(f"shadrin tensor_check needs d = 2 and two orders, got {tc}")
     for k in p["orders"]:
         for s_i in range(int(p["n_seeds"])):
             seed = int(cfg["seed"]) + s_i
@@ -229,18 +232,13 @@ def run_shadrin(cfg: dict):
             else:
                 spread = float((norms.max() - norms.min()) / norms.max())
                 log.check_le(f"depth_variation_k{k}_seed{seed}", spread, var_bound)
-    tc = p.get("tensor_check")
-    if tc:
-        F2 = _filtration([dict(p["rule"]), dict(p["rule"])], 2, p["interval"],
-                         int(tc["depth"]), int(cfg["seed"]))
-        tp2 = TensorProjector.for_level(F2, int(tc["depth"]), tuple(tc["orders"]))
-        est = operator_norm_inf(tp2, nx_per_atom=6, ny_per_atom=6, window=window)
-        direct = _dense_tensor_norm_2d(tp2, nx=6, ny=6)
-        log.check_le(
-            "tensor_norm_equals_axis_product",
-            float(abs(est.value - direct)),
-            float(p.get("tensor_tol", 1e-9)),
-        )
+    F2 = _filtration([dict(p["rule"]), dict(p["rule"])], 2, p["interval"],
+                     int(tc["depth"]), int(cfg["seed"]))
+    tp2 = TensorProjector.for_level(F2, int(tc["depth"]), tuple(tc["orders"]))
+    est = operator_norm_inf(tp2, nx_per_atom=6, ny_per_atom=6, window=window)
+    direct = _dense_tensor_norm_2d(tp2, nx=6, ny=6)
+    log.check_le("tensor_norm_equals_axis_product", float(abs(est.value - direct)),
+                 float(p["tensor_tol"]))
     return rows, log, {}
 
 
@@ -327,21 +325,14 @@ def run_weaktype(cfg: dict):
     return rows, log, {}
 
 
-def _required(params: dict, key: str, where: str):
-    """params[key]; a ValueError naming the key when the config leaves it out."""
-    if key not in params:
-        raise ValueError(f"{where} needs parameter {key!r}")
-    return params[key]
-
-
 def run_covering(cfg: dict):
     p = cfg["params"]
     rows = [("case", "q", "seed", "t", "lhs_volume", "rhs_bound", "ratio")]
     log = AssertionLog()
     overall = 0.0
-    n_points = int(_required(p, "t_points", "covering experiment"))
+    n_points = int(p["t_points"])
     for case in p["cases"]:
-        K = int(_required(case, "K", "covering case"))
+        K = int(case["K"])
         for s_i in range(int(p["n_seeds"])):
             seed = int(cfg["seed"]) + s_i
             overall = max(overall, _covering_seed(p, case, K, seed, n_points, rows, log))
@@ -411,7 +402,7 @@ def run_converge(cfg: dict):
     p = cfg["params"]
     rows = [("case", "function", "level", "max_error", "fraction_below_tol")]
     log = AssertionLog()
-    tol = float(p.get("tol", 1e-3))
+    tol = float(p["tol"])
     for case in p["cases"]:
         d = int(case["d"])
         depth = int(case["depth"])
@@ -420,7 +411,7 @@ def run_converge(cfg: dict):
                         int(cfg["seed"]))
         for fname in p["catalog"]:
             f = function_catalog(fname, d)
-            seq = make_sequence(F, f, orders, quad_points=int(p.get("quad_points", 8)))
+            seq = make_sequence(F, f, orders, quad_points=int(p["quad_points"]))
             probe = convergence_probe(
                 seq, reference=f, n_points=int(p["n_probes"]), seed=int(cfg["seed"]),
                 final_tol=tol,
@@ -454,7 +445,7 @@ def run_singular(cfg: dict):
     points = sample_probe_points(F, int(p["n_probes"]), seed=int(cfg["seed"]),
                                  exclude=exclusion)
     probe = convergence_probe(seq, reference=theta.density, points=points,
-                              final_tol=float(p.get("tol", 1e-3)))
+                              final_tol=float(p["tol"]))
     log.check_le("density_limit_fraction", 1.0 - probe.fraction_below_tol, 0.0)
     mart = verify_martingale_property(seq, n_probe=100, seed=int(cfg["seed"]))
     log.check_le("martingale_property", mart, 1e-9)
@@ -496,8 +487,8 @@ def run_nondense(cfg: dict):
     p = cfg["params"]
     rows = [("case", "quantity", "index", "level", "value")]
     log = AssertionLog()
-    delta_tol = float(p.get("delta_tol", 1e-8))
-    limit_tol = float(p.get("limit_tol", 1e-6))
+    delta_tol = float(p["delta_tol"])
+    limit_tol = float(p["limit_tol"])
     for case in p["cases"]:
         d = int(case["d"])
         depth = int(case["depth"])
@@ -517,7 +508,7 @@ def run_nondense(cfg: dict):
         rows.append((cid, "v_interval_hi", 0, depth, V.interval.hi))
         rng = np.random.default_rng(int(cfg["seed"]))
         iv = V.interval
-        probes1 = iv.lo + (iv.hi - iv.lo) * rng.uniform(0.05, 0.95, int(p.get("n_probes", 16)))
+        probes1 = iv.lo + (iv.hi - iv.lo) * rng.uniform(0.05, 0.95, int(p["n_probes"]))
         n_stable = (V.atom_range[1] - V.atom_range[0] + 1) + orders[0] - 1
         worst_delta = 0.0
         for r in range(n_stable):
@@ -727,9 +718,9 @@ def write_outputs(name: str, cfg: dict, rows, log: AssertionLog, extra: dict,
             writer.writerow([_format_cell(v) for v in row])
     summary = {
         "experiment": name,
-        "params": cfg.get("params", {}),
-        "seeds": [cfg.get("seed")],
-        "depth": cfg.get("depth"),
+        "params": cfg["params"],
+        "seeds": [cfg["seed"]],
+        "depth": cfg["depth"],
         "assertions": [a.as_dict() for a in log.items],
         "pass": log.all_pass,
         "findings": extra,
@@ -756,7 +747,40 @@ def write_outputs(name: str, cfg: dict, rows, log: AssertionLog, extra: dict,
         fh.write("\n")
 
 
+def _check_keys(where: str, given, known, optional=()) -> None:
+    if not isinstance(given, dict):
+        raise ValueError(f"{where}: expected an object, got {type(given).__name__}")
+    problems = [f"{what} {', '.join(map(repr, sorted(keys)))}" for what, keys in (
+        ("missing", set(known) - set(given) - set(optional)),
+        ("unknown", set(given) - set(known))) if keys]
+    if problems:
+        raise ValueError(f"{where}: {'; '.join(problems)}")
+
+
+def check_config(cfg) -> None:
+    """Raise ValueError naming the path of a key that `cfg` lacks or its experiment's
+    default config does not have, in the top level, `params`, each `cases` entry
+    or `tensor_check`.  A case may lack only keys that some default case lacks;
+    rule and measure dicts are checked by `FiltrationSpec` and `measure_from_config`."""
+    if not isinstance(cfg, dict) or "experiment" not in cfg:
+        raise ValueError("config: missing 'experiment'")
+    name = cfg["experiment"]
+    default = default_config(name)
+    _check_keys(f"{name} config", cfg, default)
+    params, known = cfg["params"], default["params"]
+    _check_keys(f"{name} params", params, known)
+    if "tensor_check" in known:
+        _check_keys(f"{name} params.tensor_check", params["tensor_check"],
+                    known["tensor_check"])
+    if "cases" in known:
+        keys = [set(case) for case in known["cases"]]
+        for i, case in enumerate(params["cases"]):
+            _check_keys(f"{name} params.cases[{i}]", case, set.union(*keys),
+                        set.union(*keys) - set.intersection(*keys))
+
+
 def load_config(path) -> dict:
+    """Read a JSON config file and check it with `check_config`."""
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -764,41 +788,17 @@ def load_config(path) -> dict:
         raise ValueError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed config {path}: line {exc.lineno}: {exc.msg}") from exc
-    if "experiment" not in cfg:
-        raise ValueError(f"malformed config {path}: missing field 'experiment'")
-    if cfg["experiment"] not in EXPERIMENT_NAMES:
-        raise ValueError(
-            f"malformed config {path}: unknown experiment {cfg['experiment']!r}"
-        )
-    for fieldname in ("seed", "depth", "params"):
-        if fieldname not in cfg:
-            raise ValueError(f"malformed config {path}: missing field {fieldname!r}")
+    check_config(cfg)
     return cfg
 
 
-def run_experiment(config, out_dir=None, quiet: bool = False) -> int:
-    """Run one experiment from a config dict or file path; returns the exit code."""
-    if isinstance(config, (str, Path)):
-        cfg = load_config(config)
-    else:
-        cfg = dict(config)
-    name = cfg["experiment"]
-    # default configs list every parameter a runner reads, the keys of their
-    # `cases` entries and of `tensor_check` included, so any other key is misspelt
-    known = default_config(name)["params"]
-
-    def reject_unknown(what, given, keys):
-        reject_leftover_params(what, {key: v for key, v in given.items() if key not in keys})
-
-    params = cfg["params"]
-    reject_unknown(f"{name} experiment", params, known)
-    for case in params.get("cases", ()):
-        reject_unknown(f"{name} case", case, set().union(*known["cases"]))
-    if params.get("tensor_check"):
-        reject_unknown(f"{name} tensor_check", params["tensor_check"], known["tensor_check"])
-    rows, log, extra = RUNNERS[name](cfg)
+def run_experiment(config: dict, out_dir=None, quiet: bool = False) -> int:
+    """Check a config dict, run its experiment and return the exit code."""
+    check_config(config)
+    name = config["experiment"]
+    rows, log, extra = RUNNERS[name](config)
     if out_dir is not None:
-        write_outputs(name, cfg, rows, log, extra, out_dir)
+        write_outputs(name, config, rows, log, extra, out_dir)
     if not quiet:
         for a in log.items:
             status = "PASS" if a.passed else "FAIL"

@@ -20,11 +20,11 @@ MIN_WIDTH_FRACTION = 1e-9
 # rows per block of the conv-length build: its (rows, rows) temporary stays in cache
 CONV_BLOCK_ROWS = 64
 
-# refinement rules, each with the keys it reads besides name, base_atoms and base_jitter
+# refinement rules, each with the keys it reads besides name
 REFINEMENT_RULES = {
-    "uniform-bisect-all": (),
-    "random-atom-bisect": ("p_split", "split_range"),
-    "point-targeted": ("target", "fraction"),
+    "uniform-bisect-all": ("base_atoms", "base_jitter"),
+    "random-atom-bisect": ("base_atoms", "base_jitter", "p_split", "split_range"),
+    "point-targeted": ("base_atoms", "base_jitter", "target", "fraction"),
     "frozen-on-subinterval": ("frozen", "fraction"),
 }
 
@@ -269,7 +269,7 @@ class FiltrationSpec:
             name = rule.get("name")
             if name not in REFINEMENT_RULES:
                 raise ValueError(f"unknown rule {name!r}; expected one of {tuple(REFINEMENT_RULES)}")
-            unread = set(rule) - {"name", "base_atoms", "base_jitter", *REFINEMENT_RULES[name]}
+            unread = set(rule) - {"name", *REFINEMENT_RULES[name]}
             if unread:
                 raise ValueError(f"unknown {name} rule keys {sorted(unread)}")
 
@@ -286,18 +286,18 @@ def _split_atom(bp_list, j, fraction, floor):
 
 
 def _base_breakpoints(a, b, rule, rng):
-    base_atoms = int(rule.get("base_atoms", 1))
-    jitter = float(rule.get("base_jitter", 0.0))
-    if base_atoms < 1:
-        raise ValueError("base_atoms must be >= 1")
-    if not 0.0 <= jitter < 1.0:
-        raise ValueError("base_jitter must lie in [0, 1)")
     if rule["name"] == "frozen-on-subinterval":
         flo, fhi = rule["frozen"]
         if not (a <= flo < fhi <= b):
             raise ValueError(f"frozen interval ({flo}, {fhi}] not inside ({a}, {b}]")
         pts = sorted({a, flo, fhi, b})
         return np.array(pts, dtype=float)
+    base_atoms = int(rule.get("base_atoms", 1))
+    jitter = float(rule.get("base_jitter", 0.0))
+    if base_atoms < 1:
+        raise ValueError("base_atoms must be >= 1")
+    if not 0.0 <= jitter < 1.0:
+        raise ValueError("base_jitter must lie in [0, 1)")
     if jitter > 0.0:
         w = 1.0 + jitter * (2.0 * rng.random(base_atoms) - 1.0)
         bp = np.concatenate([[0.0], np.cumsum(w)]) / w.sum()

@@ -1,6 +1,7 @@
 import ast
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 from splinelab.cli import main as cli_main
 from splinelab.experiments import (
     EXPERIMENT_NAMES,
+    check_config,
     default_config,
     function_catalog,
     load_config,
@@ -129,10 +131,37 @@ def test_cli_runs_config_and_overrides(tmp_path):
     path.write_text(json.dumps(cfg))
     out = tmp_path / "out"
     code = cli_main(["decay", "--config", str(path), "--out", str(out),
-                     "--seed", "4242", "--quiet"])
+                     "--seed", "4242", "--depth", "7", "--quiet"])
     assert code == 0
     meta = json.loads((out / "decay.meta.json").read_text())
-    assert meta["config"]["seed"] == 4242
+    assert (meta["config"]["seed"], meta["config"]["depth"]) == (4242, 7)
+
+
+@pytest.mark.parametrize("name", ["weaktype", "covering", "converge", "nondense"])
+def test_cli_rejects_depth_where_cases_set_it(name, capsys):
+    # --depth once ran these unchanged: each case reads its own depth
+    assert cli_main([name, "--depth", "3", "--quiet"]) == 2
+    assert f"error: --depth does not apply to {name}" in capsys.readouterr().err
+
+
+def test_cli_exits_2_on_a_config_that_fails_the_check(tmp_path, capsys):
+    # this once ended in a traceback and exit 1, the code of a failed assertion
+    cfg = small_config("decay")
+    cfg["params"]["sample_per_atom"] = cfg["params"].pop("samples_per_atom")
+    path = tmp_path / "decay.json"
+    path.write_text(json.dumps(cfg))
+    assert cli_main(["decay", "--config", str(path), "--quiet"]) == 2
+    assert capsys.readouterr().err == (
+        "error: decay params: missing 'samples_per_atom'; unknown 'sample_per_atom'\n")
+
+
+def test_shadrin_tensor_check_is_2d():
+    # the runner once built a 2-d check whatever d and orders said
+    for tc in ({"d": 3, "depth": 2, "orders": [2, 2, 2]}, {"d": 2, "depth": 2, "orders": [2]}):
+        cfg = small_config("shadrin")
+        cfg["params"]["tensor_check"] = tc
+        with pytest.raises(ValueError, match="shadrin tensor_check needs d = 2 and two orders"):
+            run_experiment(cfg, quiet=True)
 
 
 def test_cli_rejects_mismatched_config(tmp_path):
@@ -164,43 +193,58 @@ def test_function_catalog_rejects_misspelt_parameters():
         function_catalog("gauss", 1)
 
 
-def test_run_experiment_rejects_misspelt_params():
-    # misspelt keys once ran with the defaults and returned 0
-    cfg = default_config("nondense")
-    cfg["params"].update(n_probe=4, delta_tols=1e-3)
-    with pytest.raises(ValueError,
-                       match=r"unknown nondense experiment parameters \['delta_tols', 'n_probe'\]"):
-        run_experiment(cfg, quiet=True)
-    cfg = small_config("decay")
-    cfg["params"]["sample_per_atom"] = 3
-    with pytest.raises(ValueError,
-                       match=r"unknown decay experiment parameters \['sample_per_atom'\]"):
-        run_experiment(cfg, quiet=True)
+def _key_paths(name) -> list:
+    """(name, parent path, key) of every key the config check walks in a default config."""
+    cfg = default_config(name)
+    p = cfg["params"]
+    nodes = [("config", cfg), ("params", p)]
+    nodes += [(f"params.cases[{i}]", case) for i, case in enumerate(p.get("cases", ()))]
+    nodes += [("params.tensor_check", p["tensor_check"])] if "tensor_check" in p else []
+    return [(name, where, key) for where, node in nodes for key in node]
 
 
-def test_run_experiment_rejects_misspelt_case_and_tensor_check_keys():
-    # covering once ran with K = 2 after its case key K was renamed, and a
-    # tensor_check with `order` raised a bare KeyError
-    cfg = small_config("covering")
-    cfg["params"]["cases"][1]["k_level"] = cfg["params"]["cases"][1].pop("K")
-    with pytest.raises(ValueError, match=r"unknown covering case parameters \['k_level'\]"):
-        run_experiment(cfg, quiet=True)
-    cfg = small_config("shadrin")
-    cfg["params"]["tensor_check"]["order"] = cfg["params"]["tensor_check"].pop("orders")
-    with pytest.raises(ValueError, match=r"unknown shadrin tensor_check parameters \['order'\]"):
-        run_experiment(cfg, quiet=True)
-    # a nondense case may name any key of the default's cases
-    cfg = small_config("nondense")
-    cfg["params"]["cases"][0].update(sequence_depth=6, function="smooth-exp")
-    assert run_experiment(cfg, quiet=True) == 0
+def _node(cfg, where):
+    if where == "config":
+        return cfg
+    for part in re.split(r"[.\[\]]+", where.rstrip("]")):
+        cfg = cfg[int(part)] if part.isdigit() else cfg[part]
+    return cfg
 
 
-@pytest.mark.parametrize("where, key", [("case", "K"), ("experiment", "t_points")])
-def test_covering_names_a_missing_key(where, key):
-    # both once fell back to a second default (K = 2, 20 thresholds)
-    cfg = small_config("covering")
-    (cfg["params"]["cases"][0] if where == "case" else cfg["params"]).pop(key)
-    with pytest.raises(ValueError, match=f"covering {where} needs parameter '{key}'"):
+# keys some but not all of nondense's default cases hold
+OPTIONAL_KEYS = {("nondense", "params.cases[1]", "sequence_depth"),
+                 ("nondense", "params.cases[1]", "function")}
+# misspellings that once ran with a second default and returned 0, or raised a
+# bare KeyError; any other key is misspelt with a suffix
+MISSPELT = {("decay", "params", "samples_per_atom"): "sample_per_atom",
+            ("nondense", "params", "n_probes"): "n_probe",
+            ("nondense", "params", "delta_tol"): "delta_tols",
+            ("covering", "params.cases[1]", "K"): "k_level",
+            ("shadrin", "params.tensor_check", "orders"): "order"}
+
+
+@pytest.mark.parametrize("name, where, key",
+                         [path for name in EXPERIMENT_NAMES for path in _key_paths(name)])
+def test_config_check_names_each_key_path(name, where, key):
+    # a dropped key once fell back to a second default (covering's K = 2 and
+    # 20 thresholds, converge's 8 quadrature points) or raised a bare KeyError
+    cfg = default_config(name)
+    node = _node(cfg, where)
+    value = node.pop(key)
+    if (name, where, key) in OPTIONAL_KEYS:
+        check_config(cfg)
+        # a case that lacks the key may name it
+        small = small_config(name)
+        small["params"]["cases"][0][key] = value
+        assert run_experiment(small, quiet=True) == 0
+    else:
+        prefix = "config" if key == "experiment" else f"{name} {where}"
+        with pytest.raises(ValueError, match=re.escape(f"{prefix}: missing '{key}'")):
+            run_experiment(cfg, quiet=True)
+    node[key] = value
+    misspelt = MISSPELT.get((name, where, key), key + "_x")
+    node[misspelt] = value
+    with pytest.raises(ValueError, match=re.escape(f"{name} {where}: unknown '{misspelt}'")):
         run_experiment(cfg, quiet=True)
 
 

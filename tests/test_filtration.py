@@ -186,6 +186,12 @@ def test_rule_keys_the_rule_does_not_read_rejected():
     with pytest.raises(ValueError, match=r"unknown uniform-bisect-all rule keys \['target'\]"):
         FiltrationSpec(d=1, interval=(0.0, 1.0), n_levels=2,
                        rules=[{"name": "uniform-bisect-all", "target": 0.3}])
+    # the frozen rule's base atoms are the frozen interval and its complement
+    frozen_keys = r"unknown frozen-on-subinterval rule keys \['base_atoms', 'base_jitter'\]"
+    with pytest.raises(ValueError, match=frozen_keys):
+        FiltrationSpec(d=1, interval=(0.0, 1.0), n_levels=2,
+                       rules=[{"name": "frozen-on-subinterval", "frozen": [0.5, 1.0],
+                               "fraction": 0.9, "base_atoms": 8, "base_jitter": 0.5}])
     for rule in ({"name": "uniform-bisect-all", "base_atoms": 3, "base_jitter": 0.5},
                  {"name": "random-atom-bisect", "p_split": 1.0, "split_range": [0.4, 0.6]},
                  {"name": "point-targeted", "target": 0.3, "fraction": 0.25},
