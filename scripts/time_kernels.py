@@ -22,10 +22,22 @@ random-bisection mesh of the maximal-covering benchmark (1 base atom,
   maximal_field    max over levels 2..depth, once for each q in Q_VALUES on
                    one compiled measure, from a cold H cache: one seed of
                    the covering experiment.
+For the per-atom quadrature it times, in d = 2 on the same mesh at depths
+QUADRATURE_DEPTHS (2^depth atoms per axis), both reductions of a density:
+  compile_masses   the finest masses of a measure with 4 points per atom,
+                   as in the covering experiment;
+  density_moments  the Lagrange moments of order (2, 2) that make_sequence
+                   takes from a measure with MOMENT_POINTS points per atom,
+                   as in the singular experiment.
+Each of these also reports the tracemalloc peak of one call and the bytes of
+what it returns: the quadrature evaluates its integrand one slab at a time,
+so the peak less the result stays flat in depth.
+
 Each time is the median of REPEATS calls.  Prints JSON with every timing
 and the slope of log(seconds) against log(dim), per kernel and order for
 the dual kernels and per kernel and d (dim = atoms per axis) for the
-maximal ones.  BLAS runs on one thread unless OPENBLAS_NUM_THREADS is set.
+maximal and quadrature ones.  BLAS runs on one thread unless
+OPENBLAS_NUM_THREADS is set.
 """
 
 import json
@@ -33,6 +45,7 @@ import os
 import platform
 import statistics
 import time
+import tracemalloc
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
@@ -50,17 +63,21 @@ from splinelab.projector import (  # noqa: E402
     GramSystem,
     _basis_columns,
     _kernel_columns,
+    _source_moments,
     decay_profile,
     operator_norm_1d,
 )
 
 KERNELS = ("duals_at", "decay_profile", "kernel_columns", "operator_norm_1d")
 MAXIMAL_KERNELS = ("conv_lengths", "level_sum_field", "maximal_field")
+QUADRATURE_KERNELS = ("compile_masses", "density_moments")
 
 DEPTHS = (8, 9, 10)
 ORDERS = (2, 3, 4, 5)
 MAXIMAL_DEPTHS = {1: (8, 9, 10), 2: (7, 8, 9)}
 Q_VALUES = (0.3, 0.5, 0.8)
+QUADRATURE_DEPTHS = (7, 8, 9)
+MOMENT_POINTS = 16
 REPEATS = 3    # calls per timing; the median is reported
 SEED = 0       # mesh seed
 
@@ -126,6 +143,42 @@ def maximal_rows():
     return rows
 
 
+def traced_peak(fn):
+    """(tracemalloc peak of one call of fn, bytes of its result)."""
+    tracemalloc.start()
+    out = fn()
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return peak, out
+
+
+def quadrature_rows():
+    """Timings and memory peaks of the two density reductions at three d=2 depths."""
+    rule = {"name": "random-atom-bisect", "p_split": 1.0,
+            "split_range": [0.35, 0.65], "base_atoms": 1}
+
+    def density(*g):
+        return 1.0 + 0.5 * np.sin(3 * sum(g))
+
+    masses = HybridMeasure(d=2, density=density, density_quad_points=4)
+    moments = HybridMeasure(d=2, density=density, density_quad_points=MOMENT_POINTS)
+    rows = []
+    for depth in QUADRATURE_DEPTHS:
+        F = build_filtration(FiltrationSpec(d=2, interval=(0.0, 1.0), n_levels=depth,
+                                            rules=[rule] * 2, seed=SEED))
+        finest = [ax.level(depth) for ax in F.axes]
+        kernels = {
+            "compile_masses": lambda: compile_masses(masses, F).finest,
+            "density_moments": lambda: _source_moments(moments, finest, (2, 2))[0].tensor,
+        }
+        for name, fn in kernels.items():
+            peak, out = traced_peak(fn)
+            rows.append({"kernel": name, "d": 2, "depth": depth, "dim": finest[0].n_atoms,
+                         "seconds": median_seconds(fn), "peak_bytes": peak,
+                         "result_bytes": out.nbytes})
+    return rows
+
+
 def main():
     rule = {"name": "random-atom-bisect", "p_split": 1.0,
             "split_range": [0.35, 0.65], "base_atoms": 3}
@@ -158,6 +211,10 @@ def main():
         name: {f"d{d}": slope([(r["dim"], r["seconds"]) for r in mrows
                                if r["kernel"] == name and r["d"] == d]) for d in MAXIMAL_DEPTHS}
         for name in MAXIMAL_KERNELS})
+    qrows = quadrature_rows()
+    exponents.update({
+        name: {"d2": slope([(r["dim"], r["seconds"]) for r in qrows if r["kernel"] == name])}
+        for name in QUADRATURE_KERNELS})
     out = {
         "machine": {"python": platform.python_version(), "numpy": np.__version__,
                     "cpus": os.cpu_count(),
@@ -167,8 +224,10 @@ def main():
                      "norm_block_atoms": NORM_BLOCK_ATOMS,
                      "norm_window_atoms": NORM_WINDOW_ATOMS,
                      "maximal_depths": {f"d{d}": list(v) for d, v in MAXIMAL_DEPTHS.items()},
-                     "q_values": list(Q_VALUES)},
-        "timings": rows + mrows,
+                     "q_values": list(Q_VALUES),
+                     "quadrature_depths": list(QUADRATURE_DEPTHS),
+                     "moment_points": MOMENT_POINTS},
+        "timings": rows + mrows + qrows,
         "exponents": exponents,
     }
     print(json.dumps(out, indent=2))

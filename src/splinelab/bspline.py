@@ -7,10 +7,16 @@ realize exactly that space; for k=1 the basis degenerates to the atom
 indicators.  Breakpoint evaluation follows the half-open atom convention, so
 for k=1 a breakpoint value is taken from the atom whose right endpoint it is;
 for k >= 2 the spline is continuous and the convention is invisible.
+
+Integrals over I^d go through TensorQuadrature, which evaluates an integrand
+one slab of whole axis-0 atoms at a time and contracts each slab on every
+axis at once, so its memory is bounded by SLAB_NODES and by what it returns,
+never by the full d-dimensional node grid.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -20,6 +26,8 @@ from .filtration import Interval, Partition1D
 
 DEFAULT_QUAD_POINTS = 4      # per-atom Gauss-Legendre points for spline integrands
 GENERAL_QUAD_POINTS = 16     # fixed rule for integrands that are not splines
+SLAB_NODES = 2 ** 18         # integrand nodes per slab in TensorQuadrature; bounds the
+                             # memory of every quadrature and never moves its result
 
 
 def knot_vector(p: Partition1D, k: int) -> np.ndarray:
@@ -152,12 +160,23 @@ def atom_chebyshev(p: Partition1D, n: int) -> np.ndarray:
 class TensorQuadrature:
     """Per-atom Gauss-Legendre rules on the axes of a tensor partition of I^d.
 
-    Every integral over I^d is discretized here: an integrand is evaluated once
-    on the sparse node grid, then contracted per axis either to per-atom
-    integrals or to per-atom Lagrange moments (`lagrange_moments`).  The
-    latter serve the moments against every spline space whose breakpoints the
-    partitions contain: on each atom such a spline is a polynomial, so its
-    interpolant on a few Gauss points of the atom reproduces it exactly.
+    Every integral over I^d is discretized here: an integrand f(X_1, ..., X_d)
+    is contracted per axis either to per-atom integrals (`atom_integrals`) or
+    to per-atom Lagrange moments (`lagrange_moments`).  The latter serve the
+    moments against every spline space whose breakpoints the partitions
+    contain: on each atom such a spline is a polynomial, so its interpolant on
+    a few Gauss points of the atom reproduces it exactly.
+
+    The integrand is never evaluated on the whole node grid.  It is evaluated
+    on one slab of whole axis-0 atoms at a time (about SLAB_NODES nodes),
+    checked, and contracted on every axis before the next slab starts; each
+    reduced slab is written to its rows of the result along axis 0.  Every
+    axis operation is a per-atom contraction, so a slab yields its own rows
+    of the result bit for bit, whatever the slab size, as long as numpy
+    rounds every row alike in a slab and in the whole grid.  Two guards see
+    to that: the later axes of the Lagrange reduction use einsum, not gemm
+    (`lagrange_moments`), and a slab left with a single row on axis 0 is
+    padded (`_reduce`).  Memory is bounded by one slab plus the result.
     """
 
     def __init__(self, partitions, g: int):
@@ -167,42 +186,83 @@ class TensorQuadrature:
         self.axis_nodes = tuple(r.nodes.ravel() for r in self.rules)
         self.shape = tuple(len(x) for x in self.axis_nodes)
 
-    @property
-    def grids(self) -> list:
-        """Broadcastable coordinate arrays X_1, ..., X_d of the node grid."""
-        return np.meshgrid(*self.axis_nodes, indexing="ij", sparse=True)
+    def _reduce(self, f, mats, first, later) -> np.ndarray:
+        """Contract f on the node grid along every axis l by mats[l], slab by slab.
 
-    def values(self, f) -> np.ndarray:
-        """f(X_1, ..., X_d) on the node grid, checked and shaped (n_1, ..., n_d, m)."""
-        return as_value_array(f(*self.grids), self.shape, "integrand")
+        mats[l] has one leading entry per atom of axis l.  first(mats[0], X)
+        and later(mats[l], X) map the (atoms * g, r) node rows of X to per-atom
+        rows, using the entries of those atoms alone.
+        """
+        d, g = len(self.shape), self.g
+        n_atoms = self.partitions[0].n_atoms
+        step = max(1, SLAB_NODES // (g * math.prod(self.shape[1:])))
+        grid = [x.reshape((1,) * ell + (-1,) + (1,) * (d - 1 - ell))
+                for ell, x in enumerate(self.axis_nodes)]
+        ops = [np.asarray] + [partial(later, A) for A in mats[1:]]   # axis 0 is done
+        out = None
+        for a0 in range(0, n_atoms, step):
+            a1 = min(a0 + step, n_atoms)
+            x0 = grid[0][a0 * g:a1 * g]
+            values = as_value_array(f(x0, *grid[1:]), x0.shape[:1] + self.shape[1:], "integrand")
+            head = mode_apply(values, [partial(first, mats[0][a0:a1])])
+            rows = len(head)
+            if rows == 1 < n_atoms:
+                # With one row left on axis 0, mode_apply would pass the later
+                # axes views of another memory layout than the whole grid's, and
+                # einsum sums in another order on those.  A zero row keeps the
+                # whole grid's layout; it is dropped again below.
+                head = np.concatenate([head, np.zeros_like(head)])
+            reduced = mode_apply(head, ops)[:rows]
+            if out is None:
+                per_atom = rows // (a1 - a0)
+                out = np.empty((n_atoms * per_atom,) + reduced.shape[1:])
+            out[a0 * per_atom:a0 * per_atom + rows] = reduced
+        return out
 
-    def atom_integrals(self, values) -> np.ndarray:
-        """Integral over every atom of the partition; shape (atoms_1, ..., atoms_d, m)."""
-        return mode_apply(values, [
-            lambda X, w=r.weights: np.einsum("ag,agr->ar", w, X.reshape(w.shape + (-1,)))
-            for r in self.rules
-        ])
+    def atom_integrals(self, f) -> np.ndarray:
+        """Integral of f over every atom of the partition; shape (atoms_1, ..., atoms_d, m)."""
+        return self._reduce(f, [r.weights for r in self.rules], _integrate_atoms, _integrate_atoms)
 
-    def lagrange_moments(self, values, orders) -> "LagrangeMoments":
-        """Contract node values to per-atom Lagrange moments for splines up to `orders`.
+    def lagrange_moments(self, f, orders) -> "LagrangeMoments":
+        """Contract f to per-atom Lagrange moments for splines up to `orders`.
 
         Axis l keeps p_l = min(g, orders[l]) Gauss points tau_j per atom and
-        sums w_s l_j(t_s) values over the g nodes t_s of the atom, where l_j
-        are the Lagrange polynomials on the tau.  For g <= k the tau are the
-        nodes and the l_j the identity, so the reduction only folds in the
-        weights.  The result does not depend on any spline space.
+        sums w_s l_j(t_s) f over the g nodes t_s of the atom, where l_j are
+        the Lagrange polynomials on the tau.  For g <= k the tau are the nodes
+        and the l_j the identity, so the reduction only folds in the weights.
+        The result does not depend on any spline space.
+
+        Axis 0 is contracted by matmul: each slab hands it the same columns.
+        The later axes get a column count that depends on the slab, and gemm
+        rounds a column by its position among the columns (its edge kernels
+        differ), so they are contracted by einsum, which rounds every column
+        alike.
         """
         if len(orders) != len(self.rules):
             raise ValueError(f"need one order per axis, got {orders} for d={len(self.rules)}")
         kept = tuple(min(self.g, int(k)) for k in orders)
-        ops, points = [], []
-        for part, rule, p in zip(self.partitions, self.rules, kept):
-            M = rule.weights[:, None, :] * _lagrange_matrix(p, self.g)   # (atoms, p, g)
-            ops.append(lambda X, M=M: (M @ X.reshape(M.shape[0], M.shape[2], -1))
-                       .reshape(-1, X.shape[1]))
-            points.append(atom_quadrature(part, p).nodes.ravel())
-        return LagrangeMoments(self.partitions, tuple(points), kept, self.g,
-                               mode_apply(values, ops))
+        mats = [rule.weights[:, None, :] * _lagrange_matrix(p, self.g)   # (atoms, p, g)
+                for rule, p in zip(self.rules, kept)]
+        points = tuple(atom_quadrature(part, p).nodes.ravel()
+                       for part, p in zip(self.partitions, kept))
+        return LagrangeMoments(self.partitions, points, kept, self.g,
+                               self._reduce(f, mats, _lagrange_matmul, _lagrange_einsum))
+
+
+def _integrate_atoms(w, X) -> np.ndarray:
+    """Rows sum_s w[a, s] X[a g + s] per atom a: the (atoms, g) weights applied."""
+    return np.einsum("ag,agr->ar", w, X.reshape(w.shape + (-1,)))
+
+
+def _lagrange_matmul(M, X) -> np.ndarray:
+    """Rows M[a] @ X[a g:(a + 1) g] per atom a, stacked: (atoms * p, r)."""
+    return (M @ X.reshape(M.shape[0], M.shape[2], -1)).reshape(-1, X.shape[1])
+
+
+def _lagrange_einsum(M, X) -> np.ndarray:
+    """_lagrange_matmul by einsum, with the same rounding for every column count."""
+    return np.einsum("apg,agr->apr", M, X.reshape(M.shape[0], M.shape[2], -1)).reshape(
+        -1, X.shape[1])
 
 
 def _lagrange_matrix(p: int, g: int) -> np.ndarray:

@@ -5,7 +5,8 @@
 
 Without --config the fully explicit built-in default config runs; --seed and
 --depth override the config fields (experiments with cases reject --depth).
-Exit status: 0 iff every asserted bound holds, 1 if one fails, 2 on a bad config.
+Exit status: 0 iff every asserted bound holds, 1 if one fails, 2 on a bad
+config or on a ValueError raised while the experiment runs.
 """
 
 from __future__ import annotations
@@ -49,7 +50,11 @@ def main(argv=None) -> int:
         cfg["seed"] = args.seed
     if args.depth is not None:
         cfg["depth"] = args.depth
-    return run_experiment(cfg, out_dir=args.out, quiet=args.quiet)
+    try:
+        return run_experiment(cfg, out_dir=args.out, quiet=args.quiet)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -793,10 +793,17 @@ def load_config(path) -> dict:
 
 
 def run_experiment(config: dict, out_dir=None, quiet: bool = False) -> int:
-    """Check a config dict, run its experiment and return the exit code."""
+    """Check a config dict, run its experiment and return the exit code.
+
+    Raises ValueError when the run asserted nothing, as a config with an empty
+    loop list or no seeds does: a run that tests nothing cannot pass.
+    """
     check_config(config)
     name = config["experiment"]
     rows, log, extra = RUNNERS[name](config)
+    if not log.items:
+        raise ValueError(f"{name}: the run made no assertions; "
+                         "an empty loop list or n_seeds = 0 leaves nothing to check")
     if out_dir is not None:
         write_outputs(name, config, rows, log, extra, out_dir)
     if not quiet:

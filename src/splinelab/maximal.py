@@ -325,7 +325,7 @@ def hl_weak_type_ratio(f, partition: Partition1D, t_grid, g: int = GENERAL_QUAD_
     maximal field and ||f||_1 both come from those integrals.
     """
     quad = TensorQuadrature([partition], g)
-    per_atom = quad.atom_integrals(np.abs(quad.values(f)))[:, 0]
+    per_atom = quad.atom_integrals(lambda x: np.abs(f(x)))[:, 0]
     field_ = hl_maximal(per_atom, partition)
     l1 = float(per_atom.sum())
     widths = partition.widths

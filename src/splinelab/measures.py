@@ -13,6 +13,7 @@ breakpoint belongs to the atom that the breakpoint closes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -63,6 +64,20 @@ class HybridMeasure:
 # compiled per-atom masses
 
 
+def _value_norm(values, *grids) -> np.ndarray:
+    """||values(*grids)|| over the value axis, shape (..., 1)."""
+    vals = values(*grids)
+    if vals.shape[-1] == 1:
+        # |g| is exact; sqrt(g^2) equals it bit for bit unless g^2 under- or overflows
+        return np.abs(vals)
+    # ||g|| with np.linalg.norm's arithmetic (sqrt of the summed squares),
+    # but one temporary instead of three
+    sq = np.add.reduce(np.square(vals), axis=-1, keepdims=True)
+    if not np.all(np.isfinite(sq)):
+        raise ValueError("||g|| of the density is not finite: its summed squares overflow")
+    return np.sqrt(sq, out=sq)
+
+
 class CompiledMasses:
     """theta evaluated on every atom of every level of a filtration.
 
@@ -92,14 +107,7 @@ class CompiledMasses:
         if theta.density is None:
             return np.zeros(F.level_shape(F.n_levels))
         quad = TensorQuadrature([ax.level(F.n_levels) for ax in F.axes], theta.density_quad_points)
-        vals = theta.density_values(*quad.grids)
-        if vals.shape[-1] == 1:
-            # |g| is exact; sqrt(g^2) equals it bit for bit unless g^2 under- or overflows
-            return quad.atom_integrals(np.abs(vals))[..., 0]
-        # ||g|| with np.linalg.norm's arithmetic (sqrt of the summed squares),
-        # but one full-grid temporary instead of three
-        sq = np.add.reduce(np.square(vals), axis=-1, keepdims=True)
-        return quad.atom_integrals(np.sqrt(sq, out=sq))[..., 0]
+        return quad.atom_integrals(partial(_value_norm, theta.density_values))[..., 0]
 
     def _with_diracs(self, density_masses, n):
         out = density_masses.copy()

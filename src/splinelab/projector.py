@@ -286,12 +286,11 @@ def _source_moments(source, partitions, orders, g: int = None):
         if source.density is None:
             return None, source.m, source.diracs
         quad = TensorQuadrature(partitions, source.density_quad_points)
-        values = source.density_values(*quad.grids)
-        return quad.lagrange_moments(values, orders), source.m, source.diracs
+        return quad.lagrange_moments(source.density_values, orders), source.m, source.diracs
     if not callable(source):
         raise ValueError(f"unsupported source type {type(source)!r}")
     quad = TensorQuadrature(partitions, max(max(orders), DEFAULT_QUAD_POINTS) if g is None else g)
-    return quad.lagrange_moments(quad.values(source), orders), None, ()
+    return quad.lagrange_moments(source, orders), None, ()
 
 
 # ---------------------------------------------------------------------------

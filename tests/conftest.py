@@ -7,7 +7,7 @@ from scipy.linalg import cho_solve_banded
 from splinelab import (AtomSet, FiltrationSpec, HybridMeasure, Partition1D, Rectangle,
                        TensorQuadrature, atom_of, atom_quadrature, build_filtration,
                        compile_masses)
-from splinelab.bspline import mode_apply
+from splinelab.bspline import LagrangeMoments, _lagrange_matrix, as_value_array, mode_apply
 from splinelab.filtration import atom_range_gap, l1_distance_grid
 from splinelab.maximal import _check_q, level_sum_field
 from splinelab.measures import CompiledMasses
@@ -259,7 +259,7 @@ def _density_integral(theta, rect):
     # a rectangle is a one-atom partition of every axis
     parts = [Partition1D([rect.lo[ell], rect.hi[ell]]) for ell in range(theta.d)]
     quad = TensorQuadrature(parts, theta.density_quad_points)
-    return quad.atom_integrals(theta.density_values(*quad.grids)).reshape(theta.m)
+    return quad.atom_integrals(theta.density_values).reshape(theta.m)
 
 
 def atom_distance(F, n, i, j) -> int:
@@ -376,7 +376,71 @@ def _l1_norm(ts, g=8) -> float:
     """int ||g_n|| d lambda^d by per-atom quadrature on the spline's own grid."""
     quad = TensorQuadrature([s.partition for s in ts.spaces], g)
     vals = np.linalg.norm(ts.eval_grid(quad.axis_nodes), axis=-1, keepdims=True)
-    return float(quad.atom_integrals(vals).sum())
+    return float(dense_atom_integrals(quad, vals).sum())
+
+
+def node_grid_values(quad, f) -> np.ndarray:
+    """f on the whole node grid of quad, checked and shaped (n_1, ..., n_d, m)."""
+    grids = np.meshgrid(*quad.axis_nodes, indexing="ij", sparse=True)
+    return as_value_array(f(*grids), quad.shape, "integrand")
+
+
+def dense_atom_integrals(quad, values) -> np.ndarray:
+    """Per-atom integrals of node-grid values, each axis contracted on the whole grid."""
+    return mode_apply(values, [
+        lambda X, w=r.weights: np.einsum("ag,agr->ar", w, X.reshape(w.shape + (-1,)))
+        for r in quad.rules
+    ])
+
+
+def dense_lagrange_moments(quad, values, orders) -> LagrangeMoments:
+    """TensorQuadrature.lagrange_moments of node-grid values, reduced on the whole grid:
+    matmul on axis 0, einsum on the later axes."""
+    kept = tuple(min(quad.g, int(k)) for k in orders)
+    ops = []
+    for ell, (rule, p) in enumerate(zip(quad.rules, kept)):
+        M = rule.weights[:, None, :] * _lagrange_matrix(p, quad.g)
+        if ell == 0:
+            ops.append(lambda X, M=M: (M @ X.reshape(M.shape[0], M.shape[2], -1))
+                       .reshape(-1, X.shape[1]))
+        else:
+            ops.append(lambda X, M=M: np.einsum("apg,agr->apr", M, X.reshape(
+                M.shape[0], M.shape[2], -1)).reshape(-1, X.shape[1]))
+    points = tuple(atom_quadrature(part, p).nodes.ravel()
+                   for part, p in zip(quad.partitions, kept))
+    return LagrangeMoments(quad.partitions, points, kept, quad.g, mode_apply(values, ops))
+
+
+def graded_filtration(d, seed=0):
+    """d axes of about 34 atoms each, graded to the 1e-9 width floor toward 1.0,
+    0.37 and 0.0 respectively."""
+    rules = [{"name": "point-targeted", "target": t, "base_atoms": 2, "base_jitter": 0.3}
+             for t in (1.0, 0.37, 0.0)[:d]]
+    return build_filtration(FiltrationSpec(d=d, interval=(0.0, 1.0), n_levels=34,
+                                           rules=rules, seed=seed))
+
+
+def slab_sizes(quad) -> dict:
+    """SLAB_NODES values that cut quad's node grid into one axis-0 atom per slab,
+    into slabs whose last one is ragged, and into a single slab."""
+    per_atom = quad.g * int(np.prod(quad.shape[1:]))
+    n = quad.partitions[0].n_atoms
+    ragged = next(s for s in range(2, n) if n % s)
+    return {"one atom": 1, "ragged": ragged * per_atom + per_atom // 2,
+            "one slab": n * per_atom}
+
+
+def wavy_values(m):
+    """A smooth integrand: scalar for m = 1 (no value axis), else m = 3 values
+    of mixed sign and scale."""
+    def f(*xs):
+        base = 1.5 + np.sin(3 * sum(xs))
+        if m == 1:
+            return base
+        return np.stack(np.broadcast_arrays(base, 1.0 + xs[0] ** 2, np.exp(-xs[-1]) - 0.5),
+                        axis=-1)
+
+    return f
 
 
 def dense_moments(quad, spaces, values) -> np.ndarray:

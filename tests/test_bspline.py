@@ -17,7 +17,12 @@ from splinelab import (
     knot_vector,
 )
 
-from conftest import dense_moments, random_filtration, symbolic_product_integral
+from splinelab import bspline
+from splinelab.projector import _source_moments
+
+from conftest import (dense_atom_integrals, dense_lagrange_moments, dense_moments, graded_filtration,
+                      node_grid_values, random_filtration, slab_sizes, symbolic_product_integral,
+                      wavy_values)
 
 
 def test_knot_vector_k1():
@@ -123,7 +128,7 @@ def test_support_index_out_of_range():
 def moments_1d(space, f, g=4):
     """Moments int f N_i over one space, by g-point quadrature on its own atoms."""
     quad = TensorQuadrature([space.partition], g)
-    return quad.lagrange_moments(quad.values(f), [space.order]).against([space])[:, 0]
+    return quad.lagrange_moments(f, [space.order]).against([space])[:, 0]
 
 
 def test_integrate_constant_sums_to_length():
@@ -287,8 +292,7 @@ def test_tensor_quadrature_atom_integrals_exact_for_polynomials():
     parts = [ax.level(3) for ax in F.axes]
     quad = TensorQuadrature(parts, 3)
     # degree 5 per axis is within reach of 3 Gauss points
-    vals = quad.values(lambda x, y: np.stack([x ** 5 * y, np.ones_like(x * y)], axis=-1))
-    got = quad.atom_integrals(vals)
+    got = quad.atom_integrals(lambda x, y: np.stack([x ** 5 * y, np.ones_like(x * y)], axis=-1))
     a, b = parts[0].breakpoints, parts[1].breakpoints
     want0 = np.multiply.outer(np.diff(a ** 6) / 6, np.diff(b ** 2) / 2)
     want1 = np.multiply.outer(np.diff(a), np.diff(b))
@@ -303,7 +307,7 @@ def test_tensor_quadrature_moments_match_moment_tensor():
     finest = [ax.level(4) for ax in F.axes]
     f = lambda x, y: np.sin(x + 2 * y)
     quad = TensorQuadrature(finest, 5)
-    got = quad.lagrange_moments(quad.values(f), tp.orders).against(tp.spaces)
+    got = quad.lagrange_moments(f, tp.orders).against(tp.spaces)
     # oracle: b_ij = sum over the node grid of w_x w_y N_i(x) N_j(y) f(x, y)
     (x, wx), (y, wy) = [(r.nodes.ravel(), r.weights.ravel()) for r in quad.rules]
     Bx, By = (s.basis_matrix(nodes) for s, nodes in zip(tp.spaces, (x, y)))
@@ -311,7 +315,7 @@ def test_tensor_quadrature_moments_match_moment_tensor():
     assert got.shape == tp.dims + (1,)
     np.testing.assert_allclose(got[..., 0], want, rtol=1e-13, atol=1e-16)
     # partition of unity: the moments sum to the integral over I^2
-    assert got.sum() == pytest.approx(quad.atom_integrals(quad.values(f)).sum(), rel=1e-13)
+    assert got.sum() == pytest.approx(quad.atom_integrals(f).sum(), rel=1e-13)
 
 
 @settings(max_examples=5, deadline=None)
@@ -337,11 +341,14 @@ def test_lagrange_moments_match_dense_moments(seed):
         interior = target is not None and target > 0
         for g in (1, 2, 3, 4, 5, 6, 16):
             quad = TensorQuadrature(finest, g)
-            vals = quad.values(lambda *xs: np.stack(np.broadcast_arrays(
-                1.5 + np.sin(3 * sum(xs)), 1.0 + xs[0] ** 2), axis=-1))
+            def f(*xs):
+                return np.stack(np.broadcast_arrays(1.5 + np.sin(3 * sum(xs)), 1.0 + xs[0] ** 2),
+                                axis=-1)
+
+            vals = node_grid_values(quad, f)
             for k in [k for k in range(1, 6) if g in (1, k - 1, k, k + 1, 16)]:
                 spaces = [SplineSpace1D(ax.level(n), k) for ax, n in zip(axes, levels)]
-                got = quad.lagrange_moments(vals, (k,) * d).against(spaces)
+                got = quad.lagrange_moments(f, (k,) * d).against(spaces)
                 want = dense_moments(quad, spaces, vals)
                 np.testing.assert_allclose(got, want, rtol=1e-13,
                                            atol=1e-13 * np.abs(want).max() if interior else 0)
@@ -349,21 +356,101 @@ def test_lagrange_moments_match_dense_moments(seed):
 
 def test_lagrange_moments_reject_missing_breakpoint():
     quad = TensorQuadrature([Partition1D([0.0, 0.5, 1.0])], 4)
-    moments = quad.lagrange_moments(quad.values(lambda x: x), [2])
+    moments = quad.lagrange_moments(lambda x: x, [2])
     with pytest.raises(ValueError, match="misses breakpoints"):
         moments.against([SplineSpace1D(Partition1D([0.0, 0.3, 1.0]), 2)])
 
 
 def test_lagrange_moments_reject_space_of_higher_order():
     quad = TensorQuadrature([Partition1D([0.0, 0.5, 1.0])], 4)
-    moments = quad.lagrange_moments(quad.values(lambda x: x), [2])
+    moments = quad.lagrange_moments(lambda x: x, [2])
     assert moments.kept == (2,)
     with pytest.raises(ValueError, match="interpolation points"):
         moments.against([SplineSpace1D(Partition1D([0.0, 1.0]), 3)])
     # with g <= k every node is kept, so any order is served
     quad = TensorQuadrature([Partition1D([0.0, 0.5, 1.0])], 2)
-    moments = quad.lagrange_moments(quad.values(lambda x: x), [2])
+    moments = quad.lagrange_moments(lambda x: x, [2])
     moments.against([SplineSpace1D(Partition1D([0.0, 1.0]), 5)])
+
+
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_quadrature_bit_identical_for_every_slab_size(d, m, monkeypatch):
+    # a slab of axis-0 atoms yields exactly its own rows of every per-axis
+    # contraction, so one atom per slab, a ragged last slab and a single slab
+    # all give the whole-grid reduction bit for bit, on meshes graded to the floor
+    F = graded_filtration(d)
+    finest = [ax.level(F.n_levels) for ax in F.axes]
+    g = (6, 4, 3)[d - 1]
+    orders = (3, 2, 1)[:d]     # min(g, k) < g: every axis keeps fewer points than nodes
+    spaces = [SplineSpace1D(ax.level(20), k) for ax, k in zip(F.axes, orders)]
+    quad = TensorQuadrature(finest, g)
+    f = wavy_values(m)
+    vals = node_grid_values(quad, f)
+    want_integrals = dense_atom_integrals(quad, vals)
+    want_moments = dense_lagrange_moments(quad, vals, orders)
+    want_against = want_moments.against(spaces)
+    assert want_integrals.shape == F.level_shape(F.n_levels) + (m,)
+    for label, nodes in slab_sizes(quad).items():
+        monkeypatch.setattr(bspline, "SLAB_NODES", nodes)
+        assert np.array_equal(quad.atom_integrals(f), want_integrals), label
+        moments = quad.lagrange_moments(f, orders)
+        assert np.array_equal(moments.tensor, want_moments.tensor), label
+        assert np.array_equal(moments.against(spaces), want_against), label
+
+
+def counting(f, sizes):
+    """f, recording the number of grid nodes of every call in `sizes`."""
+    def wrapped(*grids):
+        sizes.append(int(np.prod(np.broadcast_shapes(*(np.shape(x) for x in grids)))))
+        return f(*grids)
+
+    return wrapped
+
+
+@pytest.mark.parametrize("slab", [None, 1, 50, 1000])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_integrand_never_sees_more_than_a_slab(d, slab, monkeypatch):
+    # the whole node grid (here up to 8x the default slab) is never evaluated at once;
+    # a single axis-0 atom wider than the slab is the smallest unit
+    if slab is not None:
+        monkeypatch.setattr(bspline, "SLAB_NODES", slab)
+    F = build_filtration(FiltrationSpec(d=d, interval=(0.0, 1.0), n_levels=(10, 8, 5)[d - 1]))
+    quad = TensorQuadrature([ax.level(F.n_levels) for ax in F.axes], 4)
+    bound = max(bspline.SLAB_NODES, quad.g * int(np.prod(quad.shape[1:])))
+    total = int(np.prod(quad.shape))
+    for reduce in (quad.atom_integrals, lambda f: quad.lagrange_moments(f, (2,) * d)):
+        sizes = []
+        reduce(counting(wavy_values(3), sizes))
+        assert max(sizes) <= bound and sum(sizes) == total
+        assert len(sizes) > 1 or total <= bound
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_quadrature_fails_closed_on_the_last_slab(d, monkeypatch):
+    # a bad value or shape that only the last slab sees still raises; 16 nodes
+    # are 4 atoms of 4 nodes in d = 1 and less than one atom in d = 2, so the
+    # 16 atoms of axis 0 take 4 and 16 slabs
+    monkeypatch.setattr(bspline, "SLAB_NODES", 16)
+    F = build_filtration(FiltrationSpec(d=d, interval=(0.0, 1.0), n_levels=4))
+    parts = [ax.level(4) for ax in F.axes]
+    quad = TensorQuadrature(parts, 4)
+    last = parts[0].breakpoints[-2]
+
+    def nan_at_end(*xs):
+        return np.where(xs[0] > last, np.nan, wavy_values(1)(*xs))
+
+    def short_at_end(*xs):
+        out = wavy_values(1)(*xs)
+        return out[:-1] if xs[0].max() > last else out
+
+    for f, match in ((nan_at_end, "non-finite"), (short_at_end, "shape")):
+        for reduce in (quad.atom_integrals, lambda f: quad.lagrange_moments(f, (2,) * d),
+                       lambda f: _source_moments(f, parts, (2,) * d)):
+            sizes = []
+            with pytest.raises(ValueError, match=match):
+                reduce(counting(f, sizes))
+            assert len(sizes) == {1: 4, 2: 16}[d]
 
 
 def test_atom_chebyshev_points_on_each_atom():

@@ -176,6 +176,35 @@ def test_cli_rejects_missing_config(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("name, key, value", [
+    ("covering", "cases", []), ("decay", "orders", []),
+    ("covering", "q_values", []), ("decay", "n_seeds", 0)])
+def test_run_that_asserts_nothing_fails(tmp_path, name, key, value):
+    # all([]) once passed each of these with exit 0 and not one assertion made
+    cfg = small_config(name)
+    cfg["params"][key] = value
+    with pytest.raises(ValueError, match=f"^{name}: the run made no assertions"):
+        run_experiment(cfg, out_dir=tmp_path, quiet=True)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_exits_2_on_a_value_error_while_running(tmp_path, capsys):
+    # a rule the runner rejects once ended in a traceback and exit 1, the code
+    # of a failed assertion; so did a run that asserted nothing
+    cfg = small_config("nondense")
+    cfg["params"]["cases"][0]["rules"][0]["base_atoms"] = 8
+    path = tmp_path / "nondense.json"
+    path.write_text(json.dumps(cfg))
+    assert cli_main(["nondense", "--config", str(path), "--quiet"]) == 2
+    assert capsys.readouterr().err == (
+        "error: unknown frozen-on-subinterval rule keys ['base_atoms']\n")
+    cfg = small_config("decay")
+    cfg["params"]["orders"] = []
+    path.write_text(json.dumps(cfg))
+    assert cli_main(["decay", "--config", str(path), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("error: decay: the run made no assertions")
+
+
 def test_nonzero_exit_when_assertion_fails():
     cfg = small_config("decay")
     cfg["params"]["q_max"] = 1e-9  # impossible cap: q_hat > 0 for k >= 2

@@ -11,7 +11,8 @@ from splinelab import (
 )
 from splinelab.measures import measure_from_config
 
-from conftest import measure_of_atom, random_filtration, scalar_variation, total_variation
+from conftest import (dense_atom_integrals, graded_filtration, measure_of_atom, node_grid_values,
+                      random_filtration, scalar_variation, slab_sizes, total_variation, wavy_values)
 
 
 def unit_density(*grids):
@@ -155,11 +156,40 @@ def test_compiled_density_masses_equal_norm_of_values(dyadic_2d, m):
 
     theta = HybridMeasure(d=2, density=dens, m=m, density_quad_points=5)
     quad = TensorQuadrature([ax.level(4) for ax in F.axes], 5)
-    g = theta.density_values(*quad.grids)
+    g = node_grid_values(quad, theta.density_values)
     vals = np.abs(g) if m == 1 else np.linalg.norm(g, axis=-1, keepdims=True)
-    want = quad.atom_integrals(vals)[..., 0]
+    want = dense_atom_integrals(quad, vals)[..., 0]
     assert np.array_equal(compile_masses(theta, F).finest, want)
     assert m > 1 or want[0].min() > 0
+
+
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_compiled_masses_bit_identical_for_every_slab_size(d, m, monkeypatch):
+    # |g| or ||g|| is taken inside each slab; one atom per slab, a ragged last
+    # slab and a single slab all give the whole-grid masses bit for bit
+    from splinelab import bspline
+    from splinelab.bspline import TensorQuadrature
+
+    F = graded_filtration(d)
+    theta = HybridMeasure(d=d, density=wavy_values(m), m=m, density_quad_points=(6, 4, 2)[d - 1])
+    quad = TensorQuadrature([ax.level(F.n_levels) for ax in F.axes], theta.density_quad_points)
+    g = node_grid_values(quad, theta.density_values)
+    vals = np.abs(g) if m == 1 else np.linalg.norm(g, axis=-1, keepdims=True)
+    want = dense_atom_integrals(quad, vals)[..., 0]
+    for label, nodes in slab_sizes(quad).items():
+        monkeypatch.setattr(bspline, "SLAB_NODES", nodes)
+        assert np.array_equal(compile_masses(theta, F).finest, want), label
+
+
+def test_density_non_finite_on_the_last_slab_rejected(dyadic_2d, monkeypatch):
+    from splinelab import bspline
+
+    monkeypatch.setattr(bspline, "SLAB_NODES", 64)
+    last = dyadic_2d.axes[0].level(4).breakpoints[-2]
+    theta = HybridMeasure(d=2, density=lambda x, y: np.where(x > last, np.inf, x + y))
+    with pytest.raises(ValueError, match="non-finite"):
+        compile_masses(theta, dyadic_2d)
 
 
 @pytest.mark.parametrize("c", [1e-170, 1e200])

@@ -38,6 +38,7 @@ from conftest import (
     dense_moments,
     dense_operator_norm_1d,
     full_length_duals,
+    node_grid_values,
     per_atom_decay_profile,
     random_filtration,
 )
@@ -61,7 +62,7 @@ def test_gram_row_sums_are_basis_integrals(k):
     space = SplineSpace1D(F.axes[0].level(5), k)
     gs = GramSystem(space)
     quad = TensorQuadrature([space.partition], k)
-    want = quad.lagrange_moments(quad.values(lambda x: np.ones_like(x)), [k]).against([space])[:, 0]
+    want = quad.lagrange_moments(np.ones_like, [k]).against([space])[:, 0]
     np.testing.assert_allclose(dense_gram(gs) @ np.ones(space.dimension), want, atol=1e-14)
 
 
@@ -178,7 +179,7 @@ def test_kronecker_consistency_small_2d():
         # oracle: dense Kronecker Gram solve
         G = functools.reduce(np.kron, [dense_gram(gs) for gs in tp.grams])
         quad = TensorQuadrature([s.partition for s in tp.spaces], 6)
-        b = dense_moments(quad, tp.spaces, quad.values(f))[..., 0]
+        b = dense_moments(quad, tp.spaces, node_grid_values(quad, f))[..., 0]
         c = np.linalg.solve(G, b.ravel()).reshape(b.shape)
         np.testing.assert_allclose(ts.coeffs[..., 0], c, atol=1e-10)
 
