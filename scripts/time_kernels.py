@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Time the 1-D dual kernels and the maximal level sums at three depths and
-fit their scaling exponents.
+"""Time the 1-D dual kernels, the maximal level sums, the density reductions
+and build_filtration at three depths each and fit their scaling exponents.
 
     python scripts/time_kernels.py > kernels.json
 
@@ -32,11 +32,17 @@ QUADRATURE_DEPTHS (2^depth atoms per axis), both reductions of a density:
 Each of these also reports the tracemalloc peak of one call and the bytes of
 what it returns: the quadrature evaluates its integrand one slab at a time,
 so the peak less the result stays flat in depth.
+For the filtrations it times build_filtration in d = 1 for two rules, each
+at the three depths of FILTRATION_RULES: uniform-bisect-all as in the shadrin
+experiment (3 jittered base atoms, 192, 768 and 3,072 atoms) and
+random-atom-bisect as in the decay experiment (2 base atoms, p_split 0.7).
 
-Each time is the median of REPEATS calls.  Prints JSON with every timing
-and the slope of log(seconds) against log(dim), per kernel and order for
-the dual kernels and per kernel and d (dim = atoms per axis) for the
-maximal and quadrature ones.  BLAS runs on one thread unless
+Each time is the median of REPEATS calls (FILTRATION_REPEATS for the
+filtrations, which take milliseconds).  Prints JSON with every timing and
+the slope of log(seconds) against log(dim), per kernel and order for the
+dual kernels, per kernel and d (dim = atoms per axis) for the maximal and
+quadrature ones, and per rule (dim = atoms of the last level) for
+build_filtration.  BLAS runs on one thread unless
 OPENBLAS_NUM_THREADS is set.
 """
 
@@ -78,13 +84,20 @@ MAXIMAL_DEPTHS = {1: (8, 9, 10), 2: (7, 8, 9)}
 Q_VALUES = (0.3, 0.5, 0.8)
 QUADRATURE_DEPTHS = (7, 8, 9)
 MOMENT_POINTS = 16
+FILTRATION_RULES = {   # rule, depths
+    "uniform-bisect-all": ({"name": "uniform-bisect-all", "base_atoms": 3, "base_jitter": 0.5},
+                           (6, 8, 10)),
+    "random-atom-bisect": ({"name": "random-atom-bisect", "p_split": 0.7,
+                            "split_range": [0.35, 0.65], "base_atoms": 2}, (8, 10, 12)),
+}
 REPEATS = 3    # calls per timing; the median is reported
+FILTRATION_REPEATS = 21
 SEED = 0       # mesh seed
 
 
-def median_seconds(fn):
+def median_seconds(fn, repeats=REPEATS):
     times = []
-    for _ in range(REPEATS):
+    for _ in range(repeats):
         t0 = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t0)
@@ -179,6 +192,20 @@ def quadrature_rows():
     return rows
 
 
+def filtration_rows():
+    """Timings of build_filtration in d = 1 for each rule of FILTRATION_RULES at its depths."""
+    rows = []
+    for name, (rule, depths) in FILTRATION_RULES.items():
+        for depth in depths:
+            spec = FiltrationSpec(d=1, interval=(0.0, 1.0), n_levels=depth, rules=[rule],
+                                  seed=SEED)
+            atoms = build_filtration(spec).axes[0].level(depth).n_atoms
+            rows.append({"kernel": "build_filtration", "rule": name, "depth": depth,
+                         "dim": atoms, "seconds": median_seconds(
+                             lambda: build_filtration(spec), FILTRATION_REPEATS)})
+    return rows
+
+
 def main():
     rule = {"name": "random-atom-bisect", "p_split": 1.0,
             "split_range": [0.35, 0.65], "base_atoms": 3}
@@ -215,6 +242,10 @@ def main():
     exponents.update({
         name: {"d2": slope([(r["dim"], r["seconds"]) for r in qrows if r["kernel"] == name])}
         for name in QUADRATURE_KERNELS})
+    frows = filtration_rows()
+    exponents["build_filtration"] = {
+        name: slope([(r["dim"], r["seconds"]) for r in frows if r["rule"] == name])
+        for name in FILTRATION_RULES}
     out = {
         "machine": {"python": platform.python_version(), "numpy": np.__version__,
                     "cpus": os.cpu_count(),
@@ -226,8 +257,11 @@ def main():
                      "maximal_depths": {f"d{d}": list(v) for d, v in MAXIMAL_DEPTHS.items()},
                      "q_values": list(Q_VALUES),
                      "quadrature_depths": list(QUADRATURE_DEPTHS),
-                     "moment_points": MOMENT_POINTS},
-        "timings": rows + mrows + qrows,
+                     "moment_points": MOMENT_POINTS,
+                     "filtration_depths": {name: list(depths)
+                                           for name, (_, depths) in FILTRATION_RULES.items()},
+                     "filtration_repeats": FILTRATION_REPEATS},
+        "timings": rows + mrows + qrows + frows,
         "exponents": exponents,
     }
     print(json.dumps(out, indent=2))

@@ -112,14 +112,12 @@ class SplineSpace1D:
             B[rows, first + r] += vals[:, r]
         return B
 
-    def support_atom_range(self, i: int):
-        """Inclusive atom index range (lo, hi) where basis i is nonzero."""
-        if not 0 <= i < self.dimension:
+    def support_atom_range(self, i):
+        """Inclusive atom index range (lo, hi) where basis i is nonzero; i may be an index array."""
+        i = np.asarray(i)
+        if np.any((i < 0) | (i >= self.dimension)):
             raise IndexError(f"basis index {i} out of range [0, {self.dimension})")
-        k = self.order
-        lo = max(i - (k - 1), 0)
-        hi = min(i, self.partition.n_atoms - 1)
-        return lo, hi
+        return np.maximum(i - (self.order - 1), 0), np.minimum(i, self.partition.n_atoms - 1)
 
 
 @dataclass(frozen=True)
@@ -191,7 +189,8 @@ class TensorQuadrature:
 
         mats[l] has one leading entry per atom of axis l.  first(mats[0], X)
         and later(mats[l], X) map the (atoms * g, r) node rows of X to per-atom
-        rows, using the entries of those atoms alone.
+        rows, using the entries of those atoms alone.  This is where f's values
+        are checked for shape, NaN and inf, once per slab.
         """
         d, g = len(self.shape), self.g
         n_atoms = self.partitions[0].n_atoms
@@ -199,11 +198,12 @@ class TensorQuadrature:
         grid = [x.reshape((1,) * ell + (-1,) + (1,) * (d - 1 - ell))
                 for ell, x in enumerate(self.axis_nodes)]
         ops = [np.asarray] + [partial(later, A) for A in mats[1:]]   # axis 0 is done
+        where = f"integrand {getattr(f, '__name__', '')}".strip()   # errors name f
         out = None
         for a0 in range(0, n_atoms, step):
             a1 = min(a0 + step, n_atoms)
             x0 = grid[0][a0 * g:a1 * g]
-            values = as_value_array(f(x0, *grid[1:]), x0.shape[:1] + self.shape[1:], "integrand")
+            values = as_value_array(f(x0, *grid[1:]), x0.shape[:1] + self.shape[1:], where)
             head = mode_apply(values, [partial(first, mats[0][a0:a1])])
             rows = len(head)
             if rows == 1 < n_atoms:
@@ -409,6 +409,14 @@ class TensorSpline:
 
 def as_value_array(out, base_shape, where: str = "function") -> np.ndarray:
     """Normalize a callable's output to shape base_shape + (m,); reject NaN and inf."""
+    out = _shaped_values(out, base_shape, where)
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"{where} returned non-finite values")
+    return out
+
+
+def _shaped_values(out, base_shape, where: str) -> np.ndarray:
+    """as_value_array without the finiteness check, for values that a quadrature checks."""
     out = np.asarray(out, dtype=float)
     base_shape = tuple(base_shape)
     if out.shape == base_shape:
@@ -417,6 +425,4 @@ def as_value_array(out, base_shape, where: str = "function") -> np.ndarray:
         raise ValueError(
             f"{where} returned shape {out.shape}, expected {base_shape} or {base_shape} + (m,)"
         )
-    if not np.all(np.isfinite(out)):
-        raise ValueError(f"{where} returned non-finite values")
     return out

@@ -145,6 +145,14 @@ def _filtration(cfg_rule, d, interval, depth, seed) -> TensorFiltration:
     return build_filtration(spec)
 
 
+def _seed_filtrations(cfg: dict, depth: int) -> list:
+    """(seed, 1-d filtration) for each of the n_seeds seeds from cfg["seed"] on."""
+    p = cfg["params"]
+    seeds = range(int(cfg["seed"]), int(cfg["seed"]) + int(p["n_seeds"]))
+    return [(seed, _filtration([dict(p["rule"])], 1, p["interval"], depth, seed))
+            for seed in seeds]
+
+
 def run_decay(cfg: dict):
     p = cfg["params"]
     depth = int(cfg["depth"])
@@ -152,10 +160,9 @@ def run_decay(cfg: dict):
     log = AssertionLog()
     q_cap = float(p["q_max"])
     worst_q, worst_resid = {}, {}
+    seeds = _seed_filtrations(cfg, depth)
     for k in p["orders"]:
-        for s_i in range(int(p["n_seeds"])):
-            seed = int(cfg["seed"]) + s_i
-            F = _filtration([dict(p["rule"])], 1, p["interval"], depth, seed)
+        for seed, F in seeds:
             space = SplineSpace1D(F.axes[0].level(depth), int(k))
             if space.dimension < 2 * int(k):
                 raise ValueError("decay experiment needs a richer final level; increase depth")
@@ -213,10 +220,9 @@ def run_shadrin(cfg: dict):
     tc = p["tensor_check"]
     if int(tc["d"]) != 2 or len(tc["orders"]) != 2:  # the dense oracle is 2-d only
         raise ValueError(f"shadrin tensor_check needs d = 2 and two orders, got {tc}")
+    seeds = _seed_filtrations(cfg, depth)
     for k in p["orders"]:
-        for s_i in range(int(p["n_seeds"])):
-            seed = int(cfg["seed"]) + s_i
-            F = _filtration([dict(p["rule"])], 1, p["interval"], depth, seed)
+        for seed, F in seeds:
             norms = []
             for n in range(1, depth + 1):
                 tp = TensorProjector.for_level(F, n, int(k))

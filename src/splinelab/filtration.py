@@ -20,15 +20,6 @@ MIN_WIDTH_FRACTION = 1e-9
 # rows per block of the conv-length build: its (rows, rows) temporary stays in cache
 CONV_BLOCK_ROWS = 64
 
-# refinement rules, each with the keys it reads besides name
-REFINEMENT_RULES = {
-    "uniform-bisect-all": ("base_atoms", "base_jitter"),
-    "random-atom-bisect": ("base_atoms", "base_jitter", "p_split", "split_range"),
-    "point-targeted": ("base_atoms", "base_jitter", "target", "fraction"),
-    "frozen-on-subinterval": ("frozen", "fraction"),
-}
-
-
 @dataclass(frozen=True)
 class Interval:
     """Half-open interval (lo, hi]."""
@@ -241,6 +232,36 @@ class AtomSet:
 # construction
 
 
+def _choose_random(bp, widths, rule, rng):
+    lo_f, hi_f = rule.get("split_range", (0.5, 0.5))
+    chosen = rng.random(len(widths)) < float(rule.get("p_split", 0.7))
+    if not chosen.any():
+        chosen[int(np.argmax(widths))] = True
+    return chosen, lo_f + (hi_f - lo_f) * rng.random(len(widths))
+
+
+def _choose_target(bp, widths, rule, rng):
+    chosen = np.zeros(len(widths), dtype=bool)
+    j = int(np.searchsorted(bp, float(rule["target"]), side="left")) - 1
+    chosen[min(max(j, 0), len(widths) - 1)] = True
+    return chosen, float(rule.get("fraction", 0.5))
+
+
+# refinement rules: the keys each reads besides name, and its chooser(bp, widths,
+# rule, rng), which returns a mask of the atoms to split in one step and the
+# fraction of the width at which to split them, a scalar or one per atom
+REFINEMENT_RULES = {
+    "uniform-bisect-all": (("base_atoms", "base_jitter"),
+                           lambda bp, widths, rule, rng: (np.ones(len(widths), bool), 0.5)),
+    "random-atom-bisect": (("base_atoms", "base_jitter", "p_split", "split_range"),
+                           _choose_random),
+    "point-targeted": (("base_atoms", "base_jitter", "target", "fraction"), _choose_target),
+    "frozen-on-subinterval": (("frozen", "fraction"), lambda bp, widths, rule, rng: (
+        (bp[:-1] < rule["frozen"][0]) | (bp[1:] > rule["frozen"][1]),
+        float(rule.get("fraction", 0.5)))),
+}
+
+
 @dataclass
 class FiltrationSpec:
     """Everything needed to build a TensorFiltration reproducibly."""
@@ -269,20 +290,9 @@ class FiltrationSpec:
             name = rule.get("name")
             if name not in REFINEMENT_RULES:
                 raise ValueError(f"unknown rule {name!r}; expected one of {tuple(REFINEMENT_RULES)}")
-            unread = set(rule) - {"name", *REFINEMENT_RULES[name]}
+            unread = set(rule) - {"name", *REFINEMENT_RULES[name][0]}
             if unread:
                 raise ValueError(f"unknown {name} rule keys {sorted(unread)}")
-
-
-def _split_atom(bp_list, j, fraction, floor):
-    """Insert a split point into atom j at lo + fraction*width, honoring the width floor."""
-    lo, hi = bp_list[j], bp_list[j + 1]
-    width = hi - lo
-    if width < 2 * floor:
-        return None
-    point = lo + fraction * width
-    point = min(max(point, lo + floor), hi - floor)
-    return point
 
 
 def _base_breakpoints(a, b, rule, rng):
@@ -306,48 +316,15 @@ def _base_breakpoints(a, b, rule, rng):
 
 
 def _refine_once(bp, rule, rng, floor):
-    """One refinement step; returns the new breakpoint array."""
-    name = rule["name"]
-    widths = np.diff(bp)
-    new_points = []
-    if name == "uniform-bisect-all":
-        for j in range(len(widths)):
-            p = _split_atom(bp, j, 0.5, floor)
-            if p is not None:
-                new_points.append(p)
-    elif name == "random-atom-bisect":
-        p_split = float(rule.get("p_split", 0.7))
-        lo_f, hi_f = rule.get("split_range", (0.5, 0.5))
-        chosen = rng.random(len(widths)) < p_split
-        if not chosen.any():
-            chosen[int(np.argmax(widths))] = True
-        fracs = lo_f + (hi_f - lo_f) * rng.random(len(widths))
-        for j in np.flatnonzero(chosen):
-            p = _split_atom(bp, j, fracs[j], floor)
-            if p is not None:
-                new_points.append(p)
-    elif name == "point-targeted":
-        target = float(rule["target"])
-        fraction = float(rule.get("fraction", 0.5))
-        j = int(np.searchsorted(bp, target, side="left")) - 1
-        j = min(max(j, 0), len(widths) - 1)
-        p = _split_atom(bp, j, fraction, floor)
-        if p is not None:
-            new_points.append(p)
-    elif name == "frozen-on-subinterval":
-        flo, fhi = rule["frozen"]
-        fraction = float(rule.get("fraction", 0.5))
-        for j in range(len(widths)):
-            if bp[j] >= flo and bp[j + 1] <= fhi:
-                continue
-            p = _split_atom(bp, j, fraction, floor)
-            if p is not None:
-                new_points.append(p)
-    else:  # pragma: no cover - guarded by FiltrationSpec
-        raise ValueError(f"unknown rule {name!r}")
-    if not new_points:
-        return bp.copy()
-    return np.sort(np.concatenate([bp, np.array(new_points)]))
+    """Split the atoms the rule chooses at lo + fraction * width, clamped to
+    [lo + floor, hi - floor]; atoms narrower than 2 * floor stay whole."""
+    lo, hi = bp[:-1], bp[1:]
+    widths = hi - lo
+    chosen, fraction = REFINEMENT_RULES[rule["name"]][1](bp, widths, rule, rng)
+    split = chosen & (widths >= 2 * floor)
+    lo, hi = lo[split], hi[split]
+    points = np.minimum(np.maximum(lo + (fraction * widths)[split], lo + floor), hi - floor)
+    return np.sort(np.concatenate([bp, points]))
 
 
 def build_filtration(spec: FiltrationSpec) -> TensorFiltration:

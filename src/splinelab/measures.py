@@ -13,11 +13,10 @@ breakpoint belongs to the atom that the breakpoint closes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
-from .bspline import GENERAL_QUAD_POINTS, TensorQuadrature, as_value_array, mode_apply
+from .bspline import GENERAL_QUAD_POINTS, TensorQuadrature, _shaped_values, mode_apply
 from .filtration import TensorFiltration
 
 
@@ -48,34 +47,34 @@ class HybridMeasure:
         self.diracs = cleaned
 
     def density_values(self, *grids) -> np.ndarray:
-        """Density evaluated on coordinate grids, normalized to shape (..., m)."""
+        """Density on coordinate grids, shape (..., m); the quadrature rejects NaN and inf."""
         base = np.broadcast_shapes(*(np.shape(g) for g in grids))
         if self.density is None:
             return np.zeros(base + (self.m,))
-        out = as_value_array(self.density(*grids), base, "density")
+        out = _shaped_values(self.density(*grids), base, "density")
         if out.shape[-1] == 1 and self.m > 1:
             out = np.repeat(out, self.m, axis=-1)
         if out.shape[-1] != self.m:
             raise ValueError(f"density returned m={out.shape[-1]}, measure has m={self.m}")
         return out
 
+    def density_norms(self, *grids) -> np.ndarray:
+        """||g|| over the value axis on coordinate grids, shape (..., 1)."""
+        vals = self.density_values(*grids)
+        if vals.shape[-1] == 1:
+            # |g| is exact; sqrt(g^2) equals it bit for bit unless g^2 under- or overflows
+            return np.abs(vals)
+        # ||g|| with np.linalg.norm's arithmetic (sqrt of the summed squares),
+        # but one temporary instead of three
+        sq = np.add.reduce(np.square(vals), axis=-1, keepdims=True)
+        if not np.all(np.isfinite(sq)):
+            raise ValueError("||g|| of the density is not finite: the density is NaN or inf, "
+                             "or its summed squares overflow")
+        return np.sqrt(sq, out=sq)
+
 
 # ---------------------------------------------------------------------------
 # compiled per-atom masses
-
-
-def _value_norm(values, *grids) -> np.ndarray:
-    """||values(*grids)|| over the value axis, shape (..., 1)."""
-    vals = values(*grids)
-    if vals.shape[-1] == 1:
-        # |g| is exact; sqrt(g^2) equals it bit for bit unless g^2 under- or overflows
-        return np.abs(vals)
-    # ||g|| with np.linalg.norm's arithmetic (sqrt of the summed squares),
-    # but one temporary instead of three
-    sq = np.add.reduce(np.square(vals), axis=-1, keepdims=True)
-    if not np.all(np.isfinite(sq)):
-        raise ValueError("||g|| of the density is not finite: its summed squares overflow")
-    return np.sqrt(sq, out=sq)
 
 
 class CompiledMasses:
@@ -107,7 +106,7 @@ class CompiledMasses:
         if theta.density is None:
             return np.zeros(F.level_shape(F.n_levels))
         quad = TensorQuadrature([ax.level(F.n_levels) for ax in F.axes], theta.density_quad_points)
-        return quad.atom_integrals(partial(_value_norm, theta.density_values))[..., 0]
+        return quad.atom_integrals(theta.density_norms)[..., 0]
 
     def _with_diracs(self, density_masses, n):
         out = density_masses.copy()

@@ -369,11 +369,14 @@ def _kernel_columns(gs: GramSystem, a0: int, a1: int, X: np.ndarray):
     x-atoms [a0, a1), and X is their collocation matrix at the block's x
     samples; the window's edge rows hold max_x |N*_i(x)| |supp N_i| <= NORM_EDGE_TOL.
     """
-    bp, n, k = gs.space.partition.breakpoints, gs.space.partition.n_atoms, gs.space.order
+    bp = gs.space.partition.breakpoints
+
+    def mass(z, i):
+        lo, hi = gs.space.support_atom_range(i)
+        return np.abs(z @ X).max(axis=1) * (bp[hi + 1] - bp[lo])
+
     return _edge_checked_solve(
-        gs, a0, a1, NORM_EDGE_TOL, lambda lo, hi: np.eye(hi - lo, X.shape[0], lo - a0),
-        lambda z, i: (np.abs(z @ X).max(axis=1)
-                      * (bp[np.minimum(i, n - 1) + 1] - bp[np.maximum(i - k + 1, 0)])))
+        gs, a0, a1, NORM_EDGE_TOL, lambda lo, hi: np.eye(hi - lo, X.shape[0], lo - a0), mass)
 
 
 def operator_norm_inf(tp: TensorProjector, nx_per_atom: int = NORM_SAMPLES_PER_ATOM,
@@ -443,9 +446,6 @@ def decay_profile(gs: GramSystem, nx_per_atom: int = NORM_SAMPLES_PER_ATOM) -> D
     dim = space.dimension
     if dim < 2 * k:
         raise ValueError(f"space dimension {dim} too small for a decay profile (need >= {2 * k})")
-    # support atom range of each basis function, as (dim, 1) columns
-    sup_lo = np.maximum(np.arange(dim) - (k - 1), 0)[:, None]
-    sup_hi = np.minimum(np.arange(dim), n_atoms - 1)[:, None]
     first, vals = space.eval_basis_many(atom_chebyshev(p, nx_per_atom).ravel())
     prof = np.zeros(n_atoms + k)
     for a0 in range(0, n_atoms, DECAY_BLOCK_ATOMS):
@@ -455,7 +455,8 @@ def decay_profile(gs: GramSystem, nx_per_atom: int = NORM_SAMPLES_PER_ATOM) -> D
         def weighted(D, rows):
             """Per (row, atom of a): distance, and max |N*_i| over the atom's samples * conv_len."""
             vmax = np.abs(D).reshape(len(rows), len(a), nx_per_atom).max(axis=2)
-            dist, conv_len = atom_range_gap(p.breakpoints, a, sup_lo[rows], sup_hi[rows])
+            dist, conv_len = atom_range_gap(p.breakpoints, a,
+                                            *space.support_atom_range(rows[:, None]))
             return dist, vmax * conv_len
 
         D, lo, hi = _edge_checked_solve(

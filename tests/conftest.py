@@ -40,6 +40,49 @@ def random_filtration(seed, d=1, n_levels=6, p_split=0.7, jitter=(0.35, 0.65)):
 # independent oracles
 
 
+def per_atom_refine(bp, rule, rng, floor, seen):
+    """One refinement step, one atom at a time: the loop that the array step in
+    filtration._refine_once replaced, with the same draws in the same order.
+
+    Adds "floor" to the set `seen` when a chosen atom is too narrow to split
+    and "fallback" when random-atom-bisect chose no atom and takes the widest.
+    """
+    def split(j, fraction):
+        lo, hi = bp[j], bp[j + 1]
+        width = hi - lo
+        if width < 2 * floor:
+            seen.add("floor")
+            return
+        point = lo + fraction * width
+        new_points.append(min(max(point, lo + floor), hi - floor))
+
+    name = rule["name"]
+    widths = np.diff(bp)
+    new_points = []
+    if name == "uniform-bisect-all":
+        for j in range(len(widths)):
+            split(j, 0.5)
+    elif name == "random-atom-bisect":
+        p_split = float(rule.get("p_split", 0.7))
+        lo_f, hi_f = rule.get("split_range", (0.5, 0.5))
+        chosen = rng.random(len(widths)) < p_split
+        if not chosen.any():
+            seen.add("fallback")
+            chosen[int(np.argmax(widths))] = True
+        fracs = lo_f + (hi_f - lo_f) * rng.random(len(widths))
+        for j in np.flatnonzero(chosen):
+            split(j, fracs[j])
+    elif name == "point-targeted":
+        j = int(np.searchsorted(bp, float(rule["target"]), side="left")) - 1
+        split(min(max(j, 0), len(widths) - 1), float(rule.get("fraction", 0.5)))
+    else:
+        flo, fhi = rule["frozen"]
+        for j in range(len(widths)):
+            if not (bp[j] >= flo and bp[j + 1] <= fhi):
+                split(j, float(rule.get("fraction", 0.5)))
+    return np.sort(np.concatenate([bp, np.array(new_points)]))
+
+
 def piecewise_poly(space, coeffs, atom):
     """Exact polynomial of one spline on one atom via Chebyshev interpolation.
 

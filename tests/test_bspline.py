@@ -123,6 +123,26 @@ def test_support_index_out_of_range():
     space = SplineSpace1D(Partition1D([0.0, 1.0]), 2)
     with pytest.raises(IndexError):
         space.support_atom_range(5)
+    with pytest.raises(IndexError):
+        space.support_atom_range(np.array([0, 1, 2]))
+    with pytest.raises(IndexError):
+        space.support_atom_range(np.array([[-1], [0]]))
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_support_atom_range_of_an_index_array(k):
+    space = SplineSpace1D(Partition1D(np.linspace(0, 1, 6)), k)
+    i = np.arange(space.dimension)
+    lo, hi = space.support_atom_range(i[:, None])
+    assert lo.shape == hi.shape == (space.dimension, 1)
+    assert [(int(a), int(b)) for a, b in zip(lo[:, 0], hi[:, 0])] == [
+        space.support_atom_range(int(j)) for j in i]
+    # the atoms where N_i is nonzero, read off the evaluated basis
+    first, _ = space.eval_basis_many(0.5 * (space.partition.breakpoints[:-1]
+                                            + space.partition.breakpoints[1:]))
+    for j in i:
+        atoms = np.flatnonzero((first <= j) & (j < first + k))
+        assert (lo[j, 0], hi[j, 0]) == (atoms.min(), atoms.max())
 
 
 def moments_1d(space, f, g=4):

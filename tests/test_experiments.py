@@ -295,6 +295,27 @@ def test_covering_builds_one_maximal_field_per_seed_and_q(tmp_path, monkeypatch)
     assert len(calls) == int(p["n_seeds"]) * len(p["q_values"]) * levels_per_field
 
 
+@pytest.mark.parametrize("name, extra", [("decay", 0), ("shadrin", 1)])
+def test_one_filtration_build_per_seed(tmp_path, monkeypatch, name, extra):
+    # each seed's filtration serves every order; shadrin adds its 2-d tensor check
+    import splinelab.experiments as experiments
+
+    calls = []
+    real = experiments.build_filtration
+
+    def counted(spec):
+        calls.append((spec.d, spec.seed))
+        return real(spec)
+
+    monkeypatch.setattr(experiments, "build_filtration", counted)
+    cfg = small_config(name)
+    p = cfg["params"]
+    assert len(p["orders"]) > 1
+    assert run_experiment(cfg, out_dir=tmp_path, quiet=True) == 0
+    seeds = [(1, int(cfg["seed"]) + s) for s in range(int(p["n_seeds"]))]
+    assert calls == seeds + [(2, int(cfg["seed"]))] * extra
+
+
 def _referenced_names(tree) -> set:
     """Names read in `tree`, leaving out what a def or class says about its own name."""
     found = set()

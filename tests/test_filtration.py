@@ -10,9 +10,10 @@ from splinelab import (
     atom_of,
     build_filtration,
 )
-from splinelab.filtration import Filtration1D, MIN_WIDTH_FRACTION
+from splinelab.filtration import Filtration1D, MIN_WIDTH_FRACTION, _base_breakpoints
 
-from conftest import atom_distance, atom_set_from_mask, neighborhood, random_filtration
+from conftest import (atom_distance, atom_set_from_mask, neighborhood, per_atom_refine,
+                      random_filtration)
 
 
 def test_interval_rejects_degenerate():
@@ -162,6 +163,38 @@ def test_min_width_floor_enforced():
     F = build_filtration(spec)
     final = F.axes[0].level(40)
     assert final.widths.min() >= MIN_WIDTH_FRACTION * 0.999
+
+
+# (rule, levels, branches of the per-atom oracle that the rule must reach)
+REFINE_CASES = [
+    ({"name": "uniform-bisect-all", "base_atoms": 3, "base_jitter": 0.2}, 8, set()),
+    ({"name": "random-atom-bisect", "base_atoms": 2, "split_range": [0.2, 0.8]}, 10, set()),
+    ({"name": "random-atom-bisect", "p_split": 0.05, "split_range": [0.1, 0.6]}, 12,
+     {"fallback"}),
+    ({"name": "point-targeted", "target": 0.0, "fraction": 0.25, "base_atoms": 2,
+      "base_jitter": 0.3}, 40, {"floor"}),
+    ({"name": "point-targeted", "target": 0.37, "base_atoms": 3}, 40, {"floor"}),
+    ({"name": "point-targeted", "target": 1.0, "fraction": 0.9}, 34, {"floor"}),
+    ({"name": "frozen-on-subinterval", "frozen": [0.3, 0.71], "fraction": 0.37}, 9, set()),
+]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("rule, n_levels, branches", REFINE_CASES)
+def test_refinement_bit_identical_to_per_atom_oracle(rule, n_levels, branches, d):
+    for seed in range(4):
+        spec = FiltrationSpec(d=d, interval=(0.0, 1.0), n_levels=n_levels, rules=[rule],
+                              seed=seed)
+        F = build_filtration(spec)
+        floor = MIN_WIDTH_FRACTION * 1.0
+        seen = set()
+        for ax, ss in zip(F.axes, np.random.SeedSequence(seed).spawn(d)):
+            rng = np.random.default_rng(ss)
+            bp = _base_breakpoints(0.0, 1.0, rule, rng)
+            for n in range(1, n_levels + 1):
+                bp = per_atom_refine(bp, rule, rng, floor, seen)
+                assert ax.level(n).breakpoints.tobytes() == bp.tobytes(), (seed, n)
+        assert seen >= branches, seed
 
 
 def test_build_deterministic_given_seed():

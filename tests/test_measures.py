@@ -192,6 +192,55 @@ def test_density_non_finite_on_the_last_slab_rejected(dyadic_2d, monkeypatch):
         compile_masses(theta, dyadic_2d)
 
 
+def _density_paths(theta, F):
+    """The moments and the masses of theta on the finest level of F."""
+    from splinelab.projector import _source_moments
+
+    parts = [ax.level(F.n_levels) for ax in F.axes]
+    return {"moments": lambda: _source_moments(theta, parts, (2,) * F.d),
+            "masses": lambda: compile_masses(theta, F)}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("path", ["moments", "masses"])
+def test_non_finite_density_error_names_the_density(dyadic_2d, path, m, bad):
+    def dens(x, y):
+        v = np.where(x > 0.9, bad, x + y)
+        return v if m == 1 else np.stack(np.broadcast_arrays(v, x, y), axis=-1)
+
+    theta = HybridMeasure(d=2, density=dens, m=m)
+    with pytest.raises(ValueError, match="density"):
+        _density_paths(theta, dyadic_2d)[path]()
+
+
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("path", ["moments", "masses"])
+def test_density_values_checked_for_finiteness_once(dyadic_2d, monkeypatch, path, m):
+    # every node value of the density passes one isfinite test, on every slab
+    from splinelab import bspline
+
+    monkeypatch.setattr(bspline, "SLAB_NODES", 64)
+    theta = HybridMeasure(d=2, density=wavy_values(m), m=m, density_quad_points=3)
+    nodes = int(np.prod(dyadic_2d.level_shape(dyadic_2d.n_levels))) * 3 ** 2
+    checked = []
+    real = np.isfinite
+
+    def counted(a, *args, **kwargs):
+        checked.append(np.size(a))
+        return real(a, *args, **kwargs)
+
+    run = _density_paths(theta, dyadic_2d)[path]
+    monkeypatch.setattr(np, "isfinite", counted)
+    run()
+    monkeypatch.undo()
+    # the moments check the m values of a node; the masses check its norm,
+    # twice for m > 1 (the overflow test of the summed squares, then the slab)
+    per_node = {"moments": m, "masses": 1 if m == 1 else 2}[path]
+    finest_masses = int(np.prod(dyadic_2d.level_shape(dyadic_2d.n_levels)))
+    assert sum(checked) == nodes * per_node + (path == "masses") * finest_masses
+
+
 @pytest.mark.parametrize("c", [1e-170, 1e200])
 def test_scalar_density_masses_exact_where_squares_under_or_overflow(dyadic_2d, c):
     # sqrt(g^2) read a density of 1e-170 as 0 and one of 1e200 as inf
