@@ -69,9 +69,9 @@ from splinelab.projector import (  # noqa: E402
     GramSystem,
     _basis_columns,
     _kernel_columns,
-    _source_moments,
     decay_profile,
     operator_norm_1d,
+    source_moments,
 )
 
 KERNELS = ("duals_at", "decay_profile", "kernel_columns", "operator_norm_1d")
@@ -182,7 +182,7 @@ def quadrature_rows():
         finest = [ax.level(depth) for ax in F.axes]
         kernels = {
             "compile_masses": lambda: compile_masses(masses, F).finest,
-            "density_moments": lambda: _source_moments(moments, finest, (2, 2))[0].tensor,
+            "density_moments": lambda: source_moments(moments, finest, (2, 2))[0].tensor,
         }
         for name, fn in kernels.items():
             peak, out = traced_peak(fn)

@@ -96,11 +96,6 @@ class SplineSpace1D:
         first = mu - (k - 1)
         return first.reshape(np.shape(xs)), N.reshape(np.shape(xs) + (k,))
 
-    def eval_basis(self, x: float):
-        """(first_index, k values) of the nonzero basis functions at one point."""
-        first, vals = self.eval_basis_many(np.array([x]))
-        return int(first[0]), vals[0]
-
     def basis_matrix(self, xs) -> np.ndarray:
         """Dense collocation matrix B with B[p, i] = N_i(xs[p])."""
         xs = np.asarray(xs, dtype=float).ravel()
@@ -315,7 +310,8 @@ class LagrangeMoments:
                 raise ValueError(f"order-{space.order} space on axis {ell} needs "
                                  f"{min(self.g, space.order)} interpolation points, "
                                  f"the reduction kept {p}")
-            ops.append(space.basis_matrix(pts).T.__matmul__)
+            # built when its axis comes up, so one dense collocation matrix is alive at a time
+            ops.append(lambda X, space=space, pts=pts: space.basis_matrix(pts).T @ X)
         return mode_apply(self.tensor, ops)
 
 
@@ -325,6 +321,14 @@ def mode_apply(tensor, ops) -> np.ndarray:
     ops[l] maps an (n_l, r) array to an (n'_l, r) array, where r collects all
     other axes; axes past len(ops), such as a trailing value axis, ride along.
     Every per-axis operation on Kronecker-structured tensors goes through here.
+
+    ops[l] gets a strided view of `out`, not a contiguous copy, so the last
+    bit of a contraction can depend on the shapes of the other axes: the
+    kernel numpy picks, and the order in which it sums, follow the view's
+    strides.  A scalar density and the same density as component 0 of an
+    m = 3 density differ by up to 3.3e-16.  This is the accepted behaviour:
+    contiguous copies would move outputs by about 1e-16, which needs the
+    reference outputs regenerated first, and would add one copy per axis.
     """
     out = np.asarray(tensor, dtype=float)
     for ell, op in enumerate(ops):
@@ -401,10 +405,6 @@ class TensorSpline:
             first, vals = space.eval_basis_many(np.ravel(xs))
             ops.append(partial(_collocate, first, vals))
         return mode_apply(self.coeffs, ops)
-
-    def __call__(self, point) -> np.ndarray:
-        """Value at a single point of I^d, as an (m,) array."""
-        return self.eval_many(np.atleast_1d(np.asarray(point, float))[None, :])[0]
 
 
 def as_value_array(out, base_shape, where: str = "function") -> np.ndarray:

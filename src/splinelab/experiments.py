@@ -31,8 +31,7 @@ from .maximal import (
     maximal_field,
     weak_series_total,
 )
-from .measures import (HybridMeasure, compile_masses, density_catalog, measure_from_config,
-                       reject_leftover_params)
+from .measures import HybridMeasure, compile_masses, density_catalog, measure_from_config
 from .nondense import detect_v_sets, frozen_subspace, limit_dual_table
 from .projector import (PROFILE_FLOOR, GramSystem, TensorProjector, decay_profile,
                         operator_norm_inf)
@@ -81,58 +80,6 @@ class AssertionLog:
     @property
     def all_pass(self) -> bool:
         return all(a.passed for a in self.items)
-
-
-# ---------------------------------------------------------------------------
-# function catalog
-
-
-def function_catalog(name: str, d: int, **params):
-    """Named test functions spanning the hypotheses used across the experiments:
-    constants, polynomials, tensor-smooth functions, indicator-like steep
-    sigmoids, integrable singularities, and single-atom spikes.
-
-    The densities of `density_catalog` are included.  Each branch pops the
-    parameters it reads; any left over, like an unknown name, raise ValueError."""
-    if name in ("constant", "polynomial", "singular", "sigmoid"):
-        return density_catalog(name, d, **params)
-    what = f"function {name!r}"
-    if name == "smooth-sine":
-        amp = float(params.pop("amplitude", 1.0))
-        freq = float(params.pop("frequency", 1.0))
-        offset = float(params.pop("offset", 0.0))
-        reject_leftover_params(what, params)
-
-        def sine(*grids):
-            out = amp
-            for ell, gax in enumerate(grids):
-                out = out * np.sin(2 * np.pi * freq * np.asarray(gax) + 0.3 * (ell + 1))
-            return out + offset
-
-        return sine
-    if name == "smooth-exp":
-        center = np.atleast_1d(np.asarray(params.pop("center", [0.4] * d), float))
-        reject_leftover_params(what, params)
-
-        def gauss(*grids):
-            r2 = sum((np.asarray(g) - center[ell]) ** 2 for ell, g in enumerate(grids))
-            return np.exp(-4.0 * r2)
-
-        return gauss
-    if name == "spike":
-        lo = np.atleast_1d(np.asarray(params.pop("lo"), float))
-        hi = np.atleast_1d(np.asarray(params.pop("hi"), float))
-        height = float(params.pop("height", 1.0 / np.prod(hi - lo)))
-        reject_leftover_params(what, params)
-
-        def spike(*grids):
-            inside = np.ones(np.broadcast_shapes(*(np.shape(g) for g in grids)), dtype=bool)
-            for ell, gax in enumerate(grids):
-                inside &= (np.asarray(gax) > lo[ell]) & (np.asarray(gax) <= hi[ell])
-            return np.where(inside, height, 0.0)
-
-        return spike
-    raise ValueError(f"unknown catalog function {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +230,7 @@ def run_weaktype(cfg: dict):
         for idx, rect in spikes:
             theta = HybridMeasure(
                 d=d,
-                density=function_catalog("spike", d, lo=rect.lo, hi=rect.hi),
+                density=density_catalog("spike", d, lo=rect.lo, hi=rect.hi),
                 density_quad_points=4,
             )
             spike_masses.append(compile_masses(theta, F))
@@ -311,7 +258,7 @@ def run_weaktype(cfg: dict):
         finest_parts = [s.partition for s in tp_fine.spaces]
         sample_pts = [0.5 * (fp.breakpoints[:-1] + fp.breakpoints[1:]) for fp in finest_parts]
         for si, (idx, rect) in enumerate(spikes):
-            f = function_catalog("spike", d, lo=rect.lo, hi=rect.hi)
+            f = density_catalog("spike", d, lo=rect.lo, hi=rect.hi)
             sup_field = np.zeros(shape)
             for pn in make_sequence(F, f, orders, quad_points=max(orders)).splines:
                 vals = np.linalg.norm(pn.eval_grid(sample_pts), axis=-1)
@@ -324,7 +271,7 @@ def run_weaktype(cfg: dict):
             part = F.axes[0].level(depth)
             t_grid = np.logspace(-2, 3, 40)
             for si, (idx, rect) in enumerate(spikes):
-                f = function_catalog("spike", 1, lo=rect.lo, hi=rect.hi)
+                f = density_catalog("spike", 1, lo=rect.lo, hi=rect.hi)
                 ratio, _ = hl_weak_type_ratio(f, part, t_grid, g=4)
                 rows.append((case_id, 0.0, si, "HL", ratio, 3.0))
                 log.check_le(f"weaktype_HL_spike{si}", ratio, 3.0 * (1 + 1e-12))
@@ -416,7 +363,7 @@ def run_converge(cfg: dict):
         F = _filtration([{"name": "uniform-bisect-all"}] * d, d, p["interval"], depth,
                         int(cfg["seed"]))
         for fname in p["catalog"]:
-            f = function_catalog(fname, d)
+            f = density_catalog(fname, d)
             seq = make_sequence(F, f, orders, quad_points=int(p["quad_points"]))
             probe = convergence_probe(
                 seq, reference=f, n_points=int(p["n_probes"]), seed=int(cfg["seed"]),
@@ -529,7 +476,7 @@ def run_nondense(cfg: dict):
         # martingale sequence limit on the frozen region vs the clamped oracle;
         # the frozen atom is wide, so the finest-grid rule needs real order here
         F = _filtration(rules, d, p["interval"], seq_depth, int(cfg["seed"]))
-        f = function_catalog(case.get("function", "smooth-exp"), d)
+        f = density_catalog(case.get("function", "smooth-exp"), d)
         seq = make_sequence(F, f, orders, quad_points=10)
         limit_space = frozen_subspace(F.axes[0], V, orders[0])
         if d == 1:
@@ -543,7 +490,7 @@ def run_nondense(cfg: dict):
                 for ell in range(1, d)
             ]
             tp_limit = TensorProjector(deep_spaces)
-        oracle = tp_limit.project_function(f, g=10)
+        oracle = tp_limit.project(f, g=10)
         final_vals = seq.level(seq_depth).eval_many(probe_pts)
         oracle_vals = oracle.eval_many(probe_pts)
         gap = float(np.max(np.linalg.norm(final_vals - oracle_vals, axis=-1)))

@@ -102,7 +102,10 @@ class Partition1D:
         return np.searchsorted(bp, x, side="left") - 1
 
     def refines(self, coarser: "Partition1D") -> bool:
-        return bool(np.isin(coarser.breakpoints, self.breakpoints).all())
+        """Whether every breakpoint of `coarser` is one of self's (both are sorted)."""
+        fine = self.breakpoints
+        at = np.minimum(np.searchsorted(fine, coarser.breakpoints), len(fine) - 1)
+        return bool(np.array_equal(fine[at], coarser.breakpoints))
 
     def parent_map(self, coarser: "Partition1D") -> np.ndarray:
         """For each atom of self, the index of the atom of `coarser` containing it."""

@@ -65,11 +65,14 @@ class HybridMeasure:
             # |g| is exact; sqrt(g^2) equals it bit for bit unless g^2 under- or overflows
             return np.abs(vals)
         # ||g|| with np.linalg.norm's arithmetic (sqrt of the summed squares),
-        # but one temporary instead of three
-        sq = np.add.reduce(np.square(vals), axis=-1, keepdims=True)
-        if not np.all(np.isfinite(sq)):
-            raise ValueError("||g|| of the density is not finite: the density is NaN or inf, "
-                             "or its summed squares overflow")
+        # but one temporary instead of three; the quadrature tests the norms for
+        # NaN and inf, and an overflow of finite squares raises from its flag
+        try:
+            with np.errstate(over="raise"):
+                sq = np.add.reduce(np.square(vals), axis=-1, keepdims=True)
+        except FloatingPointError:
+            raise ValueError("||g|| of the density is not finite: its summed squares "
+                             "overflow") from None
         return np.sqrt(sq, out=sq)
 
 
@@ -151,12 +154,16 @@ def reject_leftover_params(what: str, params: dict) -> None:
 
 
 def density_catalog(name: str, d: int, **params):
-    """Named densities for measure specs; parameters are recorded by the caller.
+    """Named grid callables, the densities of measures and the functions experiments
+    project; parameters are recorded by the caller.
 
     constant: value c
     polynomial: prod_l x_l^{degree} scaled by c
     singular: ||x - x0||^(-alpha) with alpha*d < 1 (integrable)
     sigmoid: steep tanh step across a hyperplane x_l = c (indicator-like)
+    smooth-sine: amplitude * prod_l sin(2 pi frequency x_l + 0.3 (l + 1)) + offset
+    smooth-exp: exp(-4 ||x - center||^2)
+    spike: constant height on the box (lo, hi], 0 elsewhere (unit mass by default)
 
     Each branch pops the parameters it reads; any left over, like an unknown
     name, raise ValueError, so that a misspelt key cannot fall back to a default.
@@ -202,6 +209,41 @@ def density_catalog(name: str, d: int, **params):
             return np.broadcast_arrays(vals, *grids)[0]
 
         return sigmoid
+    if name == "smooth-sine":
+        amp = float(params.pop("amplitude", 1.0))
+        freq = float(params.pop("frequency", 1.0))
+        offset = float(params.pop("offset", 0.0))
+        reject_leftover_params(what, params)
+
+        def sine(*grids):
+            out = amp
+            for ell, gax in enumerate(grids):
+                out = out * np.sin(2 * np.pi * freq * np.asarray(gax) + 0.3 * (ell + 1))
+            return out + offset
+
+        return sine
+    if name == "smooth-exp":
+        center = np.atleast_1d(np.asarray(params.pop("center", [0.4] * d), float))
+        reject_leftover_params(what, params)
+
+        def gauss(*grids):
+            r2 = sum((np.asarray(g) - center[ell]) ** 2 for ell, g in enumerate(grids))
+            return np.exp(-4.0 * r2)
+
+        return gauss
+    if name == "spike":
+        lo = np.atleast_1d(np.asarray(params.pop("lo"), float))
+        hi = np.atleast_1d(np.asarray(params.pop("hi"), float))
+        height = float(params.pop("height", 1.0 / np.prod(hi - lo)))
+        reject_leftover_params(what, params)
+
+        def spike(*grids):
+            inside = np.ones(np.broadcast_shapes(*(np.shape(g) for g in grids)), dtype=bool)
+            for ell, gax in enumerate(grids):
+                inside &= (np.asarray(gax) > lo[ell]) & (np.asarray(gax) <= hi[ell])
+            return np.where(inside, height, 0.0)
+
+        return spike
     raise ValueError(f"unknown density {name!r}")
 
 

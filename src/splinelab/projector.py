@@ -15,6 +15,10 @@ and the kernel norm solve each block of x-atoms on a window of rows around
 it, since the duals decay geometrically away from x; the window widens until
 its edge rows hold nothing above a stated tolerance.
 
+TensorProjector.project is the one entry point of the tensor projector: it
+takes a function, a hybrid measure or a spline of another level, and
+source_moments decides how each becomes per-atom Lagrange moments.
+
 Tensor-product spaces have Gram matrix G_1 x ... x G_d (never assembled);
 projection applies per-axis banded solves along each tensor mode, and the
 L1->L1 operator norm (the Linf norm of the symmetric kernel) factorizes as
@@ -211,17 +215,24 @@ class TensorProjector:
         """Solve (G_1 x ... x G_d) c = b by per-axis banded solves along each mode."""
         return mode_apply(b, [gs.solve for gs in self.grams])
 
-    def project_function(self, f, g: int = None, quad_partitions=None) -> TensorSpline:
-        """P f as a TensorSpline; reproduces f exactly when f lies in the space.
+    def project(self, source, quad_partitions=None, g: int = None) -> TensorSpline:
+        """P source as a TensorSpline, for a callable, a HybridMeasure or a TensorSpline.
 
-        `f` is called as f(X_1, ..., X_d) on broadcastable coordinate arrays and
-        may return values of shape (...,) or (..., m).  Quadrature uses g points
-        per atom per axis (default max(k, DEFAULT_QUAD_POINTS)) on
-        `quad_partitions` (defaults to the projector's own partitions); pass a
-        finer nested partition to integrate splines of a deeper level exactly.
+        A callable f(X_1, ..., X_d) on broadcastable coordinate arrays may
+        return values of shape (...,) or (..., m); P reproduces it exactly when
+        it lies in the space.  A measure theta gives sum_i (int N_i dtheta) N*_i.
+        Both are integrated on `quad_partitions` (default: the projector's own
+        partitions); passing a finer nested partition makes the moments
+        additive across levels.  A spline is integrated exactly, as
+        `source_moments` describes.  Only a callable takes g, and a spline
+        takes no quad_partitions; an option that would be ignored raises
+        ValueError.
         """
+        if quad_partitions is not None and isinstance(source, TensorSpline):
+            raise ValueError("a TensorSpline source is integrated on the common refinement; "
+                             "it takes no quad_partitions")
         parts = [s.partition for s in self.spaces] if quad_partitions is None else quad_partitions
-        return self.project_values(*_source_moments(f, parts, self.orders, g))
+        return self.project_values(*source_moments(source, parts, self.orders, g))
 
     def project_values(self, moments: LagrangeMoments, m: int = None,
                        diracs=()) -> TensorSpline:
@@ -234,43 +245,18 @@ class TensorProjector:
         breakpoints its partitions contain.
         """
         b = np.zeros(self.dims + (m,)) if moments is None else moments.against(self.spaces)
-        for location, mass in diracs:
-            if not all(s.interval.lo < x <= s.interval.hi for s, x in zip(self.spaces, location)):
-                raise ValueError(f"Dirac location {tuple(location)} outside the domain")
-            basis = [s.eval_basis(x) for s, x in zip(self.spaces, location)]
-            w = reduce(np.multiply.outer, [vals for _, vals in basis])
-            sl = tuple(slice(fi, fi + k) for (fi, _), k in zip(basis, self.orders))
-            b[sl] += np.multiply.outer(w, np.asarray(mass, dtype=float))
+        if diracs:
+            locations = np.array([location for location, _ in diracs], dtype=float)
+            basis = [s.eval_basis_many(locations[:, ell]) for ell, s in enumerate(self.spaces)]
+            for j, (_, mass) in enumerate(diracs):
+                w = reduce(np.multiply.outer, [vals[j] for _, vals in basis])
+                sl = tuple(slice(first[j], first[j] + k)
+                           for (first, _), k in zip(basis, self.orders))
+                b[sl] += np.multiply.outer(w, np.asarray(mass, dtype=float))
         return TensorSpline(self.spaces, self.solve_coefficients(b), m=m)
 
-    def project_spline(self, ts: TensorSpline) -> TensorSpline:
-        """Project a spline from another level; exact up to roundoff.
 
-        Quadrature runs on the per-axis common refinement of the source and
-        target partitions, where the integrand is a genuine polynomial on
-        every atom regardless of which level is finer.
-        """
-        g = max(max(self.orders), max(s.order for s in ts.spaces))
-        quad = [
-            Partition1D(np.union1d(mine.partition.breakpoints, theirs.partition.breakpoints))
-            for mine, theirs in zip(self.spaces, ts.spaces)
-        ]
-        return self.project_function(lambda *grids: ts.eval_grid([np.ravel(a) for a in grids]),
-                                     g=g, quad_partitions=quad)
-
-    def project_measure(self, theta, quad_partitions=None) -> TensorSpline:
-        """P theta = sum_i (int N_i dtheta) N*_i for a hybrid measure theta.
-
-        Passing the finest-level partitions as `quad_partitions` makes the
-        density moments additive across levels, so sequences built level by
-        level satisfy the martingale identity to roundoff even for densities
-        the quadrature does not integrate sharply.
-        """
-        parts = [s.partition for s in self.spaces] if quad_partitions is None else quad_partitions
-        return self.project_values(*_source_moments(theta, parts, self.orders))
-
-
-def _source_moments(source, partitions, orders, g: int = None):
+def source_moments(source, partitions, orders, g: int = None):
     """(moments, m, diracs) of a source, the arguments of TensorProjector.project_values.
 
     A HybridMeasure gives the Lagrange moments of its density (None without
@@ -278,8 +264,15 @@ def _source_moments(source, partitions, orders, g: int = None):
     dimension and Diracs.  A callable f(X_1, ..., X_d) is integrated with g
     points per atom, max(k, DEFAULT_QUAD_POINTS) when g is None; its value
     dimension is read off the values and it has no Diracs.  Quadrature runs
-    on `partitions`, one per axis.
+    on `partitions`, one per axis.  A TensorSpline is integrated exactly: on
+    the per-axis common refinement of `partitions` and its own partitions,
+    where it is a polynomial on every atom, with g the largest order of
+    either.  Only a callable takes g; a measure or a spline given one raises
+    ValueError.
     """
+    if g is not None and isinstance(source, (HybridMeasure, TensorSpline)):
+        raise ValueError(f"a {type(source).__name__} source fixes its own quadrature; "
+                         "it takes no g")
     if isinstance(source, HybridMeasure):
         if source.d != len(partitions):
             raise ValueError(f"measure dimension {source.d} != domain dimension {len(partitions)}")
@@ -287,6 +280,11 @@ def _source_moments(source, partitions, orders, g: int = None):
             return None, source.m, source.diracs
         quad = TensorQuadrature(partitions, source.density_quad_points)
         return quad.lagrange_moments(source.density_values, orders), source.m, source.diracs
+    if isinstance(source, TensorSpline):
+        g = max(max(orders), max(s.order for s in source.spaces))
+        partitions = [Partition1D(np.union1d(part.breakpoints, s.partition.breakpoints))
+                      for part, s in zip(partitions, source.spaces)]
+        ts, source = source, lambda *grids: ts.eval_grid([np.ravel(a) for a in grids])
     if not callable(source):
         raise ValueError(f"unsupported source type {type(source)!r}")
     quad = TensorQuadrature(partitions, max(max(orders), DEFAULT_QUAD_POINTS) if g is None else g)

@@ -5,7 +5,9 @@ the projector is the conditional expectation.  Here g_n is produced either by
 projecting a fixed function f level by level (g_n = P_n f) or from a hybrid
 measure nu via g_n = sum_i (int N_{n,i} d nu) N*_{n,i}; both satisfy the
 martingale spline identity because the spaces are nested and the moment of a
-coarse B-spline against nu is level independent.
+coarse B-spline against nu is level independent.  A sequence keeps the
+projector P_n of every level, so checking P_n g_{n+1} = g_n factorizes no
+Gram matrix again.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from .bspline import TensorSpline, as_value_array
 from .filtration import TensorFiltration
-from .projector import TensorProjector, _source_moments
+from .projector import TensorProjector, source_moments
 
 PROBE_BREAKPOINT_GAP = 1e-9  # probe points stay this far from every breakpoint
 PROBE_MAX_ROUNDS = 1000      # rejection rounds before sample_probe_points gives up
@@ -27,6 +29,7 @@ class MartingaleSplineSequence:
     F: TensorFiltration
     orders: tuple
     splines: list              # TensorSpline per level, index n-1
+    projectors: list           # TensorProjector per level, index n-1
     m: int = 1
 
     @property
@@ -48,16 +51,16 @@ def make_sequence(F: TensorFiltration, source, orders,
     resolves the source, so a function uses `quad_points` points per finest
     atom, max(k, DEFAULT_QUAD_POINTS) by default; a measure uses its own
     density rule.  The source is evaluated once on that grid and reduced once
-    to per-atom Lagrange moments; each level then only multiplies them by its
-    small per-axis collocation matrices and solves.
+    to per-atom Lagrange moments; each level's projector, built once and kept
+    with the sequence, then only multiplies them by its small per-axis
+    collocation matrices and solves.
     """
-    if isinstance(orders, int):
-        orders = (orders,) * F.d
-    finest = [ax.level(F.n_levels) for ax in F.axes]
-    moments, m, diracs = _source_moments(source, finest, orders, quad_points)
-    splines = [TensorProjector.for_level(F, n, orders).project_values(moments, m, diracs)
-               for n in range(1, F.n_levels + 1)]
-    return MartingaleSplineSequence(F=F, orders=tuple(orders), splines=splines, m=splines[0].m)
+    projectors = [TensorProjector.for_level(F, n, orders) for n in range(1, F.n_levels + 1)]
+    finest, orders = [s.partition for s in projectors[-1].spaces], projectors[-1].orders
+    moments, m, diracs = source_moments(source, finest, orders, quad_points)
+    splines = [tp.project_values(moments, m, diracs) for tp in projectors]
+    return MartingaleSplineSequence(F=F, orders=orders, splines=splines, projectors=projectors,
+                                    m=splines[0].m)
 
 
 def sample_probe_points(F: TensorFiltration, n_points: int, seed: int = 0,
@@ -121,8 +124,7 @@ def verify_martingale_property(seq: MartingaleSplineSequence, n_probe: int = 200
     pts = sample_probe_points(seq.F, n_probe, seed=seed)
     worst = 0.0
     for n in range(1, seq.n_levels):
-        tp = TensorProjector.for_level(seq.F, n, seq.orders)
-        proj = tp.project_spline(seq.level(n + 1))
+        proj = seq.projectors[n - 1].project(seq.level(n + 1))
         err = np.linalg.norm(proj.eval_many(pts) - seq.level(n).eval_many(pts), axis=-1)
         worst = max(worst, float(err.max()))
     return worst

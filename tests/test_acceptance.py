@@ -19,6 +19,7 @@ from splinelab import (
     convergence_probe,
     covering_constant,
     decay_profile,
+    density_catalog,
     detect_v_sets,
     frozen_subspace,
     limit_dual_table,
@@ -33,7 +34,6 @@ from splinelab import (
 from splinelab.experiments import (
     _dense_tensor_norm_2d,
     _exact_weak_ratio,
-    function_catalog,
 )
 from splinelab.maximal import hl_weak_type_ratio
 from splinelab.projector import operator_norm_1d
@@ -212,7 +212,7 @@ def test_criterion_6_weak_type_constants():
             for rect in spikes:
                 theta = HybridMeasure(
                     d=d,
-                    density=function_catalog("spike", d, lo=rect.lo, hi=rect.hi),
+                    density=density_catalog("spike", d, lo=rect.lo, hi=rect.hi),
                     density_quad_points=4,
                 )
                 field_ = maximal_field(q, theta, F, K=1, N_max=depth)
@@ -230,11 +230,11 @@ def test_criterion_6_weak_type_constants():
         grids = np.meshgrid(*centers, indexing="ij")
         pts = np.stack([g.ravel() for g in grids], axis=-1)
         for rect in spikes:
-            f = function_catalog("spike", d, lo=rect.lo, hi=rect.hi)
+            f = density_catalog("spike", d, lo=rect.lo, hi=rect.hi)
             sup_field = np.zeros(shape)
             for n in range(1, depth + 1):
                 tp = TensorProjector.for_level(F, n, orders)
-                pn = tp.project_function(f, g=max(orders), quad_partitions=finest_parts)
+                pn = tp.project(f, g=max(orders), quad_partitions=finest_parts)
                 vals = np.linalg.norm(pn.eval_many(pts), axis=-1).reshape(shape)
                 sup_field = np.maximum(sup_field, vals)
             ratio = _exact_weak_ratio(sup_field, vols)
@@ -243,7 +243,7 @@ def test_criterion_6_weak_type_constants():
             part = F.axes[0].level(depth)
             t_grid = np.logspace(-2, 3, 50)
             for rect in spikes:
-                f = function_catalog("spike", 1, lo=rect.lo, hi=rect.hi)
+                f = density_catalog("spike", 1, lo=rect.lo, hi=rect.hi)
                 ratio, _ = hl_weak_type_ratio(f, part, t_grid, g=4)
                 results.append(("HL", 1, 0.0, ratio, 3.0, ratio <= 3.0 + 1e-12))
     ok = all(r[-1] for r in results)
@@ -297,9 +297,9 @@ def test_criterion_8_convergence_dense_and_hybrid():
     for d, orders in ((1, (2,)), (1, (3,)), (2, (2, 2)), (2, (3, 3))):
         F = build_filtration(FiltrationSpec(d=d, interval=(0.0, 1.0), n_levels=8))
         for fname in ("smooth-sine", "smooth-exp"):
-            f = function_catalog(fname, d)
+            f = density_catalog(fname, d)
             tp = TensorProjector.for_level(F, 8, orders)
-            pn = tp.project_function(f, g=4)
+            pn = tp.project(f, g=4)
             pts = sample_probe_points(F, 500, seed=800 + d)
             vals = pn.eval_many(pts)[:, 0]
             ref = f(*[pts[:, ell] for ell in range(d)])
@@ -329,7 +329,7 @@ def test_criterion_8_convergence_dense_and_hybrid():
         svals, scaled = [], []
         for n in range(1, 9):
             tp = TensorProjector.for_level(F, n, (2,))
-            val = float(np.linalg.norm(tp.project_measure(sing)(sub[j])))
+            val = float(np.linalg.norm(tp.project(sing).eval_many([sub[j]])[0]))
             i_x0, _ = atom_of(F, n, [x0])
             i_y, _ = atom_of(F, n, sub[j])
             s = abs(i_x0[0] - i_y[0])
@@ -368,12 +368,12 @@ def test_criterion_9_nondense_limits():
         seq_depth = 10 if d == 1 else 7
         F = build_filtration(FiltrationSpec(d=d, interval=(0.0, 1.0),
                                             n_levels=seq_depth, rules=rules))
-        f = function_catalog("smooth-exp", d)
+        f = density_catalog("smooth-exp", d)
         seq = make_sequence(F, f, (2,) * d, quad_points=10)
         limit_space = frozen_subspace(F.axes[0], V, 2)
         spaces = [limit_space] + [SplineSpace1D(F.axes[ell].level(seq_depth), 2)
                                   for ell in range(1, d)]
-        oracle = TensorProjector(spaces).project_function(f, g=10)
+        oracle = TensorProjector(spaces).project(f, g=10)
         rng = np.random.default_rng(900 + d)
         pts = np.column_stack([probes1] +
                               [rng.uniform(0.05, 0.95, len(probes1)) for _ in range(d - 1)])

@@ -18,7 +18,7 @@ from splinelab import (
 )
 
 from splinelab import bspline
-from splinelab.projector import _source_moments
+from splinelab.projector import source_moments
 
 from conftest import (dense_atom_integrals, dense_lagrange_moments, dense_moments, graded_filtration,
                       node_grid_values, random_filtration, slab_sizes, symbolic_product_integral,
@@ -50,25 +50,24 @@ def test_knot_vector_rejects_bad_order():
 
 def test_eval_basis_hats_at_midpoint():
     space = SplineSpace1D(Partition1D([0.0, 0.5, 1.0]), 2)
-    first, vals = space.eval_basis(0.25)
-    assert first == 0
-    np.testing.assert_allclose(vals, [0.5, 0.5], atol=1e-15)
+    first, vals = space.eval_basis_many([0.25])
+    assert first[0] == 0
+    np.testing.assert_allclose(vals[0], [0.5, 0.5], atol=1e-15)
 
 
 def test_eval_basis_k1_indicator():
     space = SplineSpace1D(Partition1D([0.0, 0.25, 0.5, 1.0]), 1)
-    for x, want in [(0.1, 0), (0.25, 0), (0.3, 1), (0.8, 2)]:
-        first, vals = space.eval_basis(x)
-        assert first == want
-        np.testing.assert_allclose(vals, [1.0])
+    first, vals = space.eval_basis_many([0.1, 0.25, 0.3, 0.8])
+    assert first.tolist() == [0, 0, 1, 2]
+    np.testing.assert_allclose(vals, 1.0)
 
 
 def test_eval_basis_outside_domain():
     space = SplineSpace1D(Partition1D([0.0, 1.0]), 2)
     with pytest.raises(ValueError):
-        space.eval_basis(0.0)
+        space.eval_basis_many([0.0])
     with pytest.raises(ValueError):
-        space.eval_basis(1.5)
+        space.eval_basis_many([1.5])
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -246,7 +245,7 @@ def test_tensor_vector_valued_componentwise():
     coeffs = np.zeros((5, 2))
     coeffs[:, 0] = 3.0
     ts = TensorSpline([space], coeffs, m=2)
-    val = ts([0.37])
+    val = ts.eval_many([[0.37]])[0]
     np.testing.assert_allclose(val, [3.0, 0.0], atol=1e-14)
 
 
@@ -466,7 +465,7 @@ def test_quadrature_fails_closed_on_the_last_slab(d, monkeypatch):
 
     for f, match in ((nan_at_end, "non-finite"), (short_at_end, "shape")):
         for reduce in (quad.atom_integrals, lambda f: quad.lagrange_moments(f, (2,) * d),
-                       lambda f: _source_moments(f, parts, (2,) * d)):
+                       lambda f: source_moments(f, parts, (2,) * d)):
             sizes = []
             with pytest.raises(ValueError, match=match):
                 reduce(counting(f, sizes))

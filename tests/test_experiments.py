@@ -13,7 +13,6 @@ from splinelab.experiments import (
     EXPERIMENT_NAMES,
     check_config,
     default_config,
-    function_catalog,
     load_config,
     run_experiment,
 )
@@ -211,17 +210,6 @@ def test_nonzero_exit_when_assertion_fails():
     assert run_experiment(cfg, quiet=True) == 1
 
 
-def test_function_catalog_rejects_misspelt_parameters():
-    assert function_catalog("smooth-exp", 1, center=[0.5])(0.5) == 1.0
-    with pytest.raises(ValueError, match=r"function 'smooth-exp' parameters \['centre'\]"):
-        function_catalog("smooth-exp", 1, centre=[0.5])
-    # densities are checked against their own parameter names
-    with pytest.raises(ValueError, match=r"density 'sigmoid' parameters \['steep'\]"):
-        function_catalog("sigmoid", 1, steep=5.0)
-    with pytest.raises(ValueError, match="unknown catalog function 'gauss'"):
-        function_catalog("gauss", 1)
-
-
 def _key_paths(name) -> list:
     """(name, parent path, key) of every key the config check walks in a default config."""
     cfg = default_config(name)
@@ -353,8 +341,6 @@ def test_public_names_have_a_caller():
 UNSET_OPTIONS_KEPT = {
     # tests pass a command line; the console entry point passes none
     ("main", "argv"),
-    # the per-level reference that the np.array_equal sequence tests compare against
-    ("project_measure", "quad_partitions"),
 }
 
 

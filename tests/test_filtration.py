@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from splinelab import (
@@ -117,6 +117,38 @@ def test_check_nested(dyadic_2d):
     for ax in dyadic_2d.axes:
         for coarse, fine in zip(ax.levels, ax.levels[1:]):
             assert fine.refines(coarse)
+
+
+def _graded(n):
+    """Breakpoints 0, 1/2, 3/4, ..., 1 - 2**-(n-1), 1: widths halving toward 1."""
+    return np.append(1.0 - 0.5 ** np.arange(n), 1.0)
+
+
+_fine_breakpoints = st.one_of(
+    st.lists(st.floats(0.0, 1.0), min_size=2, max_size=40, unique=True).map(np.unique),
+    st.integers(1, 50).map(_graded),
+).filter(lambda bp: len(bp) >= 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fine=_fine_breakpoints, kind=st.sampled_from(["nested", "not-nested", "outside"]),
+       data=st.data())
+def test_refines_matches_isin(fine, kind, data):
+    # refines searches the sorted breakpoints; np.isin is the reference
+    keep = np.array(data.draw(st.lists(st.booleans(), min_size=len(fine), max_size=len(fine))))
+    keep[[0, -1]] = True
+    coarse = fine[keep]
+    if kind == "not-nested":
+        a = data.draw(st.integers(0, len(fine) - 2))
+        x = 0.5 * (fine[a] + fine[a + 1])
+        assume(fine[a] < x < fine[a + 1])
+        coarse = np.union1d(coarse, [x])
+    elif kind == "outside":
+        gap = data.draw(st.floats(1e-12, 1.0))
+        coarse = (np.append(coarse, fine[-1] + gap) if data.draw(st.booleans())
+                  else np.insert(coarse, 0, fine[0] - gap))
+    got = Partition1D(fine).refines(Partition1D(coarse))
+    assert got == bool(np.isin(coarse, fine).all()) == (kind == "nested")
 
 
 def test_check_nested_detects_violation():

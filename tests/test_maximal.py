@@ -314,7 +314,7 @@ def test_spline_domination_by_level_sum():
         prof = decay_profile(GramSystem(space))
         c_k = prof.c_env * k * prof.q_hat ** (-k)
         tp = TensorProjector.for_level(F, n, k)
-        pn = tp.project_function(f, g=8)
+        pn = tp.project(f, g=8)
         vals = np.abs(pn.eval_many(xs[:, None])[:, 0])
         bounds = np.array([c_k * level_sum(prof.q_hat, masses, F, n, [x]) for x in xs])
         assert np.all(vals <= bounds * (1 + 1e-9))
@@ -335,7 +335,7 @@ def test_singular_part_quantitative_decay():
         space = SplineSpace1D(F.axes[0].level(n), k)
         prof = decay_profile(GramSystem(space))
         tp = TensorProjector.for_level(F, n, k)
-        pn = tp.project_measure(sing)
+        pn = tp.project(sing)
         vals = np.abs(pn.eval_many(ys[:, None])[:, 0])
         bp = F.axes[0].level(n).breakpoints
         i0, _ = atom_of(F, n, [x0])

@@ -194,10 +194,10 @@ def test_density_non_finite_on_the_last_slab_rejected(dyadic_2d, monkeypatch):
 
 def _density_paths(theta, F):
     """The moments and the masses of theta on the finest level of F."""
-    from splinelab.projector import _source_moments
+    from splinelab.projector import source_moments
 
     parts = [ax.level(F.n_levels) for ax in F.axes]
-    return {"moments": lambda: _source_moments(theta, parts, (2,) * F.d),
+    return {"moments": lambda: source_moments(theta, parts, (2,) * F.d),
             "masses": lambda: compile_masses(theta, F)}
 
 
@@ -234,9 +234,9 @@ def test_density_values_checked_for_finiteness_once(dyadic_2d, monkeypatch, path
     monkeypatch.setattr(np, "isfinite", counted)
     run()
     monkeypatch.undo()
-    # the moments check the m values of a node; the masses check its norm,
-    # twice for m > 1 (the overflow test of the summed squares, then the slab)
-    per_node = {"moments": m, "masses": 1 if m == 1 else 2}[path]
+    # the moments check the m values of a node; the masses check its norm once,
+    # for every m (an overflow of the summed squares raises from the FP flag)
+    per_node = {"moments": m, "masses": 1}[path]
     finest_masses = int(np.prod(dyadic_2d.level_shape(dyadic_2d.n_levels)))
     assert sum(checked) == nodes * per_node + (path == "masses") * finest_masses
 
@@ -282,6 +282,10 @@ def test_density_catalog_rejects_misspelt_parameters():
         measure_from_config({"density": {"name": "singular", "alpa": 0.9}}, 1)
     with pytest.raises(ValueError, match="unknown density 'gauss'"):
         density_catalog("gauss", 1)
+    # the named grid functions that are not densities follow the same contract
+    assert density_catalog("smooth-exp", 1, center=[0.5])(0.5) == 1.0
+    with pytest.raises(ValueError, match=r"density 'smooth-exp' parameters \['centre'\]"):
+        density_catalog("smooth-exp", 1, centre=[0.5])
 
 
 def test_measure_from_config_round_trip():

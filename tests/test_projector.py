@@ -115,14 +115,47 @@ def test_project_reproduces_splines():
     from splinelab import TensorSpline
 
     ts = TensorSpline(tp.spaces, coeffs)
-    back = tp.project_spline(ts)
+    back = tp.project(ts)
     pts = rng.uniform(1e-6, 1, (200, 2))
     np.testing.assert_allclose(back.eval_many(pts), ts.eval_many(pts), atol=1e-10)
 
 
+def _common_refinement_route(tp, ts):
+    """P ts by projecting ts as a callable, with g the largest order, on the
+    per-axis union of both breakpoint sets: what a spline source amounts to."""
+    g = max(max(tp.orders), max(s.order for s in ts.spaces))
+    quad = [Partition1D(np.union1d(mine.partition.breakpoints, theirs.partition.breakpoints))
+            for mine, theirs in zip(tp.spaces, ts.spaces)]
+    return tp.project(lambda *grids: ts.eval_grid([np.ravel(a) for a in grids]),
+                      g=g, quad_partitions=quad)
+
+
+def test_project_of_a_coarser_spline_is_the_callable_route():
+    F = random_filtration(11, d=2, n_levels=5)
+    rng = np.random.default_rng(12)
+    coarse = TensorProjector.for_level(F, 2, (3, 3))
+    from splinelab import TensorSpline
+
+    ts = TensorSpline(coarse.spaces, rng.normal(size=coarse.dims + (2,)))
+    tp = TensorProjector.for_level(F, 4, (2, 3))
+    assert np.array_equal(tp.project(ts).coeffs, _common_refinement_route(tp, ts).coeffs)
+
+
+def test_project_rejects_options_it_would_ignore(dyadic_1d):
+    tp = TensorProjector.for_level(dyadic_1d, 2, 2)
+    ts = tp.project(lambda x: x)
+    theta = HybridMeasure(d=1, density=lambda x: x)
+    with pytest.raises(ValueError, match="HybridMeasure source .* takes no g"):
+        tp.project(theta, g=4)
+    with pytest.raises(ValueError, match="TensorSpline source .* takes no g"):
+        tp.project(ts, g=4)
+    with pytest.raises(ValueError, match="takes no quad_partitions"):
+        tp.project(ts, quad_partitions=[dyadic_1d.axes[0].level(4)])
+
+
 def test_project_k1_is_atomwise_average(dyadic_1d):
     tp = TensorProjector.for_level(dyadic_1d, 1, 1)
-    ts = tp.project_function(lambda x: x, g=4)
+    ts = tp.project(lambda x: x, g=4)
     np.testing.assert_allclose(ts.coeffs.ravel(), [0.25, 0.75], atol=1e-15)
 
 
@@ -130,8 +163,8 @@ def test_projection_idempotent():
     F = random_filtration(5, n_levels=5)
     tp = TensorProjector.for_level(F, 5, 3)
     f = lambda x: np.sin(3 * x) + x ** 2
-    once = tp.project_function(f, g=8)
-    twice = tp.project_spline(once)
+    once = tp.project(f, g=8)
+    twice = tp.project(once)
     pts = np.random.default_rng(1).uniform(1e-6, 1, 300)
     np.testing.assert_allclose(
         twice.eval_many(pts[:, None]), once.eval_many(pts[:, None]), atol=1e-10
@@ -146,8 +179,8 @@ def test_projector_self_adjoint():
     g_ = lambda x: np.exp(x)
     rule = atom_quadrature(tp.spaces[0].partition, 12)
     xs, w = rule.nodes.ravel(), rule.weights.ravel()
-    Pf = tp.project_function(f, g=12).eval_many(xs[:, None])[:, 0]
-    Pg = tp.project_function(g_, g=12).eval_many(xs[:, None])[:, 0]
+    Pf = tp.project(f, g=12).eval_many(xs[:, None])[:, 0]
+    Pg = tp.project(g_, g=12).eval_many(xs[:, None])[:, 0]
     lhs = float((w * Pf * g_(xs)).sum())
     rhs = float((w * f(xs) * Pg).sum())
     assert abs(lhs - rhs) <= 1e-10
@@ -159,11 +192,13 @@ def test_nested_projection_identity():
     f = lambda x: np.cos(2.3 * x) + 0.5 * x
     tp_deep = TensorProjector.for_level(F, 6, 3)
     tp_coarse = TensorProjector.for_level(F, 2, 3)
-    pm = tp_deep.project_function(f, g=10)
-    pn_pm = tp_coarse.project_spline(pm)
-    pn = tp_coarse.project_function(f, g=10, quad_partitions=[F.axes[0].level(6)])
+    pm = tp_deep.project(f, g=10)
+    pn_pm = tp_coarse.project(pm)
+    pn = tp_coarse.project(f, g=10, quad_partitions=[F.axes[0].level(6)])
     pts = np.random.default_rng(4).uniform(1e-6, 1, 400)[:, None]
     np.testing.assert_allclose(pn_pm.eval_many(pts), pn.eval_many(pts), atol=1e-9)
+    # a spline source from a finer level is the callable route, bit for bit
+    assert np.array_equal(pn_pm.coeffs, _common_refinement_route(tp_coarse, pm).coeffs)
 
 
 def test_kronecker_consistency_small_2d():
@@ -175,7 +210,7 @@ def test_kronecker_consistency_small_2d():
     for d, orders, f in cases:
         F = build_filtration(FiltrationSpec(d=d, interval=(0.0, 1.0), n_levels=3))
         tp = TensorProjector.for_level(F, 3, orders)
-        ts = tp.project_function(f, g=6)
+        ts = tp.project(f, g=6)
         # oracle: dense Kronecker Gram solve
         G = functools.reduce(np.kron, [dense_gram(gs) for gs in tp.grams])
         quad = TensorQuadrature([s.partition for s in tp.spaces], 6)
@@ -184,20 +219,20 @@ def test_kronecker_consistency_small_2d():
         np.testing.assert_allclose(ts.coeffs[..., 0], c, atol=1e-10)
 
 
-def test_project_measure_density_matches_function():
+def test_project_density_measure_matches_function():
     F = random_filtration(9, n_levels=4)
     tp = TensorProjector.for_level(F, 4, 2)
     f = lambda x: 1.0 + 0.5 * np.cos(x)
     theta = HybridMeasure(d=1, density=f, density_quad_points=16)
-    a = tp.project_measure(theta)
-    b = tp.project_function(f, g=16)
+    a = tp.project(theta)
+    b = tp.project(f, g=16)
     np.testing.assert_allclose(a.coeffs, b.coeffs, atol=1e-14)
 
 
 def test_project_dirac_k1(dyadic_1d):
     tp = TensorProjector.for_level(dyadic_1d, 2, 1)
     theta = HybridMeasure(d=1, diracs=[(np.array([0.3]), np.array([1.0]))])
-    ts = tp.project_measure(theta)
+    ts = tp.project(theta)
     want = np.zeros(4)
     want[1] = 4.0  # 1 / |atom| on the atom containing 0.3
     np.testing.assert_allclose(ts.coeffs.ravel(), want, atol=1e-14)
@@ -207,13 +242,13 @@ def test_project_dirac_outside_domain(dyadic_1d):
     tp = TensorProjector.for_level(dyadic_1d, 2, 1)
     theta = HybridMeasure(d=1, diracs=[(np.array([1.3]), np.array([1.0]))])
     with pytest.raises(ValueError):
-        tp.project_measure(theta)
+        tp.project(theta)
 
 
 def test_non_finite_integrand_rejected(dyadic_1d):
     tp = TensorProjector.for_level(dyadic_1d, 3, 2)
     with pytest.raises(ValueError, match="non-finite"):
-        tp.project_function(lambda x: np.where(x > 0.5, np.inf, x))
+        tp.project(lambda x: np.where(x > 0.5, np.inf, x))
 
 
 def test_project_dirac_decay_matches_dense_oracle():
@@ -221,12 +256,12 @@ def test_project_dirac_decay_matches_dense_oracle():
     tp = TensorProjector.for_level(F, 5, 2)
     x0 = 0.3017
     theta = HybridMeasure(d=1, diracs=[(np.array([x0]), np.array([1.0]))])
-    ts = tp.project_measure(theta)
+    ts = tp.project(theta)
     space = tp.spaces[0]
     Ginv = dense_dual_matrix(tp.grams[0])
-    first, vals = space.eval_basis(x0)
+    first, vals = space.eval_basis_many([x0])
     nvec = np.zeros(space.dimension)
-    nvec[first : first + 2] = vals
+    nvec[first[0] : first[0] + 2] = vals[0]
     want = Ginv @ nvec
     np.testing.assert_allclose(ts.coeffs.ravel(), want, atol=1e-12)
     ys = np.random.default_rng(0).uniform(1e-9, 1, 64)

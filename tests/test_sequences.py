@@ -24,7 +24,7 @@ def test_source_in_first_space_is_constant_sequence(dyadic_1d):
     pts = sample_probe_points(dyadic_1d, 100, seed=1)
     base = f.eval_many(pts)
     for n in range(1, 5):
-        g_n = TensorProjector.for_level(dyadic_1d, n, 2).project_spline(f)
+        g_n = TensorProjector.for_level(dyadic_1d, n, 2).project(f)
         np.testing.assert_allclose(g_n.eval_many(pts), base, atol=1e-11)
 
 
@@ -35,7 +35,7 @@ def test_density_source_matches_projection(dyadic_1d):
     finest = [dyadic_1d.axes[0].level(dyadic_1d.n_levels)]
     for n in (1, 2, 3):
         tp = TensorProjector.for_level(dyadic_1d, n, 2)
-        direct = tp.project_function(dens, g=8, quad_partitions=finest)
+        direct = tp.project(dens, g=8, quad_partitions=finest)
         np.testing.assert_allclose(seq.level(n).coeffs, direct.coeffs, atol=1e-13)
 
 
@@ -80,6 +80,26 @@ def test_martingale_property_k1_dirac_exact(dyadic_1d):
     assert err <= 1e-12
 
 
+def test_sequence_factorizes_each_level_once(dyadic_2d, monkeypatch):
+    # make_sequence factorizes one Gram matrix per level and axis, and the
+    # martingale check projects with the projectors the sequence keeps
+    from splinelab.projector import GramSystem
+
+    built = []
+    init = GramSystem.__init__
+
+    def counted(self, space):
+        built.append(space)
+        init(self, space)
+
+    monkeypatch.setattr(GramSystem, "__init__", counted)
+    seq = make_sequence(dyadic_2d, lambda x, y: np.sin(2 * x) * y, (2, 3))
+    assert len(built) == dyadic_2d.d * dyadic_2d.n_levels
+    built.clear()
+    assert verify_martingale_property(seq, n_probe=50, seed=6) <= 1e-12
+    assert built == []
+
+
 def test_probe_points_avoid_breakpoints(dyadic_2d):
     pts = sample_probe_points(dyadic_2d, 500, seed=5)
     assert pts.shape == (500, 2)
@@ -122,7 +142,8 @@ def test_convergence_deepest_level_reference():
     seq = make_sequence(F, lambda x: np.cos(3 * x), 3, quad_points=4)
     deepest = seq.level(seq.n_levels)
     # levels 1..N-1 against the deepest level, the oracle for the limit
-    coarser = MartingaleSplineSequence(F=F, orders=seq.orders, splines=seq.splines[:-1])
+    coarser = MartingaleSplineSequence(F=F, orders=seq.orders, splines=seq.splines[:-1],
+                                       projectors=seq.projectors[:-1])
     probe = convergence_probe(coarser, reference=lambda x: deepest.eval_many(x[:, None]),
                               n_points=100, seed=8, final_tol=5e-2)
     assert probe.fraction_below_tol == 1.0
@@ -158,14 +179,17 @@ def test_vector_valued_sequence(dyadic_1d):
 def test_make_sequence_rejects_junk(dyadic_1d):
     with pytest.raises(ValueError):
         make_sequence(dyadic_1d, object(), 2)
+    # a measure integrates with its own density rule, so quad_points would be ignored
+    with pytest.raises(ValueError, match="takes no g"):
+        make_sequence(dyadic_1d, HybridMeasure(d=1, density=lambda x: x), 2, quad_points=4)
 
 
 def test_make_sequence_rejects_zero_quad_points(dyadic_1d):
-    # as project_function(g=0) does, instead of falling back to the default rule
+    # as project(g=0) does, instead of falling back to the default rule
     with pytest.raises(ValueError, match="at least one quadrature point"):
         make_sequence(dyadic_1d, lambda x: x, 2, quad_points=0)
     with pytest.raises(ValueError, match="at least one quadrature point"):
-        TensorProjector.for_level(dyadic_1d, 2, 2).project_function(lambda x: x, g=0)
+        TensorProjector.for_level(dyadic_1d, 2, 2).project(lambda x: x, g=0)
 
 
 def test_l1_uniform_boundedness_via_measured_norm():
@@ -219,7 +243,7 @@ def test_measure_sequence_levels_equal_per_level_projection(d, m):
     assert seq.m == m
     for n in range(1, F.n_levels + 1):
         tp = TensorProjector.for_level(F, n, orders)
-        direct = tp.project_measure(theta, quad_partitions=finest)
+        direct = tp.project(theta, quad_partitions=finest)
         assert np.array_equal(seq.level(n).coeffs, direct.coeffs)
 
 
@@ -232,7 +256,7 @@ def test_function_sequence_levels_equal_per_level_projection(d):
     finest = [ax.level(F.n_levels) for ax in F.axes]
     for n in range(1, F.n_levels + 1):
         tp = TensorProjector.for_level(F, n, orders)
-        direct = tp.project_function(f, g=6, quad_partitions=finest)
+        direct = tp.project(f, g=6, quad_partitions=finest)
         assert np.array_equal(seq.level(n).coeffs, direct.coeffs)
 
 
