@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from splinelab import density_catalog
 from splinelab.cli import main as cli_main
 from splinelab.experiments import (
     EXPERIMENT_NAMES,
@@ -208,6 +209,18 @@ def test_nonzero_exit_when_assertion_fails():
     cfg = small_config("decay")
     cfg["params"]["q_max"] = 1e-9  # impossible cap: q_hat > 0 for k >= 2
     assert run_experiment(cfg, quiet=True) == 1
+
+
+def test_function_catalog_rejects_misspelt_parameters():
+    # the grid functions the experiments name by string come from density_catalog,
+    # which checks the ones that are not densities by the same contract
+    assert density_catalog("smooth-exp", 1, center=[0.5])(0.5) == 1.0
+    with pytest.raises(ValueError, match=r"density 'smooth-exp' parameters \['centre'\]"):
+        density_catalog("smooth-exp", 1, centre=[0.5])
+    with pytest.raises(ValueError, match=r"density 'sigmoid' parameters \['steep'\]"):
+        density_catalog("sigmoid", 1, steep=5.0)
+    with pytest.raises(ValueError, match="unknown density 'gauss'"):
+        density_catalog("gauss", 1)
 
 
 def _key_paths(name) -> list:

@@ -282,10 +282,6 @@ def test_density_catalog_rejects_misspelt_parameters():
         measure_from_config({"density": {"name": "singular", "alpa": 0.9}}, 1)
     with pytest.raises(ValueError, match="unknown density 'gauss'"):
         density_catalog("gauss", 1)
-    # the named grid functions that are not densities follow the same contract
-    assert density_catalog("smooth-exp", 1, center=[0.5])(0.5) == 1.0
-    with pytest.raises(ValueError, match=r"density 'smooth-exp' parameters \['centre'\]"):
-        density_catalog("smooth-exp", 1, centre=[0.5])
 
 
 def test_measure_from_config_round_trip():
