@@ -7,11 +7,11 @@ and build_filtration at three depths each and fit their scaling exponents.
 Times `GramSystem.duals_at` on the points of one decay block (the
 DECAY_BLOCK_ATOMS atoms from the middle of the mesh, NORM_SAMPLES_PER_ATOM
 points each, solved on all rows), `decay_profile`, the kernel columns of
-`operator_norm_1d` (its edge-checked windowed solve for every block of
-NORM_BLOCK_ATOMS x-atoms, without the y-integral) and `operator_norm_1d`
-itself, for orders 2-5 at depths 8, 9 and 10 of a
+`operator_norm_1d` (the dual values of every block of NORM_BLOCK_ATOMS
+x-atoms from its edge-checked windowed solve, without the y-integral) and
+`operator_norm_1d` itself, for orders 2-5 at depths 8, 9 and 10 of a
 random-bisection mesh (3 base atoms, every atom split at a random fraction in
-[0.35, 0.65], seed SEED: 384, 768 and 1,536 atoms).
+[0.35, 0.65], seed SEED: 768, 1,536 and 3,072 atoms).
 
 For the maximal machinery it times, in d = 1 and d = 2 on the
 random-bisection mesh of the maximal-covering benchmark (1 base atom,
@@ -67,8 +67,7 @@ from splinelab.projector import (  # noqa: E402
     NORM_SAMPLES_PER_ATOM,
     NORM_WINDOW_ATOMS,
     GramSystem,
-    _basis_columns,
-    _kernel_columns,
+    _kernel_blocks,
     decay_profile,
     operator_norm_1d,
     source_moments,
@@ -102,18 +101,6 @@ def median_seconds(fn, repeats=REPEATS):
         fn()
         times.append(time.perf_counter() - t0)
     return statistics.median(times)
-
-
-def kernel_blocks(gs, cheb):
-    """The (a0, a1, X) arguments of _kernel_columns for every block of operator_norm_1d."""
-    n, k = gs.space.partition.n_atoms, gs.space.order
-    first, vals = gs.space.eval_basis_many(cheb.ravel())
-    blocks = []
-    for a0 in range(0, n, NORM_BLOCK_ATOMS):
-        a1 = min(a0 + NORM_BLOCK_ATOMS, n)
-        xs = slice(a0 * NORM_SAMPLES_PER_ATOM, a1 * NORM_SAMPLES_PER_ATOM)
-        blocks.append((a0, a1, _basis_columns(first[xs], vals[xs], a0, a1 + k - 1)))
-    return blocks
 
 
 def slope(pts):
@@ -219,11 +206,10 @@ def main():
             cheb = atom_chebyshev(part, NORM_SAMPLES_PER_ATOM)
             a0 = part.n_atoms // 2
             xs = cheb[a0:a0 + DECAY_BLOCK_ATOMS].ravel()
-            blocks = kernel_blocks(gs, cheb)
             kernels = {
                 "duals_at": lambda: gs.duals_at(xs),
                 "decay_profile": lambda: decay_profile(gs),
-                "kernel_columns": lambda: [_kernel_columns(gs, *b) for b in blocks],
+                "kernel_columns": lambda: sum(1 for _ in _kernel_blocks(gs, NORM_SAMPLES_PER_ATOM)),
                 "operator_norm_1d": lambda: operator_norm_1d(gs),
             }
             for name, fn in kernels.items():

@@ -43,6 +43,7 @@ from .filtration import AtomSet, Partition1D, TensorFiltration, l1_distance_grid
 from .measures import CompiledMasses, compile_masses
 
 SERIES_REL_TOL = 1e-12   # truncation: rigorous tail below this fraction of the partial sum
+SERIES_MAX_TERMS = 100_000   # a series not within SERIES_REL_TOL after this many terms raises
 
 
 def _check_q(q: float) -> None:
@@ -159,7 +160,11 @@ def weak_series_tail(q: float, d: int):
 
 
 def weak_series_total(q: float, d: int) -> float:
-    """Upper bound for sum_{s >= 0} q^{s/2} (s+1)^{d-1} (partial sum + tail)."""
+    """Upper bound for sum_{s >= 0} q^{s/2} (s+1)^{d-1} (partial sum + tail).
+
+    Raises ValueError when the tail is still above SERIES_REL_TOL of the
+    partial sum after SERIES_MAX_TERMS terms (q too close to 1).
+    """
     tail_after = weak_series_tail(q, d)
     total, s = 0.0, 0
     rho = np.sqrt(q)
@@ -167,9 +172,17 @@ def weak_series_total(q: float, d: int) -> float:
         term = rho ** s * (s + 1) ** (d - 1)
         total += term
         tail = tail_after(s)
-        if tail <= SERIES_REL_TOL * total or s > 100000:
+        if tail <= SERIES_REL_TOL * total:
             return float(total + tail)
+        if s + 1 == SERIES_MAX_TERMS:
+            raise _series_cap_error(q, d)
         s += 1
+
+
+def _series_cap_error(q: float, d: int) -> ValueError:
+    return ValueError(f"series for q = {q}, d = {d} has a tail above SERIES_REL_TOL = "
+                      f"{SERIES_REL_TOL} of its sum after SERIES_MAX_TERMS = "
+                      f"{SERIES_MAX_TERMS} terms")
 
 
 def covering_constant(q: float, d: int) -> float:
@@ -196,7 +209,8 @@ def covering_series_bound(F: TensorFiltration, theta, K: int, B: AtomSet,
     The sum runs at least to the grid diameter and on until the tail is below
     SERIES_REL_TOL of the partial sum.  The tail is bounded by theta(I^d)
     times the rigorous bound on the remaining series and is added to the
-    partial sum, so the reported total majorizes the infinite series.
+    partial sum, so the reported total majorizes the infinite series.  A sum
+    that has not stopped after SERIES_MAX_TERMS terms raises ValueError.
     """
     if B.level != K:
         raise ValueError(f"atom set at level {B.level}, expected K={K}")
@@ -225,6 +239,8 @@ def covering_series_bound(F: TensorFiltration, theta, K: int, B: AtomSet,
         tail = tail_after(s) * theta_total
         if s >= smax_grid and (tail <= SERIES_REL_TOL * partial or partial == 0.0):
             return SeriesBound(partial=float(partial), tail=float(tail))
+        if s + 1 == SERIES_MAX_TERMS:
+            raise _series_cap_error(q, d)
         s += 1
 
 

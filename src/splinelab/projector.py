@@ -13,7 +13,12 @@ row; so the values equal those of the full-length solve bit for bit.  A
 solve may also be confined to a row range [lo, hi): the dual decay profile
 and the kernel norm solve each block of x-atoms on a window of rows around
 it, since the duals decay geometrically away from x; the window widens until
-its edge rows hold nothing above a stated tolerance.
+its edge rows hold nothing above a stated tolerance.  The edge test reads
+the edge rows of the matrix the block keeps anyway (its duals for the decay
+profile, the dual values D = Z @ X for the kernel norm), with the basis
+supports set up once per space, so a block costs one solve, the kernel
+norm's one product and one edge test; a non-finite edge or block value
+raises ValueError.
 
 TensorProjector.project is the one entry point of the tensor projector: it
 takes a function, a hybrid measure or a spline of another level, and
@@ -34,7 +39,6 @@ from functools import reduce
 from typing import ClassVar
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 from scipy.linalg import cholesky_banded
 from scipy.linalg.lapack import dtbtrs
 
@@ -139,24 +143,30 @@ def _basis_columns(first, vals, lo: int, hi: int) -> np.ndarray:
     return b
 
 
-def _edge_checked_solve(gs: GramSystem, a0: int, a1: int, tol: float, rhs, mass):
+def _edge_checked_solve(gs: GramSystem, a0: int, a1: int, tol: float, rhs, mass,
+                        rows=lambda y: y):
     """Solve for the x-atoms [a0, a1) on the narrowest row window whose edges vanish.
 
     The window [lo, hi) is [a0 - w, a1 + k - 1 + w) clamped to [0, dim), and
     rhs(lo, hi) gives its rows of a right-hand side that is zero outside them.
-    w starts at k * log2(1/tol) / EDGE_BITS_PER_ORDER atoms and doubles while
-    mass(y[rows - lo], rows) exceeds tol (NaN fails too) on the k rows nearest
-    an interior edge; a window of all rows has no edge left to test.  Returns
-    the solution's rows y and (lo, hi).
+    rows(y) turns the solution y into R, the matrix the caller keeps (y
+    itself by default), with row i - lo for basis function i, and the edge
+    test reads R: w starts at k * log2(1/tol) / EDGE_BITS_PER_ORDER atoms and
+    doubles while mass(R[i - lo], i) exceeds tol on the k rows i nearest an
+    interior edge (i a slice); a window of all rows has no edge left to test.
+    A non-finite edge mass raises ValueError.  Returns (R, lo, hi).
     """
     k, dim = gs.space.order, gs.dimension
     w = int(np.ceil(k * -np.log2(tol) / EDGE_BITS_PER_ORDER))
     while True:
         lo, hi = max(a0 - w, 0), min(a1 + k - 1 + w, dim)
-        y = gs.solve(rhs(lo, hi), lo, hi)
-        if ((lo == 0 or (mass(y[:k], np.arange(lo, lo + k)) <= tol).all())
-                and (hi == dim or (mass(y[-k:], np.arange(hi - k, hi)) <= tol).all())):
-            return y, lo, hi
+        R = rows(gs.solve(rhs(lo, hi), lo, hi))
+        top = [mass(R[e - lo:e - lo + k], slice(e, e + k)).max()     # NaN if any is NaN
+               for e, interior in ((lo, lo > 0), (hi - k, hi < dim)) if interior]
+        if not np.isfinite(top).all():
+            raise ValueError(f"dual values of x-atoms [{a0}, {a1}) are not finite")
+        if all(t <= tol for t in top):
+            return R, lo, hi
         w *= 2
 
 
@@ -314,14 +324,14 @@ def operator_norm_1d(gs: GramSystem, nx_per_atom: int = NORM_SAMPLES_PER_ATOM,
     overshoot at a fixed x, and the interior samples miss the domain
     endpoints, where the supremum sits on many meshes of order k >= 3.
 
-    Per block of NORM_BLOCK_ATOMS x-atoms [a0, a1), _kernel_columns solves for
-    the duals of the block's basis functions on one row window [lo, hi); times
-    the block's collocation matrix they give N*_i(x) on the block, and k
-    overlapping rows of that give K at each y-node.  The y-integral runs over
-    the y-atoms [max(a0 - window, lo), min(a1 + window, hi - k + 1)): `window`
-    is an upper bound, and past the solve window the kernel is below
+    _kernel_blocks gives, per block of NORM_BLOCK_ATOMS x-atoms [a0, a1),
+    N*_i(x) at the block's x samples on the block's solve window [lo, hi),
+    and k overlapping rows of that give K at each y-node.  The y-integral runs
+    over the y-atoms [max(a0 - window, lo), min(a1 + window, hi - k + 1)):
+    `window` is an upper bound, and past the solve window the kernel is below
     NORM_EDGE_TOL, so the mass left out is below 2**-58 times the result.
-    For a small window the result depends on NORM_BLOCK_ATOMS.
+    For a small window the result depends on NORM_BLOCK_ATOMS.  A non-finite
+    block integral raises ValueError.
     """
     _require_int("nx_per_atom", nx_per_atom, 1)
     _require_int("ny_per_atom", ny_per_atom, 1)
@@ -335,46 +345,54 @@ def operator_norm_1d(gs: GramSystem, nx_per_atom: int = NORM_SAMPLES_PER_ATOM,
         # diagonal Gram: the kernel column at x is the indicator of A(x)
         # scaled by 1/|A(x)|, so the integral is the weight sum over A(x)
         return float((yrule.weights.sum(axis=1) / gs.band[0]).max())
-    xfirst, xV = space.eval_basis_many(atom_chebyshev(p, nx_per_atom).ravel())
     _, yV = space.eval_basis_many(yrule.nodes.ravel())
     yVr = yV.reshape(n_atoms, ny_per_atom, k)
     wy = yrule.weights.ravel()
     buf = np.empty(0)     # kernel values, reused across blocks
     best = 0.0
-    for a0 in range(0, n_atoms, NORM_BLOCK_ATOMS):
-        a1 = min(a0 + NORM_BLOCK_ATOMS, n_atoms)
-        xsl = slice(a0 * nx_per_atom, a1 * nx_per_atom)
-        X = _basis_columns(xfirst[xsl], xV[xsl], a0, a1 + k - 1)
-        Z, lo, hi = _kernel_columns(gs, a0, a1, X)
-        yb0, yb1 = max(a0 - window, lo), min(a1 + window, hi - k + 1)
-        D = (Z @ X)[yb0 - lo:]       # D[i - yb0, x] = N*_i(x) for the block's x
+    for a0, a1, D, lo in _kernel_blocks(gs, nx_per_atom):
+        yb0, yb1 = max(a0 - window, lo), min(a1 + window, lo + len(D) - k + 1)
         # y-atom b reads rows b..b+k-1 of D, through a view of overlapping row windows
-        rows = as_strided(D, (yb1 - yb0, k, D.shape[1]), (D.strides[0],) + D.strides,
-                          writeable=False)
+        rows = np.ndarray((yb1 - yb0, k, D.shape[1]), D.dtype, D, (yb0 - lo) * D.strides[0],
+                          (D.strides[0],) + D.strides)
         n = (yb1 - yb0) * ny_per_atom * D.shape[1]
         buf = buf if buf.size >= n else np.empty(n)
         K = np.matmul(yVr[yb0:yb1], rows, out=buf[:n].reshape(yb1 - yb0, ny_per_atom, -1))
         np.abs(K, out=K)
         S = wy[yb0 * ny_per_atom:yb1 * ny_per_atom] @ K.reshape(-1, D.shape[1])
-        best = max(best, float(S.max()))
+        s = float(S.max())
+        if not np.isfinite(s):
+            raise ValueError(f"kernel integrals of x-atoms [{a0}, {a1}) are not finite")
+        best = max(best, s)
     return best
 
 
-def _kernel_columns(gs: GramSystem, a0: int, a1: int, X: np.ndarray):
-    """(Z, lo, hi) with Z[i - lo, c] = (G^-1)[i, a0 + c] on an edge-checked row window [lo, hi).
+def _kernel_blocks(gs: GramSystem, nx_per_atom: int):
+    """(a0, a1, D, lo) per block of NORM_BLOCK_ATOMS x-atoms [a0, a1): D[i - lo, x] = N*_i(x).
 
-    The columns c are the basis functions N_a0, ..., N_{a1+k-2} of the
-    x-atoms [a0, a1), and X is their collocation matrix at the block's x
-    samples; the window's edge rows hold max_x |N*_i(x)| |supp N_i| <= NORM_EDGE_TOL.
+    x runs over the block's nx_per_atom Chebyshev points per atom, i over the
+    block's edge-checked row window [lo, lo + len(D)).  One solve G Z = E for
+    the identity columns of the block's basis functions N_a0, ..., N_{a1+k-2}
+    gives their dual columns, and D = Z @ X with X their collocation matrix.
+    The window's edge rows hold max_x |N*_i(x)| |supp N_i| <= NORM_EDGE_TOL,
+    tested on the rows of D itself with the supports set up once per space.
     """
-    bp = gs.space.partition.breakpoints
+    space = gs.space
+    k, dim = space.order, space.dimension
+    p = space.partition
+    n_atoms = p.n_atoms
+    first, vals = space.eval_basis_many(atom_chebyshev(p, nx_per_atom).ravel())
+    s0, s1 = space.support_atom_range(np.arange(dim))
+    supp = p.breakpoints[s1 + 1] - p.breakpoints[s0]     # |supp N_i|
 
-    def mass(z, i):
-        lo, hi = gs.space.support_atom_range(i)
-        return np.abs(z @ X).max(axis=1) * (bp[hi + 1] - bp[lo])
-
-    return _edge_checked_solve(
-        gs, a0, a1, NORM_EDGE_TOL, lambda lo, hi: np.eye(hi - lo, X.shape[0], lo - a0), mass)
+    for a0 in range(0, n_atoms, NORM_BLOCK_ATOMS):
+        a1 = min(a0 + NORM_BLOCK_ATOMS, n_atoms)
+        xs = slice(a0 * nx_per_atom, a1 * nx_per_atom)
+        X = _basis_columns(first[xs], vals[xs], a0, a1 + k - 1)
+        D, lo, _ = _edge_checked_solve(
+            gs, a0, a1, NORM_EDGE_TOL, lambda lo, hi: np.eye(hi - lo, X.shape[0], lo - a0),
+            lambda D, i: np.abs(D).max(axis=1) * supp[i], lambda Z: Z @ X)
+        yield a0, a1, D, lo
 
 
 def operator_norm_inf(tp: TensorProjector, nx_per_atom: int = NORM_SAMPLES_PER_ATOM,
@@ -419,9 +437,12 @@ def decay_profile(gs: GramSystem, nx_per_atom: int = NORM_SAMPLES_PER_ATOM) -> D
     """Measure the geometric decay of the dual B-splines of one space.
 
     Each block of DECAY_BLOCK_ATOMS x-atoms is solved for by one
-    _edge_checked_solve, with tolerance DECAY_EDGE_TOL on vmax * conv_len, so
-    the work per x is O(window), not O(dim).  Entries at or below
-    PROFILE_FLOOR are set to 0 before the fit.
+    _edge_checked_solve, with tolerance DECAY_EDGE_TOL on vmax * conv_len read
+    from the edge rows of the block's duals, so the work per x is O(window),
+    not O(dim); the support atom ranges are taken once per space.  Entries at
+    or below PROFILE_FLOOR are set to 0 before the fit, and a non-finite dual
+    value raises ValueError (np.maximum would store it and the fit would
+    trim it as if it were below the floor).
 
     Why the entries above the floor equal those of the full solve: the
     right-hand side is zero on the rows before lo, so the forward sweep is
@@ -445,23 +466,26 @@ def decay_profile(gs: GramSystem, nx_per_atom: int = NORM_SAMPLES_PER_ATOM) -> D
     if dim < 2 * k:
         raise ValueError(f"space dimension {dim} too small for a decay profile (need >= {2 * k})")
     first, vals = space.eval_basis_many(atom_chebyshev(p, nx_per_atom).ravel())
+    s0, s1 = space.support_atom_range(np.arange(dim))
     prof = np.zeros(n_atoms + k)
     for a0 in range(0, n_atoms, DECAY_BLOCK_ATOMS):
         a = np.arange(a0, min(a0 + DECAY_BLOCK_ATOMS, n_atoms))
         pts = slice(a0 * nx_per_atom, (a[-1] + 1) * nx_per_atom)
 
-        def weighted(D, rows):
-            """Per (row, atom of a): distance, and max |N*_i| over the atom's samples * conv_len."""
-            vmax = np.abs(D).reshape(len(rows), len(a), nx_per_atom).max(axis=2)
-            dist, conv_len = atom_range_gap(p.breakpoints, a,
-                                            *space.support_atom_range(rows[:, None]))
+        def weighted(D, i):
+            """Per (row of basis slice i, atom of a): distance, and max |N*_i| over the
+            atom's samples * conv_len."""
+            vmax = np.abs(D).reshape(len(D), len(a), nx_per_atom).max(axis=2)
+            dist, conv_len = atom_range_gap(p.breakpoints, a, s0[i, None], s1[i, None])
             return dist, vmax * conv_len
 
         D, lo, hi = _edge_checked_solve(
             gs, a0, a[-1] + 1, DECAY_EDGE_TOL,
             lambda lo, hi: _basis_columns(first[pts], vals[pts], lo, hi),
-            lambda D, rows: weighted(D, rows)[1])
-        dist, pv = weighted(D, np.arange(lo, hi))
+            lambda D, i: weighted(D, i)[1])
+        dist, pv = weighted(D, slice(lo, hi))
+        if not np.isfinite(pv).all():
+            raise ValueError(f"dual values of x-atoms [{a0}, {a[-1] + 1}) are not finite")
         np.maximum.at(prof, dist.ravel(), pv.ravel())
     prof[prof <= PROFILE_FLOOR] = 0.0
     return _fit_profile(prof)

@@ -7,11 +7,13 @@ from scipy.linalg import cho_solve_banded
 from splinelab import (AtomSet, FiltrationSpec, HybridMeasure, Partition1D, Rectangle,
                        TensorQuadrature, atom_of, atom_quadrature, build_filtration,
                        compile_masses)
-from splinelab.bspline import LagrangeMoments, _lagrange_matrix, as_value_array, mode_apply
+from splinelab.bspline import (LagrangeMoments, _lagrange_matrix, as_value_array, atom_chebyshev,
+                               mode_apply)
 from splinelab.filtration import atom_range_gap, l1_distance_grid
 from splinelab.maximal import _check_q, level_sum_field
 from splinelab.measures import CompiledMasses
-from splinelab.projector import NORM_BLOCK_ATOMS, PROFILE_FLOOR, _fit_profile
+from splinelab.projector import (EDGE_BITS_PER_ORDER, NORM_BLOCK_ATOMS, NORM_EDGE_TOL,
+                                 PROFILE_FLOOR, _basis_columns, _fit_profile)
 
 
 @pytest.fixture
@@ -171,6 +173,56 @@ def dense_operator_norm_1d(gs, nx_per_atom=8, ny_per_atom=8, window=64):
         Dwin = np.lib.stride_tricks.sliding_window_view(Dsub, k, axis=0)
         vals = np.einsum("ugr,uxr->ugx", yVr[ya0:ya1], Dwin[: ya1 - ya0])
         S = np.einsum("ug,ugx->x", wy[ya0:ya1], np.abs(vals))
+        best = max(best, float(S.max()))
+    return best
+
+
+def per_block_operator_norm_1d(gs, nx_per_atom=8, ny_per_atom=8, window=64):
+    """Kernel-norm oracle: the block loop that projector._kernel_blocks replaced.
+
+    Per block of NORM_BLOCK_ATOMS x-atoms it builds the identity right-hand
+    side and the collocation matrix X afresh, and its edge test recomputes
+    z @ X for the k rows nearest each interior edge, with the support of each
+    row from SplineSpace1D.support_atom_range.  Windows, solves and the
+    y-integral are those of operator_norm_1d, so the two agree bit for bit.
+    """
+    space = gs.space
+    k, dim = space.order, space.dimension
+    p = space.partition
+    n_atoms = p.n_atoms
+    bp = p.breakpoints
+    yrule = atom_quadrature(p, ny_per_atom)
+    if k == 1:
+        return float((yrule.weights.sum(axis=1) / gs.band[0]).max())
+    xfirst, xV = space.eval_basis_many(atom_chebyshev(p, nx_per_atom).ravel())
+    _, yV = space.eval_basis_many(yrule.nodes.ravel())
+    yVr = yV.reshape(n_atoms, ny_per_atom, k)
+    wy = yrule.weights.ravel()
+
+    def mass(z, X, i):
+        lo, hi = space.support_atom_range(i)
+        return np.abs(z @ X).max(axis=1) * (bp[hi + 1] - bp[lo])
+
+    best = 0.0
+    for a0 in range(0, n_atoms, NORM_BLOCK_ATOMS):
+        a1 = min(a0 + NORM_BLOCK_ATOMS, n_atoms)
+        xsl = slice(a0 * nx_per_atom, a1 * nx_per_atom)
+        X = _basis_columns(xfirst[xsl], xV[xsl], a0, a1 + k - 1)
+        w = int(np.ceil(k * -np.log2(NORM_EDGE_TOL) / EDGE_BITS_PER_ORDER))
+        while True:
+            lo, hi = max(a0 - w, 0), min(a1 + k - 1 + w, dim)
+            Z = gs.solve(np.eye(hi - lo, X.shape[0], lo - a0), lo, hi)
+            if ((lo == 0 or (mass(Z[:k], X, np.arange(lo, lo + k)) <= NORM_EDGE_TOL).all())
+                    and (hi == dim
+                         or (mass(Z[-k:], X, np.arange(hi - k, hi)) <= NORM_EDGE_TOL).all())):
+                break
+            w *= 2
+        yb0, yb1 = max(a0 - window, lo), min(a1 + window, hi - k + 1)
+        D = (Z @ X)[yb0 - lo:]
+        rows = np.lib.stride_tricks.as_strided(
+            D, (yb1 - yb0, k, D.shape[1]), (D.strides[0],) + D.strides, writeable=False)
+        K = np.abs(np.matmul(yVr[yb0:yb1], rows))
+        S = wy[yb0 * ny_per_atom:yb1 * ny_per_atom] @ K.reshape(-1, D.shape[1])
         best = max(best, float(S.max()))
     return best
 

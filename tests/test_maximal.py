@@ -21,6 +21,7 @@ from splinelab import (
 )
 from splinelab.experiments import default_config, run_experiment
 from splinelab.maximal import (
+    SERIES_MAX_TERMS,
     _axis_kernel,
     hl_weak_type_ratio,
     level_sum_field,
@@ -221,6 +222,20 @@ def test_weak_series_total_majorizes():
         exact = sum((s + 1) ** (d - 1) * rho ** s for s in range(4000))
         tot = weak_series_total(q, d)
         assert exact <= tot <= exact * (1 + 1e-9)
+
+
+def test_series_loops_raise_at_their_cap(dyadic_2d):
+    # at q = 0.99999 both series need about 10^7 terms: weak_series_total
+    # stopped silently after 100,001 of them, and covering_series_bound ran
+    # for 16.6 s; both now raise at SERIES_MAX_TERMS, naming q and d
+    with pytest.raises(ValueError, match=f"q = 0.99999, d = 2 .* SERIES_MAX_TERMS = "
+                                         f"{SERIES_MAX_TERMS} terms"):
+        weak_series_total(0.99999, 2)
+    whole = atom_set_from_mask(2, np.ones(dyadic_2d.level_shape(2), dtype=bool))
+    with pytest.raises(ValueError, match="q = 0.99999, d = 2 .* SERIES_MAX_TERMS"):
+        covering_series_bound(dyadic_2d, lebesgue(2), 2, whole, 0.99999)
+    # a sum that converges within the cap is unchanged
+    assert weak_series_total(0.99, 2) > 0.0
 
 
 def test_covering_bound_holds_on_small_sweep():

@@ -28,7 +28,7 @@ from splinelab.projector import (
     NORM_SAMPLES_PER_ATOM,
     GramSystem,
     _basis_columns,
-    _kernel_columns,
+    _kernel_blocks,
     operator_norm_1d,
 )
 
@@ -40,6 +40,7 @@ from conftest import (
     full_length_duals,
     node_grid_values,
     per_atom_decay_profile,
+    per_block_operator_norm_1d,
     random_filtration,
 )
 
@@ -380,23 +381,24 @@ def _geometric_partition(ratio, n_atoms):
 
 
 def _check_kernel_columns(part, k):
-    """Block kernel columns against the dense inverse; returns whether a window widened."""
+    """Block dual values against the dense inverse; returns whether a window widened."""
     gs = GramSystem(SplineSpace1D(part, k))
     Ginv = dense_dual_matrix(gs)
     dim, n_atoms = gs.dimension, part.n_atoms
     first, vals = gs.space.eval_basis_many(atom_chebyshev(part, NORM_SAMPLES_PER_ATOM).ravel())
     solves = _record_windows(gs)
     widened = False
-    for a0 in range(0, n_atoms, NORM_BLOCK_ATOMS):
-        a1 = min(a0 + NORM_BLOCK_ATOMS, n_atoms)
+    blocks = _kernel_blocks(gs, NORM_SAMPLES_PER_ATOM)
+    for b, (a0, a1, D, lo) in enumerate(blocks):
+        assert (a0, a1) == (b * NORM_BLOCK_ATOMS, min((b + 1) * NORM_BLOCK_ATOMS, n_atoms))
+        hi = lo + len(D)
+        assert solves[-1] == (lo, hi)
+        widened |= len(solves) > 1
+        solves.clear()
         cols = np.arange(a0, a1 + k - 1)
         xs = slice(a0 * NORM_SAMPLES_PER_ATOM, a1 * NORM_SAMPLES_PER_ATOM)
         X = _basis_columns(first[xs], vals[xs], a0, a1 + k - 1)
-        solves.clear()
-        Z, lo, hi = _kernel_columns(gs, a0, a1, X)
-        assert solves[-1] == (lo, hi)
-        widened |= len(solves) > 1
-        assert np.max(np.abs(Z - Ginv[lo:hi, cols])) <= 1e-13 * np.abs(Ginv).max()
+        assert np.max(np.abs(D - Ginv[lo:hi, cols] @ X)) <= 1e-13 * np.abs(Ginv).max()
         # the rows left out carry kernel mass below the tolerance: checked on a
         # full-length solve, whose small entries keep their relative accuracy
         full = GramSystem.solve(gs, np.eye(dim)[:, cols]) @ X
@@ -404,6 +406,7 @@ def _check_kernel_columns(part, k):
         bp = part.breakpoints
         supp = bp[np.minimum(out, n_atoms - 1) + 1] - bp[np.maximum(out - k + 1, 0)]
         assert np.all(np.abs(full[out]).max(axis=1, initial=0.0) * supp <= NORM_EDGE_TOL)
+    assert b == -(-n_atoms // NORM_BLOCK_ATOMS) - 1
     return widened
 
 
@@ -547,6 +550,55 @@ def test_operator_norm_matches_dense_inverse_oracle():
             got = operator_norm_1d(gs, nx_per_atom=6, ny_per_atom=6, window=window)
             want = dense_operator_norm_1d(gs, 6, 6, window=window)
             assert abs(got - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize("mesh", ["random", "uniform", "graded", "geometric"])
+def test_operator_norm_bit_exact_against_per_block_oracle(mesh):
+    # the per-space set-up and the edge test on D = Z @ X keep every window,
+    # solve and product of the per-block loop; the geometric mesh widens windows
+    parts = {
+        "random": [random_filtration(seed, n_levels=7).axes[0].level(7) for seed in (0, 1)],
+        "uniform": [Partition1D(np.linspace(0.0, 1.0, 201))],
+        "graded": [_graded_partition(t) for t in (0.0, 0.37, 1.0)],
+        "geometric": [_geometric_partition(1.2, 101)],
+    }[mesh]
+    for part, k in itertools.product(parts, (2, 3, 4, 5, 6)):
+        gs = GramSystem(SplineSpace1D(part, k))
+        for window, nx in itertools.product((0, 3, 64), (6, 8)):
+            got = operator_norm_1d(gs, nx_per_atom=nx, ny_per_atom=nx, window=window)
+            assert got == per_block_operator_norm_1d(gs, nx, nx, window)
+
+
+def _inject_nan(gs, call, row):
+    """Wrap gs.solve so that its `call`-th result (from 1) has a NaN in `row`, column 0."""
+    solve, calls = gs.solve, []
+
+    def nan_solve(rhs, lo, hi):
+        y = solve(rhs, lo, hi)
+        calls.append((lo, hi))
+        if len(calls) == call:
+            y[row, 0] = np.nan
+        return y
+
+    gs.solve = nan_solve
+
+
+@pytest.mark.parametrize("row", [0, 40, -1])
+def test_kernel_and_decay_fail_closed_on_nan_duals(row):
+    # a NaN in one windowed solve, in the first, a middle and the last row of
+    # its window: Python's max() dropped it from the kernel norm (2.541372654175782,
+    # the clean value) and decay_profile trimmed it as if below the floor
+    part = Partition1D(np.linspace(0.0, 1.0, 129))
+    gs = GramSystem(SplineSpace1D(part, 3))
+    assert operator_norm_1d(gs) == 2.541372654175782
+    _inject_nan(gs, 3, row)
+    with pytest.raises(ValueError, match=r"x-atoms \[32, 48\) are not finite"):
+        operator_norm_1d(gs)
+    gs = GramSystem(SplineSpace1D(part, 3))
+    assert decay_profile(gs).q_hat == 0.4551157743055659
+    _inject_nan(gs, 1, row)
+    with pytest.raises(ValueError, match=r"x-atoms \[0, 64\) are not finite"):
+        decay_profile(gs)
 
 
 def test_kernel_arguments_fail_closed():
