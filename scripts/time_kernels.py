@@ -130,7 +130,7 @@ def maximal_rows():
                     for part in ax.levels:
                         vars(part).pop("conv_lengths", None)
                 for q in Q_VALUES:
-                    maximal_field(q, masses, F, K=2)
+                    maximal_field(q, masses, K=2)
 
             kernels = {
                 "conv_lengths": lambda: Partition1D(finest.breakpoints).conv_lengths,

@@ -39,7 +39,6 @@ from .maximal import (
     hl_maximal,
     maximal_field,
     superlevel_measure,
-    verify_covering_bound,
     weak_series_total,
 )
 from .measures import (

@@ -96,17 +96,6 @@ class SplineSpace1D:
         first = mu - (k - 1)
         return first.reshape(np.shape(xs)), N.reshape(np.shape(xs) + (k,))
 
-    def basis_matrix(self, xs) -> np.ndarray:
-        """Dense collocation matrix B with B[p, i] = N_i(xs[p])."""
-        xs = np.asarray(xs, dtype=float).ravel()
-        first, vals = self.eval_basis_many(xs)
-        B = np.zeros((len(xs), self.dimension))
-        rows = np.arange(len(xs))
-        for r in range(self.order):
-            # += because k=1 clipping could in principle revisit a column
-            B[rows, first + r] += vals[:, r]
-        return B
-
     def support_atom_range(self, i):
         """Inclusive atom index range (lo, hi) where basis i is nonzero; i may be an index array."""
         i = np.asarray(i)
@@ -311,7 +300,8 @@ class LagrangeMoments:
                                  f"{min(self.g, space.order)} interpolation points, "
                                  f"the reduction kept {p}")
             # built when its axis comes up, so one dense collocation matrix is alive at a time
-            ops.append(lambda X, space=space, pts=pts: space.basis_matrix(pts).T @ X)
+            ops.append(lambda X, space=space, pts=pts:
+                       _basis_columns(*space.eval_basis_many(pts), 0, space.dimension) @ X)
         return mode_apply(self.tensor, ops)
 
 
@@ -336,6 +326,15 @@ def mode_apply(tensor, ops) -> np.ndarray:
         res = op(moved.reshape(moved.shape[0], -1))
         out = np.moveaxis(res.reshape(res.shape[:1] + moved.shape[1:]), 0, ell)
     return out
+
+
+def _basis_columns(first, vals, lo: int, hi: int) -> np.ndarray:
+    """Rows [lo, hi) of the dense collocation matrix B[i, p] = N_i(x_p), in Fortran order:
+    column p holds vals[p, r] at row first[p] + r (eval_basis_many's output)."""
+    n, k = vals.shape
+    b = np.zeros((hi - lo, n), order="F")
+    b[first[:, None] - lo + np.arange(k), np.arange(n)[:, None]] = vals
+    return b
 
 
 def _collocate(first, vals, C):

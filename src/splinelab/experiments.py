@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bspline import SplineSpace1D, atom_chebyshev, atom_quadrature
+from .bspline import SplineSpace1D, _basis_columns, atom_chebyshev, atom_quadrature
 from .filtration import (AtomSet, FiltrationSpec, TensorFiltration, atom_range_gap,
                          build_filtration)
 from .maximal import (
@@ -145,7 +145,7 @@ def _dense_tensor_norm_2d(tp: TensorProjector, nx: int = 6, ny: int = 6) -> floa
         ys = rule.nodes.ravel()
         wy = rule.weights.ravel()
         D = gs.duals_at(xs)                       # (dim, n_x)
-        B = space.basis_matrix(ys)                # (n_y, dim)
+        B = _basis_columns(*space.eval_basis_many(ys), 0, space.dimension).T   # (n_y, dim)
         mats.append((B @ D, wy))                  # kernel K(x, y) on the grid
     (K1, w1), (K2, w2) = mats
     # integral over (y1, y2) of |K1(x1,y1)| |K2(x2,y2)| for every (x1, x2)
@@ -238,7 +238,7 @@ def run_weaktype(cfg: dict):
         for q in p["q_values"]:
             bound = covering_constant(float(q), d) * weak_series_total(float(q), d)
             for si, masses in enumerate(spike_masses):
-                field_ = maximal_field(float(q), masses, F, K=1, N_max=depth)
+                field_ = maximal_field(float(q), masses, K=1, N_max=depth)
                 ratio = _exact_weak_ratio(field_.values, vols)  # ||f||_1 = 1
                 rows.append((case_id, float(q), si, "M", ratio, bound))
                 log.check_le(f"weaktype_M_{case_id}_q{q}_spike{si}", ratio, bound)
@@ -283,23 +283,21 @@ def run_covering(cfg: dict):
     rows = [("case", "q", "seed", "t", "lhs_volume", "rhs_bound", "ratio")]
     log = AssertionLog()
     overall = 0.0
-    n_points = int(p["t_points"])
     for case in p["cases"]:
-        K = int(case["K"])
         for s_i in range(int(p["n_seeds"])):
             seed = int(cfg["seed"]) + s_i
-            overall = max(overall, _covering_seed(p, case, K, seed, n_points, rows, log))
+            overall = max(overall, _covering_seed(p, case, seed, rows, log))
     return rows, log, {"max_ratio": overall}
 
 
-def _covering_seed(p, case, K, seed, n_points, rows, log) -> float:
+def _covering_seed(p, case, seed, rows, log) -> float:
     """One seed of run_covering: append its rows and checks, return its largest ratio.
 
     The seed's filtration (with the conv lengths its kernels cache), masses,
     fields and reports are freed on return, before the next seed compiles
     its masses: that call sets the experiment's peak memory.
     """
-    d, depth = int(case["d"]), int(case["depth"])
+    d, depth, K = int(case["d"]), int(case["depth"]), int(case["K"])
     rng = np.random.default_rng(seed)
     F = _filtration([dict(case["rule"])] * d, d, p["interval"], depth, seed)
     theta = _random_nonnegative_measure(rng, d, p["interval"])
@@ -307,8 +305,8 @@ def _covering_seed(p, case, K, seed, n_points, rows, log) -> float:
     B = _random_atom_block(rng, K, F.level_shape(K))
     top = 0.0
     for q in p["q_values"]:
-        field_ = maximal_field(float(q), masses, F, K=K, N_max=depth)
-        report = covering_report(field_, masses, B, _log_t_grid(field_, n_points))
+        field_ = maximal_field(float(q), masses, K=K, N_max=depth)
+        report = covering_report(field_, B, _log_t_grid(field_, int(p["t_points"])))
         cols = (report.t_grid, report.lhs_volumes, report.rhs_bounds, report.ratios)
         rows.extend((f"d{d}", float(q), seed) + row for row in zip(*cols))
         top = max(top, report.max_ratio)

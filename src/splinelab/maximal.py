@@ -29,6 +29,10 @@ that order.
 The covering-bound verification uses the explicit proof constant
 2^d * (2/(1-sqrt(q)))^d and a rigorously bounded truncation tail, so the
 asserted inequality is a true upper bound after truncation.
+
+Every entry point takes the measure as a CompiledMasses table, which carries
+the filtration it was compiled on: a field, its series and its report read F
+from the masses and cannot be handed a second, disagreeing copy of it.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from scipy.linalg import toeplitz
 
 from .bspline import GENERAL_QUAD_POINTS, TensorQuadrature, mode_apply
 from .filtration import AtomSet, Partition1D, TensorFiltration, l1_distance_grid
-from .measures import CompiledMasses, compile_masses
+from .measures import CompiledMasses
 
 SERIES_REL_TOL = 1e-12   # truncation: rigorous tail below this fraction of the partial sum
 SERIES_MAX_TERMS = 100_000   # a series not within SERIES_REL_TOL after this many terms raises
@@ -79,34 +83,36 @@ def level_sum_field(q: float, masses: CompiledMasses, n: int) -> np.ndarray:
 class MaximalField:
     """Running maximum of level sums over n in [K, N_max], on the finest grid."""
 
-    F: TensorFiltration
+    masses: CompiledMasses
     q: float
     K: int
     N_max: int
     values: np.ndarray          # shape = finest level_shape
 
+    @property
+    def F(self) -> TensorFiltration:
+        return self.masses.F
 
-def maximal_field(q: float, theta, F: TensorFiltration, K: int = 1,
+
+def maximal_field(q: float, masses: CompiledMasses, K: int = 1,
                   N_max: int = None) -> MaximalField:
-    """Exact maximal field max_{K <= n <= N_max} sum_A b_n(q, theta, A, .).
+    """Exact maximal field max_{K <= n <= N_max} sum_A b_n(q, theta, A, .) on masses.F.
 
-    The measure may be a HybridMeasure (compiled on the fly) or an already
-    compiled CompiledMasses table.  The truncation at N_max is the only
-    difference from the ideal sup over all n >= K; monotonicity in N_max lets
-    callers report saturation.
+    The truncation at N_max is the only difference from the ideal sup over
+    all n >= K; monotonicity in N_max lets callers report saturation.
     """
+    F = masses.F
     if N_max is None:
         N_max = F.n_levels
     if not 1 <= K <= N_max <= F.n_levels:
         raise ValueError(f"invalid level range [{K}, {N_max}] within 1..{F.n_levels}")
-    masses = theta if isinstance(theta, CompiledMasses) else compile_masses(theta, F)
     out = None
     for n in range(K, N_max + 1):
         S = level_sum_field(q, masses, n)
         # running max over levels K..n, on level-n atoms
         out = S if out is None else np.maximum(out[np.ix_(*F.parent_maps(n, n - 1))], S)
     out = out[np.ix_(*F.finest_parent_maps(N_max))]
-    return MaximalField(F=F, q=q, K=K, N_max=N_max, values=out)
+    return MaximalField(masses=masses, q=q, K=K, N_max=N_max, values=out)
 
 
 def superlevel_measure(Mf: MaximalField, t, within: AtomSet = None):
@@ -162,27 +168,11 @@ def weak_series_tail(q: float, d: int):
 def weak_series_total(q: float, d: int) -> float:
     """Upper bound for sum_{s >= 0} q^{s/2} (s+1)^{d-1} (partial sum + tail).
 
-    Raises ValueError when the tail is still above SERIES_REL_TOL of the
-    partial sum after SERIES_MAX_TERMS terms (q too close to 1).
+    The covering series with covered mass 1 at every distance.  Raises
+    ValueError when the tail is still above SERIES_REL_TOL of the partial
+    sum after SERIES_MAX_TERMS terms (q too close to 1).
     """
-    tail_after = weak_series_tail(q, d)
-    total, s = 0.0, 0
-    rho = np.sqrt(q)
-    while True:
-        term = rho ** s * (s + 1) ** (d - 1)
-        total += term
-        tail = tail_after(s)
-        if tail <= SERIES_REL_TOL * total:
-            return float(total + tail)
-        if s + 1 == SERIES_MAX_TERMS:
-            raise _series_cap_error(q, d)
-        s += 1
-
-
-def _series_cap_error(q: float, d: int) -> ValueError:
-    return ValueError(f"series for q = {q}, d = {d} has a tail above SERIES_REL_TOL = "
-                      f"{SERIES_REL_TOL} of its sum after SERIES_MAX_TERMS = "
-                      f"{SERIES_MAX_TERMS} terms")
+    return _truncated_series(q, d, np.ones(1)).total
 
 
 def covering_constant(q: float, d: int) -> float:
@@ -202,9 +192,8 @@ class SeriesBound:
         return self.partial + self.tail
 
 
-def covering_series_bound(F: TensorFiltration, theta, K: int, B: AtomSet,
-                          q: float) -> SeriesBound:
-    """sum_s q^{s/2} (s+1)^{d-1} theta(A_{K,s}(B)), truncated with a tail bound.
+def covering_series_bound(masses: CompiledMasses, B: AtomSet, q: float) -> SeriesBound:
+    """sum_s q^{s/2} (s+1)^{d-1} theta(A_{K,s}(B)) with K = B.level, truncated with a tail bound.
 
     The sum runs at least to the grid diameter and on until the tail is below
     SERIES_REL_TOL of the partial sum.  The tail is bounded by theta(I^d)
@@ -212,35 +201,35 @@ def covering_series_bound(F: TensorFiltration, theta, K: int, B: AtomSet,
     partial sum, so the reported total majorizes the infinite series.  A sum
     that has not stopped after SERIES_MAX_TERMS terms raises ValueError.
     """
-    if B.level != K:
-        raise ValueError(f"atom set at level {B.level}, expected K={K}")
     if len(B) == 0:
         raise ValueError("empty atom set")
-    masses = theta if isinstance(theta, CompiledMasses) else compile_masses(theta, F)
+    F, K = masses.F, B.level
     M = masses.level_masses(K)
     shape = F.level_shape(K)
     dist = l1_distance_grid(shape, np.argwhere(B.mask(shape)))
-    smax_grid = int(dist.max())
     # theta(A_{K,s}(B)) for every s up to the grid diameter, by cumulative sums
-    mass_at_dist = np.bincount(dist.ravel(), weights=M.ravel(), minlength=smax_grid + 1)
-    theta_of_neigh = np.cumsum(mass_at_dist)
-    theta_total = float(theta_of_neigh[-1])
-    rho = np.sqrt(q)
-    d = F.d
+    mass_at_dist = np.bincount(dist.ravel(), weights=M.ravel())
+    return _truncated_series(q, F.d, np.cumsum(mass_at_dist))
+
+
+def _truncated_series(q: float, d: int, covered: np.ndarray) -> SeriesBound:
+    """sum_s q^{s/2} (s+1)^{d-1} covered[min(s, S)] with S = len(covered) - 1.
+
+    `covered` is nondecreasing; terms s >= S all use its total covered[S],
+    which also scales the rigorous tail bound.  The sum runs at least to S.
+    """
     tail_after = weak_series_tail(q, d)
-
-    def term(s):
-        covered = theta_of_neigh[min(s, smax_grid)]
-        return rho ** s * (s + 1) ** (d - 1) * covered
-
+    rho, smax, total = np.sqrt(q), len(covered) - 1, float(covered[-1])
     partial, s = 0.0, 0
     while True:
-        partial += term(s)
-        tail = tail_after(s) * theta_total
-        if s >= smax_grid and (tail <= SERIES_REL_TOL * partial or partial == 0.0):
+        partial += rho ** s * (s + 1) ** (d - 1) * covered[min(s, smax)]
+        tail = tail_after(s) * total
+        if s >= smax and (tail <= SERIES_REL_TOL * partial or partial == 0.0):
             return SeriesBound(partial=float(partial), tail=float(tail))
         if s + 1 == SERIES_MAX_TERMS:
-            raise _series_cap_error(q, d)
+            raise ValueError(f"series for q = {q}, d = {d} has a tail above SERIES_REL_TOL = "
+                             f"{SERIES_REL_TOL} of its sum after SERIES_MAX_TERMS = "
+                             f"{SERIES_MAX_TERMS} terms")
         s += 1
 
 
@@ -261,26 +250,16 @@ class WeakTypeReport:
     violations: list
 
 
-def verify_covering_bound(F: TensorFiltration, theta, q: float, K: int,
-                          N_max: int, B: AtomSet, t_grid) -> WeakTypeReport:
+def covering_report(field_: MaximalField, B: AtomSet, t_grid) -> WeakTypeReport:
     """Check |B n {M_K theta > t}| <= constant / t * series for every t.
 
-    Violations are collected and reported, never silently dropped.
-    """
-    masses = theta if isinstance(theta, CompiledMasses) else compile_masses(theta, F)
-    return covering_report(maximal_field(q, masses, F, K=K, N_max=N_max), masses, B, t_grid)
-
-
-def covering_report(field_: MaximalField, masses: CompiledMasses, B: AtomSet,
-                    t_grid) -> WeakTypeReport:
-    """The covering check of verify_covering_bound on an already built maximal field.
-
-    q, K and N_max are the field's; `masses` must be the measure it was built from.
+    q, K, N_max and the measure are the field's; B must be a set of level-K
+    atoms.  Violations are collected and reported, never silently dropped.
     """
     F, q, K, N_max = field_.F, field_.q, field_.K, field_.N_max
-    if masses.F is not F:
-        raise ValueError("masses and maximal field live on different filtrations")
-    series = covering_series_bound(F, masses, K, B, q)
+    if B.level != K:
+        raise ValueError(f"atom set at level {B.level}, expected K={K}")
+    series = covering_series_bound(field_.masses, B, q)
     const = covering_constant(q, F.d)
     t_grid = np.asarray(t_grid, dtype=float)
     lhs = superlevel_measure(field_, t_grid, within=B)

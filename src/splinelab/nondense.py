@@ -180,7 +180,7 @@ def limit_dual_table(f1: Filtration1D, V: VInterval, order: int, r: int,
     oracle = limit_gs.duals_at(probes)[r]
     oracle_gap = float(np.max(np.abs(values[-1] - oracle)))
     profile = decay_profile(limit_gs) if limit_space.dimension >= 2 * order else None
-    decay_ok, margin = _check_limit_decay(limit_space, limit_gs, probes, r, oracle, profile)
+    decay_ok, margin = _check_limit_decay(limit_space, probes, r, oracle, profile)
     return LimitDualTable(
         V=V,
         order=order,
@@ -205,7 +205,7 @@ def _first_v_atom(p: Partition1D, iv: Interval) -> int:
     return j
 
 
-def _check_limit_decay(space, gs, probes, r, dual_vals, profile):
+def _check_limit_decay(space, probes, r, dual_vals, profile):
     """Limit-dual decay estimate at the probes, against the fitted envelope."""
     if profile is None or profile.q_hat == 0.0:
         return True, float("inf")

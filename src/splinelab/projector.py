@@ -48,6 +48,7 @@ from .bspline import (
     SplineSpace1D,
     TensorQuadrature,
     TensorSpline,
+    _basis_columns,
     atom_chebyshev,
     atom_quadrature,
     mode_apply,
@@ -132,15 +133,6 @@ class GramSystem:
         """Matrix D with D[i, p] = N*_i(xs[p]), via one banded solve."""
         first, vals = self.space.eval_basis_many(np.asarray(xs, dtype=float).ravel())
         return self.solve(_basis_columns(first, vals, 0, self.dimension))
-
-
-def _basis_columns(first, vals, lo: int, hi: int) -> np.ndarray:
-    """Rows [lo, hi) of the right-hand side whose column p holds the basis values
-    of point p, vals[p, r] at row first[p] + r (eval_basis_many's output)."""
-    n, k = vals.shape
-    b = np.zeros((hi - lo, n), order="F")
-    b[first[:, None] - lo + np.arange(k), np.arange(n)[:, None]] = vals
-    return b
 
 
 def _edge_checked_solve(gs: GramSystem, a0: int, a1: int, tol: float, rhs, mass,

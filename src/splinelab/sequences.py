@@ -27,10 +27,16 @@ PROBE_MAX_ROUNDS = 1000      # rejection rounds before sample_probe_points gives
 @dataclass
 class MartingaleSplineSequence:
     F: TensorFiltration
-    orders: tuple
     splines: list              # TensorSpline per level, index n-1
     projectors: list           # TensorProjector per level, index n-1
-    m: int = 1
+
+    @property
+    def orders(self) -> tuple:
+        return self.projectors[-1].orders
+
+    @property
+    def m(self) -> int:
+        return self.splines[0].m
 
     @property
     def n_levels(self) -> int:
@@ -59,8 +65,7 @@ def make_sequence(F: TensorFiltration, source, orders,
     finest, orders = [s.partition for s in projectors[-1].spaces], projectors[-1].orders
     moments, m, diracs = source_moments(source, finest, orders, quad_points)
     splines = [tp.project_values(moments, m, diracs) for tp in projectors]
-    return MartingaleSplineSequence(F=F, orders=orders, splines=splines, projectors=projectors,
-                                    m=splines[0].m)
+    return MartingaleSplineSequence(F=F, splines=splines, projectors=projectors)
 
 
 def sample_probe_points(F: TensorFiltration, n_points: int, seed: int = 0,

@@ -7,13 +7,13 @@ from scipy.linalg import cho_solve_banded
 from splinelab import (AtomSet, FiltrationSpec, HybridMeasure, Partition1D, Rectangle,
                        TensorQuadrature, atom_of, atom_quadrature, build_filtration,
                        compile_masses)
-from splinelab.bspline import (LagrangeMoments, _lagrange_matrix, as_value_array, atom_chebyshev,
-                               mode_apply)
+from splinelab.bspline import (LagrangeMoments, _basis_columns, _lagrange_matrix, as_value_array,
+                               atom_chebyshev, mode_apply)
 from splinelab.filtration import atom_range_gap, l1_distance_grid
 from splinelab.maximal import _check_q, level_sum_field
 from splinelab.measures import CompiledMasses
 from splinelab.projector import (EDGE_BITS_PER_ORDER, NORM_BLOCK_ATOMS, NORM_EDGE_TOL,
-                                 PROFILE_FLOOR, _basis_columns, _fit_profile)
+                                 PROFILE_FLOOR, _fit_profile)
 
 
 @pytest.fixture
@@ -229,7 +229,7 @@ def per_block_operator_norm_1d(gs, nx_per_atom=8, ny_per_atom=8, window=64):
 
 def full_length_duals(gs, xs):
     """Dual-value oracle: dense collocation matrix, one full-length LAPACK dpbtrs solve."""
-    return cho_solve_banded((gs._chol, False), gs.space.basis_matrix(xs).T)
+    return cho_solve_banded((gs._chol, False), collocation_matrix(gs.space, xs).T)
 
 
 def per_atom_decay_profile(gs, nx_per_atom=8):
@@ -282,8 +282,14 @@ def per_entry_axis_kernel(bp, q):
     return np.power(q, dist) / per_entry_conv_lengths(bp)
 
 
-def finest_grid_max_field(q, masses, F, K, N_max):
-    """Running-max oracle: each level's sums spread onto the finest grid, maxed there."""
+def collocation_matrix(space, xs):
+    """Dense collocation matrix B with B[p, i] = N_i(xs[p]), xs flattened."""
+    return _basis_columns(*space.eval_basis_many(np.ravel(xs)), 0, space.dimension).T
+
+
+def finest_grid_max_field(q, masses, K, N_max):
+    """Running-max oracle on masses.F: level sums spread onto the finest grid, maxed there."""
+    F = masses.F
     out = None
     for n in range(K, N_max + 1):
         S_fine = level_sum_field(q, masses, n)[np.ix_(*F.finest_parent_maps(n))]
@@ -543,7 +549,7 @@ def dense_moments(quad, spaces, values) -> np.ndarray:
     ops = []
     for space, nodes, rule in zip(spaces, quad.axis_nodes, quad.rules):
         # fold the weights into the collocation matrix of each axis
-        W = space.basis_matrix(nodes) * rule.weights.ravel()[:, None]
+        W = collocation_matrix(space, nodes) * rule.weights.ravel()[:, None]
         ops.append(W.T.__matmul__)
     return mode_apply(values, ops)
 

@@ -18,6 +18,7 @@ from splinelab import (
     compile_masses,
     convergence_probe,
     covering_constant,
+    covering_report,
     decay_profile,
     density_catalog,
     detect_v_sets,
@@ -27,7 +28,6 @@ from splinelab import (
     maximal_field,
     operator_norm_inf,
     sample_probe_points,
-    verify_covering_bound,
     verify_martingale_property,
     weak_series_total,
 )
@@ -37,6 +37,8 @@ from splinelab.experiments import (
 )
 from splinelab.maximal import hl_weak_type_ratio
 from splinelab.projector import operator_norm_1d
+
+from conftest import collocation_matrix
 
 
 def _report(num, name, passed, detail):
@@ -71,7 +73,7 @@ def test_criterion_1_biorthogonality():
             gs = GramSystem(space)
             rule = atom_quadrature(space.partition, k + 1)
             duals = gs.duals_at(rule.nodes.ravel())
-            B = space.basis_matrix(rule.nodes.ravel())
+            B = collocation_matrix(space, rule.nodes)
             M = (B * rule.weights.ravel()[:, None]).T @ duals.T
             worst = max(worst, float(np.abs(M - np.eye(space.dimension)).max()))
     _report(1, "biorthogonality", worst <= 1e-10,
@@ -184,10 +186,10 @@ def test_criterion_5_covering_bound_constant():
             )
             B = AtomSet(level=2, members=members)
             for q in (0.3, 0.5, 0.8):
-                field_ = maximal_field(q, masses, F, K=2, N_max=depth)
+                field_ = maximal_field(q, masses, K=2, N_max=depth)
                 top = float(field_.values.max())
                 t_grid = np.logspace(np.log10(top) - 3, np.log10(top) + 0.3, 20)
-                rep = verify_covering_bound(F, masses, q, 2, depth, B, t_grid)
+                rep = covering_report(field_, B, t_grid)
                 worst = max(worst, rep.max_ratio)
                 assert rep.violations == []
     _report(5, "covering bound with proof constant", worst <= 1.0,
@@ -215,7 +217,7 @@ def test_criterion_6_weak_type_constants():
                     density=density_catalog("spike", d, lo=rect.lo, hi=rect.hi),
                     density_quad_points=4,
                 )
-                field_ = maximal_field(q, theta, F, K=1, N_max=depth)
+                field_ = maximal_field(q, compile_masses(theta, F), K=1, N_max=depth)
                 ratio = _exact_weak_ratio(field_.values, vols)
                 results.append(("M", d, q, ratio, bound, ratio <= bound))
         # maximal function of the projectors, constant from the measured decay

@@ -20,9 +20,9 @@ from splinelab import (
 from splinelab import bspline
 from splinelab.projector import source_moments
 
-from conftest import (dense_atom_integrals, dense_lagrange_moments, dense_moments, graded_filtration,
-                      node_grid_values, random_filtration, slab_sizes, symbolic_product_integral,
-                      wavy_values)
+from conftest import (collocation_matrix, dense_atom_integrals, dense_lagrange_moments,
+                      dense_moments, graded_filtration, node_grid_values, random_filtration,
+                      slab_sizes, symbolic_product_integral, wavy_values)
 
 
 def test_knot_vector_k1():
@@ -329,7 +329,7 @@ def test_tensor_quadrature_moments_match_moment_tensor():
     got = quad.lagrange_moments(f, tp.orders).against(tp.spaces)
     # oracle: b_ij = sum over the node grid of w_x w_y N_i(x) N_j(y) f(x, y)
     (x, wx), (y, wy) = [(r.nodes.ravel(), r.weights.ravel()) for r in quad.rules]
-    Bx, By = (s.basis_matrix(nodes) for s, nodes in zip(tp.spaces, (x, y)))
+    Bx, By = (collocation_matrix(s, nodes) for s, nodes in zip(tp.spaces, (x, y)))
     want = np.einsum("p,q,pi,qj,pq->ij", wx, wy, Bx, By, f(x[:, None], y[None, :]))
     assert got.shape == tp.dims + (1,)
     np.testing.assert_allclose(got[..., 0], want, rtol=1e-13, atol=1e-16)

@@ -16,7 +16,6 @@ from splinelab import (
     maximal_field,
     superlevel_measure,
     covering_series_bound,
-    verify_covering_bound,
     weak_series_total,
 )
 from splinelab.experiments import default_config, run_experiment
@@ -133,18 +132,19 @@ def test_level_sum_matches_brute_force():
 
 
 def test_maximal_field_single_level(dyadic_1d):
-    theta = lebesgue(1)
-    field1 = maximal_field(0.5, theta, dyadic_1d, K=2, N_max=2)
-    direct = level_sum_field(0.5, compile_masses(theta, dyadic_1d), 2)
+    masses = compile_masses(lebesgue(1), dyadic_1d)
+    field1 = maximal_field(0.5, masses, K=2, N_max=2)
+    direct = level_sum_field(0.5, masses, 2)
     maps = dyadic_1d.finest_parent_maps(2)
     np.testing.assert_allclose(field1.values, direct[np.ix_(*maps)], atol=1e-14)
 
 
 def test_maximal_field_monotone_in_depth(dyadic_1d):
-    theta = HybridMeasure(d=1, diracs=[(np.array([0.37]), np.array([1.0]))])
+    masses = compile_masses(HybridMeasure(d=1, diracs=[(np.array([0.37]), np.array([1.0]))]),
+                            dyadic_1d)
     prev = None
     for N in range(1, 6):
-        f = maximal_field(0.5, theta, dyadic_1d, K=1, N_max=N)
+        f = maximal_field(0.5, masses, K=1, N_max=N)
         if prev is not None:
             assert np.all(f.values >= prev - 1e-15)
         prev = f.values
@@ -152,7 +152,7 @@ def test_maximal_field_monotone_in_depth(dyadic_1d):
 
 def test_maximal_field_dirac_peak(dyadic_1d):
     theta = HybridMeasure(d=1, diracs=[(np.array([0.37]), np.array([1.0]))])
-    f = maximal_field(0.5, theta, dyadic_1d, K=1, N_max=5)
+    f = maximal_field(0.5, compile_masses(theta, dyadic_1d), K=1, N_max=5)
     finest = dyadic_1d.axes[0].level(5)
     j = int(finest.atom_index_of(np.array([0.37]))[0])
     assert f.values[j] == pytest.approx(1.0 / finest.widths[j], rel=1e-12)
@@ -160,12 +160,11 @@ def test_maximal_field_dirac_peak(dyadic_1d):
 
 def test_maximal_field_invalid_range(dyadic_1d):
     with pytest.raises(ValueError):
-        maximal_field(0.5, lebesgue(1), dyadic_1d, K=3, N_max=2)
+        maximal_field(0.5, compile_masses(lebesgue(1), dyadic_1d), K=3, N_max=2)
 
 
 def test_superlevel_measure_basics(dyadic_1d):
-    theta = lebesgue(1)
-    f = maximal_field(0.5, theta, dyadic_1d, K=1, N_max=5)
+    f = maximal_field(0.5, compile_masses(lebesgue(1), dyadic_1d), K=1, N_max=5)
     top = float(f.values.max())
     assert superlevel_measure(f, top * 1.01) == 0.0
     assert superlevel_measure(f, 1e-12) == pytest.approx(1.0)
@@ -180,7 +179,7 @@ def test_covering_series_bound_saturated_set(dyadic_2d):
     theta = lebesgue(2)
     shape = dyadic_2d.level_shape(2)
     whole = atom_set_from_mask(2, np.ones(shape, dtype=bool))
-    got = covering_series_bound(dyadic_2d, theta, 2, whole, 0.5)
+    got = covering_series_bound(compile_masses(theta, dyadic_2d), whole, 0.5)
     # A_{K,s}(I^d) = I^d for every s: series is theta(I^d) * sum q^{s/2} (s+1)
     rho = np.sqrt(0.5)
     series = sum(rho ** s * (s + 1) for s in range(2000))
@@ -190,7 +189,7 @@ def test_covering_series_bound_saturated_set(dyadic_2d):
 def test_covering_series_bound_zero_measure(dyadic_1d):
     theta = HybridMeasure(d=1, density=lambda x: np.zeros_like(x), density_quad_points=2)
     B = AtomSet(level=2, members=frozenset({(0,)}))
-    got = covering_series_bound(dyadic_1d, theta, 2, B, 0.5)
+    got = covering_series_bound(compile_masses(theta, dyadic_1d), B, 0.5)
     assert got.total == 0.0
 
 
@@ -198,7 +197,7 @@ def test_covering_series_bound_matches_brute_force(dyadic_1d):
     # d=1, level with 4 atoms, B = leftmost atom, theta = lambda
     theta = lebesgue(1)
     B = AtomSet(level=2, members=frozenset({(0,)}))
-    got = covering_series_bound(dyadic_1d, theta, 2, B, 0.49)
+    got = covering_series_bound(compile_masses(theta, dyadic_1d), B, 0.49)
     rho = np.sqrt(0.49)
     # neighborhoods of the leftmost of 4 atoms: s atoms to the right
     want = sum(rho ** s * min((s + 1) * 0.25, 1.0) for s in range(6000))
@@ -233,7 +232,7 @@ def test_series_loops_raise_at_their_cap(dyadic_2d):
         weak_series_total(0.99999, 2)
     whole = atom_set_from_mask(2, np.ones(dyadic_2d.level_shape(2), dtype=bool))
     with pytest.raises(ValueError, match="q = 0.99999, d = 2 .* SERIES_MAX_TERMS"):
-        covering_series_bound(dyadic_2d, lebesgue(2), 2, whole, 0.99999)
+        covering_series_bound(compile_masses(lebesgue(2), dyadic_2d), whole, 0.99999)
     # a sum that converges within the cap is unchanged
     assert weak_series_total(0.99, 2) > 0.0
 
@@ -253,9 +252,9 @@ def test_covering_bound_holds_on_small_sweep():
         shape = F.level_shape(2)
         B = AtomSet(level=2, members=frozenset({tuple(0 for _ in shape)}))
         for q in (0.3, 0.8):
-            field_ = maximal_field(q, masses, F, K=2, N_max=5)
+            field_ = maximal_field(q, masses, K=2, N_max=5)
             ts = np.logspace(-2, np.log10(field_.values.max() * 1.2), 12)
-            rep = verify_covering_bound(F, masses, q, 2, 5, B, ts)
+            rep = covering_report(field_, B, ts)
             assert rep.max_ratio <= 1.0
             assert rep.violations == []
 
@@ -264,10 +263,10 @@ def test_covering_dirac_far_from_B(dyadic_1d):
     theta = HybridMeasure(d=1, diracs=[(np.array([0.95]), np.array([1.0]))])
     B = AtomSet(level=3, members=frozenset({(0,)}))
     masses = compile_masses(theta, dyadic_1d)
-    field_ = maximal_field(0.5, masses, dyadic_1d, K=3, N_max=5)
+    field_ = maximal_field(0.5, masses, K=3, N_max=5)
     # far from the Dirac the field is small: LHS restricted to B vanishes for large t
     assert superlevel_measure(field_, 10.0, within=B) == 0.0
-    rep = verify_covering_bound(dyadic_1d, masses, 0.5, 3, 5, B, np.array([10.0, 100.0]))
+    rep = covering_report(field_, B, np.array([10.0, 100.0]))
     assert np.all(rep.lhs_volumes == 0.0)
 
 
@@ -304,8 +303,7 @@ def test_reports_violation_rather_than_silence(dyadic_1d):
     masses = compile_masses(theta, dyadic_1d)
     shape = F_shape = dyadic_1d.level_shape(1)
     B = atom_set_from_mask(1, np.ones(F_shape, dtype=bool))
-    rep = verify_covering_bound(dyadic_1d, masses, 0.5, 1, 5, B,
-                                np.array([1e-6]))
+    rep = covering_report(maximal_field(0.5, masses, K=1, N_max=5), B, np.array([1e-6]))
     assert rep.max_ratio <= 1.0
     fake = rep.lhs_volumes / (rep.rhs_bounds * 0 + 1e-9)
     assert fake.max() > 1.0  # sanity: the check is not vacuous
@@ -368,7 +366,7 @@ def test_nan_density_rejected_before_covering_series():
     theta = HybridMeasure(d=2, density=lambda x, y: np.full(np.broadcast(x, y).shape, np.nan))
     B = AtomSet(level=1, members=frozenset({(0, 0)}))
     with pytest.raises(ValueError, match="non-finite"):
-        verify_covering_bound(F, theta, 0.5, 1, 3, B, [1.0, 10.0])
+        covering_report(maximal_field(0.5, compile_masses(theta, F), K=1, N_max=3), B, [1.0, 10.0])
 
 
 def test_non_finite_dirac_rejected_at_construction():
@@ -385,13 +383,14 @@ def test_non_finite_dirac_rejected_at_construction():
 def test_covering_bound_rejects_nan_threshold(dyadic_1d):
     theta = HybridMeasure(d=1, density=lambda x: np.ones_like(x))
     B = AtomSet(level=2, members=frozenset({(0,), (1,)}))
+    field_ = maximal_field(0.5, compile_masses(theta, dyadic_1d), K=2, N_max=5)
     with pytest.raises(ValueError, match="threshold"):
-        verify_covering_bound(dyadic_1d, theta, 0.5, 2, 5, B, [np.nan, 1e-3])
+        covering_report(field_, B, [np.nan, 1e-3])
 
 
 @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf, 0.0, -1.0])
 def test_superlevel_measure_rejects_non_positive_or_non_finite(dyadic_1d, t):
-    field = maximal_field(0.5, lebesgue(1), dyadic_1d)
+    field = maximal_field(0.5, compile_masses(lebesgue(1), dyadic_1d))
     with pytest.raises(ValueError, match="threshold"):
         superlevel_measure(field, t)
 
@@ -401,7 +400,7 @@ def test_invalid_q_rejected(q):
     # a NaN q once gave an all-NaN field whose superlevel volume read 0.0
     F = build_filtration(FiltrationSpec(d=1, interval=(0.0, 1.0), n_levels=4))
     theta = lebesgue(1)
-    for call in (lambda: maximal_field(q, theta, F),
+    for call in (lambda: maximal_field(q, compile_masses(theta, F)),
                  lambda: level_sum(q, theta, F, 2, [0.3]),
                  lambda: level_sum_field(q, compile_masses(theta, F), 2),
                  lambda: b_term(q, theta, F, 2, (1,), [0.3])):
@@ -463,9 +462,9 @@ def test_fields_on_a_shared_filtration_equal_fields_on_fresh_copies():
     F, shared = setup()
     for q in (0.3, 0.5, 0.8):
         for i, masses in enumerate(shared):
-            F_new, fresh = setup()
-            assert np.array_equal(maximal_field(q, masses, F, K=2).values,
-                                  maximal_field(q, fresh[i], F_new, K=2).values)
+            _, fresh = setup()
+            assert np.array_equal(maximal_field(q, masses, K=2).values,
+                                  maximal_field(q, fresh[i], K=2).values)
     H = F.axes[0].level(6).conv_lengths
     assert H is F.axes[0].level(6).conv_lengths
     assert not H.flags.writeable
@@ -485,14 +484,14 @@ def test_maximal_field_matches_finest_grid_running_max(d, n_levels, K, N_max):
         density_quad_points=3,
     )
     masses = compile_masses(theta, F)
-    field_ = maximal_field(0.6, masses, F, K=K, N_max=N_max)
-    assert np.array_equal(field_.values, finest_grid_max_field(0.6, masses, F, K, N_max))
+    field_ = maximal_field(0.6, masses, K=K, N_max=N_max)
+    assert np.array_equal(field_.values, finest_grid_max_field(0.6, masses, K, N_max))
 
 
 def test_superlevel_measure_threshold_array_matches_scalar_loop():
     F = random_filtration(4, d=2, n_levels=5)
     masses = compile_masses(lebesgue(2), F)
-    field_ = maximal_field(0.5, masses, F, K=2)
+    field_ = maximal_field(0.5, masses, K=2)
     top = field_.values.max()
     # a log grid plus thresholds equal to field values, where > and >= part ways
     ts = np.concatenate([np.logspace(np.log10(top) - 3, np.log10(top) + 0.3, 20),
@@ -511,27 +510,56 @@ def test_superlevel_measure_threshold_array_matches_scalar_loop():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0])
 def test_superlevel_measure_threshold_array_rejects_bad_entry(dyadic_1d, bad):
-    field_ = maximal_field(0.5, lebesgue(1), dyadic_1d)
+    field_ = maximal_field(0.5, compile_masses(lebesgue(1), dyadic_1d))
     with pytest.raises(ValueError, match="threshold"):
         superlevel_measure(field_, np.array([1e-3, bad, 1.0]))
 
 
-def test_covering_report_on_built_field_matches_verify(dyadic_2d):
+def test_covering_report_reads_its_measure_and_levels_from_the_field(dyadic_2d):
     masses = compile_masses(lebesgue(2), dyadic_2d)
     B = AtomSet(level=2, members=frozenset({(1, 1), (1, 2)}))
     ts = np.array([0.5, 1.0, 2.0, 4.0])
-    field_ = maximal_field(0.5, masses, dyadic_2d, K=2, N_max=4)
-    rep = covering_report(field_, masses, B, ts)
-    ref = verify_covering_bound(dyadic_2d, masses, 0.5, 2, 4, B, ts)
-    assert np.array_equal(rep.lhs_volumes, ref.lhs_volumes)
-    assert np.array_equal(rep.rhs_bounds, ref.rhs_bounds)
-    assert (rep.q, rep.K, rep.N_max, rep.max_ratio) == (ref.q, ref.K, ref.N_max, ref.max_ratio)
+    field_ = maximal_field(0.5, masses, K=2, N_max=4)
+    rep = covering_report(field_, B, ts)
+    assert (rep.q, rep.K, rep.N_max) == (0.5, 2, 4)
+    assert rep.series == covering_series_bound(masses, B, 0.5)
+    assert np.array_equal(rep.lhs_volumes, superlevel_measure(field_, ts, within=B))
     assert np.array_equal(rep.ratios, rep.lhs_volumes / rep.rhs_bounds)
     assert rep.max_ratio == rep.ratios.max()
-    other = compile_masses(lebesgue(2), build_filtration(
-        FiltrationSpec(d=2, interval=(0.0, 1.0), n_levels=4)))
-    with pytest.raises(ValueError, match="different filtrations"):
-        covering_report(field_, other, B, ts)
+    # B must hold atoms of the field's level K
+    with pytest.raises(ValueError, match="expected K=2"):
+        covering_report(field_, AtomSet(level=3, members=frozenset({(0, 0)})), ts)
+
+
+def _targeted_filtration(target):
+    return build_filtration(FiltrationSpec(d=1, interval=(0.0, 1.0), n_levels=6, rules=[
+        {"name": "point-targeted", "target": target, "base_atoms": 2}]))
+
+
+def test_masses_carry_their_filtration_through_the_maximal_layer():
+    # two filtrations with the same level shapes: a field or series that read
+    # F from a second argument could mix them without any shape error
+    F1, F2 = _targeted_filtration(0.1), _targeted_filtration(0.9)
+    assert all(F1.level_shape(n) == F2.level_shape(n) for n in range(1, 7))
+    theta = HybridMeasure(d=1, density=lambda x: np.ones_like(x),
+                          diracs=[(np.array([0.07]), np.array([1.0]))], density_quad_points=4)
+    m1, m2 = compile_masses(theta, F1), compile_masses(theta, F2)
+    field_ = maximal_field(0.5, m1, K=2)
+    assert field_.F is F1
+    assert np.array_equal(field_.values, finest_grid_max_field(0.5, m1, 2, 6))
+    assert not np.allclose(field_.values, maximal_field(0.5, m2, K=2).values)
+    # series oracle: theta of the level-2 atoms of F1 at each distance from B
+    B = AtomSet(level=2, members=frozenset({(1,)}))
+    at_dist = np.zeros(4)
+    for j in range(4):
+        at_dist[atom_distance(F1, 2, (j,), (1,))] += measure_of_atom(
+            theta, F1.atom_rectangle(2, (j,))).value[0]
+    covered = np.cumsum(at_dist)
+    rho = np.sqrt(0.49)
+    want = sum(rho ** s * covered[min(s, 3)] for s in range(6000))
+    got = covering_series_bound(m1, B, 0.49)
+    assert got.total == pytest.approx(want, rel=1e-10)
+    assert got.tail <= 1e-10 * got.partial
 
 
 @pytest.mark.parametrize("member", [(-1, -1), (1,), (7, 0)],
@@ -540,11 +568,11 @@ def test_atom_set_outside_level_is_rejected(dyadic_2d, member):
     # numpy would wrap (-1, -1) to the last atom and read (1,) as a whole row;
     # (7, 0) is past the 4 x 4 level
     masses = compile_masses(lebesgue(2), dyadic_2d)
-    field_ = maximal_field(0.5, masses, dyadic_2d, K=2, N_max=4)
+    field_ = maximal_field(0.5, masses, K=2, N_max=4)
     B = AtomSet(level=2, members=frozenset({member}))
     with pytest.raises(ValueError, match="outside the level shape"):
-        covering_report(field_, masses, B, np.array([0.5, 1.0]))
+        covering_report(field_, B, np.array([0.5, 1.0]))
     with pytest.raises(ValueError, match="outside the level shape"):
-        covering_series_bound(dyadic_2d, masses, 2, B, 0.5)
+        covering_series_bound(masses, B, 0.5)
     with pytest.raises(ValueError, match="outside the level shape"):
         superlevel_measure(field_, 1.0, within=B)

@@ -13,7 +13,7 @@ from splinelab import (
 
 from splinelab.nondense import FINITE_DEPTH_NOTE
 
-from conftest import dense_dual_matrix
+from conftest import collocation_matrix, dense_dual_matrix
 
 
 def frozen_filtration(depth=10, fraction=0.9, frozen=(0.5, 1.0)):
@@ -175,7 +175,7 @@ def test_limit_oracle_matches_dense_inverse():
     space = SplineSpace1D(f1.level(12), k)
     gs = GramSystem(space)
     Ginv = dense_dual_matrix(gs)
-    B = space.basis_matrix(probes)
+    B = collocation_matrix(space, probes)
     a0 = int(np.searchsorted(space.partition.breakpoints, 0.5))
     deep_vals = (Ginv @ B.T)[a0 + 1]
     np.testing.assert_allclose(table.values[-1], deep_vals, atol=1e-10)

@@ -20,19 +20,19 @@ from splinelab import (
     operator_norm_inf,
 )
 from splinelab.experiments import _dense_tensor_norm_2d
-from splinelab.bspline import atom_chebyshev
+from splinelab.bspline import _basis_columns, atom_chebyshev
 from splinelab.projector import (
     DECAY_BLOCK_ATOMS,
     NORM_BLOCK_ATOMS,
     NORM_EDGE_TOL,
     NORM_SAMPLES_PER_ATOM,
     GramSystem,
-    _basis_columns,
     _kernel_blocks,
     operator_norm_1d,
 )
 
 from conftest import (
+    collocation_matrix,
     dense_dual_matrix,
     dense_gram,
     dense_moments,
@@ -84,7 +84,7 @@ def test_dual_biorthogonality_by_quadrature():
         gs = GramSystem(space)
         rule = atom_quadrature(space.partition, k + 1)
         duals = gs.duals_at(rule.nodes.ravel())          # (dim, P)
-        B = space.basis_matrix(rule.nodes.ravel())       # (P, dim)
+        B = collocation_matrix(space, rule.nodes)        # (P, dim)
         M = (B * rule.weights.ravel()[:, None]).T @ duals.T
         err = np.abs(M - np.eye(space.dimension)).max()
         assert err <= 1e-10
@@ -96,7 +96,7 @@ def test_dual_matches_dense_inverse_oracle():
         gs = GramSystem(space)
         Ginv = dense_dual_matrix(gs)
         xs = np.random.default_rng(0).uniform(1e-9, 1, 31)
-        B = space.basis_matrix(xs)
+        B = collocation_matrix(space, xs)
         want = Ginv @ B.T
         got = gs.duals_at(xs)
         np.testing.assert_allclose(got, want, atol=1e-12)
@@ -267,7 +267,7 @@ def test_project_dirac_decay_matches_dense_oracle():
     np.testing.assert_allclose(ts.coeffs.ravel(), want, atol=1e-12)
     ys = np.random.default_rng(0).uniform(1e-9, 1, 64)
     got = ts.eval_many(ys[:, None])[:, 0]
-    ref = space.basis_matrix(ys) @ want
+    ref = collocation_matrix(space, ys) @ want
     np.testing.assert_allclose(got, ref, atol=1e-12)
 
 

@@ -142,7 +142,7 @@ def test_convergence_deepest_level_reference():
     seq = make_sequence(F, lambda x: np.cos(3 * x), 3, quad_points=4)
     deepest = seq.level(seq.n_levels)
     # levels 1..N-1 against the deepest level, the oracle for the limit
-    coarser = MartingaleSplineSequence(F=F, orders=seq.orders, splines=seq.splines[:-1],
+    coarser = MartingaleSplineSequence(F=F, splines=seq.splines[:-1],
                                        projectors=seq.projectors[:-1])
     probe = convergence_probe(coarser, reference=lambda x: deepest.eval_many(x[:, None]),
                               n_points=100, seed=8, final_tol=5e-2)
