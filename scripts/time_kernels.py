@@ -32,6 +32,16 @@ QUADRATURE_DEPTHS (2^depth atoms per axis), both reductions of a density:
 Each of these also reports the tracemalloc peak of one call and the bytes of
 what it returns: the quadrature evaluates its integrand one slab at a time,
 so the peak less the result stays flat in depth.
+For the projections it times, in d = 2 on the same mesh at depths
+PROJECTION_DEPTHS, with orders (2, 2):
+  spline_projection  P_n g_{n+1}, the projection of a spline of the finest
+                     level n + 1 onto level n, as verify_martingale_property
+                     makes it;
+  moments_against    LagrangeMoments.against of the finest level's moments
+                     (the density reduction above, 4 points per atom) onto
+                     the finest level's basis, the largest contraction that
+                     make_sequence makes;
+each with the tracemalloc peak of one call and the bytes of its result.
 For the filtrations it times build_filtration in d = 1 for two rules, each
 at the three depths of FILTRATION_RULES: uniform-bisect-all as in the shadrin
 experiment (3 jittered base atoms, 192, 768 and 3,072 atoms) and
@@ -58,7 +68,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np  # noqa: E402
 
 from splinelab import (FiltrationSpec, HybridMeasure, Partition1D, SplineSpace1D,  # noqa: E402
-                       build_filtration, compile_masses, maximal_field)
+                       TensorProjector, build_filtration, compile_masses, maximal_field)
 from splinelab.bspline import atom_chebyshev  # noqa: E402
 from splinelab.maximal import level_sum_field  # noqa: E402
 from splinelab.projector import (  # noqa: E402
@@ -76,6 +86,7 @@ from splinelab.projector import (  # noqa: E402
 KERNELS = ("duals_at", "decay_profile", "kernel_columns", "operator_norm_1d")
 MAXIMAL_KERNELS = ("conv_lengths", "level_sum_field", "maximal_field")
 QUADRATURE_KERNELS = ("compile_masses", "density_moments")
+PROJECTION_KERNELS = ("spline_projection", "moments_against")
 
 DEPTHS = (8, 9, 10)
 ORDERS = (2, 3, 4, 5)
@@ -83,6 +94,7 @@ MAXIMAL_DEPTHS = {1: (8, 9, 10), 2: (7, 8, 9)}
 Q_VALUES = (0.3, 0.5, 0.8)
 QUADRATURE_DEPTHS = (7, 8, 9)
 MOMENT_POINTS = 16
+PROJECTION_DEPTHS = (7, 8, 9)
 FILTRATION_RULES = {   # rule, depths
     "uniform-bisect-all": ({"name": "uniform-bisect-all", "base_atoms": 3, "base_jitter": 0.5},
                            (6, 8, 10)),
@@ -179,6 +191,34 @@ def quadrature_rows():
     return rows
 
 
+def projection_rows():
+    """Timings and memory peaks of P_n g_{n+1} and of the finest level's moment contraction,
+    d = 2, at the depths of PROJECTION_DEPTHS."""
+    rule = {"name": "random-atom-bisect", "p_split": 1.0,
+            "split_range": [0.35, 0.65], "base_atoms": 1}
+    theta = HybridMeasure(d=2, density=lambda *g: 1.0 + 0.5 * np.sin(3 * sum(g)),
+                          density_quad_points=4)
+    rows = []
+    for depth in PROJECTION_DEPTHS:
+        F = build_filtration(FiltrationSpec(d=2, interval=(0.0, 1.0), n_levels=depth,
+                                            rules=[rule] * 2, seed=SEED))
+        fine = TensorProjector.for_level(F, depth, (2, 2))
+        coarse = TensorProjector.for_level(F, depth - 1, (2, 2))
+        g_fine = fine.project(theta)
+        moments = source_moments(theta, [s.partition for s in fine.spaces], (2, 2))[0]
+        kernels = {
+            "spline_projection": lambda: coarse.project(g_fine).coeffs,
+            "moments_against": lambda: moments.against(fine.spaces),
+        }
+        for name, fn in kernels.items():
+            peak, out = traced_peak(fn)
+            rows.append({"kernel": name, "d": 2, "depth": depth,
+                         "dim": fine.spaces[0].partition.n_atoms,
+                         "seconds": median_seconds(fn), "peak_bytes": peak,
+                         "result_bytes": out.nbytes})
+    return rows
+
+
 def filtration_rows():
     """Timings of build_filtration in d = 1 for each rule of FILTRATION_RULES at its depths."""
     rows = []
@@ -228,6 +268,10 @@ def main():
     exponents.update({
         name: {"d2": slope([(r["dim"], r["seconds"]) for r in qrows if r["kernel"] == name])}
         for name in QUADRATURE_KERNELS})
+    prows = projection_rows()
+    exponents.update({
+        name: {"d2": slope([(r["dim"], r["seconds"]) for r in prows if r["kernel"] == name])}
+        for name in PROJECTION_KERNELS})
     frows = filtration_rows()
     exponents["build_filtration"] = {
         name: slope([(r["dim"], r["seconds"]) for r in frows if r["rule"] == name])
@@ -244,10 +288,11 @@ def main():
                      "q_values": list(Q_VALUES),
                      "quadrature_depths": list(QUADRATURE_DEPTHS),
                      "moment_points": MOMENT_POINTS,
+                     "projection_depths": list(PROJECTION_DEPTHS),
                      "filtration_depths": {name: list(depths)
                                            for name, (_, depths) in FILTRATION_RULES.items()},
                      "filtration_repeats": FILTRATION_REPEATS},
-        "timings": rows + mrows + qrows + frows,
+        "timings": rows + mrows + qrows + prows + frows,
         "exponents": exponents,
     }
     print(json.dumps(out, indent=2))

@@ -11,7 +11,10 @@ for k >= 2 the spline is continuous and the convention is invisible.
 Integrals over I^d go through TensorQuadrature, which evaluates an integrand
 one slab of whole axis-0 atoms at a time and contracts each slab on every
 axis at once, so its memory is bounded by SLAB_NODES and by what it returns,
-never by the full d-dimensional node grid.
+never by the full d-dimensional node grid.  Contractions into a spline basis
+(`LagrangeMoments.against`, and the projection of a spline onto another
+level) run per axis over blocks of CONTRACT_BLOCK_POINTS sorted points
+(`_contract_points`), never through a dense (dimension x points) matrix.
 """
 
 from __future__ import annotations
@@ -28,6 +31,8 @@ DEFAULT_QUAD_POINTS = 4      # per-atom Gauss-Legendre points for spline integra
 GENERAL_QUAD_POINTS = 16     # fixed rule for integrands that are not splines
 SLAB_NODES = 2 ** 18         # integrand nodes per slab in TensorQuadrature; bounds the
                              # memory of every quadrature and never moves its result
+CONTRACT_BLOCK_POINTS = 128  # points per dense collocation block in _contract_points: with a
+                             # point in every atom a block has at most this + k - 1 rows
 
 
 def knot_vector(p: Partition1D, k: int) -> np.ndarray:
@@ -299,9 +304,8 @@ class LagrangeMoments:
                 raise ValueError(f"order-{space.order} space on axis {ell} needs "
                                  f"{min(self.g, space.order)} interpolation points, "
                                  f"the reduction kept {p}")
-            # built when its axis comes up, so one dense collocation matrix is alive at a time
-            ops.append(lambda X, space=space, pts=pts:
-                       _basis_columns(*space.eval_basis_many(pts), 0, space.dimension) @ X)
+            # banded, block by block: no (dimension x points) matrix is formed
+            ops.append(partial(_contract_points, *space.eval_basis_many(pts), space.dimension))
         return mode_apply(self.tensor, ops)
 
 
@@ -337,11 +341,34 @@ def _basis_columns(first, vals, lo: int, hi: int) -> np.ndarray:
     return b
 
 
+def _contract_points(first, vals, dim: int, X) -> np.ndarray:
+    """B @ X for the collocation matrix B[i, p] = N_i(x_p) of a dimension-dim space,
+    never formed; (first, vals) is eval_basis_many at the points x.
+
+    A block of CONTRACT_BLOCK_POINTS consecutive points touches only the basis
+    rows [min first, max first + k) of its points, [first[p0], first[p1 - 1] + k)
+    for sorted points, so each block multiplies that small dense part of B with
+    its rows of X and adds the product into those rows.
+    """
+    k = vals.shape[1]
+    out = np.zeros((dim, X.shape[1]))
+    for p0 in range(0, len(first), CONTRACT_BLOCK_POINTS):
+        f = first[p0:p0 + CONTRACT_BLOCK_POINTS]
+        lo, hi = f.min(), f.max() + k
+        out[lo:hi] += _basis_columns(f, vals[p0:p0 + len(f)], lo, hi) @ X[p0:p0 + len(f)]
+    return out
+
+
 def _collocate(first, vals, C):
-    """Rows sum_r vals[p, r] * C[first[p] + r]: banded collocation, never formed densely."""
-    out = vals[:, :1] * C[first]
+    """Rows sum_r vals[p, r] * C[first[p] + r]: banded collocation, never formed densely.
+    Each term is scaled in the array that gathers it, so two (points, columns) arrays
+    are alive at a time."""
+    out = C[first]
+    out *= vals[:, :1]
     for r in range(1, vals.shape[1]):
-        out += vals[:, r:r + 1] * C[first + r]
+        term = C[first + r]
+        term *= vals[:, r:r + 1]
+        out += term
     return out
 
 

@@ -21,8 +21,12 @@ norm's one product and one edge test; a non-finite edge or block value
 raises ValueError.
 
 TensorProjector.project is the one entry point of the tensor projector: it
-takes a function, a hybrid measure or a spline of another level, and
-source_moments decides how each becomes per-atom Lagrange moments.
+takes a function, a hybrid measure or a spline of another level.
+source_moments turns a function or a measure into per-atom Lagrange
+moments.  A spline needs no node grid: its inner products with the target
+basis factorize over axes, so each axis collocates the spline's coefficients
+at Gauss nodes of the common refinement and contracts the weighted values
+into the target basis block by block, one mode product per axis.
 
 Tensor-product spaces have Gram matrix G_1 x ... x G_d (never assembled);
 projection applies per-axis banded solves along each tensor mode, and the
@@ -35,7 +39,7 @@ does; neither G^-1 nor a band of it is ever formed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from typing import ClassVar
 
 import numpy as np
@@ -49,6 +53,8 @@ from .bspline import (
     TensorQuadrature,
     TensorSpline,
     _basis_columns,
+    _collocate,
+    _contract_points,
     atom_chebyshev,
     atom_quadrature,
     mode_apply,
@@ -224,17 +230,40 @@ class TensorProjector:
         return values of shape (...,) or (..., m); P reproduces it exactly when
         it lies in the space.  A measure theta gives sum_i (int N_i dtheta) N*_i.
         Both are integrated on `quad_partitions` (default: the projector's own
-        partitions); passing a finer nested partition makes the moments
-        additive across levels.  A spline is integrated exactly, as
-        `source_moments` describes.  Only a callable takes g, and a spline
-        takes no quad_partitions; an option that would be ignored raises
-        ValueError.
+        partitions), as `source_moments` describes; passing a finer nested
+        partition makes the moments additive across levels.
+
+        A spline is integrated exactly and axis by axis, never on the
+        d-dimensional node grid: on each axis its coefficients are collocated
+        at g Gauss points per atom of the common refinement of both
+        partitions, g the largest order of either spline, and the weighted
+        values are contracted into this level's basis; the solve follows.  Its
+        dimension and every axis interval must match this projector's.
+
+        Only a callable takes g, and a spline takes no quad_partitions; an
+        option that would be ignored raises ValueError.
         """
-        if quad_partitions is not None and isinstance(source, TensorSpline):
+        if not isinstance(source, TensorSpline):
+            if quad_partitions is None:
+                quad_partitions = [s.partition for s in self.spaces]
+            return self.project_values(*source_moments(source, quad_partitions, self.orders, g))
+        if quad_partitions is not None:
             raise ValueError("a TensorSpline source is integrated on the common refinement; "
                              "it takes no quad_partitions")
-        parts = [s.partition for s in self.spaces] if quad_partitions is None else quad_partitions
-        return self.project_values(*source_moments(source, parts, self.orders, g))
+        if g is not None:
+            raise ValueError("a TensorSpline source fixes its own quadrature; it takes no g")
+        if source.d != len(self.spaces):
+            raise ValueError(f"a {source.d}-dimensional spline cannot be projected onto "
+                             f"a {len(self.spaces)}-dimensional space")
+        for ell, (mine, theirs) in enumerate(zip(self.spaces, source.spaces)):
+            if theirs.interval != mine.interval:
+                raise ValueError(f"axis {ell}: the spline lives on ({theirs.interval.lo}, "
+                                 f"{theirs.interval.hi}], the projector on "
+                                 f"({mine.interval.lo}, {mine.interval.hi}]")
+        g = max(self.orders + tuple(s.order for s in source.spaces))
+        ops = [partial(_spline_axis_moments, mine, theirs, g)
+               for mine, theirs in zip(self.spaces, source.spaces)]
+        return TensorSpline(self.spaces, self.solve_coefficients(mode_apply(source.coeffs, ops)))
 
     def project_values(self, moments: LagrangeMoments, m: int = None,
                        diracs=()) -> TensorSpline:
@@ -258,35 +287,43 @@ class TensorProjector:
         return TensorSpline(self.spaces, self.solve_coefficients(b), m=m)
 
 
+def _spline_axis_moments(mine: SplineSpace1D, theirs: SplineSpace1D, g: int, X) -> np.ndarray:
+    """Rows b[i] = int N_i sum_j X[j] M_j over one axis, N the basis of `mine`, M of `theirs`.
+
+    Exact: g-point Gauss on every atom of the common refinement of both
+    partitions, where both are polynomials of order at most g.  The spline
+    is collocated at the nodes by banded rows and contracted into N block by
+    block; no (dimension x nodes) matrix is formed.
+    """
+    rule = atom_quadrature(Partition1D(np.union1d(mine.partition.breakpoints,
+                                                  theirs.partition.breakpoints)), g)
+    nodes = rule.nodes.ravel()
+    values = _collocate(*theirs.eval_basis_many(nodes), X)
+    values *= rule.weights.ravel()[:, None]
+    return _contract_points(*mine.eval_basis_many(nodes), mine.dimension, values)
+
+
 def source_moments(source, partitions, orders, g: int = None):
     """(moments, m, diracs) of a source, the arguments of TensorProjector.project_values.
 
     A HybridMeasure gives the Lagrange moments of its density (None without
     one), integrated with its own density_quad_points, plus its value
-    dimension and Diracs.  A callable f(X_1, ..., X_d) is integrated with g
-    points per atom, max(k, DEFAULT_QUAD_POINTS) when g is None; its value
-    dimension is read off the values and it has no Diracs.  Quadrature runs
-    on `partitions`, one per axis.  A TensorSpline is integrated exactly: on
-    the per-axis common refinement of `partitions` and its own partitions,
-    where it is a polynomial on every atom, with g the largest order of
-    either.  Only a callable takes g; a measure or a spline given one raises
-    ValueError.
+    dimension and Diracs; given g it raises ValueError.  A callable
+    f(X_1, ..., X_d) is integrated with g points per atom,
+    max(k, DEFAULT_QUAD_POINTS) when g is None; its value dimension is read
+    off the values and it has no Diracs.  Quadrature runs on `partitions`,
+    one per axis.  A spline is no source here: TensorProjector.project
+    integrates it axis by axis.
     """
-    if g is not None and isinstance(source, (HybridMeasure, TensorSpline)):
-        raise ValueError(f"a {type(source).__name__} source fixes its own quadrature; "
-                         "it takes no g")
     if isinstance(source, HybridMeasure):
+        if g is not None:
+            raise ValueError("a HybridMeasure source fixes its own quadrature; it takes no g")
         if source.d != len(partitions):
             raise ValueError(f"measure dimension {source.d} != domain dimension {len(partitions)}")
         if source.density is None:
             return None, source.m, source.diracs
         quad = TensorQuadrature(partitions, source.density_quad_points)
         return quad.lagrange_moments(source.density_values, orders), source.m, source.diracs
-    if isinstance(source, TensorSpline):
-        g = max(max(orders), max(s.order for s in source.spaces))
-        partitions = [Partition1D(np.union1d(part.breakpoints, s.partition.breakpoints))
-                      for part, s in zip(partitions, source.spaces)]
-        ts, source = source, lambda *grids: ts.eval_grid([np.ravel(a) for a in grids])
     if not callable(source):
         raise ValueError(f"unsupported source type {type(source)!r}")
     quad = TensorQuadrature(partitions, max(max(orders), DEFAULT_QUAD_POINTS) if g is None else g)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .bspline import TensorSpline, as_value_array
 from .filtration import TensorFiltration
-from .projector import TensorProjector, source_moments
+from .projector import TensorProjector, _require_int, source_moments
 
 PROBE_BREAKPOINT_GAP = 1e-9  # probe points stay this far from every breakpoint
 PROBE_MAX_ROUNDS = 1000      # rejection rounds before sample_probe_points gives up
@@ -58,8 +58,8 @@ def make_sequence(F: TensorFiltration, source, orders,
     atom, max(k, DEFAULT_QUAD_POINTS) by default; a measure uses its own
     density rule.  The source is evaluated once on that grid and reduced once
     to per-atom Lagrange moments; each level's projector, built once and kept
-    with the sequence, then only multiplies them by its small per-axis
-    collocation matrices and solves.
+    with the sequence, then only contracts them into its basis, axis by axis
+    and block by block, and solves.
     """
     projectors = [TensorProjector.for_level(F, n, orders) for n in range(1, F.n_levels + 1)]
     finest, orders = [s.partition for s in projectors[-1].spaces], projectors[-1].orders
@@ -77,10 +77,11 @@ def sample_probe_points(F: TensorFiltration, n_points: int, seed: int = 0,
     than PROBE_BREAKPOINT_GAP away from every breakpoint.  `exclude` is an
     optional list of (point, radius) pairs, used to keep probes away from
     Dirac locations whose finite-depth remnant would otherwise dominate a
-    convergence measurement.  Raises ValueError when the gap leaves no room
-    on some axis, or when fewer than n_points survive PROBE_MAX_ROUNDS rounds
-    of rejection.
+    convergence measurement.  Raises ValueError when n_points is not an
+    integer >= 1, when the gap leaves no room on some axis, or when fewer
+    than n_points survive PROBE_MAX_ROUNDS rounds of rejection.
     """
+    _require_int("n_points", n_points, 1)
     rng = np.random.default_rng(seed)
     iv = F.interval
     all_bps = [
@@ -150,11 +151,14 @@ def convergence_probe(seq: MartingaleSplineSequence, reference, points=None,
     """Track ||g_n(y) - reference(y)|| at probe points across levels.
 
     `reference` is the known limit, called as reference(y_1, ..., y_d) on the
-    probe coordinates.
+    probe coordinates.  Raises ValueError when `points` is empty or not
+    finite: an empty probe would report a fraction of nan.
     """
     if points is None:
         points = sample_probe_points(seq.F, n_points, seed=seed)
     points = np.asarray(points, dtype=float)
+    if points.size == 0 or not np.isfinite(points).all():
+        raise ValueError(f"probe points must be non-empty and finite, got shape {points.shape}")
     raw = reference(*[points[:, ell] for ell in range(seq.F.d)])
     ref_vals = as_value_array(raw, (len(points),), "reference")
     errors = np.empty((seq.n_levels, len(points)))

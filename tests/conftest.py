@@ -287,6 +287,23 @@ def collocation_matrix(space, xs):
     return _basis_columns(*space.eval_basis_many(np.ravel(xs)), 0, space.dimension).T
 
 
+def dense_spline_projection(tp, ts):
+    """P ts by dense algebra: per axis the cross-Gram M[i, j] = int N_i M_j (N the basis of
+    tp, M of ts) from dense collocation at k_max Gauss points per atom of the common
+    refinement, and the dense Gram G; the Kronecker factors G^-1 M act by one einsum."""
+    g = max(tp.orders + tuple(s.order for s in ts.spaces))
+    factors = []
+    for mine, theirs, gs in zip(tp.spaces, ts.spaces, tp.grams):
+        rule = atom_quadrature(Partition1D(np.union1d(mine.partition.breakpoints,
+                                                      theirs.partition.breakpoints)), g)
+        nodes, w = rule.nodes.ravel(), rule.weights.ravel()
+        cross = collocation_matrix(mine, nodes).T @ (w[:, None] * collocation_matrix(theirs, nodes))
+        factors.append(np.linalg.solve(dense_gram(gs), cross))
+    src, dst = "abcdefgh"[:ts.d], "ABCDEFGH"[:ts.d]
+    spec = ",".join(f"{D}{s}" for D, s in zip(dst, src)) + f",{src}z->{dst}z"
+    return np.einsum(spec, *factors, ts.coeffs, optimize=True)
+
+
 def finest_grid_max_field(q, masses, K, N_max):
     """Running-max oracle on masses.F: level sums spread onto the finest grid, maxed there."""
     F = masses.F

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -371,6 +372,47 @@ def test_lagrange_moments_match_dense_moments(seed):
                 want = dense_moments(quad, spaces, vals)
                 np.testing.assert_allclose(got, want, rtol=1e-13,
                                            atol=1e-13 * np.abs(want).max() if interior else 0)
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_blocked_against_matches_dense_moments(m, monkeypatch):
+    # blocks of 5 and 7 points straddle atoms (2 to 6 kept points each), so block edges
+    # fall inside basis supports; spaces from level 1 (many points per atom) to the
+    # finest, on axes graded to the 1e-9 floor toward 1.0 and 0.37, whose smallest
+    # moments are compared on the scale of the largest (see the test above)
+    F = graded_filtration(2)
+    finest = [ax.level(F.n_levels) for ax in F.axes]
+    f = wavy_values(m)
+    for g, orders in ((3, (2, 3)), (4, (4, 1)), (6, (5, 6))):
+        quad = TensorQuadrature(finest, g)
+        vals = node_grid_values(quad, f)
+        moments = quad.lagrange_moments(f, orders)
+        for level in (1, 3, 20, F.n_levels):
+            spaces = [SplineSpace1D(ax.level(level), k) for ax, k in zip(F.axes, orders)]
+            want = dense_moments(quad, spaces, vals)
+            for block in (5, 7, bspline.CONTRACT_BLOCK_POINTS):
+                monkeypatch.setattr(bspline, "CONTRACT_BLOCK_POINTS", block)
+                got = moments.against(spaces)
+                assert got.shape == tuple(s.dimension for s in spaces) + (m,)
+                np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max(),
+                                           err_msg=f"g={g}, level {level}, block {block}")
+
+
+def test_against_forms_no_dense_collocation_matrix():
+    # 1,024 atoms at order 2: dimension 1,025 and 2,048 kept points, whose dense
+    # collocation matrix would take 1,025 * 2,048 * 8 bytes = 16.8 MB
+    part = Partition1D(np.linspace(0.0, 1.0, 1025))
+    space = SplineSpace1D(part, 2)
+    moments = TensorQuadrature([part], 2).lagrange_moments(lambda x: 1.0 + x, [2])
+    assert moments.tensor.shape == (2048, 1)
+    tracemalloc.start()
+    try:
+        b = moments.against([space])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert b.sum() == pytest.approx(1.5, rel=1e-13)    # partition of unity: int (1 + x)
 
 
 def test_lagrange_moments_reject_missing_breakpoint():

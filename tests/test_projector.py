@@ -14,6 +14,7 @@ from splinelab import (
     SplineSpace1D,
     TensorProjector,
     TensorQuadrature,
+    TensorSpline,
     atom_quadrature,
     build_filtration,
     decay_profile,
@@ -37,7 +38,9 @@ from conftest import (
     dense_gram,
     dense_moments,
     dense_operator_norm_1d,
+    dense_spline_projection,
     full_length_duals,
+    graded_filtration,
     node_grid_values,
     per_atom_decay_profile,
     per_block_operator_norm_1d,
@@ -113,17 +116,28 @@ def test_project_reproduces_splines():
     tp = TensorProjector.for_level(F, 3, (2, 3))
     rng = np.random.default_rng(7)
     coeffs = rng.normal(size=tuple(tp.dims))
-    from splinelab import TensorSpline
-
     ts = TensorSpline(tp.spaces, coeffs)
     back = tp.project(ts)
     pts = rng.uniform(1e-6, 1, (200, 2))
     np.testing.assert_allclose(back.eval_many(pts), ts.eval_many(pts), atol=1e-10)
 
 
+# P of a spline source against the dense oracle, and against the callable route on
+# ungraded meshes, relative to the largest coefficient: each integrates exactly with the
+# same nodes, and they differ in the order of their sums (up to 2.2e-13 seen, d = 3 graded)
+SPLINE_PROJECTION_RTOL = 1e-12
+
+
+def assert_close_coefficients(got, want, label=""):
+    """Coefficients equal to SPLINE_PROJECTION_RTOL times the largest of `want`."""
+    np.testing.assert_allclose(got, want, rtol=0,
+                               atol=SPLINE_PROJECTION_RTOL * np.abs(want).max(), err_msg=label)
+
+
 def _common_refinement_route(tp, ts):
     """P ts by projecting ts as a callable, with g the largest order, on the
-    per-axis union of both breakpoint sets: what a spline source amounts to."""
+    per-axis union of both breakpoint sets: the same exact quadrature, taken
+    through the node grid and the Lagrange moments."""
     g = max(max(tp.orders), max(s.order for s in ts.spaces))
     quad = [Partition1D(np.union1d(mine.partition.breakpoints, theirs.partition.breakpoints))
             for mine, theirs in zip(tp.spaces, ts.spaces)]
@@ -135,11 +149,77 @@ def test_project_of_a_coarser_spline_is_the_callable_route():
     F = random_filtration(11, d=2, n_levels=5)
     rng = np.random.default_rng(12)
     coarse = TensorProjector.for_level(F, 2, (3, 3))
-    from splinelab import TensorSpline
-
     ts = TensorSpline(coarse.spaces, rng.normal(size=coarse.dims + (2,)))
     tp = TensorProjector.for_level(F, 4, (2, 3))
-    assert np.array_equal(tp.project(ts).coeffs, _common_refinement_route(tp, ts).coeffs)
+    got = tp.project(ts).coeffs
+    assert_close_coefficients(got, _common_refinement_route(tp, ts).coeffs)
+    assert_close_coefficients(got, dense_spline_projection(tp, ts))
+
+
+def _spline_projection_cases(d):
+    """(label, source level's axes, target level's axes) pairs: coarser to finer, finer to
+    coarser, non-nested meshes, and both directions on meshes graded to the 1e-9 floor."""
+    n = 5 if d < 3 else 3
+    A, B = random_filtration(3, d=d, n_levels=n), random_filtration(4, d=d, n_levels=n)
+    G = graded_filtration(d)
+    fine, mid = G.n_levels, (20 if d < 3 else 26)
+    levels = {"coarser to finer": (A, 2, A, n), "finer to coarser": (A, n, A, 2),
+              "non-nested": (A, n, B, n - 1), "graded, coarser to finer": (G, mid, G, fine),
+              "graded, finer to coarser": (G, fine, G, mid)}
+    return {label: ([ax.level(ns) for ax in Fs.axes], [ax.level(nt) for ax in Ft.axes])
+            for label, (Fs, ns, Ft, nt) in levels.items()}
+
+
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_spline_projection_matches_dense_oracle(d, m):
+    # orders 1-6 on both sides: every pair in d = 1, six shifted tuples per case above
+    rng = np.random.default_rng(10 * d + m)
+    if d == 1:
+        pairs = [((ks,), (kt,)) for ks in range(1, 7) for kt in range(1, 7)]
+    else:
+        pairs = [(tuple((s + ell) % 6 + 1 for ell in range(d)),
+                  tuple((s + 3 + 2 * ell) % 6 + 1 for ell in range(d))) for s in range(6)]
+    for label, (source_parts, target_parts) in _spline_projection_cases(d).items():
+        for source_orders, target_orders in pairs:
+            spaces = [SplineSpace1D(p, k) for p, k in zip(source_parts, source_orders)]
+            dims = tuple(s.dimension for s in spaces)
+            ts = TensorSpline(spaces, rng.normal(size=dims if m == 1 else dims + (m,)))
+            tp = TensorProjector([SplineSpace1D(p, k) for p, k in zip(target_parts, target_orders)])
+            got = tp.project(ts)
+            assert got.coeffs.shape == tp.dims + (m,)
+            assert_close_coefficients(got.coeffs, dense_spline_projection(tp, ts),
+                                      f"{label}, orders {source_orders} -> {target_orders}")
+
+
+def test_project_of_a_spline_builds_no_node_grid(monkeypatch):
+    # the spline route collocates per axis: no tensor-grid evaluation, no Lagrange moments
+    F = random_filtration(11, d=2, n_levels=5)
+    ts = TensorProjector.for_level(F, 5, (3, 2)).project(lambda x, y: np.sin(x + 2 * y))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the node-grid route was taken")
+
+    monkeypatch.setattr(TensorSpline, "eval_grid", forbidden)
+    monkeypatch.setattr(TensorQuadrature, "lagrange_moments", forbidden)
+    tp = TensorProjector.for_level(F, 3, (2, 3))
+    assert tp.project(ts).coeffs.shape == tp.dims + (1,)
+
+
+def test_project_of_a_spline_rejects_other_dimensions_and_intervals():
+    F1 = random_filtration(5, d=1, n_levels=3)
+    F2 = random_filtration(5, d=2, n_levels=3)
+    tp1, tp2 = TensorProjector.for_level(F1, 2, 2), TensorProjector.for_level(F2, 2, 2)
+    flat = TensorSpline(tp1.spaces, np.ones(tp1.dims))
+    square = TensorSpline(tp2.spaces, np.ones(tp2.dims))
+    with pytest.raises(ValueError, match="2-dimensional spline .* onto a 1-dimensional space"):
+        tp1.project(square)
+    with pytest.raises(ValueError, match="1-dimensional spline .* onto a 2-dimensional space"):
+        tp2.project(flat)
+    wide = SplineSpace1D(Partition1D([0.0, 0.5, 2.0]), 2)
+    with pytest.raises(ValueError, match=r"axis 1: the spline lives on \(0.0, 2.0\], "
+                                         r"the projector on \(0.0, 1.0\]"):
+        tp2.project(TensorSpline([tp2.spaces[0], wide], np.ones((tp2.dims[0], 3))))
 
 
 def test_project_rejects_options_it_would_ignore(dyadic_1d):
@@ -198,8 +278,9 @@ def test_nested_projection_identity():
     pn = tp_coarse.project(f, g=10, quad_partitions=[F.axes[0].level(6)])
     pts = np.random.default_rng(4).uniform(1e-6, 1, 400)[:, None]
     np.testing.assert_allclose(pn_pm.eval_many(pts), pn.eval_many(pts), atol=1e-9)
-    # a spline source from a finer level is the callable route, bit for bit
-    assert np.array_equal(pn_pm.coeffs, _common_refinement_route(tp_coarse, pm).coeffs)
+    # a spline source from a finer level is the callable route and the dense oracle
+    assert_close_coefficients(pn_pm.coeffs, _common_refinement_route(tp_coarse, pm).coeffs)
+    assert_close_coefficients(pn_pm.coeffs, dense_spline_projection(tp_coarse, pm))
 
 
 def test_kronecker_consistency_small_2d():

@@ -224,6 +224,27 @@ def test_probe_points_exclude_covering_domain_raises(dyadic_1d):
         sample_probe_points(dyadic_1d, 10, exclude=[([0.5], 1.0)])
 
 
+@pytest.mark.parametrize("n_points", [0, -3, 2.0, True, None])
+def test_probe_points_need_a_positive_integer_count(dyadic_1d, n_points):
+    with pytest.raises(ValueError, match="n_points must be an integer >= 1"):
+        sample_probe_points(dyadic_1d, n_points)
+
+
+def test_empty_probe_sets_fail_closed(dyadic_1d):
+    # an empty probe used to give fraction_below_tol = nan, and verify_martingale_property
+    # died inside numpy reducing an empty array
+    seq = make_sequence(dyadic_1d, lambda x: np.sin(3 * x), 2)
+    f = lambda x: np.sin(3 * x)
+    with pytest.raises(ValueError, match="n_points must be an integer >= 1"):
+        convergence_probe(seq, f, n_points=0)
+    with pytest.raises(ValueError, match="n_points must be an integer >= 1"):
+        verify_martingale_property(seq, n_probe=0)
+    for points in (np.empty((0, 1)), [], [[0.3], [np.nan]], [[np.inf]]):
+        with pytest.raises(ValueError, match="non-empty and finite"):
+            convergence_probe(seq, f, points=points)
+    assert convergence_probe(seq, f, points=[[0.3]]).fraction_below_tol in (0.0, 1.0)
+
+
 def _mixed_measure(d, m):
     """Density plus two Diracs in d dimensions with m-valued masses."""
     def dens(*grids):
