@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Time the 1-D dual kernels, the maximal level sums, the density reductions
-and build_filtration at three depths each and fit their scaling exponents.
+"""Time the 1-D dual kernels, the maximal level sums, the density reductions,
+the moment restriction and build_filtration at three depths each and fit
+their scaling exponents.
 
     python scripts/time_kernels.py > kernels.json
 
@@ -23,12 +24,17 @@ random-bisection mesh of the maximal-covering benchmark (1 base atom,
                    one compiled measure, from a cold H cache: one seed of
                    the covering experiment.
 For the per-atom quadrature it times, in d = 2 on the same mesh at depths
-QUADRATURE_DEPTHS (2^depth atoms per axis), both reductions of a density:
+QUADRATURE_DEPTHS (2^depth atoms per axis), both reductions of a density and
+the restriction of its moments:
   compile_masses   the finest masses of a measure with 4 points per atom,
                    as in the covering experiment;
-  density_moments  the Lagrange moments of order (2, 2) that make_sequence
-                   takes from a measure with MOMENT_POINTS points per atom,
-                   as in the singular experiment.
+  basis_moments    the moments against the finest basis of order (2, 2)
+                   that make_sequence takes from a measure with
+                   MOMENT_POINTS points per atom, as in the singular
+                   experiment;
+  restrict         those moments restricted by the knot-insertion maps onto
+                   the level below, the largest restriction that
+                   make_sequence makes.
 Each of these also reports the tracemalloc peak of one call and the bytes of
 what it returns: the quadrature evaluates its integrand one slab at a time,
 so the peak less the result stays flat in depth.
@@ -37,11 +43,7 @@ PROJECTION_DEPTHS, with orders (2, 2):
   spline_projection  P_n g_{n+1}, the projection of a spline of the finest
                      level n + 1 onto level n, as verify_martingale_property
                      makes it;
-  moments_against    LagrangeMoments.against of the finest level's moments
-                     (the density reduction above, 4 points per atom) onto
-                     the finest level's basis, the largest contraction that
-                     make_sequence makes;
-each with the tracemalloc peak of one call and the bytes of its result.
+with the tracemalloc peak of one call and the bytes of its result.
 For the filtrations it times build_filtration in d = 1 for two rules, each
 at the three depths of FILTRATION_RULES: uniform-bisect-all as in the shadrin
 experiment (3 jittered base atoms, 192, 768 and 3,072 atoms) and
@@ -69,7 +71,7 @@ import numpy as np  # noqa: E402
 
 from splinelab import (FiltrationSpec, HybridMeasure, Partition1D, SplineSpace1D,  # noqa: E402
                        TensorProjector, build_filtration, compile_masses, maximal_field)
-from splinelab.bspline import atom_chebyshev  # noqa: E402
+from splinelab.bspline import atom_chebyshev, restrict  # noqa: E402
 from splinelab.maximal import level_sum_field  # noqa: E402
 from splinelab.projector import (  # noqa: E402
     DECAY_BLOCK_ATOMS,
@@ -85,8 +87,8 @@ from splinelab.projector import (  # noqa: E402
 
 KERNELS = ("duals_at", "decay_profile", "kernel_columns", "operator_norm_1d")
 MAXIMAL_KERNELS = ("conv_lengths", "level_sum_field", "maximal_field")
-QUADRATURE_KERNELS = ("compile_masses", "density_moments")
-PROJECTION_KERNELS = ("spline_projection", "moments_against")
+QUADRATURE_KERNELS = ("compile_masses", "basis_moments", "restrict")
+PROJECTION_KERNELS = ("spline_projection",)
 
 DEPTHS = (8, 9, 10)
 ORDERS = (2, 3, 4, 5)
@@ -165,7 +167,8 @@ def traced_peak(fn):
 
 
 def quadrature_rows():
-    """Timings and memory peaks of the two density reductions at three d=2 depths."""
+    """Timings and memory peaks of the two density reductions and of the restriction
+    at three d=2 depths."""
     rule = {"name": "random-atom-bisect", "p_split": 1.0,
             "split_range": [0.35, 0.65], "base_atoms": 1}
 
@@ -178,22 +181,25 @@ def quadrature_rows():
     for depth in QUADRATURE_DEPTHS:
         F = build_filtration(FiltrationSpec(d=2, interval=(0.0, 1.0), n_levels=depth,
                                             rules=[rule] * 2, seed=SEED))
-        finest = [ax.level(depth) for ax in F.axes]
+        fine = [SplineSpace1D(ax.level(depth), 2) for ax in F.axes]
+        coarse = [SplineSpace1D(ax.level(depth - 1), 2) for ax in F.axes]
+        b = source_moments(moments, fine)
         kernels = {
             "compile_masses": lambda: compile_masses(masses, F).finest,
-            "density_moments": lambda: source_moments(moments, finest, (2, 2))[0].tensor,
+            "basis_moments": lambda: source_moments(moments, fine),
+            "restrict": lambda: restrict(b, fine, coarse),
         }
         for name, fn in kernels.items():
             peak, out = traced_peak(fn)
-            rows.append({"kernel": name, "d": 2, "depth": depth, "dim": finest[0].n_atoms,
+            rows.append({"kernel": name, "d": 2, "depth": depth,
+                         "dim": fine[0].partition.n_atoms,
                          "seconds": median_seconds(fn), "peak_bytes": peak,
                          "result_bytes": out.nbytes})
     return rows
 
 
 def projection_rows():
-    """Timings and memory peaks of P_n g_{n+1} and of the finest level's moment contraction,
-    d = 2, at the depths of PROJECTION_DEPTHS."""
+    """Timings and memory peaks of P_n g_{n+1}, d = 2, at the depths of PROJECTION_DEPTHS."""
     rule = {"name": "random-atom-bisect", "p_split": 1.0,
             "split_range": [0.35, 0.65], "base_atoms": 1}
     theta = HybridMeasure(d=2, density=lambda *g: 1.0 + 0.5 * np.sin(3 * sum(g)),
@@ -205,17 +211,12 @@ def projection_rows():
         fine = TensorProjector.for_level(F, depth, (2, 2))
         coarse = TensorProjector.for_level(F, depth - 1, (2, 2))
         g_fine = fine.project(theta)
-        moments = source_moments(theta, [s.partition for s in fine.spaces], (2, 2))[0]
-        kernels = {
-            "spline_projection": lambda: coarse.project(g_fine).coeffs,
-            "moments_against": lambda: moments.against(fine.spaces),
-        }
-        for name, fn in kernels.items():
-            peak, out = traced_peak(fn)
-            rows.append({"kernel": name, "d": 2, "depth": depth,
-                         "dim": fine.spaces[0].partition.n_atoms,
-                         "seconds": median_seconds(fn), "peak_bytes": peak,
-                         "result_bytes": out.nbytes})
+        fn = lambda: coarse.project(g_fine).coeffs
+        peak, out = traced_peak(fn)
+        rows.append({"kernel": "spline_projection", "d": 2, "depth": depth,
+                     "dim": fine.spaces[0].partition.n_atoms,
+                     "seconds": median_seconds(fn), "peak_bytes": peak,
+                     "result_bytes": out.nbytes})
     return rows
 
 

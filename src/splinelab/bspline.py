@@ -11,10 +11,13 @@ for k >= 2 the spline is continuous and the convention is invisible.
 Integrals over I^d go through TensorQuadrature, which evaluates an integrand
 one slab of whole axis-0 atoms at a time and contracts each slab on every
 axis at once, so its memory is bounded by SLAB_NODES and by what it returns,
-never by the full d-dimensional node grid.  Contractions into a spline basis
-(`LagrangeMoments.against`, and the projection of a spline onto another
-level) run per axis over blocks of CONTRACT_BLOCK_POINTS sorted points
-(`_contract_points`), never through a dense (dimension x points) matrix.
+never by the full d-dimensional node grid.  Moments take one route: a
+source is reduced against the finest basis (`TensorQuadrature.basis_moments`),
+and a coarser nested basis N, with N_j = sum_i T[i, j] M_i in the finest
+basis M (knot insertion, `SplineSpace1D.refinement`), gets T^T times those
+moments (`restrict`).  That contraction, like the projection of a spline
+onto another level, runs per axis over blocks of CONTRACT_BLOCK_POINTS
+sorted rows (`_contract_points`), never through a dense matrix.
 """
 
 from __future__ import annotations
@@ -35,10 +38,16 @@ CONTRACT_BLOCK_POINTS = 128  # points per dense collocation block in _contract_p
                              # point in every atom a block has at most this + k - 1 rows
 
 
+def _require_int(name: str, value, least: int) -> int:
+    """value as an int; fail closed unless it is an integer (numpy's too, bool not) >= least."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 def knot_vector(p: Partition1D, k: int) -> np.ndarray:
     """Clamped knot vector of order k over the partition p (read-only)."""
-    if k < 1:
-        raise ValueError(f"order must be >= 1, got {k}")
+    k = _require_int("order", k, 1)
     bp = p.breakpoints
     knots = np.concatenate([np.full(k - 1, bp[0]), bp, np.full(k - 1, bp[-1])])
     knots.flags.writeable = False
@@ -50,7 +59,7 @@ class SplineSpace1D:
 
     def __init__(self, partition: Partition1D, order: int):
         self.partition = partition
-        self.order = int(order)
+        self.order = _require_int("order", order, 1)
         self.knots = knot_vector(partition, self.order)
 
     @property
@@ -84,22 +93,27 @@ class SplineSpace1D:
         # knot span mu with T[mu] < x <= T[mu+1]; the (.,.] convention is built in here
         mu = np.searchsorted(T, flat, side="left") - 1
         mu = np.clip(mu, k - 1, dim - 1)
-        n = flat.size
-        N = np.zeros((n, k))
-        N[:, 0] = 1.0
-        for j in range(1, k):
-            saved = np.zeros(n)
-            for r in range(j):
-                left = flat - T[mu + 1 - j + r]
-                right = T[mu + 1 + r] - flat
-                denom = right + left
-                mask = denom > 0
-                temp = np.where(mask, N[:, r] / np.where(mask, denom, 1.0), 0.0)
-                N[:, r] = saved + right * temp
-                saved = left * temp
-            N[:, j] = saved
+        N = _de_boor(T, mu, k, lambda j: flat)
         first = mu - (k - 1)
         return first.reshape(np.shape(xs)), N.reshape(np.shape(xs) + (k,))
+
+    def refinement(self, fine: "SplineSpace1D"):
+        """(first, vals) as from eval_basis_many: row i of the map T with N_j = sum_i T[i, j] M_i,
+        N the basis of self and M of `fine`, holds vals[i, r] at column first[i] + r.
+
+        Row i is the de Boor triangle of the span t_mu <= tau_i < t_{mu+1}, its
+        step j evaluated at the fine knot tau_{i+j}: the blossom at tau_{i+1},
+        ..., tau_{i+k-1} (the Oslo algorithm).  Raises ValueError when the
+        orders differ or `fine`'s partition does not refine self's.
+        """
+        k = self.order
+        if fine.order != k:
+            raise ValueError(f"an order-{fine.order} space does not refine an order-{k} space")
+        if fine.interval != self.interval or not fine.partition.refines(self.partition):
+            raise ValueError("the fine partition misses breakpoints of the coarse one")
+        n, tau = fine.dimension, fine.knots
+        mu = np.searchsorted(self.knots, tau[:n], side="right") - 1
+        return mu - (k - 1), _de_boor(self.knots, mu, k, lambda j: tau[j:j + n])
 
     def support_atom_range(self, i):
         """Inclusive atom index range (lo, hi) where basis i is nonzero; i may be an index array."""
@@ -107,6 +121,28 @@ class SplineSpace1D:
         if np.any((i < 0) | (i >= self.dimension)):
             raise IndexError(f"basis index {i} out of range [0, {self.dimension})")
         return np.maximum(i - (self.order - 1), 0), np.minimum(i, self.partition.n_atoms - 1)
+
+
+def _de_boor(T, mu, k: int, x) -> np.ndarray:
+    """(n, k) de Boor triangles over the knot spans mu of T, step j evaluated at x(j):
+    B-spline values when x(j) is the same for every j, knot-insertion rows when
+    x(j) are the fine knots tau_{i+j} (SplineSpace1D.refinement)."""
+    n = len(mu)
+    N = np.zeros((n, k))
+    N[:, 0] = 1.0
+    for j in range(1, k):
+        xj = x(j)
+        saved = np.zeros(n)
+        for r in range(j):
+            left = xj - T[mu + 1 - j + r]
+            right = T[mu + 1 + r] - xj
+            denom = right + left
+            mask = denom > 0
+            temp = np.where(mask, N[:, r] / np.where(mask, denom, 1.0), 0.0)
+            N[:, r] = saved + right * temp
+            saved = left * temp
+        N[:, j] = saved
+    return N
 
 
 @dataclass(frozen=True)
@@ -127,9 +163,7 @@ def _gauss_legendre(g: int):
 
 
 def atom_quadrature(p: Partition1D, g: int) -> QuadratureRule:
-    if g < 1:
-        raise ValueError(f"need at least one quadrature point, got {g}")
-    ref_nodes, ref_weights = _gauss_legendre(int(g))
+    ref_nodes, ref_weights = _gauss_legendre(_require_int("quadrature points g", g, 1))
     lo = p.breakpoints[:-1][:, None]
     hi = p.breakpoints[1:][:, None]
     nodes = 0.5 * (hi - lo) * ref_nodes + 0.5 * (hi + lo)
@@ -139,6 +173,7 @@ def atom_quadrature(p: Partition1D, g: int) -> QuadratureRule:
 
 def atom_chebyshev(p: Partition1D, n: int) -> np.ndarray:
     """The n Chebyshev points of the first kind on every atom of p: (n_atoms, n)."""
+    n = _require_int("Chebyshev points n", n, 1)
     cheb = np.cos((2 * np.arange(n) + 1) * np.pi / (2 * n))
     lo, hi = p.breakpoints[:-1, None], p.breakpoints[1:, None]
     return 0.5 * (hi - lo) * cheb + 0.5 * (hi + lo)
@@ -149,10 +184,9 @@ class TensorQuadrature:
 
     Every integral over I^d is discretized here: an integrand f(X_1, ..., X_d)
     is contracted per axis either to per-atom integrals (`atom_integrals`) or
-    to per-atom Lagrange moments (`lagrange_moments`).  The latter serve the
-    moments against every spline space whose breakpoints the partitions
-    contain: on each atom such a spline is a polynomial, so its interpolant on
-    a few Gauss points of the atom reproduces it exactly.
+    to its moments against the basis of a spline space over these partitions
+    (`basis_moments`); the moments of every coarser nested space follow from
+    the latter by `restrict`.
 
     The integrand is never evaluated on the whole node grid.  It is evaluated
     on one slab of whole axis-0 atoms at a time (about SLAB_NODES nodes),
@@ -161,14 +195,14 @@ class TensorQuadrature:
     axis operation is a per-atom contraction, so a slab yields its own rows
     of the result bit for bit, whatever the slab size, as long as numpy
     rounds every row alike in a slab and in the whole grid.  Two guards see
-    to that: the later axes of the Lagrange reduction use einsum, not gemm
-    (`lagrange_moments`), and a slab left with a single row on axis 0 is
+    to that: the later axes of the basis reduction use einsum, not gemm
+    (`basis_moments`), and a slab left with a single row on axis 0 is
     padded (`_reduce`).  Memory is bounded by one slab plus the result.
     """
 
     def __init__(self, partitions, g: int):
         self.partitions = tuple(partitions)
-        self.g = int(g)
+        self.g = _require_int("quadrature points g", g, 1)
         self.rules = tuple(atom_quadrature(p, g) for p in self.partitions)
         self.axis_nodes = tuple(r.nodes.ravel() for r in self.rules)
         self.shape = tuple(len(x) for x in self.axis_nodes)
@@ -212,30 +246,28 @@ class TensorQuadrature:
         """Integral of f over every atom of the partition; shape (atoms_1, ..., atoms_d, m)."""
         return self._reduce(f, [r.weights for r in self.rules], _integrate_atoms, _integrate_atoms)
 
-    def lagrange_moments(self, f, orders) -> "LagrangeMoments":
-        """Contract f to per-atom Lagrange moments for splines up to `orders`.
+    def basis_moments(self, f, spaces) -> np.ndarray:
+        """Moments b_i = int f prod_l N_{i_l}, shape (dim_1, ..., dim_d, m), for `spaces`
+        over this quadrature's partitions.
 
-        Axis l keeps p_l = min(g, orders[l]) Gauss points tau_j per atom and
-        sums w_s l_j(t_s) f over the g nodes t_s of the atom, where l_j are
-        the Lagrange polynomials on the tau.  For g <= k the tau are the nodes
-        and the l_j the identity, so the reduction only folds in the weights.
-        The result does not depend on any spline space.
-
-        Axis 0 is contracted by matmul: each slab hands it the same columns.
-        The later axes get a column count that depends on the slab, and gemm
-        rounds a column by its position among the columns (its edge kernels
-        differ), so they are contracted by einsum, which rounds every column
-        alike.
+        Only N_a, ..., N_{a+k-1} are nonzero on atom a, so each axis is
+        contracted per atom by w N of shape (atoms, k, g), built contiguous (a
+        transposed view slows einsum severalfold), and the k local rows of each
+        atom are scattered into the basis (`_scatter_atoms`).  Axis 0 is
+        contracted by matmul: each slab hands it the same columns.  The later
+        axes get a column count that depends on the slab, and gemm rounds a
+        column by its position among the columns, so they use einsum, which
+        rounds every column alike.
         """
-        if len(orders) != len(self.rules):
-            raise ValueError(f"need one order per axis, got {orders} for d={len(self.rules)}")
-        kept = tuple(min(self.g, int(k)) for k in orders)
-        mats = [rule.weights[:, None, :] * _lagrange_matrix(p, self.g)   # (atoms, p, g)
-                for rule, p in zip(self.rules, kept)]
-        points = tuple(atom_quadrature(part, p).nodes.ravel()
-                       for part, p in zip(self.partitions, kept))
-        return LagrangeMoments(self.partitions, points, kept, self.g,
-                               self._reduce(f, mats, _lagrange_matmul, _lagrange_einsum))
+        mats = []
+        for ell, (space, part, rule) in enumerate(
+                zip(spaces, self.partitions, self.rules, strict=True)):
+            if space.partition != part:
+                raise ValueError(f"the space of axis {ell} is not over the quadrature partition")
+            _, vals = space.eval_basis_many(rule.nodes)                       # (atoms, g, k)
+            mats.append(np.ascontiguousarray(np.swapaxes(vals * rule.weights[..., None], 1, 2)))
+        local = self._reduce(f, mats, _atom_matmul, _atom_einsum)
+        return mode_apply(local, [partial(_scatter_atoms, s.order) for s in spaces])
 
 
 def _integrate_atoms(w, X) -> np.ndarray:
@@ -243,70 +275,34 @@ def _integrate_atoms(w, X) -> np.ndarray:
     return np.einsum("ag,agr->ar", w, X.reshape(w.shape + (-1,)))
 
 
-def _lagrange_matmul(M, X) -> np.ndarray:
-    """Rows M[a] @ X[a g:(a + 1) g] per atom a, stacked: (atoms * p, r)."""
+def _atom_matmul(M, X) -> np.ndarray:
+    """Rows M[a] @ X[a g:(a + 1) g] per atom a, stacked: (atoms * k, r)."""
     return (M @ X.reshape(M.shape[0], M.shape[2], -1)).reshape(-1, X.shape[1])
 
 
-def _lagrange_einsum(M, X) -> np.ndarray:
-    """_lagrange_matmul by einsum, with the same rounding for every column count."""
-    return np.einsum("apg,agr->apr", M, X.reshape(M.shape[0], M.shape[2], -1)).reshape(
+def _atom_einsum(M, X) -> np.ndarray:
+    """_atom_matmul by einsum, with the same rounding for every column count."""
+    return np.einsum("akg,agr->akr", M, X.reshape(M.shape[0], M.shape[2], -1)).reshape(
         -1, X.shape[1])
 
 
-def _lagrange_matrix(p: int, g: int) -> np.ndarray:
-    """L[j, s] = l_j(t_s) for the Lagrange basis on the p-point Gauss rule of [-1, 1]
-    at the g-point Gauss nodes t; the identity when p == g."""
-    tau = _gauss_legendre(p)[0]
-    t = _gauss_legendre(g)[0]
-    L = np.ones((p, g))
-    for j in range(p):
-        for i in range(p):
-            if i != j:
-                L[j] *= (t - tau[i]) / (tau[j] - tau[i])
-    return L
+def _scatter_atoms(k: int, X) -> np.ndarray:
+    """Basis rows b[a + r] += X[a k + r] of the k local rows of every atom a: (atoms + k - 1, r)."""
+    local = X.reshape(-1, k, X.shape[1])
+    out = np.zeros((len(local) + k - 1, X.shape[1]))
+    for r in range(k):
+        out[r:r + len(local)] += local[:, r]
+    return out
 
 
-@dataclass(frozen=True)
-class LagrangeMoments:
-    """Level-independent moments of a source against per-atom Lagrange polynomials.
-
-    `tensor[j_1, ..., j_d]` is the quadrature of the source against the
-    product of the Lagrange polynomials of the interpolation points
-    points[l][j_l]; axis l holds `kept[l]` points on every atom of
-    partitions[l], and the source was integrated with g nodes per atom.
-    """
-
-    partitions: tuple
-    points: tuple
-    kept: tuple
-    g: int
-    tensor: np.ndarray   # (n_1 p_1, ..., n_d p_d, m)
-
-    def against(self, spaces) -> np.ndarray:
-        """Tensor b with b_i = int values(x) prod_l N_{i_l}(x_l) dx over `spaces`.
-
-        The g-node quadrature of the source, rewritten exactly: each basis
-        function is a polynomial of order k on every quadrature atom, so its
-        values at the kept points determine it there.  Raises ValueError when a
-        partition misses a breakpoint of its space, or when a space needs more
-        interpolation points than the reduction kept.
-        """
-        if len(spaces) != len(self.partitions):
-            raise ValueError(f"got {len(spaces)} spaces for {len(self.partitions)} axes")
-        ops = []
-        for ell, (space, part, pts, p) in enumerate(
-                zip(spaces, self.partitions, self.points, self.kept)):
-            if not part.refines(space.partition):
-                raise ValueError(f"quadrature partition of axis {ell} misses breakpoints "
-                                 "of the spline space")
-            if min(self.g, space.order) > p:
-                raise ValueError(f"order-{space.order} space on axis {ell} needs "
-                                 f"{min(self.g, space.order)} interpolation points, "
-                                 f"the reduction kept {p}")
-            # banded, block by block: no (dimension x points) matrix is formed
-            ops.append(partial(_contract_points, *space.eval_basis_many(pts), space.dimension))
-        return mode_apply(self.tensor, ops)
+def restrict(moments, fine_spaces, coarse_spaces) -> np.ndarray:
+    """Moments against fine bases restricted exactly to nested coarse ones: T^T along each
+    axis, T from `SplineSpace1D.refinement`.  Axes whose spaces coincide are left alone
+    (T = I there, which its rounded rows miss by an ulp)."""
+    return mode_apply(moments, [
+        np.asarray if (f.partition, f.order) == (c.partition, c.order)
+        else partial(_contract_points, *c.refinement(f), c.dimension)
+        for f, c in zip(fine_spaces, coarse_spaces, strict=True)])
 
 
 def mode_apply(tensor, ops) -> np.ndarray:
@@ -343,7 +339,8 @@ def _basis_columns(first, vals, lo: int, hi: int) -> np.ndarray:
 
 def _contract_points(first, vals, dim: int, X) -> np.ndarray:
     """B @ X for the collocation matrix B[i, p] = N_i(x_p) of a dimension-dim space,
-    never formed; (first, vals) is eval_basis_many at the points x.
+    never formed; (first, vals) is eval_basis_many at the points x, or the rows of a
+    knot-insertion map, whose B is T^T.
 
     A block of CONTRACT_BLOCK_POINTS consecutive points touches only the basis
     rows [min first, max first + k) of its points, [first[p0], first[p1 - 1] + k)
@@ -379,7 +376,7 @@ class TensorSpline:
     value at x is sum_i coeffs[i] * prod_l N_{i_l}(x_l).
     """
 
-    def __init__(self, spaces, coeffs, m: int = None):
+    def __init__(self, spaces, coeffs):
         self.spaces = tuple(spaces)
         coeffs = np.asarray(coeffs, dtype=float)
         dims = tuple(s.dimension for s in self.spaces)
@@ -387,8 +384,6 @@ class TensorSpline:
             coeffs = coeffs[..., None]
         if coeffs.ndim != len(dims) + 1 or coeffs.shape[: len(dims)] != dims:
             raise ValueError(f"coefficient shape {coeffs.shape} incompatible with {dims}")
-        if m is not None and coeffs.shape[-1] != m:
-            raise ValueError(f"value dimension mismatch: {coeffs.shape[-1]} != {m}")
         self.coeffs = coeffs
 
     @property

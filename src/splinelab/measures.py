@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bspline import GENERAL_QUAD_POINTS, TensorQuadrature, _shaped_values, mode_apply
+from .bspline import (GENERAL_QUAD_POINTS, TensorQuadrature, _require_int, _shaped_values,
+                      mode_apply)
 from .filtration import TensorFiltration
 
 
@@ -31,6 +32,7 @@ class HybridMeasure:
     density_quad_points: int = GENERAL_QUAD_POINTS
 
     def __post_init__(self):
+        _require_int("density_quad_points", self.density_quad_points, 1)
         cleaned = []
         for location, mass in self.diracs:
             loc = np.atleast_1d(np.asarray(location, dtype=float))
@@ -261,7 +263,7 @@ def measure_from_config(cfg: dict, d: int) -> HybridMeasure:
         raise ValueError(f"unknown measure config keys {unknown}; "
                          f"expected a subset of {list(MEASURE_CONFIG_KEYS)}")
     density = None
-    quad = int(cfg.get("density_quad_points", GENERAL_QUAD_POINTS))
+    quad = cfg.get("density_quad_points", GENERAL_QUAD_POINTS)
     if cfg.get("density"):
         spec = dict(cfg["density"])
         density = density_catalog(spec.pop("name"), d, **spec)

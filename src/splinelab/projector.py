@@ -21,12 +21,14 @@ norm's one product and one edge test; a non-finite edge or block value
 raises ValueError.
 
 TensorProjector.project is the one entry point of the tensor projector: it
-takes a function, a hybrid measure or a spline of another level.
-source_moments turns a function or a measure into per-atom Lagrange
-moments.  A spline needs no node grid: its inner products with the target
-basis factorize over axes, so each axis collocates the spline's coefficients
-at Gauss nodes of the common refinement and contracts the weighted values
-into the target basis block by block, one mode product per axis.
+takes a function, a hybrid measure or a spline of another level.  A
+function or a measure goes one way: source_moments reduces it against the
+finest basis and adds the Dirac terms, and restrict carries the moments
+exactly onto coarser nested spaces by knot insertion.  A spline needs no
+node grid: each axis collocates its coefficients at Gauss nodes of the
+common refinement and contracts the weighted values into the target basis
+block by block, one mode product per axis.  That route never uses knot
+insertion, so the martingale check P_n g_{n+1} = g_n tests the restriction.
 
 Tensor-product spaces have Gram matrix G_1 x ... x G_d (never assembled);
 projection applies per-axis banded solves along each tensor mode, and the
@@ -48,16 +50,17 @@ from scipy.linalg.lapack import dtbtrs
 
 from .bspline import (
     DEFAULT_QUAD_POINTS,
-    LagrangeMoments,
     SplineSpace1D,
     TensorQuadrature,
     TensorSpline,
     _basis_columns,
     _collocate,
     _contract_points,
+    _require_int,
     atom_chebyshev,
     atom_quadrature,
     mode_apply,
+    restrict,
 )
 from .filtration import Partition1D, TensorFiltration, atom_range_gap
 from .measures import HybridMeasure
@@ -72,10 +75,11 @@ NORM_BLOCK_ATOMS = 16        # x-sample atoms per kernel block in operator_norm_
 NORM_EDGE_TOL = 2.0 ** -60   # kernel windows widen until their edges are below (the norm is >= 1)
 SOLVE_BLOCK_COLUMNS = 64     # right-hand sides per forward sweep in GramSystem.solve; bounds
                              # the sweep's scratch copy of the trailing rows
-DECAY_BLOCK_ATOMS = 64       # x-atoms per batched dual solve in decay_profile; the sweeps
+DECAY_BLOCK_ATOMS = 16       # x-atoms per batched dual solve in decay_profile; the sweeps
                              # run column by column and each forward sweep starts at or above
                              # the column's first nonzero row, so every column equals its own
-                             # solve on the same rows
+                             # solve on the same rows, for any block size; smaller blocks have
+                             # narrower windows and make fewer LAPACK row-columns
 EDGE_BITS_PER_ORDER = 3      # windows start k * log2(1/tol) / 3 atoms wide: order-k duals lose
                              # about 3.6 / k bits per atom on uniform meshes
 
@@ -168,12 +172,6 @@ def _edge_checked_solve(gs: GramSystem, a0: int, a1: int, tol: float, rhs, mass,
         w *= 2
 
 
-def _require_int(name: str, value, least: int) -> None:
-    """Fail closed on a count argument that is not an integer >= least."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-
-
 def _assemble_gram_band(space: SplineSpace1D) -> np.ndarray:
     """Upper banded storage of G_{ij} = int N_i N_j; g = k Gauss points are exact."""
     k = space.order
@@ -212,7 +210,7 @@ class TensorProjector:
 
     @staticmethod
     def for_level(F: TensorFiltration, n: int, orders) -> "TensorProjector":
-        if isinstance(orders, int):
+        if np.ndim(orders) == 0:
             orders = (orders,) * F.d
         if len(orders) != F.d:
             raise ValueError(f"need one order per axis, got {orders} for d={F.d}")
@@ -229,24 +227,27 @@ class TensorProjector:
         A callable f(X_1, ..., X_d) on broadcastable coordinate arrays may
         return values of shape (...,) or (..., m); P reproduces it exactly when
         it lies in the space.  A measure theta gives sum_i (int N_i dtheta) N*_i.
-        Both are integrated on `quad_partitions` (default: the projector's own
-        partitions), as `source_moments` describes; passing a finer nested
-        partition makes the moments additive across levels.
+        Both are reduced against the basis over `quad_partitions` (default:
+        the projector's own partitions), as `source_moments` describes, and
+        restricted exactly onto this level's basis (`restrict`).
 
         A spline is integrated exactly and axis by axis, never on the
-        d-dimensional node grid: on each axis its coefficients are collocated
-        at g Gauss points per atom of the common refinement of both
-        partitions, g the largest order of either spline, and the weighted
-        values are contracted into this level's basis; the solve follows.  Its
-        dimension and every axis interval must match this projector's.
+        d-dimensional node grid and never through the knot-insertion map: on
+        each axis its coefficients are collocated at g Gauss points per atom
+        of the common refinement of both partitions, g the largest order of
+        either spline, and the weighted values are contracted into this
+        level's basis; the solve follows.  Its dimension and every axis
+        interval must match this projector's.
 
         Only a callable takes g, and a spline takes no quad_partitions; an
-        option that would be ignored raises ValueError.
+        option that would be ignored raises ValueError, and so do
+        quad_partitions that do not refine this level's.
         """
         if not isinstance(source, TensorSpline):
-            if quad_partitions is None:
-                quad_partitions = [s.partition for s in self.spaces]
-            return self.project_values(*source_moments(source, quad_partitions, self.orders, g))
+            spaces = self.spaces if quad_partitions is None else [
+                SplineSpace1D(p, k) for p, k in zip(quad_partitions, self.orders, strict=True)]
+            b = restrict(source_moments(source, spaces, g), spaces, self.spaces)
+            return TensorSpline(self.spaces, self.solve_coefficients(b))
         if quad_partitions is not None:
             raise ValueError("a TensorSpline source is integrated on the common refinement; "
                              "it takes no quad_partitions")
@@ -265,27 +266,6 @@ class TensorProjector:
                for mine, theirs in zip(self.spaces, source.spaces)]
         return TensorSpline(self.spaces, self.solve_coefficients(mode_apply(source.coeffs, ops)))
 
-    def project_values(self, moments: LagrangeMoments, m: int = None,
-                       diracs=()) -> TensorSpline:
-        """Project a source given by its per-atom Lagrange moments (None: no density) plus Diracs.
-
-        The contract-and-solve step of every projection: the moments against
-        this level's basis (one small product per axis with the interpolation
-        points of `moments`), plus N_i(x_j) m_j for each Dirac (x_j, m_j), then
-        one Kronecker solve.  One reduction serves every level whose
-        breakpoints its partitions contain.
-        """
-        b = np.zeros(self.dims + (m,)) if moments is None else moments.against(self.spaces)
-        if diracs:
-            locations = np.array([location for location, _ in diracs], dtype=float)
-            basis = [s.eval_basis_many(locations[:, ell]) for ell, s in enumerate(self.spaces)]
-            for j, (_, mass) in enumerate(diracs):
-                w = reduce(np.multiply.outer, [vals[j] for _, vals in basis])
-                sl = tuple(slice(first[j], first[j] + k)
-                           for (first, _), k in zip(basis, self.orders))
-                b[sl] += np.multiply.outer(w, np.asarray(mass, dtype=float))
-        return TensorSpline(self.spaces, self.solve_coefficients(b), m=m)
-
 
 def _spline_axis_moments(mine: SplineSpace1D, theirs: SplineSpace1D, g: int, X) -> np.ndarray:
     """Rows b[i] = int N_i sum_j X[j] M_j over one axis, N the basis of `mine`, M of `theirs`.
@@ -303,31 +283,42 @@ def _spline_axis_moments(mine: SplineSpace1D, theirs: SplineSpace1D, g: int, X) 
     return _contract_points(*mine.eval_basis_many(nodes), mine.dimension, values)
 
 
-def source_moments(source, partitions, orders, g: int = None):
-    """(moments, m, diracs) of a source, the arguments of TensorProjector.project_values.
+def source_moments(source, spaces, g: int = None) -> np.ndarray:
+    """Moments b_i = int prod_l N_{i_l} dsource over `spaces`, shape (dim_1, ..., dim_d, m).
 
-    A HybridMeasure gives the Lagrange moments of its density (None without
-    one), integrated with its own density_quad_points, plus its value
-    dimension and Diracs; given g it raises ValueError.  A callable
-    f(X_1, ..., X_d) is integrated with g points per atom,
-    max(k, DEFAULT_QUAD_POINTS) when g is None; its value dimension is read
-    off the values and it has no Diracs.  Quadrature runs on `partitions`,
-    one per axis.  A spline is no source here: TensorProjector.project
-    integrates it axis by axis.
+    The one route from a source to moments, run on the finest spaces of a
+    projection (`TensorQuadrature.basis_moments`); `restrict` gives every
+    coarser nested level.  A HybridMeasure integrates its density (if any)
+    with its own density_quad_points and adds N_i(x_j) m_j for each Dirac
+    (x_j, m_j); given g it raises ValueError.  A callable f(X_1, ..., X_d)
+    is integrated with g points per atom, max(k, DEFAULT_QUAD_POINTS) when
+    g is None.  A spline is no source here.
     """
+    partitions = [s.partition for s in spaces]
     if isinstance(source, HybridMeasure):
         if g is not None:
             raise ValueError("a HybridMeasure source fixes its own quadrature; it takes no g")
-        if source.d != len(partitions):
-            raise ValueError(f"measure dimension {source.d} != domain dimension {len(partitions)}")
+        if source.d != len(spaces):
+            raise ValueError(f"measure dimension {source.d} != domain dimension {len(spaces)}")
         if source.density is None:
-            return None, source.m, source.diracs
-        quad = TensorQuadrature(partitions, source.density_quad_points)
-        return quad.lagrange_moments(source.density_values, orders), source.m, source.diracs
+            b = np.zeros(tuple(s.dimension for s in spaces) + (source.m,))
+        else:
+            quad = TensorQuadrature(partitions, source.density_quad_points)
+            b = quad.basis_moments(source.density_values, spaces)
+        if source.diracs:
+            locations = np.array([location for location, _ in source.diracs])
+            basis = [s.eval_basis_many(locations[:, ell]) for ell, s in enumerate(spaces)]
+            for j, (_, mass) in enumerate(source.diracs):
+                w = reduce(np.multiply.outer, [vals[j] for _, vals in basis])
+                sl = tuple(slice(first[j], first[j] + s.order)
+                           for (first, _), s in zip(basis, spaces))
+                b[sl] += np.multiply.outer(w, mass)
+        return b
     if not callable(source):
         raise ValueError(f"unsupported source type {type(source)!r}")
-    quad = TensorQuadrature(partitions, max(max(orders), DEFAULT_QUAD_POINTS) if g is None else g)
-    return quad.lagrange_moments(source, orders), None, ()
+    k = max(s.order for s in spaces)
+    quad = TensorQuadrature(partitions, max(k, DEFAULT_QUAD_POINTS) if g is None else g)
+    return quad.basis_moments(source, spaces)
 
 
 # ---------------------------------------------------------------------------

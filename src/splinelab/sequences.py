@@ -4,10 +4,12 @@ A sequence (g_n) with P_n g_{n+1} = g_n generalizes a martingale: for order 1
 the projector is the conditional expectation.  Here g_n is produced either by
 projecting a fixed function f level by level (g_n = P_n f) or from a hybrid
 measure nu via g_n = sum_i (int N_{n,i} d nu) N*_{n,i}; both satisfy the
-martingale spline identity because the spaces are nested and the moment of a
-coarse B-spline against nu is level independent.  A sequence keeps the
-projector P_n of every level, so checking P_n g_{n+1} = g_n factorizes no
-Gram matrix again.
+martingale spline identity because the spaces are nested: every coarse
+B-spline is a fixed combination of finer ones, N_{n,j} = sum_i T_n[i, j]
+N_{n+1,i} (knot insertion), so the moments of level n are T_n^T times those
+of level n + 1.  A sequence keeps the projector P_n of every level, so
+checking P_n g_{n+1} = g_n factorizes no Gram matrix again; the check
+integrates g_{n+1} on the common refinement, never through T_n.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bspline import TensorSpline, as_value_array
+from .bspline import TensorSpline, _require_int, as_value_array, restrict
 from .filtration import TensorFiltration
-from .projector import TensorProjector, _require_int, source_moments
+from .projector import TensorProjector, source_moments
 
 PROBE_BREAKPOINT_GAP = 1e-9  # probe points stay this far from every breakpoint
 PROBE_MAX_ROUNDS = 1000      # rejection rounds before sample_probe_points gives up
@@ -50,21 +52,21 @@ def make_sequence(F: TensorFiltration, source, orders,
                   quad_points: int = None) -> MartingaleSplineSequence:
     """Build g_1, ..., g_N on every level of F from a function or a HybridMeasure.
 
-    Density and function moments are integrated on the finest-level partition
-    with a fixed rule, which makes the discrete moments exactly additive
-    across levels: the produced sequence satisfies P_n g_{n+1} = g_n to
-    roundoff regardless of how rough the source is.  The finest grid already
-    resolves the source, so a function uses `quad_points` points per finest
-    atom, max(k, DEFAULT_QUAD_POINTS) by default; a measure uses its own
-    density rule.  The source is evaluated once on that grid and reduced once
-    to per-atom Lagrange moments; each level's projector, built once and kept
-    with the sequence, then only contracts them into its basis, axis by axis
-    and block by block, and solves.
+    The source is evaluated once, at the Gauss nodes of the finest level,
+    and reduced against the finest basis, Dirac terms included
+    (`source_moments`): a function with `quad_points` points per finest atom,
+    max(k, DEFAULT_QUAD_POINTS) by default, a measure with its own density
+    rule.  Each coarser level's moments are the exact restriction
+    b_n = T_n^T b_{n+1} (`restrict`), so P_n g_{n+1} = g_n holds to roundoff
+    however rough the source is; each level's projector, kept with the
+    sequence, solves.
     """
     projectors = [TensorProjector.for_level(F, n, orders) for n in range(1, F.n_levels + 1)]
-    finest, orders = [s.partition for s in projectors[-1].spaces], projectors[-1].orders
-    moments, m, diracs = source_moments(source, finest, orders, quad_points)
-    splines = [tp.project_values(moments, m, diracs) for tp in projectors]
+    fine = projectors[-1]
+    b, splines = source_moments(source, fine.spaces, quad_points), []
+    for tp in reversed(projectors):
+        b, fine = restrict(b, fine.spaces, tp.spaces), tp
+        splines.insert(0, TensorSpline(tp.spaces, tp.solve_coefficients(b)))
     return MartingaleSplineSequence(F=F, splines=splines, projectors=projectors)
 
 

@@ -7,8 +7,7 @@ from scipy.linalg import cho_solve_banded
 from splinelab import (AtomSet, FiltrationSpec, HybridMeasure, Partition1D, Rectangle,
                        TensorQuadrature, atom_of, atom_quadrature, build_filtration,
                        compile_masses)
-from splinelab.bspline import (LagrangeMoments, _basis_columns, _lagrange_matrix, as_value_array,
-                               atom_chebyshev, mode_apply)
+from splinelab.bspline import _basis_columns, as_value_array, atom_chebyshev, mode_apply
 from splinelab.filtration import atom_range_gap, l1_distance_grid
 from splinelab.maximal import _check_q, level_sum_field
 from splinelab.measures import CompiledMasses
@@ -509,24 +508,6 @@ def dense_atom_integrals(quad, values) -> np.ndarray:
         lambda X, w=r.weights: np.einsum("ag,agr->ar", w, X.reshape(w.shape + (-1,)))
         for r in quad.rules
     ])
-
-
-def dense_lagrange_moments(quad, values, orders) -> LagrangeMoments:
-    """TensorQuadrature.lagrange_moments of node-grid values, reduced on the whole grid:
-    matmul on axis 0, einsum on the later axes."""
-    kept = tuple(min(quad.g, int(k)) for k in orders)
-    ops = []
-    for ell, (rule, p) in enumerate(zip(quad.rules, kept)):
-        M = rule.weights[:, None, :] * _lagrange_matrix(p, quad.g)
-        if ell == 0:
-            ops.append(lambda X, M=M: (M @ X.reshape(M.shape[0], M.shape[2], -1))
-                       .reshape(-1, X.shape[1]))
-        else:
-            ops.append(lambda X, M=M: np.einsum("apg,agr->apr", M, X.reshape(
-                M.shape[0], M.shape[2], -1)).reshape(-1, X.shape[1]))
-    points = tuple(atom_quadrature(part, p).nodes.ravel()
-                   for part, p in zip(quad.partitions, kept))
-    return LagrangeMoments(quad.partitions, points, kept, quad.g, mode_apply(values, ops))
 
 
 def graded_filtration(d, seed=0):

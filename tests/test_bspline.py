@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from splinelab import (
     FiltrationSpec,
+    HybridMeasure,
     Partition1D,
     SplineSpace1D,
     TensorProjector,
@@ -19,11 +21,13 @@ from splinelab import (
 )
 
 from splinelab import bspline
+from splinelab.bspline import _basis_columns, atom_chebyshev, restrict
+from splinelab.measures import measure_from_config
 from splinelab.projector import source_moments
 
-from conftest import (collocation_matrix, dense_atom_integrals, dense_lagrange_moments,
-                      dense_moments, graded_filtration, node_grid_values, random_filtration,
-                      slab_sizes, symbolic_product_integral, wavy_values)
+from conftest import (collocation_matrix, dense_atom_integrals, dense_moments, graded_filtration,
+                      node_grid_values, random_filtration, slab_sizes, symbolic_product_integral,
+                      wavy_values)
 
 
 def test_knot_vector_k1():
@@ -148,7 +152,7 @@ def test_support_atom_range_of_an_index_array(k):
 def moments_1d(space, f, g=4):
     """Moments int f N_i over one space, by g-point quadrature on its own atoms."""
     quad = TensorQuadrature([space.partition], g)
-    return quad.lagrange_moments(f, [space.order]).against([space])[:, 0]
+    return quad.basis_moments(f, [space])[:, 0]
 
 
 def test_integrate_constant_sums_to_length():
@@ -245,7 +249,8 @@ def test_tensor_vector_valued_componentwise():
     space = SplineSpace1D(Partition1D(np.linspace(0, 1, 5)), 2)
     coeffs = np.zeros((5, 2))
     coeffs[:, 0] = 3.0
-    ts = TensorSpline([space], coeffs, m=2)
+    ts = TensorSpline([space], coeffs)
+    assert ts.m == 2
     val = ts.eval_many([[0.37]])[0]
     np.testing.assert_allclose(val, [3.0, 0.0], atol=1e-14)
 
@@ -324,10 +329,10 @@ def test_tensor_quadrature_atom_integrals_exact_for_polynomials():
 def test_tensor_quadrature_moments_match_moment_tensor():
     F = random_filtration(18, d=2, n_levels=4)
     tp = TensorProjector.for_level(F, 2, (2, 3))
-    finest = [ax.level(4) for ax in F.axes]
+    finest = [SplineSpace1D(ax.level(4), k) for ax, k in zip(F.axes, tp.orders)]
     f = lambda x, y: np.sin(x + 2 * y)
-    quad = TensorQuadrature(finest, 5)
-    got = quad.lagrange_moments(f, tp.orders).against(tp.spaces)
+    quad = TensorQuadrature([s.partition for s in finest], 5)
+    got = restrict(quad.basis_moments(f, finest), finest, tp.spaces)
     # oracle: b_ij = sum over the node grid of w_x w_y N_i(x) N_j(y) f(x, y)
     (x, wx), (y, wy) = [(r.nodes.ravel(), r.weights.ravel()) for r in quad.rules]
     Bx, By = (collocation_matrix(s, nodes) for s, nodes in zip(tp.spaces, (x, y)))
@@ -338,11 +343,82 @@ def test_tensor_quadrature_moments_match_moment_tensor():
     assert got.sum() == pytest.approx(quad.atom_integrals(f).sum(), rel=1e-13)
 
 
+def _graded_axes():
+    """Axes of 34 levels graded to the 1e-9 width floor toward 1.0, 0.37 and 0.0."""
+    return graded_filtration(3).axes
+
+
+def _refinement_oracle(coarse, fine):
+    """T[i][j] with N_j = sum_i T[i][j] M_i in exact rational arithmetic: Boehm's
+    algorithm inserts the fine breakpoints missing from the coarse knots one at a
+    time, acting on the coefficient rows of the identity."""
+    k = coarse.order
+    t = [Fraction(x) for x in coarse.knots]
+    T = [[Fraction(int(i == j)) for j in range(coarse.dimension)] for i in range(coarse.dimension)]
+    have = set(coarse.partition.breakpoints.tolist())
+    for x in map(Fraction, (x for x in fine.partition.breakpoints.tolist() if x not in have)):
+        mu = max(i for i in range(len(t) - 1) if t[i] <= x < t[i + 1])
+        new = []
+        for i in range(len(T) + 1):
+            if i <= mu - k + 1:
+                new.append(T[i])
+            elif i > mu:
+                new.append(T[i - 1])
+            else:
+                a = (x - t[i]) / (t[i + k - 1] - t[i])
+                new.append([(1 - a) * p + a * q for p, q in zip(T[i - 1], T[i])])
+        T, t = new, t[:mu + 1] + [x] + t[mu + 1:]
+    assert t == [Fraction(x) for x in fine.knots]
+    return T
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_refinement_matches_exact_knot_insertion(k):
+    # on meshes graded to the floor toward 0.0, 0.37 and 1.0 the map is exact to
+    # a few ulps of its entries, which lie in [0, 1] and sum to 1 along each row
+    for axis in _graded_axes():
+        fine = SplineSpace1D(axis.level(axis.n_levels), k)
+        for n in (1, 17, axis.n_levels - 1, axis.n_levels):
+            coarse = SplineSpace1D(axis.level(n), k)
+            first, vals = coarse.refinement(fine)
+            assert first.shape == (fine.dimension,) and vals.shape == (fine.dimension, k)
+            assert np.all(np.diff(first) >= 0)
+            got = _basis_columns(first, vals, 0, coarse.dimension).T
+            want = np.array(_refinement_oracle(coarse, fine), dtype=float)
+            assert np.abs(got - want).max() <= 4 * np.finfo(float).eps, (k, n)
+            # N_j = sum_i T[i, j] M_i at scattered points
+            xs = np.sort(np.random.default_rng(n).uniform(0.0, 1.0, 500))
+            np.testing.assert_allclose(collocation_matrix(fine, xs) @ got,
+                                       collocation_matrix(coarse, xs), rtol=0, atol=1e-15)
+
+
+def test_refinement_rejects_missing_breakpoint_and_other_order():
+    coarse = SplineSpace1D(Partition1D([0.0, 0.5, 1.0]), 2)
+    with pytest.raises(ValueError, match="misses breakpoints"):
+        coarse.refinement(SplineSpace1D(Partition1D([0.0, 0.3, 1.0]), 2))
+    with pytest.raises(ValueError, match="misses breakpoints"):
+        coarse.refinement(SplineSpace1D(Partition1D([0.0, 0.5, 1.0, 2.0]), 2))
+    with pytest.raises(ValueError, match="order-3 space does not refine an order-2"):
+        coarse.refinement(SplineSpace1D(Partition1D([0.0, 0.25, 0.5, 1.0]), 3))
+    # the moments of a projection take the same checks, and the reduction needs
+    # spaces over its own partitions
+    tp = TensorProjector([coarse])
+    with pytest.raises(ValueError, match="misses breakpoints"):
+        tp.project(lambda x: x, quad_partitions=[Partition1D([0.0, 0.3, 1.0])])
+    with pytest.raises(ValueError, match="zip"):     # one partition per axis
+        tp.project(lambda x: x, quad_partitions=[coarse.partition] * 2)
+    quad = TensorQuadrature([Partition1D([0.0, 0.25, 0.5, 1.0])], 4)
+    with pytest.raises(ValueError, match="not over the quadrature partition"):
+        quad.basis_moments(lambda x: x, [coarse])
+
+
 @settings(max_examples=5, deadline=None)
 @given(seed=st.integers(0, 2 ** 16))
-def test_lagrange_moments_match_dense_moments(seed):
-    # orders 1-5, g in {1, k-1, k, k+1, 16}, d = 1-3, spaces at a random level of
-    # random meshes, with one axis optionally graded to the 1e-9 width floor
+def test_basis_moments_match_dense_moments(seed):
+    # orders 1-5, g in {1, k-1, k, k+1, 16}, d = 1-3, finest moments restricted to a
+    # random level of random meshes, with one axis optionally graded to the 1e-9
+    # width floor: the finest reduction sums the same node terms as dense
+    # collocation, and the restriction is exact to roundoff
     rng = np.random.default_rng(seed)
     for d, target in itertools.product((1, 2, 3), (None, 0.0, float(rng.uniform(0, 1)))):
         F = random_filtration(seed, d=d, n_levels=4 - d)
@@ -353,111 +429,123 @@ def test_lagrange_moments_match_dense_moments(seed):
                                                         "target": target}]))
             axes[int(rng.integers(d))] = G.axes[0]
         levels = [int(rng.integers(1, ax.n_levels + 1)) for ax in axes]
-        finest = [ax.level(ax.n_levels) for ax in axes]
-        # a node near x is rounded by eps*|x|; on atoms graded toward an interior
-        # point that moves the smallest moments of both forms alike (by up to 4e-9
-        # relative near x = 1, against 40-digit arithmetic), so there they are
-        # compared on the scale of the largest moment
-        interior = target is not None and target > 0
         for g in (1, 2, 3, 4, 5, 6, 16):
-            quad = TensorQuadrature(finest, g)
+            quad = TensorQuadrature([ax.level(ax.n_levels) for ax in axes], g)
+
             def f(*xs):
                 return np.stack(np.broadcast_arrays(1.5 + np.sin(3 * sum(xs)), 1.0 + xs[0] ** 2),
                                 axis=-1)
 
             vals = node_grid_values(quad, f)
             for k in [k for k in range(1, 6) if g in (1, k - 1, k, k + 1, 16)]:
+                finest = [SplineSpace1D(p, k) for p in quad.partitions]
                 spaces = [SplineSpace1D(ax.level(n), k) for ax, n in zip(axes, levels)]
-                got = quad.lagrange_moments(f, (k,) * d).against(spaces)
+                got = restrict(quad.basis_moments(f, finest), finest, spaces)
                 want = dense_moments(quad, spaces, vals)
-                np.testing.assert_allclose(got, want, rtol=1e-13,
-                                           atol=1e-13 * np.abs(want).max() if interior else 0)
+                np.testing.assert_allclose(got, want, rtol=1e-13)
 
 
 @pytest.mark.parametrize("m", [1, 3])
 def test_blocked_against_matches_dense_moments(m, monkeypatch):
-    # blocks of 5 and 7 points straddle atoms (2 to 6 kept points each), so block edges
-    # fall inside basis supports; spaces from level 1 (many points per atom) to the
-    # finest, on axes graded to the 1e-9 floor toward 1.0 and 0.37, whose smallest
-    # moments are compared on the scale of the largest (see the test above)
+    # the restriction contracts blocks of finest basis rows; blocks of 5 and 7 rows
+    # end inside the supports of coarse basis functions; spaces from level 1 to the
+    # finest, on axes graded to the 1e-9 floor toward 1.0 and 0.37
     F = graded_filtration(2)
     finest = [ax.level(F.n_levels) for ax in F.axes]
     f = wavy_values(m)
     for g, orders in ((3, (2, 3)), (4, (4, 1)), (6, (5, 6))):
         quad = TensorQuadrature(finest, g)
         vals = node_grid_values(quad, f)
-        moments = quad.lagrange_moments(f, orders)
+        fine = [SplineSpace1D(p, k) for p, k in zip(finest, orders)]
+        moments = quad.basis_moments(f, fine)
         for level in (1, 3, 20, F.n_levels):
             spaces = [SplineSpace1D(ax.level(level), k) for ax, k in zip(F.axes, orders)]
             want = dense_moments(quad, spaces, vals)
             for block in (5, 7, bspline.CONTRACT_BLOCK_POINTS):
                 monkeypatch.setattr(bspline, "CONTRACT_BLOCK_POINTS", block)
-                got = moments.against(spaces)
+                got = restrict(moments, fine, spaces)
                 assert got.shape == tuple(s.dimension for s in spaces) + (m,)
                 np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max(),
                                            err_msg=f"g={g}, level {level}, block {block}")
 
 
 def test_against_forms_no_dense_collocation_matrix():
-    # 1,024 atoms at order 2: dimension 1,025 and 2,048 kept points, whose dense
-    # collocation matrix would take 1,025 * 2,048 * 8 bytes = 16.8 MB
-    part = Partition1D(np.linspace(0.0, 1.0, 1025))
-    space = SplineSpace1D(part, 2)
-    moments = TensorQuadrature([part], 2).lagrange_moments(lambda x: 1.0 + x, [2])
-    assert moments.tensor.shape == (2048, 1)
+    # 1,024 atoms at order 2 and 2 nodes per atom: dimension 1,025 and 2,048 nodes,
+    # whose dense collocation matrix would take 1,025 * 2,048 * 8 bytes = 16.8 MB;
+    # the moments and their restriction onto 512 atoms stay far below that
+    fine = SplineSpace1D(Partition1D(np.linspace(0.0, 1.0, 1025)), 2)
+    coarse = SplineSpace1D(Partition1D(np.linspace(0.0, 1.0, 513)), 2)
+    quad = TensorQuadrature([fine.partition], 2)
     tracemalloc.start()
     try:
-        b = moments.against([space])
+        b = quad.basis_moments(lambda x: 1.0 + x, [fine])
+        c = restrict(b, [fine], [coarse])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
-    assert b.sum() == pytest.approx(1.5, rel=1e-13)    # partition of unity: int (1 + x)
+    assert b.shape == (1025, 1) and c.shape == (513, 1)
+    # partition of unity: both sum to int (1 + x)
+    assert b.sum() == pytest.approx(1.5, rel=1e-13)
+    assert c.sum() == pytest.approx(1.5, rel=1e-13)
 
 
-def test_lagrange_moments_reject_missing_breakpoint():
-    quad = TensorQuadrature([Partition1D([0.0, 0.5, 1.0])], 4)
-    moments = quad.lagrange_moments(lambda x: x, [2])
-    with pytest.raises(ValueError, match="misses breakpoints"):
-        moments.against([SplineSpace1D(Partition1D([0.0, 0.3, 1.0]), 2)])
-
-
-def test_lagrange_moments_reject_space_of_higher_order():
-    quad = TensorQuadrature([Partition1D([0.0, 0.5, 1.0])], 4)
-    moments = quad.lagrange_moments(lambda x: x, [2])
-    assert moments.kept == (2,)
-    with pytest.raises(ValueError, match="interpolation points"):
-        moments.against([SplineSpace1D(Partition1D([0.0, 1.0]), 3)])
-    # with g <= k every node is kept, so any order is served
-    quad = TensorQuadrature([Partition1D([0.0, 0.5, 1.0])], 2)
-    moments = quad.lagrange_moments(lambda x: x, [2])
-    moments.against([SplineSpace1D(Partition1D([0.0, 1.0]), 5)])
+def test_counts_fail_closed():
+    # orders and point counts are integers >= 1; numpy integers pass, floats,
+    # strings and bools raise instead of being truncated or read as 1
+    p = Partition1D([0.0, 0.5, 1.0])
+    for bad in (2.5, "3", True, 0, None):
+        with pytest.raises(ValueError, match="order must be an integer >= 1"):
+            SplineSpace1D(p, bad)
+        with pytest.raises(ValueError, match="order must be an integer >= 1"):
+            knot_vector(p, bad)
+        with pytest.raises(ValueError, match="points g must be an integer >= 1"):
+            atom_quadrature(p, bad)
+        with pytest.raises(ValueError, match="points g must be an integer >= 1"):
+            TensorQuadrature([p], bad)
+        with pytest.raises(ValueError, match="points n must be an integer >= 1"):
+            atom_chebyshev(p, bad)
+        with pytest.raises(ValueError, match="density_quad_points must be an integer >= 1"):
+            HybridMeasure(d=1, density_quad_points=bad)
+    with pytest.raises(ValueError, match="points g must be an integer >= 1"):
+        TensorQuadrature([p], 2.7)
+    with pytest.raises(ValueError, match="density_quad_points must be an integer >= 1"):
+        measure_from_config({"density_quad_points": 4.5}, 1)
+    space = SplineSpace1D(p, np.int64(3))
+    assert space.order == 3 and type(space.order) is int
+    assert TensorQuadrature([p], np.int32(2)).g == 2
+    assert measure_from_config({"density_quad_points": 4}, 1).density_quad_points == 4
+    F = random_filtration(4, d=2, n_levels=3)
+    assert TensorProjector.for_level(F, 2, np.int64(2)).orders == (2, 2)
+    assert TensorProjector.for_level(F, 2, (np.int64(2), 3)).orders == (2, 3)
+    with pytest.raises(ValueError, match="order must be an integer >= 1"):
+        TensorProjector.for_level(F, 2, 2.0)
 
 
 @pytest.mark.parametrize("m", [1, 3])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_quadrature_bit_identical_for_every_slab_size(d, m, monkeypatch):
     # a slab of axis-0 atoms yields exactly its own rows of every per-axis
-    # contraction, so one atom per slab, a ragged last slab and a single slab
-    # all give the whole-grid reduction bit for bit, on meshes graded to the floor
+    # contraction, so one atom per slab and a ragged last slab give the
+    # single-slab reduction bit for bit, on meshes graded to the floor
     F = graded_filtration(d)
     finest = [ax.level(F.n_levels) for ax in F.axes]
     g = (6, 4, 3)[d - 1]
-    orders = (3, 2, 1)[:d]     # min(g, k) < g: every axis keeps fewer points than nodes
-    spaces = [SplineSpace1D(ax.level(20), k) for ax, k in zip(F.axes, orders)]
+    spaces = [SplineSpace1D(p, k) for p, k in zip(finest, (3, 2, 1)[:d])]
     quad = TensorQuadrature(finest, g)
     f = wavy_values(m)
     vals = node_grid_values(quad, f)
     want_integrals = dense_atom_integrals(quad, vals)
-    want_moments = dense_lagrange_moments(quad, vals, orders)
-    want_against = want_moments.against(spaces)
     assert want_integrals.shape == F.level_shape(F.n_levels) + (m,)
-    for label, nodes in slab_sizes(quad).items():
+    sizes = slab_sizes(quad)
+    monkeypatch.setattr(bspline, "SLAB_NODES", sizes.pop("one slab"))
+    want_moments = quad.basis_moments(f, spaces)
+    np.testing.assert_allclose(want_moments, dense_moments(quad, spaces, vals), rtol=1e-13)
+    assert np.array_equal(quad.atom_integrals(f), want_integrals)
+    for label, nodes in sizes.items():
         monkeypatch.setattr(bspline, "SLAB_NODES", nodes)
         assert np.array_equal(quad.atom_integrals(f), want_integrals), label
-        moments = quad.lagrange_moments(f, orders)
-        assert np.array_equal(moments.tensor, want_moments.tensor), label
-        assert np.array_equal(moments.against(spaces), want_against), label
+        assert np.array_equal(quad.basis_moments(f, spaces), want_moments), label
 
 
 def counting(f, sizes):
@@ -480,7 +568,8 @@ def test_integrand_never_sees_more_than_a_slab(d, slab, monkeypatch):
     quad = TensorQuadrature([ax.level(F.n_levels) for ax in F.axes], 4)
     bound = max(bspline.SLAB_NODES, quad.g * int(np.prod(quad.shape[1:])))
     total = int(np.prod(quad.shape))
-    for reduce in (quad.atom_integrals, lambda f: quad.lagrange_moments(f, (2,) * d)):
+    spaces = [SplineSpace1D(p, 2) for p in quad.partitions]
+    for reduce in (quad.atom_integrals, lambda f: quad.basis_moments(f, spaces)):
         sizes = []
         reduce(counting(wavy_values(3), sizes))
         assert max(sizes) <= bound and sum(sizes) == total
@@ -496,6 +585,7 @@ def test_quadrature_fails_closed_on_the_last_slab(d, monkeypatch):
     F = build_filtration(FiltrationSpec(d=d, interval=(0.0, 1.0), n_levels=4))
     parts = [ax.level(4) for ax in F.axes]
     quad = TensorQuadrature(parts, 4)
+    spaces = [SplineSpace1D(p, 2) for p in parts]
     last = parts[0].breakpoints[-2]
 
     def nan_at_end(*xs):
@@ -506,8 +596,8 @@ def test_quadrature_fails_closed_on_the_last_slab(d, monkeypatch):
         return out[:-1] if xs[0].max() > last else out
 
     for f, match in ((nan_at_end, "non-finite"), (short_at_end, "shape")):
-        for reduce in (quad.atom_integrals, lambda f: quad.lagrange_moments(f, (2,) * d),
-                       lambda f: source_moments(f, parts, (2,) * d)):
+        for reduce in (quad.atom_integrals, lambda f: quad.basis_moments(f, spaces),
+                       lambda f: source_moments(f, spaces)):
             sizes = []
             with pytest.raises(ValueError, match=match):
                 reduce(counting(f, sizes))
@@ -515,8 +605,6 @@ def test_quadrature_fails_closed_on_the_last_slab(d, monkeypatch):
 
 
 def test_atom_chebyshev_points_on_each_atom():
-    from splinelab.bspline import atom_chebyshev
-
     p = random_filtration(19, n_levels=4).axes[0].level(4)
     xs = atom_chebyshev(p, 5)
     lo, hi = p.breakpoints[:-1, None], p.breakpoints[1:, None]

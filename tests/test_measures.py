@@ -5,6 +5,7 @@ from splinelab import (
     FiltrationSpec,
     HybridMeasure,
     Rectangle,
+    SplineSpace1D,
     build_filtration,
     compile_masses,
     density_catalog,
@@ -196,8 +197,8 @@ def _density_paths(theta, F):
     """The moments and the masses of theta on the finest level of F."""
     from splinelab.projector import source_moments
 
-    parts = [ax.level(F.n_levels) for ax in F.axes]
-    return {"moments": lambda: source_moments(theta, parts, (2,) * F.d),
+    spaces = [SplineSpace1D(ax.level(F.n_levels), 2) for ax in F.axes]
+    return {"moments": lambda: source_moments(theta, spaces),
             "masses": lambda: compile_masses(theta, F)}
 
 

@@ -22,6 +22,7 @@ from splinelab import (
 )
 from splinelab.experiments import _dense_tensor_norm_2d
 from splinelab.bspline import _basis_columns, atom_chebyshev
+from splinelab import projector
 from splinelab.projector import (
     DECAY_BLOCK_ATOMS,
     NORM_BLOCK_ATOMS,
@@ -66,7 +67,7 @@ def test_gram_row_sums_are_basis_integrals(k):
     space = SplineSpace1D(F.axes[0].level(5), k)
     gs = GramSystem(space)
     quad = TensorQuadrature([space.partition], k)
-    want = quad.lagrange_moments(np.ones_like, [k]).against([space])[:, 0]
+    want = quad.basis_moments(np.ones_like, [space])[:, 0]
     np.testing.assert_allclose(dense_gram(gs) @ np.ones(space.dimension), want, atol=1e-14)
 
 
@@ -137,7 +138,7 @@ def assert_close_coefficients(got, want, label=""):
 def _common_refinement_route(tp, ts):
     """P ts by projecting ts as a callable, with g the largest order, on the
     per-axis union of both breakpoint sets: the same exact quadrature, taken
-    through the node grid and the Lagrange moments."""
+    through the node grid, the basis moments and their restriction."""
     g = max(max(tp.orders), max(s.order for s in ts.spaces))
     quad = [Partition1D(np.union1d(mine.partition.breakpoints, theirs.partition.breakpoints))
             for mine, theirs in zip(tp.spaces, ts.spaces)]
@@ -193,7 +194,8 @@ def test_spline_projection_matches_dense_oracle(d, m):
 
 
 def test_project_of_a_spline_builds_no_node_grid(monkeypatch):
-    # the spline route collocates per axis: no tensor-grid evaluation, no Lagrange moments
+    # the spline route collocates per axis: no tensor-grid evaluation, no basis
+    # reduction of a node grid, no knot-insertion map
     F = random_filtration(11, d=2, n_levels=5)
     ts = TensorProjector.for_level(F, 5, (3, 2)).project(lambda x, y: np.sin(x + 2 * y))
 
@@ -201,7 +203,8 @@ def test_project_of_a_spline_builds_no_node_grid(monkeypatch):
         raise AssertionError("the node-grid route was taken")
 
     monkeypatch.setattr(TensorSpline, "eval_grid", forbidden)
-    monkeypatch.setattr(TensorQuadrature, "lagrange_moments", forbidden)
+    monkeypatch.setattr(TensorQuadrature, "basis_moments", forbidden)
+    monkeypatch.setattr(SplineSpace1D, "refinement", forbidden)
     tp = TensorProjector.for_level(F, 3, (2, 3))
     assert tp.project(ts).coeffs.shape == tp.dims + (1,)
 
@@ -561,11 +564,14 @@ def test_solve_row_range():
         gs.solve(bad, 3, dim - 2)
 
 
+@pytest.mark.parametrize("block", [8, 16, 64])
 @settings(max_examples=2, deadline=None)
 @given(seed=st.integers(0, 2 ** 16), n_uniform=st.integers(384, 640))
-def test_windowed_decay_profile_bit_exact_against_per_atom_oracle(seed, n_uniform):
+def test_windowed_decay_profile_bit_exact_against_per_atom_oracle(block, seed, n_uniform):
     # meshes of 384+ atoms put the windows' edges inside the domain; the
-    # graded meshes are smaller than one window
+    # graded meshes are smaller than one window, so each of their blocks is
+    # solved on all rows; every block size gives the per-atom solves' profile
+    # bit for bit
     big = [random_filtration(seed, n_levels=8, p_split=1.0).axes[0].level(8),
            Partition1D(np.linspace(0.0, 1.0, n_uniform + 1))]
     graded = [_graded_partition(t) for t in (0.0, 0.37, 1.0)]
@@ -574,7 +580,9 @@ def test_windowed_decay_profile_bit_exact_against_per_atom_oracle(seed, n_unifor
         windows = _record_windows(gs)
         for nx in (3, 8):
             windows.clear()
-            got = decay_profile(gs, nx_per_atom=nx)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(projector, "DECAY_BLOCK_ATOMS", block)
+                got = decay_profile(gs, nx_per_atom=nx)
             want = per_atom_decay_profile(gs, nx_per_atom=nx)
             assert np.array_equal(got.distances, want.distances)
             assert np.array_equal(got.values, want.values)
@@ -582,20 +590,18 @@ def test_windowed_decay_profile_bit_exact_against_per_atom_oracle(seed, n_unifor
             assert got.c_hat == want.c_hat
             assert got.c_env == want.c_env
             assert got.fit_residual == want.fit_residual
-            n_blocks = -(-part.n_atoms // DECAY_BLOCK_ATOMS)
+            n_blocks = -(-part.n_atoms // block)
             if part.n_atoms >= 384:
                 assert 0 < windows[0][1] < gs.dimension
                 # the start radius grows with the order, so no block is solved twice
                 assert len(windows) == n_blocks
             else:
-                assert windows == [(0, gs.dimension)]
+                assert windows == [(0, gs.dimension)] * n_blocks
 
 
 def test_widened_decay_windows_bit_exact_against_per_atom_oracle():
     # a start radius a quarter as wide makes every interior window fail its
     # edge check, so each block is solved again on a wider window
-    import splinelab.projector as projector
-
     part = random_filtration(3, n_levels=7, p_split=1.0).axes[0].level(7)
     for k in (2, 4, 6):
         gs = GramSystem(SplineSpace1D(part, k))
@@ -678,7 +684,7 @@ def test_kernel_and_decay_fail_closed_on_nan_duals(row):
     gs = GramSystem(SplineSpace1D(part, 3))
     assert decay_profile(gs).q_hat == 0.4551157743055659
     _inject_nan(gs, 1, row)
-    with pytest.raises(ValueError, match=r"x-atoms \[0, 64\) are not finite"):
+    with pytest.raises(ValueError, match=rf"x-atoms \[0, {DECAY_BLOCK_ATOMS}\) are not finite"):
         decay_profile(gs)
 
 

@@ -5,7 +5,9 @@ from splinelab import (
     FiltrationSpec,
     HybridMeasure,
     MartingaleSplineSequence,
+    SplineSpace1D,
     TensorProjector,
+    TensorQuadrature,
     TensorSpline,
     build_filtration,
     convergence_probe,
@@ -14,7 +16,19 @@ from splinelab import (
     verify_martingale_property,
 )
 
-from conftest import l1_norms, median_decay_rate, random_filtration, total_variation
+from conftest import (dense_moments, graded_filtration, l1_norms, median_decay_rate,
+                      node_grid_values, random_filtration, total_variation)
+
+
+def assert_same_level(seq, n, direct):
+    """make_sequence's level n against a projection with the finest quadrature: the
+    same moments, restricted by the same map at the two finest levels, and by the
+    maps composed level by level against the one-step map below them."""
+    got, want = seq.level(n).coeffs, direct.coeffs
+    if n >= seq.n_levels - 1:
+        assert np.array_equal(got, want)
+    else:
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
 
 
 def test_source_in_first_space_is_constant_sequence(dyadic_1d):
@@ -186,9 +200,9 @@ def test_make_sequence_rejects_junk(dyadic_1d):
 
 def test_make_sequence_rejects_zero_quad_points(dyadic_1d):
     # as project(g=0) does, instead of falling back to the default rule
-    with pytest.raises(ValueError, match="at least one quadrature point"):
+    with pytest.raises(ValueError, match="quadrature points g must be an integer >= 1"):
         make_sequence(dyadic_1d, lambda x: x, 2, quad_points=0)
-    with pytest.raises(ValueError, match="at least one quadrature point"):
+    with pytest.raises(ValueError, match="quadrature points g must be an integer >= 1"):
         TensorProjector.for_level(dyadic_1d, 2, 2).project(lambda x: x, g=0)
 
 
@@ -264,8 +278,7 @@ def test_measure_sequence_levels_equal_per_level_projection(d, m):
     assert seq.m == m
     for n in range(1, F.n_levels + 1):
         tp = TensorProjector.for_level(F, n, orders)
-        direct = tp.project(theta, quad_partitions=finest)
-        assert np.array_equal(seq.level(n).coeffs, direct.coeffs)
+        assert_same_level(seq, n, tp.project(theta, quad_partitions=finest))
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -277,8 +290,7 @@ def test_function_sequence_levels_equal_per_level_projection(d):
     finest = [ax.level(F.n_levels) for ax in F.axes]
     for n in range(1, F.n_levels + 1):
         tp = TensorProjector.for_level(F, n, orders)
-        direct = tp.project(f, g=6, quad_partitions=finest)
-        assert np.array_equal(seq.level(n).coeffs, direct.coeffs)
+        assert_same_level(seq, n, tp.project(f, g=6, quad_partitions=finest))
 
 
 def test_make_sequence_evaluates_source_once(dyadic_2d):
@@ -298,16 +310,14 @@ def test_make_sequence_evaluates_source_once(dyadic_2d):
 
 
 def test_make_sequence_reduces_node_grid_once(dyadic_2d, monkeypatch):
-    from splinelab.bspline import TensorQuadrature
-
     reduced = []
-    reduce = TensorQuadrature.lagrange_moments
+    reduce = TensorQuadrature.basis_moments
 
     def counting_reduce(self, *args, **kwargs):
         reduced.append(1)
         return reduce(self, *args, **kwargs)
 
-    monkeypatch.setattr(TensorQuadrature, "lagrange_moments", counting_reduce)
+    monkeypatch.setattr(TensorQuadrature, "basis_moments", counting_reduce)
     seq = make_sequence(dyadic_2d, lambda x, y: np.exp(x) * y, 2)
     assert seq.n_levels == dyadic_2d.n_levels
     assert len(reduced) == 1
@@ -318,9 +328,44 @@ def test_make_sequence_reduces_node_grid_once(dyadic_2d, monkeypatch):
     assert len(reduced) == 1
 
 
-def test_dirac_only_sequence_builds_no_grid(dyadic_2d, monkeypatch):
-    from splinelab.bspline import TensorQuadrature
+@pytest.mark.parametrize("d", [1, 2])
+def test_graded_moments_match_dense_collocation(d):
+    # on meshes graded to the 1e-9 width floor, the coefficients of make_sequence
+    # and of project(callable) equal the solve of dense collocation moments at the
+    # same Gauss nodes to 1e-13 of the largest
+    F = graded_filtration(d)
+    orders = (3, 2)[:d]
+    f = lambda *xs: 1.5 + np.sin(3 * sum(xs)) + xs[0] ** 2
+    g = 4
+    finest = [ax.level(F.n_levels) for ax in F.axes]
+    quad = TensorQuadrature(finest, g)
+    vals = node_grid_values(quad, f)
+    seq = make_sequence(F, f, orders, quad_points=g)
+    for n in (1, F.n_levels // 2, F.n_levels):
+        tp = seq.projectors[n - 1]
+        want = tp.solve_coefficients(dense_moments(quad, tp.spaces, vals))
+        for got in (seq.level(n).coeffs, tp.project(f, quad_partitions=finest, g=g).coeffs):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max(),
+                                       err_msg=f"level {n}")
 
+
+def test_martingale_check_never_uses_the_refinement_map(monkeypatch):
+    # P_n g_{n+1} is integrated on the common refinement, so the check tests the
+    # knot-insertion restriction that built the sequence instead of restating it
+    F = random_filtration(6, d=2, n_levels=4)
+    theta = HybridMeasure(d=2, density=lambda x, y: 1.0 + x * y,
+                          diracs=[(np.array([0.3, 0.6]), np.array([1.0]))])
+    seq = make_sequence(F, theta, (2, 3))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the knot-insertion map was used")
+
+    monkeypatch.setattr(SplineSpace1D, "refinement", forbidden)
+    assert verify_martingale_property(seq, n_probe=50) < 1e-12
+    assert seq.projectors[0].project(seq.level(4)).coeffs.shape == seq.level(1).coeffs.shape
+
+
+def test_dirac_only_sequence_builds_no_grid(dyadic_2d, monkeypatch):
     built = []
     init = TensorQuadrature.__init__
 
