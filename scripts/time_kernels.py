@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time the 1-D dual kernels, the maximal level sums, the density reductions,
-the moment restriction and build_filtration at three depths each and fit
-their scaling exponents.
+the moment restriction, make_sequence and build_filtration at three depths
+each and fit their scaling exponents.
 
     python scripts/time_kernels.py > kernels.json
 
@@ -44,6 +44,11 @@ PROJECTION_DEPTHS, with orders (2, 2):
                      level n + 1 onto level n, as verify_martingale_property
                      makes it;
 with the tracemalloc peak of one call and the bytes of its result.
+For the martingale sequences it times, in d = 2 on the same mesh at depths
+SEQUENCE_DEPTHS, with orders (3, 3):
+  make_sequence  g_1, ..., g_N of the smooth-exp function with 4 points per
+                 atom, as in the converge experiment;
+with the tracemalloc peak of one call and the bytes of its finest coefficients.
 For the filtrations it times build_filtration in d = 1 for two rules, each
 at the three depths of FILTRATION_RULES: uniform-bisect-all as in the shadrin
 experiment (3 jittered base atoms, 192, 768 and 3,072 atoms) and
@@ -70,7 +75,8 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np  # noqa: E402
 
 from splinelab import (FiltrationSpec, HybridMeasure, Partition1D, SplineSpace1D,  # noqa: E402
-                       TensorProjector, build_filtration, compile_masses, maximal_field)
+                       TensorProjector, build_filtration, compile_masses, density_catalog,
+                       make_sequence, maximal_field)
 from splinelab.bspline import atom_chebyshev, restrict  # noqa: E402
 from splinelab.maximal import level_sum_field  # noqa: E402
 from splinelab.projector import (  # noqa: E402
@@ -89,6 +95,7 @@ KERNELS = ("duals_at", "decay_profile", "kernel_columns", "operator_norm_1d")
 MAXIMAL_KERNELS = ("conv_lengths", "level_sum_field", "maximal_field")
 QUADRATURE_KERNELS = ("compile_masses", "basis_moments", "restrict")
 PROJECTION_KERNELS = ("spline_projection",)
+SEQUENCE_KERNELS = ("make_sequence",)
 
 DEPTHS = (8, 9, 10)
 ORDERS = (2, 3, 4, 5)
@@ -97,6 +104,7 @@ Q_VALUES = (0.3, 0.5, 0.8)
 QUADRATURE_DEPTHS = (7, 8, 9)
 MOMENT_POINTS = 16
 PROJECTION_DEPTHS = (7, 8, 9)
+SEQUENCE_DEPTHS = (6, 7, 8)
 FILTRATION_RULES = {   # rule, depths
     "uniform-bisect-all": ({"name": "uniform-bisect-all", "base_atoms": 3, "base_jitter": 0.5},
                            (6, 8, 10)),
@@ -220,6 +228,24 @@ def projection_rows():
     return rows
 
 
+def sequence_rows():
+    """Timings and memory peaks of make_sequence, d = 2, orders (3, 3), at SEQUENCE_DEPTHS."""
+    rule = {"name": "random-atom-bisect", "p_split": 1.0,
+            "split_range": [0.35, 0.65], "base_atoms": 1}
+    f = density_catalog("smooth-exp", 2)
+    rows = []
+    for depth in SEQUENCE_DEPTHS:
+        F = build_filtration(FiltrationSpec(d=2, interval=(0.0, 1.0), n_levels=depth,
+                                            rules=[rule] * 2, seed=SEED))
+        fn = lambda: make_sequence(F, f, (3, 3), quad_points=4).level(depth).coeffs
+        peak, out = traced_peak(fn)
+        rows.append({"kernel": "make_sequence", "d": 2, "depth": depth,
+                     "dim": F.axes[0].level(depth).n_atoms,
+                     "seconds": median_seconds(fn), "peak_bytes": peak,
+                     "result_bytes": out.nbytes})
+    return rows
+
+
 def filtration_rows():
     """Timings of build_filtration in d = 1 for each rule of FILTRATION_RULES at its depths."""
     rows = []
@@ -273,6 +299,10 @@ def main():
     exponents.update({
         name: {"d2": slope([(r["dim"], r["seconds"]) for r in prows if r["kernel"] == name])}
         for name in PROJECTION_KERNELS})
+    srows = sequence_rows()
+    exponents.update({
+        name: {"d2": slope([(r["dim"], r["seconds"]) for r in srows if r["kernel"] == name])}
+        for name in SEQUENCE_KERNELS})
     frows = filtration_rows()
     exponents["build_filtration"] = {
         name: slope([(r["dim"], r["seconds"]) for r in frows if r["rule"] == name])
@@ -290,10 +320,11 @@ def main():
                      "quadrature_depths": list(QUADRATURE_DEPTHS),
                      "moment_points": MOMENT_POINTS,
                      "projection_depths": list(PROJECTION_DEPTHS),
+                     "sequence_depths": list(SEQUENCE_DEPTHS),
                      "filtration_depths": {name: list(depths)
                                            for name, (_, depths) in FILTRATION_RULES.items()},
                      "filtration_repeats": FILTRATION_REPEATS},
-        "timings": rows + mrows + qrows + prows + frows,
+        "timings": rows + mrows + qrows + prows + srows + frows,
         "exponents": exponents,
     }
     print(json.dumps(out, indent=2))

@@ -11,13 +11,16 @@ for k >= 2 the spline is continuous and the convention is invisible.
 Integrals over I^d go through TensorQuadrature, which evaluates an integrand
 one slab of whole axis-0 atoms at a time and contracts each slab on every
 axis at once, so its memory is bounded by SLAB_NODES and by what it returns,
-never by the full d-dimensional node grid.  Moments take one route: a
-source is reduced against the finest basis (`TensorQuadrature.basis_moments`),
-and a coarser nested basis N, with N_j = sum_i T[i, j] M_i in the finest
-basis M (knot insertion, `SplineSpace1D.refinement`), gets T^T times those
-moments (`restrict`).  That contraction, like the projection of a spline
-onto another level, runs per axis over blocks of CONTRACT_BLOCK_POINTS
-sorted rows (`_contract_points`), never through a dense matrix.
+never by the full d-dimensional node grid.  A slab is sized so that its
+temporaries stay in L2 (cache blocking, Lam, Rothberg & Wolf, ASPLOS 1991);
+the result is the same bit for bit for every slab size.  Moments take one
+route: a source is reduced against the finest basis
+(`TensorQuadrature.basis_moments`), and a coarser nested basis N, with
+N_j = sum_i T[i, j] M_i in the finest basis M (knot insertion,
+`SplineSpace1D.refinement`), gets T^T times those moments (`restrict`).
+That contraction, like the projection of a spline onto another level, runs
+per axis over blocks of CONTRACT_BLOCK_POINTS sorted rows
+(`_contract_points`), never through a dense matrix.
 """
 
 from __future__ import annotations
@@ -32,8 +35,11 @@ from .filtration import Interval, Partition1D
 
 DEFAULT_QUAD_POINTS = 4      # per-atom Gauss-Legendre points for spline integrands
 GENERAL_QUAD_POINTS = 16     # fixed rule for integrands that are not splines
-SLAB_NODES = 2 ** 18         # integrand nodes per slab in TensorQuadrature; bounds the
-                             # memory of every quadrature and never moves its result
+SLAB_NODES = 2 ** 16         # integrand nodes per slab in TensorQuadrature; bounds the
+                             # memory of every quadrature and never moves its result.  A
+                             # full-slab temporary takes 8 bytes a node: 512 KB here, so
+                             # the few alive at once fit a 2 MB L2, where 2 ** 18 nodes
+                             # made each one 2 MB and spilled the slab to L3
 CONTRACT_BLOCK_POINTS = 128  # points per dense collocation block in _contract_points: with a
                              # point in every atom a block has at most this + k - 1 rows
 
@@ -226,8 +232,9 @@ class TensorQuadrature:
         for a0 in range(0, n_atoms, step):
             a1 = min(a0 + step, n_atoms)
             x0 = grid[0][a0 * g:a1 * g]
-            values = as_value_array(f(x0, *grid[1:]), x0.shape[:1] + self.shape[1:], where)
-            head = mode_apply(values, [partial(first, mats[0][a0:a1])])
+            # one expression, so that a slab's values are freed before the next slab's
+            head = mode_apply(as_value_array(f(x0, *grid[1:]), x0.shape[:1] + self.shape[1:],
+                                             where), [partial(first, mats[0][a0:a1])])
             rows = len(head)
             if rows == 1 < n_atoms:
                 # With one row left on axis 0, mode_apply would pass the later

@@ -330,7 +330,8 @@ def _random_nonnegative_measure(rng, d, interval):
         out = c
         for ell, gax in enumerate(grids):
             out = out + slope[ell] * (np.asarray(gax) - lo) / (hi - lo)
-        return np.maximum(np.broadcast_arrays(out, *grids)[0], 0.0)
+        # out is a fresh array of the grids' broadcast shape: clip it in place
+        return np.maximum(out, 0.0, out=out)
 
     n_diracs = int(rng.integers(1, 4))
     diracs = []

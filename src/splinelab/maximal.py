@@ -14,17 +14,20 @@ carry no sampling error.
 Both the kernel weight q^{|i-j|_1} and the conv volume factorize over axes, so
 a level sum is a sequence of per-axis matrix contractions of the level's mass
 tensor rather than a double loop over atom pairs.  A per-axis kernel is a
-Toeplitz gather of the powers q^0..q^{n-1} divided by the outer hull lengths
-H[a, b] = max(bp[a+1] - bp[b], bp[b+1] - bp[a]).  H does not depend on q or on
-the measure: each level partition builds it once, on first use, and keeps it
-(8 n^2 bytes per axis and level, read-only) for as long as the filtration
-lives.  Each entry is one rounded subtraction, the same one for every caller,
-so kernels and fields are bit-identical to a fresh build per call.
+strided Toeplitz view of the powers q^0..q^{n-1} divided by the outer hull
+lengths H[a, b] = max(bp[a+1] - bp[b], bp[b+1] - bp[a]).  H does not depend
+on q or on the measure: each level partition builds it once, on first use,
+and keeps it (8 n^2 bytes per axis and level, read-only) for as long as the
+filtration lives.  Each entry is one rounded subtraction, the same one for
+every caller, so kernels and fields are bit-identical to a fresh build per
+call.
 
 The running max over levels is carried coarse to fine (level n maxes its sums
-with the level n-1 maximum gathered to level-n atoms) and is spread onto the
-finest grid once; max and gather are exact, so the field does not depend on
-that order.
+with the level n-1 maximum spread to level-n atoms) and is spread onto the
+finest grid once, unless N_max is the finest level already; max and spread
+are exact, so the field does not depend on that order.  Parent maps of
+nested levels are nondecreasing runs, so a spread is one np.repeat per axis
+by the run lengths (`_spread`), not a fancy-index gather.
 
 The covering-bound verification uses the explicit proof constant
 2^d * (2/(1-sqrt(q)))^d and a rigorously bounded truncation tail, so the
@@ -40,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz
+from numpy.lib.stride_tricks import as_strided
 
 from .bspline import GENERAL_QUAD_POINTS, TensorQuadrature, mode_apply
 from .filtration import AtomSet, Partition1D, TensorFiltration, l1_distance_grid
@@ -61,12 +64,29 @@ def _axis_kernel(part: Partition1D, q: float) -> np.ndarray:
 
     The d-dimensional b-term kernel is the tensor product of these per-axis
     matrices, since both q^{|i-j|_1} and |conv| factorize over axes.  Only
-    the Toeplitz powers are built per call; the conv lengths are the
+    the 2n - 1 powers sym = [q^(n-1), ..., q, 1, q, ..., q^(n-1)] are built
+    per call; the Toeplitz matrix q^|a-b| is a read-only strided view of them
+    (strides (-s, s) from the 1), never copied, and the conv lengths are the
     partition's cached `conv_lengths`, shared by every q and measure.
     """
-    K = toeplitz(np.power(q, np.arange(part.n_atoms)))
-    K /= part.conv_lengths
-    return K
+    n = part.n_atoms
+    powers = np.power(q, np.arange(n))
+    sym = np.concatenate([powers[:0:-1], powers])
+    s = sym.strides[0]
+    toe = as_strided(sym[n - 1:], shape=(n, n), strides=(-s, s), writeable=False)
+    return np.divide(toe, part.conv_lengths)
+
+
+def _spread(values: np.ndarray, maps) -> np.ndarray:
+    """values over coarse atoms spread onto finer ones: values[np.ix_(*maps)] for parent maps.
+
+    A parent map of nested partitions is nondecreasing, a run of equal
+    entries per coarse atom, so the gather is one np.repeat per axis by the
+    run lengths.
+    """
+    for ell, pm in enumerate(maps):
+        values = np.repeat(values, np.bincount(pm), axis=ell)
+    return values
 
 
 def level_sum_field(q: float, masses: CompiledMasses, n: int) -> np.ndarray:
@@ -110,8 +130,9 @@ def maximal_field(q: float, masses: CompiledMasses, K: int = 1,
     for n in range(K, N_max + 1):
         S = level_sum_field(q, masses, n)
         # running max over levels K..n, on level-n atoms
-        out = S if out is None else np.maximum(out[np.ix_(*F.parent_maps(n, n - 1))], S)
-    out = out[np.ix_(*F.finest_parent_maps(N_max))]
+        out = S if out is None else np.maximum(_spread(out, F.parent_maps(n, n - 1)), S)
+    if N_max < F.n_levels:
+        out = _spread(out, F.finest_parent_maps(N_max))
     return MaximalField(masses=masses, q=q, K=K, N_max=N_max, values=out)
 
 
@@ -131,7 +152,8 @@ def superlevel_measure(Mf: MaximalField, t, within: AtomSet = None):
     if within is None:
         vols, vals = vols.ravel(), vals.ravel()
     else:
-        sel = within.mask(F.level_shape(within.level))[np.ix_(*F.finest_parent_maps(within.level))]
+        sel = _spread(within.mask(F.level_shape(within.level)),
+                      F.finest_parent_maps(within.level))
         vols, vals = vols[sel], vals[sel]
     out = np.array([vols[vals > s].sum() for s in ts.ravel()]).reshape(ts.shape)
     return float(out) if out.ndim == 0 else out

@@ -13,6 +13,7 @@ breakpoint belongs to the atom that the breakpoint closes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -32,6 +33,9 @@ class HybridMeasure:
     density_quad_points: int = GENERAL_QUAD_POINTS
 
     def __post_init__(self):
+        # dimensions fail closed: 2.5 and True are not truncated or read as 1
+        self.d = _require_int("d", self.d, 1)
+        self.m = _require_int("m", self.m, 1)
         _require_int("density_quad_points", self.density_quad_points, 1)
         cleaned = []
         for location, mass in self.diracs:
@@ -86,10 +90,13 @@ class CompiledMasses:
     """theta evaluated on every atom of every level of a filtration.
 
     The finest-level masses are quadrature integrals of the density plus the
-    Dirac masses; coarser levels are exact sums of their children, so finite
-    additivity and refinement consistency hold by construction.  The masses
-    are those of the scalar variation ||g|| dlambda^d + sum_j ||m_j|| delta_{x_j},
-    so they are nonnegative scalars for vector-valued theta too.
+    Dirac masses.  Each coarser level n is built once, on first use, from
+    level n + 1 alone: every level-n mass is the float sum of its level-(n+1)
+    children, summed axis by axis, so finite additivity and refinement
+    consistency hold bit for bit and all levels together cost O(finest).  The
+    masses are those of the scalar variation ||g|| dlambda^d + sum_j ||m_j||
+    delta_{x_j}, so they are nonnegative scalars for vector-valued theta too.
+    `finest` holds the density part alone; every tensor is read-only.
     """
 
     def __init__(self, theta: HybridMeasure, F: TensorFiltration):
@@ -97,14 +104,15 @@ class CompiledMasses:
             raise ValueError(f"measure dimension {theta.d} != filtration dimension {F.d}")
         self.F = F
         nl = F.n_levels
-        # (finest-level atom index, ||m_j||) per Dirac
-        self._dirac_entries = [
-            (tuple(int(ax.level(nl).atom_index_of(x)) for ax, x in zip(F.axes, loc)),
-             float(np.linalg.norm(mass)))
-            for loc, mass in theta.diracs
-        ]
         self.finest = self._density_masses(theta)
-        self._levels = {nl: self._with_diracs(self.finest, nl)}
+        self.finest.flags.writeable = False
+        out = self.finest
+        if theta.diracs:
+            out = out.copy()
+            for loc, mass in theta.diracs:
+                out[tuple(int(ax.level(nl).atom_index_of(x)) for ax, x in zip(F.axes, loc))] += (
+                    float(np.linalg.norm(mass)))
+        self._levels = {nl: self._checked(out, nl)}
 
     def _density_masses(self, theta):
         F = self.F
@@ -113,32 +121,25 @@ class CompiledMasses:
         quad = TensorQuadrature([ax.level(F.n_levels) for ax in F.axes], theta.density_quad_points)
         return quad.atom_integrals(theta.density_norms)[..., 0]
 
-    def _with_diracs(self, density_masses, n):
-        out = density_masses.copy()
-        maps = self.F.finest_parent_maps(n)
-        for index, value in self._dirac_entries:
-            out[tuple(int(mp[j]) for mp, j in zip(maps, index))] += value
+    @staticmethod
+    def _checked(out, n):
         if not np.all(np.isfinite(out)):
             raise ValueError(f"compiled masses at level {n} are not finite")
+        out.flags.writeable = False
         return out
 
     def level_masses(self, n: int) -> np.ndarray:
-        """Mass tensor at level n, computed once and cached."""
-        if n in self._levels:
-            return self._levels[n]
-        F = self.F
-        nl = F.n_levels
-        # per axis: sum the finest atoms inside each level-n atom
-        starts = [
-            np.searchsorted(ax.level(nl).breakpoints, ax.level(n).breakpoints[:-1], side="left")
-            for ax in F.axes
-        ]
-        dens = mode_apply(self.finest, [
-            lambda X, s=s: np.add.reduceat(X, s, axis=0) for s in starts
-        ])
-        out = self._with_diracs(dens, n)
-        self._levels[n] = out
-        return out
+        """Mass tensor at level n in 1..N, computed once from level n + 1 and cached."""
+        nl = self.F.n_levels
+        if _require_int("level", n, 1) > nl:
+            raise ValueError(f"level must lie in 1..{nl}, got {n!r}")
+        if n not in self._levels:
+            # per axis: sum the level-(n+1) children of each level-n atom
+            starts = [np.searchsorted(ax.level(n + 1).breakpoints, ax.level(n).breakpoints[:-1])
+                      for ax in self.F.axes]
+            self._levels[n] = self._checked(mode_apply(self.level_masses(n + 1), [
+                partial(np.add.reduceat, indices=s, axis=0) for s in starts]), n)
+        return self._levels[n]
 
 
 def compile_masses(theta: HybridMeasure, F: TensorFiltration) -> CompiledMasses:
@@ -269,11 +270,10 @@ def measure_from_config(cfg: dict, d: int) -> HybridMeasure:
         density = density_catalog(spec.pop("name"), d, **spec)
     diracs = [(np.asarray(e["location"], float), np.asarray(e["mass"], float))
               for e in cfg.get("diracs", [])]
-    m = int(cfg.get("m", 1))
     return HybridMeasure(
         d=d,
         density=density,
         diracs=diracs,
-        m=m,
+        m=cfg.get("m", 1),
         density_quad_points=quad,
     )

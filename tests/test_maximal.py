@@ -22,6 +22,7 @@ from splinelab.experiments import default_config, run_experiment
 from splinelab.maximal import (
     SERIES_MAX_TERMS,
     _axis_kernel,
+    _spread,
     hl_weak_type_ratio,
     level_sum_field,
     weak_series_tail,
@@ -486,6 +487,39 @@ def test_maximal_field_matches_finest_grid_running_max(d, n_levels, K, N_max):
     masses = compile_masses(theta, F)
     field_ = maximal_field(0.6, masses, K=K, N_max=N_max)
     assert np.array_equal(field_.values, finest_grid_max_field(0.6, masses, K, N_max))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_spread_matches_ix_gather(d):
+    # nested parent maps are nondecreasing runs, so repeating by the run lengths
+    # is the np.ix_ gather bit for bit, for every pair of levels
+    F = random_filtration(30 + d, d=d, n_levels=(8, 5, 4)[d - 1])
+    N = F.n_levels
+    rng = np.random.default_rng(d)
+    for m in range(1, N + 1):
+        values = rng.standard_normal(F.level_shape(m))
+        for n in range(m, N + 1):
+            maps = F.parent_maps(n, m)
+            for v in (values, values > 0):
+                got = _spread(v, maps)
+                assert got.dtype == v.dtype and np.array_equal(got, v[np.ix_(*maps)])
+    theta = HybridMeasure(d=d, density=lambda *g: 1.0 + 0.5 * np.sin(5 * sum(g)),
+                          diracs=[(rng.uniform(0.1, 0.9, d), np.array([0.8]))],
+                          density_quad_points=3)
+    masses = compile_masses(theta, F)
+    vols = F.atom_volumes(N)
+    for N_max in (N - 1, N):
+        field_ = maximal_field(0.4, masses, K=1, N_max=N_max)
+        assert np.array_equal(field_.values, finest_grid_max_field(0.4, masses, 1, N_max))
+        top = field_.values.max()
+        ts = np.logspace(np.log10(top) - 2, np.log10(top), 9)
+        for K in (1, 2):
+            mask = rng.random(F.level_shape(K)) < 0.5
+            mask.flat[0] = True
+            B = atom_set_from_mask(K, mask)
+            sel = B.mask(F.level_shape(K))[np.ix_(*F.finest_parent_maps(K))]
+            want = [vols[sel][field_.values[sel] > t].sum() for t in ts]
+            assert np.array_equal(superlevel_measure(field_, ts, within=B), want)
 
 
 def test_superlevel_measure_threshold_array_matches_scalar_loop():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -92,23 +94,45 @@ def test_additivity_on_disjoint_atoms(dyadic_1d, mixed_measure):
     np.testing.assert_allclose(union, sep, atol=1e-12)
 
 
+def children_sums(fine, maps):
+    """Level-n tensor whose every entry is the float sum of its level-(n+1) children in
+    `fine`, summed one axis after the other in index order (np.add.at is unbuffered)."""
+    out = fine
+    for ell, pm in enumerate(maps):
+        moved = np.moveaxis(out, ell, 0)
+        acc = np.zeros((pm[-1] + 1,) + moved.shape[1:])
+        np.add.at(acc, pm, moved)
+        out = np.moveaxis(acc, 0, ell)
+    return out
+
+
 def test_refinement_consistency_compiled():
-    F = random_filtration(3, d=2, n_levels=4)
-    theta = HybridMeasure(
-        d=2,
-        density=lambda x, y: 1.0 + x * 0 + 0.5 * np.sin(3 * (x + y)),
-        diracs=[(np.array([0.21, 0.63]), np.array([1.5]))],
-        density_quad_points=6,
-    )
-    table = compile_masses(theta, F)
-    for n in range(1, 4):
-        coarse = table.level_masses(n)
-        fine = table.level_masses(n + 1)
-        maps = [F.axes[ell].level(n + 1).parent_map(F.axes[ell].level(n)) for ell in range(2)]
-        agg = np.zeros_like(coarse)
-        for idx in np.ndindex(fine.shape):
-            agg[maps[0][idx[0]], maps[1][idx[1]]] += fine[idx]
-        np.testing.assert_allclose(agg, coarse, atol=1e-12)
+    # every coarse mass is the float sum of its children, bit for bit, Diracs
+    # included: one inside an atom and one on a level-2 breakpoint of every axis
+    for d, n_levels in ((2, 5), (3, 4)):
+        F = random_filtration(3, d=d, n_levels=n_levels)
+        on_breakpoint = np.array([ax.level(2).breakpoints[1] for ax in F.axes])
+        theta = HybridMeasure(
+            d=d,
+            density=lambda *g: 1.0 + g[0] * 0 + 0.5 * np.sin(3 * sum(g)),
+            diracs=[(np.linspace(0.21, 0.63, d), np.array([1.5])),
+                    (on_breakpoint, np.array([0.7]))],
+            density_quad_points=3,
+        )
+        table = compile_masses(theta, F)
+        # the breakpoint Dirac sits in the finest atom its coordinates close on every axis
+        idx = tuple(int(ax.level(n_levels).atom_index_of(x)) for ax, x in zip(F.axes, on_breakpoint))
+        assert table.level_masses(n_levels)[idx] == table.finest[idx] + 0.7
+        want_total = table.finest.sum() + 2.2
+        for n in range(n_levels - 1, 0, -1):
+            coarse = table.level_masses(n)
+            assert np.array_equal(coarse, children_sums(table.level_masses(n + 1),
+                                                        F.parent_maps(n + 1, n)))
+            assert coarse.sum() == pytest.approx(want_total, rel=1e-13)
+    for bad in (0, n_levels + 1, 2.0, True, "2"):
+        with pytest.raises(ValueError, match="level must"):
+            table.level_masses(bad)
+    assert table.level_masses(np.int64(1)) is table.level_masses(1)
 
 
 def test_singularity_witness_shrinks():
@@ -313,3 +337,43 @@ def test_compiled_boundary_dirac_counts_once(dyadic_1d):
         # the atom whose right endpoint 0.5 is
         part = dyadic_1d.axes[0].level(n)
         assert mo[int(part.atom_index_of(np.array([0.5]))[0])] == 1.0
+
+
+def test_measure_dimensions_fail_closed():
+    # d and m are integers >= 1: 2.5 is not truncated to 2, True is not read as 1
+    with pytest.raises(ValueError, match="m must be an integer >= 1"):
+        measure_from_config({"m": 2.5}, 1)
+    with pytest.raises(ValueError, match="m must be an integer >= 1"):
+        HybridMeasure(d=1, m=True)
+    with pytest.raises(ValueError, match="d must be an integer >= 1"):
+        HybridMeasure(d=2.5)
+    for bad in (0, True, "1", None):
+        with pytest.raises(ValueError, match="d must be an integer >= 1"):
+            HybridMeasure(d=bad)
+    theta = HybridMeasure(d=np.int64(2), m=np.int64(2))
+    assert (theta.d, theta.m) == (2, 2) and type(theta.d) is type(theta.m) is int
+    assert measure_from_config({"m": np.int64(2)}, 1).m == 2
+    assert measure_from_config({}, 1).m == 1
+
+
+def test_compile_masses_memory_is_bounded_by_slabs():
+    # 512 x 512 finest atoms, 4 points per atom: 4.2 million density nodes, whose
+    # values alone would take 33.6 MB; the masses take 2.1 MB, and the slabs of
+    # the default SLAB_NODES keep the peak below 4 MB (9.1 MB with slabs of 2 ** 18
+    # nodes, each slab's values alive across the next, and level N a copy of the
+    # finest masses)
+    rule = {"name": "random-atom-bisect", "p_split": 1.0, "split_range": [0.35, 0.65],
+            "base_atoms": 1}
+    F = build_filtration(FiltrationSpec(d=2, interval=(0.0, 1.0), n_levels=9,
+                                        rules=[rule] * 2, seed=0))
+    assert F.level_shape(9) == (512, 512)
+    theta = HybridMeasure(d=2, density=lambda *g: 1.0 + 0.5 * np.sin(3 * sum(g)),
+                          density_quad_points=4)
+    tracemalloc.start()
+    try:
+        masses = compile_masses(theta, F)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
+    assert masses.level_masses(9) is masses.finest

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from splinelab import (
     TensorSpline,
     build_filtration,
     convergence_probe,
+    density_catalog,
     make_sequence,
     sample_probe_points,
     verify_martingale_property,
@@ -391,3 +394,19 @@ def test_make_sequence_rejects_measure_of_wrong_dimension(dyadic_2d):
     theta = HybridMeasure(d=1, diracs=[(np.array([0.3]), np.array([1.0]))])
     with pytest.raises(ValueError, match="dimension"):
         make_sequence(dyadic_2d, theta, 2)
+
+
+def test_make_sequence_memory_is_bounded_by_slabs():
+    # converge's d = 2, depth 8, orders (3, 3) case with 4 points per atom: 1,024^2
+    # density nodes, whose values alone would take 8.4 MB; the slabs of the default
+    # SLAB_NODES keep the peak below 10 MB (16 MB with 2 ** 18 nodes a slab)
+    F = build_filtration(FiltrationSpec(d=2, interval=(0.0, 1.0), n_levels=8,
+                                        rules=[{"name": "uniform-bisect-all"}] * 2, seed=5005))
+    tracemalloc.start()
+    try:
+        seq = make_sequence(F, density_catalog("smooth-exp", 2), (3, 3), quad_points=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000_000
+    assert seq.level(8).coeffs.shape == (258, 258, 1)
