@@ -26,8 +26,9 @@ random-bisection mesh of the maximal-covering benchmark (1 base atom,
 For the per-atom quadrature it times, in d = 2 on the same mesh at depths
 QUADRATURE_DEPTHS (2^depth atoms per axis), both reductions of a density and
 the restriction of its moments:
-  compile_masses   the finest masses of a measure with 4 points per atom,
-                   as in the covering experiment;
+  compile_masses   the masses on every level of a measure with 4 points per
+                   atom, as in the covering experiment, down to level 1
+                   (whose bytes it reports as the result);
   basis_moments    the moments against the finest basis of order (2, 2)
                    that make_sequence takes from a measure with
                    MOMENT_POINTS points per atom, as in the singular
@@ -79,6 +80,7 @@ from splinelab import (FiltrationSpec, HybridMeasure, Partition1D, SplineSpace1D
                        make_sequence, maximal_field)
 from splinelab.bspline import atom_chebyshev, restrict  # noqa: E402
 from splinelab.maximal import level_sum_field  # noqa: E402
+from splinelab.measures import source_moments  # noqa: E402
 from splinelab.projector import (  # noqa: E402
     DECAY_BLOCK_ATOMS,
     NORM_BLOCK_ATOMS,
@@ -88,7 +90,6 @@ from splinelab.projector import (  # noqa: E402
     _kernel_blocks,
     decay_profile,
     operator_norm_1d,
-    source_moments,
 )
 
 KERNELS = ("duals_at", "decay_profile", "kernel_columns", "operator_norm_1d")
@@ -193,7 +194,7 @@ def quadrature_rows():
         coarse = [SplineSpace1D(ax.level(depth - 1), 2) for ax in F.axes]
         b = source_moments(moments, fine)
         kernels = {
-            "compile_masses": lambda: compile_masses(masses, F).finest,
+            "compile_masses": lambda: compile_masses(masses, F).level_masses(1),
             "basis_moments": lambda: source_moments(moments, fine),
             "restrict": lambda: restrict(b, fine, coarse),
         }

@@ -20,7 +20,8 @@ N_j = sum_i T[i, j] M_i in the finest basis M (knot insertion,
 `SplineSpace1D.refinement`), gets T^T times those moments (`restrict`).
 That contraction, like the projection of a spline onto another level, runs
 per axis over blocks of CONTRACT_BLOCK_POINTS sorted rows
-(`_contract_points`), never through a dense matrix.
+(`_contract_points`), never through a dense matrix.  Atoms take this route
+as order 1: its moments are the atom integrals, and its T^T sums children.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .filtration import Interval, Partition1D
+from .filtration import Interval, Partition1D, _require_int
 
 DEFAULT_QUAD_POINTS = 4      # per-atom Gauss-Legendre points for spline integrands
 GENERAL_QUAD_POINTS = 16     # fixed rule for integrands that are not splines
@@ -42,13 +43,6 @@ SLAB_NODES = 2 ** 16         # integrand nodes per slab in TensorQuadrature; bou
                              # made each one 2 MB and spilled the slab to L3
 CONTRACT_BLOCK_POINTS = 128  # points per dense collocation block in _contract_points: with a
                              # point in every atom a block has at most this + k - 1 rows
-
-
-def _require_int(name: str, value, least: int) -> int:
-    """value as an int; fail closed unless it is an integer (numpy's too, bool not) >= least."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-    return int(value)
 
 
 def knot_vector(p: Partition1D, k: int) -> np.ndarray:
@@ -189,10 +183,10 @@ class TensorQuadrature:
     """Per-atom Gauss-Legendre rules on the axes of a tensor partition of I^d.
 
     Every integral over I^d is discretized here: an integrand f(X_1, ..., X_d)
-    is contracted per axis either to per-atom integrals (`atom_integrals`) or
-    to its moments against the basis of a spline space over these partitions
-    (`basis_moments`); the moments of every coarser nested space follow from
-    the latter by `restrict`.
+    is contracted per axis to its moments against the basis of a spline space
+    over these partitions (`basis_moments`); the per-atom integrals are the
+    moments of order 1, and the moments of every coarser nested space follow
+    by `restrict`.
 
     The integrand is never evaluated on the whole node grid.  It is evaluated
     on one slab of whole axis-0 atoms at a time (about SLAB_NODES nodes),
@@ -201,9 +195,9 @@ class TensorQuadrature:
     axis operation is a per-atom contraction, so a slab yields its own rows
     of the result bit for bit, whatever the slab size, as long as numpy
     rounds every row alike in a slab and in the whole grid.  Two guards see
-    to that: the later axes of the basis reduction use einsum, not gemm
-    (`basis_moments`), and a slab left with a single row on axis 0 is
-    padded (`_reduce`).  Memory is bounded by one slab plus the result.
+    to that: every axis is contracted by einsum, not gemm (`_atom_einsum`),
+    and a slab left with a single row on axis 0 is padded (`_reduce`).
+    Memory is bounded by one slab plus the result.
     """
 
     def __init__(self, partitions, g: int):
@@ -213,20 +207,20 @@ class TensorQuadrature:
         self.axis_nodes = tuple(r.nodes.ravel() for r in self.rules)
         self.shape = tuple(len(x) for x in self.axis_nodes)
 
-    def _reduce(self, f, mats, first, later) -> np.ndarray:
+    def _reduce(self, f, mats) -> np.ndarray:
         """Contract f on the node grid along every axis l by mats[l], slab by slab.
 
-        mats[l] has one leading entry per atom of axis l.  first(mats[0], X)
-        and later(mats[l], X) map the (atoms * g, r) node rows of X to per-atom
-        rows, using the entries of those atoms alone.  This is where f's values
-        are checked for shape, NaN and inf, once per slab.
+        mats[l] is (atoms, k, g) for axis l: `_atom_einsum` maps the g node
+        rows of each atom a to k rows by mats[l][a], using the entries of that
+        atom alone.  This is where f's values are checked for shape, NaN and
+        inf, once per slab.
         """
         d, g = len(self.shape), self.g
         n_atoms = self.partitions[0].n_atoms
         step = max(1, SLAB_NODES // (g * math.prod(self.shape[1:])))
         grid = [x.reshape((1,) * ell + (-1,) + (1,) * (d - 1 - ell))
                 for ell, x in enumerate(self.axis_nodes)]
-        ops = [np.asarray] + [partial(later, A) for A in mats[1:]]   # axis 0 is done
+        ops = [None] + [partial(_atom_einsum, A) for A in mats[1:]]   # axis 0 is done
         where = f"integrand {getattr(f, '__name__', '')}".strip()   # errors name f
         out = None
         for a0 in range(0, n_atoms, step):
@@ -234,7 +228,7 @@ class TensorQuadrature:
             x0 = grid[0][a0 * g:a1 * g]
             # one expression, so that a slab's values are freed before the next slab's
             head = mode_apply(as_value_array(f(x0, *grid[1:]), x0.shape[:1] + self.shape[1:],
-                                             where), [partial(first, mats[0][a0:a1])])
+                                             where), [partial(_atom_einsum, mats[0][a0:a1])])
             rows = len(head)
             if rows == 1 < n_atoms:
                 # With one row left on axis 0, mode_apply would pass the later
@@ -249,10 +243,6 @@ class TensorQuadrature:
             out[a0 * per_atom:a0 * per_atom + rows] = reduced
         return out
 
-    def atom_integrals(self, f) -> np.ndarray:
-        """Integral of f over every atom of the partition; shape (atoms_1, ..., atoms_d, m)."""
-        return self._reduce(f, [r.weights for r in self.rules], _integrate_atoms, _integrate_atoms)
-
     def basis_moments(self, f, spaces) -> np.ndarray:
         """Moments b_i = int f prod_l N_{i_l}, shape (dim_1, ..., dim_d, m), for `spaces`
         over this quadrature's partitions.
@@ -260,11 +250,8 @@ class TensorQuadrature:
         Only N_a, ..., N_{a+k-1} are nonzero on atom a, so each axis is
         contracted per atom by w N of shape (atoms, k, g), built contiguous (a
         transposed view slows einsum severalfold), and the k local rows of each
-        atom are scattered into the basis (`_scatter_atoms`).  Axis 0 is
-        contracted by matmul: each slab hands it the same columns.  The later
-        axes get a column count that depends on the slab, and gemm rounds a
-        column by its position among the columns, so they use einsum, which
-        rounds every column alike.
+        atom are scattered into the basis (`_scatter_atoms`); an order-1 axis
+        has one row per atom, which is its basis row already.
         """
         mats = []
         for ell, (space, part, rule) in enumerate(
@@ -273,22 +260,13 @@ class TensorQuadrature:
                 raise ValueError(f"the space of axis {ell} is not over the quadrature partition")
             _, vals = space.eval_basis_many(rule.nodes)                       # (atoms, g, k)
             mats.append(np.ascontiguousarray(np.swapaxes(vals * rule.weights[..., None], 1, 2)))
-        local = self._reduce(f, mats, _atom_matmul, _atom_einsum)
-        return mode_apply(local, [partial(_scatter_atoms, s.order) for s in spaces])
-
-
-def _integrate_atoms(w, X) -> np.ndarray:
-    """Rows sum_s w[a, s] X[a g + s] per atom a: the (atoms, g) weights applied."""
-    return np.einsum("ag,agr->ar", w, X.reshape(w.shape + (-1,)))
-
-
-def _atom_matmul(M, X) -> np.ndarray:
-    """Rows M[a] @ X[a g:(a + 1) g] per atom a, stacked: (atoms * k, r)."""
-    return (M @ X.reshape(M.shape[0], M.shape[2], -1)).reshape(-1, X.shape[1])
+        return mode_apply(self._reduce(f, mats), [
+            partial(_scatter_atoms, s.order) if s.order > 1 else None for s in spaces])
 
 
 def _atom_einsum(M, X) -> np.ndarray:
-    """_atom_matmul by einsum, with the same rounding for every column count."""
+    """Rows M[a] @ X[a g:(a + 1) g] per atom a, stacked: (atoms * k, r); by einsum, which
+    rounds every column alike, where gemm rounds one by its position among the columns."""
     return np.einsum("akg,agr->akr", M, X.reshape(M.shape[0], M.shape[2], -1)).reshape(
         -1, X.shape[1])
 
@@ -307,7 +285,7 @@ def restrict(moments, fine_spaces, coarse_spaces) -> np.ndarray:
     axis, T from `SplineSpace1D.refinement`.  Axes whose spaces coincide are left alone
     (T = I there, which its rounded rows miss by an ulp)."""
     return mode_apply(moments, [
-        np.asarray if (f.partition, f.order) == (c.partition, c.order)
+        None if (f.partition, f.order) == (c.partition, c.order)
         else partial(_contract_points, *c.refinement(f), c.dimension)
         for f, c in zip(fine_spaces, coarse_spaces, strict=True)])
 
@@ -316,8 +294,9 @@ def mode_apply(tensor, ops) -> np.ndarray:
     """Apply ops[l] along axis l of `tensor` for every l (the n-mode product).
 
     ops[l] maps an (n_l, r) array to an (n'_l, r) array, where r collects all
-    other axes; axes past len(ops), such as a trailing value axis, ride along.
-    Every per-axis operation on Kronecker-structured tensors goes through here.
+    other axes; axes past len(ops), such as a trailing value axis, ride along,
+    and so does an axis whose op is None, without a copy.  Every per-axis
+    operation on Kronecker-structured tensors goes through here.
 
     ops[l] gets a strided view of `out`, not a contiguous copy, so the last
     bit of a contraction can depend on the shapes of the other axes: the
@@ -329,6 +308,8 @@ def mode_apply(tensor, ops) -> np.ndarray:
     """
     out = np.asarray(tensor, dtype=float)
     for ell, op in enumerate(ops):
+        if op is None:
+            continue
         moved = np.moveaxis(out, ell, 0)
         res = op(moved.reshape(moved.shape[0], -1))
         out = np.moveaxis(res.reshape(res.shape[:1] + moved.shape[1:]), 0, ell)

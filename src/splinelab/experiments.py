@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import numbers
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -699,36 +700,56 @@ def write_outputs(name: str, cfg: dict, rows, log: AssertionLog, extra: dict,
         fh.write("\n")
 
 
-def _check_keys(where: str, given, known, optional=()) -> None:
+def _check_entries(where: str, given, default: dict, optional=()) -> None:
+    """Check the keys of `given` against `default`, and each value by `_check_value`."""
     if not isinstance(given, dict):
         raise ValueError(f"{where}: expected an object, got {type(given).__name__}")
     problems = [f"{what} {', '.join(map(repr, sorted(keys)))}" for what, keys in (
-        ("missing", set(known) - set(given) - set(optional)),
-        ("unknown", set(given) - set(known))) if keys]
+        ("missing", set(default) - set(given) - set(optional)),
+        ("unknown", set(given) - set(default))) if keys]
     if problems:
         raise ValueError(f"{where}: {'; '.join(problems)}")
+    for key, value in given.items():
+        _check_value(f"{where}.{key}", value, default[key])
+
+
+def _check_value(where: str, value, want) -> None:
+    """An integer where the default `want` is an int, a real number where it is a float
+    (bool neither), a list of such where it is a list; dicts have their own checks."""
+    if isinstance(want, list):
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"{where}: expected a list, got {value!r}")
+        for i, v in enumerate(value):
+            _check_value(f"{where}[{i}]", v, want[0])
+    elif isinstance(want, (int, float)) and (isinstance(value, bool) or not isinstance(
+            value, numbers.Integral if isinstance(want, int) else numbers.Real)):
+        kind = "an integer" if isinstance(want, int) else "a real number"
+        raise ValueError(f"{where}: expected {kind}, got {value!r}")
 
 
 def check_config(cfg) -> None:
     """Raise ValueError naming the path of a key that `cfg` lacks or its experiment's
-    default config does not have, in the top level, `params`, each `cases` entry
-    or `tensor_check`.  A case may lack only keys that some default case lacks;
-    rule and measure dicts are checked by `FiltrationSpec` and `measure_from_config`."""
+    default config does not have, or of a value of another kind than the default's,
+    in the top level, `params`, each `cases` entry or `tensor_check`.  A case may lack
+    only keys that some default case lacks (its values are checked against the first
+    default case with the key); rule and measure dicts are checked by `FiltrationSpec`
+    and `measure_from_config`."""
     if not isinstance(cfg, dict) or "experiment" not in cfg:
         raise ValueError("config: missing 'experiment'")
     name = cfg["experiment"]
     default = default_config(name)
-    _check_keys(f"{name} config", cfg, default)
+    _check_entries(f"{name} config", cfg, default)
     params, known = cfg["params"], default["params"]
-    _check_keys(f"{name} params", params, known)
+    _check_entries(f"{name} params", params, known)
     if "tensor_check" in known:
-        _check_keys(f"{name} params.tensor_check", params["tensor_check"],
-                    known["tensor_check"])
+        _check_entries(f"{name} params.tensor_check", params["tensor_check"],
+                       known["tensor_check"])
     if "cases" in known:
-        keys = [set(case) for case in known["cases"]]
+        case_default = {k: v for case in reversed(known["cases"]) for k, v in case.items()}
+        always = set.intersection(*(set(case) for case in known["cases"]))
         for i, case in enumerate(params["cases"]):
-            _check_keys(f"{name} params.cases[{i}]", case, set.union(*keys),
-                        set.union(*keys) - set.intersection(*keys))
+            _check_entries(f"{name} params.cases[{i}]", case, case_default,
+                           set(case_default) - always)
 
 
 def load_config(path) -> dict:

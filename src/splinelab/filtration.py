@@ -20,6 +20,14 @@ MIN_WIDTH_FRACTION = 1e-9
 # rows per block of the conv-length build: its (rows, rows) temporary stays in cache
 CONV_BLOCK_ROWS = 64
 
+
+def _require_int(name: str, value, least: int) -> int:
+    """value as an int; fail closed unless it is an integer (numpy's too, bool not) >= least."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Interval:
     """Half-open interval (lo, hi]."""
@@ -47,8 +55,8 @@ class Partition1D:
         bp = np.asarray(breakpoints, dtype=float)
         if bp.ndim != 1 or len(bp) < 2:
             raise ValueError("need at least two breakpoints")
-        if not np.all(np.diff(bp) > 0):
-            raise ValueError("breakpoints must be strictly increasing")
+        if not (np.all(np.isfinite(bp)) and np.all(np.diff(bp) > 0)):
+            raise ValueError("breakpoints must be finite and strictly increasing")
         bp = bp.copy()
         bp.flags.writeable = False
         self.breakpoints = bp
@@ -276,10 +284,8 @@ class FiltrationSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("d must be >= 1")
-        if self.n_levels < 1:
-            raise ValueError("n_levels must be >= 1")
+        self.d = _require_int("d", self.d, 1)
+        self.n_levels = _require_int("n_levels", self.n_levels, 1)
         a, b = self.interval
         if not a < b:
             raise ValueError(f"invalid interval: lo={a} >= hi={b}")
@@ -305,10 +311,8 @@ def _base_breakpoints(a, b, rule, rng):
             raise ValueError(f"frozen interval ({flo}, {fhi}] not inside ({a}, {b}]")
         pts = sorted({a, flo, fhi, b})
         return np.array(pts, dtype=float)
-    base_atoms = int(rule.get("base_atoms", 1))
+    base_atoms = _require_int("base_atoms", rule.get("base_atoms", 1), 1)
     jitter = float(rule.get("base_jitter", 0.0))
-    if base_atoms < 1:
-        raise ValueError("base_atoms must be >= 1")
     if not 0.0 <= jitter < 1.0:
         raise ValueError("base_jitter must lie in [0, 1)")
     if jitter > 0.0:

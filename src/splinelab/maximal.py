@@ -45,9 +45,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .bspline import GENERAL_QUAD_POINTS, TensorQuadrature, mode_apply
+from .bspline import GENERAL_QUAD_POINTS, SplineSpace1D, mode_apply
 from .filtration import AtomSet, Partition1D, TensorFiltration, l1_distance_grid
-from .measures import CompiledMasses
+from .measures import CompiledMasses, source_moments
 
 SERIES_REL_TOL = 1e-12   # truncation: rigorous tail below this fraction of the partial sum
 SERIES_MAX_TERMS = 100_000   # a series not within SERIES_REL_TOL after this many terms raises
@@ -199,6 +199,7 @@ def weak_series_total(q: float, d: int) -> float:
 
 def covering_constant(q: float, d: int) -> float:
     """The proof constant 2^d * (2 / (1 - sqrt(q)))^d of the covering bound."""
+    _check_q(q)
     return float(2 ** d * (2.0 / (1.0 - np.sqrt(q))) ** d)
 
 
@@ -338,11 +339,10 @@ def hl_maximal(per_atom: np.ndarray, partition: Partition1D) -> np.ndarray:
 def hl_weak_type_ratio(f, partition: Partition1D, t_grid, g: int = GENERAL_QUAD_POINTS):
     """max over t of t * |{M_HL f > t}| / ||f||_1 on the breakpoint grid.
 
-    |f| is integrated over every atom once, with g points per atom; the
-    maximal field and ||f||_1 both come from those integrals.
+    |f| is integrated over every atom once (its order-1 moments), with g points
+    per atom; the maximal field and ||f||_1 both come from those integrals.
     """
-    quad = TensorQuadrature([partition], g)
-    per_atom = quad.atom_integrals(lambda x: np.abs(f(x)))[:, 0]
+    per_atom = source_moments(lambda x: np.abs(f(x)), [SplineSpace1D(partition, 1)], g)[:, 0]
     field_ = hl_maximal(per_atom, partition)
     l1 = float(per_atom.sum())
     widths = partition.widths

@@ -8,17 +8,21 @@ Lebesgue measure, and the Lebesgue split is explicit in the representation.
 
 Dirac membership follows the half-open atom convention: a Dirac on a
 breakpoint belongs to the atom that the breakpoint closes.
+
+source_moments is the one route from a measure or a function to moments
+against a spline basis: projections run it on their finest spaces, compiled
+masses on the order-1 spaces (the atom indicators) of the finest level.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import reduce
 
 import numpy as np
 
-from .bspline import (GENERAL_QUAD_POINTS, TensorQuadrature, _require_int, _shaped_values,
-                      mode_apply)
+from .bspline import (DEFAULT_QUAD_POINTS, GENERAL_QUAD_POINTS, SplineSpace1D, TensorQuadrature,
+                      _require_int, _shaped_values, restrict)
 from .filtration import TensorFiltration
 
 
@@ -82,6 +86,44 @@ class HybridMeasure:
         return np.sqrt(sq, out=sq)
 
 
+def source_moments(source, spaces, g: int = None) -> np.ndarray:
+    """Moments b_i = int prod_l N_{i_l} dsource over `spaces`, shape (dim_1, ..., dim_d, m).
+
+    The one route from a source to moments, run on the finest spaces of a
+    projection or of compiled masses (`TensorQuadrature.basis_moments`);
+    `restrict` gives every coarser nested level.  A HybridMeasure integrates
+    its density (if any) with its own density_quad_points and adds
+    N_i(x_j) m_j for each Dirac (x_j, m_j); given g it raises ValueError.  A
+    callable f(X_1, ..., X_d) is integrated with g points per atom,
+    max(k, DEFAULT_QUAD_POINTS) when g is None.  A spline is no source here.
+    """
+    partitions = [s.partition for s in spaces]
+    if isinstance(source, HybridMeasure):
+        if g is not None:
+            raise ValueError("a HybridMeasure source fixes its own quadrature; it takes no g")
+        if source.d != len(spaces):
+            raise ValueError(f"measure dimension {source.d} != domain dimension {len(spaces)}")
+        if source.density is None:
+            b = np.zeros(tuple(s.dimension for s in spaces) + (source.m,))
+        else:
+            quad = TensorQuadrature(partitions, source.density_quad_points)
+            b = quad.basis_moments(source.density_values, spaces)
+        if source.diracs:
+            locations = np.array([location for location, _ in source.diracs])
+            basis = [s.eval_basis_many(locations[:, ell]) for ell, s in enumerate(spaces)]
+            for j, (_, mass) in enumerate(source.diracs):
+                w = reduce(np.multiply.outer, [vals[j] for _, vals in basis])
+                sl = tuple(slice(first[j], first[j] + s.order)
+                           for (first, _), s in zip(basis, spaces))
+                b[sl] += np.multiply.outer(w, mass)
+        return b
+    if not callable(source):
+        raise ValueError(f"unsupported source type {type(source)!r}")
+    k = max(s.order for s in spaces)
+    quad = TensorQuadrature(partitions, max(k, DEFAULT_QUAD_POINTS) if g is None else g)
+    return quad.basis_moments(source, spaces)
+
+
 # ---------------------------------------------------------------------------
 # compiled per-atom masses
 
@@ -89,37 +131,28 @@ class HybridMeasure:
 class CompiledMasses:
     """theta evaluated on every atom of every level of a filtration.
 
-    The finest-level masses are quadrature integrals of the density plus the
-    Dirac masses.  Each coarser level n is built once, on first use, from
-    level n + 1 alone: every level-n mass is the float sum of its level-(n+1)
-    children, summed axis by axis, so finite additivity and refinement
-    consistency hold bit for bit and all levels together cost O(finest).  The
-    masses are those of the scalar variation ||g|| dlambda^d + sum_j ||m_j||
-    delta_{x_j}, so they are nonnegative scalars for vector-valued theta too.
-    `finest` holds the density part alone; every tensor is read-only.
+    The masses are those of the scalar variation ||g|| dlambda^d + sum_j
+    ||m_j|| delta_{x_j}, so they are nonnegative scalars for vector-valued
+    theta too.  Atoms are the order-1 spline space: the finest-level masses
+    are the order-1 `source_moments` of that measure, and each coarser level
+    n is built once, on first use, by `restrict` from level n + 1 alone,
+    which sums the children of every atom axis by axis.  So finite
+    additivity and refinement consistency hold bit for bit and all
+    levels together cost O(finest).  Every tensor is read-only.
     """
 
     def __init__(self, theta: HybridMeasure, F: TensorFiltration):
-        if theta.d != F.d:
-            raise ValueError(f"measure dimension {theta.d} != filtration dimension {F.d}")
         self.F = F
+        variation = HybridMeasure(
+            d=theta.d, density=None if theta.density is None else theta.density_norms,
+            diracs=[(x, np.linalg.norm(mass)) for x, mass in theta.diracs],
+            density_quad_points=theta.density_quad_points)
         nl = F.n_levels
-        self.finest = self._density_masses(theta)
-        self.finest.flags.writeable = False
-        out = self.finest
-        if theta.diracs:
-            out = out.copy()
-            for loc, mass in theta.diracs:
-                out[tuple(int(ax.level(nl).atom_index_of(x)) for ax, x in zip(F.axes, loc))] += (
-                    float(np.linalg.norm(mass)))
-        self._levels = {nl: self._checked(out, nl)}
+        self._levels = {nl: self._checked(source_moments(variation, self._atoms(nl))[..., 0], nl)}
 
-    def _density_masses(self, theta):
-        F = self.F
-        if theta.density is None:
-            return np.zeros(F.level_shape(F.n_levels))
-        quad = TensorQuadrature([ax.level(F.n_levels) for ax in F.axes], theta.density_quad_points)
-        return quad.atom_integrals(theta.density_norms)[..., 0]
+    def _atoms(self, n: int) -> list:
+        """The order-1 spaces of level n, whose basis is the atom indicators."""
+        return [SplineSpace1D(ax.level(n), 1) for ax in self.F.axes]
 
     @staticmethod
     def _checked(out, n):
@@ -134,11 +167,8 @@ class CompiledMasses:
         if _require_int("level", n, 1) > nl:
             raise ValueError(f"level must lie in 1..{nl}, got {n!r}")
         if n not in self._levels:
-            # per axis: sum the level-(n+1) children of each level-n atom
-            starts = [np.searchsorted(ax.level(n + 1).breakpoints, ax.level(n).breakpoints[:-1])
-                      for ax in self.F.axes]
-            self._levels[n] = self._checked(mode_apply(self.level_masses(n + 1), [
-                partial(np.add.reduceat, indices=s, axis=0) for s in starts]), n)
+            self._levels[n] = self._checked(
+                restrict(self.level_masses(n + 1), self._atoms(n + 1), self._atoms(n)), n)
         return self._levels[n]
 
 

@@ -56,7 +56,7 @@ def detect_v_sets(f1: Filtration1D, tolerance: float) -> VSetReport:
     atoms touch it from outside.  A fully refining filtration yields no
     intervals.
     """
-    if tolerance <= 0:
+    if not tolerance > 0:    # NaN fails too
         raise ValueError("tolerance must be positive")
     final = f1.levels[-1]
     widths = final.widths

@@ -22,9 +22,10 @@ raises ValueError.
 
 TensorProjector.project is the one entry point of the tensor projector: it
 takes a function, a hybrid measure or a spline of another level.  A
-function or a measure goes one way: source_moments reduces it against the
-finest basis and adds the Dirac terms, and restrict carries the moments
-exactly onto coarser nested spaces by knot insertion.  A spline needs no
+function or a measure goes the one moment route, which compiled masses
+share (measures.source_moments): it is reduced against the finest basis
+and the Dirac terms are added, and restrict carries the moments exactly
+onto coarser nested spaces by knot insertion.  A spline needs no
 node grid: each axis collocates its coefficients at Gauss nodes of the
 common refinement and contracts the weighted values into the target basis
 block by block, one mode product per axis.  That route never uses knot
@@ -41,7 +42,7 @@ does; neither G^-1 nor a band of it is ever formed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import partial
 from typing import ClassVar
 
 import numpy as np
@@ -49,9 +50,7 @@ from scipy.linalg import cholesky_banded
 from scipy.linalg.lapack import dtbtrs
 
 from .bspline import (
-    DEFAULT_QUAD_POINTS,
     SplineSpace1D,
-    TensorQuadrature,
     TensorSpline,
     _basis_columns,
     _collocate,
@@ -63,7 +62,7 @@ from .bspline import (
     restrict,
 )
 from .filtration import Partition1D, TensorFiltration, atom_range_gap
-from .measures import HybridMeasure
+from .measures import source_moments
 
 PROFILE_FLOOR = 1e-14        # decay-profile entries at or below this are roundoff noise;
                              # decay_profile sets them to 0, so its windowed solves need
@@ -281,44 +280,6 @@ def _spline_axis_moments(mine: SplineSpace1D, theirs: SplineSpace1D, g: int, X) 
     values = _collocate(*theirs.eval_basis_many(nodes), X)
     values *= rule.weights.ravel()[:, None]
     return _contract_points(*mine.eval_basis_many(nodes), mine.dimension, values)
-
-
-def source_moments(source, spaces, g: int = None) -> np.ndarray:
-    """Moments b_i = int prod_l N_{i_l} dsource over `spaces`, shape (dim_1, ..., dim_d, m).
-
-    The one route from a source to moments, run on the finest spaces of a
-    projection (`TensorQuadrature.basis_moments`); `restrict` gives every
-    coarser nested level.  A HybridMeasure integrates its density (if any)
-    with its own density_quad_points and adds N_i(x_j) m_j for each Dirac
-    (x_j, m_j); given g it raises ValueError.  A callable f(X_1, ..., X_d)
-    is integrated with g points per atom, max(k, DEFAULT_QUAD_POINTS) when
-    g is None.  A spline is no source here.
-    """
-    partitions = [s.partition for s in spaces]
-    if isinstance(source, HybridMeasure):
-        if g is not None:
-            raise ValueError("a HybridMeasure source fixes its own quadrature; it takes no g")
-        if source.d != len(spaces):
-            raise ValueError(f"measure dimension {source.d} != domain dimension {len(spaces)}")
-        if source.density is None:
-            b = np.zeros(tuple(s.dimension for s in spaces) + (source.m,))
-        else:
-            quad = TensorQuadrature(partitions, source.density_quad_points)
-            b = quad.basis_moments(source.density_values, spaces)
-        if source.diracs:
-            locations = np.array([location for location, _ in source.diracs])
-            basis = [s.eval_basis_many(locations[:, ell]) for ell, s in enumerate(spaces)]
-            for j, (_, mass) in enumerate(source.diracs):
-                w = reduce(np.multiply.outer, [vals[j] for _, vals in basis])
-                sl = tuple(slice(first[j], first[j] + s.order)
-                           for (first, _), s in zip(basis, spaces))
-                b[sl] += np.multiply.outer(w, mass)
-        return b
-    if not callable(source):
-        raise ValueError(f"unsupported source type {type(source)!r}")
-    k = max(s.order for s in spaces)
-    quad = TensorQuadrature(partitions, max(k, DEFAULT_QUAD_POINTS) if g is None else g)
-    return quad.basis_moments(source, spaces)
 
 
 # ---------------------------------------------------------------------------

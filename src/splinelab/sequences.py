@@ -20,7 +20,8 @@ import numpy as np
 
 from .bspline import TensorSpline, _require_int, as_value_array, restrict
 from .filtration import TensorFiltration
-from .projector import TensorProjector, source_moments
+from .measures import source_moments
+from .projector import TensorProjector
 
 PROBE_BREAKPOINT_GAP = 1e-9  # probe points stay this far from every breakpoint
 PROBE_MAX_ROUNDS = 1000      # rejection rounds before sample_probe_points gives up

@@ -1,4 +1,4 @@
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -376,7 +376,8 @@ def _density_integral(theta, rect):
     # a rectangle is a one-atom partition of every axis
     parts = [Partition1D([rect.lo[ell], rect.hi[ell]]) for ell in range(theta.d)]
     quad = TensorQuadrature(parts, theta.density_quad_points)
-    return quad.atom_integrals(theta.density_values).reshape(theta.m)
+    values = node_grid_values(quad, theta.density_values)
+    return dense_atom_integrals(quad, values).reshape(theta.m)
 
 
 def atom_distance(F, n, i, j) -> int:
@@ -461,8 +462,9 @@ def total_variation(theta, F, level) -> TotalVariationReport:
 def _exact_variation(theta, F) -> float:
     total = float(sum(np.linalg.norm(mass) for _, mass in theta.diracs))
     if theta.density is not None:
-        # integrate ||g|| on the finest grid; CompiledMasses.finest is density-only
-        total += float(compile_masses(scalar_variation(theta), F).finest.sum())
+        # integrate ||g|| on the finest grid: the masses of the density alone
+        density_only = replace(scalar_variation(theta), diracs=[])
+        total += float(compile_masses(density_only, F).level_masses(F.n_levels).sum())
     return total
 
 

@@ -22,8 +22,7 @@ from splinelab import (
 
 from splinelab import bspline
 from splinelab.bspline import _basis_columns, atom_chebyshev, restrict
-from splinelab.measures import measure_from_config
-from splinelab.projector import source_moments
+from splinelab.measures import measure_from_config, source_moments
 
 from conftest import (collocation_matrix, dense_atom_integrals, dense_moments, graded_filtration,
                       node_grid_values, random_filtration, slab_sizes, symbolic_product_integral,
@@ -316,8 +315,10 @@ def test_tensor_quadrature_atom_integrals_exact_for_polynomials():
     F = random_filtration(17, d=2, n_levels=3)
     parts = [ax.level(3) for ax in F.axes]
     quad = TensorQuadrature(parts, 3)
-    # degree 5 per axis is within reach of 3 Gauss points
-    got = quad.atom_integrals(lambda x, y: np.stack([x ** 5 * y, np.ones_like(x * y)], axis=-1))
+    # degree 5 per axis is within reach of 3 Gauss points; the integrals over the
+    # atoms are the moments against the order-1 basis, the atom indicators
+    got = quad.basis_moments(lambda x, y: np.stack([x ** 5 * y, np.ones_like(x * y)], axis=-1),
+                             [SplineSpace1D(p, 1) for p in parts])
     a, b = parts[0].breakpoints, parts[1].breakpoints
     want0 = np.multiply.outer(np.diff(a ** 6) / 6, np.diff(b ** 2) / 2)
     want1 = np.multiply.outer(np.diff(a), np.diff(b))
@@ -340,7 +341,8 @@ def test_tensor_quadrature_moments_match_moment_tensor():
     assert got.shape == tp.dims + (1,)
     np.testing.assert_allclose(got[..., 0], want, rtol=1e-13, atol=1e-16)
     # partition of unity: the moments sum to the integral over I^2
-    assert got.sum() == pytest.approx(quad.atom_integrals(f).sum(), rel=1e-13)
+    atoms = [SplineSpace1D(s.partition, 1) for s in finest]
+    assert got.sum() == pytest.approx(quad.basis_moments(f, atoms).sum(), rel=1e-13)
 
 
 def _graded_axes():
@@ -541,10 +543,11 @@ def test_quadrature_bit_identical_for_every_slab_size(d, m, monkeypatch):
     monkeypatch.setattr(bspline, "SLAB_NODES", sizes.pop("one slab"))
     want_moments = quad.basis_moments(f, spaces)
     np.testing.assert_allclose(want_moments, dense_moments(quad, spaces, vals), rtol=1e-13)
-    assert np.array_equal(quad.atom_integrals(f), want_integrals)
+    atoms = [SplineSpace1D(p, 1) for p in finest]
+    assert np.array_equal(quad.basis_moments(f, atoms), want_integrals)
     for label, nodes in sizes.items():
         monkeypatch.setattr(bspline, "SLAB_NODES", nodes)
-        assert np.array_equal(quad.atom_integrals(f), want_integrals), label
+        assert np.array_equal(quad.basis_moments(f, atoms), want_integrals), label
         assert np.array_equal(quad.basis_moments(f, spaces), want_moments), label
 
 
@@ -569,7 +572,9 @@ def test_integrand_never_sees_more_than_a_slab(d, slab, monkeypatch):
     bound = max(bspline.SLAB_NODES, quad.g * int(np.prod(quad.shape[1:])))
     total = int(np.prod(quad.shape))
     spaces = [SplineSpace1D(p, 2) for p in quad.partitions]
-    for reduce in (quad.atom_integrals, lambda f: quad.basis_moments(f, spaces)):
+    atoms = [SplineSpace1D(p, 1) for p in quad.partitions]
+    for reduce in (lambda f: quad.basis_moments(f, atoms),
+                   lambda f: quad.basis_moments(f, spaces)):
         sizes = []
         reduce(counting(wavy_values(3), sizes))
         assert max(sizes) <= bound and sum(sizes) == total
@@ -586,6 +591,7 @@ def test_quadrature_fails_closed_on_the_last_slab(d, monkeypatch):
     parts = [ax.level(4) for ax in F.axes]
     quad = TensorQuadrature(parts, 4)
     spaces = [SplineSpace1D(p, 2) for p in parts]
+    atoms = [SplineSpace1D(p, 1) for p in parts]
     last = parts[0].breakpoints[-2]
 
     def nan_at_end(*xs):
@@ -596,7 +602,8 @@ def test_quadrature_fails_closed_on_the_last_slab(d, monkeypatch):
         return out[:-1] if xs[0].max() > last else out
 
     for f, match in ((nan_at_end, "non-finite"), (short_at_end, "shape")):
-        for reduce in (quad.atom_integrals, lambda f: quad.basis_moments(f, spaces),
+        for reduce in (lambda f: quad.basis_moments(f, atoms),
+                       lambda f: quad.basis_moments(f, spaces),
                        lambda f: source_moments(f, spaces)):
             sizes = []
             with pytest.raises(ValueError, match=match):

@@ -278,6 +278,43 @@ def test_config_check_names_each_key_path(name, where, key):
         run_experiment(cfg, quiet=True)
 
 
+@pytest.mark.parametrize("name, where, key, bad, what", [
+    ("decay", "config", "depth", 5.9, "an integer"),
+    ("decay", "params", "n_seeds", 1.5, "an integer"),
+    ("covering", "params.cases[1]", "K", 2.2, "an integer"),
+    ("covering", "params", "t_points", 3.7, "an integer"),
+    ("covering", "config", "seed", True, "an integer"),
+    ("shadrin", "params.tensor_check", "depth", 3.0, "an integer"),
+    ("converge", "params.cases[0]", "orders", [2.5], "an integer"),
+    ("converge", "params", "tol", "1e-3", "a real number"),
+    ("weaktype", "params", "q_values", [0.3, None], "a real number"),
+    ("weaktype", "params", "q_values", 0.5, "a list"),
+])
+def test_config_check_rejects_values_of_the_wrong_kind(name, where, key, bad, what):
+    # truncated values once ran and passed: depth 5.9 ran at depth 5, a covering
+    # case with K = 2.2 and 3.7 thresholds exited 0
+    cfg = default_config(name)
+    _node(cfg, where)[key] = bad
+    path = f"{name} {where}.{key}" if where != "config" else f"{name} config.{key}"
+    if isinstance(bad, list) and not isinstance(bad[-1], str):
+        path += f"[{len(bad) - 1}]"
+    with pytest.raises(ValueError, match=re.escape(f"{path}: expected {what}")):
+        check_config(cfg)
+
+
+def test_config_check_takes_integers_for_reals_and_leaves_rules_to_the_spec():
+    cfg = small_config("converge")
+    cfg["params"]["tol"] = 1
+    cfg["params"]["interval"] = [0, 1]
+    check_config(cfg)
+    # a rule dict is checked where it is read: 2.7 base atoms once built 2
+    cfg = small_config("covering")
+    cfg["params"]["cases"][0]["rule"]["base_atoms"] = 2.7
+    check_config(cfg)
+    with pytest.raises(ValueError, match="base_atoms must be an integer >= 1"):
+        run_experiment(cfg, quiet=True)
+
+
 def test_covering_builds_one_maximal_field_per_seed_and_q(tmp_path, monkeypatch):
     import splinelab.maximal as maximal
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -267,6 +269,30 @@ def test_rule_keys_the_rule_does_not_read_rejected():
 def test_invalid_interval_rejected():
     with pytest.raises(ValueError):
         FiltrationSpec(d=1, interval=(1.0, 0.0), n_levels=2)
+
+
+@pytest.mark.parametrize("bp", [[0.0, np.inf], [-np.inf, 0.0, 1.0], [0.0, np.nan, 1.0]])
+def test_partition_rejects_non_finite_breakpoints(bp):
+    # inf once passed as an atom of infinite width: diff > 0 holds for it
+    with pytest.raises(ValueError, match="breakpoints must be finite"):
+        Partition1D(bp)
+
+
+def test_spec_counts_are_integers():
+    # 1.5 dimensions, 2.9 levels or 2.7 base atoms were truncated, or True read as 1
+    for key, bad in itertools.product(("d", "n_levels"), (0, 1.5, 2.0, True, "2")):
+        args = dict(d=1, interval=(0.0, 1.0), n_levels=2) | {key: bad}
+        with pytest.raises(ValueError, match=f"{key} must be an integer >= 1"):
+            FiltrationSpec(**args)
+    spec = FiltrationSpec(d=np.int64(2), interval=(0.0, 1.0), n_levels=np.int64(3))
+    assert (spec.d, spec.n_levels) == (2, 3) and type(spec.d) is type(spec.n_levels) is int
+    for bad in (0, 2.7, 2.0, True):
+        spec = FiltrationSpec(d=1, interval=(0.0, 1.0), n_levels=2,
+                              rules=[{"name": "uniform-bisect-all", "base_atoms": bad}])
+        with pytest.raises(ValueError, match="base_atoms must be an integer >= 1"):
+            build_filtration(spec)
+    spec.rules[0]["base_atoms"] = np.int64(3)
+    assert build_filtration(spec).axes[0].level(1).n_atoms == 6
 
 
 @given(seed=st.integers(0, 10_000))

@@ -11,6 +11,7 @@ from splinelab import (
     Partition1D,
     build_filtration,
     compile_masses,
+    covering_constant,
     covering_report,
     hl_maximal,
     maximal_field,
@@ -398,10 +399,12 @@ def test_superlevel_measure_rejects_non_positive_or_non_finite(dyadic_1d, t):
 
 @pytest.mark.parametrize("q", [np.nan, 1.5, -0.5, 1.0])
 def test_invalid_q_rejected(q):
-    # a NaN q once gave an all-NaN field whose superlevel volume read 0.0
+    # a NaN q once gave an all-NaN field whose superlevel volume read 0.0, and
+    # the covering constant of q = 1.5 read -17.8
     F = build_filtration(FiltrationSpec(d=1, interval=(0.0, 1.0), n_levels=4))
     theta = lebesgue(1)
-    for call in (lambda: maximal_field(q, compile_masses(theta, F)),
+    for call in (lambda: covering_constant(q, 1),
+                 lambda: maximal_field(q, compile_masses(theta, F)),
                  lambda: level_sum(q, theta, F, 2, [0.3]),
                  lambda: level_sum_field(q, compile_masses(theta, F), 2),
                  lambda: b_term(q, theta, F, 2, (1,), [0.3])):

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -120,10 +121,11 @@ def test_refinement_consistency_compiled():
             density_quad_points=3,
         )
         table = compile_masses(theta, F)
+        density = compile_masses(replace(theta, diracs=[]), F).level_masses(n_levels)
         # the breakpoint Dirac sits in the finest atom its coordinates close on every axis
         idx = tuple(int(ax.level(n_levels).atom_index_of(x)) for ax, x in zip(F.axes, on_breakpoint))
-        assert table.level_masses(n_levels)[idx] == table.finest[idx] + 0.7
-        want_total = table.finest.sum() + 2.2
+        assert table.level_masses(n_levels)[idx] == density[idx] + 0.7
+        want_total = density.sum() + 2.2
         for n in range(n_levels - 1, 0, -1):
             coarse = table.level_masses(n)
             assert np.array_equal(coarse, children_sums(table.level_masses(n + 1),
@@ -184,7 +186,7 @@ def test_compiled_density_masses_equal_norm_of_values(dyadic_2d, m):
     g = node_grid_values(quad, theta.density_values)
     vals = np.abs(g) if m == 1 else np.linalg.norm(g, axis=-1, keepdims=True)
     want = dense_atom_integrals(quad, vals)[..., 0]
-    assert np.array_equal(compile_masses(theta, F).finest, want)
+    assert np.array_equal(compile_masses(theta, F).level_masses(F.n_levels), want)
     assert m > 1 or want[0].min() > 0
 
 
@@ -204,7 +206,7 @@ def test_compiled_masses_bit_identical_for_every_slab_size(d, m, monkeypatch):
     want = dense_atom_integrals(quad, vals)[..., 0]
     for label, nodes in slab_sizes(quad).items():
         monkeypatch.setattr(bspline, "SLAB_NODES", nodes)
-        assert np.array_equal(compile_masses(theta, F).finest, want), label
+        assert np.array_equal(compile_masses(theta, F).level_masses(F.n_levels), want), label
 
 
 def test_density_non_finite_on_the_last_slab_rejected(dyadic_2d, monkeypatch):
@@ -219,7 +221,7 @@ def test_density_non_finite_on_the_last_slab_rejected(dyadic_2d, monkeypatch):
 
 def _density_paths(theta, F):
     """The moments and the masses of theta on the finest level of F."""
-    from splinelab.projector import source_moments
+    from splinelab.measures import source_moments
 
     spaces = [SplineSpace1D(ax.level(F.n_levels), 2) for ax in F.axes]
     return {"moments": lambda: source_moments(theta, spaces),
@@ -273,7 +275,8 @@ def test_scalar_density_masses_exact_where_squares_under_or_overflow(dyadic_2d, 
     F = dyadic_2d
     with np.errstate(all="raise"):
         masses = compile_masses(theta, F)
-    assert np.allclose(masses.finest, c * F.atom_volumes(F.n_levels), rtol=1e-14, atol=0)
+    assert np.allclose(masses.level_masses(F.n_levels), c * F.atom_volumes(F.n_levels),
+                       rtol=1e-14, atol=0)
     assert masses.level_masses(1).sum() == pytest.approx(c, rel=1e-14)
 
 
@@ -354,6 +357,10 @@ def test_measure_dimensions_fail_closed():
     assert (theta.d, theta.m) == (2, 2) and type(theta.d) is type(theta.m) is int
     assert measure_from_config({"m": np.int64(2)}, 1).m == 2
     assert measure_from_config({}, 1).m == 1
+    F = build_filtration(FiltrationSpec(d=1, interval=(0.0, 1.0), n_levels=2))
+    for theta in (HybridMeasure(d=2), HybridMeasure(d=2, diracs=[([0.5, 0.5], 1.0)])):
+        with pytest.raises(ValueError, match="measure dimension 2 != domain dimension 1"):
+            compile_masses(theta, F)
 
 
 def test_compile_masses_memory_is_bounded_by_slabs():
@@ -361,7 +368,7 @@ def test_compile_masses_memory_is_bounded_by_slabs():
     # values alone would take 33.6 MB; the masses take 2.1 MB, and the slabs of
     # the default SLAB_NODES keep the peak below 4 MB (9.1 MB with slabs of 2 ** 18
     # nodes, each slab's values alive across the next, and level N a copy of the
-    # finest masses)
+    # finest masses; 6.5 MB with the order-1 axes copied through mode_apply)
     rule = {"name": "random-atom-bisect", "p_split": 1.0, "split_range": [0.35, 0.65],
             "base_atoms": 1}
     F = build_filtration(FiltrationSpec(d=2, interval=(0.0, 1.0), n_levels=9,
@@ -376,4 +383,5 @@ def test_compile_masses_memory_is_bounded_by_slabs():
     finally:
         tracemalloc.stop()
     assert peak < 4_000_000
-    assert masses.level_masses(9) is masses.finest
+    finest = masses.level_masses(9)
+    assert finest.shape == (512, 512) and masses.level_masses(9) is finest

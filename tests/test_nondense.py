@@ -81,9 +81,11 @@ def test_ambiguous_widths_flagged():
 
 
 def test_tolerance_must_be_positive():
+    # a NaN tolerance once returned an empty report: every width test was False
     f1 = frozen_filtration(depth=3)
-    with pytest.raises(ValueError):
-        detect_v_sets(f1, 0.0)
+    for tolerance in (0.0, np.nan):
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            detect_v_sets(f1, tolerance)
 
 
 def test_frozen_subspace_is_clamped_on_v():
