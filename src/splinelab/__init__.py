@@ -14,9 +14,9 @@ __version__ = "0.1.0"
 from .bspline import (
     QuadratureRule,
     SplineSpace1D,
-    TensorQuadrature,
     TensorSpline,
     atom_quadrature,
+    basis_moments,
     knot_vector,
 )
 from .filtration import (

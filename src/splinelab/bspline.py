@@ -8,14 +8,15 @@ indicators.  Breakpoint evaluation follows the half-open atom convention, so
 for k=1 a breakpoint value is taken from the atom whose right endpoint it is;
 for k >= 2 the spline is continuous and the convention is invisible.
 
-Integrals over I^d go through TensorQuadrature, which evaluates an integrand
-one slab of whole axis-0 atoms at a time and contracts each slab on every
-axis at once, so its memory is bounded by SLAB_NODES and by what it returns,
-never by the full d-dimensional node grid.  A slab is sized so that its
-temporaries stay in L2 (cache blocking, Lam, Rothberg & Wolf, ASPLOS 1991);
-the result is the same bit for bit for every slab size.  Moments take one
-route: a source is reduced against the finest basis
-(`TensorQuadrature.basis_moments`), and a coarser nested basis N, with
+Integrals over I^d go through `basis_moments`, which takes its per-atom
+Gauss rules from the partitions of the spaces it is given, evaluates an
+integrand one slab of whole axis-0 atoms at a time and contracts each slab
+on every axis at once, so its memory is bounded by SLAB_NODES and by what it
+returns, never by the full d-dimensional node grid.  A slab is sized so that
+its temporaries stay in L2 (cache blocking, Lam, Rothberg & Wolf, ASPLOS
+1991); the result is the same bit for bit for every slab size.  Moments take
+one route: a source is reduced against the finest basis (`basis_moments`),
+and a coarser nested basis N, with
 N_j = sum_i T[i, j] M_i in the finest basis M (knot insertion,
 `SplineSpace1D.refinement`), gets T^T times those moments (`restrict`).
 That contraction, like the projection of a spline onto another level, runs
@@ -36,7 +37,7 @@ from .filtration import Interval, Partition1D, _require_int
 
 DEFAULT_QUAD_POINTS = 4      # per-atom Gauss-Legendre points for spline integrands
 GENERAL_QUAD_POINTS = 16     # fixed rule for integrands that are not splines
-SLAB_NODES = 2 ** 16         # integrand nodes per slab in TensorQuadrature; bounds the
+SLAB_NODES = 2 ** 16         # integrand nodes per slab in basis_moments; bounds the
                              # memory of every quadrature and never moves its result.  A
                              # full-slab temporary takes 8 bytes a node: 512 KB here, so
                              # the few alive at once fit a 2 MB L2, where 2 ** 18 nodes
@@ -179,89 +180,72 @@ def atom_chebyshev(p: Partition1D, n: int) -> np.ndarray:
     return 0.5 * (hi - lo) * cheb + 0.5 * (hi + lo)
 
 
-class TensorQuadrature:
-    """Per-atom Gauss-Legendre rules on the axes of a tensor partition of I^d.
+def basis_moments(f, spaces, g: int) -> np.ndarray:
+    """Moments b_i = int f(X_1, ..., X_d) prod_l N_{i_l}, shape (dim_1, ..., dim_d, m), by
+    the g-point Gauss-Legendre rule on every atom of the partitions of `spaces`;
+    for order 1 they are the integrals over the atoms.
 
-    Every integral over I^d is discretized here: an integrand f(X_1, ..., X_d)
-    is contracted per axis to its moments against the basis of a spline space
-    over these partitions (`basis_moments`); the per-atom integrals are the
-    moments of order 1, and the moments of every coarser nested space follow
-    by `restrict`.
-
-    The integrand is never evaluated on the whole node grid.  It is evaluated
-    on one slab of whole axis-0 atoms at a time (about SLAB_NODES nodes),
-    checked, and contracted on every axis before the next slab starts; each
-    reduced slab is written to its rows of the result along axis 0.  Every
-    axis operation is a per-atom contraction, so a slab yields its own rows
-    of the result bit for bit, whatever the slab size, as long as numpy
-    rounds every row alike in a slab and in the whole grid.  Two guards see
-    to that: every axis is contracted by einsum, not gemm (`_atom_einsum`),
-    and a slab left with a single row on axis 0 is padded (`_reduce`).
-    Memory is bounded by one slab plus the result.
+    Only N_a, ..., N_{a+k-1} are nonzero on atom a, so each axis is
+    contracted per atom by w N of shape (atoms, k, g), built contiguous (a
+    transposed view slows einsum severalfold), and the k local rows of each
+    atom are scattered into the basis (`_scatter_atoms`); an order-1 axis
+    has one row per atom, which is its basis row already.  The integrand is
+    never evaluated on the whole node grid (`_reduce`).
     """
+    nodes, mats = [], []
+    for space in spaces:
+        rule = atom_quadrature(space.partition, g)
+        _, vals = space.eval_basis_many(rule.nodes)                           # (atoms, g, k)
+        nodes.append(rule.nodes)
+        mats.append(np.ascontiguousarray(np.swapaxes(vals * rule.weights[..., None], 1, 2)))
+    return mode_apply(_reduce(f, nodes, mats), [
+        partial(_scatter_atoms, s.order) if s.order > 1 else None for s in spaces])
 
-    def __init__(self, partitions, g: int):
-        self.partitions = tuple(partitions)
-        self.g = _require_int("quadrature points g", g, 1)
-        self.rules = tuple(atom_quadrature(p, g) for p in self.partitions)
-        self.axis_nodes = tuple(r.nodes.ravel() for r in self.rules)
-        self.shape = tuple(len(x) for x in self.axis_nodes)
 
-    def _reduce(self, f, mats) -> np.ndarray:
-        """Contract f on the node grid along every axis l by mats[l], slab by slab.
+def _reduce(f, nodes, mats) -> np.ndarray:
+    """Contract f on the grid of the per-atom nodes[l] (atoms, g) along every axis l by
+    mats[l], slab by slab.
 
-        mats[l] is (atoms, k, g) for axis l: `_atom_einsum` maps the g node
-        rows of each atom a to k rows by mats[l][a], using the entries of that
-        atom alone.  This is where f's values are checked for shape, NaN and
-        inf, once per slab.
-        """
-        d, g = len(self.shape), self.g
-        n_atoms = self.partitions[0].n_atoms
-        step = max(1, SLAB_NODES // (g * math.prod(self.shape[1:])))
-        grid = [x.reshape((1,) * ell + (-1,) + (1,) * (d - 1 - ell))
-                for ell, x in enumerate(self.axis_nodes)]
-        ops = [None] + [partial(_atom_einsum, A) for A in mats[1:]]   # axis 0 is done
-        where = f"integrand {getattr(f, '__name__', '')}".strip()   # errors name f
-        out = None
-        for a0 in range(0, n_atoms, step):
-            a1 = min(a0 + step, n_atoms)
-            x0 = grid[0][a0 * g:a1 * g]
-            # one expression, so that a slab's values are freed before the next slab's
-            head = mode_apply(as_value_array(f(x0, *grid[1:]), x0.shape[:1] + self.shape[1:],
-                                             where), [partial(_atom_einsum, mats[0][a0:a1])])
-            rows = len(head)
-            if rows == 1 < n_atoms:
-                # With one row left on axis 0, mode_apply would pass the later
-                # axes views of another memory layout than the whole grid's, and
-                # einsum sums in another order on those.  A zero row keeps the
-                # whole grid's layout; it is dropped again below.
-                head = np.concatenate([head, np.zeros_like(head)])
-            reduced = mode_apply(head, ops)[:rows]
-            if out is None:
-                per_atom = rows // (a1 - a0)
-                out = np.empty((n_atoms * per_atom,) + reduced.shape[1:])
-            out[a0 * per_atom:a0 * per_atom + rows] = reduced
-        return out
-
-    def basis_moments(self, f, spaces) -> np.ndarray:
-        """Moments b_i = int f prod_l N_{i_l}, shape (dim_1, ..., dim_d, m), for `spaces`
-        over this quadrature's partitions.
-
-        Only N_a, ..., N_{a+k-1} are nonzero on atom a, so each axis is
-        contracted per atom by w N of shape (atoms, k, g), built contiguous (a
-        transposed view slows einsum severalfold), and the k local rows of each
-        atom are scattered into the basis (`_scatter_atoms`); an order-1 axis
-        has one row per atom, which is its basis row already.
-        """
-        mats = []
-        for ell, (space, part, rule) in enumerate(
-                zip(spaces, self.partitions, self.rules, strict=True)):
-            if space.partition != part:
-                raise ValueError(f"the space of axis {ell} is not over the quadrature partition")
-            _, vals = space.eval_basis_many(rule.nodes)                       # (atoms, g, k)
-            mats.append(np.ascontiguousarray(np.swapaxes(vals * rule.weights[..., None], 1, 2)))
-        return mode_apply(self._reduce(f, mats), [
-            partial(_scatter_atoms, s.order) if s.order > 1 else None for s in spaces])
+    mats[l] is (atoms, k, g) for axis l: `_atom_einsum` maps the g node rows
+    of each atom a to k rows by mats[l][a], using the entries of that atom
+    alone.  f is evaluated on one slab of whole axis-0 atoms at a time (about
+    SLAB_NODES nodes), checked for shape, NaN and inf, and contracted on
+    every axis before the next slab starts; each reduced slab is written to
+    its rows of the result along axis 0.  So a slab yields its own rows of
+    the result bit for bit, whatever the slab size, as long as numpy rounds
+    every row alike in a slab and in the whole grid.  Two guards see to that:
+    every axis is contracted by einsum, not gemm (`_atom_einsum`), and a slab
+    left with a single row on axis 0 is padded.  Memory is bounded by one
+    slab plus the result; the slab's arrays die with this frame, before the
+    caller scatters the result into the basis.
+    """
+    d = len(nodes)
+    n_atoms, g = nodes[0].shape
+    shape = tuple(x.size for x in nodes)
+    step = max(1, SLAB_NODES // (g * math.prod(shape[1:])))
+    grid = [x.reshape((1,) * ell + (-1,) + (1,) * (d - 1 - ell)) for ell, x in enumerate(nodes)]
+    ops = [None] + [partial(_atom_einsum, A) for A in mats[1:]]   # axis 0 is done
+    where = f"integrand {getattr(f, '__name__', '')}".strip()   # errors name f
+    out = None
+    for a0 in range(0, n_atoms, step):
+        a1 = min(a0 + step, n_atoms)
+        x0 = grid[0][a0 * g:a1 * g]
+        # one expression, so that a slab's values are freed before the next slab's
+        head = mode_apply(as_value_array(f(x0, *grid[1:]), x0.shape[:1] + shape[1:], where),
+                          [partial(_atom_einsum, mats[0][a0:a1])])
+        rows = len(head)
+        if rows == 1 < n_atoms:
+            # With one row left on axis 0, mode_apply would pass the later
+            # axes views of another memory layout than the whole grid's, and
+            # einsum sums in another order on those.  A zero row keeps the
+            # whole grid's layout; it is dropped again below.
+            head = np.concatenate([head, np.zeros_like(head)])
+        reduced = mode_apply(head, ops)[:rows]
+        if out is None:
+            per_atom = rows // (a1 - a0)
+            out = np.empty((n_atoms * per_atom,) + reduced.shape[1:])
+        out[a0 * per_atom:a0 * per_atom + rows] = reduced
+    return out
 
 
 def _atom_einsum(M, X) -> np.ndarray:
@@ -361,7 +345,8 @@ class TensorSpline:
     """Tensor-product spline with values in R^m.
 
     Coefficients are stored as a tensor of shape (dim_1, ..., dim_d, m); the
-    value at x is sum_i coeffs[i] * prod_l N_{i_l}(x_l).
+    value at x is sum_i coeffs[i] * prod_l N_{i_l}(x_l).  NaN or inf
+    coefficients raise ValueError.
     """
 
     def __init__(self, spaces, coeffs):
@@ -372,6 +357,8 @@ class TensorSpline:
             coeffs = coeffs[..., None]
         if coeffs.ndim != len(dims) + 1 or coeffs.shape[: len(dims)] != dims:
             raise ValueError(f"coefficient shape {coeffs.shape} incompatible with {dims}")
+        if not np.all(np.isfinite(coeffs)):
+            raise ValueError("spline coefficients are not finite")
         self.coeffs = coeffs
 
     @property

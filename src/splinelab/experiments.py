@@ -20,6 +20,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .bspline import SplineSpace1D, _basis_columns, atom_chebyshev, atom_quadrature
@@ -403,8 +404,7 @@ def run_singular(cfg: dict):
     mart = verify_martingale_property(seq, n_probe=100, seed=int(cfg["seed"]))
     log.check_le("martingale_property", mart, 1e-9)
     # Dirac part: pointwise geometric decay at the probes
-    space_fine = SplineSpace1D(F.axes[0].level(depth), orders[0])
-    prof = decay_profile(GramSystem(space_fine))
+    prof = decay_profile(seq.projectors[-1].grams[0])
     x0 = np.asarray(theta.diracs[0][0], float)
     n_pts = len(points)
     dirac_vals = np.empty((depth, n_pts))
@@ -689,12 +689,7 @@ def write_outputs(name: str, cfg: dict, rows, log: AssertionLog, extra: dict,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "config": cfg,
     }
-    try:
-        import scipy
-
-        meta["scipy"] = scipy.__version__
-    except ImportError:  # pragma: no cover
-        pass
+    meta["scipy"] = scipy.__version__
     with open(out / f"{name}.meta.json", "w") as fh:
         json.dump(meta, fh, sort_keys=True, indent=2)
         fh.write("\n")

@@ -10,8 +10,9 @@ Dirac membership follows the half-open atom convention: a Dirac on a
 breakpoint belongs to the atom that the breakpoint closes.
 
 source_moments is the one route from a measure or a function to moments
-against a spline basis: projections run it on their finest spaces, compiled
-masses on the order-1 spaces (the atom indicators) of the finest level.
+against a spline basis, and the one caller of `bspline.basis_moments`:
+projections run it on their finest spaces, compiled masses on the order-1
+spaces (the atom indicators) of the finest level.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from functools import reduce
 
 import numpy as np
 
-from .bspline import (DEFAULT_QUAD_POINTS, GENERAL_QUAD_POINTS, SplineSpace1D, TensorQuadrature,
-                      _require_int, _shaped_values, restrict)
+from .bspline import (DEFAULT_QUAD_POINTS, GENERAL_QUAD_POINTS, SplineSpace1D, _require_int,
+                      _shaped_values, basis_moments, restrict)
 from .filtration import TensorFiltration
 
 
@@ -90,14 +91,14 @@ def source_moments(source, spaces, g: int = None) -> np.ndarray:
     """Moments b_i = int prod_l N_{i_l} dsource over `spaces`, shape (dim_1, ..., dim_d, m).
 
     The one route from a source to moments, run on the finest spaces of a
-    projection or of compiled masses (`TensorQuadrature.basis_moments`);
-    `restrict` gives every coarser nested level.  A HybridMeasure integrates
-    its density (if any) with its own density_quad_points and adds
-    N_i(x_j) m_j for each Dirac (x_j, m_j); given g it raises ValueError.  A
-    callable f(X_1, ..., X_d) is integrated with g points per atom,
-    max(k, DEFAULT_QUAD_POINTS) when g is None.  A spline is no source here.
+    projection or of compiled masses (`basis_moments`, with Gauss rules on
+    the atoms of `spaces`); `restrict` gives every coarser nested level.  A
+    HybridMeasure integrates its density (if any) with its own
+    density_quad_points and adds N_i(x_j) m_j for each Dirac (x_j, m_j);
+    given g it raises ValueError.  A callable f(X_1, ..., X_d) is integrated
+    with g points per atom, max(k, DEFAULT_QUAD_POINTS) when g is None.  A
+    spline is no source here.
     """
-    partitions = [s.partition for s in spaces]
     if isinstance(source, HybridMeasure):
         if g is not None:
             raise ValueError("a HybridMeasure source fixes its own quadrature; it takes no g")
@@ -106,8 +107,7 @@ def source_moments(source, spaces, g: int = None) -> np.ndarray:
         if source.density is None:
             b = np.zeros(tuple(s.dimension for s in spaces) + (source.m,))
         else:
-            quad = TensorQuadrature(partitions, source.density_quad_points)
-            b = quad.basis_moments(source.density_values, spaces)
+            b = basis_moments(source.density_values, spaces, source.density_quad_points)
         if source.diracs:
             locations = np.array([location for location, _ in source.diracs])
             basis = [s.eval_basis_many(locations[:, ell]) for ell, s in enumerate(spaces)]
@@ -120,8 +120,7 @@ def source_moments(source, spaces, g: int = None) -> np.ndarray:
     if not callable(source):
         raise ValueError(f"unsupported source type {type(source)!r}")
     k = max(s.order for s in spaces)
-    quad = TensorQuadrature(partitions, max(k, DEFAULT_QUAD_POINTS) if g is None else g)
-    return quad.basis_moments(source, spaces)
+    return basis_moments(source, spaces, max(k, DEFAULT_QUAD_POINTS) if g is None else g)
 
 
 # ---------------------------------------------------------------------------

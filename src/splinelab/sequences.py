@@ -127,7 +127,8 @@ def sample_probe_points(F: TensorFiltration, n_points: int, seed: int = 0,
 
 def verify_martingale_property(seq: MartingaleSplineSequence, n_probe: int = 200,
                                seed: int = 0) -> float:
-    """max over n and probe points of ||P_n g_{n+1}(y) - g_n(y)||."""
+    """max over n and probe points of ||P_n g_{n+1}(y) - g_n(y)||; NaN when a level
+    evaluates to NaN at a probe (its coefficients were changed after construction)."""
     if seq.n_levels < 2:
         raise ValueError("need at least two levels")
     pts = sample_probe_points(seq.F, n_probe, seed=seed)
@@ -135,8 +136,8 @@ def verify_martingale_property(seq: MartingaleSplineSequence, n_probe: int = 200
     for n in range(1, seq.n_levels):
         proj = seq.projectors[n - 1].project(seq.level(n + 1))
         err = np.linalg.norm(proj.eval_many(pts) - seq.level(n).eval_many(pts), axis=-1)
-        worst = max(worst, float(err.max()))
-    return worst
+        worst = np.maximum(worst, err.max())   # unlike max(), keeps a NaN
+    return float(worst)
 
 
 @dataclass

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_solve_banded
 
-from splinelab import (AtomSet, FiltrationSpec, HybridMeasure, Partition1D, Rectangle,
-                       TensorQuadrature, atom_of, atom_quadrature, build_filtration,
-                       compile_masses)
+from splinelab import (AtomSet, FiltrationSpec, HybridMeasure, Partition1D, Rectangle, atom_of,
+                       atom_quadrature, build_filtration, compile_masses)
 from splinelab.bspline import _basis_columns, as_value_array, atom_chebyshev, mode_apply
 from splinelab.filtration import atom_range_gap, l1_distance_grid
 from splinelab.maximal import _check_q, level_sum_field
@@ -375,9 +374,9 @@ def _density_integral(theta, rect):
         return np.zeros(theta.m)
     # a rectangle is a one-atom partition of every axis
     parts = [Partition1D([rect.lo[ell], rect.hi[ell]]) for ell in range(theta.d)]
-    quad = TensorQuadrature(parts, theta.density_quad_points)
-    values = node_grid_values(quad, theta.density_values)
-    return dense_atom_integrals(quad, values).reshape(theta.m)
+    g = theta.density_quad_points
+    values = node_grid_values(parts, g, theta.density_values)
+    return dense_atom_integrals(parts, g, values).reshape(theta.m)
 
 
 def atom_distance(F, n, i, j) -> int:
@@ -493,23 +492,30 @@ def l1_norms(seq) -> np.ndarray:
 
 def _l1_norm(ts, g=8) -> float:
     """int ||g_n|| d lambda^d by per-atom quadrature on the spline's own grid."""
-    quad = TensorQuadrature([s.partition for s in ts.spaces], g)
-    vals = np.linalg.norm(ts.eval_grid(quad.axis_nodes), axis=-1, keepdims=True)
-    return float(dense_atom_integrals(quad, vals).sum())
+    parts = [s.partition for s in ts.spaces]
+    vals = np.linalg.norm(ts.eval_grid(node_axes(parts, g)), axis=-1, keepdims=True)
+    return float(dense_atom_integrals(parts, g, vals).sum())
 
 
-def node_grid_values(quad, f) -> np.ndarray:
-    """f on the whole node grid of quad, checked and shaped (n_1, ..., n_d, m)."""
-    grids = np.meshgrid(*quad.axis_nodes, indexing="ij", sparse=True)
-    return as_value_array(f(*grids), quad.shape, "integrand")
+def node_axes(partitions, g) -> list:
+    """The g Gauss-Legendre nodes of every atom, axis by axis: the node grid of the
+    g-point quadrature on `partitions`."""
+    return [atom_quadrature(p, g).nodes.ravel() for p in partitions]
 
 
-def dense_atom_integrals(quad, values) -> np.ndarray:
-    """Per-atom integrals of node-grid values, each axis contracted on the whole grid."""
+def node_grid_values(partitions, g, f) -> np.ndarray:
+    """f on the whole g-point node grid of `partitions`, checked and shaped (n_1, ..., n_d, m)."""
+    axes = node_axes(partitions, g)
+    grids = np.meshgrid(*axes, indexing="ij", sparse=True)
+    return as_value_array(f(*grids), tuple(len(x) for x in axes), "integrand")
+
+
+def dense_atom_integrals(partitions, g, values) -> np.ndarray:
+    """Per-atom integrals of g-point node-grid values on `partitions`, each axis contracted
+    on the whole grid."""
+    weights = [atom_quadrature(p, g).weights for p in partitions]
     return mode_apply(values, [
-        lambda X, w=r.weights: np.einsum("ag,agr->ar", w, X.reshape(w.shape + (-1,)))
-        for r in quad.rules
-    ])
+        lambda X, w=w: np.einsum("ag,agr->ar", w, X.reshape(w.shape + (-1,))) for w in weights])
 
 
 def graded_filtration(d, seed=0):
@@ -521,11 +527,11 @@ def graded_filtration(d, seed=0):
                                            rules=rules, seed=seed))
 
 
-def slab_sizes(quad) -> dict:
-    """SLAB_NODES values that cut quad's node grid into one axis-0 atom per slab,
-    into slabs whose last one is ragged, and into a single slab."""
-    per_atom = quad.g * int(np.prod(quad.shape[1:]))
-    n = quad.partitions[0].n_atoms
+def slab_sizes(partitions, g) -> dict:
+    """SLAB_NODES values that cut the g-point node grid of `partitions` into one axis-0
+    atom per slab, into slabs whose last one is ragged, and into a single slab."""
+    per_atom = g * int(np.prod([g * p.n_atoms for p in partitions[1:]]))
+    n = partitions[0].n_atoms
     ragged = next(s for s in range(2, n) if n % s)
     return {"one atom": 1, "ragged": ragged * per_atom + per_atom // 2,
             "one slab": n * per_atom}
@@ -544,12 +550,14 @@ def wavy_values(m):
     return f
 
 
-def dense_moments(quad, spaces, values) -> np.ndarray:
-    """Moments int values prod_l N_{i_l} by dense collocation over the whole node grid."""
+def dense_moments(partitions, g, spaces, values) -> np.ndarray:
+    """Moments int values prod_l N_{i_l} by dense collocation over the whole g-point node
+    grid of `partitions`, which refine the partitions of `spaces`."""
     ops = []
-    for space, nodes, rule in zip(spaces, quad.axis_nodes, quad.rules):
+    for space, p in zip(spaces, partitions, strict=True):
+        rule = atom_quadrature(p, g)
         # fold the weights into the collocation matrix of each axis
-        W = collocation_matrix(space, nodes) * rule.weights.ravel()[:, None]
+        W = collocation_matrix(space, rule.nodes.ravel()) * rule.weights.ravel()[:, None]
         ops.append(W.T.__matmul__)
     return mode_apply(values, ops)
 

@@ -13,9 +13,9 @@ from splinelab import (
     Partition1D,
     SplineSpace1D,
     TensorProjector,
-    TensorQuadrature,
     TensorSpline,
     atom_quadrature,
+    basis_moments,
     build_filtration,
     knot_vector,
 )
@@ -150,8 +150,7 @@ def test_support_atom_range_of_an_index_array(k):
 
 def moments_1d(space, f, g=4):
     """Moments int f N_i over one space, by g-point quadrature on its own atoms."""
-    quad = TensorQuadrature([space.partition], g)
-    return quad.basis_moments(f, [space])[:, 0]
+    return basis_moments(f, [space], g)[:, 0]
 
 
 def test_integrate_constant_sums_to_length():
@@ -314,11 +313,10 @@ def test_eval_grid_matches_eval_many(seed):
 def test_tensor_quadrature_atom_integrals_exact_for_polynomials():
     F = random_filtration(17, d=2, n_levels=3)
     parts = [ax.level(3) for ax in F.axes]
-    quad = TensorQuadrature(parts, 3)
     # degree 5 per axis is within reach of 3 Gauss points; the integrals over the
     # atoms are the moments against the order-1 basis, the atom indicators
-    got = quad.basis_moments(lambda x, y: np.stack([x ** 5 * y, np.ones_like(x * y)], axis=-1),
-                             [SplineSpace1D(p, 1) for p in parts])
+    got = basis_moments(lambda x, y: np.stack([x ** 5 * y, np.ones_like(x * y)], axis=-1),
+                        [SplineSpace1D(p, 1) for p in parts], 3)
     a, b = parts[0].breakpoints, parts[1].breakpoints
     want0 = np.multiply.outer(np.diff(a ** 6) / 6, np.diff(b ** 2) / 2)
     want1 = np.multiply.outer(np.diff(a), np.diff(b))
@@ -332,17 +330,17 @@ def test_tensor_quadrature_moments_match_moment_tensor():
     tp = TensorProjector.for_level(F, 2, (2, 3))
     finest = [SplineSpace1D(ax.level(4), k) for ax, k in zip(F.axes, tp.orders)]
     f = lambda x, y: np.sin(x + 2 * y)
-    quad = TensorQuadrature([s.partition for s in finest], 5)
-    got = restrict(quad.basis_moments(f, finest), finest, tp.spaces)
+    got = restrict(basis_moments(f, finest, 5), finest, tp.spaces)
     # oracle: b_ij = sum over the node grid of w_x w_y N_i(x) N_j(y) f(x, y)
-    (x, wx), (y, wy) = [(r.nodes.ravel(), r.weights.ravel()) for r in quad.rules]
+    rules = [atom_quadrature(s.partition, 5) for s in finest]
+    (x, wx), (y, wy) = [(r.nodes.ravel(), r.weights.ravel()) for r in rules]
     Bx, By = (collocation_matrix(s, nodes) for s, nodes in zip(tp.spaces, (x, y)))
     want = np.einsum("p,q,pi,qj,pq->ij", wx, wy, Bx, By, f(x[:, None], y[None, :]))
     assert got.shape == tp.dims + (1,)
     np.testing.assert_allclose(got[..., 0], want, rtol=1e-13, atol=1e-16)
     # partition of unity: the moments sum to the integral over I^2
     atoms = [SplineSpace1D(s.partition, 1) for s in finest]
-    assert got.sum() == pytest.approx(quad.basis_moments(f, atoms).sum(), rel=1e-13)
+    assert got.sum() == pytest.approx(basis_moments(f, atoms, 5).sum(), rel=1e-13)
 
 
 def _graded_axes():
@@ -402,16 +400,12 @@ def test_refinement_rejects_missing_breakpoint_and_other_order():
         coarse.refinement(SplineSpace1D(Partition1D([0.0, 0.5, 1.0, 2.0]), 2))
     with pytest.raises(ValueError, match="order-3 space does not refine an order-2"):
         coarse.refinement(SplineSpace1D(Partition1D([0.0, 0.25, 0.5, 1.0]), 3))
-    # the moments of a projection take the same checks, and the reduction needs
-    # spaces over its own partitions
+    # the moments of a projection take the same checks
     tp = TensorProjector([coarse])
     with pytest.raises(ValueError, match="misses breakpoints"):
         tp.project(lambda x: x, quad_partitions=[Partition1D([0.0, 0.3, 1.0])])
     with pytest.raises(ValueError, match="zip"):     # one partition per axis
         tp.project(lambda x: x, quad_partitions=[coarse.partition] * 2)
-    quad = TensorQuadrature([Partition1D([0.0, 0.25, 0.5, 1.0])], 4)
-    with pytest.raises(ValueError, match="not over the quadrature partition"):
-        quad.basis_moments(lambda x: x, [coarse])
 
 
 @settings(max_examples=5, deadline=None)
@@ -431,19 +425,19 @@ def test_basis_moments_match_dense_moments(seed):
                                                         "target": target}]))
             axes[int(rng.integers(d))] = G.axes[0]
         levels = [int(rng.integers(1, ax.n_levels + 1)) for ax in axes]
+        finest_parts = [ax.level(ax.n_levels) for ax in axes]
         for g in (1, 2, 3, 4, 5, 6, 16):
-            quad = TensorQuadrature([ax.level(ax.n_levels) for ax in axes], g)
 
             def f(*xs):
                 return np.stack(np.broadcast_arrays(1.5 + np.sin(3 * sum(xs)), 1.0 + xs[0] ** 2),
                                 axis=-1)
 
-            vals = node_grid_values(quad, f)
+            vals = node_grid_values(finest_parts, g, f)
             for k in [k for k in range(1, 6) if g in (1, k - 1, k, k + 1, 16)]:
-                finest = [SplineSpace1D(p, k) for p in quad.partitions]
+                finest = [SplineSpace1D(p, k) for p in finest_parts]
                 spaces = [SplineSpace1D(ax.level(n), k) for ax, n in zip(axes, levels)]
-                got = restrict(quad.basis_moments(f, finest), finest, spaces)
-                want = dense_moments(quad, spaces, vals)
+                got = restrict(basis_moments(f, finest, g), finest, spaces)
+                want = dense_moments(finest_parts, g, spaces, vals)
                 np.testing.assert_allclose(got, want, rtol=1e-13)
 
 
@@ -456,13 +450,12 @@ def test_blocked_against_matches_dense_moments(m, monkeypatch):
     finest = [ax.level(F.n_levels) for ax in F.axes]
     f = wavy_values(m)
     for g, orders in ((3, (2, 3)), (4, (4, 1)), (6, (5, 6))):
-        quad = TensorQuadrature(finest, g)
-        vals = node_grid_values(quad, f)
+        vals = node_grid_values(finest, g, f)
         fine = [SplineSpace1D(p, k) for p, k in zip(finest, orders)]
-        moments = quad.basis_moments(f, fine)
+        moments = basis_moments(f, fine, g)
         for level in (1, 3, 20, F.n_levels):
             spaces = [SplineSpace1D(ax.level(level), k) for ax, k in zip(F.axes, orders)]
-            want = dense_moments(quad, spaces, vals)
+            want = dense_moments(finest, g, spaces, vals)
             for block in (5, 7, bspline.CONTRACT_BLOCK_POINTS):
                 monkeypatch.setattr(bspline, "CONTRACT_BLOCK_POINTS", block)
                 got = restrict(moments, fine, spaces)
@@ -477,10 +470,9 @@ def test_against_forms_no_dense_collocation_matrix():
     # the moments and their restriction onto 512 atoms stay far below that
     fine = SplineSpace1D(Partition1D(np.linspace(0.0, 1.0, 1025)), 2)
     coarse = SplineSpace1D(Partition1D(np.linspace(0.0, 1.0, 513)), 2)
-    quad = TensorQuadrature([fine.partition], 2)
     tracemalloc.start()
     try:
-        b = quad.basis_moments(lambda x: 1.0 + x, [fine])
+        b = basis_moments(lambda x: 1.0 + x, [fine], 2)
         c = restrict(b, [fine], [coarse])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -504,18 +496,20 @@ def test_counts_fail_closed():
         with pytest.raises(ValueError, match="points g must be an integer >= 1"):
             atom_quadrature(p, bad)
         with pytest.raises(ValueError, match="points g must be an integer >= 1"):
-            TensorQuadrature([p], bad)
+            basis_moments(np.ones_like, [SplineSpace1D(p, 2)], bad)
         with pytest.raises(ValueError, match="points n must be an integer >= 1"):
             atom_chebyshev(p, bad)
         with pytest.raises(ValueError, match="density_quad_points must be an integer >= 1"):
             HybridMeasure(d=1, density_quad_points=bad)
     with pytest.raises(ValueError, match="points g must be an integer >= 1"):
-        TensorQuadrature([p], 2.7)
+        basis_moments(np.ones_like, [SplineSpace1D(p, 2)], 2.7)
     with pytest.raises(ValueError, match="density_quad_points must be an integer >= 1"):
         measure_from_config({"density_quad_points": 4.5}, 1)
     space = SplineSpace1D(p, np.int64(3))
     assert space.order == 3 and type(space.order) is int
-    assert TensorQuadrature([p], np.int32(2)).g == 2
+    atoms = [SplineSpace1D(p, 1)]
+    assert np.array_equal(basis_moments(np.ones_like, atoms, np.int32(2)),
+                          basis_moments(np.ones_like, atoms, 2))
     assert measure_from_config({"density_quad_points": 4}, 1).density_quad_points == 4
     F = random_filtration(4, d=2, n_levels=3)
     assert TensorProjector.for_level(F, 2, np.int64(2)).orders == (2, 2)
@@ -534,21 +528,20 @@ def test_quadrature_bit_identical_for_every_slab_size(d, m, monkeypatch):
     finest = [ax.level(F.n_levels) for ax in F.axes]
     g = (6, 4, 3)[d - 1]
     spaces = [SplineSpace1D(p, k) for p, k in zip(finest, (3, 2, 1)[:d])]
-    quad = TensorQuadrature(finest, g)
     f = wavy_values(m)
-    vals = node_grid_values(quad, f)
-    want_integrals = dense_atom_integrals(quad, vals)
+    vals = node_grid_values(finest, g, f)
+    want_integrals = dense_atom_integrals(finest, g, vals)
     assert want_integrals.shape == F.level_shape(F.n_levels) + (m,)
-    sizes = slab_sizes(quad)
+    sizes = slab_sizes(finest, g)
     monkeypatch.setattr(bspline, "SLAB_NODES", sizes.pop("one slab"))
-    want_moments = quad.basis_moments(f, spaces)
-    np.testing.assert_allclose(want_moments, dense_moments(quad, spaces, vals), rtol=1e-13)
+    want_moments = basis_moments(f, spaces, g)
+    np.testing.assert_allclose(want_moments, dense_moments(finest, g, spaces, vals), rtol=1e-13)
     atoms = [SplineSpace1D(p, 1) for p in finest]
-    assert np.array_equal(quad.basis_moments(f, atoms), want_integrals)
+    assert np.array_equal(basis_moments(f, atoms, g), want_integrals)
     for label, nodes in sizes.items():
         monkeypatch.setattr(bspline, "SLAB_NODES", nodes)
-        assert np.array_equal(quad.basis_moments(f, atoms), want_integrals), label
-        assert np.array_equal(quad.basis_moments(f, spaces), want_moments), label
+        assert np.array_equal(basis_moments(f, atoms, g), want_integrals), label
+        assert np.array_equal(basis_moments(f, spaces, g), want_moments), label
 
 
 def counting(f, sizes):
@@ -568,13 +561,14 @@ def test_integrand_never_sees_more_than_a_slab(d, slab, monkeypatch):
     if slab is not None:
         monkeypatch.setattr(bspline, "SLAB_NODES", slab)
     F = build_filtration(FiltrationSpec(d=d, interval=(0.0, 1.0), n_levels=(10, 8, 5)[d - 1]))
-    quad = TensorQuadrature([ax.level(F.n_levels) for ax in F.axes], 4)
-    bound = max(bspline.SLAB_NODES, quad.g * int(np.prod(quad.shape[1:])))
-    total = int(np.prod(quad.shape))
-    spaces = [SplineSpace1D(p, 2) for p in quad.partitions]
-    atoms = [SplineSpace1D(p, 1) for p in quad.partitions]
-    for reduce in (lambda f: quad.basis_moments(f, atoms),
-                   lambda f: quad.basis_moments(f, spaces)):
+    parts, g = [ax.level(F.n_levels) for ax in F.axes], 4
+    shape = [g * p.n_atoms for p in parts]
+    bound = max(bspline.SLAB_NODES, g * int(np.prod(shape[1:])))
+    total = int(np.prod(shape))
+    spaces = [SplineSpace1D(p, 2) for p in parts]
+    atoms = [SplineSpace1D(p, 1) for p in parts]
+    for reduce in (lambda f: basis_moments(f, atoms, g),
+                   lambda f: basis_moments(f, spaces, g)):
         sizes = []
         reduce(counting(wavy_values(3), sizes))
         assert max(sizes) <= bound and sum(sizes) == total
@@ -589,7 +583,6 @@ def test_quadrature_fails_closed_on_the_last_slab(d, monkeypatch):
     monkeypatch.setattr(bspline, "SLAB_NODES", 16)
     F = build_filtration(FiltrationSpec(d=d, interval=(0.0, 1.0), n_levels=4))
     parts = [ax.level(4) for ax in F.axes]
-    quad = TensorQuadrature(parts, 4)
     spaces = [SplineSpace1D(p, 2) for p in parts]
     atoms = [SplineSpace1D(p, 1) for p in parts]
     last = parts[0].breakpoints[-2]
@@ -602,8 +595,8 @@ def test_quadrature_fails_closed_on_the_last_slab(d, monkeypatch):
         return out[:-1] if xs[0].max() > last else out
 
     for f, match in ((nan_at_end, "non-finite"), (short_at_end, "shape")):
-        for reduce in (lambda f: quad.basis_moments(f, atoms),
-                       lambda f: quad.basis_moments(f, spaces),
+        for reduce in (lambda f: basis_moments(f, atoms, 4),
+                       lambda f: basis_moments(f, spaces, 4),
                        lambda f: source_moments(f, spaces)):
             sizes = []
             with pytest.raises(ValueError, match=match):

@@ -173,8 +173,6 @@ def test_compiled_density_masses_equal_norm_of_values(dyadic_2d, m):
     # bit for bit the quadrature of the norm over the value axis: |g| for a
     # scalar measure, exact on atoms x < 1/4 where every square underflows,
     # and np.linalg.norm's sqrt of summed squares for m > 1
-    from splinelab.bspline import TensorQuadrature
-
     F = dyadic_2d
 
     def dens(x, y):
@@ -182,10 +180,10 @@ def test_compiled_density_masses_equal_norm_of_values(dyadic_2d, m):
         return np.stack([base * (j + 1) - j for j in range(m)], axis=-1)
 
     theta = HybridMeasure(d=2, density=dens, m=m, density_quad_points=5)
-    quad = TensorQuadrature([ax.level(4) for ax in F.axes], 5)
-    g = node_grid_values(quad, theta.density_values)
+    parts = [ax.level(4) for ax in F.axes]
+    g = node_grid_values(parts, 5, theta.density_values)
     vals = np.abs(g) if m == 1 else np.linalg.norm(g, axis=-1, keepdims=True)
-    want = dense_atom_integrals(quad, vals)[..., 0]
+    want = dense_atom_integrals(parts, 5, vals)[..., 0]
     assert np.array_equal(compile_masses(theta, F).level_masses(F.n_levels), want)
     assert m > 1 or want[0].min() > 0
 
@@ -196,15 +194,14 @@ def test_compiled_masses_bit_identical_for_every_slab_size(d, m, monkeypatch):
     # |g| or ||g|| is taken inside each slab; one atom per slab, a ragged last
     # slab and a single slab all give the whole-grid masses bit for bit
     from splinelab import bspline
-    from splinelab.bspline import TensorQuadrature
 
     F = graded_filtration(d)
     theta = HybridMeasure(d=d, density=wavy_values(m), m=m, density_quad_points=(6, 4, 2)[d - 1])
-    quad = TensorQuadrature([ax.level(F.n_levels) for ax in F.axes], theta.density_quad_points)
-    g = node_grid_values(quad, theta.density_values)
+    parts, q = [ax.level(F.n_levels) for ax in F.axes], theta.density_quad_points
+    g = node_grid_values(parts, q, theta.density_values)
     vals = np.abs(g) if m == 1 else np.linalg.norm(g, axis=-1, keepdims=True)
-    want = dense_atom_integrals(quad, vals)[..., 0]
-    for label, nodes in slab_sizes(quad).items():
+    want = dense_atom_integrals(parts, q, vals)[..., 0]
+    for label, nodes in slab_sizes(parts, q).items():
         monkeypatch.setattr(bspline, "SLAB_NODES", nodes)
         assert np.array_equal(compile_masses(theta, F).level_masses(F.n_levels), want), label
 

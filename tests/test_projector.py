@@ -13,16 +13,16 @@ from splinelab import (
     Partition1D,
     SplineSpace1D,
     TensorProjector,
-    TensorQuadrature,
     TensorSpline,
     atom_quadrature,
+    basis_moments,
     build_filtration,
     decay_profile,
     operator_norm_inf,
 )
 from splinelab.experiments import _dense_tensor_norm_2d
 from splinelab.bspline import _basis_columns, atom_chebyshev
-from splinelab import projector
+from splinelab import measures, projector
 from splinelab.projector import (
     DECAY_BLOCK_ATOMS,
     NORM_BLOCK_ATOMS,
@@ -66,8 +66,7 @@ def test_gram_row_sums_are_basis_integrals(k):
     F = random_filtration(1, n_levels=5)
     space = SplineSpace1D(F.axes[0].level(5), k)
     gs = GramSystem(space)
-    quad = TensorQuadrature([space.partition], k)
-    want = quad.basis_moments(np.ones_like, [space])[:, 0]
+    want = basis_moments(np.ones_like, [space], k)[:, 0]
     np.testing.assert_allclose(dense_gram(gs) @ np.ones(space.dimension), want, atol=1e-14)
 
 
@@ -203,7 +202,7 @@ def test_project_of_a_spline_builds_no_node_grid(monkeypatch):
         raise AssertionError("the node-grid route was taken")
 
     monkeypatch.setattr(TensorSpline, "eval_grid", forbidden)
-    monkeypatch.setattr(TensorQuadrature, "basis_moments", forbidden)
+    monkeypatch.setattr(measures, "basis_moments", forbidden)
     monkeypatch.setattr(SplineSpace1D, "refinement", forbidden)
     tp = TensorProjector.for_level(F, 3, (2, 3))
     assert tp.project(ts).coeffs.shape == tp.dims + (1,)
@@ -298,8 +297,8 @@ def test_kronecker_consistency_small_2d():
         ts = tp.project(f, g=6)
         # oracle: dense Kronecker Gram solve
         G = functools.reduce(np.kron, [dense_gram(gs) for gs in tp.grams])
-        quad = TensorQuadrature([s.partition for s in tp.spaces], 6)
-        b = dense_moments(quad, tp.spaces, node_grid_values(quad, f))[..., 0]
+        parts = [s.partition for s in tp.spaces]
+        b = dense_moments(parts, 6, tp.spaces, node_grid_values(parts, 6, f))[..., 0]
         c = np.linalg.solve(G, b.ravel()).reshape(b.shape)
         np.testing.assert_allclose(ts.coeffs[..., 0], c, atol=1e-10)
 

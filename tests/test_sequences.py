@@ -9,7 +9,6 @@ from splinelab import (
     MartingaleSplineSequence,
     SplineSpace1D,
     TensorProjector,
-    TensorQuadrature,
     TensorSpline,
     build_filtration,
     convergence_probe,
@@ -18,6 +17,7 @@ from splinelab import (
     sample_probe_points,
     verify_martingale_property,
 )
+from splinelab import measures
 
 from conftest import (dense_moments, graded_filtration, l1_norms, median_decay_rate,
                       node_grid_values, random_filtration, total_variation)
@@ -88,6 +88,27 @@ def test_martingale_property_detects_corruption(dyadic_1d):
     seq.splines[2].coeffs[4] += 1e-3
     err = verify_martingale_property(seq, n_probe=200, seed=3)
     assert err >= 1e-4
+
+
+def test_non_finite_coefficients_fail_the_martingale_check():
+    # a NaN level used to pass: TensorSpline took it, and max(worst, nan) drops it
+    F = build_filtration(FiltrationSpec(d=1, interval=(0.0, 1.0), n_levels=4))
+    seq = make_sequence(F, lambda x: np.sin(3 * x), 2)
+    assert verify_martingale_property(seq) < 1e-12
+    coeffs = seq.level(1).coeffs.copy()
+    for bad in (np.nan, np.inf, -np.inf):
+        corrupt = coeffs.copy()
+        corrupt[0, 0] = bad
+        with pytest.raises(ValueError, match="coefficients are not finite"):
+            TensorSpline(seq.level(1).spaces, corrupt)
+    # coefficients changed in place after construction: a compared level gives NaN,
+    # and a projected one stops the Gram solve
+    seq.level(1).coeffs[0, 0] = np.nan
+    assert np.isnan(verify_martingale_property(seq))
+    seq.level(1).coeffs[0, 0] = coeffs[0, 0]
+    seq.level(4).coeffs[0, 0] = np.nan
+    with pytest.raises(ValueError, match="not finite"):
+        verify_martingale_property(seq)
 
 
 def test_martingale_property_k1_dirac_exact(dyadic_1d):
@@ -314,13 +335,13 @@ def test_make_sequence_evaluates_source_once(dyadic_2d):
 
 def test_make_sequence_reduces_node_grid_once(dyadic_2d, monkeypatch):
     reduced = []
-    reduce = TensorQuadrature.basis_moments
+    reduce = measures.basis_moments
 
-    def counting_reduce(self, *args, **kwargs):
+    def counting_reduce(*args, **kwargs):
         reduced.append(1)
-        return reduce(self, *args, **kwargs)
+        return reduce(*args, **kwargs)
 
-    monkeypatch.setattr(TensorQuadrature, "basis_moments", counting_reduce)
+    monkeypatch.setattr(measures, "basis_moments", counting_reduce)
     seq = make_sequence(dyadic_2d, lambda x, y: np.exp(x) * y, 2)
     assert seq.n_levels == dyadic_2d.n_levels
     assert len(reduced) == 1
@@ -341,12 +362,11 @@ def test_graded_moments_match_dense_collocation(d):
     f = lambda *xs: 1.5 + np.sin(3 * sum(xs)) + xs[0] ** 2
     g = 4
     finest = [ax.level(F.n_levels) for ax in F.axes]
-    quad = TensorQuadrature(finest, g)
-    vals = node_grid_values(quad, f)
+    vals = node_grid_values(finest, g, f)
     seq = make_sequence(F, f, orders, quad_points=g)
     for n in (1, F.n_levels // 2, F.n_levels):
         tp = seq.projectors[n - 1]
-        want = tp.solve_coefficients(dense_moments(quad, tp.spaces, vals))
+        want = tp.solve_coefficients(dense_moments(finest, g, tp.spaces, vals))
         for got in (seq.level(n).coeffs, tp.project(f, quad_partitions=finest, g=g).coeffs):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max(),
                                        err_msg=f"level {n}")
@@ -369,18 +389,18 @@ def test_martingale_check_never_uses_the_refinement_map(monkeypatch):
 
 
 def test_dirac_only_sequence_builds_no_grid(dyadic_2d, monkeypatch):
-    built = []
-    init = TensorQuadrature.__init__
+    reduced = []
+    reduce = measures.basis_moments
 
-    def counting_init(self, *args, **kwargs):
-        built.append(1)
-        init(self, *args, **kwargs)
+    def counting_reduce(*args, **kwargs):
+        reduced.append(1)
+        return reduce(*args, **kwargs)
 
-    monkeypatch.setattr(TensorQuadrature, "__init__", counting_init)
+    monkeypatch.setattr(measures, "basis_moments", counting_reduce)
     theta = HybridMeasure(d=2, diracs=[(np.array([0.3, 0.6]), np.array([1.0]))])
     seq = make_sequence(dyadic_2d, theta, 2)
     assert seq.n_levels == dyadic_2d.n_levels
-    assert built == []
+    assert reduced == []
 
 
 def test_l1_norms_of_affine_source(dyadic_1d):
@@ -394,6 +414,23 @@ def test_make_sequence_rejects_measure_of_wrong_dimension(dyadic_2d):
     theta = HybridMeasure(d=1, diracs=[(np.array([0.3]), np.array([1.0]))])
     with pytest.raises(ValueError, match="dimension"):
         make_sequence(dyadic_2d, theta, 2)
+
+
+def test_source_moments_free_the_last_slab_before_the_scatter():
+    # converge's d = 2, depth 8, orders (3, 3) case with 4 points per atom peaks at
+    # 7.1 MB; the last slab's arrays kept alive through the scatter into the basis
+    # add 0.6 MB, which the 10 MB bound of make_sequence does not see
+    F = build_filtration(FiltrationSpec(d=2, interval=(0.0, 1.0), n_levels=8,
+                                        rules=[{"name": "uniform-bisect-all"}] * 2, seed=5005))
+    spaces = [SplineSpace1D(ax.level(8), 3) for ax in F.axes]
+    tracemalloc.start()
+    try:
+        b = measures.source_moments(density_catalog("smooth-exp", 2), spaces, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7_400_000
+    assert b.shape == (258, 258, 1)
 
 
 def test_make_sequence_memory_is_bounded_by_slabs():
