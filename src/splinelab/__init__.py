@@ -48,7 +48,6 @@ from .measures import (
 )
 from .nondense import (
     LimitDualTable,
-    VSetReport,
     detect_v_sets,
     frozen_subspace,
     limit_dual_table,

@@ -203,10 +203,6 @@ class TensorFiltration:
         """Per axis, map from level-n atom index to the index of its level-m parent (m <= n)."""
         return [ax.level(n).parent_map(ax.level(m)) for ax in self.axes]
 
-    def finest_parent_maps(self, n: int) -> list:
-        """Per axis, map from finest-level atom index to level-n atom index."""
-        return self.parent_maps(self.n_levels, n)
-
 
 @dataclass(frozen=True)
 class AtomSet:
@@ -258,16 +254,16 @@ def _choose_target(bp, widths, rule, rng):
     return chosen, float(rule.get("fraction", 0.5))
 
 
-# refinement rules: the keys each reads besides name, and its chooser(bp, widths,
-# rule, rng), which returns a mask of the atoms to split in one step and the
-# fraction of the width at which to split them, a scalar or one per atom
+# refinement rules: the keys each must have and may have besides name, and its
+# chooser(bp, widths, rule, rng), which returns a mask of the atoms to split in one
+# step and the fraction of the width at which to split them, a scalar or one per atom
 REFINEMENT_RULES = {
-    "uniform-bisect-all": (("base_atoms", "base_jitter"),
+    "uniform-bisect-all": ((), ("base_atoms", "base_jitter"),
                            lambda bp, widths, rule, rng: (np.ones(len(widths), bool), 0.5)),
-    "random-atom-bisect": (("base_atoms", "base_jitter", "p_split", "split_range"),
+    "random-atom-bisect": ((), ("base_atoms", "base_jitter", "p_split", "split_range"),
                            _choose_random),
-    "point-targeted": (("base_atoms", "base_jitter", "target", "fraction"), _choose_target),
-    "frozen-on-subinterval": (("frozen", "fraction"), lambda bp, widths, rule, rng: (
+    "point-targeted": (("target",), ("base_atoms", "base_jitter", "fraction"), _choose_target),
+    "frozen-on-subinterval": (("frozen",), ("fraction",), lambda bp, widths, rule, rng: (
         (bp[:-1] < rule["frozen"][0]) | (bp[1:] > rule["frozen"][1]),
         float(rule.get("fraction", 0.5)))),
 }
@@ -299,7 +295,11 @@ class FiltrationSpec:
             name = rule.get("name")
             if name not in REFINEMENT_RULES:
                 raise ValueError(f"unknown rule {name!r}; expected one of {tuple(REFINEMENT_RULES)}")
-            unread = set(rule) - {"name", *REFINEMENT_RULES[name][0]}
+            required, optional, _ = REFINEMENT_RULES[name]
+            missing = set(required) - set(rule)
+            if missing:
+                raise ValueError(f"{name} rule needs keys {sorted(missing)}")
+            unread = set(rule) - {"name", *required, *optional}
             if unread:
                 raise ValueError(f"unknown {name} rule keys {sorted(unread)}")
 
@@ -327,7 +327,7 @@ def _refine_once(bp, rule, rng, floor):
     [lo + floor, hi - floor]; atoms narrower than 2 * floor stay whole."""
     lo, hi = bp[:-1], bp[1:]
     widths = hi - lo
-    chosen, fraction = REFINEMENT_RULES[rule["name"]][1](bp, widths, rule, rng)
+    chosen, fraction = REFINEMENT_RULES[rule["name"]][2](bp, widths, rule, rng)
     split = chosen & (widths >= 2 * floor)
     lo, hi = lo[split], hi[split]
     points = np.minimum(np.maximum(lo + (fraction * widths)[split], lo + floor), hi - floor)

@@ -7,9 +7,9 @@ basic building block is
 
 where d_n is the l1 atom-index distance and conv(S) the smallest axis-parallel
 rectangle containing S.  The level sum over all atoms A is constant on each
-level-n atom, and the maximal field sup_{K <= n <= N} of the level sums is
-therefore exactly representable on the finest grid: superlevel-set volumes
-carry no sampling error.
+level-n atom, and the maximal field of the level sums, the sup over n >= K
+truncated at the finest level N, is therefore exactly representable on the
+finest grid: superlevel-set volumes carry no sampling error.
 
 Both the kernel weight q^{|i-j|_1} and the conv volume factorize over axes, so
 a level sum is a sequence of per-axis matrix contractions of the level's mass
@@ -23,11 +23,10 @@ every caller, so kernels and fields are bit-identical to a fresh build per
 call.
 
 The running max over levels is carried coarse to fine (level n maxes its sums
-with the level n-1 maximum spread to level-n atoms) and is spread onto the
-finest grid once, unless N_max is the finest level already; max and spread
-are exact, so the field does not depend on that order.  Parent maps of
-nested levels are nondecreasing runs, so a spread is one np.repeat per axis
-by the run lengths (`_spread`), not a fancy-index gather.
+with the level n-1 maximum spread to level-n atoms), so it ends on the finest
+grid; max and spread are exact, so the field does not depend on that order.
+Parent maps of nested levels are nondecreasing runs, so a spread is one
+np.repeat per axis by the run lengths (`_spread`), not a fancy-index gather.
 
 The covering-bound verification uses the explicit proof constant
 2^d * (2/(1-sqrt(q)))^d and a rigorously bounded truncation tail, so the
@@ -101,12 +100,11 @@ def level_sum_field(q: float, masses: CompiledMasses, n: int) -> np.ndarray:
 
 @dataclass
 class MaximalField:
-    """Running maximum of level sums over n in [K, N_max], on the finest grid."""
+    """Running maximum of level sums over n from K to the finest level, on the finest grid."""
 
     masses: CompiledMasses
     q: float
     K: int
-    N_max: int
     values: np.ndarray          # shape = finest level_shape
 
     @property
@@ -114,30 +112,25 @@ class MaximalField:
         return self.masses.F
 
 
-def maximal_field(q: float, masses: CompiledMasses, K: int = 1,
-                  N_max: int = None) -> MaximalField:
-    """Exact maximal field max_{K <= n <= N_max} sum_A b_n(q, theta, A, .) on masses.F.
+def maximal_field(q: float, masses: CompiledMasses, K: int = 1) -> MaximalField:
+    """Exact maximal field max_{K <= n <= N} sum_A b_n(q, theta, A, .) on masses.F.
 
-    The truncation at N_max is the only difference from the ideal sup over
-    all n >= K; monotonicity in N_max lets callers report saturation.
+    N is the finest level of masses.F; the truncation there is the only
+    difference from the ideal sup over all n >= K.
     """
     F = masses.F
-    if N_max is None:
-        N_max = F.n_levels
-    if not 1 <= K <= N_max <= F.n_levels:
-        raise ValueError(f"invalid level range [{K}, {N_max}] within 1..{F.n_levels}")
+    if not 1 <= K <= F.n_levels:
+        raise ValueError(f"invalid level range [{K}, {F.n_levels}] within 1..{F.n_levels}")
     out = None
-    for n in range(K, N_max + 1):
+    for n in range(K, F.n_levels + 1):
         S = level_sum_field(q, masses, n)
         # running max over levels K..n, on level-n atoms
         out = S if out is None else np.maximum(_spread(out, F.parent_maps(n, n - 1)), S)
-    if N_max < F.n_levels:
-        out = _spread(out, F.finest_parent_maps(N_max))
-    return MaximalField(masses=masses, q=q, K=K, N_max=N_max, values=out)
+    return MaximalField(masses=masses, q=q, K=K, values=out)
 
 
-def superlevel_measure(Mf: MaximalField, t, within: AtomSet = None):
-    """Exact Lebesgue volume of {M > t}, optionally intersected with an atom set.
+def superlevel_measure(Mf: MaximalField, t, within: AtomSet):
+    """Exact Lebesgue volume of {M > t} intersected with an atom set.
 
     `t` is one threshold (the volume is returned as a float) or an array of
     thresholds (an array of volumes of the same shape is returned); the
@@ -148,13 +141,9 @@ def superlevel_measure(Mf: MaximalField, t, within: AtomSet = None):
     if not np.all((ts > 0) & (ts < np.inf)):
         raise ValueError(f"threshold must be positive and finite, got {t}")
     F = Mf.F
-    vols, vals = F.atom_volumes(F.n_levels), Mf.values
-    if within is None:
-        vols, vals = vols.ravel(), vals.ravel()
-    else:
-        sel = _spread(within.mask(F.level_shape(within.level)),
-                      F.finest_parent_maps(within.level))
-        vols, vals = vols[sel], vals[sel]
+    sel = _spread(within.mask(F.level_shape(within.level)),
+                  F.parent_maps(F.n_levels, within.level))
+    vols, vals = F.atom_volumes(F.n_levels)[sel], Mf.values[sel]
     out = np.array([vols[vals > s].sum() for s in ts.ravel()]).reshape(ts.shape)
     return float(out) if out.ndim == 0 else out
 
@@ -262,7 +251,6 @@ class WeakTypeReport:
 
     q: float
     K: int
-    N_max: int
     constant: float
     t_grid: np.ndarray
     lhs_volumes: np.ndarray
@@ -276,10 +264,10 @@ class WeakTypeReport:
 def covering_report(field_: MaximalField, B: AtomSet, t_grid) -> WeakTypeReport:
     """Check |B n {M_K theta > t}| <= constant / t * series for every t.
 
-    q, K, N_max and the measure are the field's; B must be a set of level-K
-    atoms.  Violations are collected and reported, never silently dropped.
+    q, K and the measure are the field's; B must be a set of level-K atoms.
+    Violations are collected and reported, never silently dropped.
     """
-    F, q, K, N_max = field_.F, field_.q, field_.K, field_.N_max
+    F, q, K = field_.F, field_.q, field_.K
     if B.level != K:
         raise ValueError(f"atom set at level {B.level}, expected K={K}")
     series = covering_series_bound(field_.masses, B, q)
@@ -297,7 +285,6 @@ def covering_report(field_: MaximalField, B: AtomSet, t_grid) -> WeakTypeReport:
     return WeakTypeReport(
         q=q,
         K=K,
-        N_max=N_max,
         constant=const,
         t_grid=t_grid,
         lhs_volumes=lhs,

@@ -90,9 +90,10 @@ class HybridMeasure:
 def source_moments(source, spaces, g: int = None) -> np.ndarray:
     """Moments b_i = int prod_l N_{i_l} dsource over `spaces`, shape (dim_1, ..., dim_d, m).
 
-    The one route from a source to moments, run on the finest spaces of a
-    projection or of compiled masses (`basis_moments`, with Gauss rules on
-    the atoms of `spaces`); `restrict` gives every coarser nested level.  A
+    The one route from a source to moments, run on a projector's own spaces
+    or on the finest spaces of a sequence or of compiled masses
+    (`basis_moments`, with Gauss rules on the atoms of `spaces`), where
+    `restrict` gives every coarser nested level.  A
     HybridMeasure integrates its density (if any) with its own
     density_quad_points and adds N_i(x_j) m_j for each Dirac (x_j, m_j);
     given g it raises ValueError.  A callable f(X_1, ..., X_d) is integrated
@@ -185,6 +186,17 @@ def reject_leftover_params(what: str, params: dict) -> None:
         raise ValueError(f"unknown {what} parameters {sorted(params)}")
 
 
+def _pop_point(what: str, params: dict, key: str, d: int, default=None) -> np.ndarray:
+    """params[key], or `default` when given, as d coordinates; ValueError when the key is
+    missing without a default or holds another number of coordinates."""
+    if key not in params and default is None:
+        raise ValueError(f"{what} needs parameter {key!r}")
+    x = np.atleast_1d(np.asarray(params.pop(key, default), dtype=float))
+    if x.shape != (d,):
+        raise ValueError(f"{what} parameter {key!r} needs {d} coordinates, got {x.tolist()}")
+    return x
+
+
 def density_catalog(name: str, d: int, **params):
     """Named grid callables, the densities of measures and the functions experiments
     project; parameters are recorded by the caller.
@@ -199,6 +211,8 @@ def density_catalog(name: str, d: int, **params):
 
     Each branch pops the parameters it reads; any left over, like an unknown
     name, raise ValueError, so that a misspelt key cannot fall back to a default.
+    So does a missing spike bound, a point of another length than d, a
+    non-integer degree or axis, or an axis outside 0..d-1.
     """
     what = f"density {name!r}"
     if name == "constant":
@@ -206,7 +220,7 @@ def density_catalog(name: str, d: int, **params):
         reject_leftover_params(what, params)
         return lambda *grids: np.broadcast_arrays(*grids)[0] * 0.0 + c
     if name == "polynomial":
-        degree = int(params.pop("degree", 1))
+        degree = _require_int("degree", params.pop("degree", 1), 0)
         c = float(params.pop("scale", 1.0))
         reject_leftover_params(what, params)
 
@@ -219,7 +233,7 @@ def density_catalog(name: str, d: int, **params):
         return poly
     if name == "singular":
         alpha = float(params.pop("alpha", 0.5 / d))
-        x0 = np.atleast_1d(np.asarray(params.pop("center", [0.5] * d), dtype=float))
+        x0 = _pop_point(what, params, "center", d, [0.5] * d)
         reject_leftover_params(what, params)
         if alpha * d >= 1:
             raise ValueError(f"alpha*d = {alpha * d} >= 1 is not integrable")
@@ -231,10 +245,12 @@ def density_catalog(name: str, d: int, **params):
 
         return singular
     if name == "sigmoid":
-        axis = int(params.pop("axis", 0))
+        axis = _require_int("axis", params.pop("axis", 0), 0)
         center = float(params.pop("center", 0.5))
         steep = float(params.pop("steepness", 50.0))
         reject_leftover_params(what, params)
+        if axis >= d:
+            raise ValueError(f"{what} axis {axis} outside 0..{d - 1}")
 
         def sigmoid(*grids):
             vals = 0.5 * (1 + np.tanh(steep * (np.asarray(grids[axis]) - center)))
@@ -255,7 +271,7 @@ def density_catalog(name: str, d: int, **params):
 
         return sine
     if name == "smooth-exp":
-        center = np.atleast_1d(np.asarray(params.pop("center", [0.4] * d), float))
+        center = _pop_point(what, params, "center", d, [0.4] * d)
         reject_leftover_params(what, params)
 
         def gauss(*grids):
@@ -264,8 +280,8 @@ def density_catalog(name: str, d: int, **params):
 
         return gauss
     if name == "spike":
-        lo = np.atleast_1d(np.asarray(params.pop("lo"), float))
-        hi = np.atleast_1d(np.asarray(params.pop("hi"), float))
+        lo = _pop_point(what, params, "lo", d)
+        hi = _pop_point(what, params, "hi", d)
         height = float(params.pop("height", 1.0 / np.prod(hi - lo)))
         reject_leftover_params(what, params)
 
@@ -280,13 +296,15 @@ def density_catalog(name: str, d: int, **params):
 
 
 MEASURE_CONFIG_KEYS = ("density", "diracs", "m", "density_quad_points")
+DIRAC_CONFIG_KEYS = ("location", "mass")
 
 
 def measure_from_config(cfg: dict, d: int) -> HybridMeasure:
     """HybridMeasure from a config dict: named density plus explicit Dirac list.
 
-    Raises ValueError naming any key outside MEASURE_CONFIG_KEYS, so that a
-    misspelt key cannot silently drop part of the measure.
+    Raises ValueError naming any key outside MEASURE_CONFIG_KEYS, a density
+    without a name, or a Dirac entry whose keys are not DIRAC_CONFIG_KEYS, so
+    that a misspelt key cannot silently drop part of the measure.
     """
     unknown = sorted(set(cfg) - set(MEASURE_CONFIG_KEYS))
     if unknown:
@@ -296,9 +314,17 @@ def measure_from_config(cfg: dict, d: int) -> HybridMeasure:
     quad = cfg.get("density_quad_points", GENERAL_QUAD_POINTS)
     if cfg.get("density"):
         spec = dict(cfg["density"])
+        if "name" not in spec:
+            raise ValueError("measure density needs key 'name'")
         density = density_catalog(spec.pop("name"), d, **spec)
-    diracs = [(np.asarray(e["location"], float), np.asarray(e["mass"], float))
-              for e in cfg.get("diracs", [])]
+    diracs = []
+    for j, e in enumerate(cfg.get("diracs", [])):
+        problems = [f"{what} keys {sorted(keys)}" for what, keys in (
+            ("missing", set(DIRAC_CONFIG_KEYS) - set(e)),
+            ("unknown", set(e) - set(DIRAC_CONFIG_KEYS))) if keys]
+        if problems:
+            raise ValueError(f"dirac {j}: {'; '.join(problems)}")
+        diracs.append((np.asarray(e["location"], float), np.asarray(e["mass"], float)))
     return HybridMeasure(
         d=d,
         density=density,

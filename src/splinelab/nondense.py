@@ -21,7 +21,7 @@ import numpy as np
 
 from .bspline import SplineSpace1D
 from .filtration import Filtration1D, Interval, Partition1D, atom_range_gap
-from .projector import DecayProfile, GramSystem, decay_profile
+from .projector import GramSystem, decay_profile
 
 FINITE_DEPTH_NOTE = (
     "classification is tolerance-based on a finite filtration: atoms are only "
@@ -41,14 +41,8 @@ class VInterval:
     ambiguous_atoms: tuple       # final-level atom indices with width within 2x tolerance
 
 
-@dataclass(frozen=True)
-class VSetReport:
-    tolerance: float
-    intervals: tuple
-
-
-def detect_v_sets(f1: Filtration1D, tolerance: float) -> VSetReport:
-    """Maximal frozen intervals of one axis at the final level.
+def detect_v_sets(f1: Filtration1D, tolerance: float) -> tuple:
+    """Maximal frozen intervals of one axis at the final level, a tuple of VIntervals.
 
     Final-level atoms with width below `tolerance` count as refining (their
     breakpoints are accumulating); maximal runs of persistent atoms form the
@@ -89,7 +83,7 @@ def detect_v_sets(f1: Filtration1D, tolerance: float) -> VSetReport:
                 ambiguous_atoms=ambiguous,
             )
         )
-    return VSetReport(tolerance=tolerance, intervals=tuple(intervals))
+    return tuple(intervals)
 
 
 def _frozen_since(f1: Filtration1D, iv: Interval) -> int:
@@ -126,74 +120,55 @@ def frozen_subspace(f1: Filtration1D, V: VInterval, order: int) -> SplineSpace1D
 class LimitDualTable:
     """Per-level dual values at probes inside a frozen interval, with their limit.
 
-    `values[l, p]` is N*_{n_l, r}(probe_p) for the stable basis index r; deltas
-    are sup-differences between consecutive levels.  The oracle row holds the
-    duals of the clamped limit space, and the decay check tests the limit
-    estimate |N*_r(y)| * |conv(A(y) u E_r)| <= c_env * q_hat^{d(A(y), E_r)}
-    with constants fitted on the limit space itself.
+    The bases whose support meets V keep a stable count across the tracked
+    levels (atoms of V plus order - 1); r indexes them from the leftmost.
+    `values[l, r, p]` is N*_{n_l, r}(probe_p), and `deltas[l, r]` the
+    sup-difference over the probes between levels l and l + 1.
+    `oracle_values[r, p]` holds the duals of the clamped limit space and
+    `oracle_gap[r]` their sup distance from the last level.  `decay_ok[r]`
+    tests the limit estimate |N*_r(y)| * |conv(A(y) u E_r)| <= c_env *
+    q_hat^{d(A(y), E_r)} with constants fitted on the limit space itself.
     """
 
-    V: VInterval
-    order: int
-    r: int
-    probes: np.ndarray
     levels: np.ndarray
     values: np.ndarray
     deltas: np.ndarray
     oracle_values: np.ndarray
-    oracle_gap: float
-    profile: DecayProfile
-    decay_ok: bool
-    decay_margin: float
+    oracle_gap: np.ndarray
+    decay_ok: np.ndarray
 
 
-def limit_dual_table(f1: Filtration1D, V: VInterval, order: int, r: int,
-                     probes) -> LimitDualTable:
-    """Track the dual B-splines anchored to a frozen interval across levels.
+def limit_dual_table(f1: Filtration1D, V: VInterval, order: int, probes) -> LimitDualTable:
+    """Track every dual B-spline anchored to a frozen interval across levels.
 
-    The bases whose support meets V keep a stable count (atoms of V plus
-    order - 1); r indexes them from the leftmost.  Probes must lie inside V.
-    Levels before the interval froze are skipped: the stable indexing only
-    exists once the sub-partition has stopped changing.
+    Probes must lie inside V.  Levels before the interval froze are skipped:
+    the stable indexing only exists once the sub-partition has stopped
+    changing.  Each level factorizes its Gram matrix and solves for the duals
+    at the probes once, for every stable index at once.
     """
     iv = V.interval
     probes = np.asarray(probes, dtype=float)
     if np.any(probes <= iv.lo) or np.any(probes > iv.hi):
         raise ValueError("probes must lie inside the frozen interval")
-    n_v_atoms = V.atom_range[1] - V.atom_range[0] + 1
-    n_stable = n_v_atoms + order - 1
-    if not 0 <= r < n_stable:
-        raise IndexError(
-            f"stable index {r} out of range [0, {n_stable}): basis never meets the interval"
-        )
+    n_stable = V.atom_range[1] - V.atom_range[0] + order
     levels = np.arange(V.frozen_since_level, f1.n_levels + 1)
-    values = np.empty((len(levels), len(probes)))
+    values = np.empty((len(levels), n_stable, len(probes)))
     for li, n in enumerate(levels):
         space = SplineSpace1D(f1.level(n), order)
-        gs = GramSystem(space)
         a0 = _first_v_atom(space.partition, iv)
         # stable set: bases i = a0 .. a0 + n_stable - 1 (supports meeting V)
-        values[li] = gs.duals_at(probes)[a0 + r]
-    deltas = np.max(np.abs(np.diff(values, axis=0)), axis=1) if len(levels) > 1 else np.array([])
+        values[li] = GramSystem(space).duals_at(probes)[a0:a0 + n_stable]
     limit_space = frozen_subspace(f1, V, order)
     limit_gs = GramSystem(limit_space)
-    oracle = limit_gs.duals_at(probes)[r]
-    oracle_gap = float(np.max(np.abs(values[-1] - oracle)))
+    oracle = limit_gs.duals_at(probes)
     profile = decay_profile(limit_gs) if limit_space.dimension >= 2 * order else None
-    decay_ok, margin = _check_limit_decay(limit_space, probes, r, oracle, profile)
     return LimitDualTable(
-        V=V,
-        order=order,
-        r=r,
-        probes=probes,
         levels=levels,
         values=values,
-        deltas=deltas,
+        deltas=np.max(np.abs(np.diff(values, axis=0)), axis=2),
         oracle_values=oracle,
-        oracle_gap=oracle_gap,
-        profile=profile,
-        decay_ok=decay_ok,
-        decay_margin=margin,
+        oracle_gap=np.max(np.abs(values[-1] - oracle), axis=1),
+        decay_ok=_limit_decay_ok(limit_space, probes, oracle, profile),
     )
 
 
@@ -205,14 +180,12 @@ def _first_v_atom(p: Partition1D, iv: Interval) -> int:
     return j
 
 
-def _check_limit_decay(space, probes, r, dual_vals, profile):
-    """Limit-dual decay estimate at the probes, against the fitted envelope."""
+def _limit_decay_ok(space, probes, dual_vals, profile) -> np.ndarray:
+    """Per basis r, whether the limit duals dual_vals[r] at the probes lie under
+    the fitted envelope."""
     if profile is None or profile.q_hat == 0.0:
-        return True, float("inf")
+        return np.ones(len(dual_vals), dtype=bool)
     p = space.partition
-    lo, hi = space.support_atom_range(r)
+    lo, hi = space.support_atom_range(np.arange(len(dual_vals))[:, None])
     dist, conv = atom_range_gap(p.breakpoints, p.atom_index_of(probes), lo, hi)
-    lhs = np.abs(dual_vals) * conv
-    rhs = profile.envelope(dist)
-    margin = float(np.min(np.where(lhs > 0, rhs / np.maximum(lhs, 1e-300), np.inf)))
-    return bool(np.all(lhs <= rhs * (1 + 1e-9))), margin
+    return np.all(np.abs(dual_vals) * conv <= profile.envelope(dist) * (1 + 1e-9), axis=1)

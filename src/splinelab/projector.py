@@ -23,13 +23,14 @@ raises ValueError.
 TensorProjector.project is the one entry point of the tensor projector: it
 takes a function, a hybrid measure or a spline of another level.  A
 function or a measure goes the one moment route, which compiled masses
-share (measures.source_moments): it is reduced against the finest basis
-and the Dirac terms are added, and restrict carries the moments exactly
-onto coarser nested spaces by knot insertion.  A spline needs no
-node grid: each axis collocates its coefficients at Gauss nodes of the
-common refinement and contracts the weighted values into the target basis
-block by block, one mode product per axis.  That route never uses knot
-insertion, so the martingale check P_n g_{n+1} = g_n tests the restriction.
+share (measures.source_moments): it is reduced against this level's basis
+and the Dirac terms are added.  Sequences reduce once on the finest level
+and carry the moments onto coarser nested spaces by knot insertion
+(bspline.restrict).  A spline needs no node grid: each axis collocates its
+coefficients at Gauss nodes of the common refinement and contracts the
+weighted values into the target basis block by block, one mode product per
+axis.  That route never uses knot insertion, so the martingale check
+P_n g_{n+1} = g_n tests the restriction.
 
 Tensor-product spaces have Gram matrix G_1 x ... x G_d (never assembled);
 projection applies per-axis banded solves along each tensor mode, and the
@@ -59,7 +60,6 @@ from .bspline import (
     atom_chebyshev,
     atom_quadrature,
     mode_apply,
-    restrict,
 )
 from .filtration import Partition1D, TensorFiltration, atom_range_gap
 from .measures import source_moments
@@ -220,15 +220,14 @@ class TensorProjector:
         """Solve (G_1 x ... x G_d) c = b by per-axis banded solves along each mode."""
         return mode_apply(b, [gs.solve for gs in self.grams])
 
-    def project(self, source, quad_partitions=None, g: int = None) -> TensorSpline:
+    def project(self, source, g: int = None) -> TensorSpline:
         """P source as a TensorSpline, for a callable, a HybridMeasure or a TensorSpline.
 
         A callable f(X_1, ..., X_d) on broadcastable coordinate arrays may
         return values of shape (...,) or (..., m); P reproduces it exactly when
         it lies in the space.  A measure theta gives sum_i (int N_i dtheta) N*_i.
-        Both are reduced against the basis over `quad_partitions` (default:
-        the projector's own partitions), as `source_moments` describes, and
-        restricted exactly onto this level's basis (`restrict`).
+        Both are reduced against this level's basis, as `source_moments`
+        describes.
 
         A spline is integrated exactly and axis by axis, never on the
         d-dimensional node grid and never through the knot-insertion map: on
@@ -238,18 +237,11 @@ class TensorProjector:
         level's basis; the solve follows.  Its dimension and every axis
         interval must match this projector's.
 
-        Only a callable takes g, and a spline takes no quad_partitions; an
-        option that would be ignored raises ValueError, and so do
-        quad_partitions that do not refine this level's.
+        Only a callable takes g; a g that would be ignored raises ValueError.
         """
         if not isinstance(source, TensorSpline):
-            spaces = self.spaces if quad_partitions is None else [
-                SplineSpace1D(p, k) for p, k in zip(quad_partitions, self.orders, strict=True)]
-            b = restrict(source_moments(source, spaces, g), spaces, self.spaces)
-            return TensorSpline(self.spaces, self.solve_coefficients(b))
-        if quad_partitions is not None:
-            raise ValueError("a TensorSpline source is integrated on the common refinement; "
-                             "it takes no quad_partitions")
+            return TensorSpline(self.spaces,
+                                self.solve_coefficients(source_moments(source, self.spaces, g)))
         if g is not None:
             raise ValueError("a TensorSpline source fixes its own quadrature; it takes no g")
         if source.d != len(self.spaces):

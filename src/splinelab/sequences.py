@@ -73,7 +73,8 @@ def make_sequence(F: TensorFiltration, source, orders,
 
 def sample_probe_points(F: TensorFiltration, n_points: int, seed: int = 0,
                         exclude=None) -> np.ndarray:
-    """Uniform points of I^d, rejected near any breakpoint of any level.
+    """Uniform points of I^d, rejected near any breakpoint of the finest level,
+    which holds those of every coarser nested level.
 
     Almost-everywhere statements cannot be probed on the grid itself, where
     the half-open conventions matter; rejection keeps every coordinate more
@@ -87,10 +88,7 @@ def sample_probe_points(F: TensorFiltration, n_points: int, seed: int = 0,
     _require_int("n_points", n_points, 1)
     rng = np.random.default_rng(seed)
     iv = F.interval
-    all_bps = [
-        np.unique(np.concatenate([lvl.breakpoints for lvl in ax.levels]))
-        for ax in F.axes
-    ]
+    all_bps = [ax.levels[-1].breakpoints for ax in F.axes]
     for ell, bps in enumerate(all_bps):
         if not np.any(np.diff(bps) > 2 * PROBE_BREAKPOINT_GAP):
             raise ValueError(

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_solve_banded
 
-from splinelab import (AtomSet, FiltrationSpec, HybridMeasure, Partition1D, Rectangle, atom_of,
+from splinelab import (AtomSet, Filtration1D, FiltrationSpec, HybridMeasure, Partition1D,
+                       Rectangle, SplineSpace1D, TensorFiltration, TensorSpline, atom_of,
                        atom_quadrature, build_filtration, compile_masses)
-from splinelab.bspline import _basis_columns, as_value_array, atom_chebyshev, mode_apply
+from splinelab.bspline import _basis_columns, as_value_array, atom_chebyshev, mode_apply, restrict
 from splinelab.filtration import atom_range_gap, l1_distance_grid
 from splinelab.maximal import _check_q, level_sum_field
-from splinelab.measures import CompiledMasses
+from splinelab.measures import CompiledMasses, source_moments
 from splinelab.projector import (EDGE_BITS_PER_ORDER, NORM_BLOCK_ATOMS, NORM_EDGE_TOL,
                                  PROFILE_FLOOR, _fit_profile)
 
@@ -302,14 +303,32 @@ def dense_spline_projection(tp, ts):
     return np.einsum(spec, *factors, ts.coeffs, optimize=True)
 
 
-def finest_grid_max_field(q, masses, K, N_max):
+def finest_grid_max_field(q, masses, K):
     """Running-max oracle on masses.F: level sums spread onto the finest grid, maxed there."""
     F = masses.F
     out = None
-    for n in range(K, N_max + 1):
-        S_fine = level_sum_field(q, masses, n)[np.ix_(*F.finest_parent_maps(n))]
+    for n in range(K, F.n_levels + 1):
+        S_fine = level_sum_field(q, masses, n)[np.ix_(*F.parent_maps(F.n_levels, n))]
         out = S_fine if out is None else np.maximum(out, S_fine)
     return out
+
+
+def restricted_projection(tp, source, partitions, g=None) -> TensorSpline:
+    """P source on tp's spaces with the moments taken over finer `partitions` (one per
+    axis, tp's orders) and restricted onto tp's spaces in one step."""
+    fine = [SplineSpace1D(p, k) for p, k in zip(partitions, tp.orders, strict=True)]
+    b = restrict(source_moments(source, fine, g), fine, tp.spaces)
+    return TensorSpline(tp.spaces, tp.solve_coefficients(b))
+
+
+def truncated(F, n_levels):
+    """The filtration of the first n_levels levels of F."""
+    return TensorFiltration([Filtration1D(ax.levels[:n_levels]) for ax in F.axes])
+
+
+def whole_level(F, n=1) -> AtomSet:
+    """Every atom of level n of F."""
+    return AtomSet(level=n, members=frozenset(np.ndindex(*F.level_shape(n))))
 
 
 def dense_gram(gs):

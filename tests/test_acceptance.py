@@ -186,7 +186,7 @@ def test_criterion_5_covering_bound_constant():
             )
             B = AtomSet(level=2, members=members)
             for q in (0.3, 0.5, 0.8):
-                field_ = maximal_field(q, masses, K=2, N_max=depth)
+                field_ = maximal_field(q, masses, K=2)
                 top = float(field_.values.max())
                 t_grid = np.logspace(np.log10(top) - 3, np.log10(top) + 0.3, 20)
                 rep = covering_report(field_, B, t_grid)
@@ -217,7 +217,7 @@ def test_criterion_6_weak_type_constants():
                     density=density_catalog("spike", d, lo=rect.lo, hi=rect.hi),
                     density_quad_points=4,
                 )
-                field_ = maximal_field(q, compile_masses(theta, F), K=1, N_max=depth)
+                field_ = maximal_field(q, compile_masses(theta, F), K=1)
                 ratio = _exact_weak_ratio(field_.values, vols)
                 results.append(("M", d, q, ratio, bound, ratio <= bound))
         # maximal function of the projectors, constant from the measured decay
@@ -234,9 +234,7 @@ def test_criterion_6_weak_type_constants():
         for rect in spikes:
             f = density_catalog("spike", d, lo=rect.lo, hi=rect.hi)
             sup_field = np.zeros(shape)
-            for n in range(1, depth + 1):
-                tp = TensorProjector.for_level(F, n, orders)
-                pn = tp.project(f, g=max(orders), quad_partitions=finest_parts)
+            for pn in make_sequence(F, f, orders, quad_points=max(orders)).splines:
                 vals = np.linalg.norm(pn.eval_many(pts), axis=-1).reshape(shape)
                 sup_field = np.maximum(sup_field, vals)
             ratio = _exact_weak_ratio(sup_field, vols)
@@ -361,12 +359,11 @@ def test_criterion_9_nondense_limits():
             rules.append({"name": "uniform-bisect-all"})
         F1 = build_filtration(FiltrationSpec(d=1, interval=(0.0, 1.0), n_levels=10,
                                              rules=[rules[0]]))
-        V = detect_v_sets(F1.axes[0], 0.25).intervals[0]
+        V = detect_v_sets(F1.axes[0], 0.25)[0]
         probes1 = np.linspace(0.52, 0.99, 16)
-        for r in range(2):  # one frozen atom, k = 2
-            table = limit_dual_table(F1.axes[0], V, 2, r, probes1)
-            worst_delta = max(worst_delta, float(table.deltas[-1]))
-            worst_gap = max(worst_gap, table.oracle_gap)
+        table = limit_dual_table(F1.axes[0], V, 2, probes1)  # one frozen atom, k = 2: r = 0, 1
+        worst_delta = max(worst_delta, float(table.deltas[-1].max()))
+        worst_gap = max(worst_gap, float(table.oracle_gap.max()))
         seq_depth = 10 if d == 1 else 7
         F = build_filtration(FiltrationSpec(d=d, interval=(0.0, 1.0),
                                             n_levels=seq_depth, rules=rules))

@@ -400,12 +400,12 @@ def test_refinement_rejects_missing_breakpoint_and_other_order():
         coarse.refinement(SplineSpace1D(Partition1D([0.0, 0.5, 1.0, 2.0]), 2))
     with pytest.raises(ValueError, match="order-3 space does not refine an order-2"):
         coarse.refinement(SplineSpace1D(Partition1D([0.0, 0.25, 0.5, 1.0]), 3))
-    # the moments of a projection take the same checks
-    tp = TensorProjector([coarse])
+    # restricting moments takes the same checks
+    off = SplineSpace1D(Partition1D([0.0, 0.3, 1.0]), 2)
     with pytest.raises(ValueError, match="misses breakpoints"):
-        tp.project(lambda x: x, quad_partitions=[Partition1D([0.0, 0.3, 1.0])])
-    with pytest.raises(ValueError, match="zip"):     # one partition per axis
-        tp.project(lambda x: x, quad_partitions=[coarse.partition] * 2)
+        restrict(np.ones((off.dimension, 1)), [off], [coarse])
+    with pytest.raises(ValueError, match="zip"):     # one space per axis
+        restrict(np.ones((coarse.dimension, coarse.dimension, 1)), [coarse] * 2, [coarse])
 
 
 @settings(max_examples=5, deadline=None)

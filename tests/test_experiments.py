@@ -205,6 +205,30 @@ def test_cli_exits_2_on_a_value_error_while_running(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: decay: the run made no assertions")
 
 
+@pytest.mark.parametrize("name, edit, key", [
+    ("weaktype", lambda p: p["cases"][0].update(rule={"name": "point-targeted"}), "target"),
+    ("nondense", lambda p: p["cases"][0]["rules"][0].pop("frozen"), "frozen"),
+    ("singular", lambda p: p["measure"]["density"].pop("name"), "name"),
+    ("singular", lambda p: p["measure"].update(density={"name": "spike", "hi": [0.6]}), "lo"),
+    ("singular", lambda p: p["measure"].update(density={"name": "spike", "lo": [0.2]}), "hi"),
+    ("singular", lambda p: p["measure"]["diracs"][0].pop("location"), "location"),
+    ("singular", lambda p: p["measure"]["diracs"][0].pop("mass"), "mass"),
+    ("singular", lambda p: p["measure"]["diracs"][0].update(weight=5), "weight"),
+], ids=["rule-target", "rule-frozen", "density-name", "spike-lo", "spike-hi",
+        "dirac-location", "dirac-mass", "dirac-unknown"])
+def test_cli_exits_2_naming_a_missing_or_unknown_rule_or_measure_key(tmp_path, capsys,
+                                                                     name, edit, key):
+    # a missing key once raised KeyError, a traceback and exit 1; an unknown
+    # Dirac key was ignored and the run passed
+    cfg = small_config(name)
+    edit(cfg["params"])
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(cfg))
+    assert cli_main([name, "--config", str(path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(key) in err
+
+
 def test_nonzero_exit_when_assertion_fails():
     cfg = small_config("decay")
     cfg["params"]["q_max"] = 1e-9  # impossible cap: q_hat > 0 for k >= 2

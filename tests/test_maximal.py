@@ -31,7 +31,7 @@ from splinelab.maximal import (
 
 from conftest import (atom_distance, atom_set_from_mask, b_term, finest_grid_max_field, level_sum,
                       measure_of_atom, per_entry_axis_kernel, per_entry_conv_lengths,
-                      random_filtration)
+                      random_filtration, truncated, whole_level)
 
 
 def lebesgue(d):
@@ -134,47 +134,48 @@ def test_level_sum_matches_brute_force():
 
 
 def test_maximal_field_single_level(dyadic_1d):
-    masses = compile_masses(lebesgue(1), dyadic_1d)
-    field1 = maximal_field(0.5, masses, K=2, N_max=2)
-    direct = level_sum_field(0.5, masses, 2)
-    maps = dyadic_1d.finest_parent_maps(2)
-    np.testing.assert_allclose(field1.values, direct[np.ix_(*maps)], atol=1e-14)
+    # K at the finest level of a filtration cut after level 2: one level's sums
+    field1 = maximal_field(0.5, compile_masses(lebesgue(1), truncated(dyadic_1d, 2)), K=2)
+    direct = level_sum_field(0.5, compile_masses(lebesgue(1), dyadic_1d), 2)
+    np.testing.assert_allclose(field1.values, direct, atol=1e-14)
 
 
 def test_maximal_field_monotone_in_depth(dyadic_1d):
-    masses = compile_masses(HybridMeasure(d=1, diracs=[(np.array([0.37]), np.array([1.0]))]),
-                            dyadic_1d)
+    theta = HybridMeasure(d=1, diracs=[(np.array([0.37]), np.array([1.0]))])
     prev = None
     for N in range(1, 6):
-        f = maximal_field(0.5, masses, K=1, N_max=N)
+        f = maximal_field(0.5, compile_masses(theta, truncated(dyadic_1d, N)), K=1)
+        values = _spread(f.values, dyadic_1d.parent_maps(5, N))
         if prev is not None:
-            assert np.all(f.values >= prev - 1e-15)
-        prev = f.values
+            assert np.all(values >= prev - 1e-15)
+        prev = values
 
 
 def test_maximal_field_dirac_peak(dyadic_1d):
     theta = HybridMeasure(d=1, diracs=[(np.array([0.37]), np.array([1.0]))])
-    f = maximal_field(0.5, compile_masses(theta, dyadic_1d), K=1, N_max=5)
+    f = maximal_field(0.5, compile_masses(theta, dyadic_1d), K=1)
     finest = dyadic_1d.axes[0].level(5)
     j = int(finest.atom_index_of(np.array([0.37]))[0])
     assert f.values[j] == pytest.approx(1.0 / finest.widths[j], rel=1e-12)
 
 
 def test_maximal_field_invalid_range(dyadic_1d):
-    with pytest.raises(ValueError):
-        maximal_field(0.5, compile_masses(lebesgue(1), dyadic_1d), K=3, N_max=2)
+    for K in (0, 3):
+        with pytest.raises(ValueError, match="invalid level range"):
+            maximal_field(0.5, compile_masses(lebesgue(1), truncated(dyadic_1d, 2)), K=K)
 
 
 def test_superlevel_measure_basics(dyadic_1d):
-    f = maximal_field(0.5, compile_masses(lebesgue(1), dyadic_1d), K=1, N_max=5)
+    f = maximal_field(0.5, compile_masses(lebesgue(1), dyadic_1d), K=1)
+    everywhere = whole_level(dyadic_1d)
     top = float(f.values.max())
-    assert superlevel_measure(f, top * 1.01) == 0.0
-    assert superlevel_measure(f, 1e-12) == pytest.approx(1.0)
+    assert superlevel_measure(f, top * 1.01, everywhere) == 0.0
+    assert superlevel_measure(f, 1e-12, everywhere) == pytest.approx(1.0)
     ts = np.linspace(1e-3, top * 1.1, 30)
-    vols = [superlevel_measure(f, t) for t in ts]
+    vols = [superlevel_measure(f, t, everywhere) for t in ts]
     assert all(a >= b - 1e-15 for a, b in zip(vols, vols[1:]))
     with pytest.raises(ValueError):
-        superlevel_measure(f, 0.0)
+        superlevel_measure(f, 0.0, everywhere)
 
 
 def test_covering_series_bound_saturated_set(dyadic_2d):
@@ -254,7 +255,7 @@ def test_covering_bound_holds_on_small_sweep():
         shape = F.level_shape(2)
         B = AtomSet(level=2, members=frozenset({tuple(0 for _ in shape)}))
         for q in (0.3, 0.8):
-            field_ = maximal_field(q, masses, K=2, N_max=5)
+            field_ = maximal_field(q, masses, K=2)
             ts = np.logspace(-2, np.log10(field_.values.max() * 1.2), 12)
             rep = covering_report(field_, B, ts)
             assert rep.max_ratio <= 1.0
@@ -265,7 +266,7 @@ def test_covering_dirac_far_from_B(dyadic_1d):
     theta = HybridMeasure(d=1, diracs=[(np.array([0.95]), np.array([1.0]))])
     B = AtomSet(level=3, members=frozenset({(0,)}))
     masses = compile_masses(theta, dyadic_1d)
-    field_ = maximal_field(0.5, masses, K=3, N_max=5)
+    field_ = maximal_field(0.5, masses, K=3)
     # far from the Dirac the field is small: LHS restricted to B vanishes for large t
     assert superlevel_measure(field_, 10.0, within=B) == 0.0
     rep = covering_report(field_, B, np.array([10.0, 100.0]))
@@ -305,7 +306,7 @@ def test_reports_violation_rather_than_silence(dyadic_1d):
     masses = compile_masses(theta, dyadic_1d)
     shape = F_shape = dyadic_1d.level_shape(1)
     B = atom_set_from_mask(1, np.ones(F_shape, dtype=bool))
-    rep = covering_report(maximal_field(0.5, masses, K=1, N_max=5), B, np.array([1e-6]))
+    rep = covering_report(maximal_field(0.5, masses, K=1), B, np.array([1e-6]))
     assert rep.max_ratio <= 1.0
     fake = rep.lhs_volumes / (rep.rhs_bounds * 0 + 1e-9)
     assert fake.max() > 1.0  # sanity: the check is not vacuous
@@ -368,7 +369,7 @@ def test_nan_density_rejected_before_covering_series():
     theta = HybridMeasure(d=2, density=lambda x, y: np.full(np.broadcast(x, y).shape, np.nan))
     B = AtomSet(level=1, members=frozenset({(0, 0)}))
     with pytest.raises(ValueError, match="non-finite"):
-        covering_report(maximal_field(0.5, compile_masses(theta, F), K=1, N_max=3), B, [1.0, 10.0])
+        covering_report(maximal_field(0.5, compile_masses(theta, F), K=1), B, [1.0, 10.0])
 
 
 def test_non_finite_dirac_rejected_at_construction():
@@ -385,7 +386,7 @@ def test_non_finite_dirac_rejected_at_construction():
 def test_covering_bound_rejects_nan_threshold(dyadic_1d):
     theta = HybridMeasure(d=1, density=lambda x: np.ones_like(x))
     B = AtomSet(level=2, members=frozenset({(0,), (1,)}))
-    field_ = maximal_field(0.5, compile_masses(theta, dyadic_1d), K=2, N_max=5)
+    field_ = maximal_field(0.5, compile_masses(theta, dyadic_1d), K=2)
     with pytest.raises(ValueError, match="threshold"):
         covering_report(field_, B, [np.nan, 1e-3])
 
@@ -394,7 +395,7 @@ def test_covering_bound_rejects_nan_threshold(dyadic_1d):
 def test_superlevel_measure_rejects_non_positive_or_non_finite(dyadic_1d, t):
     field = maximal_field(0.5, compile_masses(lebesgue(1), dyadic_1d))
     with pytest.raises(ValueError, match="threshold"):
-        superlevel_measure(field, t)
+        superlevel_measure(field, t, whole_level(dyadic_1d))
 
 
 @pytest.mark.parametrize("q", [np.nan, 1.5, -0.5, 1.0])
@@ -479,7 +480,8 @@ def test_fields_on_a_shared_filtration_equal_fields_on_fresh_copies():
 @pytest.mark.parametrize("d, n_levels, K, N_max",
                          [(1, 7, 2, 7), (1, 7, 3, 5), (2, 5, 2, 4), (3, 4, 2, 3)])
 def test_maximal_field_matches_finest_grid_running_max(d, n_levels, K, N_max):
-    F = random_filtration(20 + d, d=d, n_levels=n_levels)
+    # the sup truncated at level N_max is the field of the filtration cut there
+    F = truncated(random_filtration(20 + d, d=d, n_levels=n_levels), N_max)
     rng = np.random.default_rng(d)
     theta = HybridMeasure(
         d=d,
@@ -488,8 +490,8 @@ def test_maximal_field_matches_finest_grid_running_max(d, n_levels, K, N_max):
         density_quad_points=3,
     )
     masses = compile_masses(theta, F)
-    field_ = maximal_field(0.6, masses, K=K, N_max=N_max)
-    assert np.array_equal(field_.values, finest_grid_max_field(0.6, masses, K, N_max))
+    field_ = maximal_field(0.6, masses, K=K)
+    assert np.array_equal(field_.values, finest_grid_max_field(0.6, masses, K))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -509,18 +511,18 @@ def test_spread_matches_ix_gather(d):
     theta = HybridMeasure(d=d, density=lambda *g: 1.0 + 0.5 * np.sin(5 * sum(g)),
                           diracs=[(rng.uniform(0.1, 0.9, d), np.array([0.8]))],
                           density_quad_points=3)
-    masses = compile_masses(theta, F)
-    vols = F.atom_volumes(N)
-    for N_max in (N - 1, N):
-        field_ = maximal_field(0.4, masses, K=1, N_max=N_max)
-        assert np.array_equal(field_.values, finest_grid_max_field(0.4, masses, 1, N_max))
+    for Ft in (truncated(F, N - 1), F):
+        masses = compile_masses(theta, Ft)
+        vols = Ft.atom_volumes(Ft.n_levels)
+        field_ = maximal_field(0.4, masses, K=1)
+        assert np.array_equal(field_.values, finest_grid_max_field(0.4, masses, 1))
         top = field_.values.max()
         ts = np.logspace(np.log10(top) - 2, np.log10(top), 9)
         for K in (1, 2):
-            mask = rng.random(F.level_shape(K)) < 0.5
+            mask = rng.random(Ft.level_shape(K)) < 0.5
             mask.flat[0] = True
             B = atom_set_from_mask(K, mask)
-            sel = B.mask(F.level_shape(K))[np.ix_(*F.finest_parent_maps(K))]
+            sel = B.mask(Ft.level_shape(K))[np.ix_(*Ft.parent_maps(Ft.n_levels, K))]
             want = [vols[sel][field_.values[sel] > t].sum() for t in ts]
             assert np.array_equal(superlevel_measure(field_, ts, within=B), want)
 
@@ -535,8 +537,8 @@ def test_superlevel_measure_threshold_array_matches_scalar_loop():
                          np.unique(field_.values)[::25]])
     B = AtomSet(level=2, members=frozenset({(0, 0), (0, 1), (1, 1)}))
     vols = F.atom_volumes(F.n_levels)
-    sel = B.mask(F.level_shape(2))[np.ix_(*F.finest_parent_maps(2))]
-    for within, inside in ((None, True), (B, sel)):
+    sel = B.mask(F.level_shape(2))[np.ix_(*F.parent_maps(F.n_levels, 2))]
+    for within, inside in ((whole_level(F), True), (B, sel)):
         got = superlevel_measure(field_, ts, within=within)
         assert got.shape == ts.shape
         for t, v in zip(ts, got):
@@ -549,16 +551,16 @@ def test_superlevel_measure_threshold_array_matches_scalar_loop():
 def test_superlevel_measure_threshold_array_rejects_bad_entry(dyadic_1d, bad):
     field_ = maximal_field(0.5, compile_masses(lebesgue(1), dyadic_1d))
     with pytest.raises(ValueError, match="threshold"):
-        superlevel_measure(field_, np.array([1e-3, bad, 1.0]))
+        superlevel_measure(field_, np.array([1e-3, bad, 1.0]), whole_level(dyadic_1d))
 
 
 def test_covering_report_reads_its_measure_and_levels_from_the_field(dyadic_2d):
     masses = compile_masses(lebesgue(2), dyadic_2d)
     B = AtomSet(level=2, members=frozenset({(1, 1), (1, 2)}))
     ts = np.array([0.5, 1.0, 2.0, 4.0])
-    field_ = maximal_field(0.5, masses, K=2, N_max=4)
+    field_ = maximal_field(0.5, masses, K=2)
     rep = covering_report(field_, B, ts)
-    assert (rep.q, rep.K, rep.N_max) == (0.5, 2, 4)
+    assert (rep.q, rep.K) == (0.5, 2)
     assert rep.series == covering_series_bound(masses, B, 0.5)
     assert np.array_equal(rep.lhs_volumes, superlevel_measure(field_, ts, within=B))
     assert np.array_equal(rep.ratios, rep.lhs_volumes / rep.rhs_bounds)
@@ -583,7 +585,7 @@ def test_masses_carry_their_filtration_through_the_maximal_layer():
     m1, m2 = compile_masses(theta, F1), compile_masses(theta, F2)
     field_ = maximal_field(0.5, m1, K=2)
     assert field_.F is F1
-    assert np.array_equal(field_.values, finest_grid_max_field(0.5, m1, 2, 6))
+    assert np.array_equal(field_.values, finest_grid_max_field(0.5, m1, 2))
     assert not np.allclose(field_.values, maximal_field(0.5, m2, K=2).values)
     # series oracle: theta of the level-2 atoms of F1 at each distance from B
     B = AtomSet(level=2, members=frozenset({(1,)}))
@@ -605,7 +607,7 @@ def test_atom_set_outside_level_is_rejected(dyadic_2d, member):
     # numpy would wrap (-1, -1) to the last atom and read (1,) as a whole row;
     # (7, 0) is past the 4 x 4 level
     masses = compile_masses(lebesgue(2), dyadic_2d)
-    field_ = maximal_field(0.5, masses, K=2, N_max=4)
+    field_ = maximal_field(0.5, masses, K=2)
     B = AtomSet(level=2, members=frozenset({member}))
     with pytest.raises(ValueError, match="outside the level shape"):
         covering_report(field_, B, np.array([0.5, 1.0]))

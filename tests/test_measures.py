@@ -309,6 +309,32 @@ def test_density_catalog_rejects_misspelt_parameters():
         density_catalog("gauss", 1)
 
 
+def test_density_parameters_fail_closed_when_built():
+    # degree 2.5 once ran as 2 and True as 1, and a sigmoid axis 0.7 as 0
+    for bad in (2.5, True, -1, "2"):
+        with pytest.raises(ValueError, match="degree must be an integer >= 0"):
+            density_catalog("polynomial", 1, degree=bad)
+    for bad in (0.7, True, -1):
+        with pytest.raises(ValueError, match="axis must be an integer >= 0"):
+            density_catalog("sigmoid", 2, axis=bad)
+    # an axis or a point of another length once built, then raised IndexError
+    # at the first evaluation
+    with pytest.raises(ValueError, match=r"density 'sigmoid' axis 2 outside 0\.\.1"):
+        density_catalog("sigmoid", 2, axis=2)
+    for name, key in (("singular", "center"), ("smooth-exp", "center"),
+                      ("spike", "lo"), ("spike", "hi")):
+        params = {"lo": [0.2, 0.2], "hi": [0.6, 0.6]} if name == "spike" else {}
+        for bad in ([0.5], [0.5, 0.5, 0.5]):
+            params[key] = bad
+            with pytest.raises(ValueError, match=f"{name}' parameter '{key}' needs 2 coordinates"):
+                density_catalog(name, 2, **params)
+    # integers pass, numpy's too, and a scalar is one coordinate in d = 1
+    assert density_catalog("polynomial", 1, degree=np.int64(0))(np.array([0.5]))[0] == 1.0
+    x, y = np.array([0.2, 0.8]), np.array([0.8, 0.2])
+    assert density_catalog("sigmoid", 2, axis=np.int64(1))(x, y)[1] < 1e-6
+    assert density_catalog("spike", 1, lo=0.25, hi=0.5)(np.array([0.3]))[0] == 4.0
+
+
 def test_measure_from_config_round_trip():
     cfg = {
         "density": {"name": "constant", "value": 2.0},

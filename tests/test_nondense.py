@@ -11,6 +11,7 @@ from splinelab import (
     limit_dual_table,
 )
 
+from splinelab import nondense
 from splinelab.nondense import FINITE_DEPTH_NOTE
 
 from conftest import collocation_matrix, dense_dual_matrix
@@ -29,16 +30,15 @@ def frozen_filtration(depth=10, fraction=0.9, frozen=(0.5, 1.0)):
 
 def test_dyadic_has_no_v_intervals():
     F = build_filtration(FiltrationSpec(d=1, interval=(0.0, 1.0), n_levels=8))
-    report = detect_v_sets(F.axes[0], 0.01)
-    assert report.intervals == ()
+    assert detect_v_sets(F.axes[0], 0.01) == ()
     assert "finite" in FINITE_DEPTH_NOTE
 
 
 def test_frozen_rule_yields_single_v_interval():
     f1 = frozen_filtration()
-    report = detect_v_sets(f1, 0.25)
-    assert len(report.intervals) == 1
-    V = report.intervals[0]
+    v_sets = detect_v_sets(f1, 0.25)
+    assert len(v_sets) == 1
+    V = v_sets[0]
     assert (V.interval.lo, V.interval.hi) == (0.5, 1.0)
     assert V.left_accumulated          # breakpoints pile up at 1/2 from the left
     assert not V.right_accumulated     # 1 is the domain endpoint
@@ -65,19 +65,19 @@ def test_two_frozen_islands_detected():
         bp = np.array(new)
         levels.append(Partition1D(bp))
     merged = Filtration1D(levels)
-    report = detect_v_sets(merged, 0.06)
-    ivs = [(v.interval.lo, v.interval.hi) for v in report.intervals]
+    v_sets = detect_v_sets(merged, 0.06)
+    ivs = [(v.interval.lo, v.interval.hi) for v in v_sets]
     assert ivs == [(0.25, 0.375), (0.75, 0.875)]
-    assert all(v.left_accumulated and v.right_accumulated for v in report.intervals)
+    assert all(v.left_accumulated and v.right_accumulated for v in v_sets)
 
 
 def test_ambiguous_widths_flagged():
     f1 = frozen_filtration(depth=6, fraction=0.5)
     # at depth 6 the refining widths are 0.5 * 2^-6 = 2^-7; pick a tolerance
     # just below the frozen width so it lands in the ambiguous band
-    report = detect_v_sets(f1, 0.3)
-    assert len(report.intervals) == 1
-    assert report.intervals[0].ambiguous_atoms  # 0.5 < 2 * 0.3
+    v_sets = detect_v_sets(f1, 0.3)
+    assert len(v_sets) == 1
+    assert v_sets[0].ambiguous_atoms  # 0.5 < 2 * 0.3
 
 
 def test_tolerance_must_be_positive():
@@ -90,7 +90,7 @@ def test_tolerance_must_be_positive():
 
 def test_frozen_subspace_is_clamped_on_v():
     f1 = frozen_filtration()
-    V = detect_v_sets(f1, 0.25).intervals[0]
+    V = detect_v_sets(f1, 0.25)[0]
     space = frozen_subspace(f1, V, 3)
     assert space.partition.breakpoints.tolist() == [0.5, 1.0]
     assert space.dimension == 3
@@ -101,14 +101,16 @@ def test_limit_dual_converges_to_clamped_oracle():
     # stiffer near the corner and need the extra depth
     for k, depth in ((1, 10), (2, 10), (3, 12)):
         f1 = frozen_filtration(depth=depth, fraction=0.9)
-        V = detect_v_sets(f1, 0.25).intervals[0]
+        V = detect_v_sets(f1, 0.25)[0]
         probes = np.linspace(0.55, 0.99, 9)
+        table = limit_dual_table(f1, V, k, probes)
         n_stable = 1 + k - 1  # one frozen atom
-        for r in range(n_stable):
-            table = limit_dual_table(f1, V, k, r, probes)
-            assert table.deltas[-1] <= 1e-8
-            assert table.oracle_gap <= 1e-6
-            assert np.all(np.diff(table.deltas[3:]) <= 1e-12)  # settling, not oscillating
+        assert table.values.shape == (len(table.levels), n_stable, len(probes))
+        assert table.oracle_values.shape == (n_stable, len(probes))
+        assert np.all(table.deltas[-1] <= 1e-8)
+        assert np.all(table.oracle_gap <= 1e-6)
+        # settling, not oscillating
+        assert np.all(np.diff(table.deltas[3:], axis=0) <= 1e-12)
 
 
 def test_limit_dual_constant_filtration_is_exact():
@@ -120,27 +122,20 @@ def test_limit_dual_constant_filtration_is_exact():
         rules=[{"name": "frozen-on-subinterval", "frozen": [0.0, 1.0]}],
     )
     f1 = build_filtration(spec).axes[0]
-    report = detect_v_sets(f1, 0.2)
-    assert len(report.intervals) == 1
-    V = report.intervals[0]
+    v_sets = detect_v_sets(f1, 0.2)
+    assert len(v_sets) == 1
+    V = v_sets[0]
     probes = np.array([0.3, 0.8])
-    table = limit_dual_table(f1, V, 2, 1, probes)
+    table = limit_dual_table(f1, V, 2, probes)
     assert np.max(np.abs(table.values - table.values[0])) == 0.0
-    assert table.oracle_gap <= 1e-13
-
-
-def test_limit_dual_rejects_nonintersecting_index():
-    f1 = frozen_filtration()
-    V = detect_v_sets(f1, 0.25).intervals[0]
-    with pytest.raises(IndexError):
-        limit_dual_table(f1, V, 2, 5, np.array([0.7]))
+    assert np.all(table.oracle_gap <= 1e-13)
 
 
 def test_limit_dual_probes_must_be_inside():
     f1 = frozen_filtration()
-    V = detect_v_sets(f1, 0.25).intervals[0]
+    V = detect_v_sets(f1, 0.25)[0]
     with pytest.raises(ValueError):
-        limit_dual_table(f1, V, 2, 0, np.array([0.2]))
+        limit_dual_table(f1, V, 2, np.array([0.2]))
 
 
 def test_limit_dual_decay_estimate_holds():
@@ -158,21 +153,21 @@ def test_limit_dual_decay_estimate_holds():
     inner = np.linspace(0.25, 1.0, 13)
     levels = [Partition1D(np.union1d(lvl.breakpoints, inner)) for lvl in f1.levels]
     f1 = Filtration1D(levels)
-    V = detect_v_sets(f1, 0.03).intervals[0]
+    V = detect_v_sets(f1, 0.03)[0]
     assert (V.interval.lo, V.interval.hi) == (0.25, 1.0)
     probes = np.linspace(0.26, 0.99, 25)
-    for r in (0, 3, 7):
-        table = limit_dual_table(f1, V, 2, r, probes)
-        assert table.decay_ok
-        assert table.oracle_gap <= 1e-6
+    table = limit_dual_table(f1, V, 2, probes)
+    assert table.decay_ok.shape == (13,)     # 12 frozen atoms, k = 2
+    assert np.all(table.decay_ok)
+    assert np.all(table.oracle_gap <= 1e-6)
 
 
 def test_limit_oracle_matches_dense_inverse():
     f1 = frozen_filtration(depth=12, fraction=0.9)
-    V = detect_v_sets(f1, 0.25).intervals[0]
+    V = detect_v_sets(f1, 0.25)[0]
     probes = np.array([0.6, 0.75, 0.97])
     k = 2
-    table = limit_dual_table(f1, V, k, 1, probes)
+    table = limit_dual_table(f1, V, k, probes)
     # independent oracle: dense inverse of the deepest level's full Gram
     space = SplineSpace1D(f1.level(12), k)
     gs = GramSystem(space)
@@ -180,5 +175,24 @@ def test_limit_oracle_matches_dense_inverse():
     B = collocation_matrix(space, probes)
     a0 = int(np.searchsorted(space.partition.breakpoints, 0.5))
     deep_vals = (Ginv @ B.T)[a0 + 1]
-    np.testing.assert_allclose(table.values[-1], deep_vals, atol=1e-10)
-    np.testing.assert_allclose(table.oracle_values, deep_vals, atol=1e-7)
+    np.testing.assert_allclose(table.values[-1, 1], deep_vals, atol=1e-10)
+    np.testing.assert_allclose(table.oracle_values[1], deep_vals, atol=1e-7)
+
+
+def test_limit_dual_table_factorizes_each_gram_once(monkeypatch):
+    # every stable index shares one factorization per tracked level and one
+    # of the limit space
+    built = []
+
+    class CountingGramSystem(GramSystem):
+        def __init__(self, space):
+            built.append(space)
+            super().__init__(space)
+
+    monkeypatch.setattr(nondense, "GramSystem", CountingGramSystem)
+    f1 = frozen_filtration()
+    V = detect_v_sets(f1, 0.25)[0]
+    table = limit_dual_table(f1, V, 3, np.linspace(0.55, 0.99, 5))
+    assert table.values.shape[1] == 3
+    assert V.frozen_since_level == 1
+    assert len(built) == len(table.levels) + 1 == f1.n_levels + 1

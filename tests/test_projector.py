@@ -43,6 +43,7 @@ from conftest import (
     full_length_duals,
     graded_filtration,
     node_grid_values,
+    restricted_projection,
     per_atom_decay_profile,
     per_block_operator_norm_1d,
     random_filtration,
@@ -141,8 +142,8 @@ def _common_refinement_route(tp, ts):
     g = max(max(tp.orders), max(s.order for s in ts.spaces))
     quad = [Partition1D(np.union1d(mine.partition.breakpoints, theirs.partition.breakpoints))
             for mine, theirs in zip(tp.spaces, ts.spaces)]
-    return tp.project(lambda *grids: ts.eval_grid([np.ravel(a) for a in grids]),
-                      g=g, quad_partitions=quad)
+    return restricted_projection(tp, lambda *grids: ts.eval_grid([np.ravel(a) for a in grids]),
+                                 quad, g)
 
 
 def test_project_of_a_coarser_spline_is_the_callable_route():
@@ -232,8 +233,6 @@ def test_project_rejects_options_it_would_ignore(dyadic_1d):
         tp.project(theta, g=4)
     with pytest.raises(ValueError, match="TensorSpline source .* takes no g"):
         tp.project(ts, g=4)
-    with pytest.raises(ValueError, match="takes no quad_partitions"):
-        tp.project(ts, quad_partitions=[dyadic_1d.axes[0].level(4)])
 
 
 def test_project_k1_is_atomwise_average(dyadic_1d):
@@ -277,7 +276,7 @@ def test_nested_projection_identity():
     tp_coarse = TensorProjector.for_level(F, 2, 3)
     pm = tp_deep.project(f, g=10)
     pn_pm = tp_coarse.project(pm)
-    pn = tp_coarse.project(f, g=10, quad_partitions=[F.axes[0].level(6)])
+    pn = restricted_projection(tp_coarse, f, [F.axes[0].level(6)], 10)
     pts = np.random.default_rng(4).uniform(1e-6, 1, 400)[:, None]
     np.testing.assert_allclose(pn_pm.eval_many(pts), pn.eval_many(pts), atol=1e-9)
     # a spline source from a finer level is the callable route and the dense oracle

@@ -20,7 +20,8 @@ from splinelab import (
 from splinelab import measures
 
 from conftest import (dense_moments, graded_filtration, l1_norms, median_decay_rate,
-                      node_grid_values, random_filtration, total_variation)
+                      node_grid_values, random_filtration, restricted_projection,
+                      total_variation)
 
 
 def assert_same_level(seq, n, direct):
@@ -52,7 +53,7 @@ def test_density_source_matches_projection(dyadic_1d):
     finest = [dyadic_1d.axes[0].level(dyadic_1d.n_levels)]
     for n in (1, 2, 3):
         tp = TensorProjector.for_level(dyadic_1d, n, 2)
-        direct = tp.project(dens, g=8, quad_partitions=finest)
+        direct = restricted_projection(tp, dens, finest, 8)
         np.testing.assert_allclose(seq.level(n).coeffs, direct.coeffs, atol=1e-13)
 
 
@@ -302,7 +303,7 @@ def test_measure_sequence_levels_equal_per_level_projection(d, m):
     assert seq.m == m
     for n in range(1, F.n_levels + 1):
         tp = TensorProjector.for_level(F, n, orders)
-        assert_same_level(seq, n, tp.project(theta, quad_partitions=finest))
+        assert_same_level(seq, n, restricted_projection(tp, theta, finest))
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -314,7 +315,7 @@ def test_function_sequence_levels_equal_per_level_projection(d):
     finest = [ax.level(F.n_levels) for ax in F.axes]
     for n in range(1, F.n_levels + 1):
         tp = TensorProjector.for_level(F, n, orders)
-        assert_same_level(seq, n, tp.project(f, g=6, quad_partitions=finest))
+        assert_same_level(seq, n, restricted_projection(tp, f, finest, 6))
 
 
 def test_make_sequence_evaluates_source_once(dyadic_2d):
@@ -355,8 +356,8 @@ def test_make_sequence_reduces_node_grid_once(dyadic_2d, monkeypatch):
 @pytest.mark.parametrize("d", [1, 2])
 def test_graded_moments_match_dense_collocation(d):
     # on meshes graded to the 1e-9 width floor, the coefficients of make_sequence
-    # and of project(callable) equal the solve of dense collocation moments at the
-    # same Gauss nodes to 1e-13 of the largest
+    # and of the finest moments restricted in one step equal the solve of dense
+    # collocation moments at the same Gauss nodes to 1e-13 of the largest
     F = graded_filtration(d)
     orders = (3, 2)[:d]
     f = lambda *xs: 1.5 + np.sin(3 * sum(xs)) + xs[0] ** 2
@@ -367,7 +368,7 @@ def test_graded_moments_match_dense_collocation(d):
     for n in (1, F.n_levels // 2, F.n_levels):
         tp = seq.projectors[n - 1]
         want = tp.solve_coefficients(dense_moments(finest, g, tp.spaces, vals))
-        for got in (seq.level(n).coeffs, tp.project(f, quad_partitions=finest, g=g).coeffs):
+        for got in (seq.level(n).coeffs, restricted_projection(tp, f, finest, g).coeffs):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max(),
                                        err_msg=f"level {n}")
 
