@@ -17,12 +17,12 @@ random-bisection mesh (3 base atoms, every atom split at a random fraction in
 For the maximal machinery it times, in d = 1 and d = 2 on the
 random-bisection mesh of the maximal-covering benchmark (1 base atom,
 2^depth atoms per axis; depths MAXIMAL_DEPTHS[d]):
-  conv_lengths     building one finest-level conv-length matrix H;
-  level_sum_field  the finest level's sum with H already cached, the cost
-                   of every q and measure after the first;
+  level_sum_field  the finest level's sum, its axis kernels applied one
+                   row block of KERNEL_BLOCK_BYTES at a time;
   maximal_field    max over levels 2..depth, once for each q in Q_VALUES on
-                   one compiled measure, from a cold H cache: one seed of
-                   the covering experiment.
+                   one compiled measure: one seed of the covering experiment;
+each with the tracemalloc peak of one call and the bytes of what it returns
+(for maximal_field, of one field).
 For the per-atom quadrature it times, in d = 2 on the same mesh at depths
 QUADRATURE_DEPTHS (2^depth atoms per axis), both reductions of a density and
 the restriction of its moments:
@@ -75,11 +75,11 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np  # noqa: E402
 
-from splinelab import (FiltrationSpec, HybridMeasure, Partition1D, SplineSpace1D,  # noqa: E402
+from splinelab import (FiltrationSpec, HybridMeasure, SplineSpace1D,  # noqa: E402
                        TensorProjector, build_filtration, compile_masses, density_catalog,
                        make_sequence, maximal_field)
 from splinelab.bspline import atom_chebyshev, restrict  # noqa: E402
-from splinelab.maximal import level_sum_field  # noqa: E402
+from splinelab.maximal import KERNEL_BLOCK_BYTES, level_sum_field  # noqa: E402
 from splinelab.measures import source_moments  # noqa: E402
 from splinelab.projector import (  # noqa: E402
     DECAY_BLOCK_ATOMS,
@@ -93,14 +93,14 @@ from splinelab.projector import (  # noqa: E402
 )
 
 KERNELS = ("duals_at", "decay_profile", "kernel_columns", "operator_norm_1d")
-MAXIMAL_KERNELS = ("conv_lengths", "level_sum_field", "maximal_field")
+MAXIMAL_KERNELS = ("level_sum_field", "maximal_field")
 QUADRATURE_KERNELS = ("compile_masses", "basis_moments", "restrict")
 PROJECTION_KERNELS = ("spline_projection",)
 SEQUENCE_KERNELS = ("make_sequence",)
 
 DEPTHS = (8, 9, 10)
 ORDERS = (2, 3, 4, 5)
-MAXIMAL_DEPTHS = {1: (8, 9, 10), 2: (7, 8, 9)}
+MAXIMAL_DEPTHS = {1: (10, 11, 12), 2: (7, 8, 9)}
 Q_VALUES = (0.3, 0.5, 0.8)
 QUADRATURE_DEPTHS = (7, 8, 9)
 MOMENT_POINTS = 16
@@ -133,7 +133,7 @@ def slope(pts):
 
 
 def maximal_rows():
-    """Timings of the conv-length build, one cached level sum and a cold three-q maximal field."""
+    """Timings and memory peaks of one finest level sum and of a three-q maximal field."""
     rule = {"name": "random-atom-bisect", "p_split": 1.0,
             "split_range": [0.35, 0.65], "base_atoms": 1}
     rows = []
@@ -144,25 +144,18 @@ def maximal_rows():
             F = build_filtration(FiltrationSpec(d=d, interval=(0.0, 1.0), n_levels=depth,
                                                 rules=[rule] * d, seed=SEED))
             masses = compile_masses(theta, F)
-            finest = F.axes[0].level(depth)
-            level_sum_field(0.5, masses, depth)     # fills the cache of the finest level
-
-            def cold_maximal():
-                # drop every cached H (a cached_property lives in the instance dict)
-                for ax in F.axes:
-                    for part in ax.levels:
-                        vars(part).pop("conv_lengths", None)
-                for q in Q_VALUES:
-                    maximal_field(q, masses, K=2)
-
+            masses.level_masses(2)      # compiles every level's masses before the timings
             kernels = {
-                "conv_lengths": lambda: Partition1D(finest.breakpoints).conv_lengths,
                 "level_sum_field": lambda: level_sum_field(0.5, masses, depth),
-                "maximal_field": cold_maximal,
+                "maximal_field": lambda: [maximal_field(q, masses, K=2).values
+                                          for q in Q_VALUES][-1],
             }
             for name, fn in kernels.items():
-                rows.append({"kernel": name, "d": d, "depth": depth, "dim": finest.n_atoms,
-                             "seconds": median_seconds(fn)})
+                peak, out = traced_peak(fn)
+                rows.append({"kernel": name, "d": d, "depth": depth,
+                             "dim": F.axes[0].level(depth).n_atoms,
+                             "seconds": median_seconds(fn), "peak_bytes": peak,
+                             "result_bytes": out.nbytes})
     return rows
 
 
@@ -318,6 +311,7 @@ def main():
                      "norm_window_atoms": NORM_WINDOW_ATOMS,
                      "maximal_depths": {f"d{d}": list(v) for d, v in MAXIMAL_DEPTHS.items()},
                      "q_values": list(Q_VALUES),
+                     "kernel_block_bytes": KERNEL_BLOCK_BYTES,
                      "quadrature_depths": list(QUADRATURE_DEPTHS),
                      "moment_points": MOMENT_POINTS,
                      "projection_depths": list(PROJECTION_DEPTHS),

@@ -10,15 +10,11 @@ whole tensor grid.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 # refinement never creates an atom thinner than this fraction of |I|
 MIN_WIDTH_FRACTION = 1e-9
-
-# rows per block of the conv-length build: its (rows, rows) temporary stays in cache
-CONV_BLOCK_ROWS = 64
 
 
 def _require_int(name: str, value, least: int) -> int:
@@ -26,6 +22,13 @@ def _require_int(name: str, value, least: int) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
+
+
+def _is_finite_real(value) -> bool:
+    """Whether value is a finite real number (numpy's too, bool not)."""
+    return (not isinstance(value, bool)
+            and isinstance(value, (int, float, np.integer, np.floating))
+            and bool(np.isfinite(value)))
 
 
 @dataclass(frozen=True)
@@ -72,28 +75,6 @@ class Partition1D:
     @property
     def widths(self) -> np.ndarray:
         return np.diff(self.breakpoints)
-
-    @cached_property
-    def conv_lengths(self) -> np.ndarray:
-        """Read-only H[a, b] = bp[max(a, b) + 1] - bp[min(a, b)], the length of conv(atom a u atom b).
-
-        Built once per partition and kept with it (8 n^2 bytes), row block by
-        row block into the one n x n array: left of a block's diagonal part
-        H = bp[a+1] - bp[b], right of it bp[b+1] - bp[a], and on it the larger
-        of the two.  Each entry is the same single rounded subtraction as in
-        max(D, D^T) with D[a, b] = bp[a+1] - bp[b], so H equals it bit for bit.
-        """
-        lo, hi = self.breakpoints[:-1], self.breakpoints[1:]
-        n = len(lo)
-        H = np.empty((n, n))
-        for r0 in range(0, n, CONV_BLOCK_ROWS):
-            r1 = min(r0 + CONV_BLOCK_ROWS, n)
-            np.subtract(hi[r0:r1, None], lo[:r1], out=H[r0:r1, :r1])
-            np.subtract(hi[r1:], lo[r0:r1, None], out=H[r0:r1, r1:])
-            block = H[r0:r1, r0:r1]
-            np.maximum(block, np.subtract(hi[r0:r1], lo[r0:r1, None]), out=block)
-        H.flags.writeable = False
-        return H
 
     def atom(self, j: int) -> Interval:
         if not 0 <= j < self.n_atoms:
@@ -302,6 +283,16 @@ class FiltrationSpec:
             unread = set(rule) - {"name", *required, *optional}
             if unread:
                 raise ValueError(f"unknown {name} rule keys {sorted(unread)}")
+            for key in ("target", "fraction", "p_split", "base_jitter"):
+                if key in rule and not _is_finite_real(rule[key]):
+                    raise ValueError(f"{name} rule key {key!r} must be a finite real, "
+                                     f"got {rule[key]!r}")
+            for key in ("frozen", "split_range"):
+                pair = rule.get(key)
+                if key in rule and not (isinstance(pair, (list, tuple, np.ndarray))
+                                        and len(pair) == 2 and all(map(_is_finite_real, pair))):
+                    raise ValueError(f"{name} rule key {key!r} must be a pair of finite reals, "
+                                     f"got {pair!r}")
 
 
 def _base_breakpoints(a, b, rule, rng):

@@ -211,8 +211,9 @@ def density_catalog(name: str, d: int, **params):
 
     Each branch pops the parameters it reads; any left over, like an unknown
     name, raise ValueError, so that a misspelt key cannot fall back to a default.
-    So does a missing spike bound, a point of another length than d, a
-    non-integer degree or axis, or an axis outside 0..d-1.
+    So does a missing spike bound, a spike box with lo >= hi on some axis, a
+    point of another length than d, a non-integer degree or axis, or an axis
+    outside 0..d-1.
     """
     what = f"density {name!r}"
     if name == "constant":
@@ -282,6 +283,10 @@ def density_catalog(name: str, d: int, **params):
     if name == "spike":
         lo = _pop_point(what, params, "lo", d)
         hi = _pop_point(what, params, "hi", d)
+        # written so that NaN fails the test too
+        if not np.all(lo < hi):
+            raise ValueError(f"{what} needs lo < hi on every axis, got lo={lo.tolist()}, "
+                             f"hi={hi.tolist()}")
         height = float(params.pop("height", 1.0 / np.prod(hi - lo)))
         reject_leftover_params(what, params)
 

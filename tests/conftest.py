@@ -226,29 +226,38 @@ def per_block_operator_norm_1d(gs, nx_per_atom=8, ny_per_atom=8, window=64):
     return best
 
 
+# atoms per full-length solve of per_atom_decay_profile
+ORACLE_CHUNK_ATOMS = 64
+
+
 def full_length_duals(gs, xs):
     """Dual-value oracle: dense collocation matrix, one full-length LAPACK dpbtrs solve."""
     return cho_solve_banded((gs._chol, False), collocation_matrix(gs.space, xs).T)
 
 
 def per_atom_decay_profile(gs, nx_per_atom=8):
-    """Decay-profile oracle: one full-length dual solve per atom, entries at or
-    below PROFILE_FLOOR set to 0, then the library's fit."""
+    """Decay-profile oracle: full-length dual solves at every atom's samples,
+    entries at or below PROFILE_FLOOR set to 0, then the library's fit.
+
+    The atoms go ORACLE_CHUNK_ATOMS at a time into one full-length solve;
+    dpbtrs solves each right-hand side on its own, so this equals one solve
+    per atom bit for bit."""
     space = gs.space
     k = space.order
     n_atoms = space.partition.n_atoms
     dim = space.dimension
     bp = space.partition.breakpoints
-    sup_lo = np.maximum(np.arange(dim) - (k - 1), 0)
-    sup_hi = np.minimum(np.arange(dim), n_atoms - 1)
+    sup_lo = np.maximum(np.arange(dim) - (k - 1), 0)[:, None]
+    sup_hi = np.minimum(np.arange(dim), n_atoms - 1)[:, None]
     j = np.arange(nx_per_atom)
     cheb = np.cos((2 * j + 1) * np.pi / (2 * nx_per_atom))
     prof = np.zeros(n_atoms + k)
-    for a in range(n_atoms):
-        lo, hi = bp[a], bp[a + 1]
+    for a0 in range(0, n_atoms, ORACLE_CHUNK_ATOMS):
+        a = np.arange(a0, min(a0 + ORACLE_CHUNK_ATOMS, n_atoms))
+        lo, hi = bp[a, None], bp[a + 1, None]
         xs = 0.5 * (hi - lo) * cheb + 0.5 * (hi + lo)
-        D = np.abs(full_length_duals(gs, xs))
-        vmax = D.max(axis=1)
+        D = np.abs(full_length_duals(gs, xs.ravel()))
+        vmax = D.reshape(dim, len(a), nx_per_atom).max(axis=2)
         dist = np.where(
             (a >= sup_lo) & (a <= sup_hi),
             0,

@@ -229,6 +229,31 @@ def test_cli_exits_2_naming_a_missing_or_unknown_rule_or_measure_key(tmp_path, c
     assert err.startswith("error: ") and repr(key) in err
 
 
+@pytest.mark.parametrize("name, edit, message", [
+    ("nondense", lambda p: p["cases"][0]["rules"][0].update(frozen=0.5),
+     "frozen-on-subinterval rule key 'frozen' must be a pair of finite reals, got 0.5"),
+    ("weaktype", lambda p: p["cases"][0].update(
+        rule={"name": "point-targeted", "target": [0.3, 0.4]}),
+     "point-targeted rule key 'target' must be a finite real, got [0.3, 0.4]"),
+    ("weaktype", lambda p: p["cases"][0].update(rule={"name": "point-targeted", "target": None}),
+     "point-targeted rule key 'target' must be a finite real, got None"),
+    ("singular", lambda p: p["measure"].update(density={"name": "spike", "lo": [0.5], "hi": [0.2]}),
+     "density 'spike' needs lo < hi on every axis, got lo=[0.5], hi=[0.2]"),
+    ("singular", lambda p: p["measure"].update(density={"name": "spike", "lo": [0.3], "hi": [0.3]}),
+     "density 'spike' needs lo < hi on every axis, got lo=[0.3], hi=[0.3]"),
+], ids=["frozen-scalar", "target-pair", "target-none", "spike-lo-above-hi", "spike-lo-at-hi"])
+def test_cli_exits_2_on_a_rule_value_or_spike_box_of_the_wrong_kind(tmp_path, capsys, name,
+                                                                     edit, message):
+    # each once raised TypeError (the rules) or built a density of negative or
+    # infinite height (the spikes); the rules ended in a traceback and exit 1
+    cfg = small_config(name)
+    edit(cfg["params"])
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(cfg))
+    assert cli_main([name, "--config", str(path), "--quiet"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_nonzero_exit_when_assertion_fails():
     cfg = small_config("decay")
     cfg["params"]["q_max"] = 1e-9  # impossible cap: q_hat > 0 for k >= 2

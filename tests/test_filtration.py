@@ -266,6 +266,24 @@ def test_rule_keys_the_rule_does_not_read_rejected():
         build_filtration(FiltrationSpec(d=1, interval=(0.0, 1.0), n_levels=2, rules=[rule]))
 
 
+@pytest.mark.parametrize("rule, key", [
+    ({"name": "frozen-on-subinterval", "frozen": 0.5}, "frozen"),
+    ({"name": "frozen-on-subinterval", "frozen": [0.5, np.inf]}, "frozen"),
+    ({"name": "point-targeted", "target": [0.3, 0.4]}, "target"),
+    ({"name": "point-targeted", "target": None}, "target"),
+    ({"name": "point-targeted", "target": 0.3, "fraction": "0.5"}, "fraction"),
+    ({"name": "random-atom-bisect", "p_split": np.nan}, "p_split"),
+    ({"name": "random-atom-bisect", "split_range": [0.4]}, "split_range"),
+    ({"name": "uniform-bisect-all", "base_jitter": True}, "base_jitter"),
+], ids=["frozen-scalar", "frozen-inf", "target-pair", "target-none", "fraction-str",
+        "p_split-nan", "split_range-short", "base_jitter-bool"])
+def test_rule_values_of_the_wrong_kind_rejected(rule, key):
+    # a scalar `frozen` once raised TypeError on unpacking at the build, and a
+    # pair or None `target` TypeError in float()
+    with pytest.raises(ValueError, match=f"rule key '{key}' must be a"):
+        FiltrationSpec(d=1, interval=(0.0, 1.0), n_levels=2, rules=[rule])
+
+
 def test_invalid_interval_rejected():
     with pytest.raises(ValueError):
         FiltrationSpec(d=1, interval=(1.0, 0.0), n_levels=2)

@@ -1,5 +1,5 @@
-import functools
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,10 +19,10 @@ from splinelab import (
     covering_series_bound,
     weak_series_total,
 )
-from splinelab.experiments import default_config, run_experiment
+from splinelab import maximal
 from splinelab.maximal import (
     SERIES_MAX_TERMS,
-    _axis_kernel,
+    _axis_product,
     _spread,
     hl_weak_type_ratio,
     level_sum_field,
@@ -30,7 +30,7 @@ from splinelab.maximal import (
 )
 
 from conftest import (atom_distance, atom_set_from_mask, b_term, finest_grid_max_field, level_sum,
-                      measure_of_atom, per_entry_axis_kernel, per_entry_conv_lengths,
+                      measure_of_atom, per_entry_axis_kernel,
                       random_filtration, truncated, whole_level)
 
 
@@ -414,7 +414,7 @@ def test_invalid_q_rejected(q):
 
 
 @pytest.mark.parametrize("q", [0.0, 0.3, 0.8])
-def test_axis_kernel_matches_per_entry_oracle(q):
+def test_axis_kernel_matches_per_entry_oracle(q, monkeypatch):
     rng = np.random.default_rng(17)
     meshes = [np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 1.0, n))]) for n in (1, 2, 7, 40)]
     meshes += [random_filtration(s, n_levels=7).axes[0].level(7).breakpoints for s in (0, 1)]
@@ -424,39 +424,51 @@ def test_axis_kernel_matches_per_entry_oracle(q):
     fine = graded.axes[0].level(40).breakpoints
     assert np.diff(fine).min() < 2e-9
     meshes.append(fine)
-    # a mesh of more than CONV_BLOCK_ROWS atoms, so the build crosses row blocks
     meshes.append(np.concatenate([[0.0], np.cumsum(rng.uniform(1e-3, 1.0, 150))]))
     for bp in meshes:
+        n = len(bp) - 1
         part = Partition1D(bp)
-        assert np.array_equal(part.conv_lengths, per_entry_conv_lengths(bp))
-        assert np.array_equal(_axis_kernel(part, q), per_entry_axis_kernel(bp, q))
+        want = per_entry_axis_kernel(bp, q)
+        # X as a d = 1 level sum contracts it (one column) and as the two axes of
+        # a d = 2 one do (C and Fortran order); times the identity it is K itself
+        X = rng.uniform(0.0, 1.0, (n, 5))
+        operands = [X[:, :1], X, np.asfortranarray(X)]
+        # blocks of 8 and of 16 rows, and one block of the whole kernel (blocks
+        # are whole multiples of 8 rows); all but the three smallest meshes cross
+        # at least three blocks of 8 rows
+        assert n < 8 or n > 2 * 8
+        for rows in (8, 16, -(-n // 8) * 8):
+            monkeypatch.setattr(maximal, "KERNEL_BLOCK_BYTES", 8 * n * rows)
+            assert np.array_equal(_axis_product(part, q, np.eye(n)), want)
+            for Y in operands:
+                assert np.array_equal(_axis_product(part, q, Y), want @ Y)
 
 
-def test_one_covering_seed_builds_each_conv_length_matrix_once(monkeypatch):
-    # the three q values of one seed share the filtration, so each level
-    # partition of each axis builds H once, whatever the number of q
-    build = Partition1D.conv_lengths.func
-    built = []
-
-    def counted(part):
-        built.append(part)        # holding the partition keeps its id unique
-        return build(part)
-
-    prop = functools.cached_property(counted)
-    prop.__set_name__(Partition1D, "conv_lengths")
-    monkeypatch.setattr(Partition1D, "conv_lengths", prop)
-    cfg = default_config("covering")
-    cfg["params"]["n_seeds"] = 1
-    cfg["params"]["cases"] = [dict(c, depth=5) for c in cfg["params"]["cases"]]
-    assert len(cfg["params"]["q_values"]) == 3
-    assert run_experiment(cfg, quiet=True) == 0
-    used_levels = sum(c["d"] * (c["depth"] - c["K"] + 1) for c in cfg["params"]["cases"])
-    assert len({id(part) for part in built}) == len(built) == used_levels
+def test_maximal_field_holds_no_square_kernel():
+    # three q on 2,048 finest atoms: a whole 2,048^2 kernel or conv-length
+    # matrix takes 33.6 MB, and row blocks of KERNEL_BLOCK_BYTES keep the traced
+    # peak near 1.2 MB
+    rule = {"name": "random-atom-bisect", "p_split": 1.0, "split_range": [0.35, 0.65],
+            "base_atoms": 1}
+    F = build_filtration(FiltrationSpec(d=1, interval=(0.0, 1.0), n_levels=11, rules=[rule],
+                                        seed=0))
+    assert F.level_shape(11) == (2048,)
+    masses = compile_masses(HybridMeasure(
+        d=1, density=lambda x: 1.0 + 0.5 * np.sin(3 * x),
+        diracs=[(np.array([0.3]), np.array([1.0]))], density_quad_points=4), F)
+    tracemalloc.start()
+    try:
+        for q in (0.3, 0.5, 0.8):
+            maximal_field(q, masses, K=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_fields_on_a_shared_filtration_equal_fields_on_fresh_copies():
-    # the cached conv lengths are shared across q and measures; sharing them
-    # must not change a bit, and nobody may write into them
+    # fields share the filtration and its partitions across q and measures;
+    # sharing them must not change a bit
     def setup():
         F = random_filtration(9, d=2, n_levels=6)
         return F, [compile_masses(HybridMeasure(
@@ -470,11 +482,6 @@ def test_fields_on_a_shared_filtration_equal_fields_on_fresh_copies():
             _, fresh = setup()
             assert np.array_equal(maximal_field(q, masses, K=2).values,
                                   maximal_field(q, fresh[i], K=2).values)
-    H = F.axes[0].level(6).conv_lengths
-    assert H is F.axes[0].level(6).conv_lengths
-    assert not H.flags.writeable
-    with pytest.raises(ValueError, match="read-only"):
-        H[0, 0] = 1.0
 
 
 @pytest.mark.parametrize("d, n_levels, K, N_max",

@@ -335,6 +335,14 @@ def test_density_parameters_fail_closed_when_built():
     assert density_catalog("spike", 1, lo=0.25, hi=0.5)(np.array([0.3]))[0] == 4.0
 
 
+@pytest.mark.parametrize("lo, hi", [([0.5], [0.2]), ([0.3], [0.3]), ([0.2, 0.6], [0.6, 0.6])])
+def test_spike_box_must_have_lo_below_hi(lo, hi):
+    # lo > hi once built a zero function of height -3.3, and lo = hi divided by
+    # zero with only a RuntimeWarning
+    with pytest.raises(ValueError, match="density 'spike' needs lo < hi on every axis"):
+        density_catalog("spike", len(lo), lo=lo, hi=hi)
+
+
 def test_measure_from_config_round_trip():
     cfg = {
         "density": {"name": "constant", "value": 2.0},
