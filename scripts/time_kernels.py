@@ -24,8 +24,8 @@ random-bisection mesh of the maximal-covering benchmark (1 base atom,
 each with the tracemalloc peak of one call and the bytes of what it returns
 (for maximal_field, of one field).
 For the per-atom quadrature it times, in d = 2 on the same mesh at depths
-QUADRATURE_DEPTHS (2^depth atoms per axis), both reductions of a density and
-the restriction of its moments:
+QUADRATURE_DEPTHS (2^depth atoms per axis), both reductions of a density
+that is not separable and the restriction of its moments:
   compile_masses   the masses on every level of a measure with 4 points per
                    atom, as in the covering experiment, down to level 1
                    (whose bytes it reports as the result);
@@ -45,11 +45,17 @@ PROJECTION_DEPTHS, with orders (2, 2):
                      level n + 1 onto level n, as verify_martingale_property
                      makes it;
 with the tracemalloc peak of one call and the bytes of its result.
-For the martingale sequences it times, in d = 2 on the same mesh at depths
-SEQUENCE_DEPTHS, with orders (3, 3):
-  make_sequence  g_1, ..., g_N of the smooth-exp function with 4 points per
-                 atom, as in the converge experiment;
-with the tracemalloc peak of one call and the bytes of its finest coefficients.
+For the smooth-exp function, a SeparableFunction, it times in d = 2 and
+d = 3 on the same mesh at the depths of SEQUENCE_DEPTHS, with order 3 on
+every axis and 4 points per atom, as in the converge experiment:
+  basis_moments  the moments against the finest basis;
+  make_sequence  g_1, ..., g_N;
+each for two forms of the same function: the separable source, which
+basis_moments integrates axis by axis, and the plain lambda *x: f(*x),
+which it evaluates on the node grid slab by slab.  Each row has the
+tracemalloc peak of one call and the bytes of its result (of the finest
+coefficients for make_sequence).  The density rows above are not separable,
+so they time the slab route alone.
 For the filtrations it times build_filtration in d = 1 for two rules, each
 at the three depths of FILTRATION_RULES: uniform-bisect-all as in the shadrin
 experiment (3 jittered base atoms, 192, 768 and 3,072 atoms) and
@@ -60,7 +66,8 @@ filtrations, which take milliseconds).  Prints JSON with every timing and
 the slope of log(seconds) against log(dim), per kernel and order for the
 dual kernels, per kernel and d (dim = atoms per axis) for the maximal and
 quadrature ones, and per rule (dim = atoms of the last level) for
-build_filtration.  BLAS runs on one thread unless
+build_filtration; the smooth-exp rows have a slope per kernel and form in d = 2.
+BLAS runs on one thread unless
 OPENBLAS_NUM_THREADS is set.
 """
 
@@ -78,7 +85,7 @@ import numpy as np  # noqa: E402
 from splinelab import (FiltrationSpec, HybridMeasure, SplineSpace1D,  # noqa: E402
                        TensorProjector, build_filtration, compile_masses, density_catalog,
                        make_sequence, maximal_field)
-from splinelab.bspline import atom_chebyshev, restrict  # noqa: E402
+from splinelab.bspline import atom_chebyshev, basis_moments, restrict  # noqa: E402
 from splinelab.maximal import KERNEL_BLOCK_BYTES, level_sum_field  # noqa: E402
 from splinelab.measures import source_moments  # noqa: E402
 from splinelab.projector import (  # noqa: E402
@@ -96,7 +103,8 @@ KERNELS = ("duals_at", "decay_profile", "kernel_columns", "operator_norm_1d")
 MAXIMAL_KERNELS = ("level_sum_field", "maximal_field")
 QUADRATURE_KERNELS = ("compile_masses", "basis_moments", "restrict")
 PROJECTION_KERNELS = ("spline_projection",)
-SEQUENCE_KERNELS = ("make_sequence",)
+SEQUENCE_KERNELS = ("basis_moments", "make_sequence")
+SEQUENCE_FORMS = ("separable", "lambda")
 
 DEPTHS = (8, 9, 10)
 ORDERS = (2, 3, 4, 5)
@@ -105,7 +113,7 @@ Q_VALUES = (0.3, 0.5, 0.8)
 QUADRATURE_DEPTHS = (7, 8, 9)
 MOMENT_POINTS = 16
 PROJECTION_DEPTHS = (7, 8, 9)
-SEQUENCE_DEPTHS = (6, 7, 8)
+SEQUENCE_DEPTHS = {2: (6, 7, 8), 3: (5,)}
 FILTRATION_RULES = {   # rule, depths
     "uniform-bisect-all": ({"name": "uniform-bisect-all", "base_atoms": 3, "base_jitter": 0.5},
                            (6, 8, 10)),
@@ -223,20 +231,30 @@ def projection_rows():
 
 
 def sequence_rows():
-    """Timings and memory peaks of make_sequence, d = 2, orders (3, 3), at SEQUENCE_DEPTHS."""
+    """Timings and memory peaks of the smooth-exp moments and make_sequence, separable
+    and as a plain lambda, order 3 on every axis, at SEQUENCE_DEPTHS."""
     rule = {"name": "random-atom-bisect", "p_split": 1.0,
             "split_range": [0.35, 0.65], "base_atoms": 1}
-    f = density_catalog("smooth-exp", 2)
     rows = []
-    for depth in SEQUENCE_DEPTHS:
-        F = build_filtration(FiltrationSpec(d=2, interval=(0.0, 1.0), n_levels=depth,
-                                            rules=[rule] * 2, seed=SEED))
-        fn = lambda: make_sequence(F, f, (3, 3), quad_points=4).level(depth).coeffs
-        peak, out = traced_peak(fn)
-        rows.append({"kernel": "make_sequence", "d": 2, "depth": depth,
-                     "dim": F.axes[0].level(depth).n_atoms,
-                     "seconds": median_seconds(fn), "peak_bytes": peak,
-                     "result_bytes": out.nbytes})
+    for d, depths in SEQUENCE_DEPTHS.items():
+        f = density_catalog("smooth-exp", d)
+        forms = {"separable": f, "lambda": lambda *x: f(*x)}
+        for depth in depths:
+            F = build_filtration(FiltrationSpec(d=d, interval=(0.0, 1.0), n_levels=depth,
+                                                rules=[rule] * d, seed=SEED))
+            fine = [SplineSpace1D(ax.level(depth), 3) for ax in F.axes]
+            for form, source in forms.items():
+                kernels = {
+                    "basis_moments": lambda: basis_moments(source, fine, 4),
+                    "make_sequence": lambda: make_sequence(
+                        F, source, (3,) * d, quad_points=4).level(depth).coeffs,
+                }
+                for name, fn in kernels.items():
+                    peak, out = traced_peak(fn)
+                    rows.append({"kernel": name, "form": form, "d": d, "depth": depth,
+                                 "dim": F.axes[0].level(depth).n_atoms,
+                                 "seconds": median_seconds(fn), "peak_bytes": peak,
+                                 "result_bytes": out.nbytes})
     return rows
 
 
@@ -294,9 +312,10 @@ def main():
         name: {"d2": slope([(r["dim"], r["seconds"]) for r in prows if r["kernel"] == name])}
         for name in PROJECTION_KERNELS})
     srows = sequence_rows()
-    exponents.update({
-        name: {"d2": slope([(r["dim"], r["seconds"]) for r in srows if r["kernel"] == name])}
-        for name in SEQUENCE_KERNELS})
+    exponents["smooth-exp"] = {
+        f"{name}_{form}": {"d2": slope([(r["dim"], r["seconds"]) for r in srows
+                                        if (r["kernel"], r["form"], r["d"]) == (name, form, 2)])}
+        for name in SEQUENCE_KERNELS for form in SEQUENCE_FORMS}
     frows = filtration_rows()
     exponents["build_filtration"] = {
         name: slope([(r["dim"], r["seconds"]) for r in frows if r["rule"] == name])
@@ -315,7 +334,7 @@ def main():
                      "quadrature_depths": list(QUADRATURE_DEPTHS),
                      "moment_points": MOMENT_POINTS,
                      "projection_depths": list(PROJECTION_DEPTHS),
-                     "sequence_depths": list(SEQUENCE_DEPTHS),
+                     "sequence_depths": {f"d{d}": list(v) for d, v in SEQUENCE_DEPTHS.items()},
                      "filtration_depths": {name: list(depths)
                                            for name, (_, depths) in FILTRATION_RULES.items()},
                      "filtration_repeats": FILTRATION_REPEATS},

@@ -13,6 +13,7 @@ __version__ = "0.1.0"
 
 from .bspline import (
     QuadratureRule,
+    SeparableFunction,
     SplineSpace1D,
     TensorSpline,
     atom_quadrature,

@@ -9,12 +9,17 @@ for k=1 a breakpoint value is taken from the atom whose right endpoint it is;
 for k >= 2 the spline is continuous and the convention is invisible.
 
 Integrals over I^d go through `basis_moments`, which takes its per-atom
-Gauss rules from the partitions of the spaces it is given, evaluates an
-integrand one slab of whole axis-0 atoms at a time and contracts each slab
-on every axis at once, so its memory is bounded by SLAB_NODES and by what it
-returns, never by the full d-dimensional node grid.  A slab is sized so that
-its temporaries stay in L2 (cache blocking, Lam, Rothberg & Wolf, ASPLOS
-1991); the result is the same bit for bit for every slab size.  Moments take
+Gauss rules from the partitions of the spaces it is given.  A source in
+product form, a `SeparableFunction` sum_t c_t prod_l phi_{t,l}(x_l), is
+integrated axis by axis in d >= 2: its moments are the sums of the scaled
+outer products of the one-axis moments of its factors (Fubini on the tensor
+Gauss rule), so it costs sum_l (atoms_l g) factor evaluations instead of
+prod_l.  Any other integrand is evaluated one slab of whole axis-0 atoms at
+a time, and each slab is contracted on every axis at once, so its memory is
+bounded by SLAB_NODES and by what it returns, never by the full
+d-dimensional node grid.  A slab is sized so that its temporaries stay in L2
+(cache blocking, Lam, Rothberg & Wolf, ASPLOS 1991); the result is the same
+bit for bit for every slab size.  Moments take
 one route: a source is reduced against the finest basis (`basis_moments`),
 and a coarser nested basis N, with
 N_j = sum_i T[i, j] M_i in the finest basis M (knot insertion,
@@ -29,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 
 import numpy as np
 
@@ -180,6 +185,38 @@ def atom_chebyshev(p: Partition1D, n: int) -> np.ndarray:
     return 0.5 * (hi - lo) * cheb + 0.5 * (hi + lo)
 
 
+class SeparableFunction:
+    """A source in product form, f(x) = sum_t c_t prod_l phi_{t,l}(x_l).
+
+    `terms` lists the pairs (c_t, factors_t): a finite real c_t and one
+    callable per axis, which maps an array of axis-l coordinates to values of
+    its shape.  Called on coordinate grids, f is any other grid callable: each
+    term is c_t times its factors in axis order, and the terms are added in
+    order.  `basis_moments` integrates it axis by axis in d >= 2.
+    """
+
+    def __init__(self, terms, name: str = "separable"):
+        self.terms = tuple((c, tuple(factors)) for c, factors in terms)
+        if not self.terms or len({len(factors) for _, factors in self.terms}) != 1:
+            raise ValueError("a separable function needs terms with one factor per axis each")
+        if not all(math.isfinite(c) for c, _ in self.terms):
+            raise ValueError(f"separable coefficients must be finite, got "
+                             f"{[c for c, _ in self.terms]}")
+        self.d = len(self.terms[0][1])
+        self.__name__ = name
+
+    def __call__(self, *grids):
+        if len(grids) != self.d:
+            raise ValueError(f"{self.__name__} takes {self.d} coordinates, got {len(grids)}")
+        total = None
+        for c, factors in self.terms:
+            out = c
+            for phi, x in zip(factors, grids):
+                out = out * phi(x)
+            total = out if total is None else total + out
+        return total
+
+
 def basis_moments(f, spaces, g: int) -> np.ndarray:
     """Moments b_i = int f(X_1, ..., X_d) prod_l N_{i_l}, shape (dim_1, ..., dim_d, m), by
     the g-point Gauss-Legendre rule on every atom of the partitions of `spaces`;
@@ -190,8 +227,12 @@ def basis_moments(f, spaces, g: int) -> np.ndarray:
     transposed view slows einsum severalfold), and the k local rows of each
     atom are scattered into the basis (`_scatter_atoms`); an order-1 axis
     has one row per atom, which is its basis row already.  The integrand is
-    never evaluated on the whole node grid (`_reduce`).
+    never evaluated on the whole node grid (`_reduce`).  A SeparableFunction
+    in d >= 2 is never evaluated on it either: each factor takes this
+    one-axis route on its own axis (`_separable_moments`).
     """
+    if isinstance(f, SeparableFunction) and len(spaces) > 1:
+        return _separable_moments(f, spaces, g)
     nodes, mats = [], []
     for space in spaces:
         rule = atom_quadrature(space.partition, g)
@@ -200,6 +241,27 @@ def basis_moments(f, spaces, g: int) -> np.ndarray:
         mats.append(np.ascontiguousarray(np.swapaxes(vals * rule.weights[..., None], 1, 2)))
     return mode_apply(_reduce(f, nodes, mats), [
         partial(_scatter_atoms, s.order) if s.order > 1 else None for s in spaces])
+
+
+def _separable_moments(f: SeparableFunction, spaces, g: int) -> np.ndarray:
+    """basis_moments of f = sum_t c_t prod_l phi_{t,l}: the sum over t of c_t times the
+    outer product of the one-axis moments basis_moments(phi_{t,l}, [spaces[l]], g), which
+    check each factor's shape and values.  The tensor Gauss rule is a product of the
+    axis rules, so this is the same sum as on the node grid, in another order.  Raises
+    ValueError when a factor is not scalar or the moments are not finite."""
+    if f.d != len(spaces):
+        raise ValueError(f"{f.__name__} has {f.d} axes, the spaces {len(spaces)}")
+    total = None
+    for c, factors in f.terms:
+        axes = [basis_moments(phi, [space], g) for phi, space in zip(factors, spaces)]
+        if any(b.shape[1] != 1 for b in axes):
+            raise ValueError(f"a factor of {f.__name__} is not scalar")
+        with np.errstate(over="ignore", invalid="ignore"):
+            term = reduce(np.multiply.outer, [b[:, 0] for b in axes[1:]], c * axes[0][:, 0])
+            total = term if total is None else total + term
+    if not np.all(np.isfinite(total)):
+        raise ValueError(f"moments of {f.__name__} are not finite")
+    return total[..., None]
 
 
 def _reduce(f, nodes, mats) -> np.ndarray:

@@ -12,7 +12,10 @@ breakpoint belongs to the atom that the breakpoint closes.
 source_moments is the one route from a measure or a function to moments
 against a spline basis, and the one caller of `bspline.basis_moments`:
 projections run it on their finest spaces, compiled masses on the order-1
-spaces (the atom indicators) of the finest level.
+spaces (the atom indicators) of the finest level.  The catalog returns its
+product-form entries as `bspline.SeparableFunction`s, which that route
+integrates axis by axis: a function, the density of a scalar measure, and
+the variation |c| prod_l |phi_l| of a scalar one-term density.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ from functools import reduce
 
 import numpy as np
 
-from .bspline import (DEFAULT_QUAD_POINTS, GENERAL_QUAD_POINTS, SplineSpace1D, _require_int,
-                      _shaped_values, basis_moments, restrict)
+from .bspline import (DEFAULT_QUAD_POINTS, GENERAL_QUAD_POINTS, SeparableFunction,
+                      SplineSpace1D, _require_int, _shaped_values, basis_moments, restrict)
 from .filtration import TensorFiltration
 
 
@@ -96,9 +99,11 @@ def source_moments(source, spaces, g: int = None) -> np.ndarray:
     `restrict` gives every coarser nested level.  A
     HybridMeasure integrates its density (if any) with its own
     density_quad_points and adds N_i(x_j) m_j for each Dirac (x_j, m_j);
-    given g it raises ValueError.  A callable f(X_1, ..., X_d) is integrated
-    with g points per atom, max(k, DEFAULT_QUAD_POINTS) when g is None.  A
-    spline is no source here.
+    given g it raises ValueError.  A SeparableFunction density of a scalar
+    measure (m = 1) goes to basis_moments as it is, which integrates it axis
+    by axis; any other density goes through `density_values`.  A callable
+    f(X_1, ..., X_d) is integrated with g points per atom, max(k,
+    DEFAULT_QUAD_POINTS) when g is None.  A spline is no source here.
     """
     if isinstance(source, HybridMeasure):
         if g is not None:
@@ -107,6 +112,8 @@ def source_moments(source, spaces, g: int = None) -> np.ndarray:
             raise ValueError(f"measure dimension {source.d} != domain dimension {len(spaces)}")
         if source.density is None:
             b = np.zeros(tuple(s.dimension for s in spaces) + (source.m,))
+        elif isinstance(source.density, SeparableFunction) and source.m == 1:
+            b = basis_moments(source.density, spaces, source.density_quad_points)
         else:
             b = basis_moments(source.density_values, spaces, source.density_quad_points)
         if source.diracs:
@@ -133,18 +140,27 @@ class CompiledMasses:
 
     The masses are those of the scalar variation ||g|| dlambda^d + sum_j
     ||m_j|| delta_{x_j}, so they are nonnegative scalars for vector-valued
-    theta too.  Atoms are the order-1 spline space: the finest-level masses
-    are the order-1 `source_moments` of that measure, and each coarser level
-    n is built once, on first use, by `restrict` from level n + 1 alone,
-    which sums the children of every atom axis by axis.  So finite
+    theta too; for a scalar one-term SeparableFunction density c prod_l phi_l
+    the variation density is the SeparableFunction |c| prod_l |phi_l|, which
+    equals |g| bit for bit.  Atoms are the order-1 spline space: the
+    finest-level masses are the order-1 `source_moments` of that measure,
+    and each coarser level n is built once, on first use, by `restrict` from
+    level n + 1 alone, which sums the children of every atom axis by axis.  So finite
     additivity and refinement consistency hold bit for bit and all
     levels together cost O(finest).  Every tensor is read-only.
     """
 
     def __init__(self, theta: HybridMeasure, F: TensorFiltration):
         self.F = F
+        density = None if theta.density is None else theta.density_norms
+        if (isinstance(theta.density, SeparableFunction) and theta.m == 1
+                and len(theta.density.terms) == 1):
+            (c, factors), = theta.density.terms
+            density = SeparableFunction(
+                [(abs(c), [lambda x, phi=phi: np.abs(phi(x)) for phi in factors])],
+                f"|{theta.density.__name__}|")
         variation = HybridMeasure(
-            d=theta.d, density=None if theta.density is None else theta.density_norms,
+            d=theta.d, density=density,
             diracs=[(x, np.linalg.norm(mass)) for x, mass in theta.diracs],
             density_quad_points=theta.density_quad_points)
         nl = F.n_levels
@@ -188,13 +204,25 @@ def reject_leftover_params(what: str, params: dict) -> None:
 
 def _pop_point(what: str, params: dict, key: str, d: int, default=None) -> np.ndarray:
     """params[key], or `default` when given, as d coordinates; ValueError when the key is
-    missing without a default or holds another number of coordinates."""
+    missing without a default, holds another number of coordinates or one that is not
+    finite."""
     if key not in params and default is None:
         raise ValueError(f"{what} needs parameter {key!r}")
     x = np.atleast_1d(np.asarray(params.pop(key, default), dtype=float))
     if x.shape != (d,):
         raise ValueError(f"{what} parameter {key!r} needs {d} coordinates, got {x.tolist()}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{what} parameter {key!r} must be finite, got {x.tolist()}")
     return x
+
+
+def _pop_real(what: str, params: dict, key: str, default) -> float:
+    """params[key], or `default` when the key is missing, as one finite float."""
+    return float(_pop_point(what, params, key, 1, default)[0])
+
+
+def _ones(x):
+    return np.ones(np.shape(x))
 
 
 def density_catalog(name: str, d: int, **params):
@@ -209,31 +237,35 @@ def density_catalog(name: str, d: int, **params):
     smooth-exp: exp(-4 ||x - center||^2)
     spike: constant height on the box (lo, hi], 0 elsewhere (unit mass by default)
 
+    Every entry but `singular` is a product of one-axis factors and comes as a
+    SeparableFunction (`smooth-sine` with two terms, the product and the
+    offset), whose moments are integrated axis by axis; `singular` is a plain
+    closure.  In d = 1 each takes the values of the closure it replaced bit
+    for bit, and in d >= 2 all but `smooth-exp` (a product of exponentials
+    instead of the exponential of a sum) do too.
+
     Each branch pops the parameters it reads; any left over, like an unknown
     name, raise ValueError, so that a misspelt key cannot fall back to a default.
     So does a missing spike bound, a spike box with lo >= hi on some axis, a
-    point of another length than d, a non-integer degree or axis, or an axis
-    outside 0..d-1.
+    point of another length than d, a parameter or coordinate that is not
+    finite, a non-integer degree or axis, or an axis outside 0..d-1.
     """
     what = f"density {name!r}"
     if name == "constant":
-        c = float(params.pop("value", 1.0))
+        c = _pop_real(what, params, "value", 1.0)
         reject_leftover_params(what, params)
-        return lambda *grids: np.broadcast_arrays(*grids)[0] * 0.0 + c
+        return SeparableFunction([(c, [_ones] * d)], "constant")
     if name == "polynomial":
         degree = _require_int("degree", params.pop("degree", 1), 0)
-        c = float(params.pop("scale", 1.0))
+        c = _pop_real(what, params, "scale", 1.0)
         reject_leftover_params(what, params)
 
-        def poly(*grids):
-            out = c
-            for gax in grids:
-                out = out * np.asarray(gax) ** degree
-            return np.broadcast_arrays(out, *grids)[0] if np.isscalar(out) else out
+        def power(x):
+            return np.asarray(x) ** degree
 
-        return poly
+        return SeparableFunction([(c, [power] * d)], "poly")
     if name == "singular":
-        alpha = float(params.pop("alpha", 0.5 / d))
+        alpha = _pop_real(what, params, "alpha", 0.5 / d)
         x0 = _pop_point(what, params, "center", d, [0.5] * d)
         reject_leftover_params(what, params)
         if alpha * d >= 1:
@@ -247,56 +279,41 @@ def density_catalog(name: str, d: int, **params):
         return singular
     if name == "sigmoid":
         axis = _require_int("axis", params.pop("axis", 0), 0)
-        center = float(params.pop("center", 0.5))
-        steep = float(params.pop("steepness", 50.0))
+        center = _pop_real(what, params, "center", 0.5)
+        steep = _pop_real(what, params, "steepness", 50.0)
         reject_leftover_params(what, params)
         if axis >= d:
             raise ValueError(f"{what} axis {axis} outside 0..{d - 1}")
 
-        def sigmoid(*grids):
-            vals = 0.5 * (1 + np.tanh(steep * (np.asarray(grids[axis]) - center)))
-            return np.broadcast_arrays(vals, *grids)[0]
+        def step(x):
+            return 0.5 * (1 + np.tanh(steep * (np.asarray(x) - center)))
 
-        return sigmoid
+        return SeparableFunction([(1.0, [step if ell == axis else _ones for ell in range(d)])],
+                                 "sigmoid")
     if name == "smooth-sine":
-        amp = float(params.pop("amplitude", 1.0))
-        freq = float(params.pop("frequency", 1.0))
-        offset = float(params.pop("offset", 0.0))
+        amp = _pop_real(what, params, "amplitude", 1.0)
+        freq = _pop_real(what, params, "frequency", 1.0)
+        offset = _pop_real(what, params, "offset", 0.0)
         reject_leftover_params(what, params)
-
-        def sine(*grids):
-            out = amp
-            for ell, gax in enumerate(grids):
-                out = out * np.sin(2 * np.pi * freq * np.asarray(gax) + 0.3 * (ell + 1))
-            return out + offset
-
-        return sine
+        waves = [lambda x, phase=0.3 * (ell + 1): np.sin(2 * np.pi * freq * np.asarray(x) + phase)
+                 for ell in range(d)]
+        return SeparableFunction([(amp, waves), (offset, [_ones] * d)], "sine")
     if name == "smooth-exp":
         center = _pop_point(what, params, "center", d, [0.4] * d)
         reject_leftover_params(what, params)
-
-        def gauss(*grids):
-            r2 = sum((np.asarray(g) - center[ell]) ** 2 for ell, g in enumerate(grids))
-            return np.exp(-4.0 * r2)
-
-        return gauss
+        bumps = [lambda x, c=c: np.exp(-4.0 * (np.asarray(x) - c) ** 2) for c in center]
+        return SeparableFunction([(1.0, bumps)], "gauss")
     if name == "spike":
         lo = _pop_point(what, params, "lo", d)
         hi = _pop_point(what, params, "hi", d)
-        # written so that NaN fails the test too
         if not np.all(lo < hi):
             raise ValueError(f"{what} needs lo < hi on every axis, got lo={lo.tolist()}, "
                              f"hi={hi.tolist()}")
-        height = float(params.pop("height", 1.0 / np.prod(hi - lo)))
+        height = _pop_real(what, params, "height", 1.0 / np.prod(hi - lo))
         reject_leftover_params(what, params)
-
-        def spike(*grids):
-            inside = np.ones(np.broadcast_shapes(*(np.shape(g) for g in grids)), dtype=bool)
-            for ell, gax in enumerate(grids):
-                inside &= (np.asarray(gax) > lo[ell]) & (np.asarray(gax) <= hi[ell])
-            return np.where(inside, height, 0.0)
-
-        return spike
+        boxes = [lambda x, a=a, b=b: ((np.asarray(x) > a) & (np.asarray(x) <= b)).astype(float)
+                 for a, b in zip(lo, hi)]
+        return SeparableFunction([(height, boxes)], "spike")
     raise ValueError(f"unknown density {name!r}")
 
 

@@ -254,6 +254,24 @@ def test_cli_exits_2_on_a_rule_value_or_spike_box_of_the_wrong_kind(tmp_path, ca
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("density, message", [
+    ({"name": "sigmoid", "center": float("inf")},
+     "density 'sigmoid' parameter 'center' must be finite, got [inf]"),
+    ({"name": "singular", "center": [float("inf")]},
+     "density 'singular' parameter 'center' must be finite, got [inf]"),
+    ({"name": "spike", "lo": [0.2], "hi": [0.6], "height": float("nan")},
+     "density 'spike' parameter 'height' must be finite, got [nan]"),
+], ids=["sigmoid-center", "singular-center", "spike-height"])
+def test_cli_exits_2_on_a_non_finite_density_parameter(tmp_path, capsys, density, message):
+    # each once ran: the first two on a density of all zeros
+    cfg = small_config("singular")
+    cfg["params"]["measure"]["density"] = density
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps(cfg))
+    assert cli_main(["singular", "--config", str(path), "--quiet"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_nonzero_exit_when_assertion_fails():
     cfg = small_config("decay")
     cfg["params"]["q_max"] = 1e-9  # impossible cap: q_hat > 0 for k >= 2

@@ -335,6 +335,34 @@ def test_density_parameters_fail_closed_when_built():
     assert density_catalog("spike", 1, lo=0.25, hi=0.5)(np.array([0.3]))[0] == 4.0
 
 
+@pytest.mark.parametrize("name, key, value", [
+    ("sigmoid", "center", np.inf),
+    ("singular", "center", [np.inf, 0.3]),
+    ("constant", "value", np.nan),
+    ("polynomial", "scale", np.inf),
+    ("sigmoid", "steepness", np.nan),
+    ("smooth-sine", "amplitude", np.nan),
+    ("smooth-sine", "frequency", -np.inf),
+    ("smooth-sine", "offset", np.nan),
+    ("smooth-exp", "center", [0.4, np.nan]),
+    ("spike", "height", np.nan),
+    ("singular", "alpha", np.nan),
+], ids=lambda v: str(v))
+def test_density_parameters_must_be_finite(name, key, value):
+    # each was accepted; the sigmoid centred at inf and the singular density
+    # centred at (inf, 0.3) evaluated to all zeros, and a NaN alpha passed the
+    # alpha * d >= 1 test
+    params = {"lo": [0.2, 0.2], "hi": [0.6, 0.6]} if name == "spike" else {}
+    params[key] = value
+    with pytest.raises(ValueError, match=f"density '{name}' parameter '{key}' must be finite"):
+        density_catalog(name, 2, **params)
+
+
+def test_negative_alpha_is_still_accepted():
+    dens = density_catalog("singular", 2, alpha=-0.5, center=[0.5, 0.5])
+    assert dens(np.array([1.0]), np.array([0.5]))[0] == pytest.approx(0.5 ** 0.5)
+
+
 @pytest.mark.parametrize("lo, hi", [([0.5], [0.2]), ([0.3], [0.3]), ([0.2, 0.6], [0.6, 0.6])])
 def test_spike_box_must_have_lo_below_hi(lo, hi):
     # lo > hi once built a zero function of height -3.3, and lo = hi divided by

@@ -424,9 +424,11 @@ def test_source_moments_free_the_last_slab_before_the_scatter():
     F = build_filtration(FiltrationSpec(d=2, interval=(0.0, 1.0), n_levels=8,
                                         rules=[{"name": "uniform-bisect-all"}] * 2, seed=5005))
     spaces = [SplineSpace1D(ax.level(8), 3) for ax in F.axes]
+    f = density_catalog("smooth-exp", 2)
     tracemalloc.start()
     try:
-        b = measures.source_moments(density_catalog("smooth-exp", 2), spaces, 4)
+        # a plain callable takes the slab route; the separable f would skip it
+        b = measures.source_moments(lambda *g: f(*g), spaces, 4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -440,9 +442,11 @@ def test_make_sequence_memory_is_bounded_by_slabs():
     # SLAB_NODES keep the peak below 10 MB (16 MB with 2 ** 18 nodes a slab)
     F = build_filtration(FiltrationSpec(d=2, interval=(0.0, 1.0), n_levels=8,
                                         rules=[{"name": "uniform-bisect-all"}] * 2, seed=5005))
+    f = density_catalog("smooth-exp", 2)
     tracemalloc.start()
     try:
-        seq = make_sequence(F, density_catalog("smooth-exp", 2), (3, 3), quad_points=4)
+        # a plain callable takes the slab route; the separable f would skip it
+        seq = make_sequence(F, lambda *g: f(*g), (3, 3), quad_points=4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
