@@ -18,17 +18,19 @@ For the maximal machinery it times, in d = 1 and d = 2 on the
 random-bisection mesh of the maximal-covering benchmark (1 base atom,
 2^depth atoms per axis; depths MAXIMAL_DEPTHS[d]):
   level_sum_field  the finest level's sum, its axis kernels applied one
-                   row block of KERNEL_BLOCK_BYTES at a time;
+                   row block of CACHE_BLOCK_BYTES at a time;
   maximal_field    max over levels 2..depth, once for each q in Q_VALUES on
                    one compiled measure: one seed of the covering experiment;
 each with the tracemalloc peak of one call and the bytes of what it returns
 (for maximal_field, of one field).
 For the per-atom quadrature it times, in d = 2 on the same mesh at depths
-QUADRATURE_DEPTHS (2^depth atoms per axis), both reductions of a density
-that is not separable and the restriction of its moments:
-  compile_masses   the masses on every level of a measure with 4 points per
-                   atom, as in the covering experiment, down to level 1
-                   (whose bytes it reports as the result);
+QUADRATURE_DEPTHS (2^depth atoms per axis), two density reductions and the
+restriction of moments, none of them separable:
+  compile_masses   the masses of the covering experiment's random measure
+                   (its clipped affine density, 4 points per atom, and its
+                   Diracs, drawn with seed SEED), which the constructor
+                   builds on every level; its result bytes are those of all
+                   levels, which the masses keep;
   basis_moments    the moments against the finest basis of order (2, 2)
                    that make_sequence takes from a measure with
                    MOMENT_POINTS points per atom, as in the singular
@@ -85,8 +87,10 @@ import numpy as np  # noqa: E402
 from splinelab import (FiltrationSpec, HybridMeasure, SplineSpace1D,  # noqa: E402
                        TensorProjector, build_filtration, compile_masses, density_catalog,
                        make_sequence, maximal_field)
-from splinelab.bspline import atom_chebyshev, basis_moments, restrict  # noqa: E402
-from splinelab.maximal import KERNEL_BLOCK_BYTES, level_sum_field  # noqa: E402
+from splinelab.bspline import (CACHE_BLOCK_BYTES, atom_chebyshev, basis_moments,  # noqa: E402
+                               restrict)
+from splinelab.experiments import _random_nonnegative_measure  # noqa: E402
+from splinelab.maximal import level_sum_field  # noqa: E402
 from splinelab.measures import source_moments  # noqa: E402
 from splinelab.projector import (  # noqa: E402
     DECAY_BLOCK_ATOMS,
@@ -152,7 +156,6 @@ def maximal_rows():
             F = build_filtration(FiltrationSpec(d=d, interval=(0.0, 1.0), n_levels=depth,
                                                 rules=[rule] * d, seed=SEED))
             masses = compile_masses(theta, F)
-            masses.level_masses(2)      # compiles every level's masses before the timings
             kernels = {
                 "level_sum_field": lambda: level_sum_field(0.5, masses, depth),
                 "maximal_field": lambda: [maximal_field(q, masses, K=2).values
@@ -168,12 +171,17 @@ def maximal_rows():
 
 
 def traced_peak(fn):
-    """(tracemalloc peak of one call of fn, bytes of its result)."""
+    """(tracemalloc peak of one call of fn, its result)."""
     tracemalloc.start()
     out = fn()
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     return peak, out
+
+
+def all_levels(masses):
+    """The mass tensors of every level, which a CompiledMasses keeps."""
+    return [masses.level_masses(n) for n in range(1, masses.F.n_levels + 1)]
 
 
 def quadrature_rows():
@@ -185,7 +193,7 @@ def quadrature_rows():
     def density(*g):
         return 1.0 + 0.5 * np.sin(3 * sum(g))
 
-    masses = HybridMeasure(d=2, density=density, density_quad_points=4)
+    covering = _random_nonnegative_measure(np.random.default_rng(SEED), 2, (0.0, 1.0))
     moments = HybridMeasure(d=2, density=density, density_quad_points=MOMENT_POINTS)
     rows = []
     for depth in QUADRATURE_DEPTHS:
@@ -195,7 +203,7 @@ def quadrature_rows():
         coarse = [SplineSpace1D(ax.level(depth - 1), 2) for ax in F.axes]
         b = source_moments(moments, fine)
         kernels = {
-            "compile_masses": lambda: compile_masses(masses, F).level_masses(1),
+            "compile_masses": lambda: all_levels(compile_masses(covering, F)),
             "basis_moments": lambda: source_moments(moments, fine),
             "restrict": lambda: restrict(b, fine, coarse),
         }
@@ -204,7 +212,8 @@ def quadrature_rows():
             rows.append({"kernel": name, "d": 2, "depth": depth,
                          "dim": fine[0].partition.n_atoms,
                          "seconds": median_seconds(fn), "peak_bytes": peak,
-                         "result_bytes": out.nbytes})
+                         "result_bytes": (sum(a.nbytes for a in out)
+                                          if isinstance(out, list) else out.nbytes)})
     return rows
 
 
@@ -330,7 +339,7 @@ def main():
                      "norm_window_atoms": NORM_WINDOW_ATOMS,
                      "maximal_depths": {f"d{d}": list(v) for d, v in MAXIMAL_DEPTHS.items()},
                      "q_values": list(Q_VALUES),
-                     "kernel_block_bytes": KERNEL_BLOCK_BYTES,
+                     "cache_block_bytes": CACHE_BLOCK_BYTES,
                      "quadrature_depths": list(QUADRATURE_DEPTHS),
                      "moment_points": MOMENT_POINTS,
                      "projection_depths": list(PROJECTION_DEPTHS),

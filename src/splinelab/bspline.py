@@ -16,7 +16,7 @@ outer products of the one-axis moments of its factors (Fubini on the tensor
 Gauss rule), so it costs sum_l (atoms_l g) factor evaluations instead of
 prod_l.  Any other integrand is evaluated one slab of whole axis-0 atoms at
 a time, and each slab is contracted on every axis at once, so its memory is
-bounded by SLAB_NODES and by what it returns, never by the full
+bounded by CACHE_BLOCK_BYTES and by what it returns, never by the full
 d-dimensional node grid.  A slab is sized so that its temporaries stay in L2
 (cache blocking, Lam, Rothberg & Wolf, ASPLOS 1991); the result is the same
 bit for bit for every slab size.  Moments take
@@ -42,11 +42,10 @@ from .filtration import Interval, Partition1D, _require_int
 
 DEFAULT_QUAD_POINTS = 4      # per-atom Gauss-Legendre points for spline integrands
 GENERAL_QUAD_POINTS = 16     # fixed rule for integrands that are not splines
-SLAB_NODES = 2 ** 16         # integrand nodes per slab in basis_moments; bounds the
-                             # memory of every quadrature and never moves its result.  A
-                             # full-slab temporary takes 8 bytes a node: 512 KB here, so
-                             # the few alive at once fit a 2 MB L2, where 2 ** 18 nodes
-                             # made each one 2 MB and spilled the slab to L3
+CACHE_BLOCK_BYTES = 512 * 1024  # most bytes of one blocked temporary: a slab of integrand
+                                # values in basis_moments (8 bytes a node) or a row block of an
+                                # axis kernel in maximal.  The few alive at once fit a 2 MB L2,
+                                # where 2 MB blocks spilled to L3; the moments do not depend on it
 CONTRACT_BLOCK_POINTS = 128  # points per dense collocation block in _contract_points: with a
                              # point in every atom a block has at most this + k - 1 rows
 
@@ -271,20 +270,20 @@ def _reduce(f, nodes, mats) -> np.ndarray:
     mats[l] is (atoms, k, g) for axis l: `_atom_einsum` maps the g node rows
     of each atom a to k rows by mats[l][a], using the entries of that atom
     alone.  f is evaluated on one slab of whole axis-0 atoms at a time (about
-    SLAB_NODES nodes), checked for shape, NaN and inf, and contracted on
-    every axis before the next slab starts; each reduced slab is written to
-    its rows of the result along axis 0.  So a slab yields its own rows of
-    the result bit for bit, whatever the slab size, as long as numpy rounds
-    every row alike in a slab and in the whole grid.  Two guards see to that:
-    every axis is contracted by einsum, not gemm (`_atom_einsum`), and a slab
-    left with a single row on axis 0 is padded.  Memory is bounded by one
+    CACHE_BLOCK_BYTES / 8 nodes), checked for shape, NaN and inf, and
+    contracted on every axis before the next slab starts; each reduced slab is
+    written to its rows of the result along axis 0.  So a slab yields its own
+    rows of the result bit for bit, whatever the slab size, as long as numpy
+    rounds every row alike in a slab and in the whole grid.  Two guards see to
+    that: every axis is contracted by einsum, not gemm (`_atom_einsum`), and a
+    slab left with a single row on axis 0 is padded.  Memory is bounded by one
     slab plus the result; the slab's arrays die with this frame, before the
     caller scatters the result into the basis.
     """
     d = len(nodes)
     n_atoms, g = nodes[0].shape
     shape = tuple(x.size for x in nodes)
-    step = max(1, SLAB_NODES // (g * math.prod(shape[1:])))
+    step = max(1, CACHE_BLOCK_BYTES // 8 // (g * math.prod(shape[1:])))
     grid = [x.reshape((1,) * ell + (-1,) + (1,) * (d - 1 - ell)) for ell, x in enumerate(nodes)]
     ops = [None] + [partial(_atom_einsum, A) for A in mats[1:]]   # axis 0 is done
     where = f"integrand {getattr(f, '__name__', '')}".strip()   # errors name f
@@ -342,7 +341,9 @@ def mode_apply(tensor, ops) -> np.ndarray:
     ops[l] maps an (n_l, r) array to an (n'_l, r) array, where r collects all
     other axes; axes past len(ops), such as a trailing value axis, ride along,
     and so does an axis whose op is None, without a copy.  Every per-axis
-    operation on Kronecker-structured tensors goes through here.
+    operation on Kronecker-structured tensors goes through here but one:
+    `maximal._spread` repeats atoms with np.repeat, which keeps the C layout
+    that the in-place running max of `maximal_field` needs.
 
     ops[l] gets a strided view of `out`, not a contiguous copy, so the last
     bit of a contraction can depend on the shapes of the other axes: the

@@ -466,17 +466,10 @@ def run_nondense(cfg: dict):
         f = density_catalog(case.get("function", "smooth-exp"), d)
         seq = make_sequence(F, f, orders, quad_points=10)
         limit_space = frozen_subspace(F.axes[0], V, orders[0])
-        if d == 1:
-            probe_pts = probes1[:, None]
-            tp_limit = TensorProjector([limit_space])
-        else:
-            other = rng.uniform(0.05, 0.95, (len(probes1), d - 1))
-            probe_pts = np.column_stack([probes1] + [other[:, j] for j in range(d - 1)])
-            deep_spaces = [limit_space] + [
-                SplineSpace1D(F.axes[ell].level(seq_depth), orders[ell])
-                for ell in range(1, d)
-            ]
-            tp_limit = TensorProjector(deep_spaces)
+        # the other axes (none in d = 1) are probed uniformly on their deepest spaces
+        probe_pts = np.column_stack([probes1, rng.uniform(0.05, 0.95, (len(probes1), d - 1))])
+        tp_limit = TensorProjector([limit_space] + [
+            SplineSpace1D(F.axes[ell].level(seq_depth), orders[ell]) for ell in range(1, d)])
         oracle = tp_limit.project(f, g=10)
         final_vals = seq.level(seq_depth).eval_many(probe_pts)
         oracle_vals = oracle.eval_many(probe_pts)

@@ -16,10 +16,11 @@ a level sum is a sequence of per-axis matrix contractions of the level's mass
 tensor rather than a double loop over atom pairs.  A per-axis kernel is the
 Toeplitz powers q^|a-b| divided by the outer hull lengths H[a, b] =
 max(bp[a+1] - bp[b], bp[b+1] - bp[a]); `_axis_product` builds and applies it
-one row block of at most KERNEL_BLOCK_BYTES at a time, so neither H nor the
-kernel is ever held whole.  A level that fits one block makes the BLAS call of
-a whole kernel; above that, on OpenBLAS with one thread, d = 1 and atom counts
-that are powers of two keep every bit, and a 292 x 292 field moves by 1.3e-15.
+one row block of at most bspline.CACHE_BLOCK_BYTES (the cache budget of the
+quadrature slabs too) at a time, so neither H nor the kernel is ever held
+whole.  A level that fits one block makes the BLAS call of a whole kernel;
+above that, on OpenBLAS with one thread, d = 1 and atom counts that are
+powers of two keep every bit, and a 292 x 292 field moves by 1.3e-15.
 
 The running max over levels is carried coarse to fine (level n maxes its sums
 with the level n-1 maximum spread to level-n atoms), so it ends on the finest
@@ -44,13 +45,13 @@ from functools import partial
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from . import bspline
 from .bspline import GENERAL_QUAD_POINTS, SplineSpace1D, mode_apply
 from .filtration import AtomSet, Partition1D, TensorFiltration, l1_distance_grid
 from .measures import CompiledMasses, source_moments
 
 SERIES_REL_TOL = 1e-12   # truncation: rigorous tail below this fraction of the partial sum
 SERIES_MAX_TERMS = 100_000   # a series not within SERIES_REL_TOL after this many terms raises
-KERNEL_BLOCK_BYTES = 512 * 1024   # most bytes of one row block of an axis kernel (stays in cache)
 
 
 def _check_q(q: float) -> None:
@@ -65,7 +66,7 @@ def _axis_product(part: Partition1D, q: float, X: np.ndarray) -> np.ndarray:
     The d-dimensional b-term kernel is the tensor product of these per-axis
     matrices, since both q^{|i-j|_1} and |conv| factorize over axes.  Each
     block of K's rows, the largest whole multiple of 8 rows within
-    KERNEL_BLOCK_BYTES (at least 8: odd row counts change the bits of
+    bspline.CACHE_BLOCK_BYTES (at least 8: odd row counts change the bits of
     OpenBLAS's matrix-vector product), is built into one reused buffer and
     multiplied into the same rows of the result.  The buffer gets H[a, b] =
     bp[max(a, b) + 1] - bp[min(a, b)], one rounded subtraction per entry:
@@ -80,7 +81,7 @@ def _axis_product(part: Partition1D, q: float, X: np.ndarray) -> np.ndarray:
     sym = np.concatenate([powers[:0:-1], powers])
     s = sym.strides[0]
     toe = as_strided(sym[n - 1:], shape=(n, n), strides=(-s, s), writeable=False)
-    rows = min(n, max(8, KERNEL_BLOCK_BYTES // (8 * n) // 8 * 8))
+    rows = min(n, max(8, bspline.CACHE_BLOCK_BYTES // (8 * n) // 8 * 8))
     buf = np.empty((rows, n))
     out = np.empty((n, X.shape[1]))
     for r0 in range(0, n, rows):
@@ -108,13 +109,11 @@ def _spread(values: np.ndarray, maps) -> np.ndarray:
 
 
 def level_sum_field(q: float, masses: CompiledMasses, n: int) -> np.ndarray:
-    """Level-n sums of b-terms as a tensor over level-n atoms (exact)."""
+    """Level-n sums of b-terms as a tensor over level-n atoms (exact); the masses are
+    nonnegative, which CompiledMasses checks once per level."""
     _check_q(q)
-    F = masses.F
-    S = np.asarray(masses.level_masses(n), dtype=float)
-    if np.any(S < 0):
-        raise ValueError("level sums need a nonnegative measure")
-    return mode_apply(S, [partial(_axis_product, ax.level(n), q) for ax in F.axes])
+    return mode_apply(masses.level_masses(n),
+                      [partial(_axis_product, ax.level(n), q) for ax in masses.F.axes])
 
 
 @dataclass

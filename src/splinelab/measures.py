@@ -10,12 +10,15 @@ Dirac membership follows the half-open atom convention: a Dirac on a
 breakpoint belongs to the atom that the breakpoint closes.
 
 source_moments is the one route from a measure or a function to moments
-against a spline basis, and the one caller of `bspline.basis_moments`:
-projections run it on their finest spaces, compiled masses on the order-1
-spaces (the atom indicators) of the finest level.  The catalog returns its
-product-form entries as `bspline.SeparableFunction`s, which that route
-integrates axis by axis: a function, the density of a scalar measure, and
-the variation |c| prod_l |phi_l| of a scalar one-term density.
+against a spline basis, and the one caller of `bspline.basis_moments`.
+level_moments is the one level chain: it reduces a source once on the finest
+level and restricts level by level (`bspline.restrict`, whose one caller it
+is).  Martingale sequences run it on their order-k spaces, compiled masses on
+the order-1 spaces (the atom indicators); projections run source_moments on
+their own spaces.  The catalog returns its product-form entries as
+`bspline.SeparableFunction`s, which that route integrates axis by axis as a
+function or as the density of a scalar measure; a variation ||g|| takes the
+route of every other density.
 """
 
 from __future__ import annotations
@@ -94,9 +97,8 @@ def source_moments(source, spaces, g: int = None) -> np.ndarray:
     """Moments b_i = int prod_l N_{i_l} dsource over `spaces`, shape (dim_1, ..., dim_d, m).
 
     The one route from a source to moments, run on a projector's own spaces
-    or on the finest spaces of a sequence or of compiled masses
-    (`basis_moments`, with Gauss rules on the atoms of `spaces`), where
-    `restrict` gives every coarser nested level.  A
+    or on the finest spaces of `level_moments` (`basis_moments`, with Gauss
+    rules on the atoms of `spaces`).  A
     HybridMeasure integrates its density (if any) with its own
     density_quad_points and adds N_i(x_j) m_j for each Dirac (x_j, m_j);
     given g it raises ValueError.  A SeparableFunction density of a scalar
@@ -131,6 +133,18 @@ def source_moments(source, spaces, g: int = None) -> np.ndarray:
     return basis_moments(source, spaces, max(k, DEFAULT_QUAD_POINTS) if g is None else g)
 
 
+def level_moments(source, levels, g: int = None):
+    """Moments of `source` on every level, finest first: levels[n-1] lists the spaces of
+    level n, each nested in the next.  Level N gets `source_moments`, and every coarser
+    level the exact restriction T_n^T of the one before (`restrict`), so the source is
+    reduced once and each level is built once."""
+    b = source_moments(source, levels[-1], g)
+    yield b
+    for fine, coarse in zip(levels[:0:-1], levels[-2::-1]):
+        b = restrict(b, fine, coarse)
+        yield b
+
+
 # ---------------------------------------------------------------------------
 # compiled per-atom masses
 
@@ -140,52 +154,36 @@ class CompiledMasses:
 
     The masses are those of the scalar variation ||g|| dlambda^d + sum_j
     ||m_j|| delta_{x_j}, so they are nonnegative scalars for vector-valued
-    theta too; for a scalar one-term SeparableFunction density c prod_l phi_l
-    the variation density is the SeparableFunction |c| prod_l |phi_l|, which
-    equals |g| bit for bit.  Atoms are the order-1 spline space: the
-    finest-level masses are the order-1 `source_moments` of that measure,
-    and each coarser level n is built once, on first use, by `restrict` from
-    level n + 1 alone, which sums the children of every atom axis by axis.  So finite
-    additivity and refinement consistency hold bit for bit and all
-    levels together cost O(finest).  Every tensor is read-only.
+    theta too.  Atoms are the order-1 spline space, whose T_n^T sums the
+    children of every atom axis by axis: the constructor builds the order-1
+    spaces of every level once and takes every level from `level_moments`,
+    so finite additivity and refinement consistency hold bit for bit and all
+    levels together cost O(finest).  Each level is checked once to lie in
+    [0, inf), which a NaN fails too, and kept read-only.
     """
 
     def __init__(self, theta: HybridMeasure, F: TensorFiltration):
         self.F = F
-        density = None if theta.density is None else theta.density_norms
-        if (isinstance(theta.density, SeparableFunction) and theta.m == 1
-                and len(theta.density.terms) == 1):
-            (c, factors), = theta.density.terms
-            density = SeparableFunction(
-                [(abs(c), [lambda x, phi=phi: np.abs(phi(x)) for phi in factors])],
-                f"|{theta.density.__name__}|")
         variation = HybridMeasure(
-            d=theta.d, density=density,
+            d=theta.d, density=None if theta.density is None else theta.density_norms,
             diracs=[(x, np.linalg.norm(mass)) for x, mass in theta.diracs],
             density_quad_points=theta.density_quad_points)
-        nl = F.n_levels
-        self._levels = {nl: self._checked(source_moments(variation, self._atoms(nl))[..., 0], nl)}
-
-    def _atoms(self, n: int) -> list:
-        """The order-1 spaces of level n, whose basis is the atom indicators."""
-        return [SplineSpace1D(ax.level(n), 1) for ax in self.F.axes]
-
-    @staticmethod
-    def _checked(out, n):
-        if not np.all(np.isfinite(out)):
-            raise ValueError(f"compiled masses at level {n} are not finite")
-        out.flags.writeable = False
-        return out
+        atoms = [[SplineSpace1D(ax.level(n), 1) for ax in F.axes]
+                 for n in range(1, F.n_levels + 1)]
+        levels = []
+        for n, b in zip(range(F.n_levels, 0, -1), level_moments(variation, atoms)):
+            masses = b[..., 0]
+            if not np.all((masses >= 0) & (masses < np.inf)):
+                raise ValueError(f"compiled masses at level {n} are negative or not finite")
+            masses.flags.writeable = False
+            levels.append(masses)
+        self._levels = tuple(levels[::-1])
 
     def level_masses(self, n: int) -> np.ndarray:
-        """Mass tensor at level n in 1..N, computed once from level n + 1 and cached."""
-        nl = self.F.n_levels
-        if _require_int("level", n, 1) > nl:
-            raise ValueError(f"level must lie in 1..{nl}, got {n!r}")
-        if n not in self._levels:
-            self._levels[n] = self._checked(
-                restrict(self.level_masses(n + 1), self._atoms(n + 1), self._atoms(n)), n)
-        return self._levels[n]
+        """Mass tensor at level n in 1..N."""
+        if _require_int("level", n, 1) > len(self._levels):
+            raise ValueError(f"level must lie in 1..{len(self._levels)}, got {n!r}")
+        return self._levels[n - 1]
 
 
 def compile_masses(theta: HybridMeasure, F: TensorFiltration) -> CompiledMasses:

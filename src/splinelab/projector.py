@@ -5,11 +5,12 @@ The L2 orthoprojector onto a spline space is P f = sum_i <f, N_i> N*_i with
 G c = b per axis.  Dual functions are never materialized: a single banded
 solve of G y = N(x) yields the values N*_i(x) for every i at once.  Every
 solve G y = b is the two triangular sweeps U^T z = b, U y = z of G = U^T U,
-run with LAPACK's dtbtrs, the forward one per block of columns and only on
-the rows from the block's first nonzero row down.  dpbtrs, the routine behind cho_solve_banded, makes
-the same two dtbsv sweeps per column, and the rows it adds to the forward
-sweep are exact zeros, which contribute only zero products to every later
-row; so the values equal those of the full-length solve bit for bit.  A
+run with LAPACK's dtbtrs, the forward one once over all columns and only on
+the rows from the first nonzero row down.  dpbtrs, the routine behind
+cho_solve_banded, makes the same two dtbsv sweeps per column, and the rows it
+adds to the forward sweep are exact zeros, which contribute only zero
+products to every later row; so the values equal those of the full-length
+solve bit for bit.  A
 solve may also be confined to a row range [lo, hi): the dual decay profile
 and the kernel norm solve each block of x-atoms on a window of rows around
 it, since the duals decay geometrically away from x; the window widens until
@@ -72,8 +73,6 @@ NORM_SAMPLES_PER_ATOM = 8    # Chebyshev points per atom for kernel-norm estimat
 NORM_WINDOW_ATOMS = 64       # upper bound on the kernel truncation radius, in atoms
 NORM_BLOCK_ATOMS = 16        # x-sample atoms per kernel block in operator_norm_1d
 NORM_EDGE_TOL = 2.0 ** -60   # kernel windows widen until their edges are below (the norm is >= 1)
-SOLVE_BLOCK_COLUMNS = 64     # right-hand sides per forward sweep in GramSystem.solve; bounds
-                             # the sweep's scratch copy of the trailing rows
 DECAY_BLOCK_ATOMS = 16       # x-atoms per batched dual solve in decay_profile; the sweeps
                              # run column by column and each forward sweep starts at or above
                              # the column's first nonzero row, so every column equals its own
@@ -105,13 +104,13 @@ class GramSystem:
         """Solve G y = rhs on rows [lo, hi), all rows by default; rhs may carry trailing axes.
 
         rhs holds rows lo..hi-1 of a right-hand side that is zero outside
-        them, and the result holds the same rows of y.  The forward sweep
-        U^T z = rhs takes the columns in blocks of SOLVE_BLOCK_COLUMNS; a
-        block's rows above f0, its first nonzero row, are exactly zero, so its
-        sweep runs on rows [max(lo, f0), hi) only.  The back sweep U y = z then
-        runs on [lo, hi), in place.  Over all rows this is the full solve; an
-        interior hi drops z below hi, which perturbs y by an amount that
-        decays geometrically with the distance from row hi.
+        them, and the result holds the same rows of y.  Its rows above f0, the
+        first row nonzero in any column, are exactly zero, so the forward sweep
+        U^T z = rhs runs once over all columns on rows [max(lo, f0), hi) only.
+        The back sweep U y = z then runs on [lo, hi), in place.  Over all
+        rows this is the full solve; an interior hi drops z below hi, which
+        perturbs y by an amount that decays geometrically with the distance
+        from row hi.
         """
         rhs = np.asarray(rhs, dtype=float)
         hi = self.dimension if hi is None else hi
@@ -121,17 +120,12 @@ class GramSystem:
         flat = rhs.reshape(rhs.shape[0], -1)
         if flat.shape[1] == 0:
             return np.zeros(rhs.shape)    # dtbtrs with no right-hand side corrupts the heap
+        if not np.isfinite(flat).all():
+            raise ValueError("right-hand side of the Gram solve is not finite")
         chol = self._chol[:, lo:hi]
+        f0 = int(np.argmax(flat.any(axis=1)))    # 0 for an all-zero right-hand side
         y = np.zeros(flat.shape, order="F")
-        for c in range(0, flat.shape[1], SOLVE_BLOCK_COLUMNS):
-            cols = slice(c, c + SOLVE_BLOCK_COLUMNS)
-            block = flat[:, cols]
-            if not np.isfinite(block).all():
-                raise ValueError("right-hand side of the Gram solve is not finite")
-            f0 = int(np.argmax(block.any(axis=1)))    # 0 for an all-zero block
-            y[f0:, cols], info = dtbtrs(chol[:, f0:], block[f0:], trans="T")
-            if info != 0:
-                break
+        y[f0:], info = dtbtrs(chol[:, f0:], flat[f0:], trans="T")
         if info == 0:
             y, info = dtbtrs(chol, y, overwrite_b=True)
         if info != 0:

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bspline import TensorSpline, _require_int, as_value_array, restrict
+from .bspline import TensorSpline, _require_int, as_value_array
 from .filtration import TensorFiltration
-from .measures import source_moments
+from .measures import level_moments
 from .projector import TensorProjector
 
 PROBE_BREAKPOINT_GAP = 1e-9  # probe points stay this far from every breakpoint
@@ -54,20 +54,18 @@ def make_sequence(F: TensorFiltration, source, orders,
     """Build g_1, ..., g_N on every level of F from a function or a HybridMeasure.
 
     The source is evaluated once, at the Gauss nodes of the finest level,
-    and reduced against the finest basis, Dirac terms included
-    (`source_moments`): a function with `quad_points` points per finest atom,
-    max(k, DEFAULT_QUAD_POINTS) by default, a measure with its own density
-    rule.  Each coarser level's moments are the exact restriction
-    b_n = T_n^T b_{n+1} (`restrict`), so P_n g_{n+1} = g_n holds to roundoff
-    however rough the source is; each level's projector, kept with the
-    sequence, solves.
+    and reduced against the finest basis, Dirac terms included: a function
+    with `quad_points` points per finest atom, max(k, DEFAULT_QUAD_POINTS) by
+    default, a measure with its own density rule.  Each coarser level's
+    moments are the exact restriction b_n = T_n^T b_{n+1}, so P_n g_{n+1} =
+    g_n holds to roundoff however rough the source is; `level_moments` yields
+    them finest first, and each level's projector, kept with the sequence,
+    solves.
     """
     projectors = [TensorProjector.for_level(F, n, orders) for n in range(1, F.n_levels + 1)]
-    fine = projectors[-1]
-    b, splines = source_moments(source, fine.spaces, quad_points), []
-    for tp in reversed(projectors):
-        b, fine = restrict(b, fine.spaces, tp.spaces), tp
-        splines.insert(0, TensorSpline(tp.spaces, tp.solve_coefficients(b)))
+    splines = [TensorSpline(tp.spaces, tp.solve_coefficients(b)) for tp, b in zip(
+        projectors[::-1], level_moments(source, [tp.spaces for tp in projectors], quad_points))]
+    splines.reverse()
     return MartingaleSplineSequence(F=F, splines=splines, projectors=projectors)
 
 

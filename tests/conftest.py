@@ -556,13 +556,14 @@ def graded_filtration(d, seed=0):
 
 
 def slab_sizes(partitions, g) -> dict:
-    """SLAB_NODES values that cut the g-point node grid of `partitions` into one axis-0
-    atom per slab, into slabs whose last one is ragged, and into a single slab."""
+    """CACHE_BLOCK_BYTES values (8 bytes a node) that cut the g-point node grid of
+    `partitions` into one axis-0 atom per slab, into slabs whose last one is ragged,
+    and into a single slab."""
     per_atom = g * int(np.prod([g * p.n_atoms for p in partitions[1:]]))
     n = partitions[0].n_atoms
     ragged = next(s for s in range(2, n) if n % s)
-    return {"one atom": 1, "ragged": ragged * per_atom + per_atom // 2,
-            "one slab": n * per_atom}
+    return {"one atom": 8, "ragged": 8 * (ragged * per_atom + per_atom // 2),
+            "one slab": 8 * n * per_atom}
 
 
 def wavy_values(m):

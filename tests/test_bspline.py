@@ -533,13 +533,13 @@ def test_quadrature_bit_identical_for_every_slab_size(d, m, monkeypatch):
     want_integrals = dense_atom_integrals(finest, g, vals)
     assert want_integrals.shape == F.level_shape(F.n_levels) + (m,)
     sizes = slab_sizes(finest, g)
-    monkeypatch.setattr(bspline, "SLAB_NODES", sizes.pop("one slab"))
+    monkeypatch.setattr(bspline, "CACHE_BLOCK_BYTES", sizes.pop("one slab"))
     want_moments = basis_moments(f, spaces, g)
     np.testing.assert_allclose(want_moments, dense_moments(finest, g, spaces, vals), rtol=1e-13)
     atoms = [SplineSpace1D(p, 1) for p in finest]
     assert np.array_equal(basis_moments(f, atoms, g), want_integrals)
-    for label, nodes in sizes.items():
-        monkeypatch.setattr(bspline, "SLAB_NODES", nodes)
+    for label, nbytes in sizes.items():
+        monkeypatch.setattr(bspline, "CACHE_BLOCK_BYTES", nbytes)
         assert np.array_equal(basis_moments(f, atoms, g), want_integrals), label
         assert np.array_equal(basis_moments(f, spaces, g), want_moments), label
 
@@ -559,11 +559,11 @@ def test_integrand_never_sees_more_than_a_slab(d, slab, monkeypatch):
     # the whole node grid (here up to 8x the default slab) is never evaluated at once;
     # a single axis-0 atom wider than the slab is the smallest unit
     if slab is not None:
-        monkeypatch.setattr(bspline, "SLAB_NODES", slab)
+        monkeypatch.setattr(bspline, "CACHE_BLOCK_BYTES", 8 * slab)
     F = build_filtration(FiltrationSpec(d=d, interval=(0.0, 1.0), n_levels=(10, 8, 5)[d - 1]))
     parts, g = [ax.level(F.n_levels) for ax in F.axes], 4
     shape = [g * p.n_atoms for p in parts]
-    bound = max(bspline.SLAB_NODES, g * int(np.prod(shape[1:])))
+    bound = max(bspline.CACHE_BLOCK_BYTES // 8, g * int(np.prod(shape[1:])))
     total = int(np.prod(shape))
     spaces = [SplineSpace1D(p, 2) for p in parts]
     atoms = [SplineSpace1D(p, 1) for p in parts]
@@ -580,7 +580,7 @@ def test_quadrature_fails_closed_on_the_last_slab(d, monkeypatch):
     # a bad value or shape that only the last slab sees still raises; 16 nodes
     # are 4 atoms of 4 nodes in d = 1 and less than one atom in d = 2, so the
     # 16 atoms of axis 0 take 4 and 16 slabs
-    monkeypatch.setattr(bspline, "SLAB_NODES", 16)
+    monkeypatch.setattr(bspline, "CACHE_BLOCK_BYTES", 8 * 16)
     F = build_filtration(FiltrationSpec(d=d, interval=(0.0, 1.0), n_levels=4))
     parts = [ax.level(4) for ax in F.axes]
     spaces = [SplineSpace1D(p, 2) for p in parts]

@@ -19,7 +19,7 @@ from splinelab import (
     covering_series_bound,
     weak_series_total,
 )
-from splinelab import maximal
+from splinelab import bspline
 from splinelab.maximal import (
     SERIES_MAX_TERMS,
     _axis_product,
@@ -438,7 +438,7 @@ def test_axis_kernel_matches_per_entry_oracle(q, monkeypatch):
         # at least three blocks of 8 rows
         assert n < 8 or n > 2 * 8
         for rows in (8, 16, -(-n // 8) * 8):
-            monkeypatch.setattr(maximal, "KERNEL_BLOCK_BYTES", 8 * n * rows)
+            monkeypatch.setattr(bspline, "CACHE_BLOCK_BYTES", 8 * n * rows)
             assert np.array_equal(_axis_product(part, q, np.eye(n)), want)
             for Y in operands:
                 assert np.array_equal(_axis_product(part, q, Y), want @ Y)
@@ -446,7 +446,7 @@ def test_axis_kernel_matches_per_entry_oracle(q, monkeypatch):
 
 def test_maximal_field_holds_no_square_kernel():
     # three q on 2,048 finest atoms: a whole 2,048^2 kernel or conv-length
-    # matrix takes 33.6 MB, and row blocks of KERNEL_BLOCK_BYTES keep the traced
+    # matrix takes 33.6 MB, and row blocks of CACHE_BLOCK_BYTES keep the traced
     # peak near 1.2 MB
     rule = {"name": "random-atom-bisect", "p_split": 1.0, "split_range": [0.35, 0.65],
             "base_atoms": 1}

@@ -13,7 +13,8 @@ from splinelab import (
     compile_masses,
     density_catalog,
 )
-from splinelab.measures import measure_from_config
+from splinelab import bspline, measures
+from splinelab.measures import level_moments, measure_from_config, source_moments
 
 from conftest import (dense_atom_integrals, graded_filtration, measure_of_atom, node_grid_values,
                       random_filtration, scalar_variation, slab_sizes, total_variation, wavy_values)
@@ -137,6 +138,68 @@ def test_refinement_consistency_compiled():
     assert table.level_masses(np.int64(1)) is table.level_masses(1)
 
 
+@pytest.mark.parametrize("orders", [(1,), (2,), (3,), (1, 1), (2, 2), (3, 3), (3, 1)],
+                         ids=lambda o: "-".join(map(str, o)))
+def test_level_moments_restrict_level_by_level_from_the_finest(orders):
+    # N tensors, finest first: the finest are source_moments, every coarser one
+    # restrict of the one before, bit for bit, for a measure and for a function
+    d = len(orders)
+    F = random_filtration(7, d=d, n_levels=5)
+    levels = [[SplineSpace1D(ax.level(n), k) for ax, k in zip(F.axes, orders)]
+              for n in range(1, F.n_levels + 1)]
+    theta = HybridMeasure(d=d, density=lambda *g: 1.0 + 0.5 * np.sin(3 * sum(g)),
+                          diracs=[(np.linspace(0.21, 0.63, d), np.array([1.5]))],
+                          density_quad_points=5)
+    for source, g in ((theta, None), (lambda *g: np.cos(2 * sum(g)), 6)):
+        got = list(level_moments(source, levels, g))
+        assert len(got) == F.n_levels
+        assert np.array_equal(got[0], source_moments(source, levels[-1], g))
+        for n in range(F.n_levels - 1, 0, -1):
+            b = got[F.n_levels - n]
+            assert b.shape == tuple(s.dimension for s in levels[n - 1]) + (1,)
+            assert np.array_equal(b, bspline.restrict(got[F.n_levels - n - 1], levels[n],
+                                                      levels[n - 1]))
+
+
+def test_compiled_masses_build_every_level_once(monkeypatch):
+    # every level is built by the constructor: with restrict raising afterwards,
+    # each level_masses(n) is still the same read-only array
+    F = random_filtration(3, d=2, n_levels=5)
+    table = compile_masses(HybridMeasure(d=2, density=lambda x, y: 1.0 + x * y,
+                                         diracs=[([0.3, 0.6], 2.0)]), F)
+
+    def refuse(*args):
+        raise AssertionError("restrict called after construction")
+
+    monkeypatch.setattr(bspline, "restrict", refuse)
+    monkeypatch.setattr(measures, "restrict", refuse)
+    for n in range(1, F.n_levels + 1):
+        masses = table.level_masses(n)
+        assert masses.shape == F.level_shape(n) and not masses.flags.writeable
+        assert table.level_masses(n) is masses
+        assert masses.sum() == pytest.approx(table.level_masses(F.n_levels).sum(), rel=1e-13)
+
+
+class NegatedNorms(HybridMeasure):
+    """A measure whose density norms come out negative, which no real norm does."""
+
+    def density_norms(self, *grids):
+        return -super().density_norms(*grids)
+
+
+def test_negative_or_infinite_masses_raise_at_construction(dyadic_2d):
+    with pytest.raises(ValueError, match="level 4 are negative or not finite"):
+        compile_masses(NegatedNorms(d=2, density=unit_density), dyadic_2d)
+    # a finite density whose integrals overflow: over atoms of width 100/16 the
+    # finest masses of 1e307 are inf, and the level-2 sums of 1e306 are
+    wide = build_filtration(FiltrationSpec(d=2, interval=(0.0, 100.0), n_levels=4))
+    for c, level in ((1e307, 4), (1e306, 2)):
+        theta = HybridMeasure(d=2, density=lambda x, y: np.full(np.broadcast(x, y).shape, c))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                ValueError, match=f"level {level} are negative or not finite"):
+            compile_masses(theta, wide)
+
+
 def test_singularity_witness_shrinks():
     # atoms around the Dirac locations carry all singular mass but vanishing volume
     F = build_filtration(FiltrationSpec(d=1, interval=(0.0, 1.0), n_levels=8))
@@ -201,15 +264,15 @@ def test_compiled_masses_bit_identical_for_every_slab_size(d, m, monkeypatch):
     g = node_grid_values(parts, q, theta.density_values)
     vals = np.abs(g) if m == 1 else np.linalg.norm(g, axis=-1, keepdims=True)
     want = dense_atom_integrals(parts, q, vals)[..., 0]
-    for label, nodes in slab_sizes(parts, q).items():
-        monkeypatch.setattr(bspline, "SLAB_NODES", nodes)
+    for label, nbytes in slab_sizes(parts, q).items():
+        monkeypatch.setattr(bspline, "CACHE_BLOCK_BYTES", nbytes)
         assert np.array_equal(compile_masses(theta, F).level_masses(F.n_levels), want), label
 
 
 def test_density_non_finite_on_the_last_slab_rejected(dyadic_2d, monkeypatch):
     from splinelab import bspline
 
-    monkeypatch.setattr(bspline, "SLAB_NODES", 64)
+    monkeypatch.setattr(bspline, "CACHE_BLOCK_BYTES", 8 * 64)
     last = dyadic_2d.axes[0].level(4).breakpoints[-2]
     theta = HybridMeasure(d=2, density=lambda x, y: np.where(x > last, np.inf, x + y))
     with pytest.raises(ValueError, match="non-finite"):
@@ -244,7 +307,7 @@ def test_density_values_checked_for_finiteness_once(dyadic_2d, monkeypatch, path
     # every node value of the density passes one isfinite test, on every slab
     from splinelab import bspline
 
-    monkeypatch.setattr(bspline, "SLAB_NODES", 64)
+    monkeypatch.setattr(bspline, "CACHE_BLOCK_BYTES", 8 * 64)
     theta = HybridMeasure(d=2, density=wavy_values(m), m=m, density_quad_points=3)
     nodes = int(np.prod(dyadic_2d.level_shape(dyadic_2d.n_levels))) * 3 ** 2
     checked = []
@@ -259,10 +322,10 @@ def test_density_values_checked_for_finiteness_once(dyadic_2d, monkeypatch, path
     run()
     monkeypatch.undo()
     # the moments check the m values of a node; the masses check its norm once,
-    # for every m (an overflow of the summed squares raises from the FP flag)
+    # for every m (an overflow of the summed squares raises from the FP flag);
+    # each level of masses is then compared with 0 and inf once, not by isfinite
     per_node = {"moments": m, "masses": 1}[path]
-    finest_masses = int(np.prod(dyadic_2d.level_shape(dyadic_2d.n_levels)))
-    assert sum(checked) == nodes * per_node + (path == "masses") * finest_masses
+    assert sum(checked) == nodes * per_node
 
 
 @pytest.mark.parametrize("c", [1e-170, 1e200])
@@ -425,7 +488,7 @@ def test_measure_dimensions_fail_closed():
 def test_compile_masses_memory_is_bounded_by_slabs():
     # 512 x 512 finest atoms, 4 points per atom: 4.2 million density nodes, whose
     # values alone would take 33.6 MB; the masses take 2.1 MB, and the slabs of
-    # the default SLAB_NODES keep the peak below 4 MB (9.1 MB with slabs of 2 ** 18
+    # the default CACHE_BLOCK_BYTES keep the peak below 4 MB (9.1 MB with slabs of 2 ** 18
     # nodes, each slab's values alive across the next, and level N a copy of the
     # finest masses; 6.5 MB with the order-1 axes copied through mode_apply)
     rule = {"name": "random-atom-bisect", "p_split": 1.0, "split_range": [0.35, 0.65],

@@ -439,7 +439,7 @@ def test_source_moments_free_the_last_slab_before_the_scatter():
 def test_make_sequence_memory_is_bounded_by_slabs():
     # converge's d = 2, depth 8, orders (3, 3) case with 4 points per atom: 1,024^2
     # density nodes, whose values alone would take 8.4 MB; the slabs of the default
-    # SLAB_NODES keep the peak below 10 MB (16 MB with 2 ** 18 nodes a slab)
+    # CACHE_BLOCK_BYTES keep the peak below 10 MB (16 MB with 2 ** 18 nodes a slab)
     F = build_filtration(FiltrationSpec(d=2, interval=(0.0, 1.0), n_levels=8,
                                         rules=[{"name": "uniform-bisect-all"}] * 2, seed=5005))
     f = density_catalog("smooth-exp", 2)
