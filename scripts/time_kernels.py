@@ -6,9 +6,9 @@ each and fit their scaling exponents.
     python scripts/time_kernels.py > kernels.json
 
 Times `GramSystem.duals_at` on the points of one decay block (the
-DECAY_BLOCK_ATOMS atoms from the middle of the mesh, NORM_SAMPLES_PER_ATOM
+SOLVE_BLOCK_ATOMS atoms from the middle of the mesh, NORM_SAMPLES_PER_ATOM
 points each, solved on all rows), `decay_profile`, the kernel columns of
-`operator_norm_1d` (the dual values of every block of NORM_BLOCK_ATOMS
+`operator_norm_1d` (the dual values of every block of SOLVE_BLOCK_ATOMS
 x-atoms from its edge-checked windowed solve, without the y-integral) and
 `operator_norm_1d` itself, for orders 2-5 at depths 8, 9 and 10 of a
 random-bisection mesh (3 base atoms, every atom split at a random fraction in
@@ -93,10 +93,9 @@ from splinelab.experiments import _random_nonnegative_measure  # noqa: E402
 from splinelab.maximal import level_sum_field  # noqa: E402
 from splinelab.measures import source_moments  # noqa: E402
 from splinelab.projector import (  # noqa: E402
-    DECAY_BLOCK_ATOMS,
-    NORM_BLOCK_ATOMS,
     NORM_SAMPLES_PER_ATOM,
     NORM_WINDOW_ATOMS,
+    SOLVE_BLOCK_ATOMS,
     GramSystem,
     _kernel_blocks,
     decay_profile,
@@ -293,7 +292,7 @@ def main():
             gs = GramSystem(SplineSpace1D(part, k))
             cheb = atom_chebyshev(part, NORM_SAMPLES_PER_ATOM)
             a0 = part.n_atoms // 2
-            xs = cheb[a0:a0 + DECAY_BLOCK_ATOMS].ravel()
+            xs = cheb[a0:a0 + SOLVE_BLOCK_ATOMS].ravel()
             kernels = {
                 "duals_at": lambda: gs.duals_at(xs),
                 "decay_profile": lambda: decay_profile(gs),
@@ -334,8 +333,7 @@ def main():
                     "cpus": os.cpu_count(),
                     "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS")},
         "settings": {"seed": SEED, "repeats": REPEATS, "depths": list(DEPTHS),
-                     "orders": list(ORDERS), "decay_block_atoms": DECAY_BLOCK_ATOMS,
-                     "norm_block_atoms": NORM_BLOCK_ATOMS,
+                     "orders": list(ORDERS), "solve_block_atoms": SOLVE_BLOCK_ATOMS,
                      "norm_window_atoms": NORM_WINDOW_ATOMS,
                      "maximal_depths": {f"d{d}": list(v) for d, v in MAXIMAL_DEPTHS.items()},
                      "q_values": list(Q_VALUES),

@@ -24,8 +24,8 @@ import scipy
 
 from . import __version__
 from .bspline import SplineSpace1D, _basis_columns, atom_chebyshev, atom_quadrature
-from .filtration import (AtomSet, FiltrationSpec, TensorFiltration, atom_range_gap,
-                         build_filtration)
+from .filtration import (AtomSet, FiltrationSpec, TensorFiltration, _require_int,
+                         atom_range_gap, build_filtration)
 from .maximal import (
     covering_constant,
     covering_report,
@@ -109,11 +109,8 @@ def run_decay(cfg: dict):
                 rows.append((seed, depth, int(k), int(s), v, prof.q_hat, prof.c_hat))
             worst_q[int(k)] = max(worst_q.get(int(k), 0.0), prof.q_hat)
             worst_resid[int(k)] = max(worst_resid.get(int(k), 0.0), prof.fit_residual)
-            mono_ok = True
-            vals = prof.values
-            for s in range(int(k), len(vals) - 1):
-                if vals[s + 1] > max(vals[s] * (1 + 1e-9), PROFILE_FLOOR):
-                    mono_ok = False
+            vals = prof.values[int(k):]
+            mono_ok = np.all(vals[1:] <= np.maximum(vals[:-1] * (1 + 1e-9), PROFILE_FLOOR))
             log.check_true(f"decay_monotone_beyond_k_k{k}_seed{seed}", mono_ok)
     for k, q in sorted(worst_q.items()):
         log.check_le(f"q_hat_below_cap_k{k}", q, q_cap)
@@ -212,20 +209,14 @@ def run_weaktype(cfg: dict):
         shape = F.level_shape(depth)
         vols = F.atom_volumes(depth)
         spikes = []
-        for _ in range(int(case["n_spikes"])):
+        for _ in range(_require_int("n_spikes", case["n_spikes"], 1)):
             idx = tuple(int(rng.integers(0, s)) for s in shape)
             rect = F.atom_rectangle(depth, idx)
-            spikes.append((idx, rect))
+            spikes.append(density_catalog("spike", d, lo=rect.lo, hi=rect.hi))
         case_id = f"d{d}"
-        spike_masses = []
-        for idx, rect in spikes:
-            theta = HybridMeasure(
-                d=d,
-                density=density_catalog("spike", d, lo=rect.lo, hi=rect.hi),
-                density_quad_points=4,
-            )
-            spike_masses.append(compile_masses(theta, F))
         # intrinsic maximal operator on spike measures, for each q
+        spike_masses = [compile_masses(HybridMeasure(d=d, density=f, density_quad_points=4), F)
+                        for f in spikes]
         for q in p["q_values"]:
             bound = covering_constant(float(q), d) * weak_series_total(float(q), d)
             for si, masses in enumerate(spike_masses):
@@ -233,25 +224,21 @@ def run_weaktype(cfg: dict):
                 ratio = _exact_weak_ratio(field_.values, vols)  # ||f||_1 = 1
                 rows.append((case_id, float(q), si, "M", ratio, bound))
                 log.check_le(f"weaktype_M_{case_id}_q{q}_spike{si}", ratio, bound)
-        # maximal function of the spline projectors, bound via measured decay
-        tp_fine = TensorProjector.for_level(F, depth, orders)
+        # maximal function of the spline projectors, bound via measured decay;
+        # q_hat = 0 (order 1) takes q = 0.25 and no q_hat factor
+        seqs = [make_sequence(F, f, orders, quad_points=max(orders)) for f in spikes]
+        tp_fine = seqs[0].projectors[-1]
         profiles = [decay_profile(gs) for gs in tp_fine.grams]
         q_hat = max(pr.q_hat for pr in profiles)
-        c_prod = float(np.prod([max(pr.c_env, 1.0) for pr in profiles]))
-        if q_hat == 0.0:
-            c_k = c_prod * float(np.prod(orders))
-            bound_p = c_k * covering_constant(0.25, d) * weak_series_total(0.25, d)
-            q_use = 0.25
-        else:
-            c_k = c_prod * float(np.prod(orders)) * q_hat ** (-float(sum(orders)))
-            bound_p = c_k * covering_constant(q_hat, d) * weak_series_total(q_hat, d)
-            q_use = q_hat
-        finest_parts = [s.partition for s in tp_fine.spaces]
-        sample_pts = [0.5 * (fp.breakpoints[:-1] + fp.breakpoints[1:]) for fp in finest_parts]
-        for si, (idx, rect) in enumerate(spikes):
-            f = density_catalog("spike", d, lo=rect.lo, hi=rect.hi)
+        q_use = q_hat or 0.25
+        c_k = float(np.prod([max(pr.c_env, 1.0) for pr in profiles])) * float(np.prod(orders))
+        bound_p = (c_k * (q_hat ** -float(sum(orders)) if q_hat else 1.0)
+                   * covering_constant(q_use, d) * weak_series_total(q_use, d))
+        sample_pts = [0.5 * (s.partition.breakpoints[:-1] + s.partition.breakpoints[1:])
+                      for s in tp_fine.spaces]
+        for si, seq in enumerate(seqs):
             sup_field = np.zeros(shape)
-            for pn in make_sequence(F, f, orders, quad_points=max(orders)).splines:
+            for pn in seq.splines:
                 vals = np.linalg.norm(pn.eval_grid(sample_pts), axis=-1)
                 sup_field = np.maximum(sup_field, vals)
             ratio = _exact_weak_ratio(sup_field, vols)
@@ -261,8 +248,7 @@ def run_weaktype(cfg: dict):
         if d == 1:
             part = F.axes[0].level(depth)
             t_grid = np.logspace(-2, 3, 40)
-            for si, (idx, rect) in enumerate(spikes):
-                f = density_catalog("spike", 1, lo=rect.lo, hi=rect.hi)
+            for si, f in enumerate(spikes):
                 ratio, _ = hl_weak_type_ratio(f, part, t_grid, g=4)
                 rows.append((case_id, 0.0, si, "HL", ratio, 3.0))
                 log.check_le(f"weaktype_HL_spike{si}", ratio, 3.0 * (1 + 1e-12))
@@ -284,9 +270,9 @@ def run_covering(cfg: dict):
 def _covering_seed(p, case, seed, rows, log) -> float:
     """One seed of run_covering: append its rows and checks, return its largest ratio.
 
-    The seed's filtration (with the conv lengths its kernels cache), masses,
-    fields and reports are freed on return, before the next seed compiles
-    its masses: that call sets the experiment's peak memory.
+    The seed's filtration, masses, fields and reports are freed on return,
+    before the next seed compiles its masses: that call sets the experiment's
+    peak memory.
     """
     d, depth, K = int(case["d"]), int(case["depth"]), int(case["K"])
     rng = np.random.default_rng(seed)
@@ -306,10 +292,9 @@ def _covering_seed(p, case, seed, rows, log) -> float:
 
 
 def _log_t_grid(field_, n_points):
-    top = float(field_.values.max())
-    if top <= 0:
-        return np.logspace(-3, 0, n_points)
-    return np.logspace(np.log10(top) - 3, np.log10(top) + 0.3, n_points)
+    # the maximum is positive: each _random_nonnegative_measure has a Dirac of mass >= 0.3
+    top = np.log10(float(field_.values.max()))
+    return np.logspace(top - 3, top + 0.3, n_points)
 
 
 def _random_nonnegative_measure(rng, d, interval):

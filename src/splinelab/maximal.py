@@ -47,7 +47,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from . import bspline
 from .bspline import GENERAL_QUAD_POINTS, SplineSpace1D, mode_apply
-from .filtration import AtomSet, Partition1D, TensorFiltration, l1_distance_grid
+from .filtration import AtomSet, Partition1D, TensorFiltration, _require_int, l1_distance_grid
 from .measures import CompiledMasses, source_moments
 
 SERIES_REL_TOL = 1e-12   # truncation: rigorous tail below this fraction of the partial sum
@@ -180,17 +180,15 @@ def weak_series_tail(q: float, d: int):
     once per term of the series that the callers sum.
     """
     _check_q(q)
+    _require_int("d", d, 1)
     if q == 0.0:
         return lambda R: 0.0
     rho = np.sqrt(q)
     eta = (1.0 + rho) / 2.0
     r = rho / eta
-    if d == 1:
-        c_eta = 1.0
-    else:
-        s_star = (d - 1) / np.log(1.0 / r) - 1.0
-        cands = {0, int(np.floor(s_star)), int(np.ceil(s_star))}
-        c_eta = max((s + 1) ** (d - 1) * r ** s for s in cands if s >= 0)
+    s_star = (d - 1) / np.log(1.0 / r) - 1.0     # -1 at d = 1, so c_eta = 1.0 there
+    cands = {0, int(np.floor(s_star)), int(np.ceil(s_star))}
+    c_eta = max((s + 1) ** (d - 1) * r ** s for s in cands if s >= 0)
     return lambda R: float(c_eta * eta ** (R + 1) / (1.0 - eta))
 
 
@@ -207,6 +205,7 @@ def weak_series_total(q: float, d: int) -> float:
 def covering_constant(q: float, d: int) -> float:
     """The proof constant 2^d * (2 / (1 - sqrt(q)))^d of the covering bound."""
     _check_q(q)
+    _require_int("d", d, 1)
     return float(2 ** d * (2.0 / (1.0 - np.sqrt(q))) ** d)
 
 
@@ -283,14 +282,17 @@ def covering_report(field_: MaximalField, B: AtomSet, t_grid) -> WeakTypeReport:
     """Check |B n {M_K theta > t}| <= constant / t * series for every t.
 
     q, K and the measure are the field's; B must be a set of level-K atoms.
-    Violations are collected and reported, never silently dropped.
+    Violations are collected and reported, never silently dropped.  An empty
+    t_grid, which would check nothing, raises ValueError.
     """
     F, q, K = field_.F, field_.q, field_.K
     if B.level != K:
         raise ValueError(f"atom set at level {B.level}, expected K={K}")
+    t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.size == 0:
+        raise ValueError("empty threshold grid: the covering report would check nothing")
     series = covering_series_bound(field_.masses, B, q)
     const = covering_constant(q, F.d)
-    t_grid = np.asarray(t_grid, dtype=float)
     lhs = superlevel_measure(field_, t_grid, within=B)
     rhs = const * series.total / t_grid
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -309,7 +311,7 @@ def covering_report(field_: MaximalField, B: AtomSet, t_grid) -> WeakTypeReport:
         rhs_bounds=rhs,
         ratios=ratios,
         series=series,
-        max_ratio=float(ratios.max()) if len(ratios) else 0.0,
+        max_ratio=float(ratios.max()),
         violations=violations,
     )
 

@@ -154,11 +154,12 @@ class CompiledMasses:
 
     The masses are those of the scalar variation ||g|| dlambda^d + sum_j
     ||m_j|| delta_{x_j}, so they are nonnegative scalars for vector-valued
-    theta too.  Atoms are the order-1 spline space, whose T_n^T sums the
-    children of every atom axis by axis: the constructor builds the order-1
-    spaces of every level once and takes every level from `level_moments`,
-    so finite additivity and refinement consistency hold bit for bit and all
-    levels together cost O(finest).  Each level is checked once to lie in
+    theta too; a scalar m_j gives |m_j|, whose square could overflow.  Atoms
+    are the order-1 spline space, whose T_n^T sums the children of every
+    atom axis by axis: the constructor builds the order-1 spaces of every
+    level once and takes every level from `level_moments`, so finite
+    additivity and refinement consistency hold bit for bit and all levels
+    together cost O(finest).  Each level is checked once to lie in
     [0, inf), which a NaN fails too, and kept read-only.
     """
 
@@ -166,7 +167,8 @@ class CompiledMasses:
         self.F = F
         variation = HybridMeasure(
             d=theta.d, density=None if theta.density is None else theta.density_norms,
-            diracs=[(x, np.linalg.norm(mass)) for x, mass in theta.diracs],
+            diracs=[(x, np.abs(mass) if theta.m == 1 else np.linalg.norm(mass))
+                    for x, mass in theta.diracs],
             density_quad_points=theta.density_quad_points)
         atoms = [[SplineSpace1D(ax.level(n), 1) for ax in F.axes]
                  for n in range(1, F.n_levels + 1)]

@@ -55,32 +55,20 @@ def detect_v_sets(f1: Filtration1D, tolerance: float) -> tuple:
     final = f1.levels[-1]
     widths = final.widths
     frozen = widths >= tolerance
+    ambiguous = frozen & (widths < 2 * tolerance)
     bp = final.breakpoints
+    # maximal runs [j0, j1] of frozen atoms: a run's neighbours are not frozen
     intervals = []
-    j = 0
-    n = final.n_atoms
-    while j < n:
-        if not frozen[j]:
-            j += 1
-            continue
-        j0 = j
-        while j < n and frozen[j]:
-            j += 1
-        j1 = j - 1
+    for j0, j1 in np.flatnonzero(np.diff(np.r_[0, frozen, 0])).reshape(-1, 2) - (0, 1):
         iv = Interval(bp[j0], bp[j1 + 1])
-        left_acc = j0 > 0 and not frozen[j0 - 1]
-        right_acc = j1 + 1 < n and not frozen[j1 + 1]
-        ambiguous = tuple(
-            int(a) for a in range(j0, j1 + 1) if tolerance <= widths[a] < 2 * tolerance
-        )
         intervals.append(
             VInterval(
                 interval=iv,
-                atom_range=(j0, j1),
-                left_accumulated=left_acc,
-                right_accumulated=right_acc,
+                atom_range=(int(j0), int(j1)),
+                left_accumulated=bool(j0 > 0),
+                right_accumulated=bool(j1 + 1 < final.n_atoms),
                 frozen_since_level=_frozen_since(f1, iv),
-                ambiguous_atoms=ambiguous,
+                ambiguous_atoms=tuple((j0 + np.flatnonzero(ambiguous[j0:j1 + 1])).tolist()),
             )
         )
     return tuple(intervals)

@@ -71,13 +71,12 @@ PROFILE_FLOOR = 1e-14        # decay-profile entries at or below this are roundo
 DECAY_EDGE_TOL = PROFILE_FLOOR * 2.0 ** -53   # decay windows widen until their edges are below
 NORM_SAMPLES_PER_ATOM = 8    # Chebyshev points per atom for kernel-norm estimation
 NORM_WINDOW_ATOMS = 64       # upper bound on the kernel truncation radius, in atoms
-NORM_BLOCK_ATOMS = 16        # x-sample atoms per kernel block in operator_norm_1d
 NORM_EDGE_TOL = 2.0 ** -60   # kernel windows widen until their edges are below (the norm is >= 1)
-DECAY_BLOCK_ATOMS = 16       # x-atoms per batched dual solve in decay_profile; the sweeps
-                             # run column by column and each forward sweep starts at or above
-                             # the column's first nonzero row, so every column equals its own
-                             # solve on the same rows, for any block size; smaller blocks have
-                             # narrower windows and make fewer LAPACK row-columns
+SOLVE_BLOCK_ATOMS = 16       # x-atoms per edge-checked windowed solve (operator_norm_1d,
+                             # decay_profile); the sweeps run column by column and each forward
+                             # sweep starts at or above the column's first nonzero row, so every
+                             # column equals its own solve on the same rows, for any block size;
+                             # smaller blocks have narrower windows and fewer LAPACK row-columns
 EDGE_BITS_PER_ORDER = 3      # windows start k * log2(1/tol) / 3 atoms wide: order-k duals lose
                              # about 3.6 / k bits per atom on uniform meshes
 
@@ -176,12 +175,11 @@ def _assemble_gram_band(space: SplineSpace1D) -> np.ndarray:
         _, vals = space.eval_basis_many(rule.nodes)      # (n_atoms, g, k)
     wv = vals * rule.weights[:, :, None]
     blocks = np.einsum("agr,agc->arc", vals, wv)         # per-atom k x k Gram blocks
-    dim = space.dimension
-    ab = np.zeros((k, dim))
-    atoms = np.arange(p.n_atoms)
+    ab = np.zeros((k, space.dimension))
     for r in range(k):
         for c in range(r, k):
-            np.add.at(ab[k - 1 + r - c], atoms + c, blocks[:, r, c])
+            # atom a adds to column a + c: distinct columns, so one slice per entry
+            ab[k - 1 + r - c, c:c + p.n_atoms] += blocks[:, r, c]
     return ab
 
 
@@ -291,13 +289,13 @@ def operator_norm_1d(gs: GramSystem, nx_per_atom: int = NORM_SAMPLES_PER_ATOM,
     overshoot at a fixed x, and the interior samples miss the domain
     endpoints, where the supremum sits on many meshes of order k >= 3.
 
-    _kernel_blocks gives, per block of NORM_BLOCK_ATOMS x-atoms [a0, a1),
+    _kernel_blocks gives, per block of SOLVE_BLOCK_ATOMS x-atoms [a0, a1),
     N*_i(x) at the block's x samples on the block's solve window [lo, hi),
     and k overlapping rows of that give K at each y-node.  The y-integral runs
     over the y-atoms [max(a0 - window, lo), min(a1 + window, hi - k + 1)):
     `window` is an upper bound, and past the solve window the kernel is below
     NORM_EDGE_TOL, so the mass left out is below 2**-58 times the result.
-    For a small window the result depends on NORM_BLOCK_ATOMS.  A non-finite
+    For a small window the result depends on SOLVE_BLOCK_ATOMS.  A non-finite
     block integral raises ValueError.
     """
     _require_int("nx_per_atom", nx_per_atom, 1)
@@ -335,7 +333,7 @@ def operator_norm_1d(gs: GramSystem, nx_per_atom: int = NORM_SAMPLES_PER_ATOM,
 
 
 def _kernel_blocks(gs: GramSystem, nx_per_atom: int):
-    """(a0, a1, D, lo) per block of NORM_BLOCK_ATOMS x-atoms [a0, a1): D[i - lo, x] = N*_i(x).
+    """(a0, a1, D, lo) per block of SOLVE_BLOCK_ATOMS x-atoms [a0, a1): D[i - lo, x] = N*_i(x).
 
     x runs over the block's nx_per_atom Chebyshev points per atom, i over the
     block's edge-checked row window [lo, lo + len(D)).  One solve G Z = E for
@@ -352,8 +350,8 @@ def _kernel_blocks(gs: GramSystem, nx_per_atom: int):
     s0, s1 = space.support_atom_range(np.arange(dim))
     supp = p.breakpoints[s1 + 1] - p.breakpoints[s0]     # |supp N_i|
 
-    for a0 in range(0, n_atoms, NORM_BLOCK_ATOMS):
-        a1 = min(a0 + NORM_BLOCK_ATOMS, n_atoms)
+    for a0 in range(0, n_atoms, SOLVE_BLOCK_ATOMS):
+        a1 = min(a0 + SOLVE_BLOCK_ATOMS, n_atoms)
         xs = slice(a0 * nx_per_atom, a1 * nx_per_atom)
         X = _basis_columns(first[xs], vals[xs], a0, a1 + k - 1)
         D, lo, _ = _edge_checked_solve(
@@ -403,7 +401,7 @@ class DecayProfile:
 def decay_profile(gs: GramSystem, nx_per_atom: int = NORM_SAMPLES_PER_ATOM) -> DecayProfile:
     """Measure the geometric decay of the dual B-splines of one space.
 
-    Each block of DECAY_BLOCK_ATOMS x-atoms is solved for by one
+    Each block of SOLVE_BLOCK_ATOMS x-atoms is solved for by one
     _edge_checked_solve, with tolerance DECAY_EDGE_TOL on vmax * conv_len read
     from the edge rows of the block's duals, so the work per x is O(window),
     not O(dim); the support atom ranges are taken once per space.  Entries at
@@ -435,8 +433,8 @@ def decay_profile(gs: GramSystem, nx_per_atom: int = NORM_SAMPLES_PER_ATOM) -> D
     first, vals = space.eval_basis_many(atom_chebyshev(p, nx_per_atom).ravel())
     s0, s1 = space.support_atom_range(np.arange(dim))
     prof = np.zeros(n_atoms + k)
-    for a0 in range(0, n_atoms, DECAY_BLOCK_ATOMS):
-        a = np.arange(a0, min(a0 + DECAY_BLOCK_ATOMS, n_atoms))
+    for a0 in range(0, n_atoms, SOLVE_BLOCK_ATOMS):
+        a = np.arange(a0, min(a0 + SOLVE_BLOCK_ATOMS, n_atoms))
         pts = slice(a0 * nx_per_atom, (a[-1] + 1) * nx_per_atom)
 
         def weighted(D, i):

@@ -8,11 +8,12 @@ from splinelab import (AtomSet, Filtration1D, FiltrationSpec, HybridMeasure, Par
                        Rectangle, SplineSpace1D, TensorFiltration, TensorSpline, atom_of,
                        atom_quadrature, build_filtration, compile_masses)
 from splinelab.bspline import _basis_columns, as_value_array, atom_chebyshev, mode_apply, restrict
-from splinelab.filtration import atom_range_gap, l1_distance_grid
+from splinelab.filtration import Interval, atom_range_gap, l1_distance_grid
 from splinelab.maximal import _check_q, level_sum_field
 from splinelab.measures import CompiledMasses, source_moments
-from splinelab.projector import (EDGE_BITS_PER_ORDER, NORM_BLOCK_ATOMS, NORM_EDGE_TOL,
-                                 PROFILE_FLOOR, _fit_profile)
+from splinelab.nondense import VInterval, _frozen_since
+from splinelab.projector import (EDGE_BITS_PER_ORDER, NORM_EDGE_TOL, PROFILE_FLOOR,
+                                 SOLVE_BLOCK_ATOMS, _fit_profile)
 
 
 @pytest.fixture
@@ -84,6 +85,62 @@ def per_atom_refine(bp, rule, rng, floor, seen):
     return np.sort(np.concatenate([bp, np.array(new_points)]))
 
 
+def per_atom_v_sets(f1, tolerance):
+    """The maximal frozen intervals found atom by atom: the loop that the run
+    search of nondense.detect_v_sets replaced, neighbour tests included."""
+    final = f1.levels[-1]
+    widths = final.widths
+    frozen = widths >= tolerance
+    bp = final.breakpoints
+    intervals = []
+    j = 0
+    n = final.n_atoms
+    while j < n:
+        if not frozen[j]:
+            j += 1
+            continue
+        j0 = j
+        while j < n and frozen[j]:
+            j += 1
+        j1 = j - 1
+        iv = Interval(bp[j0], bp[j1 + 1])
+        intervals.append(VInterval(
+            interval=iv,
+            atom_range=(j0, j1),
+            left_accumulated=j0 > 0 and not frozen[j0 - 1],
+            right_accumulated=j1 + 1 < n and not frozen[j1 + 1],
+            frozen_since_level=_frozen_since(f1, iv),
+            ambiguous_atoms=tuple(
+                a for a in range(j0, j1 + 1) if tolerance <= widths[a] < 2 * tolerance),
+        ))
+    return tuple(intervals)
+
+
+def add_at_gram_band(space):
+    """Upper Gram band assembled by np.add.at, one entry of the k x k atom blocks at a
+    time: the scatter that the slice sums of projector._assemble_gram_band replaced."""
+    k, p = space.order, space.partition
+    rule = atom_quadrature(p, k)
+    _, vals = space.eval_basis_many(rule.nodes)
+    blocks = np.einsum("agr,agc->arc", vals, vals * rule.weights[:, :, None])
+    ab = np.zeros((k, space.dimension))
+    atoms = np.arange(p.n_atoms)
+    for r in range(k):
+        for c in range(r, k):
+            np.add.at(ab[k - 1 + r - c], atoms + c, blocks[:, r, c])
+    return ab
+
+
+def decay_monotone_per_distance(values, k):
+    """run_decay's monotonicity check distance by distance, the loop its array
+    comparison replaced: no entry beyond k exceeds its predecessor by more than a
+    relative 1e-9 unless both lie at or below PROFILE_FLOOR."""
+    for s in range(k, len(values) - 1):
+        if values[s + 1] > max(values[s] * (1 + 1e-9), PROFILE_FLOOR):
+            return False
+    return True
+
+
 def piecewise_poly(space, coeffs, atom):
     """Exact polynomial of one spline on one atom via Chebyshev interpolation.
 
@@ -139,7 +196,7 @@ def dense_dual_matrix(gs):
 def dense_operator_norm_1d(gs, nx_per_atom=8, ny_per_atom=8, window=64):
     """Kernel-norm oracle reading a dense inverse Gram (one solve against I).
 
-    Truncates the y-integral per block of NORM_BLOCK_ATOMS x-atoms, as the
+    Truncates the y-integral per block of SOLVE_BLOCK_ATOMS x-atoms, as the
     library does, so the two agree to roundoff at every window.
     """
     space = gs.space
@@ -160,8 +217,8 @@ def dense_operator_norm_1d(gs, nx_per_atom=8, ny_per_atom=8, window=64):
     wy = yrule.weights
     Ginv = cho_solve_banded((gs._chol, False), np.eye(dim), check_finite=False)
     best = 0.0
-    for a0 in range(0, n_atoms, NORM_BLOCK_ATOMS):
-        a1 = min(a0 + NORM_BLOCK_ATOMS, n_atoms)
+    for a0 in range(0, n_atoms, SOLVE_BLOCK_ATOMS):
+        a1 = min(a0 + SOLVE_BLOCK_ATOMS, n_atoms)
         xsl = slice(a0 * nx_per_atom, a1 * nx_per_atom)
         ya0 = max(0, a0 - window)
         ya1 = min(n_atoms, a1 + window)
@@ -179,7 +236,7 @@ def dense_operator_norm_1d(gs, nx_per_atom=8, ny_per_atom=8, window=64):
 def per_block_operator_norm_1d(gs, nx_per_atom=8, ny_per_atom=8, window=64):
     """Kernel-norm oracle: the block loop that projector._kernel_blocks replaced.
 
-    Per block of NORM_BLOCK_ATOMS x-atoms it builds the identity right-hand
+    Per block of SOLVE_BLOCK_ATOMS x-atoms it builds the identity right-hand
     side and the collocation matrix X afresh, and its edge test recomputes
     z @ X for the k rows nearest each interior edge, with the support of each
     row from SplineSpace1D.support_atom_range.  Windows, solves and the
@@ -203,8 +260,8 @@ def per_block_operator_norm_1d(gs, nx_per_atom=8, ny_per_atom=8, window=64):
         return np.abs(z @ X).max(axis=1) * (bp[hi + 1] - bp[lo])
 
     best = 0.0
-    for a0 in range(0, n_atoms, NORM_BLOCK_ATOMS):
-        a1 = min(a0 + NORM_BLOCK_ATOMS, n_atoms)
+    for a0 in range(0, n_atoms, SOLVE_BLOCK_ATOMS):
+        a1 = min(a0 + SOLVE_BLOCK_ATOMS, n_atoms)
         xsl = slice(a0 * nx_per_atom, a1 * nx_per_atom)
         X = _basis_columns(xfirst[xsl], xV[xsl], a0, a1 + k - 1)
         w = int(np.ceil(k * -np.log2(NORM_EDGE_TOL) / EDGE_BITS_PER_ORDER))

@@ -4,8 +4,10 @@ import math
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from splinelab import density_catalog
@@ -17,6 +19,8 @@ from splinelab.experiments import (
     load_config,
     run_experiment,
 )
+
+from conftest import decay_monotone_per_distance
 
 
 def small_config(name):
@@ -203,6 +207,20 @@ def test_cli_exits_2_on_a_value_error_while_running(tmp_path, capsys):
     path.write_text(json.dumps(cfg))
     assert cli_main(["decay", "--config", str(path), "--quiet"]) == 2
     assert capsys.readouterr().err.startswith("error: decay: the run made no assertions")
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    ("covering", lambda p: p.update(t_points=0, n_seeds=1), "empty threshold grid"),
+    ("weaktype", lambda p: p["cases"][0].update(n_spikes=0), "n_spikes must be an integer >= 1"),
+], ids=["covering-t_points-0", "weaktype-n_spikes-0"])
+def test_cli_exits_2_on_a_run_that_would_check_nothing(tmp_path, capsys, name, edit, message):
+    # "t_points": 0 once exited 0, every covering check passing at an observed 0.0
+    cfg = small_config(name)
+    edit(cfg["params"])
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(cfg))
+    assert cli_main([name, "--config", str(path), "--quiet"]) == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name, edit, key", [
@@ -398,6 +416,61 @@ def test_covering_builds_one_maximal_field_per_seed_and_q(tmp_path, monkeypatch)
     assert run_experiment(cfg, out_dir=tmp_path, quiet=True) == 0
     levels_per_field = sum(int(c["depth"]) - int(c["K"]) + 1 for c in p["cases"])
     assert len(calls) == int(p["n_seeds"]) * len(p["q_values"]) * levels_per_field
+
+
+def test_weaktype_builds_each_spike_and_projector_once(tmp_path, monkeypatch):
+    # one density per spike serves the measure, the sequence and the HL integrand,
+    # and the decay bound reads the first sequence's finest projector
+    import splinelab.experiments as experiments
+    from splinelab.projector import TensorProjector
+
+    spikes, levels = [], []
+    real_catalog, real_for_level = experiments.density_catalog, TensorProjector.for_level
+
+    def catalog(name, d, **params):
+        spikes.append(name)
+        return real_catalog(name, d, **params)
+
+    def for_level(F, n, orders):
+        levels.append(n)
+        return real_for_level(F, n, orders)
+
+    monkeypatch.setattr(experiments, "density_catalog", catalog)
+    monkeypatch.setattr(TensorProjector, "for_level", staticmethod(for_level))
+    cfg = default_config("weaktype")
+    cases = cfg["params"]["cases"]
+    assert run_experiment(cfg, out_dir=tmp_path, quiet=True) == 0
+    assert spikes == ["spike"] * sum(c["n_spikes"] for c in cases)
+    assert len(levels) == sum(c["n_spikes"] * c["depth"] for c in cases)
+
+
+def test_decay_monotone_check_matches_the_per_distance_loop(monkeypatch):
+    # profiles with bumps below, at and above the relative 1e-9 and entries
+    # around PROFILE_FLOOR; each check equals the loop over distances
+    import splinelab.experiments as experiments
+
+    rng = np.random.default_rng(23)
+    made = []
+
+    def bumpy(gs, nx_per_atom):
+        prof = real(gs, nx_per_atom=nx_per_atom)
+        n = len(prof.values)
+        vals = 0.6 ** np.arange(n)
+        bumps = rng.choice(n, 2)
+        vals[bumps] = vals[bumps - 1] * rng.choice([1.0, 1 + 5e-10, 1 + 2e-9, 1.5], 2)
+        vals[rng.integers(n // 2, n):] = rng.choice([0.0, 5e-15, 1e-14, 3e-14])
+        made.append(vals)
+        return replace(prof, values=vals)
+
+    real = experiments.decay_profile
+    monkeypatch.setattr(experiments, "decay_profile", bumpy)
+    cfg = small_config("decay")
+    cfg["params"]["n_seeds"] = 12
+    _, log, _ = experiments.run_decay(cfg)
+    checks = [a.passed for a in log.items if a.name.startswith("decay_monotone")]
+    ks = [k for k in cfg["params"]["orders"] for _ in range(12)]
+    assert checks == [decay_monotone_per_distance(v, k) for v, k in zip(made, ks)]
+    assert 0 < sum(checks) < len(checks)
 
 
 @pytest.mark.parametrize("name, extra", [("decay", 0), ("shadrin", 1)])

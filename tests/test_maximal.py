@@ -216,6 +216,11 @@ def test_weak_series_tail_is_upper_bound():
                 exact_tail = sum((s + 1) ** (d - 1) * rho ** s for s in range(R + 1, 4000))
                 assert weak_series_tail(q, d)(R) >= exact_tail
     assert weak_series_tail(0.0, 2)(0) == 0.0
+    # at d = 1 the general majorant takes c_eta = 1.0: the tail is eta^(R+1) / (1 - eta)
+    for q in list(np.linspace(0.01, 0.99, 25)) + [1e-12, 0.999999, 1 - 1e-12]:
+        eta = (1.0 + np.sqrt(q)) / 2.0
+        for R in (-1, 0, 1, 3, 10, 100, 1000):
+            assert weak_series_tail(q, 1)(R) == float(1.0 * eta ** (R + 1) / (1.0 - eta))
 
 
 def test_weak_series_total_majorizes():
@@ -381,6 +386,25 @@ def test_non_finite_dirac_rejected_at_construction():
         HybridMeasure(d=2, diracs=[(np.array([0.3, np.nan]), np.array([1.0]))])
     with pytest.raises(ValueError, match="not finite"):
         HybridMeasure(d=1, m=2, diracs=[(np.array([0.3]), np.array([1.0, np.inf]))])
+
+
+@pytest.mark.parametrize("call", [lambda: covering_constant(0.5, 2.5),
+                                  lambda: weak_series_total(0.5, 0),
+                                  lambda: weak_series_total(0.5, True)],
+                         ids=["covering_constant-2.5", "weak_series_total-0",
+                              "weak_series_total-True"])
+def test_series_constants_require_an_integer_dimension(call):
+    # these once returned 689.2 and two numbers for dimensions no space has
+    with pytest.raises(ValueError, match="d must be an integer >= 1"):
+        call()
+
+
+def test_covering_report_rejects_an_empty_threshold_grid(dyadic_1d):
+    # an empty grid once gave max_ratio 0.0, a passing check that checked nothing
+    B = AtomSet(level=2, members=frozenset({(0,), (1,)}))
+    field_ = maximal_field(0.5, compile_masses(lebesgue(1), dyadic_1d), K=2)
+    with pytest.raises(ValueError, match="empty threshold grid"):
+        covering_report(field_, B, [])
 
 
 def test_covering_bound_rejects_nan_threshold(dyadic_1d):

@@ -338,6 +338,10 @@ def test_scalar_density_masses_exact_where_squares_under_or_overflow(dyadic_2d, 
     assert np.allclose(masses.level_masses(F.n_levels), c * F.atom_volumes(F.n_levels),
                        rtol=1e-14, atol=0)
     assert masses.level_masses(1).sum() == pytest.approx(c, rel=1e-14)
+    # a scalar Dirac mass of either size compiled to 0 or raised as inf
+    with np.errstate(all="raise"):
+        masses = compile_masses(HybridMeasure(d=2, diracs=[([0.3, 0.6], c)]), F)
+    assert all(masses.level_masses(n).sum() == c for n in range(1, F.n_levels + 1))
 
 
 def test_non_finite_compiled_masses_rejected(dyadic_2d):

@@ -14,7 +14,7 @@ from splinelab import (
 from splinelab import nondense
 from splinelab.nondense import FINITE_DEPTH_NOTE
 
-from conftest import collocation_matrix, dense_dual_matrix
+from conftest import collocation_matrix, dense_dual_matrix, per_atom_v_sets, random_filtration
 
 
 def frozen_filtration(depth=10, fraction=0.9, frozen=(0.5, 1.0)):
@@ -78,6 +78,33 @@ def test_ambiguous_widths_flagged():
     v_sets = detect_v_sets(f1, 0.3)
     assert len(v_sets) == 1
     assert v_sets[0].ambiguous_atoms  # 0.5 < 2 * 0.3
+
+
+def test_v_sets_match_per_atom_oracle():
+    # the runs of the frozen mask equal the atom-by-atom loop's, at random
+    # tolerances, at each end atom's own width (a run that touches that end),
+    # below every width (one run of all atoms) and above every width (none)
+    rng = np.random.default_rng(11)
+    meshes = [random_filtration(seed, n_levels=7).axes[0] for seed in range(4)]
+    meshes += [frozen_filtration(depth=6, fraction=f, frozen=fz)
+               for f, fz in ((0.5, (0.5, 1.0)), (0.3, (0.0, 0.25)), (0.5, (0.25, 0.75)))]
+    seen = set()
+    for f1 in meshes:
+        w = f1.levels[-1].widths
+        tols = [w[0], w[-1], 0.5 * w.min(), 2.0 * w.max()]
+        tols += list(np.exp(rng.uniform(np.log(w.min()), np.log(w.max()), 8)))
+        for tol in tols:
+            got = detect_v_sets(f1, tol)
+            assert got == per_atom_v_sets(f1, tol)
+            assert all(type(a) is int for v in got for a in v.atom_range + v.ambiguous_atoms)
+            assert all({type(v.left_accumulated), type(v.right_accumulated)} == {bool}
+                       for v in got)
+            n = f1.levels[-1].n_atoms
+            seen |= {"none"} if not got else {"all"} if got[0].atom_range == (0, n - 1) else set()
+            seen |= {"left" for v in got if v.atom_range[0] == 0}
+            seen |= {"right" for v in got if v.atom_range[1] == n - 1}
+            seen |= {"ambiguous" for v in got if v.ambiguous_atoms}
+    assert seen == {"none", "all", "left", "right", "ambiguous"}
 
 
 def test_tolerance_must_be_positive():

@@ -24,16 +24,16 @@ from splinelab.experiments import _dense_tensor_norm_2d
 from splinelab.bspline import _basis_columns, atom_chebyshev
 from splinelab import measures, projector
 from splinelab.projector import (
-    DECAY_BLOCK_ATOMS,
-    NORM_BLOCK_ATOMS,
     NORM_EDGE_TOL,
     NORM_SAMPLES_PER_ATOM,
+    SOLVE_BLOCK_ATOMS,
     GramSystem,
     _kernel_blocks,
     operator_norm_1d,
 )
 
 from conftest import (
+    add_at_gram_band,
     collocation_matrix,
     dense_dual_matrix,
     dense_gram,
@@ -62,13 +62,16 @@ def test_gram_k2_uniform_interior_row():
     np.testing.assert_allclose(G[2, 1:4], [h / 6, 2 * h / 3, h / 6], atol=1e-15)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
 def test_gram_row_sums_are_basis_integrals(k):
-    F = random_filtration(1, n_levels=5)
-    space = SplineSpace1D(F.axes[0].level(5), k)
-    gs = GramSystem(space)
-    want = basis_moments(np.ones_like, [space], k)[:, 0]
-    np.testing.assert_allclose(dense_gram(gs) @ np.ones(space.dimension), want, atol=1e-14)
+    for part in (random_filtration(1, n_levels=5).axes[0].level(5),
+                 graded_filtration(1).axes[0].level(34)):
+        space = SplineSpace1D(part, k)
+        gs = GramSystem(space)
+        want = basis_moments(np.ones_like, [space], k)[:, 0]
+        np.testing.assert_allclose(dense_gram(gs) @ np.ones(space.dimension), want, atol=1e-14)
+        # the slice sums of the band make the np.add.at scatter's sums in its order
+        assert np.array_equal(gs.band, add_at_gram_band(space))
 
 
 def test_dual_k1_is_scaled_indicator():
@@ -472,7 +475,7 @@ def _check_kernel_columns(part, k):
     widened = False
     blocks = _kernel_blocks(gs, NORM_SAMPLES_PER_ATOM)
     for b, (a0, a1, D, lo) in enumerate(blocks):
-        assert (a0, a1) == (b * NORM_BLOCK_ATOMS, min((b + 1) * NORM_BLOCK_ATOMS, n_atoms))
+        assert (a0, a1) == (b * SOLVE_BLOCK_ATOMS, min((b + 1) * SOLVE_BLOCK_ATOMS, n_atoms))
         hi = lo + len(D)
         assert solves[-1] == (lo, hi)
         widened |= len(solves) > 1
@@ -488,7 +491,7 @@ def _check_kernel_columns(part, k):
         bp = part.breakpoints
         supp = bp[np.minimum(out, n_atoms - 1) + 1] - bp[np.maximum(out - k + 1, 0)]
         assert np.all(np.abs(full[out]).max(axis=1, initial=0.0) * supp <= NORM_EDGE_TOL)
-    assert b == -(-n_atoms // NORM_BLOCK_ATOMS) - 1
+    assert b == -(-n_atoms // SOLVE_BLOCK_ATOMS) - 1
     return widened
 
 
@@ -579,7 +582,7 @@ def test_windowed_decay_profile_bit_exact_against_per_atom_oracle(block, seed, n
         for nx in (3, 8):
             windows.clear()
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(projector, "DECAY_BLOCK_ATOMS", block)
+                mp.setattr(projector, "SOLVE_BLOCK_ATOMS", block)
                 got = decay_profile(gs, nx_per_atom=nx)
             want = per_atom_decay_profile(gs, nx_per_atom=nx)
             assert np.array_equal(got.distances, want.distances)
@@ -607,7 +610,7 @@ def test_widened_decay_windows_bit_exact_against_per_atom_oracle():
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(projector, "EDGE_BITS_PER_ORDER", 4 * projector.EDGE_BITS_PER_ORDER)
             got = decay_profile(gs, nx_per_atom=3)
-        assert len(windows) > -(-part.n_atoms // DECAY_BLOCK_ATOMS)
+        assert len(windows) > -(-part.n_atoms // SOLVE_BLOCK_ATOMS)
         want = per_atom_decay_profile(gs, nx_per_atom=3)
         assert np.array_equal(got.distances, want.distances)
         assert np.array_equal(got.values, want.values)
@@ -682,7 +685,7 @@ def test_kernel_and_decay_fail_closed_on_nan_duals(row):
     gs = GramSystem(SplineSpace1D(part, 3))
     assert decay_profile(gs).q_hat == 0.4551157743055659
     _inject_nan(gs, 1, row)
-    with pytest.raises(ValueError, match=rf"x-atoms \[0, {DECAY_BLOCK_ATOMS}\) are not finite"):
+    with pytest.raises(ValueError, match=rf"x-atoms \[0, {SOLVE_BLOCK_ATOMS}\) are not finite"):
         decay_profile(gs)
 
 
