@@ -4,9 +4,13 @@ The order-k space over a partition consists of the piecewise polynomials of
 order k (degree k-1) on its atoms with k-2 continuous derivatives globally.
 Clamped knot vectors (boundary breakpoints repeated k times, interior simple)
 realize exactly that space; for k=1 the basis degenerates to the atom
-indicators.  Breakpoint evaluation follows the half-open atom convention, so
-for k=1 a breakpoint value is taken from the atom whose right endpoint it is;
-for k >= 2 the spline is continuous and the convention is invisible.
+indicators.  Breakpoint evaluation follows the half-open atom convention:
+`eval_basis_many` takes the knot span of a point from its atom,
+`Partition1D.atom_index_of`, so for k=1 a breakpoint value is taken from the
+atom whose right endpoint it is; for k >= 2 the spline is continuous and the
+convention is invisible.  The tensor functions active at points are
+tabulated once (`_point_basis`): spline values gather from that table, and
+Dirac moments (`measures.source_moments`) scatter into the basis through it.
 
 Integrals over I^d go through `basis_moments`, which takes its per-atom
 Gauss rules from the partitions of the spaces it is given.  A source in
@@ -87,19 +91,10 @@ class SplineSpace1D:
                 nonnegative and summing to 1 at every point
         """
         k = self.order
-        T = self.knots
-        dim = self.dimension
-        xs = np.asarray(xs, dtype=float)
-        iv = self.interval
-        # written so that NaN fails the test too
-        if not np.all((xs > iv.lo) & (xs <= iv.hi)):
-            raise ValueError(f"evaluation point outside ({iv.lo}, {iv.hi}] or not finite")
-        flat = np.atleast_1d(xs).ravel()
-        # knot span mu with T[mu] < x <= T[mu+1]; the (.,.] convention is built in here
-        mu = np.searchsorted(T, flat, side="left") - 1
-        mu = np.clip(mu, k - 1, dim - 1)
-        N = _de_boor(T, mu, k, lambda j: flat)
-        first = mu - (k - 1)
+        flat = np.asarray(xs, dtype=float).ravel()
+        # atom j of x, (t_{j-1}, t_j], is the knot span T[j + k - 1] < x <= T[j + k]
+        first = self.partition.atom_index_of(flat)
+        N = _de_boor(self.knots, first + (k - 1), k, lambda j: flat)
         return first.reshape(np.shape(xs)), N.reshape(np.shape(xs) + (k,))
 
     def refinement(self, fine: "SplineSpace1D"):
@@ -404,6 +399,20 @@ def _collocate(first, vals, C):
     return out
 
 
+def _point_basis(spaces, points):
+    """The K = prod_l k_l tensor basis functions active at each of the (n, d) points, in
+    np.ndindex order: flat indices into the dimensions of `spaces` and values multiplied
+    in axis order, both (K, n), one contiguous row a term for the gather of eval_many."""
+    n = len(points)
+    flat, w = np.zeros((1, n), dtype=np.intp), np.ones((1, n))
+    for ell, s in enumerate(spaces):
+        first, vals = s.eval_basis_many(points[:, ell])
+        flat = (flat[:, None] * s.dimension + first + np.arange(s.order)[:, None]).reshape(-1, n)
+        # a contiguous copy: broadcasting against the transposed view is several times slower
+        w = (w[:, None] * np.ascontiguousarray(vals.T)).reshape(-1, n)
+    return flat, w
+
+
 class TensorSpline:
     """Tensor-product spline with values in R^m.
 
@@ -439,20 +448,11 @@ class TensorSpline:
             pts = pts[:, None] if self.d == 1 else pts[None, :]
         if pts.shape[1] != self.d:
             raise ValueError(f"points have dimension {pts.shape[1]}, expected {self.d}")
-        n = pts.shape[0]
-        firsts, vals = [], []
-        for ell, space in enumerate(self.spaces):
-            f, v = space.eval_basis_many(pts[:, ell])
-            firsts.append(f)
-            vals.append(v)
-        out = np.zeros((n, self.m))
-        # accumulate over the active window, at most prod_l k_l terms per point
-        for multi in np.ndindex(*(s.order for s in self.spaces)):
-            idx = tuple(firsts[ell] + multi[ell] for ell in range(self.d))
-            w = np.ones(n)
-            for ell in range(self.d):
-                w = w * vals[ell][:, multi[ell]]
-            out += w[:, None] * self.coeffs[idx]
+        flat, w = _point_basis(self.spaces, pts)
+        coeffs = self.coeffs.reshape(-1, self.m)
+        out = np.zeros((len(pts), self.m))
+        for r in range(len(w)):
+            out += w[r, :, None] * coeffs[flat[r]]
         return out
 
     def eval_grid(self, axis_points) -> np.ndarray:

@@ -3,9 +3,10 @@
 Each experiment consumes a fully explicit config (every parameter, seed, and
 depth spelled out), writes `<name>.csv` (long-format data), a
 `<name>.summary.json` with per-assertion pass/fail, and `<name>.meta.json`
-with versions and a timestamp.  Outputs are deterministic for a fixed config
-and seed: data files are byte-identical across runs (the timestamp lives only
-in the meta file).  The exit status is zero iff every asserted bound holds.
+with versions, the BLAS and its thread variables, and a timestamp.  Outputs
+are deterministic for a fixed config, seed and BLAS thread count: data files
+are byte-identical across runs (the timestamp lives only in the meta file).
+The exit status is zero iff every asserted bound holds.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import csv
 import itertools
 import json
 import numbers
+import os
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -656,6 +658,11 @@ def write_outputs(name: str, cfg: dict, rows, log: AssertionLog, extra: dict,
         "config": cfg,
     }
     meta["scipy"] = scipy.__version__
+    # output bits depend on the BLAS and its thread count; unset variables are null
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    meta["blas"] = {"name": blas.get("name"), "version": blas.get("version"), **{
+        var: os.environ.get(var)
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}}
     with open(out / f"{name}.meta.json", "w") as fh:
         json.dump(meta, fh, sort_keys=True, indent=2)
         fh.write("\n")

@@ -10,6 +10,7 @@ whole tensor grid.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -82,11 +83,12 @@ class Partition1D:
         return Interval(self.breakpoints[j], self.breakpoints[j + 1])
 
     def atom_index_of(self, x) -> np.ndarray:
-        """Index of the atom containing x under the (lo, hi] convention."""
+        """Index of the atom (lo, hi] containing x; ValueError unless x is finite, in (a, b]."""
         x = np.asarray(x, dtype=float)
         bp = self.breakpoints
-        if np.any(x <= bp[0]) or np.any(x > bp[-1]):
-            raise ValueError(f"point outside ({bp[0]}, {bp[-1]}]")
+        # written so that NaN fails the test too
+        if not np.all((x > bp[0]) & (x <= bp[-1])):
+            raise ValueError(f"point outside ({bp[0]}, {bp[-1]}] or not finite")
         # searchsorted 'left': first index with bp[idx] >= x, so atom (bp[idx-1], bp[idx]]
         return np.searchsorted(bp, x, side="left") - 1
 
@@ -174,11 +176,7 @@ class TensorFiltration:
 
     def atom_volumes(self, n: int) -> np.ndarray:
         """Tensor of atom volumes at level n, shape = level_shape(n)."""
-        out = np.array(1.0)
-        for ax in self.axes:
-            w = ax.level(n).widths
-            out = np.multiply.outer(out, w)
-        return out
+        return reduce(np.multiply.outer, [ax.level(n).widths for ax in self.axes])
 
     def parent_maps(self, n: int, m: int) -> list:
         """Per axis, map from level-n atom index to the index of its level-m parent (m <= n)."""

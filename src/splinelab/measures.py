@@ -7,7 +7,10 @@ the density is the absolutely continuous part, the Dirac list is singular to
 Lebesgue measure, and the Lebesgue split is explicit in the representation.
 
 Dirac membership follows the half-open atom convention: a Dirac on a
-breakpoint belongs to the atom that the breakpoint closes.
+breakpoint belongs to the atom that the breakpoint closes.  The Dirac terms
+of the moments are one scatter of the tensor-basis table that spline values
+gather from (`bspline._point_basis`), Dirac by Dirac, so every moment adds
+its Diracs in their order.
 
 source_moments is the one route from a measure or a function to moments
 against a spline basis, and the one caller of `bspline.basis_moments`.
@@ -24,12 +27,12 @@ route of every other density.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
 from .bspline import (DEFAULT_QUAD_POINTS, GENERAL_QUAD_POINTS, SeparableFunction,
-                      SplineSpace1D, _require_int, _shaped_values, basis_moments, restrict)
+                      SplineSpace1D, _point_basis, _require_int, _shaped_values, basis_moments,
+                      restrict)
 from .filtration import TensorFiltration
 
 
@@ -119,13 +122,11 @@ def source_moments(source, spaces, g: int = None) -> np.ndarray:
         else:
             b = basis_moments(source.density_values, spaces, source.density_quad_points)
         if source.diracs:
-            locations = np.array([location for location, _ in source.diracs])
-            basis = [s.eval_basis_many(locations[:, ell]) for ell, s in enumerate(spaces)]
-            for j, (_, mass) in enumerate(source.diracs):
-                w = reduce(np.multiply.outer, [vals[j] for _, vals in basis])
-                sl = tuple(slice(first[j], first[j] + s.order)
-                           for (first, _), s in zip(basis, spaces))
-                b[sl] += np.multiply.outer(w, mass)
+            flat, w = _point_basis(spaces, np.array([x for x, _ in source.diracs]))
+            terms = w.T[..., None] * np.array([mass for _, mass in source.diracs])[:, None]
+            # Dirac-major, so each entry adds in Dirac order, into b even as a strided view;
+            # unraveled before the transpose: numpy 2.4 misreads an (n, 1) view of n > 8,192
+            np.add.at(b, tuple(i.T for i in np.unravel_index(flat, b.shape[:-1])), terms)
         return b
     if not callable(source):
         raise ValueError(f"unsupported source type {type(source)!r}")

@@ -80,8 +80,10 @@ def sample_probe_points(F: TensorFiltration, n_points: int, seed: int = 0,
     optional list of (point, radius) pairs, used to keep probes away from
     Dirac locations whose finite-depth remnant would otherwise dominate a
     convergence measurement.  Raises ValueError when n_points is not an
-    integer >= 1, when the gap leaves no room on some axis, or when fewer
-    than n_points survive PROBE_MAX_ROUNDS rounds of rejection.
+    integer >= 1, when an `exclude` entry has other than d finite coordinates
+    or a radius that is not finite and >= 0, when the gap leaves no room on
+    some axis, or when fewer than n_points survive PROBE_MAX_ROUNDS rounds of
+    rejection.
     """
     _require_int("n_points", n_points, 1)
     rng = np.random.default_rng(seed)
@@ -96,6 +98,11 @@ def sample_probe_points(F: TensorFiltration, n_points: int, seed: int = 0,
     exclude = [
         (np.atleast_1d(np.asarray(pt, dtype=float)), float(rad)) for pt, rad in (exclude or [])
     ]
+    for j, (pt, rad) in enumerate(exclude):
+        # written so that NaN fails the test too
+        if pt.shape != (F.d,) or not np.all(np.isfinite(pt)) or not 0 <= rad < np.inf:
+            raise ValueError(f"exclude entry {j} ({pt.tolist()}, {rad}) needs {F.d} finite "
+                             "coordinates and a finite radius >= 0")
     out = np.empty((n_points, F.d))
     got, rounds = 0, 0
     while got < n_points:

@@ -1,4 +1,5 @@
 from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from scipy.linalg import cho_solve_banded
 from splinelab import (AtomSet, Filtration1D, FiltrationSpec, HybridMeasure, Partition1D,
                        Rectangle, SplineSpace1D, TensorFiltration, TensorSpline, atom_of,
                        atom_quadrature, build_filtration, compile_masses)
-from splinelab.bspline import _basis_columns, as_value_array, atom_chebyshev, mode_apply, restrict
+from splinelab.bspline import (_basis_columns, _de_boor, as_value_array, atom_chebyshev,
+                               mode_apply, restrict)
 from splinelab.filtration import Interval, atom_range_gap, l1_distance_grid
 from splinelab.maximal import _check_q, level_sum_field
 from splinelab.measures import CompiledMasses, source_moments
@@ -129,6 +131,46 @@ def add_at_gram_band(space):
         for c in range(r, k):
             np.add.at(ab[k - 1 + r - c], atoms + c, blocks[:, r, c])
     return ab
+
+
+def knot_span_basis(space, xs):
+    """eval_basis_many by a search of the knot vector: the span T[mu] < x <= T[mu + 1]
+    from searchsorted on the clamped knots, clipped to [k - 1, dim - 1], that the atom
+    lookup of SplineSpace1D.eval_basis_many replaced."""
+    k, T = space.order, space.knots
+    flat = np.ravel(np.asarray(xs, dtype=float))
+    mu = np.clip(np.searchsorted(T, flat, side="left") - 1, k - 1, space.dimension - 1)
+    return mu - (k - 1), _de_boor(T, mu, k, lambda j: flat)
+
+
+def ndindex_eval_many(ts, points):
+    """TensorSpline.eval_many term by term over np.ndindex of the orders, each weight a
+    product of the axis values from 1.0 in axis order: the loop that the tensor-basis
+    table of bspline._point_basis replaced."""
+    pts = np.asarray(points, dtype=float)
+    basis = [space.eval_basis_many(pts[:, ell]) for ell, space in enumerate(ts.spaces)]
+    out = np.zeros((len(pts), ts.m))
+    for multi in np.ndindex(*(s.order for s in ts.spaces)):
+        idx = tuple(first + r for (first, _), r in zip(basis, multi))
+        w = np.ones(len(pts))
+        for (_, vals), r in zip(basis, multi):
+            w = w * vals[:, r]
+        out += w[:, None] * ts.coeffs[idx]
+    return out
+
+
+def per_dirac_moments(theta, spaces):
+    """source_moments of a HybridMeasure with its Diracs added one at a time, each as the
+    outer product of its axis values and its mass on its k_1 x ... x k_d block: the loop
+    that the scatter of the tensor-basis table replaced."""
+    b = source_moments(replace(theta, diracs=[]), spaces)
+    locations = np.array([x for x, _ in theta.diracs])
+    basis = [s.eval_basis_many(locations[:, ell]) for ell, s in enumerate(spaces)]
+    for j, (_, mass) in enumerate(theta.diracs):
+        w = reduce(np.multiply.outer, [vals[j] for _, vals in basis])
+        block = tuple(slice(first[j], first[j] + s.order) for (first, _), s in zip(basis, spaces))
+        b[block] += np.multiply.outer(w, mass)
+    return b
 
 
 def decay_monotone_per_distance(values, k):

@@ -25,8 +25,8 @@ from splinelab.bspline import _basis_columns, atom_chebyshev, restrict
 from splinelab.measures import measure_from_config, source_moments
 
 from conftest import (collocation_matrix, dense_atom_integrals, dense_moments, graded_filtration,
-                      node_grid_values, random_filtration, slab_sizes, symbolic_product_integral,
-                      wavy_values)
+                      knot_span_basis, ndindex_eval_many, node_grid_values, random_filtration,
+                      slab_sizes, symbolic_product_integral, wavy_values)
 
 
 def test_knot_vector_k1():
@@ -273,6 +273,52 @@ def test_non_finite_points_rejected():
         ts.eval_grid([[0.5], [0.25, np.nan]])
 
 
+def mesh_points(part, rng, n_random=200):
+    """Random points of a partition's interval, every right breakpoint (where the
+    half-open k = 1 values sit) and the midpoint of its narrowest atom."""
+    bp = part.breakpoints
+    narrowest = int(np.argmin(part.widths))
+    return np.concatenate([rng.uniform(bp[0], bp[-1], n_random), bp[1:],
+                           [0.5 * (bp[narrowest] + bp[narrowest + 1])]])
+
+
+@pytest.mark.parametrize("graded", [False, True])
+def test_eval_basis_atom_lookup_matches_knot_span_search(graded):
+    # the span from Partition1D.atom_index_of is the knot-vector search's, bit for bit
+    rng = np.random.default_rng(11)
+    F = graded_filtration(3, seed=2) if graded else random_filtration(4, d=3, n_levels=7)
+    for ax, k in itertools.product(F.axes, (1, 2, 3, 4)):
+        space = SplineSpace1D(ax.level(ax.n_levels), k)
+        xs = mesh_points(space.partition, rng)
+        first, vals = space.eval_basis_many(xs)
+        want_first, want_vals = knot_span_basis(space, xs)
+        np.testing.assert_array_equal(first, want_first)
+        np.testing.assert_array_equal(vals, want_vals)
+        # the shape of xs carries over: a scalar and a (3, 2) block
+        f0, v0 = space.eval_basis_many(xs[0])
+        assert f0.shape == () and v0.shape == (k,) and f0 == first[0]
+        f2, v2 = space.eval_basis_many(xs[:6].reshape(3, 2))
+        np.testing.assert_array_equal(f2.ravel(), first[:6])
+        np.testing.assert_array_equal(v2.reshape(6, k), vals[:6])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_eval_many_matches_ndindex_loop_for_mixed_orders(d):
+    # orders that differ between axes, on random and graded meshes, m = 1 and 3
+    rng = np.random.default_rng(d)
+    for F in (random_filtration(d, d=d, n_levels=5), graded_filtration(d, seed=1)):
+        parts = [ax.level(F.n_levels) for ax in F.axes]
+        # 300 points a coordinate: every breakpoint of that axis, the rest random
+        pts = np.stack([rng.permutation(mesh_points(p, rng, 300 - len(p.breakpoints)))
+                        for p in parts], axis=1)
+        for orders in itertools.islice(itertools.product((1, 2, 3, 4), repeat=d), 0, None, d):
+            spaces = [SplineSpace1D(p, k) for p, k in zip(parts, orders)]
+            for m in (1, 3):
+                coeffs = rng.normal(size=tuple(s.dimension for s in spaces) + (m,))
+                ts = TensorSpline(spaces, coeffs)
+                np.testing.assert_array_equal(ts.eval_many(pts), ndindex_eval_many(ts, pts))
+
+
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 2 ** 16))
 def test_eval_grid_matches_eval_many(seed):
@@ -302,7 +348,9 @@ def test_eval_grid_matches_eval_many(seed):
             ts = TensorSpline(spaces, coeffs)
             grid = ts.eval_grid(axis_points)
             assert grid.shape == tuple(len(a) for a in axis_points) + (m,)
-            np.testing.assert_allclose(grid.reshape(-1, m), ts.eval_many(pts), rtol=0, atol=1e-13)
+            values = ts.eval_many(pts)
+            np.testing.assert_array_equal(values, ndindex_eval_many(ts, pts))
+            np.testing.assert_allclose(grid.reshape(-1, m), values, rtol=0, atol=1e-13)
             if k == 1:
                 # half-open atoms: a breakpoint takes the value of the atom it closes
                 atoms = [np.searchsorted(s.partition.breakpoints, a, side="left") - 1

@@ -1,6 +1,7 @@
 import ast
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -92,6 +93,13 @@ def test_experiment_runs_green_and_writes_artifacts(name, tmp_path):
     meta = json.loads((out / f"{name}.meta.json").read_text())
     assert "timestamp" in meta and "numpy" in meta
     assert meta["config"]["seed"] == small_config(name)["seed"]
+    # the BLAS and its thread variables, null where unset; meta.json only
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    assert meta["blas"] == {"name": blas["name"], "version": blas["version"],
+                            **{var: os.environ.get(var) for var in threads}}
+    for suffix in (".csv", ".summary.json"):
+        assert "BLAS" not in (out / f"{name}{suffix}").read_text().upper()
 
 
 @pytest.mark.parametrize("name", EXPERIMENT_NAMES)
@@ -631,3 +639,19 @@ def test_compare_outputs_reports_changes_and_structure(tmp_path):
                                               "2.50e-01", "5.00e-01", "differ"]
     code, lines = run(base, write("renamed", 0.5, assertion="b"))
     assert code == 1 and lines[-1] == "MISMATCH x.summary.json: assertion names differ"
+
+
+@pytest.mark.parametrize("script", sorted(
+    (Path(__file__).resolve().parents[1] / "scripts").glob("*.py")), ids=lambda p: p.name)
+def test_every_script_imports(script):
+    # a package name that a script reads, private ones too, breaks the script only when
+    # it runs.  Importing runs no main, as each is guarded, and runs in an interpreter
+    # of its own, as time_kernels sets OPENBLAS_NUM_THREADS when imported
+    load = ("import importlib.util, sys\n"
+            "spec = importlib.util.spec_from_file_location('script', sys.argv[1])\n"
+            "spec.loader.exec_module(importlib.util.module_from_spec(spec))\n")
+    path = os.pathsep.join(filter(None, [str(script.parents[1] / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-B", "-c", load, str(script)], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=path), timeout=300)
+    assert out.returncode == 0, out.stderr

@@ -70,6 +70,17 @@ def test_atom_of_outside_domain(dyadic_1d):
         atom_of(dyadic_1d, 1, [0.0])  # left endpoint excluded
 
 
+def test_atom_lookup_fails_closed_on_non_finite_points(dyadic_2d):
+    # NaN used to land in atom n_atoms, one past the last, and atom_of to raise IndexError
+    part = Partition1D([0.0, 0.5, 1.0])
+    for x in (np.nan, [0.3, np.nan], np.array([[0.7], [np.nan]]), np.inf, [-np.inf, 0.5]):
+        with pytest.raises(ValueError, match="not finite"):
+            part.atom_index_of(x)
+    with pytest.raises(ValueError, match="not finite"):
+        atom_of(dyadic_2d, 1, [np.nan, 0.3])
+    assert part.atom_index_of(0.5) == 0 and part.atom_index_of([0.5, 1.0]).tolist() == [0, 1]
+
+
 def test_atom_distance_examples(dyadic_2d, dyadic_1d):
     F3 = build_filtration(FiltrationSpec(d=2, interval=(0.0, 1.0), n_levels=3))
     assert atom_distance(F3, 3, (2, 5), (4, 4)) == 3

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from dataclasses import replace
 
@@ -17,7 +18,8 @@ from splinelab import bspline, measures
 from splinelab.measures import level_moments, measure_from_config, source_moments
 
 from conftest import (dense_atom_integrals, graded_filtration, measure_of_atom, node_grid_values,
-                      random_filtration, scalar_variation, slab_sizes, total_variation, wavy_values)
+                      per_dirac_moments, random_filtration, scalar_variation, slab_sizes,
+                      total_variation, wavy_values)
 
 
 def unit_density(*grids):
@@ -466,6 +468,54 @@ def test_compiled_boundary_dirac_counts_once(dyadic_1d):
         # the atom whose right endpoint 0.5 is
         part = dyadic_1d.axes[0].level(n)
         assert mo[int(part.atom_index_of(np.array([0.5]))[0])] == 1.0
+
+
+def dirac_locations(partitions, rng):
+    """Diracs that share atoms: five in one atom, two at one point, and some on
+    breakpoints, on every axis at once or on one axis only."""
+    inside = np.stack([rng.uniform(p.breakpoints[j], p.breakpoints[j + 1], 5) for p, j in
+                       zip(partitions, [rng.integers(p.n_atoms) for p in partitions])], axis=1)
+    on_bp = np.stack([rng.choice(p.breakpoints[1:], 4) for p in partitions], axis=1)
+    mixed = rng.uniform(0.01, 1.0, (4, len(partitions)))
+    mixed[:, 0] = on_bp[:, 0]
+    spread = rng.uniform(0.01, 1.0, (6, len(partitions)))
+    return np.concatenate([inside, spread[:1], on_bp, mixed, spread, inside[2:3]])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_dirac_moments_match_the_per_dirac_loop(d):
+    # one scatter of the tensor-basis table adds every entry's terms in Dirac order, bit
+    # for bit, into moments that are a strided view when a non-separable density came first
+    rng = np.random.default_rng(30 + d)
+    strided = False
+    for F in (random_filtration(d, d=d, n_levels=4), graded_filtration(d, seed=3)):
+        parts = [ax.level(F.n_levels) for ax in F.axes]
+        locations = dirac_locations(parts, rng)
+        for k, m in itertools.product((1, 2, 3, 4), (1, 3)):
+            spaces = [SplineSpace1D(p, k) for p in parts]
+            density = (density_catalog("smooth-sine", d) if (k + m) % 4 == 2
+                       else None if (k + m) % 4 == 0 else wavy_values(m))
+            masses = rng.normal(size=(len(locations), m)) * 10.0 ** rng.integers(-6, 6, (len(
+                locations), 1))
+            theta = HybridMeasure(d=d, m=m, density=density, density_quad_points=2,
+                                  diracs=list(zip(locations, masses)))
+            b = source_moments(theta, spaces)
+            np.testing.assert_array_equal(b, per_dirac_moments(theta, spaces))
+            strided |= not source_moments(replace(theta, diracs=[]), spaces).flags.c_contiguous
+    assert strided == (d > 1)
+
+
+def test_sixteen_thousand_diracs_match_the_per_dirac_loop():
+    # as many Diracs as a Cantor measure of depth 14, about four to an atom of 4,096
+    F = build_filtration(FiltrationSpec(d=1, interval=(0.0, 1.0), n_levels=12))
+    rng = np.random.default_rng(14)
+    bp = F.axes[0].level(12).breakpoints
+    locations = np.concatenate([rng.uniform(1e-9, 1.0, 16_384 - 512), rng.choice(bp[1:], 512)])
+    theta = HybridMeasure(d=1, diracs=[([x], 2.0 ** -14 * (1 + x)) for x in locations])
+    for k in (1, 2):
+        spaces = [SplineSpace1D(F.axes[0].level(12), k)]
+        np.testing.assert_array_equal(source_moments(theta, spaces),
+                                      per_dirac_moments(theta, spaces))
 
 
 def test_measure_dimensions_fail_closed():

@@ -263,6 +263,19 @@ def test_probe_points_exclude_covering_domain_raises(dyadic_1d):
         sample_probe_points(dyadic_1d, 10, exclude=[([0.5], 1.0)])
 
 
+@pytest.mark.parametrize("entry", [([0.3], 0.1), ([0.3, 0.4, 0.5], 0.1), ([0.3, np.nan], 0.1),
+                                   ([0.3, np.inf], 0.1), ([0.3, 0.4], -0.1),
+                                   ([0.3, 0.4], np.nan), ([0.3, 0.4], np.inf)])
+def test_probe_points_check_each_exclude_entry(dyadic_2d, entry):
+    # a 1-coordinate point in d = 2 was broadcast, a negative radius accepted, and a NaN
+    # ran every rejection round before blaming the gap
+    good = ([0.7, 0.2], 0.0)
+    assert sample_probe_points(dyadic_2d, 5, exclude=[good]).shape == (5, 2)
+    with pytest.raises(ValueError, match=r"exclude entry 1 .* needs 2 finite coordinates "
+                                         r"and a finite radius >= 0"):
+        sample_probe_points(dyadic_2d, 5, exclude=[good, entry])
+
+
 @pytest.mark.parametrize("n_points", [0, -3, 2.0, True, None])
 def test_probe_points_need_a_positive_integer_count(dyadic_1d, n_points):
     with pytest.raises(ValueError, match="n_points must be an integer >= 1"):
