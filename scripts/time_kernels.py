@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""Time the 1-D dual kernels, the maximal level sums, the density reductions,
+"""Time the Gram system, the 1-D dual kernels, the maximal level sums, the density reductions,
 the moment restriction, make_sequence and build_filtration at three depths
 each and fit their scaling exponents.
 
     python scripts/time_kernels.py > kernels.json
 
-Times `GramSystem.duals_at` on the points of one decay block (the
+Times `GramSystem(space)`, which assembles the Gram band and factors it
+(banded Cholesky), `GramSystem.duals_at` on the points of one decay block (the
 SOLVE_BLOCK_ATOMS atoms from the middle of the mesh, NORM_SAMPLES_PER_ATOM
 points each, solved on all rows), `decay_profile`, the kernel columns of
 `operator_norm_1d` (the dual values of every block of SOLVE_BLOCK_ATOMS
@@ -39,8 +40,10 @@ restriction of moments, none of them separable:
                    the level below, the largest restriction that
                    make_sequence makes.
 Each of these also reports the tracemalloc peak of one call and the bytes of
-what it returns: the quadrature evaluates its integrand one slab at a time,
-so the peak less the result stays flat in depth.
+what it returns: the quadrature evaluates its integrand one slab at a time
+and scatters each slab into the result, so the peak less the result is a few
+slabs at every depth (a slab holds at least one axis-0 atom, 1 MB of nodes
+at depth 9).
 For the projections it times, in d = 2 on the same mesh at depths
 PROJECTION_DEPTHS, with orders (2, 2):
   spline_projection  P_n g_{n+1}, the projection of a spline of the finest
@@ -102,7 +105,7 @@ from splinelab.projector import (  # noqa: E402
     operator_norm_1d,
 )
 
-KERNELS = ("duals_at", "decay_profile", "kernel_columns", "operator_norm_1d")
+KERNELS = ("gram_system", "duals_at", "decay_profile", "kernel_columns", "operator_norm_1d")
 MAXIMAL_KERNELS = ("level_sum_field", "maximal_field")
 QUADRATURE_KERNELS = ("compile_masses", "basis_moments", "restrict")
 PROJECTION_KERNELS = ("spline_projection",)
@@ -289,11 +292,13 @@ def main():
     for depth in DEPTHS:
         part = F.axes[0].level(depth)
         for k in ORDERS:
-            gs = GramSystem(SplineSpace1D(part, k))
+            space = SplineSpace1D(part, k)
+            gs = GramSystem(space)
             cheb = atom_chebyshev(part, NORM_SAMPLES_PER_ATOM)
             a0 = part.n_atoms // 2
             xs = cheb[a0:a0 + SOLVE_BLOCK_ATOMS].ravel()
             kernels = {
+                "gram_system": lambda: GramSystem(space),
                 "duals_at": lambda: gs.duals_at(xs),
                 "decay_profile": lambda: decay_profile(gs),
                 "kernel_columns": lambda: sum(1 for _ in _kernel_blocks(gs, NORM_SAMPLES_PER_ATOM)),

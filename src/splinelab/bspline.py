@@ -19,13 +19,13 @@ integrated axis by axis in d >= 2: its moments are the sums of the scaled
 outer products of the one-axis moments of its factors (Fubini on the tensor
 Gauss rule), so it costs sum_l (atoms_l g) factor evaluations instead of
 prod_l.  Any other integrand is evaluated one slab of whole axis-0 atoms at
-a time, and each slab is contracted on every axis at once, so its memory is
-bounded by CACHE_BLOCK_BYTES and by what it returns, never by the full
-d-dimensional node grid.  A slab is sized so that its temporaries stay in L2
-(cache blocking, Lam, Rothberg & Wolf, ASPLOS 1991); the result is the same
-bit for bit for every slab size.  Moments take
-one route: a source is reduced against the finest basis (`basis_moments`),
-and a coarser nested basis N, with
+a time, and each slab is contracted and scattered into the basis on every
+axis before the next, so its memory is bounded by CACHE_BLOCK_BYTES and by
+what it returns, never by the node grid or its local moments.  A slab is
+sized so that its temporaries stay in L2 (cache blocking, Lam, Rothberg &
+Wolf, ASPLOS 1991); the result is the same bit for bit for every slab size.
+Moments take one route: a source is reduced against the finest basis
+(`basis_moments`), and a coarser nested basis N, with
 N_j = sum_i T[i, j] M_i in the finest basis M (knot insertion,
 `SplineSpace1D.refinement`), gets T^T times those moments (`restrict`).
 That contraction, like the projection of a spline onto another level, runs
@@ -109,7 +109,7 @@ class SplineSpace1D:
         k = self.order
         if fine.order != k:
             raise ValueError(f"an order-{fine.order} space does not refine an order-{k} space")
-        if fine.interval != self.interval or not fine.partition.refines(self.partition):
+        if not fine.partition.refines(self.partition):
             raise ValueError("the fine partition misses breakpoints of the coarse one")
         n, tau = fine.dimension, fine.knots
         mu = np.searchsorted(self.knots, tau[:n], side="right") - 1
@@ -219,11 +219,21 @@ def basis_moments(f, spaces, g: int) -> np.ndarray:
     Only N_a, ..., N_{a+k-1} are nonzero on atom a, so each axis is
     contracted per atom by w N of shape (atoms, k, g), built contiguous (a
     transposed view slows einsum severalfold), and the k local rows of each
-    atom are scattered into the basis (`_scatter_atoms`); an order-1 axis
-    has one row per atom, which is its basis row already.  The integrand is
-    never evaluated on the whole node grid (`_reduce`).  A SeparableFunction
-    in d >= 2 is never evaluated on it either: each factor takes this
-    one-axis route on its own axis (`_separable_moments`).
+    atom are added into the basis (`_scatter_atoms`).  A SeparableFunction in
+    d >= 2 takes this one-axis route factor by factor (`_separable_moments`).
+    Any other f is reduced in one pass over slabs of whole axis-0 atoms (about
+    CACHE_BLOCK_BYTES / 8 nodes), so neither the node grid nor its local
+    moments are ever held: a slab's values are checked for shape, NaN and inf
+    and contracted on axis 0, every later axis is contracted and scattered
+    (`_contract_atoms`), and the slab's rows are scattered into the result.
+    The slabs run from the last to the first, so a basis row that two slabs
+    share adds its terms in order of r ascending, as one scatter of the whole
+    grid does; in d = 1 and on order-1 axes the moments are those of
+    contracting the whole grid, then scattering, bit for bit, for every slab
+    size.  An axis l >= 1 of order k >= 2 is scattered before axis 0, which
+    moves the moments by a few ulps.  Two guards keep a slab's rows those of
+    the whole grid: every axis is contracted by einsum, not gemm
+    (`_atom_einsum`), and a slab left with a single row on axis 0 is padded.
     """
     if isinstance(f, SeparableFunction) and len(spaces) > 1:
         return _separable_moments(f, spaces, g)
@@ -233,8 +243,33 @@ def basis_moments(f, spaces, g: int) -> np.ndarray:
         _, vals = space.eval_basis_many(rule.nodes)                           # (atoms, g, k)
         nodes.append(rule.nodes)
         mats.append(np.ascontiguousarray(np.swapaxes(vals * rule.weights[..., None], 1, 2)))
-    return mode_apply(_reduce(f, nodes, mats), [
-        partial(_scatter_atoms, s.order) if s.order > 1 else None for s in spaces])
+    d = len(nodes)
+    n_atoms, g = nodes[0].shape
+    shape = tuple(x.size for x in nodes)
+    step = max(1, CACHE_BLOCK_BYTES // 8 // (g * math.prod(shape[1:])))
+    grid = [x.reshape((1,) * ell + (-1,) + (1,) * (d - 1 - ell)) for ell, x in enumerate(nodes)]
+    ops = [None] + [partial(_contract_atoms, A) for A in mats[1:]]   # axis 0 is done
+    where = f"integrand {getattr(f, '__name__', '')}".strip()   # errors name f
+    out = None
+    for a0 in reversed(range(0, n_atoms, step)):
+        a1 = min(a0 + step, n_atoms)
+        x0 = grid[0][a0 * g:a1 * g]
+        # one expression, so that a slab's values are freed before the next slab's
+        head = mode_apply(as_value_array(f(x0, *grid[1:]), x0.shape[:1] + shape[1:], where),
+                          [partial(_atom_einsum, mats[0][a0:a1])])
+        rows = len(head)
+        if rows == 1 < n_atoms:
+            # With one row left on axis 0, mode_apply would pass the later
+            # axes views of another memory layout than the whole grid's, and
+            # einsum sums in another order on those.  A zero row keeps the
+            # whole grid's layout; it is dropped again below.
+            head = np.concatenate([head, np.zeros_like(head)])
+        reduced = mode_apply(head, ops)[:rows]
+        if out is None:
+            out = np.zeros((spaces[0].dimension,) + reduced.shape[1:])
+        _scatter_atoms(reduced.reshape((a1 - a0, -1) + reduced.shape[1:]),
+                       out[a0:a1 + spaces[0].order - 1])
+    return out
 
 
 def _separable_moments(f: SeparableFunction, spaces, g: int) -> np.ndarray:
@@ -258,52 +293,6 @@ def _separable_moments(f: SeparableFunction, spaces, g: int) -> np.ndarray:
     return total[..., None]
 
 
-def _reduce(f, nodes, mats) -> np.ndarray:
-    """Contract f on the grid of the per-atom nodes[l] (atoms, g) along every axis l by
-    mats[l], slab by slab.
-
-    mats[l] is (atoms, k, g) for axis l: `_atom_einsum` maps the g node rows
-    of each atom a to k rows by mats[l][a], using the entries of that atom
-    alone.  f is evaluated on one slab of whole axis-0 atoms at a time (about
-    CACHE_BLOCK_BYTES / 8 nodes), checked for shape, NaN and inf, and
-    contracted on every axis before the next slab starts; each reduced slab is
-    written to its rows of the result along axis 0.  So a slab yields its own
-    rows of the result bit for bit, whatever the slab size, as long as numpy
-    rounds every row alike in a slab and in the whole grid.  Two guards see to
-    that: every axis is contracted by einsum, not gemm (`_atom_einsum`), and a
-    slab left with a single row on axis 0 is padded.  Memory is bounded by one
-    slab plus the result; the slab's arrays die with this frame, before the
-    caller scatters the result into the basis.
-    """
-    d = len(nodes)
-    n_atoms, g = nodes[0].shape
-    shape = tuple(x.size for x in nodes)
-    step = max(1, CACHE_BLOCK_BYTES // 8 // (g * math.prod(shape[1:])))
-    grid = [x.reshape((1,) * ell + (-1,) + (1,) * (d - 1 - ell)) for ell, x in enumerate(nodes)]
-    ops = [None] + [partial(_atom_einsum, A) for A in mats[1:]]   # axis 0 is done
-    where = f"integrand {getattr(f, '__name__', '')}".strip()   # errors name f
-    out = None
-    for a0 in range(0, n_atoms, step):
-        a1 = min(a0 + step, n_atoms)
-        x0 = grid[0][a0 * g:a1 * g]
-        # one expression, so that a slab's values are freed before the next slab's
-        head = mode_apply(as_value_array(f(x0, *grid[1:]), x0.shape[:1] + shape[1:], where),
-                          [partial(_atom_einsum, mats[0][a0:a1])])
-        rows = len(head)
-        if rows == 1 < n_atoms:
-            # With one row left on axis 0, mode_apply would pass the later
-            # axes views of another memory layout than the whole grid's, and
-            # einsum sums in another order on those.  A zero row keeps the
-            # whole grid's layout; it is dropped again below.
-            head = np.concatenate([head, np.zeros_like(head)])
-        reduced = mode_apply(head, ops)[:rows]
-        if out is None:
-            per_atom = rows // (a1 - a0)
-            out = np.empty((n_atoms * per_atom,) + reduced.shape[1:])
-        out[a0 * per_atom:a0 * per_atom + rows] = reduced
-    return out
-
-
 def _atom_einsum(M, X) -> np.ndarray:
     """Rows M[a] @ X[a g:(a + 1) g] per atom a, stacked: (atoms * k, r); by einsum, which
     rounds every column alike, where gemm rounds one by its position among the columns."""
@@ -311,13 +300,19 @@ def _atom_einsum(M, X) -> np.ndarray:
         -1, X.shape[1])
 
 
-def _scatter_atoms(k: int, X) -> np.ndarray:
-    """Basis rows b[a + r] += X[a k + r] of the k local rows of every atom a: (atoms + k - 1, r)."""
-    local = X.reshape(-1, k, X.shape[1])
-    out = np.zeros((len(local) + k - 1, X.shape[1]))
-    for r in range(k):
-        out[r:r + len(local)] += local[:, r]
+def _contract_atoms(M, X) -> np.ndarray:
+    """Basis rows of one axis, (atoms + k - 1, r): the local rows of `_atom_einsum`
+    scattered into a zero block."""
+    out = np.zeros((M.shape[0] + M.shape[1] - 1, X.shape[1]))
+    _scatter_atoms(_atom_einsum(M, X).reshape(M.shape[0], M.shape[1], -1), out)
     return out
+
+
+def _scatter_atoms(local, out) -> None:
+    """out[a + r] += local[a, r] in place, r ascending: the one scatter of the k local rows
+    of each atom, local (atoms, k, ...), into basis rows, out (atoms + k - 1, ...)."""
+    for r in range(local.shape[1]):
+        out[r:r + len(local)] += local[:, r]
 
 
 def restrict(moments, fine_spaces, coarse_spaces) -> np.ndarray:

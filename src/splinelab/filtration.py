@@ -93,10 +93,12 @@ class Partition1D:
         return np.searchsorted(bp, x, side="left") - 1
 
     def refines(self, coarser: "Partition1D") -> bool:
-        """Whether every breakpoint of `coarser` is one of self's (both are sorted)."""
+        """Whether both partition the same interval and every breakpoint of `coarser` is one
+        of self's (both are sorted)."""
         fine = self.breakpoints
         at = np.minimum(np.searchsorted(fine, coarser.breakpoints), len(fine) - 1)
-        return bool(np.array_equal(fine[at], coarser.breakpoints))
+        return self.interval == coarser.interval and bool(
+            np.array_equal(fine[at], coarser.breakpoints))
 
     def parent_map(self, coarser: "Partition1D") -> np.ndarray:
         """For each atom of self, the index of the atom of `coarser` containing it."""
@@ -149,6 +151,8 @@ class TensorFiltration:
         n = axes[0].n_levels
         if any(ax.n_levels != n for ax in axes):
             raise ValueError("all axes must share the same number of levels")
+        if any(ax.interval != axes[0].interval for ax in axes):
+            raise ValueError("all axes must partition the same interval")
         self.axes = axes
 
     @property
@@ -180,6 +184,8 @@ class TensorFiltration:
 
     def parent_maps(self, n: int, m: int) -> list:
         """Per axis, map from level-n atom index to the index of its level-m parent (m <= n)."""
+        if m > n:
+            raise ValueError(f"level {m} is finer than level {n}; parents need m <= n")
         return [ax.level(n).parent_map(ax.level(m)) for ax in self.axes]
 
 

@@ -124,8 +124,8 @@ def source_moments(source, spaces, g: int = None) -> np.ndarray:
         if source.diracs:
             flat, w = _point_basis(spaces, np.array([x for x, _ in source.diracs]))
             terms = w.T[..., None] * np.array([mass for _, mass in source.diracs])[:, None]
-            # Dirac-major, so each entry adds in Dirac order, into b even as a strided view;
-            # unraveled before the transpose: numpy 2.4 misreads an (n, 1) view of n > 8,192
+            # Dirac-major, so each entry adds in Dirac order; unraveled before the
+            # transpose: numpy 2.4 misreads an (n, 1) view of n > 8,192
             np.add.at(b, tuple(i.T for i in np.unravel_index(flat, b.shape[:-1])), terms)
         return b
     if not callable(source):

@@ -58,6 +58,7 @@ from .bspline import (
     _collocate,
     _contract_points,
     _require_int,
+    _scatter_atoms,
     atom_chebyshev,
     atom_quadrature,
     mode_apply,
@@ -165,10 +166,10 @@ def _edge_checked_solve(gs: GramSystem, a0: int, a1: int, tol: float, rhs, mass,
 
 
 def _assemble_gram_band(space: SplineSpace1D) -> np.ndarray:
-    """Upper banded storage of G_{ij} = int N_i N_j; g = k Gauss points are exact."""
+    """Upper banded storage of G_{ij} = int N_i N_j; g = k Gauss points are exact.  Band
+    diagonal o adds entries (r, r + o) of the per-atom k x k blocks (`_scatter_atoms`)."""
     k = space.order
-    p = space.partition
-    rule = atom_quadrature(p, k)
+    rule = atom_quadrature(space.partition, k)
     with np.errstate(over="ignore", invalid="ignore"):
         # subnormal atom widths overflow the recursion; the factorization's
         # finite check turns that into the degenerate-partition error
@@ -176,10 +177,8 @@ def _assemble_gram_band(space: SplineSpace1D) -> np.ndarray:
     wv = vals * rule.weights[:, :, None]
     blocks = np.einsum("agr,agc->arc", vals, wv)         # per-atom k x k Gram blocks
     ab = np.zeros((k, space.dimension))
-    for r in range(k):
-        for c in range(r, k):
-            # atom a adds to column a + c: distinct columns, so one slice per entry
-            ab[k - 1 + r - c, c:c + p.n_atoms] += blocks[:, r, c]
+    for o in range(k):
+        _scatter_atoms(np.diagonal(blocks, o, 1, 2), ab[k - 1 - o, o:])
     return ab
 
 

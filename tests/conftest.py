@@ -8,8 +8,9 @@ from scipy.linalg import cho_solve_banded
 from splinelab import (AtomSet, Filtration1D, FiltrationSpec, HybridMeasure, Partition1D,
                        Rectangle, SplineSpace1D, TensorFiltration, TensorSpline, atom_of,
                        atom_quadrature, build_filtration, compile_masses)
-from splinelab.bspline import (_basis_columns, _de_boor, as_value_array, atom_chebyshev,
-                               mode_apply, restrict)
+from splinelab import bspline
+from splinelab.bspline import (_atom_einsum, _basis_columns, _de_boor, as_value_array,
+                               atom_chebyshev, mode_apply, restrict)
 from splinelab.filtration import Interval, atom_range_gap, l1_distance_grid
 from splinelab.maximal import _check_q, level_sum_field
 from splinelab.measures import CompiledMasses, source_moments
@@ -131,6 +132,64 @@ def add_at_gram_band(space):
         for c in range(r, k):
             np.add.at(ab[k - 1 + r - c], atoms + c, blocks[:, r, c])
     return ab
+
+
+def nested_loop_gram_band(space):
+    """Upper Gram band added one (r, c) entry of the k x k atom blocks at a time, one
+    slice per entry: the nested loop that the band-diagonal scatter of
+    projector._assemble_gram_band replaced."""
+    k, p = space.order, space.partition
+    rule = atom_quadrature(p, k)
+    _, vals = space.eval_basis_many(rule.nodes)
+    blocks = np.einsum("agr,agc->arc", vals, vals * rule.weights[:, :, None])
+    ab = np.zeros((k, space.dimension))
+    for r in range(k):
+        for c in range(r, k):
+            ab[k - 1 + r - c, c:c + p.n_atoms] += blocks[:, r, c]
+    return ab
+
+
+def two_pass_moments(f, spaces, g):
+    """basis_moments of a source that is not separable by the two passes that its one
+    pass replaced: the per-atom local moments, prod_l (atoms_l k_l) rows, reduced slab
+    by slab from the first slab to the last, then scattered into the basis axis by axis,
+    order-1 axes left alone."""
+    nodes, mats = [], []
+    for space in spaces:
+        rule = atom_quadrature(space.partition, g)
+        _, vals = space.eval_basis_many(rule.nodes)
+        nodes.append(rule.nodes)
+        mats.append(np.ascontiguousarray(np.swapaxes(vals * rule.weights[..., None], 1, 2)))
+    d = len(nodes)
+    n_atoms = nodes[0].shape[0]
+    shape = tuple(x.size for x in nodes)
+    step = max(1, bspline.CACHE_BLOCK_BYTES // 8 // (g * int(np.prod(shape[1:]))))
+    grid = [x.reshape((1,) * ell + (-1,) + (1,) * (d - 1 - ell)) for ell, x in enumerate(nodes)]
+    ops = [None] + [lambda X, A=A: _atom_einsum(A, X) for A in mats[1:]]
+    local = None
+    for a0 in range(0, n_atoms, step):
+        a1 = min(a0 + step, n_atoms)
+        x0 = grid[0][a0 * g:a1 * g]
+        head = mode_apply(as_value_array(f(x0, *grid[1:]), x0.shape[:1] + shape[1:]),
+                          [lambda X, A=mats[0][a0:a1]: _atom_einsum(A, X)])
+        rows = len(head)
+        if rows == 1 < n_atoms:
+            head = np.concatenate([head, np.zeros_like(head)])
+        reduced = mode_apply(head, ops)[:rows]
+        if local is None:
+            per_atom = rows // (a1 - a0)
+            local = np.empty((n_atoms * per_atom,) + reduced.shape[1:])
+        local[a0 * per_atom:a0 * per_atom + rows] = reduced
+
+    def scatter(k, X):
+        rows = X.reshape(-1, k, X.shape[1])
+        out = np.zeros((len(rows) + k - 1, X.shape[1]))
+        for r in range(k):
+            out[r:r + len(rows)] += rows[:, r]
+        return out
+
+    return mode_apply(local, [(lambda X, k=s.order: scatter(k, X)) if s.order > 1 else None
+                              for s in spaces])
 
 
 def knot_span_basis(space, xs):

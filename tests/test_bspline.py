@@ -26,7 +26,7 @@ from splinelab.measures import measure_from_config, source_moments
 
 from conftest import (collocation_matrix, dense_atom_integrals, dense_moments, graded_filtration,
                       knot_span_basis, ndindex_eval_many, node_grid_values, random_filtration,
-                      slab_sizes, symbolic_product_integral, wavy_values)
+                      slab_sizes, symbolic_product_integral, two_pass_moments, wavy_values)
 
 
 def test_knot_vector_k1():
@@ -592,6 +592,59 @@ def test_quadrature_bit_identical_for_every_slab_size(d, m, monkeypatch):
         assert np.array_equal(basis_moments(f, spaces, g), want_moments), label
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_one_pass_moments_keep_the_bits_of_the_two_passes(d, monkeypatch):
+    # d = 1 at orders 1-4, and any axis-0 order with order-1 axes after it: the slabs run
+    # from the last to the first, so every basis row adds its atoms' terms in the order of
+    # one scatter of the whole grid, for one atom per slab, a ragged last slab and a
+    # single slab, on a random mesh and on one graded to the 1e-9 width floor
+    g = (5, 3, 2)[d - 1]
+    for F in (random_filtration(10 + d, d=d, n_levels=(6, 4, 3)[d - 1]), graded_filtration(d)):
+        finest = [ax.level(F.n_levels) for ax in F.axes]
+        for k, m in itertools.product((1, 2, 3, 4), (1, 3)):
+            spaces = [SplineSpace1D(finest[0], k)] + [SplineSpace1D(p, 1) for p in finest[1:]]
+            f = wavy_values(m)
+            for label, nbytes in slab_sizes(finest, g).items():
+                monkeypatch.setattr(bspline, "CACHE_BLOCK_BYTES", nbytes)
+                assert np.array_equal(basis_moments(f, spaces, g),
+                                      two_pass_moments(f, spaces, g)), (k, m, label)
+
+
+@pytest.mark.parametrize("orders", [(1, 2), (2, 2), (4, 3), (1, 1, 3), (3, 2, 2)])
+def test_one_pass_moments_near_the_two_passes_with_later_orders_above_1(orders, monkeypatch):
+    # an axis l >= 1 of order >= 2 is scattered before axis 0 now, which moves the last
+    # bit; entries that cancel are held to a floor relative to the largest moment
+    d = len(orders)
+    g = 3
+    for F in (random_filtration(20 + d, d=d, n_levels=(4, 3)[d - 2]), graded_filtration(d)):
+        finest = [ax.level(F.n_levels) for ax in F.axes]
+        spaces = [SplineSpace1D(p, k) for p, k in zip(finest, orders)]
+        for m in (1, 3):
+            f = wavy_values(m)
+            for label, nbytes in slab_sizes(finest, g).items():
+                monkeypatch.setattr(bspline, "CACHE_BLOCK_BYTES", nbytes)
+                got, want = basis_moments(f, spaces, g), two_pass_moments(f, spaces, g)
+                np.testing.assert_allclose(got, want, rtol=1e-14,
+                                           atol=1e-15 * np.abs(want).max(), err_msg=label)
+
+
+@pytest.mark.parametrize("d, atoms", [(2, 256), (3, 32)])
+def test_moments_of_a_plain_callable_hold_no_local_tensor(d, atoms):
+    # order 3 and 4 points per atom: the result takes 0.53 MB in d = 2 and 0.31 MB in
+    # d = 3, while the local moments of the whole grid, (3 atoms)^d rows, would take
+    # 4.7 MB and 7.1 MB; the peak stays below 3 MB
+    space = SplineSpace1D(Partition1D(np.linspace(0.0, 1.0, atoms + 1)), 3)
+    f = lambda *x: 1.5 + np.sin(3 * sum(x))     # noqa: E731
+    tracemalloc.start()
+    try:
+        b = basis_moments(f, [space] * d, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert b.shape == (atoms + 2,) * d + (1,)
+    assert peak < 3_000_000, peak
+
+
 def counting(f, sizes):
     """f, recording the number of grid nodes of every call in `sizes`."""
     def wrapped(*grids):
@@ -625,24 +678,25 @@ def test_integrand_never_sees_more_than_a_slab(d, slab, monkeypatch):
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_quadrature_fails_closed_on_the_last_slab(d, monkeypatch):
-    # a bad value or shape that only the last slab sees still raises; 16 nodes
-    # are 4 atoms of 4 nodes in d = 1 and less than one atom in d = 2, so the
-    # 16 atoms of axis 0 take 4 and 16 slabs
+    # a bad value or shape that only the last slab sees still raises; the slabs run
+    # from the last axis-0 atom to the first, so the first atom's slab is the last;
+    # 16 nodes are 4 atoms of 4 nodes in d = 1 and less than one atom in d = 2, so
+    # the 16 atoms of axis 0 take 4 and 16 slabs
     monkeypatch.setattr(bspline, "CACHE_BLOCK_BYTES", 8 * 16)
     F = build_filtration(FiltrationSpec(d=d, interval=(0.0, 1.0), n_levels=4))
     parts = [ax.level(4) for ax in F.axes]
     spaces = [SplineSpace1D(p, 2) for p in parts]
     atoms = [SplineSpace1D(p, 1) for p in parts]
-    last = parts[0].breakpoints[-2]
+    first = parts[0].breakpoints[1]
 
-    def nan_at_end(*xs):
-        return np.where(xs[0] > last, np.nan, wavy_values(1)(*xs))
+    def nan_at_start(*xs):
+        return np.where(xs[0] < first, np.nan, wavy_values(1)(*xs))
 
-    def short_at_end(*xs):
+    def short_at_start(*xs):
         out = wavy_values(1)(*xs)
-        return out[:-1] if xs[0].max() > last else out
+        return out[:-1] if xs[0].min() < first else out
 
-    for f, match in ((nan_at_end, "non-finite"), (short_at_end, "shape")):
+    for f, match in ((nan_at_start, "non-finite"), (short_at_start, "shape")):
         for reduce in (lambda f: basis_moments(f, atoms, 4),
                        lambda f: basis_moments(f, spaces, 4),
                        lambda f: source_moments(f, spaces)):

@@ -12,7 +12,8 @@ from splinelab import (
     atom_of,
     build_filtration,
 )
-from splinelab.filtration import Filtration1D, MIN_WIDTH_FRACTION, _base_breakpoints
+from splinelab.filtration import (Filtration1D, MIN_WIDTH_FRACTION, TensorFiltration,
+                                  _base_breakpoints)
 
 from conftest import (atom_distance, atom_set_from_mask, neighborhood, per_atom_refine,
                       random_filtration)
@@ -168,6 +169,38 @@ def test_check_nested_detects_violation():
     levels = [Partition1D([0.0, 0.5, 1.0]), Partition1D([0.0, 1.0 / 3.0, 1.0])]
     with pytest.raises(ValueError, match="not nested"):
         Filtration1D(levels)
+
+
+def test_refines_needs_the_same_interval():
+    # a partition of (0, 2] holding every breakpoint of one of (0, 1] does not refine it,
+    # nor the other way round
+    wide, unit = Partition1D([0.0, 1.0, 2.0]), Partition1D([0.0, 1.0])
+    assert not wide.refines(unit)
+    assert not Partition1D([-1.0, 0.0, 1.0]).refines(unit)
+    assert not unit.refines(wide)
+    assert wide.refines(Partition1D([0.0, 2.0]))
+
+
+def test_filtration_levels_share_one_interval():
+    # levels on (0, 1] and (0, 2] are no filtration, whose interval is its first level's
+    with pytest.raises(ValueError, match="not nested"):
+        Filtration1D([Partition1D([0.0, 1.0]), Partition1D([0.0, 1.0, 2.0])])
+
+
+def test_tensor_axes_share_one_interval():
+    # the interval of a tensor filtration is every axis's: probes drawn from it cover all
+    unit = Filtration1D([Partition1D([0.0, 1.0]), Partition1D([0.0, 0.5, 1.0])])
+    wide = Filtration1D([Partition1D([0.0, 2.0]), Partition1D([0.0, 1.0, 2.0])])
+    with pytest.raises(ValueError, match="same interval"):
+        TensorFiltration([unit, wide])
+    assert TensorFiltration([wide, wide]).interval == Interval(0.0, 2.0)
+
+
+def test_parent_maps_need_a_coarser_level(dyadic_2d):
+    for n, m in ((1, 3), (2, 3), (1, 4)):
+        with pytest.raises(ValueError, match="m <= n"):
+            dyadic_2d.parent_maps(n, m)
+    assert [list(p) for p in dyadic_2d.parent_maps(2, 2)] == [[0, 1, 2, 3]] * 2
 
 
 def test_single_level_vacuously_nested():

@@ -42,6 +42,7 @@ from conftest import (
     dense_spline_projection,
     full_length_duals,
     graded_filtration,
+    nested_loop_gram_band,
     node_grid_values,
     restricted_projection,
     per_atom_decay_profile,
@@ -72,6 +73,23 @@ def test_gram_row_sums_are_basis_integrals(k):
         np.testing.assert_allclose(dense_gram(gs) @ np.ones(space.dimension), want, atol=1e-14)
         # the slice sums of the band make the np.add.at scatter's sums in its order
         assert np.array_equal(gs.band, add_at_gram_band(space))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+def test_gram_band_diagonals_scatter_as_the_nested_loop(k):
+    # one scatter per band diagonal adds every entry's atom terms in the nested (r, c)
+    # loop's order, bit for bit, on jittered uniform, random and point-targeted meshes
+    rules = ({"name": "uniform-bisect-all", "base_atoms": 3, "base_jitter": 0.5},
+             {"name": "random-atom-bisect", "p_split": 0.7, "split_range": [0.35, 0.65],
+              "base_atoms": 2},
+             {"name": "point-targeted", "target": 0.37})
+    for seed, rule in itertools.product((0, 1), rules):
+        depth = 30 if rule["name"] == "point-targeted" else 7
+        ax = build_filtration(FiltrationSpec(d=1, interval=(0.0, 1.0), n_levels=depth,
+                                             rules=[rule], seed=seed)).axes[0]
+        for n in (1, 2, depth // 2, depth):
+            space = SplineSpace1D(ax.level(n), k)
+            assert np.array_equal(GramSystem(space).band, nested_loop_gram_band(space)), (rule, n)
 
 
 def test_dual_k1_is_scaled_indicator():
