@@ -66,6 +66,13 @@ at the three depths of FILTRATION_RULES: uniform-bisect-all as in the shadrin
 experiment (3 jittered base atoms, 192, 768 and 3,072 atoms) and
 random-atom-bisect as in the decay experiment (2 base atoms, p_split 0.7).
 
+For set-up it runs `import splinelab.experiments` in IMPORT_PROBES fresh
+interpreters with OPENBLAS_NUM_THREADS=1 and reports, under "import", the
+median time of the import statement and the median peak resident memory
+(ru_maxrss) of the interpreter after it.  This row is what the benchmark's
+setup_s measures, less the workload's config generation, which takes
+milliseconds.
+
 Each time is the median of REPEATS calls (FILTRATION_REPEATS for the
 filtrations, which take milliseconds).  Prints JSON with every timing and
 the slope of log(seconds) against log(dim), per kernel and order for the
@@ -80,8 +87,11 @@ import json
 import os
 import platform
 import statistics
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
@@ -128,7 +138,12 @@ FILTRATION_RULES = {   # rule, depths
 }
 REPEATS = 3    # calls per timing; the median is reported
 FILTRATION_REPEATS = 21
+IMPORT_PROBES = 7    # fresh interpreters for the import row
 SEED = 0       # mesh seed
+IMPORT_PROBE = ("import resource, time\n"
+                "t0 = time.perf_counter()\n"
+                "import splinelab.experiments\n"
+                "print(time.perf_counter() - t0, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
 
 
 def median_seconds(fn, repeats=REPEATS):
@@ -283,6 +298,20 @@ def filtration_rows():
     return rows
 
 
+def import_row():
+    """Median import time and peak resident memory of `import splinelab.experiments` in
+    IMPORT_PROBES fresh interpreters with one BLAS thread (ru_maxrss is in KiB on Linux)."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probes = [subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env, check=True,
+                             capture_output=True, text=True).stdout.split()
+              for _ in range(IMPORT_PROBES)]
+    return {"probes": IMPORT_PROBES,
+            "seconds": statistics.median(float(t) for t, _ in probes),
+            "maxrss_mb": statistics.median(int(kib) for _, kib in probes) / 1024}
+
+
 def main():
     rule = {"name": "random-atom-bisect", "p_split": 1.0,
             "split_range": [0.35, 0.65], "base_atoms": 3}
@@ -350,6 +379,7 @@ def main():
                      "filtration_depths": {name: list(depths)
                                            for name, (_, depths) in FILTRATION_RULES.items()},
                      "filtration_repeats": FILTRATION_REPEATS},
+        "import": import_row(),
         "timings": rows + mrows + qrows + prows + srows + frows,
         "exponents": exponents,
     }

@@ -230,8 +230,11 @@ def basis_moments(f, spaces, g: int) -> np.ndarray:
     share adds its terms in order of r ascending, as one scatter of the whole
     grid does; in d = 1 and on order-1 axes the moments are those of
     contracting the whole grid, then scattering, bit for bit, for every slab
-    size.  An axis l >= 1 of order k >= 2 is scattered before axis 0, which
-    moves the moments by a few ulps.  Two guards keep a slab's rows those of
+    size.  An order-1 axis is not scattered at all, as its local rows are
+    its basis rows: the scatter would add them to +0.0, which changes only a
+    -0.0, and einsum, which starts its sums at +0.0, returns none.  An axis
+    l >= 1 of order k >= 2 is scattered before axis 0, which moves the
+    moments by a few ulps.  Two guards keep a slab's rows those of
     the whole grid: every axis is contracted by einsum, not gemm
     (`_atom_einsum`), and a slab left with a single row on axis 0 is padded.
     """
@@ -267,8 +270,11 @@ def basis_moments(f, spaces, g: int) -> np.ndarray:
         reduced = mode_apply(head, ops)[:rows]
         if out is None:
             out = np.zeros((spaces[0].dimension,) + reduced.shape[1:])
-        _scatter_atoms(reduced.reshape((a1 - a0, -1) + reduced.shape[1:]),
-                       out[a0:a1 + spaces[0].order - 1])
+        if spaces[0].order == 1:
+            out[a0:a1] = reduced     # the slabs' rows are disjoint
+        else:
+            _scatter_atoms(reduced.reshape((a1 - a0, -1) + reduced.shape[1:]),
+                           out[a0:a1 + spaces[0].order - 1])
     return out
 
 
@@ -302,9 +308,12 @@ def _atom_einsum(M, X) -> np.ndarray:
 
 def _contract_atoms(M, X) -> np.ndarray:
     """Basis rows of one axis, (atoms + k - 1, r): the local rows of `_atom_einsum`
-    scattered into a zero block."""
+    scattered into a zero block; for order 1 they are the basis rows."""
+    local = _atom_einsum(M, X)
+    if M.shape[1] == 1:
+        return local
     out = np.zeros((M.shape[0] + M.shape[1] - 1, X.shape[1]))
-    _scatter_atoms(_atom_einsum(M, X).reshape(M.shape[0], M.shape[1], -1), out)
+    _scatter_atoms(local.reshape(M.shape[0], M.shape[1], -1), out)
     return out
 
 

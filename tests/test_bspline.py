@@ -610,6 +610,27 @@ def test_one_pass_moments_keep_the_bits_of_the_two_passes(d, monkeypatch):
                                       two_pass_moments(f, spaces, g)), (k, m, label)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_order_1_moments_scatter_nothing(d, monkeypatch):
+    # an order-1 axis's local rows are its basis rows, so no axis scatters and the slabs
+    # are written, not added; the signs of zero moments match the oracle too, which
+    # only a scatter into +0.0 could change
+    calls = []
+    scatter = bspline._scatter_atoms
+    monkeypatch.setattr(bspline, "_scatter_atoms", lambda *a: calls.append(1) or scatter(*a))
+    g = (5, 3, 2)[d - 1]
+    finest = [ax.level(3) for ax in random_filtration(30 + d, d=d, n_levels=3).axes]
+    spaces = [SplineSpace1D(p, 1) for p in finest]
+    for f in (wavy_values(1), wavy_values(3), lambda *x: -0.0 * sum(x)):
+        for label, nbytes in slab_sizes(finest, g).items():
+            monkeypatch.setattr(bspline, "CACHE_BLOCK_BYTES", nbytes)
+            got = basis_moments(f, spaces, g)
+            assert not calls, label
+            want = two_pass_moments(f, spaces, g)
+            assert np.array_equal(got, want), label
+            assert np.array_equal(np.signbit(got), np.signbit(want)), label
+
+
 @pytest.mark.parametrize("orders", [(1, 2), (2, 2), (4, 3), (1, 1, 3), (3, 2, 2)])
 def test_one_pass_moments_near_the_two_passes_with_later_orders_above_1(orders, monkeypatch):
     # an axis l >= 1 of order >= 2 is scattered before axis 0 now, which moves the last

@@ -1,8 +1,14 @@
 import functools
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.linalg.lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_solve_banded
@@ -131,6 +137,53 @@ def test_degenerate_partition_raises():
     bad = Partition1D([0.0, 1e-320, 1.0])  # far below any sane width floor
     with pytest.raises(ValueError, match="degenerate"):
         GramSystem(SplineSpace1D(bad, 2))
+
+
+@pytest.mark.parametrize("row, col, entry", [(0, 5, np.nan), (2, 3, np.inf), (2, 4, -1.0)])
+def test_gram_factorization_fails_closed(row, col, entry, monkeypatch):
+    # a NaN or an inf entry fails the finite check, a negative pivot fails dpbtrf
+    # (info > 0); the constructor raises, the projector built on it too, and the band
+    # handed in is left as it was
+    space = SplineSpace1D(Partition1D(np.linspace(0.0, 1.0, 9)), 3)
+    band = projector._assemble_gram_band(space)
+    band[row, col] = entry
+    kept = band.copy()
+    monkeypatch.setattr(projector, "_assemble_gram_band", lambda s: band)
+    for build in (GramSystem, lambda s: TensorProjector([s, s])):
+        with pytest.raises(ValueError, match="^Gram factorization failed; the partition has "
+                                             "a degenerate atom$"):
+            build(space)
+    assert np.array_equal(band, kept, equal_nan=True)
+
+
+def test_import_loads_no_scipy_linalg():
+    # projector takes dpbtrf and dtbtrs from scipy's compiled LAPACK wrappers, whose
+    # package scipy.linalg (and with it numpy.f2py) a fresh interpreter never imports;
+    # importing scipy.linalg afterwards finds the same routines
+    heavy = ["scipy.linalg", "scipy._lib._array_api", "numpy.f2py"]
+    code = ("import sys\nimport splinelab, splinelab.experiments, splinelab.cli\n"
+            f"print([m for m in {heavy!r} if m in sys.modules])\n"
+            "import scipy.linalg.lapack\nfrom splinelab import projector as p\n"
+            "print(p.dpbtrf is scipy.linalg.lapack.dpbtrf, p.dtbtrs is scipy.linalg.lapack.dtbtrs)")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=path), timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split("\n")[:2] == ["[]", "True True"]
+
+
+def test_gram_factor_is_cholesky_banded():
+    # the same LAPACK routines as scipy.linalg, from the same module: the factor equals
+    # cholesky_banded's bit for bit and dtbtrs is scipy.linalg.lapack's own object
+    rng = np.random.default_rng(7)
+    parts = [random_filtration(int(rng.integers(2 ** 16)), n_levels=7).axes[0].level(7),
+             _graded_partition(0.0), _graded_partition(0.37)]
+    for part, k in itertools.product(parts, range(1, 7)):
+        gs = GramSystem(SplineSpace1D(part, k))
+        assert np.array_equal(gs._chol, scipy.linalg.cholesky_banded(gs.band, lower=False))
+    assert projector.dtbtrs is scipy.linalg.lapack.dtbtrs
+    assert projector.dpbtrf is scipy.linalg.lapack.dpbtrf
 
 
 def test_project_reproduces_splines():
