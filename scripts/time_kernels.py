@@ -45,11 +45,19 @@ and scatters each slab into the result, so the peak less the result is a few
 slabs at every depth (a slab holds at least one axis-0 atom, 1 MB of nodes
 at depth 9).
 For the projections it times, in d = 2 on the same mesh at depths
-PROJECTION_DEPTHS, with orders (2, 2):
+PROJECTION_DEPTHS, with orders (2, 2) and (3, 3):
   spline_projection  P_n g_{n+1}, the projection of a spline of the finest
                      level n + 1 onto level n, as verify_martingale_property
                      makes it;
-with the tracemalloc peak of one call and the bytes of its result.
+with the tracemalloc peak of one call and the bytes of its result: the
+nodes stream through in blocks, so the peak less the result is about the
+first axis's output and a few blocks of CONTRACT_BLOCK_POINTS nodes.
+For the basis values it times, in d = 1 on the same mesh at depths
+EVAL_DEPTHS, with order EVAL_ORDER:
+  eval_basis_many  the basis values at MOMENT_AXIS_POINTS Gauss nodes per
+                   atom, the axis table of a one-axis basis_moments;
+with the tracemalloc peak of one call and the bytes of its result; the de
+Boor recursion runs in blocks of points, so the peak is about the result.
 For the smooth-exp function, a SeparableFunction, it times in d = 2 and
 d = 3 on the same mesh at the depths of SEQUENCE_DEPTHS, with order 3 on
 every axis and 4 points per atom, as in the converge experiment:
@@ -98,8 +106,8 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np  # noqa: E402
 
 from splinelab import (FiltrationSpec, HybridMeasure, SplineSpace1D,  # noqa: E402
-                       TensorProjector, build_filtration, compile_masses, density_catalog,
-                       make_sequence, maximal_field)
+                       TensorProjector, atom_quadrature, build_filtration, compile_masses,
+                       density_catalog, make_sequence, maximal_field)
 from splinelab.bspline import (CACHE_BLOCK_BYTES, atom_chebyshev, basis_moments,  # noqa: E402
                                restrict)
 from splinelab.experiments import _random_nonnegative_measure  # noqa: E402
@@ -119,6 +127,7 @@ KERNELS = ("gram_system", "duals_at", "decay_profile", "kernel_columns", "operat
 MAXIMAL_KERNELS = ("level_sum_field", "maximal_field")
 QUADRATURE_KERNELS = ("compile_masses", "basis_moments", "restrict")
 PROJECTION_KERNELS = ("spline_projection",)
+PROJECTION_ORDERS = ((2, 2), (3, 3))
 SEQUENCE_KERNELS = ("basis_moments", "make_sequence")
 SEQUENCE_FORMS = ("separable", "lambda")
 
@@ -129,6 +138,9 @@ Q_VALUES = (0.3, 0.5, 0.8)
 QUADRATURE_DEPTHS = (7, 8, 9)
 MOMENT_POINTS = 16
 PROJECTION_DEPTHS = (7, 8, 9)
+EVAL_DEPTHS = (10, 12, 14)
+EVAL_ORDER = 3
+MOMENT_AXIS_POINTS = 4
 SEQUENCE_DEPTHS = {2: (6, 7, 8), 3: (5,)}
 FILTRATION_RULES = {   # rule, depths
     "uniform-bisect-all": ({"name": "uniform-bisect-all", "base_atoms": 3, "base_jitter": 0.5},
@@ -235,7 +247,8 @@ def quadrature_rows():
 
 
 def projection_rows():
-    """Timings and memory peaks of P_n g_{n+1}, d = 2, at the depths of PROJECTION_DEPTHS."""
+    """Timings and memory peaks of P_n g_{n+1}, d = 2, at the depths of PROJECTION_DEPTHS
+    for each pair of PROJECTION_ORDERS."""
     rule = {"name": "random-atom-bisect", "p_split": 1.0,
             "split_range": [0.35, 0.65], "base_atoms": 1}
     theta = HybridMeasure(d=2, density=lambda *g: 1.0 + 0.5 * np.sin(3 * sum(g)),
@@ -244,13 +257,35 @@ def projection_rows():
     for depth in PROJECTION_DEPTHS:
         F = build_filtration(FiltrationSpec(d=2, interval=(0.0, 1.0), n_levels=depth,
                                             rules=[rule] * 2, seed=SEED))
-        fine = TensorProjector.for_level(F, depth, (2, 2))
-        coarse = TensorProjector.for_level(F, depth - 1, (2, 2))
-        g_fine = fine.project(theta)
-        fn = lambda: coarse.project(g_fine).coeffs
+        for orders in PROJECTION_ORDERS:
+            fine = TensorProjector.for_level(F, depth, orders)
+            coarse = TensorProjector.for_level(F, depth - 1, orders)
+            g_fine = fine.project(theta)
+            fn = lambda: coarse.project(g_fine).coeffs
+            peak, out = traced_peak(fn)
+            rows.append({"kernel": "spline_projection", "d": 2, "orders": list(orders),
+                         "depth": depth, "dim": fine.spaces[0].partition.n_atoms,
+                         "seconds": median_seconds(fn), "peak_bytes": peak,
+                         "result_bytes": out.nbytes})
+    return rows
+
+
+def eval_rows():
+    """Timings and memory peaks of eval_basis_many at MOMENT_AXIS_POINTS Gauss nodes per
+    atom, d = 1, order EVAL_ORDER, at the depths of EVAL_DEPTHS."""
+    rule = {"name": "random-atom-bisect", "p_split": 1.0,
+            "split_range": [0.35, 0.65], "base_atoms": 1}
+    F = build_filtration(FiltrationSpec(d=1, interval=(0.0, 1.0), n_levels=max(EVAL_DEPTHS),
+                                        rules=[rule], seed=SEED))
+    rows = []
+    for depth in EVAL_DEPTHS:
+        part = F.axes[0].level(depth)
+        space = SplineSpace1D(part, EVAL_ORDER)
+        nodes = atom_quadrature(part, MOMENT_AXIS_POINTS).nodes
+        fn = lambda: space.eval_basis_many(nodes)[1]
         peak, out = traced_peak(fn)
-        rows.append({"kernel": "spline_projection", "d": 2, "depth": depth,
-                     "dim": fine.spaces[0].partition.n_atoms,
+        rows.append({"kernel": "eval_basis_many", "d": 1, "k": EVAL_ORDER, "depth": depth,
+                     "dim": part.n_atoms, "points": nodes.size,
                      "seconds": median_seconds(fn), "peak_bytes": peak,
                      "result_bytes": out.nbytes})
     return rows
@@ -351,8 +386,13 @@ def main():
         for name in QUADRATURE_KERNELS})
     prows = projection_rows()
     exponents.update({
-        name: {"d2": slope([(r["dim"], r["seconds"]) for r in prows if r["kernel"] == name])}
+        name: {f"d2_k{orders[0]}x{orders[1]}": slope([
+            (r["dim"], r["seconds"]) for r in prows
+            if r["kernel"] == name and r["orders"] == list(orders)])
+            for orders in PROJECTION_ORDERS}
         for name in PROJECTION_KERNELS})
+    erows = eval_rows()
+    exponents["eval_basis_many"] = {"d1": slope([(r["dim"], r["seconds"]) for r in erows])}
     srows = sequence_rows()
     exponents["smooth-exp"] = {
         f"{name}_{form}": {"d2": slope([(r["dim"], r["seconds"]) for r in srows
@@ -375,12 +415,15 @@ def main():
                      "quadrature_depths": list(QUADRATURE_DEPTHS),
                      "moment_points": MOMENT_POINTS,
                      "projection_depths": list(PROJECTION_DEPTHS),
+                     "projection_orders": [list(o) for o in PROJECTION_ORDERS],
+                     "eval_depths": list(EVAL_DEPTHS), "eval_order": EVAL_ORDER,
+                     "moment_axis_points": MOMENT_AXIS_POINTS,
                      "sequence_depths": {f"d{d}": list(v) for d, v in SEQUENCE_DEPTHS.items()},
                      "filtration_depths": {name: list(depths)
                                            for name, (_, depths) in FILTRATION_RULES.items()},
                      "filtration_repeats": FILTRATION_REPEATS},
         "import": import_row(),
-        "timings": rows + mrows + qrows + prows + srows + frows,
+        "timings": rows + mrows + qrows + prows + erows + srows + frows,
         "exponents": exponents,
     }
     print(json.dumps(out, indent=2))

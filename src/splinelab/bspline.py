@@ -32,6 +32,13 @@ That contraction, like the projection of a spline onto another level, runs
 per axis over blocks of CONTRACT_BLOCK_POINTS sorted rows
 (`_contract_points`), never through a dense matrix.  Atoms take this route
 as order 1: its moments are the atom integrals, and its T^T sums children.
+Every per-axis contraction streams blocks of points: `_contract_points`
+asks its caller for the rows of one block at a time (slices of the moments
+for `restrict`, the weighted collocation of that block for the projection),
+so no (points x columns) array larger than one block is alive.  The de Boor
+triangles (`_de_boor`) and the tensor-basis tables of `TensorSpline.eval_many`
+are built one block of CACHE_BLOCK_BYTES at a time too.  Each value is
+computed per point, so no block size moves a bit.
 """
 
 from __future__ import annotations
@@ -47,9 +54,11 @@ from .filtration import Interval, Partition1D, _require_int
 DEFAULT_QUAD_POINTS = 4      # per-atom Gauss-Legendre points for spline integrands
 GENERAL_QUAD_POINTS = 16     # fixed rule for integrands that are not splines
 CACHE_BLOCK_BYTES = 512 * 1024  # most bytes of one blocked temporary: a slab of integrand
-                                # values in basis_moments (8 bytes a node) or a row block of an
-                                # axis kernel in maximal.  The few alive at once fit a 2 MB L2,
-                                # where 2 MB blocks spilled to L3; the moments do not depend on it
+                                # values in basis_moments (8 bytes a node), the de Boor
+                                # temporaries of a block of points, the tensor-basis tables of an
+                                # eval_many block or a row block of an axis kernel in maximal.
+                                # The few alive at once fit a 2 MB L2, where 2 MB blocks spilled
+                                # to L3; no output depends on it
 CONTRACT_BLOCK_POINTS = 128  # points per dense collocation block in _contract_points: with a
                              # point in every atom a block has at most this + k - 1 rows
 
@@ -126,22 +135,30 @@ class SplineSpace1D:
 def _de_boor(T, mu, k: int, x) -> np.ndarray:
     """(n, k) de Boor triangles over the knot spans mu of T, step j evaluated at x(j):
     B-spline values when x(j) is the same for every j, knot-insertion rows when
-    x(j) are the fine knots tau_{i+j} (SplineSpace1D.refinement)."""
+    x(j) are the fine knots tau_{i+j} (SplineSpace1D.refinement).
+
+    The points stream through in blocks whose temporaries, about 16 floats a
+    point, fill CACHE_BLOCK_BYTES, and each block writes its rows of the one
+    (n, k) output; every value is computed per point, so the blocks change no bit.
+    """
     n = len(mu)
     N = np.zeros((n, k))
     N[:, 0] = 1.0
-    for j in range(1, k):
-        xj = x(j)
-        saved = np.zeros(n)
-        for r in range(j):
-            left = xj - T[mu + 1 - j + r]
-            right = T[mu + 1 + r] - xj
-            denom = right + left
-            mask = denom > 0
-            temp = np.where(mask, N[:, r] / np.where(mask, denom, 1.0), 0.0)
-            N[:, r] = saved + right * temp
-            saved = left * temp
-        N[:, j] = saved
+    step = max(1, CACHE_BLOCK_BYTES // (16 * 8))
+    for p0 in range(0, n, step):
+        Nb, m = N[p0:p0 + step], mu[p0:p0 + step]
+        for j in range(1, k):
+            xj = x(j)[p0:p0 + len(m)]
+            saved = np.zeros(len(m))
+            for r in range(j):
+                left = xj - T[m + 1 - j + r]
+                right = T[m + 1 + r] - xj
+                denom = right + left
+                mask = denom > 0
+                temp = np.where(mask, Nb[:, r] / np.where(mask, denom, 1.0), 0.0)
+                Nb[:, r] = saved + right * temp
+                saved = left * temp
+            Nb[:, j] = saved
     return N
 
 
@@ -328,9 +345,12 @@ def restrict(moments, fine_spaces, coarse_spaces) -> np.ndarray:
     """Moments against fine bases restricted exactly to nested coarse ones: T^T along each
     axis, T from `SplineSpace1D.refinement`.  Axes whose spaces coincide are left alone
     (T = I there, which its rounded rows miss by an ulp)."""
+    def axis(fine, coarse, X):
+        return _contract_points(*coarse.refinement(fine), coarse.dimension, X.shape[1],
+                                lambda p0, p1: X[p0:p1])
+
     return mode_apply(moments, [
-        None if (f.partition, f.order) == (c.partition, c.order)
-        else partial(_contract_points, *c.refinement(f), c.dimension)
+        None if (f.partition, f.order) == (c.partition, c.order) else partial(axis, f, c)
         for f, c in zip(fine_spaces, coarse_spaces, strict=True)])
 
 
@@ -371,22 +391,24 @@ def _basis_columns(first, vals, lo: int, hi: int) -> np.ndarray:
     return b
 
 
-def _contract_points(first, vals, dim: int, X) -> np.ndarray:
+def _contract_points(first, vals, dim: int, cols: int, rows) -> np.ndarray:
     """B @ X for the collocation matrix B[i, p] = N_i(x_p) of a dimension-dim space,
-    never formed; (first, vals) is eval_basis_many at the points x, or the rows of a
+    never formed, and X of `cols` columns, never held whole: rows(p0, p1) gives
+    X[p0:p1].  (first, vals) is eval_basis_many at the points x, or the rows of a
     knot-insertion map, whose B is T^T.
 
-    A block of CONTRACT_BLOCK_POINTS consecutive points touches only the basis
-    rows [min first, max first + k) of its points, [first[p0], first[p1 - 1] + k)
-    for sorted points, so each block multiplies that small dense part of B with
-    its rows of X and adds the product into those rows.
+    The points stream through in blocks of CONTRACT_BLOCK_POINTS.  A block
+    touches only the basis rows [min first, max first + k) of its points,
+    [first[p0], first[p1 - 1] + k) for sorted points, so each block multiplies
+    that small dense part of B with its rows of X and adds the product into
+    those rows; its rows of X are the only (points x columns) array alive.
     """
     k = vals.shape[1]
-    out = np.zeros((dim, X.shape[1]))
+    out = np.zeros((dim, cols))
     for p0 in range(0, len(first), CONTRACT_BLOCK_POINTS):
         f = first[p0:p0 + CONTRACT_BLOCK_POINTS]
         lo, hi = f.min(), f.max() + k
-        out[lo:hi] += _basis_columns(f, vals[p0:p0 + len(f)], lo, hi) @ X[p0:p0 + len(f)]
+        out[lo:hi] += _basis_columns(f, vals[p0:p0 + len(f)], lo, hi) @ rows(p0, p0 + len(f))
     return out
 
 
@@ -452,11 +474,15 @@ class TensorSpline:
             pts = pts[:, None] if self.d == 1 else pts[None, :]
         if pts.shape[1] != self.d:
             raise ValueError(f"points have dimension {pts.shape[1]}, expected {self.d}")
-        flat, w = _point_basis(self.spaces, pts)
         coeffs = self.coeffs.reshape(-1, self.m)
         out = np.zeros((len(pts), self.m))
-        for r in range(len(w)):
-            out += w[r, :, None] * coeffs[flat[r]]
+        # the (K, points) tables of one block of points fill CACHE_BLOCK_BYTES
+        step = max(1, CACHE_BLOCK_BYTES // (16 * math.prod(s.order for s in self.spaces)))
+        for p0 in range(0, len(pts), step):
+            flat, w = _point_basis(self.spaces, pts[p0:p0 + step])
+            block = out[p0:p0 + step]
+            for r in range(len(w)):
+                block += w[r, :, None] * coeffs[flat[r]]
         return out
 
     def eval_grid(self, axis_points) -> np.ndarray:

@@ -3,15 +3,17 @@
 Each experiment consumes a fully explicit config (every parameter, seed, and
 depth spelled out), writes `<name>.csv` (long-format data), a
 `<name>.summary.json` with per-assertion pass/fail, and `<name>.meta.json`
-with versions, the BLAS and its thread variables, and a timestamp.  Outputs
-are deterministic for a fixed config, seed and BLAS thread count: data files
-are byte-identical across runs (the timestamp lives only in the meta file).
+with versions, the BLAS with its thread variables and the thread counts in
+effect, and a timestamp.  Outputs are deterministic for a fixed config, seed
+and BLAS thread count: data files are byte-identical across runs (the
+timestamp lives only in the meta file).
 The exit status is zero iff every asserted bound holds.
 """
 
 from __future__ import annotations
 
 import csv
+import ctypes
 import itertools
 import json
 import numbers
@@ -662,10 +664,26 @@ def write_outputs(name: str, cfg: dict, rows, log: AssertionLog, extra: dict,
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     meta["blas"] = {"name": blas.get("name"), "version": blas.get("version"), **{
         var: os.environ.get(var)
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}}
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+        "numpy_threads": _openblas_threads(np, "scipy_openblas_get_num_threads64_"),
+        "scipy_threads": _openblas_threads(scipy, "scipy_openblas_get_num_threads")}
     with open(out / f"{name}.meta.json", "w") as fh:
         json.dump(meta, fh, sort_keys=True, indent=2)
         fh.write("\n")
+
+
+def _openblas_threads(package, symbol: str):
+    """The thread count in effect of the OpenBLAS that `package` bundles in its `.libs`
+    directory (numpy's runs the products, scipy's dpbtrf and dtbtrs), read through
+    `symbol` from the loaded library; None where no such library is loaded or it lacks
+    the symbol."""
+    libs = Path(package.__file__).parents[1] / f"{package.__name__}.libs"
+    for lib in sorted(libs.glob("libscipy_openblas*.so*")):
+        try:
+            return int(getattr(ctypes.CDLL(str(lib), mode=os.RTLD_NOLOAD), symbol)())
+        except (OSError, AttributeError):
+            continue
+    return None
 
 
 def _check_entries(where: str, given, default: dict, optional=()) -> None:

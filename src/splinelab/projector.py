@@ -29,9 +29,11 @@ and the Dirac terms are added.  Sequences reduce once on the finest level
 and carry the moments onto coarser nested spaces by knot insertion
 (bspline.restrict).  A spline needs no node grid: each axis collocates its
 coefficients at Gauss nodes of the common refinement and contracts the
-weighted values into the target basis block by block, one mode product per
-axis.  That route never uses knot insertion, so the martingale check
-P_n g_{n+1} = g_n tests the restriction.
+weighted values into the target basis, one mode product per axis.  The
+nodes stream through in blocks of CONTRACT_BLOCK_POINTS: one block is
+collocated, weighted and contracted before the next, so no (nodes x
+columns) array larger than a block exists.  That route never uses knot
+insertion, so the martingale check P_n g_{n+1} = g_n tests the restriction.
 
 Tensor-product spaces have Gram matrix G_1 x ... x G_d (never assembled);
 projection applies per-axis banded solves along each tensor mode, and the
@@ -280,16 +282,23 @@ def _spline_axis_moments(mine: SplineSpace1D, theirs: SplineSpace1D, g: int, X) 
     """Rows b[i] = int N_i sum_j X[j] M_j over one axis, N the basis of `mine`, M of `theirs`.
 
     Exact: g-point Gauss on every atom of the common refinement of both
-    partitions, where both are polynomials of order at most g.  The spline
-    is collocated at the nodes by banded rows and contracted into N block by
-    block; no (dimension x nodes) matrix is formed.
+    partitions, where both are polynomials of order at most g.  The nodes
+    stream through `_contract_points` in blocks: the spline is collocated at
+    one block of nodes by banded rows, weighted and contracted into N before
+    the next, so neither a (dimension x nodes) matrix nor a (nodes x columns)
+    array larger than one block is formed.
     """
     rule = atom_quadrature(Partition1D(np.union1d(mine.partition.breakpoints,
                                                   theirs.partition.breakpoints)), g)
-    nodes = rule.nodes.ravel()
-    values = _collocate(*theirs.eval_basis_many(nodes), X)
-    values *= rule.weights.ravel()[:, None]
-    return _contract_points(*mine.eval_basis_many(nodes), mine.dimension, values)
+    nodes, weights = rule.nodes.ravel(), rule.weights.ravel()
+    first, vals = theirs.eval_basis_many(nodes)
+
+    def weighted(p0, p1):
+        values = _collocate(first[p0:p1], vals[p0:p1], X)
+        values *= weights[p0:p1, None]
+        return values
+
+    return _contract_points(*mine.eval_basis_many(nodes), mine.dimension, X.shape[1], weighted)
 
 
 # ---------------------------------------------------------------------------

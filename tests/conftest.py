@@ -1,5 +1,5 @@
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 import pytest
@@ -9,8 +9,8 @@ from splinelab import (AtomSet, Filtration1D, FiltrationSpec, HybridMeasure, Par
                        Rectangle, SplineSpace1D, TensorFiltration, TensorSpline, atom_of,
                        atom_quadrature, build_filtration, compile_masses)
 from splinelab import bspline
-from splinelab.bspline import (_atom_einsum, _basis_columns, _de_boor, as_value_array,
-                               atom_chebyshev, mode_apply, restrict)
+from splinelab.bspline import (_atom_einsum, _basis_columns, _collocate, _contract_points,
+                               _de_boor, as_value_array, atom_chebyshev, mode_apply, restrict)
 from splinelab.filtration import Interval, atom_range_gap, l1_distance_grid
 from splinelab.maximal import _check_q, level_sum_field
 from splinelab.measures import CompiledMasses, source_moments
@@ -27,6 +27,14 @@ def dyadic_1d():
 @pytest.fixture
 def dyadic_2d():
     return build_filtration(FiltrationSpec(d=2, interval=(0.0, 1.0), n_levels=4))
+
+
+def jittered_partition(rng, n_atoms):
+    """A partition of (0, 1] into n_atoms atoms, each interior breakpoint of the uniform
+    mesh moved by up to 0.3 atom widths."""
+    bp = np.linspace(0.0, 1.0, n_atoms + 1)
+    bp[1:-1] += rng.uniform(-0.3, 0.3, n_atoms - 1) / n_atoms
+    return Partition1D(bp)
 
 
 def random_filtration(seed, d=1, n_levels=6, p_split=0.7, jitter=(0.35, 0.65)):
@@ -200,6 +208,48 @@ def knot_span_basis(space, xs):
     flat = np.ravel(np.asarray(xs, dtype=float))
     mu = np.clip(np.searchsorted(T, flat, side="left") - 1, k - 1, space.dimension - 1)
     return mu - (k - 1), _de_boor(T, mu, k, lambda j: flat)
+
+
+def whole_array_de_boor(T, mu, k, x):
+    """bspline._de_boor on all points at once: the (n, k) triangles with every temporary
+    as long as the points, the loop that the point blocks of CACHE_BLOCK_BYTES replaced."""
+    n = len(mu)
+    N = np.zeros((n, k))
+    N[:, 0] = 1.0
+    for j in range(1, k):
+        xj = x(j)
+        saved = np.zeros(n)
+        for r in range(j):
+            left = xj - T[mu + 1 - j + r]
+            right = T[mu + 1 + r] - xj
+            denom = right + left
+            mask = denom > 0
+            temp = np.where(mask, N[:, r] / np.where(mask, denom, 1.0), 0.0)
+            N[:, r] = saved + right * temp
+            saved = left * temp
+        N[:, j] = saved
+    return N
+
+
+def whole_array_spline_axis_moments(mine, theirs, g, X):
+    """projector._spline_axis_moments with the collocated and weighted values held as one
+    (nodes, columns) array, which _contract_points reads in slices: the route that the
+    collocation of one block of nodes at a time replaced."""
+    rule = atom_quadrature(Partition1D(np.union1d(mine.partition.breakpoints,
+                                                  theirs.partition.breakpoints)), g)
+    nodes = rule.nodes.ravel()
+    values = _collocate(*theirs.eval_basis_many(nodes), X)
+    values *= rule.weights.ravel()[:, None]
+    return _contract_points(*mine.eval_basis_many(nodes), mine.dimension, values.shape[1],
+                            lambda p0, p1: values[p0:p1])
+
+
+def whole_array_spline_projection(tp, ts):
+    """The coefficients of tp.project(ts) with whole_array_spline_axis_moments on every axis."""
+    g = max(tp.orders + tuple(s.order for s in ts.spaces))
+    return tp.solve_coefficients(mode_apply(ts.coeffs, [
+        partial(whole_array_spline_axis_moments, mine, theirs, g)
+        for mine, theirs in zip(tp.spaces, ts.spaces)]))
 
 
 def ndindex_eval_many(ts, points):

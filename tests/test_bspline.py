@@ -25,8 +25,9 @@ from splinelab.bspline import _basis_columns, atom_chebyshev, restrict
 from splinelab.measures import measure_from_config, source_moments
 
 from conftest import (collocation_matrix, dense_atom_integrals, dense_moments, graded_filtration,
-                      knot_span_basis, ndindex_eval_many, node_grid_values, random_filtration,
-                      slab_sizes, symbolic_product_integral, two_pass_moments, wavy_values)
+                      jittered_partition, knot_span_basis, ndindex_eval_many, node_grid_values,
+                      random_filtration, slab_sizes, symbolic_product_integral, two_pass_moments,
+                      wavy_values, whole_array_de_boor)
 
 
 def test_knot_vector_k1():
@@ -317,6 +318,39 @@ def test_eval_many_matches_ndindex_loop_for_mixed_orders(d):
                 coeffs = rng.normal(size=tuple(s.dimension for s in spaces) + (m,))
                 ts = TensorSpline(spaces, coeffs)
                 np.testing.assert_array_equal(ts.eval_many(pts), ndindex_eval_many(ts, pts))
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_blocked_de_boor_bit_exact_against_whole_array_oracle(k):
+    # 13,000 atoms: the points of eval_basis_many and the rows of a refinement onto
+    # them span 4 blocks of CACHE_BLOCK_BYTES / 128 points, the last one partial
+    rng = np.random.default_rng(k)
+    n_atoms = 13_000
+    assert n_atoms > 3 * (bspline.CACHE_BLOCK_BYTES // 128)
+    fine = SplineSpace1D(jittered_partition(rng, n_atoms), k)
+    coarse = SplineSpace1D(Partition1D(fine.partition.breakpoints[::2]), k)
+    xs = mesh_points(fine.partition, rng, 2_000)
+    first, vals = fine.eval_basis_many(xs)
+    np.testing.assert_array_equal(
+        vals, whole_array_de_boor(fine.knots, first + k - 1, k, lambda j: xs))
+    first, rows = coarse.refinement(fine)
+    tau, n = fine.knots, fine.dimension
+    np.testing.assert_array_equal(
+        rows, whole_array_de_boor(coarse.knots, first + k - 1, k, lambda j: tau[j:j + n]))
+
+
+@pytest.mark.parametrize("orders", [(3, 4), (1, 2, 4)])
+def test_blocked_eval_many_matches_ndindex_loop(orders):
+    # more points than one block of tensor-basis tables, for m = 1 and 3
+    d = len(orders)
+    rng = np.random.default_rng(d)
+    step = bspline.CACHE_BLOCK_BYTES // (16 * np.prod(orders))
+    F = random_filtration(d, d=d, n_levels=5)
+    spaces = [SplineSpace1D(ax.level(5), k) for ax, k in zip(F.axes, orders)]
+    pts = rng.uniform(0.0, 1.0, size=(2 * step + 17, d))
+    for m in (1, 3):
+        ts = TensorSpline(spaces, rng.normal(size=tuple(s.dimension for s in spaces) + (m,)))
+        np.testing.assert_array_equal(ts.eval_many(pts), ndindex_eval_many(ts, pts))
 
 
 @settings(max_examples=10, deadline=None)

@@ -93,13 +93,36 @@ def test_experiment_runs_green_and_writes_artifacts(name, tmp_path):
     meta = json.loads((out / f"{name}.meta.json").read_text())
     assert "timestamp" in meta and "numpy" in meta
     assert meta["config"]["seed"] == small_config(name)["seed"]
-    # the BLAS and its thread variables, null where unset; meta.json only
+    # the BLAS, its thread variables, null where unset, and the thread counts in effect
+    # of numpy's and scipy's OpenBLAS; meta.json only
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    counts = {key: meta["blas"][key] for key in ("numpy_threads", "scipy_threads")}
     assert meta["blas"] == {"name": blas["name"], "version": blas["version"],
-                            **{var: os.environ.get(var) for var in threads}}
+                            **{var: os.environ.get(var) for var in threads}, **counts}
+    assert all(c is None or (isinstance(c, int) and c >= 1) for c in counts.values())
     for suffix in (".csv", ".summary.json"):
         assert "BLAS" not in (out / f"{name}{suffix}").read_text().upper()
+
+
+def test_meta_records_the_blas_threads_in_effect(tmp_path):
+    # each run reads its own count back from numpy's and scipy's OpenBLAS at write time
+    path = os.pathsep.join(filter(None, [str(Path(__file__).resolve().parents[1] / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    run = ("import sys\n"
+           "from splinelab.experiments import default_config, run_experiment\n"
+           "cfg = default_config('decay')\n"
+           "cfg['depth'], cfg['params']['orders'], cfg['params']['n_seeds'] = 4, [2], 1\n"
+           "sys.exit(run_experiment(cfg, out_dir=sys.argv[1], quiet=True))\n")
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        done = subprocess.run([sys.executable, "-c", run, str(out)], capture_output=True,
+                              text=True, timeout=300,
+                              env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads))
+        assert done.returncode == 0, done.stderr
+        blas = json.loads((out / "decay.meta.json").read_text())["blas"]
+        assert (blas["OPENBLAS_NUM_THREADS"], blas["numpy_threads"],
+                blas["scipy_threads"]) == (threads, int(threads), int(threads))
 
 
 @pytest.mark.parametrize("name", EXPERIMENT_NAMES)

@@ -3,6 +3,7 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from splinelab import (
     operator_norm_inf,
 )
 from splinelab.experiments import _dense_tensor_norm_2d
-from splinelab.bspline import _basis_columns, atom_chebyshev
+from splinelab.bspline import CONTRACT_BLOCK_POINTS, _basis_columns, atom_chebyshev
 from splinelab import measures, projector
 from splinelab.projector import (
     NORM_EDGE_TOL,
@@ -48,12 +49,14 @@ from conftest import (
     dense_spline_projection,
     full_length_duals,
     graded_filtration,
+    jittered_partition,
     nested_loop_gram_band,
     node_grid_values,
     restricted_projection,
     per_atom_decay_profile,
     per_block_operator_norm_1d,
     random_filtration,
+    whole_array_spline_projection,
 )
 
 
@@ -265,6 +268,53 @@ def test_spline_projection_matches_dense_oracle(d, m):
             assert got.coeffs.shape == tp.dims + (m,)
             assert_close_coefficients(got.coeffs, dense_spline_projection(tp, ts),
                                       f"{label}, orders {source_orders} -> {target_orders}")
+
+
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_streamed_spline_projection_bit_exact_against_whole_array_oracle(d, m):
+    # orders 1-4, mixed across axes, from a fine mesh onto its every-other-breakpoint
+    # coarsening, the reverse, and onto an unrelated mesh of the same interval; axis 0
+    # has 400 atoms, so its nodes span 4 to 25 blocks of CONTRACT_BLOCK_POINTS
+    rng = np.random.default_rng(20 + 10 * d + m)
+    atoms = (400, 12, 6)[:d]
+    assert atoms[0] > 3 * CONTRACT_BLOCK_POINTS
+    fine = [jittered_partition(rng, n) for n in atoms]
+    coarse = [Partition1D(p.breakpoints[::2]) for p in fine]
+    other = [jittered_partition(rng, n - 3) for n in atoms]
+    if d == 1:
+        pairs = [((ks,), (kt,)) for ks in range(1, 5) for kt in range(1, 5)]
+    else:
+        pairs = [(tuple((s + ell) % 4 + 1 for ell in range(d)),
+                  tuple((s + 1 + 2 * ell) % 4 + 1 for ell in range(d))) for s in range(4)]
+    for label, (source, target) in {"nested, finer to coarser": (fine, coarse),
+                                     "nested, coarser to finer": (coarse, fine),
+                                     "non-nested": (fine, other)}.items():
+        for source_orders, target_orders in pairs:
+            spaces = [SplineSpace1D(p, k) for p, k in zip(source, source_orders)]
+            ts = TensorSpline(spaces, rng.normal(size=tuple(s.dimension for s in spaces) + (m,)))
+            tp = TensorProjector([SplineSpace1D(p, k) for p, k in zip(target, target_orders)])
+            np.testing.assert_array_equal(tp.project(ts).coeffs,
+                                          whole_array_spline_projection(tp, ts),
+                                          err_msg=f"{label}, {source_orders} -> {target_orders}")
+
+
+def test_spline_projection_holds_one_block_of_nodes():
+    # P_8 g_9 in d = 2, orders (3, 3), 512 x 512 atoms: axis 0 has 1,536 nodes and 514
+    # columns, so one whole (nodes x columns) array would take 6.3 MB; blocks of
+    # CONTRACT_BLOCK_POINTS nodes keep the peak near the first axis's output and the result
+    F = build_filtration(FiltrationSpec(d=2, interval=(0.0, 1.0), n_levels=9))
+    fine = TensorProjector.for_level(F, 9, (3, 3))
+    coarse = TensorProjector.for_level(F, 8, (3, 3))
+    ts = TensorSpline(fine.spaces, np.random.default_rng(9).normal(size=fine.dims))
+    tracemalloc.start()
+    try:
+        got = coarse.project(ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.coeffs.shape == coarse.dims + (1,)
+    assert peak < ts.coeffs.nbytes + got.coeffs.nbytes + 2_000_000
 
 
 def test_project_of_a_spline_builds_no_node_grid(monkeypatch):
