@@ -362,7 +362,8 @@ def mode_apply(tensor, ops) -> np.ndarray:
     and so does an axis whose op is None, without a copy.  Every per-axis
     operation on Kronecker-structured tensors goes through here but one:
     `maximal._spread` repeats atoms with np.repeat, which keeps the C layout
-    that the in-place running max of `maximal_field` needs.
+    of the running max of `maximal_field`; the last op of a level sum maxes
+    into that running max in place, through a view that C layout guarantees.
 
     ops[l] gets a strided view of `out`, not a contiguous copy, so the last
     bit of a contraction can depend on the shapes of the other axes: the

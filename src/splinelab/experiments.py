@@ -4,8 +4,9 @@ Each experiment consumes a fully explicit config (every parameter, seed, and
 depth spelled out), writes `<name>.csv` (long-format data), a
 `<name>.summary.json` with per-assertion pass/fail, and `<name>.meta.json`
 with versions, the BLAS with its thread variables and the thread counts in
-effect, and a timestamp.  Outputs are deterministic for a fixed config, seed
-and BLAS thread count: data files are byte-identical across runs (the
+effect, and a timestamp.  A run holds numpy's and scipy's bundled OpenBLAS
+at one thread, so outputs are deterministic for a fixed config and seed:
+data files are byte-identical across runs and thread settings (the
 timestamp lives only in the meta file).
 The exit status is zero iff every asserted bound holds.
 """
@@ -19,8 +20,10 @@ import json
 import numbers
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -274,9 +277,10 @@ def run_covering(cfg: dict):
 def _covering_seed(p, case, seed, rows, log) -> float:
     """One seed of run_covering: append its rows and checks, return its largest ratio.
 
-    The seed's filtration, masses, fields and reports are freed on return,
-    before the next seed compiles its masses: that call sets the experiment's
-    peak memory.
+    Each q's field and report are freed before the next q's field is built,
+    and the seed's filtration and masses on return, so one seed's masses and
+    one field at a time are alive: building a field, with its running max and
+    the level's axis products, sets the experiment's peak memory.
     """
     d, depth, K = int(case["d"]), int(case["depth"]), int(case["K"])
     rng = np.random.default_rng(seed)
@@ -292,6 +296,7 @@ def _covering_seed(p, case, seed, rows, log) -> float:
         rows.extend((f"d{d}", float(q), seed) + row for row in zip(*cols))
         top = max(top, report.max_ratio)
         log.check_le(f"covering_d{d}_q{q}_seed{seed}", report.max_ratio, 1.0)
+        del field_, report
     return top
 
 
@@ -632,7 +637,9 @@ def _format_cell(v) -> str:
 
 
 def write_outputs(name: str, cfg: dict, rows, log: AssertionLog, extra: dict,
-                  out_dir) -> None:
+                  out_dir, threads_set=()) -> None:
+    """Write the CSV, summary and meta files; `threads_set` names the packages
+    ("numpy", "scipy") whose OpenBLAS the run held at one thread."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / f"{name}.csv", "w", newline="") as fh:
@@ -660,30 +667,61 @@ def write_outputs(name: str, cfg: dict, rows, log: AssertionLog, extra: dict,
         "config": cfg,
     }
     meta["scipy"] = scipy.__version__
-    # output bits depend on the BLAS and its thread count; unset variables are null
+    # output bits depend on the BLAS and its thread count; unset variables are null,
+    # and so is the count of a library that is not loaded or lacks the getter
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     meta["blas"] = {"name": blas.get("name"), "version": blas.get("version"), **{
         var: os.environ.get(var)
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
-        "numpy_threads": _openblas_threads(np, "scipy_openblas_get_num_threads64_"),
-        "scipy_threads": _openblas_threads(scipy, "scipy_openblas_get_num_threads")}
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}}
+    for package, suffix in _OPENBLAS:
+        get = _openblas(package, f"scipy_openblas_get_num_threads{suffix}")
+        meta["blas"][f"{package.__name__}_threads"] = None if get is None else int(get())
+        meta["blas"][f"{package.__name__}_threads_set"] = package.__name__ in threads_set
     with open(out / f"{name}.meta.json", "w") as fh:
         json.dump(meta, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
-def _openblas_threads(package, symbol: str):
-    """The thread count in effect of the OpenBLAS that `package` bundles in its `.libs`
-    directory (numpy's runs the products, scipy's dpbtrf and dtbtrs), read through
-    `symbol` from the loaded library; None where no such library is loaded or it lacks
-    the symbol."""
+# the OpenBLAS builds that numpy (the products) and scipy (dpbtrf, dtbtrs) bundle, with
+# the suffix of their symbols
+_OPENBLAS = ((np, "64_"), (scipy, ""))
+
+
+@cache
+def _openblas(package, symbol: str):
+    """`symbol` of the OpenBLAS that `package` bundles in its `.libs` directory, from the
+    loaded library; None where no such library is loaded or it lacks the symbol.  Both
+    are loaded once this module is imported (scipy's by `projector`), so the answer is
+    looked up once per process."""
     libs = Path(package.__file__).parents[1] / f"{package.__name__}.libs"
     for lib in sorted(libs.glob("libscipy_openblas*.so*")):
         try:
-            return int(getattr(ctypes.CDLL(str(lib), mode=os.RTLD_NOLOAD), symbol)())
+            return getattr(ctypes.CDLL(str(lib), mode=os.RTLD_NOLOAD), symbol)
         except (OSError, AttributeError):
             continue
     return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold each bundled OpenBLAS at one thread for the block and restore its previous
+    count after it; yields the names of the packages whose count was set.  Where the
+    library or its getter or setter is missing, the count stays as it was.
+
+    Products split across threads sum in another order, so with more than one
+    thread the last bits of an output could depend on the thread count."""
+    restore = {}
+    for package, suffix in _OPENBLAS:
+        get, put = (_openblas(package, f"scipy_openblas_{verb}_num_threads{suffix}")
+                    for verb in ("get", "set"))
+        if get is not None and put is not None:
+            restore[package.__name__] = (put, int(get()))
+            put(1)
+    try:
+        yield set(restore)
+    finally:
+        for put, count in restore.values():
+            put(count)
 
 
 def _check_entries(where: str, given, default: dict, optional=()) -> None:
@@ -754,17 +792,21 @@ def load_config(path) -> dict:
 def run_experiment(config: dict, out_dir=None, quiet: bool = False) -> int:
     """Check a config dict, run its experiment and return the exit code.
 
+    The run, outputs included, holds the bundled OpenBLAS builds at one thread
+    (`_one_blas_thread`), so its bytes do not depend on the thread count.
+
     Raises ValueError when the run asserted nothing, as a config with an empty
     loop list or no seeds does: a run that tests nothing cannot pass.
     """
     check_config(config)
     name = config["experiment"]
-    rows, log, extra = RUNNERS[name](config)
-    if not log.items:
-        raise ValueError(f"{name}: the run made no assertions; "
-                         "an empty loop list or n_seeds = 0 leaves nothing to check")
-    if out_dir is not None:
-        write_outputs(name, config, rows, log, extra, out_dir)
+    with _one_blas_thread() as threads_set:
+        rows, log, extra = RUNNERS[name](config)
+        if not log.items:
+            raise ValueError(f"{name}: the run made no assertions; "
+                             "an empty loop list or n_seeds = 0 leaves nothing to check")
+        if out_dir is not None:
+            write_outputs(name, config, rows, log, extra, out_dir, threads_set)
     if not quiet:
         for a in log.items:
             status = "PASS" if a.passed else "FAIL"

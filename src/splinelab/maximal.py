@@ -22,11 +22,13 @@ whole.  A level that fits one block makes the BLAS call of a whole kernel;
 above that, on OpenBLAS with one thread, d = 1 and atom counts that are
 powers of two keep every bit, and a 292 x 292 field moves by 1.3e-15.
 
-The running max over levels is carried coarse to fine (level n maxes its sums
-with the level n-1 maximum spread to level-n atoms), so it ends on the finest
-grid; max and spread are exact, so the field does not depend on that order.
-Parent maps of nested levels are nondecreasing runs, so a spread is one
-np.repeat per axis by the run lengths (`_spread`), not a fancy-index gather.
+The running max over levels is carried coarse to fine (the level n-1 maximum
+is spread to level-n atoms and level n's sums are maxed into it), so it ends
+on the finest grid; max and spread are exact, so the field does not depend on
+that order.  Each level's last axis product is maxed into the running max one
+row block at a time, so no level-sum tensor is formed beside it.  Parent maps
+of nested levels are nondecreasing runs, so a spread is one np.repeat per
+axis by the run lengths (`_spread`), not a fancy-index gather.
 
 The covering-bound verification uses the explicit proof constant
 2^d * (2/(1-sqrt(q)))^d and a rigorously bounded truncation tail, so the
@@ -40,7 +42,7 @@ from the masses and cannot be handed a second, disagreeing copy of it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -60,8 +62,10 @@ def _check_q(q: float) -> None:
         raise ValueError(f"q must lie in [0, 1), got {q}")
 
 
-def _axis_product(part: Partition1D, q: float, X: np.ndarray) -> np.ndarray:
-    """K @ X for K[a, b] = q^|a-b| / conv-length of atoms a..b on one axis.
+def _axis_product(part: Partition1D, q: float, X: np.ndarray, into=None) -> np.ndarray:
+    """K @ X for K[a, b] = q^|a-b| / conv-length of atoms a..b on one axis; with
+    `into`, an (n, X.shape[1]) array laid out as the transpose of a C-ordered
+    one, max(into, K @ X) in place in `into` instead.
 
     The d-dimensional b-term kernel is the tensor product of these per-axis
     matrices, since both q^{|i-j|_1} and |conv| factorize over axes.  Each
@@ -74,6 +78,11 @@ def _axis_product(part: Partition1D, q: float, X: np.ndarray) -> np.ndarray:
     it, the larger of the two on it.  The Toeplitz rows q^|a-b|, a read-only
     strided view (strides (-s, s) from the 1) of the 2n - 1 powers
     [q^(n-1), ..., q, 1, q, ..., q^(n-1)], are then divided into it in place.
+    With `into`, each block's product goes to a second reused buffer, by the
+    same BLAS call, and is maxed into the block's rows of `into`, so K @ X is
+    never held whole.  The max takes both through their transposes, so that
+    numpy walks `into` in its memory order: in the order of the untransposed
+    views it writes with a stride of a whole row, about 3x slower.
     """
     lo, hi = part.breakpoints[:-1], part.breakpoints[1:]
     n = len(lo)
@@ -83,7 +92,8 @@ def _axis_product(part: Partition1D, q: float, X: np.ndarray) -> np.ndarray:
     toe = as_strided(sym[n - 1:], shape=(n, n), strides=(-s, s), writeable=False)
     rows = min(n, max(8, bspline.CACHE_BLOCK_BYTES // (8 * n) // 8 * 8))
     buf = np.empty((rows, n))
-    out = np.empty((n, X.shape[1]))
+    out = np.empty((n, X.shape[1])) if into is None else into
+    prod = None if into is None else np.empty((rows, X.shape[1]))
     for r0 in range(0, n, rows):
         r1 = min(r0 + rows, n)
         K = buf[:r1 - r0]
@@ -92,7 +102,11 @@ def _axis_product(part: Partition1D, q: float, X: np.ndarray) -> np.ndarray:
         diag = K[:, r0:r1]
         np.maximum(diag, np.subtract(hi[r0:r1], lo[r0:r1, None]), out=diag)
         np.divide(toe[r0:r1], K, out=K)
-        np.matmul(K, X, out=out[r0:r1])
+        if into is None:
+            np.matmul(K, X, out=out[r0:r1])
+        else:
+            dst = out[r0:r1].T
+            np.maximum(dst, np.matmul(K, X, out=prod[:r1 - r0]).T, out=dst)
     return out
 
 
@@ -108,12 +122,21 @@ def _spread(values: np.ndarray, maps) -> np.ndarray:
     return values
 
 
-def level_sum_field(q: float, masses: CompiledMasses, n: int) -> np.ndarray:
+def level_sum_field(q: float, masses: CompiledMasses, n: int, into=None) -> np.ndarray:
     """Level-n sums of b-terms as a tensor over level-n atoms (exact); the masses are
-    nonnegative, which CompiledMasses checks once per level."""
+    nonnegative, which CompiledMasses checks once per level.
+
+    With `into`, a C-ordered array of the level's shape, the sums are maxed into
+    it in place and `into` is returned: the last axis product writes through
+    `into` with that axis in front and the others flattened, which C order
+    makes a view for every d (any other layout that would need a copy raises).
+    """
     _check_q(q)
-    return mode_apply(masses.level_masses(n),
-                      [partial(_axis_product, ax.level(n), q) for ax in masses.F.axes])
+    ops = [partial(_axis_product, ax.level(n), q) for ax in masses.F.axes]
+    if into is not None:
+        ops[-1] = partial(ops[-1], into=into.reshape(-1, into.shape[-1], copy=False).T)
+    field = mode_apply(masses.level_masses(n), ops)
+    return field if into is None else into
 
 
 @dataclass
@@ -143,7 +166,7 @@ def maximal_field(q: float, masses: CompiledMasses, K: int = 1) -> MaximalField:
     for n in range(K + 1, F.n_levels + 1):
         # running max over levels K..n, on level-n atoms, in place in the fresh spread
         out = _spread(out, F.parent_maps(n, n - 1))
-        np.maximum(out, level_sum_field(q, masses, n), out=out)
+        level_sum_field(q, masses, n, into=out)
     return MaximalField(masses=masses, q=q, K=K, values=out)
 
 
@@ -161,7 +184,10 @@ def superlevel_measure(Mf: MaximalField, t, within: AtomSet):
     F = Mf.F
     sel = _spread(within.mask(F.level_shape(within.level)),
                   F.parent_maps(F.n_levels, within.level))
-    vols, vals = F.atom_volumes(F.n_levels)[sel], Mf.values[sel]
+    # the volumes of the selected atoms alone, each the product of its widths in axis order
+    idx = np.nonzero(sel)
+    vols = reduce(np.multiply, [ax.level(F.n_levels).widths[i] for ax, i in zip(F.axes, idx)])
+    vals = Mf.values[idx]
     out = np.array([vols[vals > s].sum() for s in ts.ravel()]).reshape(ts.shape)
     return float(out) if out.ndim == 0 else out
 

@@ -12,7 +12,7 @@ from splinelab import bspline
 from splinelab.bspline import (_atom_einsum, _basis_columns, _collocate, _contract_points,
                                _de_boor, as_value_array, atom_chebyshev, mode_apply, restrict)
 from splinelab.filtration import Interval, atom_range_gap, l1_distance_grid
-from splinelab.maximal import _check_q, level_sum_field
+from splinelab.maximal import _check_q, _spread, level_sum_field
 from splinelab.measures import CompiledMasses, source_moments
 from splinelab.nondense import VInterval, _frozen_since
 from splinelab.projector import (EDGE_BITS_PER_ORDER, NORM_EDGE_TOL, PROFILE_FLOOR,
@@ -527,6 +527,17 @@ def finest_grid_max_field(q, masses, K):
     for n in range(K, F.n_levels + 1):
         S_fine = level_sum_field(q, masses, n)[np.ix_(*F.parent_maps(F.n_levels, n))]
         out = S_fine if out is None else np.maximum(out, S_fine)
+    return out
+
+
+def spread_then_max_field(q, masses, K):
+    """Running-max oracle that forms every level sum whole: the level n-1 maximum is
+    spread to level-n atoms, then np.maximum takes it with a fresh level-n sum."""
+    F = masses.F
+    out = level_sum_field(q, masses, K)
+    for n in range(K + 1, F.n_levels + 1):
+        out = _spread(out, F.parent_maps(n, n - 1))
+        np.maximum(out, level_sum_field(q, masses, n), out=out)
     return out
 
 

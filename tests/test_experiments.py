@@ -93,36 +93,80 @@ def test_experiment_runs_green_and_writes_artifacts(name, tmp_path):
     meta = json.loads((out / f"{name}.meta.json").read_text())
     assert "timestamp" in meta and "numpy" in meta
     assert meta["config"]["seed"] == small_config(name)["seed"]
-    # the BLAS, its thread variables, null where unset, and the thread counts in effect
-    # of numpy's and scipy's OpenBLAS; meta.json only
+    # the BLAS, its thread variables, null where unset, the thread counts in effect of
+    # numpy's and scipy's OpenBLAS, and whether the run could set them; meta.json only
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
     counts = {key: meta["blas"][key] for key in ("numpy_threads", "scipy_threads")}
+    set_ = {key: meta["blas"][key] for key in ("numpy_threads_set", "scipy_threads_set")}
     assert meta["blas"] == {"name": blas["name"], "version": blas["version"],
-                            **{var: os.environ.get(var) for var in threads}, **counts}
+                            **{var: os.environ.get(var) for var in threads}, **counts, **set_}
     assert all(c is None or (isinstance(c, int) and c >= 1) for c in counts.values())
+    assert all(isinstance(v, bool) for v in set_.values())
     for suffix in (".csv", ".summary.json"):
         assert "BLAS" not in (out / f"{name}{suffix}").read_text().upper()
 
 
-def test_meta_records_the_blas_threads_in_effect(tmp_path):
-    # each run reads its own count back from numpy's and scipy's OpenBLAS at write time
-    path = os.pathsep.join(filter(None, [str(Path(__file__).resolve().parents[1] / "src"),
+def _src_pythonpath():
+    return os.pathsep.join(filter(None, [str(Path(__file__).resolve().parents[1] / "src"),
                                          os.environ.get("PYTHONPATH")]))
+
+
+def test_meta_records_the_blas_threads_in_effect(tmp_path):
+    # each run reads its own count back from numpy's and scipy's OpenBLAS at write time:
+    # one thread, which the run set, whatever the variable says; the process gets the
+    # variable's count back when the run returns
     run = ("import sys\n"
-           "from splinelab.experiments import default_config, run_experiment\n"
+           "from splinelab.experiments import _OPENBLAS, _openblas, default_config, "
+           "run_experiment\n"
            "cfg = default_config('decay')\n"
            "cfg['depth'], cfg['params']['orders'], cfg['params']['n_seeds'] = 4, [2], 1\n"
-           "sys.exit(run_experiment(cfg, out_dir=sys.argv[1], quiet=True))\n")
+           "code = run_experiment(cfg, out_dir=sys.argv[1], quiet=True)\n"
+           "print(*(_openblas(p, f'scipy_openblas_get_num_threads{s}')() for p, s in _OPENBLAS))\n"
+           "sys.exit(code)\n")
     for threads in ("1", "2"):
         out = tmp_path / threads
         done = subprocess.run([sys.executable, "-c", run, str(out)], capture_output=True,
-                              text=True, timeout=300,
-                              env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads))
+                              text=True, timeout=300, env=dict(
+                                  os.environ, PYTHONPATH=_src_pythonpath(),
+                                  OPENBLAS_NUM_THREADS=threads))
         assert done.returncode == 0, done.stderr
         blas = json.loads((out / "decay.meta.json").read_text())["blas"]
-        assert (blas["OPENBLAS_NUM_THREADS"], blas["numpy_threads"],
-                blas["scipy_threads"]) == (threads, int(threads), int(threads))
+        assert (blas["OPENBLAS_NUM_THREADS"], blas["numpy_threads"], blas["scipy_threads"],
+                blas["numpy_threads_set"], blas["scipy_threads_set"]) == (threads, 1, 1, True, True)
+        assert done.stdout.split() == [threads, threads]
+
+
+def test_meta_records_a_blas_thread_count_that_could_not_be_set(tmp_path, monkeypatch):
+    # without a setter the run leaves that library's count alone and says so
+    import splinelab.experiments as experiments
+
+    real = experiments._openblas
+    monkeypatch.setattr(experiments, "_openblas", lambda package, symbol: None if (
+        package is np and "_set_" in symbol) else real(package, symbol))
+    assert run_experiment(small_config("decay"), out_dir=tmp_path, quiet=True) == 0
+    blas = json.loads((tmp_path / "decay.meta.json").read_text())["blas"]
+    assert (blas["numpy_threads_set"], blas["scipy_threads_set"]) == (False, True)
+
+
+def test_converge_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the default converge config writes different d2_k3x3 rows on 1 and 2 threads
+    # unless the run holds the BLAS at one thread
+    run = ("import sys\n"
+           "from splinelab.experiments import default_config, run_experiment\n"
+           "sys.exit(run_experiment(default_config('converge'), out_dir=sys.argv[1], "
+           "quiet=True))\n")
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        done = subprocess.run([sys.executable, "-c", run, str(out)], capture_output=True,
+                              text=True, timeout=300, env=dict(
+                                  os.environ, PYTHONPATH=_src_pythonpath(),
+                                  OPENBLAS_NUM_THREADS=threads))
+        assert done.returncode == 0, done.stderr
+        written.append([(out / f"converge{ext}").read_bytes()
+                        for ext in (".csv", ".summary.json")])
+    assert written[0] == written[1]
 
 
 @pytest.mark.parametrize("name", EXPERIMENT_NAMES)
@@ -437,9 +481,9 @@ def test_covering_builds_one_maximal_field_per_seed_and_q(tmp_path, monkeypatch)
     calls = []
     real = maximal.level_sum_field
 
-    def counted(q, masses, n):
+    def counted(q, masses, n, into=None):
         calls.append(n)
-        return real(q, masses, n)
+        return real(q, masses, n, into=into)
 
     monkeypatch.setattr(maximal, "level_sum_field", counted)
     cfg = small_config("covering")

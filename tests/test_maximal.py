@@ -30,8 +30,8 @@ from splinelab.maximal import (
 )
 
 from conftest import (atom_distance, atom_set_from_mask, b_term, finest_grid_max_field, level_sum,
-                      measure_of_atom, per_entry_axis_kernel,
-                      random_filtration, truncated, whole_level)
+                      measure_of_atom, per_entry_axis_kernel, random_filtration,
+                      spread_then_max_field, truncated, whole_level)
 
 
 def lebesgue(d):
@@ -488,6 +488,62 @@ def test_maximal_field_holds_no_square_kernel():
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000
+
+
+@pytest.mark.parametrize("d, n_levels", [(1, 9), (2, 6), (3, 5)])
+def test_maximal_field_maxes_in_place_as_a_fresh_level_sum_does(d, n_levels, monkeypatch):
+    # the last axis product maxed into the running max block by block keeps every bit
+    # of np.maximum with a whole level sum, with row blocks of 8 (several on the finest
+    # levels) and with the default blocks
+    F = random_filtration(40 + d, d=d, n_levels=n_levels)
+    assert min(F.level_shape(n_levels)) > 2 * 8
+    rng = np.random.default_rng(d)
+    masses = compile_masses(HybridMeasure(
+        d=d, density=lambda *g: 1.0 + 0.5 * np.sin(3 * g[0]) * np.broadcast_arrays(*g)[-1],
+        diracs=[(rng.uniform(0.1, 0.9, d), np.array([0.8]))], density_quad_points=3), F)
+    for block_bytes in (1, bspline.CACHE_BLOCK_BYTES):
+        monkeypatch.setattr(bspline, "CACHE_BLOCK_BYTES", block_bytes)
+        for q in (0.0, 0.3, 0.8):
+            for K in (1, 2):
+                assert np.array_equal(maximal_field(q, masses, K=K).values,
+                                      spread_then_max_field(q, masses, K))
+
+
+def test_level_sum_field_into_refuses_a_layout_it_cannot_write_through():
+    # the last axis must come to the front as a view of `into`, never a copy that
+    # would swallow the writes
+    F = random_filtration(3, d=3, n_levels=3)
+    masses = compile_masses(lebesgue(3), F)
+    running = np.zeros(F.level_shape(3), order="F")
+    with pytest.raises(ValueError, match="copy"):
+        level_sum_field(0.5, masses, 3, into=running)
+    into = np.zeros(F.level_shape(3))
+    assert level_sum_field(0.5, masses, 3, into=into) is into
+    assert np.array_equal(into, level_sum_field(0.5, masses, 3))
+
+
+def test_maximal_field_holds_no_level_sum_beside_the_running_max():
+    # d = 2 at depth 9 (512^2 atoms): besides the masses, a field holds its running max,
+    # the level's axis-0 product and two row blocks; a whole level sum beside the
+    # running max would be a third field (2.1 MB)
+    rule = {"name": "random-atom-bisect", "p_split": 1.0, "split_range": [0.35, 0.65],
+            "base_atoms": 1}
+    F = build_filtration(FiltrationSpec(d=2, interval=(0.0, 1.0), n_levels=9, rules=[rule] * 2,
+                                        seed=0))
+    assert F.level_shape(9) == (512, 512)
+    theta = HybridMeasure(d=2, density=lambda x, y: 1.0 + 0.5 * np.sin(3 * (x + y)),
+                          diracs=[(np.full(2, 0.3), np.array([1.0]))], density_quad_points=4)
+    tracemalloc.start()
+    try:
+        masses = compile_masses(theta, F)
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        field_ = maximal_field(0.5, masses, K=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    slack = 750_000    # the block's diagonal part and the per-axis vectors
+    assert peak < held + 2 * field_.values.nbytes + 2 * bspline.CACHE_BLOCK_BYTES + slack
 
 
 def test_fields_on_a_shared_filtration_equal_fields_on_fresh_copies():
