@@ -3,8 +3,9 @@
 
     python scripts/run_all.py --out results/ [--quiet]
 
-Writes <name>.csv, <name>.summary.json, <name>.meta.json per experiment and
-exits nonzero if any asserted bound fails.
+Writes <name>.csv, <name>.summary.json, <name>.meta.json per experiment,
+prints each experiment's wall time and the total, and exits nonzero if any
+asserted bound fails.
 """
 
 import argparse
@@ -23,13 +24,17 @@ def main():
     args = parser.parse_args()
     names = args.only or EXPERIMENT_NAMES
     failures = []
+    total = 0.0
     for name in names:
-        t0 = time.time()
+        t0 = time.perf_counter()
         code = run_experiment(default_config(name), out_dir=args.out, quiet=args.quiet)
+        elapsed = time.perf_counter() - t0
+        total += elapsed
         status = "ok" if code == 0 else "FAILED"
-        print(f"{name:>10}: {status} ({time.time() - t0:.1f}s)")
+        print(f"{name:>10}: {status} ({elapsed:.2f}s)")
         if code != 0:
             failures.append(name)
+    print(f"{'total':>10}: {total:.2f}s")
     if failures:
         print(f"failed experiments: {', '.join(failures)}")
         return 1

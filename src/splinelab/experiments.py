@@ -4,11 +4,19 @@ Each experiment consumes a fully explicit config (every parameter, seed, and
 depth spelled out), writes `<name>.csv` (long-format data), a
 `<name>.summary.json` with per-assertion pass/fail, and `<name>.meta.json`
 with versions, the BLAS with its thread variables and the thread counts in
-effect, and a timestamp.  A run holds numpy's and scipy's bundled OpenBLAS
-at one thread, so outputs are deterministic for a fixed config and seed:
-data files are byte-identical across runs and thread settings (the
-timestamp lives only in the meta file).
+effect, the number of CPUs the run could use, and a timestamp.  A run holds
+numpy's and scipy's bundled OpenBLAS at one thread, so outputs are
+deterministic for a fixed config and seed: data files are byte-identical
+across runs, thread settings and CPU counts (the timestamp lives only in the
+meta file).
 The exit status is zero iff every asserted bound holds.
+
+`shadrin` and `decay` sweep orders x seeds, and those cases share nothing, so
+they map them over a pool of forked workers, one per CPU (`_map_cases`).
+Each case runs the same code on the same inputs, at the same one BLAS
+thread, as it would in the parent; the parent appends rows and checks in
+case order.  So the bytes do not depend on the CPU count, and a run on one
+CPU maps its cases in the parent.  Every other runner is serial.
 """
 
 from __future__ import annotations
@@ -98,6 +106,54 @@ def _seed_filtrations(cfg: dict, depth: int) -> list:
             for seed in seeds]
 
 
+_FORKED_CASES = None  # (fn, cases) in a worker of `_map_cases`; unset in its caller
+
+
+def _hold_forked_cases(fn, cases) -> None:
+    global _FORKED_CASES
+    _FORKED_CASES = (fn, cases)
+
+
+def _run_forked_case(i: int):
+    fn, cases = _FORKED_CASES
+    return fn(cases[i])
+
+
+def _map_cases(fn, cases: list) -> list:
+    """[fn(c) for c in cases], in case order, spread over a pool of forked workers, one
+    per CPU of the process's affinity and at most one per case.
+
+    Each worker is handed `fn` and `cases` as it is forked, so neither is pickled (`fn`
+    may be a closure); only case indices go out and results come back.  A case runs
+    the same code on the same inputs as in the caller, with the BLAS thread counts the
+    caller set, so the results do not depend on the number of workers.  Fork, not
+    spawn: a spawned worker would import numpy and scipy again, which costs more than
+    most sweeps, and the bundled OpenBLAS builds stop their threads around a fork.
+    Runs the builtin map where one worker would: one CPU, one case, no fork start
+    method, or a daemonic caller, which may not have children.  No worker outlives the
+    call, whether or not a case raises."""
+    workers = min(len(cases), len(os.sched_getaffinity(0)))
+    if workers > 1:
+        import multiprocessing  # here, so that importing this module does not pay for it
+
+        if ("fork" not in multiprocessing.get_all_start_methods()
+                or multiprocessing.current_process().daemon):
+            workers = 1
+    if workers <= 1:
+        return list(map(fn, cases))
+    pool = multiprocessing.get_context("fork").Pool(
+        workers, initializer=_hold_forked_cases, initargs=(fn, cases))
+    try:
+        results = pool.map(_run_forked_case, range(len(cases)), chunksize=1)
+        pool.close()
+    except BaseException:
+        pool.terminate()
+        raise
+    finally:
+        pool.join()
+    return results
+
+
 def run_decay(cfg: dict):
     p = cfg["params"]
     depth = int(cfg["depth"])
@@ -106,19 +162,23 @@ def run_decay(cfg: dict):
     q_cap = float(p["q_max"])
     worst_q, worst_resid = {}, {}
     seeds = _seed_filtrations(cfg, depth)
-    for k in p["orders"]:
-        for seed, F in seeds:
-            space = SplineSpace1D(F.axes[0].level(depth), int(k))
-            if space.dimension < 2 * int(k):
-                raise ValueError("decay experiment needs a richer final level; increase depth")
-            prof = decay_profile(GramSystem(space), nx_per_atom=int(p["samples_per_atom"]))
-            for s, v in zip(prof.distances, prof.values):
-                rows.append((seed, depth, int(k), int(s), v, prof.q_hat, prof.c_hat))
-            worst_q[int(k)] = max(worst_q.get(int(k), 0.0), prof.q_hat)
-            worst_resid[int(k)] = max(worst_resid.get(int(k), 0.0), prof.fit_residual)
-            vals = prof.values[int(k):]
-            mono_ok = np.all(vals[1:] <= np.maximum(vals[:-1] * (1 + 1e-9), PROFILE_FLOOR))
-            log.check_true(f"decay_monotone_beyond_k_k{k}_seed{seed}", mono_ok)
+    cases = [(int(k), seed, F) for k in p["orders"] for seed, F in seeds]
+
+    def profile(case):
+        k, _, F = case
+        space = SplineSpace1D(F.axes[0].level(depth), k)
+        if space.dimension < 2 * k:
+            raise ValueError("decay experiment needs a richer final level; increase depth")
+        return decay_profile(GramSystem(space), nx_per_atom=int(p["samples_per_atom"]))
+
+    for (k, seed, _), prof in zip(cases, _map_cases(profile, cases)):
+        for s, v in zip(prof.distances, prof.values):
+            rows.append((seed, depth, k, int(s), v, prof.q_hat, prof.c_hat))
+        worst_q[k] = max(worst_q.get(k, 0.0), prof.q_hat)
+        worst_resid[k] = max(worst_resid.get(k, 0.0), prof.fit_residual)
+        vals = prof.values[k:]
+        mono_ok = np.all(vals[1:] <= np.maximum(vals[:-1] * (1 + 1e-9), PROFILE_FLOOR))
+        log.check_true(f"decay_monotone_beyond_k_k{k}_seed{seed}", mono_ok)
     for k, q in sorted(worst_q.items()):
         log.check_le(f"q_hat_below_cap_k{k}", q, q_cap)
     return rows, log, {"worst_q_hat": worst_q, "worst_fit_residual": worst_resid}
@@ -163,23 +223,24 @@ def run_shadrin(cfg: dict):
     if int(tc["d"]) != 2 or len(tc["orders"]) != 2:  # the dense oracle is 2-d only
         raise ValueError(f"shadrin tensor_check needs d = 2 and two orders, got {tc}")
     seeds = _seed_filtrations(cfg, depth)
-    for k in p["orders"]:
-        for seed, F in seeds:
-            norms = []
-            for n in range(1, depth + 1):
-                tp = TensorProjector.for_level(F, n, int(k))
-                est = operator_norm_inf(tp, nx_per_atom=nx, ny_per_atom=ny, window=window)
-                norms.append(est.value)
-                # norm sweeps share the decay CSV schema; s and the fit columns are idle
-                rows.append((seed, n, int(k), 0, est.value, float("nan"), float("nan")))
-            norms = np.asarray(norms)
-            if int(k) == 1:
-                log.check_le(
-                    f"k1_norm_is_one_seed{seed}", float(np.max(np.abs(norms - 1.0))), k1_tol
-                )
-            else:
-                spread = float((norms.max() - norms.min()) / norms.max())
-                log.check_le(f"depth_variation_k{k}_seed{seed}", spread, var_bound)
+    cases = [(int(k), seed, F) for k in p["orders"] for seed, F in seeds]
+
+    def level_norms(case):
+        k, _, F = case
+        return [operator_norm_inf(TensorProjector.for_level(F, n, k), nx_per_atom=nx,
+                                  ny_per_atom=ny, window=window).value
+                for n in range(1, depth + 1)]
+
+    for (k, seed, _), norms in zip(cases, _map_cases(level_norms, cases)):
+        # norm sweeps share the decay CSV schema; s and the fit columns are idle
+        rows.extend((seed, n, k, 0, v, float("nan"), float("nan"))
+                    for n, v in enumerate(norms, start=1))
+        norms = np.asarray(norms)
+        if k == 1:
+            log.check_le(f"k1_norm_is_one_seed{seed}", float(np.max(np.abs(norms - 1.0))), k1_tol)
+        else:
+            spread = float((norms.max() - norms.min()) / norms.max())
+            log.check_le(f"depth_variation_k{k}_seed{seed}", spread, var_bound)
     F2 = _filtration([dict(p["rule"]), dict(p["rule"])], 2, p["interval"],
                      int(tc["depth"]), int(cfg["seed"]))
     tp2 = TensorProjector.for_level(F2, int(tc["depth"]), tuple(tc["orders"]))
@@ -667,6 +728,7 @@ def write_outputs(name: str, cfg: dict, rows, log: AssertionLog, extra: dict,
         "config": cfg,
     }
     meta["scipy"] = scipy.__version__
+    meta["cpus"] = len(os.sched_getaffinity(0))  # caps the workers of `_map_cases`
     # output bits depend on the BLAS and its thread count; unset variables are null,
     # and so is the count of a library that is not loaded or lacks the getter
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]

@@ -103,8 +103,11 @@ def test_experiment_runs_green_and_writes_artifacts(name, tmp_path):
                             **{var: os.environ.get(var) for var in threads}, **counts, **set_}
     assert all(c is None or (isinstance(c, int) and c >= 1) for c in counts.values())
     assert all(isinstance(v, bool) for v in set_.values())
+    # the CPUs of the process's affinity cap the case pool; meta.json only
+    assert meta["cpus"] == len(os.sched_getaffinity(0))
     for suffix in (".csv", ".summary.json"):
         assert "BLAS" not in (out / f"{name}{suffix}").read_text().upper()
+        assert "cpus" not in (out / f"{name}{suffix}").read_text()
 
 
 def _src_pythonpath():
@@ -169,17 +172,74 @@ def test_converge_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     assert written[0] == written[1]
 
 
+def _hold_cpus(monkeypatch, n):
+    """Make the CPU affinity that `_map_cases` reads hold n CPUs; returns the list that
+    records each case pool's `map` call in this process."""
+    import multiprocessing.pool
+
+    maps = []
+    real = multiprocessing.pool.Pool.map
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    monkeypatch.setattr(multiprocessing.pool.Pool, "map",
+                        lambda pool, *a, **kw: maps.append(a) or real(pool, *a, **kw))
+    return maps
+
+
 @pytest.mark.parametrize("name", EXPERIMENT_NAMES)
-def test_outputs_byte_identical_across_runs(name, tmp_path):
+def test_outputs_byte_identical_across_runs(name, tmp_path, monkeypatch):
+    # shadrin and decay map their cases over two forked workers in the first run and
+    # in the parent in the second, held to one CPU; the other runners are serial
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
     cfg = small_config(name)
+    maps = _hold_cpus(monkeypatch, 2)
     assert run_experiment(cfg, out_dir=out_a, quiet=True) == 0
+    assert len(maps) == (name in ("shadrin", "decay"))
+    _hold_cpus(monkeypatch, 1)
     assert run_experiment(cfg, out_dir=out_b, quiet=True) == 0
+    assert len(maps) == (name in ("shadrin", "decay"))
+    assert [json.loads((out / f"{name}.meta.json").read_text())["cpus"]
+            for out in (out_a, out_b)] == [2, 1]
     for suffix in (".csv", ".summary.json"):
         fa = (out_a / f"{name}{suffix}").read_bytes()
         fb = (out_b / f"{name}{suffix}").read_bytes()
         assert fa == fb
+
+
+def _assert_no_child_processes():
+    import multiprocessing
+
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_case_pool_fails_closed_and_leaves_no_process(tmp_path, monkeypatch):
+    # a case that raises in a worker raises from run_experiment, and neither a failed
+    # nor a passing run leaves a worker or an unreaped child behind
+    maps = _hold_cpus(monkeypatch, 2)
+    cfg = small_config("decay")
+    cfg["depth"] = 1
+    cfg["params"]["orders"] = [1, 4]   # order 4 needs 2 * 4 functions; depth 1 has fewer
+    with pytest.raises(ValueError, match="needs a richer final level"):
+        run_experiment(cfg, out_dir=tmp_path / "fail", quiet=True)
+    assert len(maps) == 1
+    assert not (tmp_path / "fail").exists()
+    _assert_no_child_processes()
+    assert run_experiment(small_config("decay"), out_dir=tmp_path / "pass", quiet=True) == 0
+    assert len(maps) == 2
+    _assert_no_child_processes()
+
+
+def test_importing_the_experiments_leaves_multiprocessing_unloaded():
+    # _map_cases imports multiprocessing when it first forks, so set-up does not pay for it
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, splinelab.experiments; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))"],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=_src_pythonpath()))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["[]"]
 
 
 def test_seed_changes_data(tmp_path):
@@ -539,6 +599,8 @@ def test_decay_monotone_check_matches_the_per_distance_loop(monkeypatch):
 
     real = experiments.decay_profile
     monkeypatch.setattr(experiments, "decay_profile", bumpy)
+    # `made` and the rng live in this process: map the cases here, not in workers
+    _hold_cpus(monkeypatch, 1)
     cfg = small_config("decay")
     cfg["params"]["n_seeds"] = 12
     _, log, _ = experiments.run_decay(cfg)
