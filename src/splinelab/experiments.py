@@ -11,12 +11,20 @@ across runs, thread settings and CPU counts (the timestamp lives only in the
 meta file).
 The exit status is zero iff every asserted bound holds.
 
-`shadrin` and `decay` sweep orders x seeds, and those cases share nothing, so
-they map them over a pool of forked workers, one per CPU (`_map_cases`).
+Three runners sweep cases that share nothing, and map them over a pool of
+forked workers, one per CPU (`_map_cases`):
+
+- `shadrin` and `decay`: each (order, seed) pair;
+- `covering`: each (case, seed) pair, which builds its own filtration,
+  measure and maximal fields.
+
 Each case runs the same code on the same inputs, at the same one BLAS
 thread, as it would in the parent; the parent appends rows and checks in
 case order.  So the bytes do not depend on the CPU count, and a run on one
-CPU maps its cases in the parent.  Every other runner is serial.
+CPU maps its cases in the parent.  The other runners are serial.  `weaktype`
+is not pooled: its cases draw their spikes from one shared rng, so a case
+could not run without the ones before it, and the whole run takes about
+0.06 s.
 """
 
 from __future__ import annotations
@@ -130,8 +138,9 @@ def _map_cases(fn, cases: list) -> list:
     spawn: a spawned worker would import numpy and scipy again, which costs more than
     most sweeps, and the bundled OpenBLAS builds stop their threads around a fork.
     Runs the builtin map where one worker would: one CPU, one case, no fork start
-    method, or a daemonic caller, which may not have children.  No worker outlives the
-    call, whether or not a case raises."""
+    method, or a daemonic caller, which may not have children.  A case that raises
+    cancels the cases not yet started and raises here; a worker that dies, by a
+    signal or `os._exit`, raises `BrokenProcessPool`.  No worker outlives the call."""
     workers = min(len(cases), len(os.sched_getaffinity(0)))
     if workers > 1:
         import multiprocessing  # here, so that importing this module does not pay for it
@@ -141,17 +150,14 @@ def _map_cases(fn, cases: list) -> list:
             workers = 1
     if workers <= 1:
         return list(map(fn, cases))
-    pool = multiprocessing.get_context("fork").Pool(
-        workers, initializer=_hold_forked_cases, initargs=(fn, cases))
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_hold_forked_cases, initargs=(fn, cases))
     try:
-        results = pool.map(_run_forked_case, range(len(cases)), chunksize=1)
-        pool.close()
-    except BaseException:
-        pool.terminate()
-        raise
+        return list(pool.map(_run_forked_case, range(len(cases))))
     finally:
-        pool.join()
-    return results
+        pool.shutdown(cancel_futures=True)
 
 
 def run_decay(cfg: dict):
@@ -328,20 +334,23 @@ def run_covering(cfg: dict):
     rows = [("case", "q", "seed", "t", "lhs_volume", "rhs_bound", "ratio")]
     log = AssertionLog()
     overall = 0.0
-    for case in p["cases"]:
-        for s_i in range(int(p["n_seeds"])):
-            seed = int(cfg["seed"]) + s_i
-            overall = max(overall, _covering_seed(p, case, seed, rows, log))
+    pairs = [(case, int(cfg["seed"]) + s_i)
+             for case in p["cases"] for s_i in range(int(p["n_seeds"]))]
+    for seed_rows, checks, top in _map_cases(lambda pair: _covering_seed(p, *pair), pairs):
+        rows.extend(seed_rows)
+        log.items.extend(checks)
+        overall = max(overall, top)
     return rows, log, {"max_ratio": overall}
 
 
-def _covering_seed(p, case, seed, rows, log) -> float:
-    """One seed of run_covering: append its rows and checks, return its largest ratio.
+def _covering_seed(p, case, seed) -> tuple:
+    """One seed of run_covering: its rows, its checks and its largest ratio.
 
     Each q's field and report are freed before the next q's field is built,
-    and the seed's filtration and masses on return, so one seed's masses and
-    one field at a time are alive: building a field, with its running max and
-    the level's axis products, sets the experiment's peak memory.
+    and the seed's filtration and masses on return, so a seed holds its masses
+    and one field at a time: building a field, with its running max and the
+    level's axis products, sets a seed's peak memory.  With N CPUs, up to N
+    seeds' fields are alive at once, in separate worker processes.
     """
     d, depth, K = int(case["d"]), int(case["depth"]), int(case["K"])
     rng = np.random.default_rng(seed)
@@ -349,7 +358,7 @@ def _covering_seed(p, case, seed, rows, log) -> float:
     theta = _random_nonnegative_measure(rng, d, p["interval"])
     masses = compile_masses(theta, F)
     B = _random_atom_block(rng, K, F.level_shape(K))
-    top = 0.0
+    rows, log, top = [], AssertionLog(), 0.0
     for q in p["q_values"]:
         field_ = maximal_field(float(q), masses, K=K)
         report = covering_report(field_, B, _log_t_grid(field_, int(p["t_points"])))
@@ -358,7 +367,7 @@ def _covering_seed(p, case, seed, rows, log) -> float:
         top = max(top, report.max_ratio)
         log.check_le(f"covering_d{d}_q{q}_seed{seed}", report.max_ratio, 1.0)
         del field_, report
-    return top
+    return rows, log.items, top
 
 
 def _log_t_grid(field_, n_points):

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 from dataclasses import replace
@@ -175,29 +176,29 @@ def test_converge_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
 def _hold_cpus(monkeypatch, n):
     """Make the CPU affinity that `_map_cases` reads hold n CPUs; returns the list that
     records each case pool's `map` call in this process."""
-    import multiprocessing.pool
+    from concurrent.futures import ProcessPoolExecutor
 
     maps = []
-    real = multiprocessing.pool.Pool.map
+    real = ProcessPoolExecutor.map
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-    monkeypatch.setattr(multiprocessing.pool.Pool, "map",
+    monkeypatch.setattr(ProcessPoolExecutor, "map",
                         lambda pool, *a, **kw: maps.append(a) or real(pool, *a, **kw))
     return maps
 
 
 @pytest.mark.parametrize("name", EXPERIMENT_NAMES)
 def test_outputs_byte_identical_across_runs(name, tmp_path, monkeypatch):
-    # shadrin and decay map their cases over two forked workers in the first run and
-    # in the parent in the second, held to one CPU; the other runners are serial
+    # shadrin, decay and covering map their cases over two forked workers in the first
+    # run and in the parent in the second, held to one CPU; the other runners are serial
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
     cfg = small_config(name)
     maps = _hold_cpus(monkeypatch, 2)
     assert run_experiment(cfg, out_dir=out_a, quiet=True) == 0
-    assert len(maps) == (name in ("shadrin", "decay"))
+    assert len(maps) == (name in ("shadrin", "decay", "covering"))
     _hold_cpus(monkeypatch, 1)
     assert run_experiment(cfg, out_dir=out_b, quiet=True) == 0
-    assert len(maps) == (name in ("shadrin", "decay"))
+    assert len(maps) == (name in ("shadrin", "decay", "covering"))
     assert [json.loads((out / f"{name}.meta.json").read_text())["cpus"]
             for out in (out_a, out_b)] == [2, 1]
     for suffix in (".csv", ".summary.json"):
@@ -218,24 +219,60 @@ def test_case_pool_fails_closed_and_leaves_no_process(tmp_path, monkeypatch):
     # a case that raises in a worker raises from run_experiment, and neither a failed
     # nor a passing run leaves a worker or an unreaped child behind
     maps = _hold_cpus(monkeypatch, 2)
-    cfg = small_config("decay")
-    cfg["depth"] = 1
-    cfg["params"]["orders"] = [1, 4]   # order 4 needs 2 * 4 functions; depth 1 has fewer
-    with pytest.raises(ValueError, match="needs a richer final level"):
-        run_experiment(cfg, out_dir=tmp_path / "fail", quiet=True)
-    assert len(maps) == 1
-    assert not (tmp_path / "fail").exists()
-    _assert_no_child_processes()
+    decay = small_config("decay")
+    decay["depth"] = 1
+    decay["params"]["orders"] = [1, 4]   # order 4 needs 2 * 4 functions; depth 1 has fewer
+    covering = small_config("covering")
+    covering["params"]["t_points"] = 0
+    for i, (cfg, error) in enumerate([(decay, "needs a richer final level"),
+                                      (covering, "empty threshold grid")], start=1):
+        with pytest.raises(ValueError, match=error):
+            run_experiment(cfg, out_dir=tmp_path / "fail", quiet=True)
+        assert len(maps) == i
+        assert not (tmp_path / "fail").exists()
+        _assert_no_child_processes()
     assert run_experiment(small_config("decay"), out_dir=tmp_path / "pass", quiet=True) == 0
-    assert len(maps) == 2
+    assert len(maps) == 3
     _assert_no_child_processes()
+
+
+def test_a_dead_worker_raises_and_leaves_no_process():
+    # a worker that dies mid-case, here by os._exit, makes the case pool raise
+    # BrokenProcessPool instead of waiting forever for its result, and the other
+    # workers are stopped and reaped.  The pool runs in a process of its own session,
+    # so that a hang can be killed whole, workers included.
+    run = ("import multiprocessing, os\n"
+           "os.sched_getaffinity = lambda pid: {0, 1}\n"
+           "from splinelab.experiments import _map_cases\n"
+           "try:\n"
+           "    _map_cases(lambda i: os._exit(3) if i == 1 else i, [0, 1, 2, 3])\n"
+           "except Exception as exc:\n"
+           "    print(type(exc).__name__)\n"
+           "print(multiprocessing.active_children())\n"
+           "try:\n"
+           "    os.waitpid(-1, os.WNOHANG)\n"
+           "except ChildProcessError:\n"
+           "    print('reaped')\n")
+    proc = subprocess.Popen([sys.executable, "-c", run], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, start_new_session=True,
+                            env=dict(os.environ, PYTHONPATH=_src_pythonpath()))
+    try:
+        out, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("the run hung after a worker died")
+    assert proc.returncode == 0, err
+    assert out.split() == ["BrokenProcessPool", "[]", "reaped"]
 
 
 def test_importing_the_experiments_leaves_multiprocessing_unloaded():
-    # _map_cases imports multiprocessing when it first forks, so set-up does not pay for it
+    # _map_cases imports multiprocessing and concurrent.futures when it first forks,
+    # so set-up does not pay for them
     done = subprocess.run(
         [sys.executable, "-c", "import sys, splinelab.experiments; "
-         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))"],
+         "print(sorted(m for m in sys.modules "
+         "if m.split('.')[0] in ('multiprocessing', 'concurrent')))"],
         capture_output=True, text=True, timeout=120,
         env=dict(os.environ, PYTHONPATH=_src_pythonpath()))
     assert done.returncode == 0, done.stderr
@@ -546,6 +583,8 @@ def test_covering_builds_one_maximal_field_per_seed_and_q(tmp_path, monkeypatch)
         return real(q, masses, n, into=into)
 
     monkeypatch.setattr(maximal, "level_sum_field", counted)
+    # `calls` lives in this process: map the seeds here, not in workers
+    _hold_cpus(monkeypatch, 1)
     cfg = small_config("covering")
     p = cfg["params"]
     assert run_experiment(cfg, out_dir=tmp_path, quiet=True) == 0
